@@ -1,6 +1,8 @@
 """Command-line interface: analyze, render, eval.
 
-Exit codes: 0 success, 1 internal failure, 2 bad input or usage.
+Exit codes: 0 success, 1 internal failure, 2 bad input or usage.  Bad
+input and usage errors are raised as FormatError (ConfigError for analysis
+options); any other exception is an internal failure.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import os
 import re
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -106,7 +109,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise FormatError(f"invalid report JSON: {exc}") from exc
     truth = load_annotations(args.annotations)
     result = evaluate_report(report, truth)
@@ -154,11 +157,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, ValueError) as exc:
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GridlintError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # Anything else is a bug in gridlint, never bad input: keep the
+        # traceback for the bug report, then the one-line summary.
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -6,6 +6,15 @@ single-fingerprint rectangles.  The resulting leaves are then coalesced:
 any two rectangles carrying the same fingerprint whose union is again a
 rectangle are merged, to a fixed point, in a pinned deterministic order.
 
+Costs.  A node of the tree finds its cut in O(area): one sweep per axis
+keeps running fingerprint histograms of the two halves and an exact
+integer running sum of c*log2(c), which scores every cut approximately;
+only the cuts within a proven rounding margin of the best are re-scored
+exactly (`split_entropy`), so trees and entropy floats are those of the
+plain per-cut search.  Coalescing indexes regions by their full edges,
+so a region's merge partners are a few dictionary lookups and R regions
+coalesce in O(R log R).
+
 An optional preprocessing pass first cuts the grid along uniform
 full-height columns or full-width rows (delimiter lines such as blank
 separators or border strips), so that large sheets decompose piecewise.
@@ -13,8 +22,12 @@ separators or border strips), so that large sheets decompose piecewise.
 
 from __future__ import annotations
 
+import heapq
 import math
+from array import array
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from dataclasses import dataclass
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -105,38 +118,145 @@ class EntropyNode:
 EntropyTree = Union[EntropyLeaf, EntropyNode]
 
 
+# The cut sweep scores every cut from running sums of c*log2(c) over the
+# two halves' fingerprint counts, each term rounded to a multiple of
+# 2**-_SWEEP_BITS and kept as an integer, so the running sums themselves
+# are exact however many cells move across the cut.
+_SWEEP_BITS = 32
+_SWEEP_SCALE = float(1 << _SWEEP_BITS)
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _xlogx_table(n: int) -> array:
+    """Entry c is round(c * log2(c) * 2**_SWEEP_BITS), for 0 <= c <= n.
+
+    Signed 64-bit entries hold it for any count below 8 * 10**7.
+    """
+    table = array("q", [0, 0])
+    table.extend(round(c * math.log2(c) * _SWEEP_SCALE) for c in range(2, n + 1))
+    return table
+
+
+def _cut_margin(area: int) -> float:
+    """How far above the sweep's minimum an exact minimizer can score.
+
+    For a half of n cells with k >= 2 fingerprints (otherwise both ways
+    give exactly 0.0), with u = 2**-53, B = _SWEEP_BITS and
+    N = area >= n >= k:
+
+    * `normalized_entropy` sums k terms -p*log2(p), each off by at most
+      1.45u*p + 4u*|p*log2(p)|, with k - 1 roundings of partial sums at
+      most H, then scales by 1/log2(n) (off by 4u).  With H <= log2(n)
+      and log2(n) >= 1 its result is within (k + 10)u of the real value.
+    * Each table entry is within 1/2 + 3u*c*log2(c)*2**B of
+      c*log2(c)*2**B, so the sweep's exact integer sum S is within
+      k/2 + 3u*S_real*2**B of the real one.  Dividing by
+      n*log2(n)*2**B >= k*2**B, and the conversion, log2, product,
+      division and subtraction, leave the half within 2**-(B+1) + 10u.
+
+    So a half's sweep value is within 2**-(B+1) + (N + 20)u of what
+    `normalized_entropy` returns, and a cut's, after each side adds two
+    halves (values <= 2, so 2u each), within d = 2**-B + (2N + 44)u of
+    what `split_entropy` returns.  An exact minimizer therefore sweeps
+    to at most the sweep minimum + 2d; the margin is twice that, 4d.
+    """
+    return 4.0 * (2.0**-_SWEEP_BITS + (2 * area + 44) * _UNIT_ROUNDOFF)
+
+
+def _sweep(lines: list[Counter], total: Counter, line_cells: int, table: array) -> list[float]:
+    """Approximate split entropy after each line but the last, in O(cells).
+
+    `lines` holds one fingerprint-code histogram per column (row) of the
+    rectangle, `total` their sum, and `table` an `_xlogx_table` covering
+    every count in `total`.  Moving a line from the right half to
+    the left updates each half's integer sum of c*log2(c) only for the
+    codes on that line; a half of n cells then scores
+    1 - S / (n * log2(n)), its normalized entropy.
+    """
+    n = line_cells * len(lines)
+    left: dict[int, int] = {}
+    s_left = 0
+    s_right = sum(table[c] for c in total.values())
+    k_left = 0
+    k_right = len(total)
+    out = []
+    for step, hist in enumerate(lines[:-1], 1):
+        for code, c in hist.items():
+            old = left.get(code, 0)
+            new = left[code] = old + c
+            t = total[code]
+            s_left += table[new] - table[old]
+            s_right += table[t - new] - table[t - old]
+            if not old:
+                k_left += 1
+            if new == t:
+                k_right -= 1
+        n_left = step * line_cells
+        n_right = n - n_left
+        e_left = 0.0 if n_left <= 1 or k_left == 1 else 1.0 - s_left / (_SWEEP_SCALE * n_left * math.log2(n_left))
+        e_right = 0.0 if n_right <= 1 or k_right == 1 else 1.0 - s_right / (_SWEEP_SCALE * n_right * math.log2(n_right))
+        out.append(e_left + e_right)
+    return out
+
+
+def _decide(grid: FingerprintGrid, region: Rect, table: array) -> Optional[tuple[bool, int, float]]:
+    """None for a single-fingerprint rectangle, else its best cut.
+
+    Sweeps both axes once for approximate cut scores, then re-scores
+    exactly, with `split_entropy`, only the cuts within `_cut_margin` of
+    the approximate minimum.  Among those, vertical cuts come before
+    horizontal ones and smaller indices first, and the first to attain
+    the exact minimum wins: the same cut as scoring every cut exactly
+    under the pinned order.
+    """
+    block = [row[region.left - 1:region.right] for row in grid.code_rows[region.top - 1:region.bottom]]
+    total = Counter(chain.from_iterable(block))
+    if len(total) == 1:
+        return None
+    v_scores = _sweep([Counter(col) for col in zip(*block)], total, region.height, table)
+    h_scores = _sweep([Counter(row) for row in block], total, region.width, table)
+    threshold = min(v_scores + h_scores) + _cut_margin(region.area)
+    candidates = [(True, region.left + i) for i, e in enumerate(v_scores) if e <= threshold]
+    candidates += [(False, region.top + i) for i, e in enumerate(h_scores) if e <= threshold]
+    best: Optional[tuple[bool, int, float]] = None
+    for vertical, index in candidates:
+        e = split_entropy(grid, region, index, vertical)
+        if best is None or e < best[2]:
+            best = (vertical, index, e)
+    assert best is not None
+    return best
+
+
 def best_split(grid: FingerprintGrid, region: Rect) -> tuple[bool, int, float]:
     """(vertical, index, entropy) of the winning cut for a mixed rectangle.
 
-    Vertical candidates are scanned first and win ties against horizontal
-    ones; within an axis the smallest index attaining the minimum wins.
+    The cut with the lowest `split_entropy`; vertical candidates win ties
+    against horizontal ones, and within an axis the smallest index
+    attaining the minimum wins.  Costs O(area) for the sweep plus two
+    `counts_in` per cut re-scored near the minimum (see `_decide`).
     """
-    best_v: Optional[tuple[float, int]] = None
-    for i in range(region.left, region.right):
-        e = split_entropy(grid, region, i, True)
-        if best_v is None or e < best_v[0]:
-            best_v = (e, i)
-    best_h: Optional[tuple[float, int]] = None
-    for i in range(region.top, region.bottom):
-        e = split_entropy(grid, region, i, False)
-        if best_h is None or e < best_h[0]:
-            best_h = (e, i)
-    if best_v is None and best_h is None:
+    if region.area == 1:
         raise InvalidSplitError(f"{region} has no interior cut line")
-    if best_h is None or (best_v is not None and best_v[0] <= best_h[0]):
-        assert best_v is not None
-        return True, best_v[1], best_v[0]
-    return False, best_h[1], best_h[0]
+    decision = _decide(grid, region, _xlogx_table(region.area))
+    if decision is None:
+        # One fingerprint: every cut scores 0.0, so the first one wins.
+        if region.right > region.left:
+            return True, region.left, split_entropy(grid, region, region.left, True)
+        return False, region.top, split_entropy(grid, region, region.top, False)
+    return decision
 
 
 def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> EntropyTree:
     """Full guillotine decomposition tree of `region` (default: whole grid).
 
-    Built with an explicit stack; deep, skewed cut sequences on long thin
-    sheets would overflow Python's recursion limit otherwise.
+    Each node costs O(area) for its histograms and cut sweep, so a tree
+    costs O(sum of node areas): O(area x depth).  Built with an explicit
+    stack; deep, skewed cut sequences on long thin sheets would overflow
+    Python's recursion limit otherwise.
     """
     if region is None:
         region = grid.full_rect()
+    table = _xlogx_table(region.area)
     # Pass 1: decide every node's cut top-down, stack order = preorder.
     plan: dict[tuple[int, int, int, int], Optional[tuple[bool, int, float, Rect, Rect]]] = {}
     order: list[Rect] = []
@@ -145,10 +265,11 @@ def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> Entrop
         r = pending.pop()
         order.append(r)
         key = (r.left, r.top, r.right, r.bottom)
-        if r.area == 1 or len(grid.counts_in(r)) == 1:
+        decision = None if r.area == 1 else _decide(grid, r, table)
+        if decision is None:
             plan[key] = None
             continue
-        vertical, index, entropy = best_split(grid, r)
+        vertical, index, entropy = decision
         low, high = split_halves(r, index, vertical)
         plan[key] = (vertical, index, entropy, low, high)
         pending.append(high)
@@ -205,61 +326,132 @@ def _union_rect(a: Rect, b: Rect) -> Rect:
     return Rect(min(a.left, b.left), min(a.top, b.top), max(a.right, b.right), max(a.bottom, b.bottom))
 
 
+class _EdgeIndex:
+    """Live regions of a tiling, each found by any of its four full edges.
+
+    Two same-fingerprint regions are mergeable exactly when one's bottom
+    (right) edge, with its full column (row) span, sits just above (left
+    of) the other's top (left) edge with the same span.  In a tiling at
+    most one region owns a given full edge, so each region has at most
+    one merge partner per side, found by one dictionary lookup.  Every
+    region added gets a fresh serial number: a stale reference to a
+    removed region is recognized by its serial, never by object identity.
+    """
+
+    def __init__(self) -> None:
+        self.live: dict[int, Region] = {}
+        self._serial = 0
+        # (column span, row) / (row span, column) + fingerprint -> serial
+        self._tops: dict[tuple, int] = {}
+        self._bottoms: dict[tuple, int] = {}
+        self._lefts: dict[tuple, int] = {}
+        self._rights: dict[tuple, int] = {}
+
+    def add(self, region: Region) -> int:
+        serial = self._serial = self._serial + 1
+        r, fp = region.rect, region.fingerprint
+        self.live[serial] = region
+        self._tops[(r.left, r.right, r.top, fp)] = serial
+        self._bottoms[(r.left, r.right, r.bottom, fp)] = serial
+        self._lefts[(r.top, r.bottom, r.left, fp)] = serial
+        self._rights[(r.top, r.bottom, r.right, fp)] = serial
+        return serial
+
+    def remove(self, serial: int) -> Region:
+        region = self.live.pop(serial)
+        r, fp = region.rect, region.fingerprint
+        del self._tops[(r.left, r.right, r.top, fp)]
+        del self._bottoms[(r.left, r.right, r.bottom, fp)]
+        del self._lefts[(r.top, r.bottom, r.left, fp)]
+        del self._rights[(r.top, r.bottom, r.right, fp)]
+        return region
+
+    def partners(self, serial: int) -> list[int]:
+        """Serials of the live regions that can merge with this one."""
+        region = self.live[serial]
+        r, fp = region.rect, region.fingerprint
+        found = (
+            self._bottoms.get((r.left, r.right, r.top - 1, fp)),
+            self._tops.get((r.left, r.right, r.bottom + 1, fp)),
+            self._rights.get((r.top, r.bottom, r.left - 1, fp)),
+            self._lefts.get((r.top, r.bottom, r.right + 1, fp)),
+        )
+        return [s for s in found if s is not None]
+
+
 def coalesce(regions: Sequence[Region]) -> list[Region]:
     """Merge same-fingerprint rectangle pairs whose union is a rectangle.
 
-    Runs to a fixed point.  The scan order is pinned: regions are kept
-    sorted by (top, left, bottom, right) and the first mergeable pair in
-    that order merges first, so the result is fully deterministic.
+    `regions` must tile their area (no overlaps).  Runs to a fixed point.
+    The order is pinned: of all mergeable pairs (a, b) with
+    _region_key(a) < _region_key(b), the one with the smallest
+    (key(a), key(b)) merges first, exactly the first mergeable pair of
+    the list kept sorted by (top, left, bottom, right).  Pairs wait in a
+    heap under that key; a pair whose region has since merged away is
+    dropped when popped.  With the edge index each merge finds the new
+    region's at most four partners directly, so the whole run costs
+    O(R log R) for R regions.
     """
-    items = sorted(regions, key=_region_key)
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                a, b = items[i], items[j]
-                if a.fingerprint == b.fingerprint and mergeable(a.rect, b.rect):
-                    union = Region(_union_rect(a.rect, b.rect), a.fingerprint)
-                    del items[j]
-                    del items[i]
-                    items.append(union)
-                    items.sort(key=_region_key)
-                    merged = True
-                    break
-            if merged:
-                break
-    return items
+    index = _EdgeIndex()
+    keys: dict[int, tuple] = {}
+    heap: list[tuple] = []
+
+    def push_pairs(serial: int, only_larger: bool) -> None:
+        key = keys[serial]
+        for other in index.partners(serial):
+            if keys[other] > key:
+                heapq.heappush(heap, (key, keys[other], serial, other))
+            elif not only_larger:
+                heapq.heappush(heap, (keys[other], key, other, serial))
+
+    for region in regions:
+        serial = index.add(region)
+        keys[serial] = _region_key(region)
+    for serial in list(index.live):
+        push_pairs(serial, only_larger=True)
+    while heap:
+        _, _, first, second = heapq.heappop(heap)
+        if first not in index.live or second not in index.live:
+            continue
+        a = index.remove(first)
+        b = index.remove(second)
+        union = Region(_union_rect(a.rect, b.rect), a.fingerprint)
+        serial = index.add(union)
+        keys[serial] = _region_key(union)
+        push_pairs(serial, only_larger=False)
+    return sorted(index.live.values(), key=_region_key)
 
 
 def _coalesce_targeted(stable: Sequence[Region], dirty: Sequence[Region]) -> list[Region]:
     """Coalesce when `stable` is already a fixed point and only `dirty`
     regions are new or reshaped; only pairs involving a dirty region can
-    merge, which keeps incremental re-coalescing cheap."""
-    items = sorted(list(stable) + list(dirty), key=_region_key)
-    queue = sorted(dirty, key=_region_key)
+    merge, which keeps incremental re-coalescing cheap.
+
+    Dirty regions are taken smallest key first; each merges with its
+    smallest-keyed partner, found through the edge index, and the union
+    is queued as dirty in turn.  Together `stable` and `dirty` must tile
+    their area.
+    """
+    index = _EdgeIndex()
+    for region in stable:
+        index.add(region)
+    queue = []
+    for region in dirty:
+        serial = index.add(region)
+        heapq.heappush(queue, (_region_key(region), serial))
     while queue:
-        current = queue.pop(0)
-        if current not in items:
+        _, serial = heapq.heappop(queue)
+        if serial not in index.live:
             continue
-        partner = None
-        for other in items:
-            if other is current or other == current:
-                continue
-            if other.fingerprint == current.fingerprint and mergeable(other.rect, current.rect):
-                partner = other
-                break
-        if partner is None:
+        partners = index.partners(serial)
+        if not partners:
             continue
-        items.remove(current)
-        items.remove(partner)
-        union = Region(_union_rect(current.rect, partner.rect), current.fingerprint)
-        items.append(union)
-        items.sort(key=_region_key)
-        queue = [q for q in queue if q != partner]
-        queue.append(union)
-        queue.sort(key=_region_key)
-    return items
+        partner = min(partners, key=lambda s: _region_key(index.live[s]))
+        current = index.remove(serial)
+        other = index.remove(partner)
+        union = Region(_union_rect(current.rect, other.rect), current.fingerprint)
+        heapq.heappush(queue, (_region_key(union), index.add(union)))
+    return sorted(index.live.values(), key=_region_key)
 
 
 def _axis_runs(grid: FingerprintGrid, vertical: bool) -> list[Optional[int]]:
@@ -358,13 +550,11 @@ def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
 
 
 def _piece_regions(grid: FingerprintGrid, piece: Rect) -> list[Region]:
-    leaves = tree_leaves(entropy_tree(grid, piece))
-    out = []
-    for leaf in leaves:
-        counts = grid.counts_in(leaf.region)
-        (fp,) = counts.keys()
-        out.append(Region(leaf.region, fp))
-    return out
+    # A leaf holds one fingerprint, so any of its cells names it.
+    return [
+        Region(leaf.region, grid.fingerprint_at(leaf.region.left, leaf.region.top))
+        for leaf in tree_leaves(entropy_tree(grid, piece))
+    ]
 
 
 def decompose_grid(grid: FingerprintGrid, preprocess: bool = True, jobs: int = 1) -> list[Region]:

@@ -265,7 +265,7 @@ def load_annotations(path) -> GroundTruth:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise FormatError(f"invalid annotation JSON: {exc}") from exc
     return parse_annotations(data)
 
@@ -285,14 +285,17 @@ def evaluate_report(report: dict, truth: GroundTruth) -> dict:
     totals = {"tp": 0, "fp": 0, "fn": 0, "flagged": 0}
     expected_total = 0.0
     for sheet in report["sheets"]:
-        name = sheet["sheet"]
-        sheet_truth = truth.sheets.get(name, SheetTruth(frozenset(), (), frozenset()))
-        flagged = set()
-        for fix in sheet.get("fixes", []):
-            for cell_name in fix.get("source", []):
-                flagged.add(parse_a1(cell_name))
-        total_cells = max(1, int(sheet.get("cells", 0)))
-        result = evaluate_sheet(flagged, sheet_truth, total_cells)
+        try:
+            name = sheet["sheet"]
+            flagged = set()
+            for fix in sheet.get("fixes", []):
+                for cell_name in fix.get("source", []):
+                    flagged.add(parse_a1(cell_name))
+            total_cells = max(1, int(sheet.get("cells", 0)))
+            sheet_truth = truth.sheets.get(name, SheetTruth(frozenset(), (), frozenset()))
+            result = evaluate_sheet(flagged, sheet_truth, total_cells)
+        except (KeyError, TypeError, AttributeError, ValueError, DomainError) as exc:
+            raise FormatError(f"malformed report sheet: {exc!r}") from exc
         totals["tp"] += result.tp
         totals["fp"] += result.fp
         totals["fn"] += result.fn

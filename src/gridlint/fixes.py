@@ -185,8 +185,15 @@ def layout_entropy(regions: Sequence[Region], total_cells: int) -> float:
     return normalized_entropy([r.rect.area for r in regions], total_cells)
 
 
-def entropy_delta(fix: CandidateFix, regions: Sequence[Region], total_cells: int) -> float:
-    before = layout_entropy(regions, total_cells)
+def entropy_delta(fix: CandidateFix, regions: Sequence[Region], total_cells: int,
+                  before: Optional[float] = None) -> float:
+    """Layout entropy after the fix minus before it.
+
+    `before`, when given, must be layout_entropy(regions, total_cells);
+    callers scoring many fixes of one layout compute it once.
+    """
+    if before is None:
+        before = layout_entropy(regions, total_cells)
     after = layout_entropy(hypothetical_regions(fix, regions), total_cells)
     return after - before
 
@@ -244,10 +251,11 @@ def score_candidates(
     """Screen, score, and wrap candidates; inadmissible or
     non-entropy-reducing ones are dropped."""
     out: list[ProposedFix] = []
+    before = layout_entropy(regions, total_cells)
     for fix in candidates:
         if admissible(fix, table, regions) is not None:
             continue
-        delta = entropy_delta(fix, regions, total_cells)
+        delta = entropy_delta(fix, regions, total_cells, before)
         if delta >= 0:
             continue
         distance = fix_distance(fix, table)

@@ -1,13 +1,19 @@
 """Recursive-descent parser for spreadsheet formulas.
 
-Covers numbers, strings, A1-style cell references with any combination of $
-anchors, rectangular ranges, sheet- and workbook-qualified references,
-arbitrary function calls, the usual arithmetic / comparison / concatenation
-operators, postfix percent, unary sign, and parentheses.
+Covers numbers, strings, the booleans TRUE and FALSE, A1-style cell
+references with any combination of $ anchors, rectangular ranges, sheet- and
+workbook-qualified references, arbitrary function calls, the usual
+arithmetic / comparison / concatenation operators, postfix percent, unary
+sign, and parentheses.
 
 Unknown function names parse as opaque calls.  Anything outside the grammar
 (R1C1 addresses, structured references, array formulas, bare names) raises
 FormulaParseError; callers are expected to degrade such cells to text.
+So does nesting deeper than MAX_NESTING levels, counting each parenthesis,
+function call, unary sign and right operand of "^": the parser recurses
+once per level, and the bound keeps it well inside Python's recursion
+limit.  Long flat chains such as =A1+A1+...+A1 nest nothing and have no
+length limit; the tree walks below are iterative.
 
 Precedence, loosest to tightest: comparisons, "&", "+ -", "* /", "^"
 (right-associative), unary sign, postfix "%".  Unary sign binds tighter
@@ -23,6 +29,9 @@ from typing import Iterator, Sequence
 from .model import GridlintError, letters_to_column
 
 MAX_RANGE_CELLS = 2**20
+# Excel's own limit on nested functions.  A level costs at most nine parser
+# frames (a call), so a formula at full depth stays under 600 frames.
+MAX_NESTING = 64
 
 
 class FormulaParseError(GridlintError):
@@ -64,6 +73,13 @@ class NumberLit(Node):
 @dataclass(frozen=True)
 class StringLit(Node):
     value: str
+
+
+@dataclass(frozen=True)
+class BoolLit(Node):
+    """TRUE or FALSE: a constant, but not a numeric one."""
+
+    value: bool
 
 
 @dataclass(frozen=True)
@@ -118,6 +134,13 @@ class _Scanner:
     def __init__(self, text: str, offset: int = 0):
         self.text = text
         self.pos = offset
+        self.depth = 0
+
+    def nest(self) -> None:
+        """Enter one nesting level; callers decrement depth on the way out."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaParseError(f"nesting deeper than {MAX_NESTING} levels", self.pos)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
@@ -205,16 +228,21 @@ def _parse_power(sc: _Scanner) -> Node:
     node = _parse_unary(sc)
     sc.skip_ws()
     if sc.match("^"):
-        return BinaryOp("^", node, _parse_power(sc))
+        sc.nest()
+        right = _parse_power(sc)
+        sc.depth -= 1
+        return BinaryOp("^", node, right)
     return node
 
 
 def _parse_unary(sc: _Scanner) -> Node:
     sc.skip_ws()
-    if sc.match("-"):
-        return UnaryOp("-", _parse_unary(sc))
-    if sc.match("+"):
-        return UnaryOp("+", _parse_unary(sc))
+    for sign in "-+":
+        if sc.match(sign):
+            sc.nest()
+            operand = _parse_unary(sc)
+            sc.depth -= 1
+            return UnaryOp(sign, operand)
     return _parse_postfix(sc)
 
 
@@ -233,9 +261,11 @@ def _parse_atom(sc: _Scanner) -> Node:
     ch = sc.peek()
     if ch == "(":
         sc.pos += 1
+        sc.nest()
         inner = _parse_compare(sc)
         sc.skip_ws()
         sc.expect(")")
+        sc.depth -= 1
         return Paren(inner)
     if ch == '"':
         return _parse_string(sc)
@@ -312,6 +342,7 @@ def _parse_ref_or_call(sc: _Scanner) -> Node:
         name = m.group(0)
         if sc.peek() == "(":
             sc.pos += 1
+            sc.nest()
             args: list[Node] = []
             sc.skip_ws()
             if not sc.match(")"):
@@ -321,7 +352,10 @@ def _parse_ref_or_call(sc: _Scanner) -> Node:
                     args.append(_parse_compare(sc))
                     sc.skip_ws()
                 sc.expect(")")
+            sc.depth -= 1
             return FunctionCall(name.upper(), tuple(args))
+        if name.upper() in ("TRUE", "FALSE"):
+            return BoolLit(name.upper() == "TRUE")
         raise FormulaParseError(f"unsupported name {name!r}", start, ["reference", "function call"])
     raise FormulaParseError("expected a value, reference, or function", sc.pos,
                             ["number", "string", "reference", "function call", "("])
@@ -375,8 +409,8 @@ def expand_range(start: RawReference, end: RawReference) -> list[RawReference]:
 
 
 def constant_count(node: Node) -> int:
-    """Number of literal constants (numeric or string) in the formula."""
-    return sum(1 for item in _walk(node) if isinstance(item, (NumberLit, StringLit)))
+    """Number of literal constants (numeric, string or boolean) in the formula."""
+    return sum(1 for item in _walk(node) if isinstance(item, (NumberLit, StringLit, BoolLit)))
 
 
 def numeric_constant_count(node: Node) -> int:
@@ -384,16 +418,20 @@ def numeric_constant_count(node: Node) -> int:
 
 
 def _walk(node: Node) -> Iterator[Node]:
-    yield node
-    if isinstance(node, FunctionCall):
-        for arg in node.args:
-            yield from _walk(arg)
-    elif isinstance(node, BinaryOp):
-        yield from _walk(node.left)
-        yield from _walk(node.right)
-    elif isinstance(node, (UnaryOp, Paren)):
-        inner = node.operand if isinstance(node, UnaryOp) else node.inner
-        yield from _walk(inner)
+    """Every node in preorder, children left to right, with an explicit stack."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, FunctionCall):
+            stack.extend(reversed(node.args))
+        elif isinstance(node, BinaryOp):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, UnaryOp):
+            stack.append(node.operand)
+        elif isinstance(node, Paren):
+            stack.append(node.inner)
 
 
 def _format_number(value: float) -> str:
@@ -450,6 +488,8 @@ def _to_text(node: Node, required: int) -> str:
         return _format_number(node.value)
     if isinstance(node, StringLit):
         return '"' + node.value.replace('"', '""') + '"'
+    if isinstance(node, BoolLit):
+        return "TRUE" if node.value else "FALSE"
     if isinstance(node, CellRef):
         return _format_ref(node.ref)
     if isinstance(node, RangeRef):

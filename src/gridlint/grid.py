@@ -5,6 +5,10 @@ every cell carrying it; cell (x, y) maps to bit (y-1)*width + (x-1).
 Counting a fingerprint inside a rectangle is then a popcount of
 (bitvector AND rectangle-mask), and a rectangle mask is built with two
 multiplications instead of a per-row loop.
+
+The same scan also numbers the fingerprints 0, 1, 2, ... in bitvector
+order and keeps the grid as rows of those small integer codes, which the
+entropy cut sweep counts without hashing a fingerprint per cell.
 """
 
 from __future__ import annotations
@@ -26,12 +30,20 @@ class FingerprintGrid:
         self.height = height
         self._cells = dict(cells)
         bitvectors: dict[Fingerprintish, int] = {}
+        codes: dict[Fingerprintish, int] = {}
+        code_rows: list[list[int]] = []
         for y in range(1, height + 1):
             base = (y - 1) * width
+            row = []
             for x in range(1, width + 1):
                 fp = self._cells[(x, y)]
                 bitvectors[fp] = bitvectors.get(fp, 0) | (1 << (base + x - 1))
+                row.append(codes.setdefault(fp, len(codes)))
+            code_rows.append(row)
         self.bitvectors = bitvectors
+        # code_rows[y - 1][x - 1] is the position of cell (x, y)'s
+        # fingerprint in bitvectors' iteration order.
+        self.code_rows = code_rows
         self._row_multipliers: dict[int, int] = {}
 
     @classmethod

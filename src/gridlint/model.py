@@ -278,6 +278,8 @@ def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
         raise FormatError(f"{source}: not valid JSON: {exc}") from exc
     except DuplicateCellError:
         raise
+    except RecursionError as exc:
+        raise FormatError(f"{source}: JSON nested too deeply") from exc
     if not isinstance(doc, dict) or "workbook" not in doc or "sheets" not in doc:
         raise FormatError(f"{source}: top level must be an object with 'workbook' and 'sheets'")
     name = doc["workbook"]
@@ -319,8 +321,8 @@ def load_workbook(path: str) -> Workbook:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except FileNotFoundError:
-        raise
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     return parse_workbook_json(text, source=path)
 
 

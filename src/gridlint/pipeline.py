@@ -14,11 +14,19 @@ from typing import Optional
 from .entropy import Region, decompose_grid
 from .fixes import ProposedFix, build_fixes
 from .grid import FingerprintGrid
-from .model import Rect, Workbook, Worksheet
+from .model import FormatError, Rect, Workbook, Worksheet
 from .report import audit_sheet_payload, audit_workbook_payload
 from .vectors import SheetVectors, analyze_sheet_vectors
 
 PHASES = ("parse", "vectors", "decomposition", "fixes")
+
+
+class ConfigError(FormatError, ValueError):
+    """An analysis option is out of range: a usage error, not a bug.
+
+    Also a ValueError, so callers that validate options that way still
+    catch it.
+    """
 
 
 @dataclass(frozen=True)
@@ -30,11 +38,11 @@ class AnalysisConfig:
 
     def __post_init__(self):
         if not 0 < self.threshold <= 1:
-            raise ValueError(f"threshold {self.threshold} must be in (0, 1]")
+            raise ConfigError(f"threshold {self.threshold} must be in (0, 1]")
         if self.jobs < 1:
-            raise ValueError(f"jobs {self.jobs} must be at least 1")
+            raise ConfigError(f"jobs {self.jobs} must be at least 1")
         if self.fmt not in ("json", "text"):
-            raise ValueError(f"format {self.fmt!r} must be json or text")
+            raise ConfigError(f"format {self.fmt!r} must be json or text")
 
 
 @dataclass

@@ -81,6 +81,34 @@ class TestAnalyze:
         assert code == 1
         assert "internal error: boom" in err
 
+    def test_value_error_inside_analysis_exits_one(self, workbook_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "analyze_workbook", broken)
+        code, _, err = run(["analyze", workbook_path], capsys)
+        assert code == 1
+        assert "internal error: ValueError: bug" in err
+
+    def test_zero_jobs_is_usage_error(self, workbook_path, capsys):
+        code, _, err = run(["analyze", workbook_path, "--jobs", "0"], capsys)
+        assert code == 2
+        assert "jobs" in err
+
+    def test_non_utf8_workbook_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.gridbook"
+        bad.write_bytes(b'{"workbook": "caf\xe9", "sheets": []}')
+        code, _, err = run(["analyze", str(bad)], capsys)
+        assert code == 2
+        assert "UTF-8" in err
+
+    def test_deeply_nested_json_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "nested.gridbook"
+        bad.write_text('{"workbook": "x", "sheets": ' + "[" * 100000 + "]" * 100000 + "}")
+        code, _, err = run(["analyze", str(bad)], capsys)
+        assert code == 2
+        assert "nested too deeply" in err
+
 
 class TestJobsSelection:
     def test_env_variable_used(self, workbook_path, capsys, monkeypatch):
@@ -218,6 +246,20 @@ class TestEval:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "sheet",
+        [{"sheet": "Totals", "cells": "many"}, {"cells": 30}, {"sheet": "Totals", "fixes": [7]}],
+    )
+    def test_malformed_report_sheet(self, fixtures_dir, tmp_path, sheet, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps({"workbook": "weekly_totals", "sheets": [sheet]}))
+        code, _, err = run(
+            ["eval", str(bad), str(fixtures_dir / "weekly_totals.annotations.json")],
+            capsys,
+        )
+        assert code == 2
+        assert "malformed report" in err
 
     def test_missing_annotations(self, fixtures_dir, tmp_path, capsys):
         report_path = tmp_path / "report.json"

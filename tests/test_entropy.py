@@ -2,6 +2,8 @@
 
 import math
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,9 @@ from gridlint.entropy import (
     InvalidSplitError,
     NegativeCountError,
     Region,
+    _cut_margin,
+    _sweep,
+    _xlogx_table,
     best_split,
     coalesce,
     decompose_grid,
@@ -343,3 +348,205 @@ class TestDecomposeGrid:
         grid = FingerprintGrid.from_rows([["A"]])
         with pytest.raises(InvalidSplitError):
             best_split(grid, Rect(1, 1, 1, 1))
+
+
+# -- naive references: the per-cut search and the O(R^3) fixed point ------
+
+
+def naive_best_split(grid, region):
+    """Score every cut with split_entropy; vertical first, smallest index."""
+    best = None
+    for vertical, lo, hi in ((True, region.left, region.right), (False, region.top, region.bottom)):
+        for i in range(lo, hi):
+            e = split_entropy(grid, region, i, vertical)
+            if best is None or e < best[2]:
+                best = (vertical, i, e)
+    return best
+
+
+def naive_preorder(grid, region=None):
+    """Preorder (region, cut) list of the tree the per-cut search builds;
+    cut is None for a leaf, else (vertical, index, entropy)."""
+    out = []
+    stack = [region or grid.full_rect()]
+    while stack:
+        r = stack.pop()
+        if r.area == 1 or len(grid.counts_in(r)) == 1:
+            out.append((r, None))
+            continue
+        cut = naive_best_split(grid, r)
+        out.append((r, cut))
+        low, high = split_halves(r, cut[1], cut[0])
+        stack.extend([high, low])
+    return out
+
+
+def tree_preorder(tree):
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, EntropyLeaf):
+            out.append((node.region, None))
+        else:
+            out.append((node.region, (node.vertical, node.index, node.entropy)))
+            stack.extend([node.high, node.low])
+    return out
+
+
+def naive_coalesce(regions):
+    """Merge the first mergeable pair of the sorted list, to a fixed point."""
+    key = lambda r: (r.rect.top, r.rect.left, r.rect.bottom, r.rect.right, repr(r.fingerprint))
+    items = sorted(regions, key=key)
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(items)):
+            for j in range(i + 1, len(items)):
+                a, b = items[i], items[j]
+                if a.fingerprint == b.fingerprint and mergeable(a.rect, b.rect):
+                    r, s = a.rect, b.rect
+                    union = Region(
+                        Rect(min(r.left, s.left), min(r.top, s.top), max(r.right, s.right), max(r.bottom, s.bottom)),
+                        a.fingerprint,
+                    )
+                    del items[j]
+                    del items[i]
+                    items.append(union)
+                    items.sort(key=key)
+                    merged = True
+                    break
+            if merged:
+                break
+    return items
+
+
+def assert_tree_matches_naive(grid, region=None):
+    got = tree_preorder(entropy_tree(grid, region))
+    want = naive_preorder(grid, region)
+    # == on the entropy floats: the sweep must reproduce them bit for bit.
+    assert got == want
+
+
+def stripe_grid(rng, width, height):
+    """Columns or rows repeating a short label period: many cuts tie exactly."""
+    period = [rng.choice("AB") for _ in range(rng.randint(1, 3))] + ["C"]
+    by_column = rng.random() < 0.5
+    return FingerprintGrid.from_rows(
+        [[period[(x if by_column else y) % len(period)] for x in range(width)] for y in range(height)]
+    )
+
+
+class TestSweepOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_label_grids(self, rng):
+        assert_tree_matches_naive(random_label_grid(rng, max_side=9))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_stripes_with_tied_cuts(self, rng):
+        assert_tree_matches_naive(stripe_grid(rng, rng.randint(1, 16), rng.randint(1, 16)))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(2, 70), st.booleans())
+    def test_all_distinct_column(self, n, with_data_column):
+        # Running totals: a data column beside a column whose every cell
+        # carries its own fingerprint.
+        rows = [(["num"] if with_data_column else []) + [f"sum{r}"] for r in range(n)]
+        assert_tree_matches_naive(FingerprintGrid.from_rows(rows))
+
+    def test_region_of_200_by_200(self):
+        rng = random.Random(5)
+        rows = [["A"] * 200 for _ in range(200)]
+        blocks = [(20, 30, 90, 60), (120, 10, 199, 140), (5, 150, 60, 199)]
+        for label, (left, top, right, bottom) in zip("BCD", blocks):
+            for y in range(top, bottom + 1):
+                rows[y][left:right + 1] = [label] * (right - left + 1)
+        for _ in range(3):
+            rows[rng.randrange(200)][rng.randrange(200)] = "E"
+        grid = FingerprintGrid.from_rows(rows)
+        assert_tree_matches_naive(grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_sub_rectangle(self, rng):
+        grid = random_label_grid(rng, max_side=9)
+        left, right = sorted(rng.randint(1, grid.width) for _ in range(2))
+        top, bottom = sorted(rng.randint(1, grid.height) for _ in range(2))
+        assert_tree_matches_naive(grid, Rect(left, top, right, bottom))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_sweep_error_within_margin(self, rng):
+        # _cut_margin is four times the per-cut error bound it derives.
+        grid = random_label_grid(rng, max_side=12, max_labels=4)
+        region = grid.full_rect()
+        block = grid.code_rows
+        total = Counter(chain.from_iterable(block))
+        if region.area == 1 or len(total) == 1:
+            return
+        bound = _cut_margin(region.area) / 4
+        table = _xlogx_table(region.area)
+        sweeps = [
+            (True, region.left, _sweep([Counter(col) for col in zip(*block)], total, region.height, table)),
+            (False, region.top, _sweep([Counter(row) for row in block], total, region.width, table)),
+        ]
+        for vertical, first, scores in sweeps:
+            for i, approx in enumerate(scores):
+                assert abs(approx - split_entropy(grid, region, first + i, vertical)) <= bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_best_split_on_any_rectangle(self, rng):
+        grid = random_label_grid(rng, max_side=7, max_labels=2)
+        if grid.full_rect().area > 1:
+            assert best_split(grid, grid.full_rect()) == naive_best_split(grid, grid.full_rect())
+
+
+def random_guillotine_tiling(rng, width, height, labels):
+    """Random leaves of random guillotine cuts, randomly labelled."""
+    out = []
+    stack = [Rect(1, 1, width, height)]
+    while stack:
+        r = stack.pop()
+        if r.area > 1 and rng.random() < 0.75:
+            vertical = r.width > 1 and (r.height == 1 or rng.random() < 0.5)
+            lo, hi = (r.left, r.right) if vertical else (r.top, r.bottom)
+            stack.extend(split_halves(r, rng.randrange(lo, hi), vertical))
+        else:
+            out.append(Region(r, rng.choice(labels)))
+    return out
+
+
+class TestCoalesceOracle:
+    def test_first_pair_in_sorted_order_merges_first(self):
+        # The top-left A can join its right or its lower neighbour; the
+        # right one comes first in (top, left, bottom, right) order.
+        regions = [
+            Region(Rect(1, 2, 1, 2), "A"),
+            Region(Rect(2, 2, 2, 2), "B"),
+            Region(Rect(2, 1, 2, 1), "A"),
+            Region(Rect(1, 1, 1, 1), "A"),
+        ]
+        expected = [Region(Rect(1, 1, 2, 1), "A"), Region(Rect(1, 2, 1, 2), "A"), Region(Rect(2, 2, 2, 2), "B")]
+        assert naive_coalesce(regions) == expected
+        assert coalesce(regions) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_tree_leaves_in_shuffled_order(self, rng):
+        grid = random_label_grid(rng, max_side=9, max_labels=3)
+        regions = [
+            Region(leaf.region, grid.fingerprint_at(leaf.region.left, leaf.region.top))
+            for leaf in tree_leaves(entropy_tree(grid))
+        ]
+        rng.shuffle(regions)
+        assert coalesce(regions) == naive_coalesce(regions)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_tilings_in_shuffled_order(self, rng):
+        regions = random_guillotine_tiling(rng, rng.randint(1, 12), rng.randint(1, 12), "AB"[: rng.randint(1, 2)])
+        rng.shuffle(regions)
+        assert coalesce(regions) == naive_coalesce(regions)

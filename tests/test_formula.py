@@ -1,10 +1,14 @@
 """Formula grammar: parsing, reference extraction, printing."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlint.formula import (
+    MAX_NESTING,
     BinaryOp,
+    BoolLit,
     CellRef,
     FormulaParseError,
     FunctionCall,
@@ -158,7 +162,75 @@ class TestFunctions:
 
     def test_bare_name_without_call_is_error(self):
         with pytest.raises(FormulaParseError):
-            parse_formula("=TRUE")
+            parse_formula("=Revenue")
+
+
+class TestBooleans:
+    def test_literals(self):
+        assert parse_formula("=TRUE") == BoolLit(True)
+        assert parse_formula("=false") == BoolLit(False)
+
+    def test_in_arguments(self):
+        ast = parse_formula("=IF(A1>0,TRUE,FALSE)")
+        assert ast.args[1:] == (BoolLit(True), BoolLit(False))
+        lookup = parse_formula("=VLOOKUP(A2,Data!$A$1:$E$99,3,FALSE)")
+        assert lookup.args[3] == BoolLit(False)
+        assert len(refs_of("=VLOOKUP(A2,Data!$A$1:$E$99,3,FALSE)")) == 1 + 5 * 99
+
+    def test_constant_but_not_numeric(self):
+        ast = parse_formula("=IF(A1>0,TRUE,FALSE)")
+        assert constant_count(ast) == 3  # 0, TRUE, FALSE
+        assert numeric_constant_count(ast) == 1
+
+    def test_call_with_parentheses_stays_a_call(self):
+        assert parse_formula("=TRUE()") == FunctionCall("TRUE", ())
+
+    def test_printed_back(self):
+        assert to_text(parse_formula("=IF(A1,TRUE,FALSE)")) == "=IF(A1,TRUE,FALSE)"
+
+
+def nested(kind: str, n: int) -> str:
+    return {
+        "paren": "=" + "(" * n + "A1" + ")" * n,
+        "call": "=" + "ABS(" * n + "A1" + ")" * n,
+        "sign": "=" + "-" * n + "A1",
+        "power": "=A1" + "^2" * n,
+    }[kind]
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestNesting:
+    @pytest.mark.parametrize("kind", ["paren", "call", "sign", "power"])
+    def test_limit_is_exact(self, kind):
+        assert len(refs_of(nested(kind, MAX_NESTING))) == 1
+        with pytest.raises(FormulaParseError, match="nesting"):
+            parse_formula(nested(kind, MAX_NESTING + 1))
+
+    def test_five_thousand_parentheses_is_a_parse_error(self):
+        with pytest.raises(FormulaParseError, match="nesting"):
+            parse_formula("=" + "(" * 5000 + "A1+1" + ")" * 5000)
+
+    def test_full_depth_needs_few_frames(self):
+        # A call level, the costliest, takes nine parser frames.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 10 * MAX_NESTING)
+        try:
+            assert len(refs_of(nested("call", MAX_NESTING))) == 1
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_long_flat_chain_is_analyzed(self):
+        text = "=" + "+".join(["A1"] * 2500)
+        assert len(text) == 7500
+        ast = parse_formula(text)
+        assert len(references(ast)) == 2500
+        assert constant_count(ast) == 0
 
 
 class TestErrors:
