@@ -109,7 +109,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         try:
             report = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"invalid report JSON: {exc}") from exc
     truth = load_annotations(args.annotations)
     result = evaluate_report(report, truth)

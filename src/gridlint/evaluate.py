@@ -265,9 +265,28 @@ def load_annotations(path) -> GroundTruth:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError, UnicodeDecodeError and
+            # integers past Python's digit limit.
             raise FormatError(f"invalid annotation JSON: {exc}") from exc
     return parse_annotations(data)
+
+
+def _parse_report_sheet(sheet) -> tuple[str, set, int]:
+    """Check one report sheet's shape; return its name, flagged cells and cell count."""
+    if not isinstance(sheet, dict) or not isinstance(sheet.get("sheet"), str):
+        raise FormatError("malformed report sheet: each sheet needs a 'sheet' name string")
+    name = sheet["sheet"]
+    cells = sheet.get("cells", 0)
+    if not isinstance(cells, int) or isinstance(cells, bool):
+        raise FormatError(f"malformed report sheet {name!r}: 'cells' must be an integer")
+    fixes = sheet.get("fixes", [])
+    if not isinstance(fixes, list) or not all(isinstance(fix, dict) for fix in fixes):
+        raise FormatError(f"malformed report sheet {name!r}: 'fixes' must be a list of objects")
+    flagged = set()
+    for fix in fixes:
+        flagged |= _parse_cell_list(fix.get("source", []), f"malformed report sheet {name!r}: source")
+    return name, flagged, max(1, cells)
 
 
 def evaluate_report(report: dict, truth: GroundTruth) -> dict:
@@ -281,21 +300,15 @@ def evaluate_report(report: dict, truth: GroundTruth) -> dict:
         raise FormatError(
             f"workbook mismatch: report {report['workbook']!r} vs annotations {truth.workbook!r}"
         )
+    if not isinstance(report["sheets"], list):
+        raise FormatError("report sheets must be a list")
     sheet_results = []
     totals = {"tp": 0, "fp": 0, "fn": 0, "flagged": 0}
     expected_total = 0.0
     for sheet in report["sheets"]:
-        try:
-            name = sheet["sheet"]
-            flagged = set()
-            for fix in sheet.get("fixes", []):
-                for cell_name in fix.get("source", []):
-                    flagged.add(parse_a1(cell_name))
-            total_cells = max(1, int(sheet.get("cells", 0)))
-            sheet_truth = truth.sheets.get(name, SheetTruth(frozenset(), (), frozenset()))
-            result = evaluate_sheet(flagged, sheet_truth, total_cells)
-        except (KeyError, TypeError, AttributeError, ValueError, DomainError) as exc:
-            raise FormatError(f"malformed report sheet: {exc!r}") from exc
+        name, flagged, total_cells = _parse_report_sheet(sheet)
+        sheet_truth = truth.sheets.get(name, SheetTruth(frozenset(), (), frozenset()))
+        result = evaluate_sheet(flagged, sheet_truth, total_cells)
         totals["tp"] += result.tp
         totals["fp"] += result.fp
         totals["fn"] += result.fn

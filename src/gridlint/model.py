@@ -70,7 +70,10 @@ def parse_a1(text: str) -> tuple[int, int]:
     m = _COLUMN_RE.match(text)
     if not m:
         raise FormatError(f"invalid cell address: {text!r}")
-    row = int(m.group(2))
+    try:
+        row = int(m.group(2))
+    except ValueError:  # more digits than Python converts
+        raise FormatError(f"invalid cell address: row of {len(m.group(2))} digits") from None
     if row < 1:
         raise FormatError(f"invalid cell address: {text!r}")
     return letters_to_column(m.group(1)), row
@@ -274,10 +277,9 @@ def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
     """Parse canonical workbook JSON into a Workbook."""
     try:
         doc = json.loads(text, object_pairs_hook=_cells_pairs_hook)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past Python's digit limit.
         raise FormatError(f"{source}: not valid JSON: {exc}") from exc
-    except DuplicateCellError:
-        raise
     except RecursionError as exc:
         raise FormatError(f"{source}: JSON nested too deeply") from exc
     if not isinstance(doc, dict) or "workbook" not in doc or "sheets" not in doc:

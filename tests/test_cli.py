@@ -109,6 +109,22 @@ class TestAnalyze:
         assert code == 2
         assert "nested too deeply" in err
 
+    def test_number_past_digit_limit_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "long.gridbook"
+        bad.write_text('{"workbook": "x", "sheets": [{"name": "S", "cells": {"A1": {"n": 1'
+                       + "0" * 5000 + '}}}]}')
+        code, _, err = run(["analyze", str(bad)], capsys)
+        assert code == 2
+        assert "not valid JSON" in err
+
+    def test_row_past_digit_limit_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "long.gridbook"
+        bad.write_text('{"workbook": "x", "sheets": [{"name": "S", "cells": {"A1'
+                       + "0" * 5000 + '": {"n": 1}}}]}')
+        code, _, err = run(["analyze", str(bad)], capsys)
+        assert code == 2
+        assert "invalid cell address" in err
+
 
 class TestJobsSelection:
     def test_env_variable_used(self, workbook_path, capsys, monkeypatch):
@@ -249,7 +265,15 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "sheet",
-        [{"sheet": "Totals", "cells": "many"}, {"cells": 30}, {"sheet": "Totals", "fixes": [7]}],
+        [
+            {"sheet": "Totals", "cells": "many"},
+            {"cells": 30},
+            {"sheet": "Totals", "fixes": [7]},
+            {"sheet": "Totals", "fixes": {"source": ["B2"]}},
+            {"sheet": "Totals", "fixes": [{"source": "B2"}]},
+            {"sheet": "Totals", "fixes": [{"source": [5]}]},
+            "Totals",
+        ],
     )
     def test_malformed_report_sheet(self, fixtures_dir, tmp_path, sheet, capsys):
         bad = tmp_path / "report.json"
@@ -260,6 +284,39 @@ class TestEval:
         )
         assert code == 2
         assert "malformed report" in err
+
+    def test_report_sheets_not_a_list(self, fixtures_dir, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps({"workbook": "weekly_totals", "sheets": {"Totals": {}}}))
+        code, _, err = run(
+            ["eval", str(bad), str(fixtures_dir / "weekly_totals.annotations.json")],
+            capsys,
+        )
+        assert code == 2
+        assert "sheets must be a list" in err
+
+    def test_report_row_past_digit_limit(self, fixtures_dir, tmp_path, capsys):
+        bad = tmp_path / "report.json"
+        sheet = {"sheet": "Totals", "fixes": [{"source": ["B" + "0" * 5000]}]}
+        bad.write_text(json.dumps({"workbook": "weekly_totals", "sheets": [sheet]}))
+        code, _, err = run(
+            ["eval", str(bad), str(fixtures_dir / "weekly_totals.annotations.json")],
+            capsys,
+        )
+        assert code == 2
+        assert "invalid cell address" in err
+
+    @pytest.mark.parametrize("where", ["report", "annotations"])
+    def test_json_number_past_digit_limit(self, fixtures_dir, tmp_path, where, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"workbook": "weekly_totals", "sheets": [], "n": 1' + "0" * 5000 + "}")
+        good_report = tmp_path / "report.json"
+        good_report.write_text(json.dumps({"workbook": "weekly_totals", "sheets": []}))
+        annotations = str(fixtures_dir / "weekly_totals.annotations.json")
+        args = [str(bad), annotations] if where == "report" else [str(good_report), str(bad)]
+        code, _, err = run(["eval", *args], capsys)
+        assert code == 2
+        assert f"invalid {where[:-1] if where == 'annotations' else where}" in err
 
     def test_missing_annotations(self, fixtures_dir, tmp_path, capsys):
         report_path = tmp_path / "report.json"
