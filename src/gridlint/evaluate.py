@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import CellKind, FormatError, GridlintError, Rect, parse_a1
-from .vectors import SheetVectors
+from .vectors import SheetVectors, offset_box
 
 Cell = tuple[int, int]
 
@@ -195,16 +195,45 @@ def rectangularity_stats(tables: Sequence[SheetVectors]) -> tuple[Optional[float
     return frac_all, frac_formula
 
 
+def _union_key(boxes: Sequence[tuple[int, int, int, int, int]]) -> tuple:
+    """Canonical form of a union of integer boxes (z, x0, y0, x1, y1), bounds
+    inclusive: per z, the maximal runs of rows that cover the same merged
+    x-intervals.  Two unions hold the same points exactly when their keys
+    are equal, without listing the points."""
+    key = []
+    for z in sorted({b[0] for b in boxes}):
+        layer = [b for b in boxes if b[0] == z]
+        edges = sorted({b[2] for b in layer} | {b[4] + 1 for b in layer})
+        bands: list[tuple[int, int, tuple]] = []
+        for y0, y_end in zip(edges, edges[1:]):
+            merged: list[list[int]] = []
+            for x0, x1 in sorted((b[1], b[3]) for b in layer if b[2] <= y0 <= b[4]):
+                if merged and x0 <= merged[-1][1] + 1:
+                    merged[-1][1] = max(merged[-1][1], x1)
+                else:
+                    merged.append([x0, x1])
+            spans = tuple(map(tuple, merged))
+            if bands and bands[-1][1] == y0 - 1 and bands[-1][2] == spans:
+                bands[-1] = (bands[-1][0], y_end - 1, spans)
+            elif spans:
+                bands.append((y0, y_end - 1, spans))
+        key.append((z, tuple(bands)))
+    return tuple(key)
+
+
 def collision_rate(tables: Sequence[SheetVectors]) -> float:
     """Fraction of same-fingerprint formula pairs whose reference-vector
-    sets differ (the fingerprint sum hides a real shape difference)."""
-    groups: dict[tuple, list[frozenset]] = {}
+    sets differ (the fingerprint sum hides a real shape difference).
+
+    A reference's vectors fill a box (vectors.offset_box); each cell's set
+    is compared through the canonical form of the union of its boxes."""
+    groups: dict[tuple, list[tuple]] = {}
     for table in tables:
         for key, kind in sorted(table.kinds.items(), key=lambda kv: (kv[0][1], kv[0][0])):
             if kind is not CellKind.FORMULA:
                 continue
-            vec_set = frozenset(table.vectors.get(key, ()))
-            groups.setdefault(table.fingerprint(*key), []).append(vec_set)
+            boxes = [offset_box(r, *key, table.sheet_name, table.workbook_name) for r in table.refs.get(key, ())]
+            groups.setdefault(table.fingerprint(*key), []).append(_union_key(boxes))
     pairs = 0
     collisions = 0
     for members in groups.values():

@@ -17,8 +17,7 @@ from typing import Hashable, NamedTuple, Optional, Sequence
 
 from .entropy import Region, _coalesce_targeted, normalized_entropy
 from .model import CellKind, GridlintError, Rect
-from .vectors import SheetVectors, resolve_reference, translated_location_fingerprint
-from .model import CellAddress
+from .vectors import SheetVectors, is_off_sheet, translated_location_fingerprint
 
 # Rejection codes for inadmissible candidates.
 REASON_NOT_RECTANGULAR = "C1"
@@ -105,13 +104,35 @@ def candidate_fixes(regions: Sequence[Region]) -> list[CandidateFix]:
     return out
 
 
-def _merged_rect(fix: CandidateFix) -> Rect:
+def _merged_bounds(fix: CandidateFix) -> tuple[int, int, int, int]:
+    """(left, top, right, bottom) of the source cells and the target together.
+    The source is one cell or else its whole region, so this is O(1)."""
     t = fix.target.rect
-    left = min(min(c[0] for c in fix.source_cells), t.left)
-    right = max(max(c[0] for c in fix.source_cells), t.right)
-    top = min(min(c[1] for c in fix.source_cells), t.top)
-    bottom = max(max(c[1] for c in fix.source_cells), t.bottom)
-    return Rect(left, top, right, bottom)
+    if len(fix.source_cells) == 1:
+        (left, top), = fix.source_cells
+        right, bottom = left, top
+    else:
+        s = fix.source_region.rect
+        left, top, right, bottom = s.left, s.top, s.right, s.bottom
+    return min(left, t.left), min(top, t.top), max(right, t.right), max(bottom, t.bottom)
+
+
+def _merged_rect(fix: CandidateFix) -> Rect:
+    return Rect(*_merged_bounds(fix))
+
+
+def _reads_only_target(fix: CandidateFix, table: SheetVectors) -> bool:
+    """True when the source cells reference something and every referenced
+    rectangle lies inside the target, on this sheet."""
+    t = fix.target.rect
+    found = False
+    for cell in fix.source_cells:
+        for r in table.refs.get(cell, ()):
+            if (is_off_sheet(r, table.sheet_name, table.workbook_name)
+                    or r.left < t.left or r.right > t.right or r.top < t.top or r.bottom > t.bottom):
+                return False
+            found = True
+    return found
 
 
 def admissible(fix: CandidateFix, table: SheetVectors, regions: Sequence[Region]) -> Optional[str]:
@@ -123,25 +144,12 @@ def admissible(fix: CandidateFix, table: SheetVectors, regions: Sequence[Region]
         unless no source formula references anything at all.
     C2: both sides must consist entirely of formulas.
     """
-    merged = _merged_rect(fix)
-    if merged.area != len(fix.source_cells) + fix.target.rect.area:
+    left, top, right, bottom = _merged_bounds(fix)
+    if (right - left + 1) * (bottom - top + 1) != len(fix.source_cells) + fix.target.rect.area:
         return REASON_NOT_RECTANGULAR
 
-    referents: list[CellAddress] = []
-    for x, y in fix.source_cells:
-        refs = table.refs.get((x, y))
-        if refs:
-            here = CellAddress(x, y, table.sheet_name, table.workbook_name)
-            referents.extend(resolve_reference(r, here) for r in refs)
-    if referents:
-        t = fix.target.rect
-        if all(
-            ref.sheet == table.sheet_name
-            and ref.workbook == table.workbook_name
-            and t.contains(ref.column, ref.row)
-            for ref in referents
-        ):
-            return REASON_OWN_INPUTS
+    if _reads_only_target(fix, table):
+        return REASON_OWN_INPUTS
 
     for x, y in fix.source_cells:
         if table.kind(x, y) is not CellKind.FORMULA:

@@ -1,10 +1,10 @@
 """Recursive-descent parser for spreadsheet formulas.
 
 Covers numbers, strings, the booleans TRUE and FALSE, A1-style cell
-references with any combination of $ anchors, rectangular ranges, sheet- and
-workbook-qualified references, arbitrary function calls, the usual
-arithmetic / comparison / concatenation operators, postfix percent, unary
-sign, and parentheses.
+references with any combination of $ anchors, rectangular ranges, whole
+columns (B:D) and whole rows (3:5), sheet- and workbook-qualified
+references, arbitrary function calls, the usual arithmetic / comparison /
+concatenation operators, postfix percent, unary sign, and parentheses.
 
 Unknown function names parse as opaque calls.  Anything outside the grammar
 (R1C1 addresses, structured references, array formulas, bare names) raises
@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .model import GridlintError, letters_to_column
+from .model import GridlintError, column_to_letters, letters_to_column
 
 MAX_RANGE_CELLS = 2**20
+# Sheet extent (A..XFD, rows 1..1,048,576): the open axis of B:B or 3:3.
+SHEET_COLUMNS = 16_384
+SHEET_ROWS = 1_048_576
 # Excel's own limit on nested functions.  A level costs at most nine parser
 # frames (a call), so a formula at full depth stays under 600 frames.
 MAX_NESTING = 64
@@ -54,6 +57,21 @@ class RawReference:
 
     column: int
     row: int
+    column_absolute: bool = False
+    row_absolute: bool = False
+    sheet: str | None = None
+    workbook: str | None = None
+
+
+class RefRect(NamedTuple):
+    """A reference as written, as the rectangle of cells it covers: corners
+    normalised, per-axis absolute flags, optional sheet and workbook.  A
+    cell reference is a 1x1 RefRect."""
+
+    left: int
+    top: int
+    right: int
+    bottom: int
     column_absolute: bool = False
     row_absolute: bool = False
     sheet: str | None = None
@@ -90,9 +108,14 @@ class CellRef(Node):
 
 @dataclass(frozen=True)
 class RangeRef(Node):
+    """start and end are the corners as written.  For whole columns (B:D)
+    and whole rows (3:5), `whole` is "columns" or "rows" and the corners
+    span the open axis from 1 to the sheet's extent, absolute on it."""
+
     start: RawReference
     end: RawReference
     span: tuple[int, int] = field(default=(0, 0), compare=False)
+    whole: str = ""
 
 
 @dataclass(frozen=True)
@@ -124,6 +147,8 @@ class Paren(Node):
 _NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 _A1_RE = re.compile(r"(\$?)([A-Za-z]{1,8})(\$?)([0-9]{1,7})")
+_COLUMNS_RE = re.compile(r"(\$?)([A-Za-z]{1,8}):(\$?)([A-Za-z]{1,8})")
+_ROWS_RE = re.compile(r"(\$?)([0-9]{1,7}):(\$?)([0-9]{1,7})")
 _SHEET_PREFIX_RE = re.compile(
     r"(?:\[(?P<wb>[^\[\]]+)\])?(?:'(?P<qsheet>(?:[^']|'')*)'|(?P<sheet>[A-Za-z_][A-Za-z0-9_.]*))!"
 )
@@ -270,6 +295,9 @@ def _parse_atom(sc: _Scanner) -> Node:
     if ch == '"':
         return _parse_string(sc)
     if ch.isdigit() or ch == ".":
+        rows = _try_lines(sc, None, None, sc.pos)
+        if rows is not None:
+            return rows
         m = sc.match_re(_NUMBER_RE)
         if not m:
             raise FormulaParseError("malformed number", sc.pos, ["number"])
@@ -320,6 +348,28 @@ def _try_a1(sc: _Scanner, sheet: str | None, workbook: str | None) -> RawReferen
     )
 
 
+def _try_lines(sc: _Scanner, sheet: str | None, workbook: str | None, start: int) -> RangeRef | None:
+    """Whole columns such as $B:D or whole rows such as 3:$5, else None."""
+    for pattern, whole in ((_COLUMNS_RE, "columns"), (_ROWS_RE, "rows")):
+        save = sc.pos
+        m = sc.match_re(pattern)
+        if not m:
+            continue
+        nxt = sc.peek()
+        if nxt and (nxt.isalnum() or nxt in "_.(:$"):
+            sc.pos = save
+            continue
+        first_abs, second_abs = m.group(1) == "$", m.group(3) == "$"
+        if whole == "columns":
+            first = RawReference(letters_to_column(m.group(2)), 1, first_abs, True, sheet, workbook)
+            second = RawReference(letters_to_column(m.group(4)), SHEET_ROWS, second_abs, True, sheet, workbook)
+        else:
+            first = RawReference(1, int(m.group(2)), True, first_abs, sheet, workbook)
+            second = RawReference(SHEET_COLUMNS, int(m.group(4)), True, second_abs, sheet, workbook)
+        return RangeRef(first, second, span=(start, sc.pos), whole=whole)
+    return None
+
+
 def _parse_ref_or_call(sc: _Scanner) -> Node:
     start = sc.pos
     prefix = sc.match_re(_SHEET_PREFIX_RE)
@@ -329,13 +379,19 @@ def _parse_ref_or_call(sc: _Scanner) -> Node:
         workbook = prefix.group("wb")
         sheet = prefix.group("sheet") or _unquote_sheet(prefix.group("qsheet") or "")
         first = _try_a1(sc, sheet, workbook)
-        if first is None:
+        if first is not None:
+            return _finish_ref(sc, first, start)
+        lines = _try_lines(sc, sheet, workbook, start)
+        if lines is None:
             raise FormulaParseError("expected cell address after sheet qualifier", sc.pos, ["A1 reference"])
-        return _finish_ref(sc, first, start)
+        return lines
 
     first = _try_a1(sc, None, None)
     if first is not None:
         return _finish_ref(sc, first, start)
+    lines = _try_lines(sc, None, None, start)
+    if lines is not None:
+        return lines
 
     m = sc.match_re(_NAME_RE)
     if m:
@@ -377,12 +433,36 @@ def _finish_ref(sc: _Scanner, first: RawReference, start: int) -> Node:
     return CellRef(first, span=(start, sc.pos))
 
 
+def ref_rects(node: Node) -> list[RefRect]:
+    """All references in source order, each as the rectangle it covers.
+
+    Nothing is expanded, so a whole column costs what one cell does.
+    Reversed corners are normalised, and an axis is absolute only when
+    both corners agree on it: the rule expand_range applies to each cell.
+    """
+    out: list[RefRect] = []
+    for item in _walk(node):
+        if isinstance(item, CellRef):
+            r = item.ref
+            out.append(RefRect(r.column, r.row, r.column, r.row,
+                               r.column_absolute, r.row_absolute, r.sheet, r.workbook))
+        elif isinstance(item, RangeRef):
+            a, b = item.start, item.end
+            out.append(RefRect(
+                min(a.column, b.column), min(a.row, b.row), max(a.column, b.column), max(a.row, b.row),
+                a.column_absolute and b.column_absolute, a.row_absolute and b.row_absolute,
+                a.sheet, a.workbook,
+            ))
+    return out
+
+
 def references(node: Node) -> list[RawReference]:
     """All references in source order; ranges expand to their member cells.
 
     Duplicates are preserved.  Expansion normalizes reversed corners, and
     each expanded cell inherits an absolute flag only when both corners
-    agree on it.
+    agree on it.  The analysis uses ref_rects; this cell-by-cell form is
+    the reference the closed forms are tested against.
     """
     out: list[RawReference] = []
     for item in _walk(node):
@@ -444,22 +524,30 @@ def _needs_quoting(sheet: str) -> bool:
     return not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.]*", sheet)
 
 
-def _format_ref(ref: RawReference, with_prefix: bool = True) -> str:
-    from .model import column_to_letters
-
+def _format_prefix(ref: RawReference) -> str:
     parts = []
-    if with_prefix:
-        if ref.workbook is not None:
-            parts.append(f"[{ref.workbook}]")
-        if ref.sheet is not None:
-            name = ref.sheet.replace("'", "''")
-            parts.append(f"'{name}'!" if _needs_quoting(ref.sheet) else f"{ref.sheet}!")
-        elif ref.workbook is not None:
-            parts.append("!")
+    if ref.workbook is not None:
+        parts.append(f"[{ref.workbook}]")
+    if ref.sheet is not None:
+        name = ref.sheet.replace("'", "''")
+        parts.append(f"'{name}'!" if _needs_quoting(ref.sheet) else f"{ref.sheet}!")
+    elif ref.workbook is not None:
+        parts.append("!")
+    return "".join(parts)
+
+
+def _format_ref(ref: RawReference, with_prefix: bool = True) -> str:
+    prefix = _format_prefix(ref) if with_prefix else ""
     col_anchor = "$" if ref.column_absolute else ""
     row_anchor = "$" if ref.row_absolute else ""
-    parts.append(f"{col_anchor}{column_to_letters(ref.column)}{row_anchor}{ref.row}")
-    return "".join(parts)
+    return f"{prefix}{col_anchor}{column_to_letters(ref.column)}{row_anchor}{ref.row}"
+
+
+def _format_line(ref: RawReference, whole: str) -> str:
+    """One end of a whole-column or whole-row range: $B or 3."""
+    if whole == "columns":
+        return ("$" if ref.column_absolute else "") + column_to_letters(ref.column)
+    return ("$" if ref.row_absolute else "") + str(ref.row)
 
 
 _BINOP_LEVEL = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
@@ -492,6 +580,9 @@ def _to_text(node: Node, required: int) -> str:
         return "TRUE" if node.value else "FALSE"
     if isinstance(node, CellRef):
         return _format_ref(node.ref)
+    if isinstance(node, RangeRef) and node.whole:
+        return (f"{_format_prefix(node.start)}{_format_line(node.start, node.whole)}"
+                f":{_format_line(node.end, node.whole)}")
     if isinstance(node, RangeRef):
         return f"{_format_ref(node.start)}:{_format_ref(node.end, with_prefix=False)}"
     if isinstance(node, FunctionCall):

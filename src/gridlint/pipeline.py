@@ -97,7 +97,7 @@ def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[Analysi
     timings = {}
     if not sheet.cells:
         # Nothing on the sheet: empty table over a placeholder 1x1 range.
-        table = SheetVectors(sheet.name, workbook.name, Rect(1, 1, 1, 1), {}, {}, {}, {}, {})
+        table = SheetVectors(sheet.name, workbook.name, Rect(1, 1, 1, 1), {}, {}, {}, {})
         timings.update({"vectors": 0.0, "decomposition": 0.0, "fixes": 0.0})
         return SheetAnalysis(sheet.name, table, [], [], 0, timings)
     t0 = time.perf_counter()

@@ -15,6 +15,13 @@ null vectors so that layout structure survives in the grid:
 
 The location fingerprint sums the absolute coordinates of the referents
 instead, and is used to measure how far a proposed rewrite moves them.
+
+A range contributes one vector per cell it covers.  The analysis never
+lists those cells: over a w x h rectangle every sum above has a closed
+form in n = w*h and the arithmetic sums of its columns and rows, so a
+whole column costs what one cell does.  reference_vectors and
+formula_fingerprint are the cell-by-cell definition the closed forms are
+tested against.
 """
 
 from __future__ import annotations
@@ -22,14 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .formula import (
-    FormulaParseError,
-    RangeTooLargeError,
-    RawReference,
-    numeric_constant_count,
-    parse_formula,
-    references,
-)
+from .formula import FormulaParseError, RawReference, RefRect, numeric_constant_count, parse_formula, ref_rects
 from .model import CellAddress, CellKind, Rect, Workbook, Worksheet, to_a1
 
 
@@ -58,10 +58,29 @@ TEXT_FINGERPRINT = Fingerprint(0, 0, 0, -1)
 EMPTY_FINGERPRINT = Fingerprint(0, 0, 0, 0)
 
 
-def is_off_sheet(ref: RawReference, sheet: str, workbook: str) -> bool:
+def is_off_sheet(ref: RawReference | RefRect, sheet: str, workbook: str) -> bool:
     if ref.workbook is not None and ref.workbook != workbook:
         return True
     return ref.sheet is not None and ref.sheet != sheet
+
+
+def box_sums(left: int, top: int, right: int, bottom: int) -> tuple[int, int, int]:
+    """(n, sum of x, sum of y) over the integer points of a box, bounds
+    inclusive.  Exact: (left + right) * w is even, since w odd means
+    left + right even."""
+    w = right - left + 1
+    h = bottom - top + 1
+    return w * h, (left + right) * w * h // 2, (top + bottom) * w * h // 2
+
+
+def offset_box(rect: RefRect, column: int, row: int, sheet: str, workbook: str) -> tuple[int, int, int, int, int]:
+    """(dz, dx_lo, dy_lo, dx_hi, dy_hi): the reference_vector of each cell
+    of rect, written in the cell at (column, row), lies in this box."""
+    if is_off_sheet(rect, sheet, workbook):
+        return 1, rect.left - 1, rect.top - 1, rect.right - 1, rect.bottom - 1
+    x0 = 1 if rect.column_absolute else column
+    y0 = 1 if rect.row_absolute else row
+    return 0, rect.left - x0, rect.top - y0, rect.right - x0, rect.bottom - y0
 
 
 def reference_vector(ref: RawReference, column: int, row: int, sheet: str, workbook: str) -> RefVector:
@@ -100,17 +119,32 @@ def null_fingerprint(kind: CellKind) -> Fingerprint:
     raise ValueError("formula cells have no null fingerprint")
 
 
-def location_fingerprint(refs: Iterable[RawReference], sheet: str, workbook: str) -> LocFingerprint:
+def rects_fingerprint(rects: Iterable[RefRect], column: int, row: int, sheet: str, workbook: str,
+                      has_numeric_constant: bool) -> Fingerprint:
+    """formula_fingerprint of the reference_vector of every covered cell,
+    summed per rectangle in closed form."""
+    x = y = z = 0
+    for rect in rects:
+        dz, *box = offset_box(rect, column, row, sheet, workbook)
+        n, xs, ys = box_sums(*box)
+        x += xs
+        y += ys
+        z += dz * n
+    return Fingerprint(x, y, z, 1 if has_numeric_constant else 0)
+
+
+def location_fingerprint(rects: Iterable[RefRect], sheet: str, workbook: str) -> LocFingerprint:
     """Sum of the absolute (column, row, off-sheet flag) of every referent."""
     x = y = z = 0
-    for ref in refs:
-        x += ref.column
-        y += ref.row
-        z += 1 if is_off_sheet(ref, sheet, workbook) else 0
+    for rect in rects:
+        n, xs, ys = box_sums(rect.left, rect.top, rect.right, rect.bottom)
+        x += xs
+        y += ys
+        z += n if is_off_sheet(rect, sheet, workbook) else 0
     return LocFingerprint(x, y, z)
 
 
-def translated_location_fingerprint(refs: Iterable[RawReference], sheet: str, workbook: str,
+def translated_location_fingerprint(rects: Iterable[RefRect], sheet: str, workbook: str,
                                     from_cell: tuple[int, int], to_cell: tuple[int, int]) -> LocFingerprint:
     """Location fingerprint the reference pattern would have after moving the
     formula from from_cell to to_cell.  Relative axes shift with the formula;
@@ -118,11 +152,12 @@ def translated_location_fingerprint(refs: Iterable[RawReference], sheet: str, wo
     dc = to_cell[0] - from_cell[0]
     dr = to_cell[1] - from_cell[1]
     x = y = z = 0
-    for ref in refs:
-        off = is_off_sheet(ref, sheet, workbook)
-        x += ref.column if (off or ref.column_absolute) else ref.column + dc
-        y += ref.row if (off or ref.row_absolute) else ref.row + dr
-        z += 1 if off else 0
+    for rect in rects:
+        n, xs, ys = box_sums(rect.left, rect.top, rect.right, rect.bottom)
+        off = is_off_sheet(rect, sheet, workbook)
+        x += xs if (off or rect.column_absolute) else xs + n * dc
+        y += ys if (off or rect.row_absolute) else ys + n * dr
+        z += n if off else 0
     return LocFingerprint(x, y, z)
 
 
@@ -150,8 +185,7 @@ class SheetVectors:
     rect: Rect
     kinds: dict[tuple[int, int], CellKind]
     fingerprints: dict[tuple[int, int], Fingerprint]
-    vectors: dict[tuple[int, int], tuple[RefVector, ...]]
-    refs: dict[tuple[int, int], tuple[RawReference, ...]]
+    refs: dict[tuple[int, int], tuple[RefRect, ...]]
     locs: dict[tuple[int, int], LocFingerprint]
     diagnostics: list[str] = field(default_factory=list)
 
@@ -168,124 +202,27 @@ class SheetVectors:
 def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet) -> SheetVectors:
     """Parse every formula on the sheet and compute all per-cell summaries."""
     rect = sheet.used_range()
-    table = SheetVectors(sheet.name, workbook.name, rect, {}, {}, {}, {}, {})
+    table = SheetVectors(sheet.name, workbook.name, rect, {}, {}, {}, {})
     for (column, row), content in sorted(sheet.cells.items(), key=lambda item: (item[0][1], item[0][0])):
         kind = content.kind
         if kind is CellKind.FORMULA:
             try:
                 ast = parse_formula(content.value)
-                refs = tuple(references(ast))
-            except (FormulaParseError, RangeTooLargeError) as exc:
+            except FormulaParseError as exc:
                 table.diagnostics.append(
                     f"{sheet.name}!{to_a1(column, row)}: unparseable formula treated as text ({exc})"
                 )
                 table.kinds[(column, row)] = CellKind.TEXT
                 table.fingerprints[(column, row)] = TEXT_FINGERPRINT
                 continue
-            vectors = reference_vectors(refs, column, row, sheet.name, workbook.name)
+            refs = tuple(ref_rects(ast))
             table.kinds[(column, row)] = CellKind.FORMULA
-            table.vectors[(column, row)] = vectors
             table.refs[(column, row)] = refs
-            table.fingerprints[(column, row)] = formula_fingerprint(
-                vectors, numeric_constant_count(ast) > 0
+            table.fingerprints[(column, row)] = rects_fingerprint(
+                refs, column, row, sheet.name, workbook.name, numeric_constant_count(ast) > 0
             )
             table.locs[(column, row)] = location_fingerprint(refs, sheet.name, workbook.name)
         else:
             table.kinds[(column, row)] = kind
             table.fingerprints[(column, row)] = null_fingerprint(kind)
     return table
-
-
-@dataclass
-class DependenceGraph:
-    """Cell-level reference graph across the whole workbook.
-
-    Vertices cover every used-range cell; referents outside any used range
-    (including other workbooks) appear in `boundary` and have no out-edges.
-    Reference cycles are recorded, not fatal; cells in a cycle keep their
-    syntactic vectors.
-    """
-
-    vertices: frozenset[CellAddress]
-    edges: dict[CellAddress, tuple[CellAddress, ...]]
-    boundary: frozenset[CellAddress]
-    cycles: tuple[frozenset[CellAddress], ...]
-
-
-def build_dependence_graph(workbook: Workbook, tables: dict[str, SheetVectors] | None = None) -> DependenceGraph:
-    if tables is None:
-        tables = {
-            ws.name: analyze_sheet_vectors(workbook, ws)
-            for ws in workbook.sheets
-            if ws.cells
-        }
-    vertices: set[CellAddress] = set()
-    for name, table in tables.items():
-        for column, row in table.rect.cells():
-            vertices.add(CellAddress(column, row, name, workbook.name))
-    edges: dict[CellAddress, tuple[CellAddress, ...]] = {}
-    boundary: set[CellAddress] = set()
-    for name, table in tables.items():
-        for (column, row), refs in table.refs.items():
-            source = CellAddress(column, row, name, workbook.name)
-            targets = sorted({resolve_reference(r, source) for r in refs})
-            for t in targets:
-                if t not in vertices:
-                    boundary.add(t)
-            edges[source] = tuple(targets)
-    cycles = _reference_cycles(edges)
-    return DependenceGraph(frozenset(vertices), edges, frozenset(boundary), cycles)
-
-
-def _reference_cycles(edges: dict[CellAddress, tuple[CellAddress, ...]]) -> tuple[frozenset[CellAddress], ...]:
-    """Strongly connected components with more than one cell, plus self-loops.
-    Iterative so that long reference chains cannot overflow the stack."""
-    index: dict[CellAddress, int] = {}
-    lowlink: dict[CellAddress, int] = {}
-    on_stack: set[CellAddress] = set()
-    stack: list[CellAddress] = []
-    counter = 0
-    cycles: list[frozenset[CellAddress]] = []
-
-    for root in sorted(edges):
-        if root in index:
-            continue
-        work: list[tuple[CellAddress, int]] = [(root, 0)]
-        while work:
-            node, child_i = work[-1]
-            if child_i == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            children = edges.get(node, ())
-            advanced = False
-            while child_i < len(children):
-                child = children[child_i]
-                child_i += 1
-                if child not in edges:
-                    continue
-                if child not in index:
-                    work[-1] = (node, child_i)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1 or node in edges.get(node, ()):
-                    cycles.append(frozenset(component))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return tuple(cycles)

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import aggregate_own_inputs_workbook, inconsistent_sum_workbook
 from gridlint.evaluate import (
+    _union_key,
     BugDual,
     DomainError,
     GroundTruth,
@@ -239,6 +240,43 @@ class TestCollisionRate:
         tables = [table_of(a), table_of(b)]
         assert tables[0].fingerprint(3, 1) == tables[1].fingerprint(4, 1)
         assert collision_rate(tables) == 1.0
+
+
+_boxes = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3), st.integers(0, 3)).map(
+        lambda b: (b[0], b[1], b[2], b[1] + b[3], b[2] + b[4])
+    ),
+    max_size=4,
+)
+
+
+def expanded(boxes):
+    return frozenset((z, x, y) for z, x0, y0, x1, y1 in boxes
+                     for x in range(x0, x1 + 1) for y in range(y0, y1 + 1))
+
+
+class TestUnionKeyOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(_boxes, _boxes)
+    def test_equal_keys_iff_equal_point_sets(self, a, b):
+        assert (_union_key(a) == _union_key(b)) == (expanded(a) == expanded(b))
+
+    @given(_boxes)
+    def test_order_and_overlap_do_not_matter(self, a):
+        assert _union_key(a) == _union_key(list(reversed(a)) + a)
+
+    def test_split_box_equals_whole(self):
+        whole = [(0, 0, 0, 3, 3)]
+        quarters = [(0, 0, 0, 1, 1), (0, 2, 0, 3, 1), (0, 0, 2, 1, 3), (0, 2, 2, 3, 3)]
+        assert _union_key(whole) == _union_key(quarters)
+
+    def test_whole_columns_compare_without_listing_cells(self):
+        cells = {(3, r): CellContent.formula("=SUM(A:B)") for r in range(1, 4)}
+        cells[(4, 1)] = CellContent.formula("=SUM(B:B)+SUM(C:C)")
+        workbook = Workbook("t", [Worksheet("S", cells)])
+        table = table_of(workbook)
+        assert table.fingerprint(3, 1) == table.fingerprint(4, 1)
+        assert collision_rate([table]) == 0.0
 
 
 class TestAnnotations:

@@ -16,13 +16,17 @@ from gridlint.formula import (
     Paren,
     RangeRef,
     RangeTooLargeError,
+    SHEET_COLUMNS,
+    SHEET_ROWS,
     RawReference,
+    RefRect,
     StringLit,
     UnaryOp,
     constant_count,
     expand_range,
     numeric_constant_count,
     parse_formula,
+    ref_rects,
     references,
     to_text,
 )
@@ -112,6 +116,79 @@ class TestRanges:
         a = RawReference(1, 1, False, False, None, None)
         b = RawReference(2, 3, False, False, None, None)
         assert len(expand_range(a, b)) == 6
+
+
+class TestWholeLines:
+    def test_whole_column(self):
+        (rect,) = ref_rects(parse_formula("=SUM(B:B)"))
+        assert rect == RefRect(2, 1, 2, SHEET_ROWS, False, True, None, None)
+
+    def test_absolute_column_span(self):
+        (rect,) = ref_rects(parse_formula("=SUM($B:$D)"))
+        assert rect == RefRect(2, 1, 4, SHEET_ROWS, True, True, None, None)
+
+    def test_mixed_anchors_are_relative(self):
+        (rect,) = ref_rects(parse_formula("=SUM($B:D)"))
+        assert (rect.column_absolute, rect.row_absolute) == (False, True)
+
+    def test_whole_row(self):
+        (rect,) = ref_rects(parse_formula("=SUM(3:3)"))
+        assert rect == RefRect(1, 3, SHEET_COLUMNS, 3, True, False, None, None)
+        (rect,) = ref_rects(parse_formula("=$2:$5"))
+        assert rect == RefRect(1, 2, SHEET_COLUMNS, 5, True, True, None, None)
+
+    def test_sheet_qualified(self):
+        (rect,) = ref_rects(parse_formula("=SUM(Sheet2!A:C)"))
+        assert rect == RefRect(1, 1, 3, SHEET_ROWS, False, True, "Sheet2", None)
+        (rect,) = ref_rects(parse_formula("=SUM([Book2]'My Sheet'!4:2)"))
+        assert rect == RefRect(1, 2, SHEET_COLUMNS, 4, True, False, "My Sheet", "Book2")
+
+    def test_reversed_columns_normalized(self):
+        assert ref_rects(parse_formula("=SUM(D:B)")) == ref_rects(parse_formula("=SUM(B:D)"))
+
+    def test_among_other_arguments(self):
+        ast = parse_formula("=VLOOKUP(A2,Data!A:E,3,0)+1:1")
+        assert [r.sheet for r in ref_rects(ast)] == [None, "Data", None]
+        assert numeric_constant_count(ast) == 2
+
+    def test_expansion_guard_still_applies(self):
+        # The cell-by-cell oracle keeps its limit; ref_rects has none.
+        ast = parse_formula("=SUM(B:C)")
+        with pytest.raises(RangeTooLargeError):
+            references(ast)
+        assert ref_rects(ast) == [RefRect(2, 1, 3, SHEET_ROWS, False, True)]
+
+    @pytest.mark.parametrize("text", ["=SUM(B:B)", "=SUM($B:$D)", "=SUM(3:3)", "=Sheet2!A:C",
+                                      "=SUM('My Sheet'!$1:5)", "=[Bk]S!B:$C+2"])
+    def test_printed_back(self, text):
+        ast = parse_formula(text)
+        assert to_text(ast) == text
+        assert parse_formula(to_text(ast)) == ast
+
+    @pytest.mark.parametrize("bad", ["=SUM(B:B1)", "=SUM(A1:B)", "=SUM(B:)", "=SUM(3:)", "=1:2A"])
+    def test_malformed_rejected(self, bad):
+        with pytest.raises(FormulaParseError):
+            parse_formula(bad)
+
+
+class TestRefRects:
+    def test_cell_is_one_by_one(self):
+        assert ref_rects(parse_formula("=$B5")) == [RefRect(2, 5, 2, 5, True, False, None, None)]
+
+    def test_range_corners_normalized(self):
+        assert ref_rects(parse_formula("=SUM(C4:A1)")) == [RefRect(1, 1, 3, 4)]
+
+    def test_axis_absolute_only_when_both_corners_agree(self):
+        (rect,) = ref_rects(parse_formula("=SUM($A$1:$B2)"))
+        assert (rect.column_absolute, rect.row_absolute) == (True, False)
+
+    def test_source_order_and_qualifiers(self):
+        rects = ref_rects(parse_formula("=B1+Other!A1:A3+[W]S!C2"))
+        assert [(r.left, r.sheet, r.workbook) for r in rects] == [(2, None, None), (1, "Other", None),
+                                                                 (3, "S", "W")]
+
+    def test_a_million_rows_is_one_rect(self):
+        assert ref_rects(parse_formula("=SUM(B1:B1100000)")) == [RefRect(2, 1, 2, 1100000)]
 
 
 class TestOperators:

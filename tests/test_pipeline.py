@@ -94,6 +94,24 @@ class TestAnalyzeSheet:
         assert analysis.fixes == []
 
 
+class TestRangesInClosedForm:
+    def test_million_row_sum_is_analysed_without_expansion(self, monkeypatch):
+        from gridlint import formula
+
+        def refuse(*args):
+            raise AssertionError("the analysis expanded a range")
+
+        monkeypatch.setattr(formula, "expand_range", refuse)
+        monkeypatch.setattr(formula, "references", refuse)
+        sheet = Worksheet("S", {(3, 1): CellContent.formula("=SUM(B1:B1100000)")})
+        workbook = Workbook("w", [sheet])
+        analysis = analyze_workbook(workbook)
+        (sheet_analysis,) = analysis.sheets
+        assert sheet_analysis.table.fingerprint(3, 1) == (-1100000, 604999450000, 0, 0)
+        assert sheet_analysis.table.diagnostics == []
+        assert sheet_analysis.fixes == []
+
+
 class TestAnalyzeWorkbook:
     def test_phases_and_totals(self):
         workbook = inconsistent_sum_workbook()

@@ -1,9 +1,11 @@
-"""Reference vectors, fingerprints, location sums, dependence graph."""
+"""Reference vectors, fingerprints, location sums, closed forms over ranges."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from gridlint.formula import parse_formula, references, numeric_constant_count
-from gridlint.model import CellAddress, CellContent, CellKind, Workbook, Worksheet
+from gridlint.entropy import Region
+from gridlint.fixes import CandidateFix, _reads_only_target
+from gridlint.formula import SHEET_COLUMNS, SHEET_ROWS, parse_formula, ref_rects, references, numeric_constant_count
+from gridlint.model import CellAddress, CellContent, CellKind, Rect, Workbook, Worksheet, column_to_letters
 from gridlint.vectors import (
     EMPTY_FINGERPRINT,
     NUMBER_FINGERPRINT,
@@ -12,10 +14,10 @@ from gridlint.vectors import (
     LocFingerprint,
     RefVector,
     analyze_sheet_vectors,
-    build_dependence_graph,
     formula_fingerprint,
     location_fingerprint,
     null_fingerprint,
+    rects_fingerprint,
     reference_vectors,
     resolve_reference,
     translated_location_fingerprint,
@@ -91,29 +93,29 @@ class TestFingerprints:
 
 class TestLocationFingerprint:
     def test_sum_of_absolute_positions(self):
-        refs = references(parse_formula("=A1+B1"))
+        refs = ref_rects(parse_formula("=A1+B1"))
         assert location_fingerprint(refs, "S", "wb") == LocFingerprint(3, 2, 0)
 
     def test_alias_pair_distinguished(self):
         # same fingerprint, different location sums
-        a = location_fingerprint(references(parse_formula("=SUM(A1:B1)")), "S", "wb")
-        b = location_fingerprint(references(parse_formula("=ABS(A1)")), "S", "wb")
+        a = location_fingerprint(ref_rects(parse_formula("=SUM(A1:B1)")), "S", "wb")
+        b = location_fingerprint(ref_rects(parse_formula("=ABS(A1)")), "S", "wb")
         assert a != b
 
     def test_translation_moves_relative_refs(self):
-        refs = references(parse_formula("=SUM(B7:D7)"))
+        refs = ref_rects(parse_formula("=SUM(B7:D7)"))
         base = location_fingerprint(refs, "S", "wb")
         moved = translated_location_fingerprint(refs, "S", "wb", (6, 7), (6, 6))
         assert moved == LocFingerprint(base.x, base.y - 3, base.z)
 
     def test_translation_identity(self):
-        refs = references(parse_formula("=SUM(B7:D7)+$A$1"))
+        refs = ref_rects(parse_formula("=SUM(B7:D7)+$A$1"))
         assert translated_location_fingerprint(refs, "S", "wb", (6, 7), (6, 7)) == (
             location_fingerprint(refs, "S", "wb")
         )
 
     def test_absolute_refs_do_not_move(self):
-        refs = references(parse_formula("=$A$1"))
+        refs = ref_rects(parse_formula("=$A$1"))
         assert translated_location_fingerprint(refs, "S", "wb", (3, 3), (9, 9)) == (
             location_fingerprint(refs, "S", "wb")
         )
@@ -158,57 +160,100 @@ class TestAnalyzeSheet:
         assert "A1" in table.diagnostics[0]
 
 
-class TestDependenceGraph:
-    def build(self, cells):
-        sheet = Worksheet("S", cells)
-        workbook = Workbook("w", [sheet])
-        return build_dependence_graph(workbook)
+def closed_fingerprint_of(formula, column, row, sheet="S", workbook="wb"):
+    ast = parse_formula(formula)
+    return rects_fingerprint(ref_rects(ast), column, row, sheet, workbook, numeric_constant_count(ast) > 0)
 
-    def test_edges_resolved(self):
-        graph = self.build(
-            {
-                (1, 1): CellContent.number(1.0),
-                (1, 2): CellContent.formula("=A1"),
-            }
+
+class TestWholeLineFingerprints:
+    def test_whole_column_copied_down_and_right(self):
+        n = SHEET_ROWS
+        expected = Fingerprint(-n, n * (n - 1) // 2, 0, 0)
+        assert closed_fingerprint_of("=SUM(B:B)", 3, 1) == expected
+        # The open axis is absolute: copying down changes nothing.
+        assert closed_fingerprint_of("=SUM(B:B)", 3, 7) == expected
+        assert closed_fingerprint_of("=SUM(C:C)", 4, 1) == expected
+
+    def test_whole_row_copied_right_and_down(self):
+        n = SHEET_COLUMNS
+        expected = Fingerprint(n * (n - 1) // 2, -2 * n, 0, 0)
+        assert closed_fingerprint_of("=SUM(3:3)", 1, 5) == expected
+        assert closed_fingerprint_of("=SUM(3:3)", 9, 5) == expected
+        assert closed_fingerprint_of("=SUM(4:4)", 1, 6) == expected
+
+    def test_absolute_whole_column_off_sheet(self):
+        n = SHEET_ROWS
+        assert closed_fingerprint_of("=SUM(Data!$A:$B)", 3, 3) == Fingerprint(n, n * (n - 1), 2 * n, 0)
+
+
+# -- closed forms against expand-and-sum on random formulas ------------------
+
+_PREFIXES = ["", "S!", "Other!", "[wb]S!", "[Ext]S!", "[wb]Other!", "'S'!"]
+
+
+@st.composite
+def corner_texts(draw):
+    column, row = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    c_dollar, r_dollar = ("$" if draw(st.booleans()) else "" for _ in range(2))
+    return f"{c_dollar}{column_to_letters(column)}{r_dollar}{row}"
+
+
+@st.composite
+def reference_formulas(draw):
+    """Cells and ranges with mixed $ flags and either corner order, on this
+    sheet or another, named or not; sometimes a numeric constant."""
+    parts = []
+    for _ in range(draw(st.integers(0, 4))):
+        prefix = draw(st.sampled_from(_PREFIXES))
+        body = draw(corner_texts())
+        if draw(st.booleans()):
+            body += ":" + draw(corner_texts())
+        parts.append(prefix + body)
+    if not parts or draw(st.booleans()):
+        parts.append(str(draw(st.integers(0, 9))))
+    return "=SUM(" + ",".join(parts) + ")"
+
+
+def naive_location(refs, sheet, workbook, shift=(0, 0)):
+    x = y = z = 0
+    for ref in refs:
+        off = ref.sheet not in (None, sheet) or ref.workbook not in (None, workbook)
+        x += ref.column + (0 if off or ref.column_absolute else shift[0])
+        y += ref.row + (0 if off or ref.row_absolute else shift[1])
+        z += off
+    return LocFingerprint(x, y, z)
+
+
+def naive_reads_only(refs, here: CellAddress, target: Rect) -> bool:
+    referents = [resolve_reference(r, here) for r in refs]
+    return bool(referents) and all(
+        r.sheet == here.sheet and r.workbook == here.workbook and target.contains(r.column, r.row)
+        for r in referents
+    )
+
+
+class TestClosedFormOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(reference_formulas(), st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),
+           st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)))
+    def test_matches_expand_and_sum(self, text, column, row, to_column, to_row, corners):
+        ast = parse_formula(text)
+        cells, rects = references(ast), ref_rects(ast)
+        constant = numeric_constant_count(ast) > 0
+        assert rects_fingerprint(rects, column, row, "S", "wb", constant) == formula_fingerprint(
+            reference_vectors(cells, column, row, "S", "wb"), constant
         )
-        src = CellAddress(1, 2, "S", "w")
-        dst = CellAddress(1, 1, "S", "w")
-        assert graph.edges[src] == (dst,)
-        assert graph.cycles == ()
+        assert location_fingerprint(rects, "S", "wb") == naive_location(cells, "S", "wb")
+        moved = translated_location_fingerprint(rects, "S", "wb", (column, row), (to_column, to_row))
+        assert moved == naive_location(cells, "S", "wb", (to_column - column, to_row - row))
 
-    def test_boundary_refs_outside_used_range(self):
-        graph = self.build({(1, 1): CellContent.formula("=B9")})
-        assert CellAddress(2, 9, "S", "w") in graph.boundary
-
-    def test_two_cycle(self):
-        graph = self.build(
-            {
-                (1, 1): CellContent.formula("=B1"),
-                (2, 1): CellContent.formula("=A1"),
-            }
-        )
-        assert len(graph.cycles) == 1
-        assert graph.cycles[0] == frozenset(
-            {CellAddress(1, 1, "S", "w"), CellAddress(2, 1, "S", "w")}
-        )
-
-    def test_self_loop(self):
-        graph = self.build({(1, 1): CellContent.formula("=A1")})
-        assert len(graph.cycles) == 1
-
-    def test_chain_has_no_cycle(self):
-        graph = self.build(
-            {
-                (1, 1): CellContent.number(1.0),
-                (1, 2): CellContent.formula("=A1"),
-                (1, 3): CellContent.formula("=A2"),
-            }
-        )
-        assert graph.cycles == ()
-
-    def test_long_chain_is_iteration_safe(self):
-        cells = {(1, 1): CellContent.number(1.0)}
-        for row in range(2, 3000):
-            cells[(1, row)] = CellContent.formula(f"=A{row - 1}")
-        graph = self.build(cells)
-        assert graph.cycles == ()
+        # C3: every referent inside the target, on this sheet.
+        sheet = Worksheet("S", {(column, row): CellContent.formula(text)})
+        table = analyze_sheet_vectors(Workbook("wb", [sheet]), sheet)
+        left, right = sorted(corners[::2])
+        top, bottom = sorted(corners[1::2])
+        target = Rect(left, top, right, bottom)
+        own = Region(Rect(column, row, column, row), table.fingerprint(column, row))
+        fix = CandidateFix(((column, row),), own, Region(target, EMPTY_FINGERPRINT))
+        assert _reads_only_target(fix, table) == naive_reads_only(cells, CellAddress(column, row, "S", "wb"), target)
+        assert table.loc(column, row) == naive_location(cells, "S", "wb")
