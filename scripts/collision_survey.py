@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Survey fingerprint aliasing and cluster shapes across workbooks.
 
-For each .gridbook file this reports the fingerprint collision rate
-(fraction of same-fingerprint formula pairs whose underlying reference
-vector sets actually differ) and the share of fingerprint clusters that
-form solid rectangles, overall and for formula-only clusters.  Low
+For each .gridbook file, given directly or found in a given directory,
+this reports the fingerprint collision rate (fraction of same-fingerprint
+formula pairs whose underlying reference vector sets actually differ)
+and the share of fingerprint clusters that form solid rectangles,
+overall and for formula-only clusters.  Low
 collision and high rectangularity are what make fingerprints a usable
 proxy for formula-shape equality on real sheets.
 """
@@ -38,12 +39,13 @@ def main() -> None:
     parser.add_argument(
         "paths", nargs="*", type=Path,
         default=sorted(Path(__file__).resolve().parent.parent.glob("fixtures/*.gridbook")),
-        help="workbook files (default: the bundled fixtures)",
+        help="workbook files or directories of them (default: the bundled fixtures)",
     )
     args = parser.parse_args()
+    paths = [f for p in args.paths for f in (sorted(p.glob("*.gridbook")) if p.is_dir() else [p])]
 
     print(f"{'workbook':<24} {'cells':>6} {'collisions':>10} {'rect(all)':>10} {'rect(formula)':>14}")
-    for path in args.paths:
+    for path in paths:
         rate, frac_all, frac_formula, cells = survey(path)
         print(f"{path.stem:<24} {cells:>6} {100 * rate:>9.2f}% {frac_all:>10} {frac_formula:>14}")
 

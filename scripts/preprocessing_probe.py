@@ -40,7 +40,7 @@ def make_grid(rng: random.Random, *, separators: bool, deviants: int) -> Fingerp
     hs, hseps = band_layout(rng, separators)
     width = sum(ws) + sum(vseps)
     height = sum(hs) + sum(hseps)
-    cells: dict[tuple[int, int], str] = {}
+    rows = [["E"] * width for _ in range(height)]
     tiles: list[tuple[int, int, int, int, str]] = []
     tile = 0
     x0 = 1
@@ -50,14 +50,10 @@ def make_grid(rng: random.Random, *, separators: bool, deviants: int) -> Fingerp
             tile += 1
             label = f"T{tile}"
             tiles.append((x0, y0, x0 + w - 1, y0 + h - 1, label))
-            for x in range(x0, x0 + w):
-                for y in range(y0, y0 + h):
-                    cells[(x, y)] = label
+            for y in range(y0, y0 + h):
+                rows[y - 1][x0 - 1:x0 - 1 + w] = [label] * w
             y0 += h + (hseps[by] if by < len(hseps) else 0)
         x0 += w + (vseps[bx] if bx < len(vseps) else 0)
-    for x in range(1, width + 1):
-        for y in range(1, height + 1):
-            cells.setdefault((x, y), "E")
     labels = [t[4] for t in tiles]
     for _ in range(deviants):
         left, top, right, bottom, label = rng.choice(tiles)
@@ -65,8 +61,8 @@ def make_grid(rng: random.Random, *, separators: bool, deviants: int) -> Fingerp
             continue
         x = rng.randint(left + 1, right - 1)
         y = rng.randint(top + 1, bottom - 1)
-        cells[(x, y)] = rng.choice([l for l in labels if l != label])
-    return FingerprintGrid(width, height, cells)
+        rows[y - 1][x - 1] = rng.choice([l for l in labels if l != label])
+    return FingerprintGrid(rows)
 
 
 CLASSES = {

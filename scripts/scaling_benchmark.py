@@ -13,7 +13,7 @@ import argparse
 import time
 
 from gridlint.model import CellContent, Workbook, Worksheet, column_to_letters
-from gridlint.pipeline import AnalysisConfig, analyze_workbook
+from gridlint.pipeline import analyze_workbook
 
 
 def striped_workbook(columns: int, rows: int) -> Workbook:
@@ -35,16 +35,14 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="20x25,50x40,100x100,100x200",
                         help="comma-separated WxH sheet sizes")
-    parser.add_argument("--jobs", type=int, default=None)
     args = parser.parse_args()
 
-    config = AnalysisConfig() if args.jobs is None else AnalysisConfig(jobs=args.jobs)
     print(f"{'cells':>8} {'vectors':>9} {'decomp':>9} {'fixes':>9} {'total':>9} {'regions':>8}")
     for token in args.sizes.split(","):
         columns, rows = (int(part) for part in token.lower().split("x"))
         workbook = striped_workbook(columns, rows)
         start = time.perf_counter()
-        analysis = analyze_workbook(workbook, config)
+        analysis = analyze_workbook(workbook)
         total = time.perf_counter() - start
         t = analysis.timings
         print(

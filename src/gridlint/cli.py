@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -34,22 +33,6 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
 
-def _default_jobs(flag_value: Optional[int]) -> int:
-    """--jobs beats GRIDLINT_JOBS beats core count."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("GRIDLINT_JOBS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise FormatError(f"GRIDLINT_JOBS must be an integer, got {env!r}")
-        if value < 1:
-            raise FormatError(f"GRIDLINT_JOBS must be at least 1, got {value}")
-        return value
-    return os.cpu_count() or 1
-
-
 def _write_or_print(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -64,7 +47,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = AnalysisConfig(
         threshold=args.threshold,
         preprocess=not args.no_preprocess,
-        jobs=_default_jobs(args.jobs),
         fmt=args.format,
     )
     analysis = analyze_workbook(workbook, config, parse_seconds=parse_seconds)
@@ -92,7 +74,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     out_dir = Path(args.out) if args.out else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
-    analysis = analyze_workbook(workbook, AnalysisConfig(jobs=1))
+    analysis = analyze_workbook(workbook)
     for sheet in analysis.sheets:
         if sheet.cells == 0:
             html = render_empty_view(sheet.name)
@@ -130,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fraction of cells a reader will inspect (default 0.05)")
     p_analyze.add_argument("--no-preprocess", action="store_true",
                            help="skip the delimiter-split preprocessing pass")
-    p_analyze.add_argument("--jobs", type=int, default=None,
-                           help="worker threads for decomposition (default: GRIDLINT_JOBS or cores)")
     p_analyze.add_argument("--format", choices=("json", "text"), default="json")
     p_analyze.add_argument("--out", default=None, help="write the report here instead of stdout")
     p_analyze.set_defaults(func=cmd_analyze)

@@ -26,7 +26,6 @@ import heapq
 import math
 from array import array
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 from dataclasses import dataclass
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence, Union
@@ -461,27 +460,20 @@ def _axis_runs(grid: FingerprintGrid, vertical: bool) -> list[Optional[int]]:
     same fingerprint.  Consecutive delimiter lines with the same
     fingerprint share a run id; other lines get None.  Index 0 unused.
     """
-    length = grid.width if vertical else grid.height
-    depth = grid.height if vertical else grid.width
-    ids: list[Optional[int]] = [None] * (length + 1)
+    lines = zip(*grid.code_rows) if vertical else grid.code_rows
+    ids: list[Optional[int]] = [None]
     run_id = 0
-    prev_fp: Optional[Hashable] = None
-    prev_uniform = False
-    for i in range(1, length + 1):
-        if vertical:
-            fps = {grid.fingerprint_at(i, y) for y in range(1, depth + 1)}
-        else:
-            fps = {grid.fingerprint_at(x, i) for x in range(1, depth + 1)}
-        if len(fps) == 1:
-            fp = next(iter(fps))
-            if not (prev_uniform and fp == prev_fp):
-                run_id += 1
-            ids[i] = run_id
-            prev_uniform = True
-            prev_fp = fp
-        else:
-            prev_uniform = False
-            prev_fp = None
+    prev_code: Optional[int] = None
+    for line in lines:
+        code = line[0]
+        if line.count(code) != len(line):
+            ids.append(None)
+            prev_code = None
+            continue
+        if code != prev_code:
+            run_id += 1
+        ids.append(run_id)
+        prev_code = code
     return ids
 
 
@@ -557,19 +549,13 @@ def _piece_regions(grid: FingerprintGrid, piece: Rect) -> list[Region]:
     ]
 
 
-def decompose_grid(grid: FingerprintGrid, preprocess: bool = True, jobs: int = 1) -> list[Region]:
+def decompose_grid(grid: FingerprintGrid, preprocess: bool = True) -> list[Region]:
     """Single-fingerprint rectangles covering the grid, coalesced.
 
     With preprocess=True the grid is first split along delimiter runs and
-    each piece decomposed independently (optionally in `jobs` threads);
-    results are identical across thread counts because the piece list and
-    the final coalesce order are both pinned.
+    each piece decomposed independently; the piece list and the final
+    coalesce order are both pinned.
     """
     pieces = delimiter_splits(grid) if preprocess else [grid.full_rect()]
-    if jobs > 1 and len(pieces) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_piece = list(pool.map(lambda p: _piece_regions(grid, p), pieces))
-    else:
-        per_piece = [_piece_regions(grid, p) for p in pieces]
-    leaves = [region for chunk in per_piece for region in chunk]
+    leaves = [region for piece in pieces for region in _piece_regions(grid, piece)]
     return coalesce(leaves)

@@ -37,10 +37,6 @@ class EmptySheetError(GridlintError):
     """Operation needs at least one non-empty cell on the sheet."""
 
 
-class OutOfRangeError(GridlintError):
-    """Address lies outside the sheet's used range."""
-
-
 _COLUMN_RE = re.compile(r"^([A-Za-z]+)([0-9]+)$")
 
 
@@ -195,23 +191,6 @@ class Worksheet:
         rows = [r for _, r in self.cells]
         return Rect(min(cols), min(rows), max(cols), max(rows))
 
-    @property
-    def width(self) -> int:
-        return self.used_range().width
-
-    @property
-    def height(self) -> int:
-        return self.used_range().height
-
-    def cell_kind(self, column: int, row: int) -> CellKind:
-        """Kind of the cell at (column, row), which must be inside the used range."""
-        if not self.used_range().contains(column, row):
-            raise OutOfRangeError(f"({column}, {row}) outside used range of {self.name!r}")
-        return self.content(column, row).kind
-
-    def content(self, column: int, row: int) -> CellContent:
-        return self.cells.get((column, row), EMPTY_CELL)
-
 
 @dataclass
 class Workbook:
@@ -226,12 +205,6 @@ class Workbook:
             if ws.name == name:
                 return ws
         raise KeyError(f"no sheet named {name!r}")
-
-    def sheet_names(self) -> list[str]:
-        return [ws.name for ws in self.sheets]
-
-    def has_sheet(self, name: str) -> bool:
-        return any(ws.name == name for ws in self.sheets)
 
 
 def _cells_pairs_hook(pairs: list[tuple[str, object]]) -> dict:

@@ -6,9 +6,8 @@ coordinates (column, row), not positions within the used range.
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .entropy import Region, decompose_grid
@@ -19,6 +18,12 @@ from .report import audit_sheet_payload, audit_workbook_payload
 from .vectors import SheetVectors, analyze_sheet_vectors
 
 PHASES = ("parse", "vectors", "decomposition", "fixes")
+
+# Largest used range analysed, in cells.  The fingerprint grid, the
+# entropy tree and the HTML view are dense over the used range, so a
+# sheet holding only A1 and XFD1048576 (about 1.7e10 cells) is refused
+# up front instead of exhausting memory.
+MAX_USED_CELLS = 2**20
 
 
 class ConfigError(FormatError, ValueError):
@@ -33,14 +38,11 @@ class ConfigError(FormatError, ValueError):
 class AnalysisConfig:
     threshold: float = 0.05
     preprocess: bool = True
-    jobs: int = field(default_factory=lambda: os.cpu_count() or 1)
     fmt: str = "json"
 
     def __post_init__(self):
         if not 0 < self.threshold <= 1:
             raise ConfigError(f"threshold {self.threshold} must be in (0, 1]")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs {self.jobs} must be at least 1")
         if self.fmt not in ("json", "text"):
             raise ConfigError(f"format {self.fmt!r} must be json or text")
 
@@ -71,12 +73,10 @@ class WorkbookAnalysis:
 def grid_from_table(table: SheetVectors) -> FingerprintGrid:
     """Used range re-based to (1, 1) for decomposition."""
     rect = table.rect
-    cells = {
-        (x, y): table.fingerprint(rect.left + x - 1, rect.top + y - 1)
-        for y in range(1, rect.height + 1)
-        for x in range(1, rect.width + 1)
-    }
-    return FingerprintGrid(rect.width, rect.height, cells)
+    return FingerprintGrid(
+        [table.fingerprint(x, y) for x in range(rect.left, rect.right + 1)]
+        for y in range(rect.top, rect.bottom + 1)
+    )
 
 
 def _to_sheet_coords(region: Region, rect: Rect) -> Region:
@@ -100,12 +100,18 @@ def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[Analysi
         table = SheetVectors(sheet.name, workbook.name, Rect(1, 1, 1, 1), {}, {}, {}, {})
         timings.update({"vectors": 0.0, "decomposition": 0.0, "fixes": 0.0})
         return SheetAnalysis(sheet.name, table, [], [], 0, timings)
+    used = sheet.used_range()
+    if used.area > MAX_USED_CELLS:
+        raise FormatError(
+            f"sheet {sheet.name!r}: used range {used.a1()} spans {used.area} cells, "
+            f"more than the {MAX_USED_CELLS} analysed"
+        )
     t0 = time.perf_counter()
     table = analyze_sheet_vectors(workbook, sheet)
     timings["vectors"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     grid = grid_from_table(table)
-    local = decompose_grid(grid, preprocess=config.preprocess, jobs=config.jobs)
+    local = decompose_grid(grid, preprocess=config.preprocess)
     regions = [_to_sheet_coords(r, table.rect) for r in local]
     timings["decomposition"] = time.perf_counter() - t0
     t0 = time.perf_counter()

@@ -42,14 +42,14 @@ def aggregate_own_inputs_workbook() -> Workbook:
 
 
 def label_grid(rows) -> FingerprintGrid:
-    return FingerprintGrid.from_rows(rows)
+    return FingerprintGrid(rows)
 
 
 def random_label_grid(rng: random.Random, max_side: int = 8, max_labels: int = 4) -> FingerprintGrid:
     width = rng.randint(1, max_side)
     height = rng.randint(1, max_side)
     labels = "ABCD"[: rng.randint(1, max_labels)]
-    return FingerprintGrid.from_rows(
+    return FingerprintGrid(
         [[rng.choice(labels) for _ in range(width)] for _ in range(height)]
     )
 
@@ -71,22 +71,18 @@ def banded_tile_grid(rng: random.Random) -> FingerprintGrid:
     hs, hseps = bands(ky)
     width = sum(ws) + sum(vseps)
     height = sum(hs) + sum(hseps)
-    cells = {}
+    rows = [["E"] * width for _ in range(height)]
     tile = 0
     x0 = 1
     for bx in range(kx):
         y0 = 1
         for by in range(ky):
             tile += 1
-            for x in range(x0, x0 + ws[bx]):
-                for y in range(y0, y0 + hs[by]):
-                    cells[(x, y)] = f"T{tile}"
+            for y in range(y0, y0 + hs[by]):
+                rows[y - 1][x0 - 1:x0 - 1 + ws[bx]] = [f"T{tile}"] * ws[bx]
             y0 += hs[by] + (hseps[by] if by < ky - 1 else 0)
         x0 += ws[bx] + (vseps[bx] if bx < kx - 1 else 0)
-    for x in range(1, width + 1):
-        for y in range(1, height + 1):
-            cells.setdefault((x, y), "E")
-    return FingerprintGrid(width, height, cells)
+    return FingerprintGrid(rows)
 
 
 def banded_tile_workbook(rng: random.Random, name: str = "banded") -> Workbook:

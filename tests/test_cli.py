@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridlint
 from gridlint import cli
 from gridlint.model import GridlintError
 
@@ -14,11 +20,6 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("GRIDLINT_JOBS", raising=False)
 
 
 @pytest.fixture
@@ -90,10 +91,11 @@ class TestAnalyze:
         assert code == 1
         assert "internal error: ValueError: bug" in err
 
-    def test_zero_jobs_is_usage_error(self, workbook_path, capsys):
-        code, _, err = run(["analyze", workbook_path, "--jobs", "0"], capsys)
-        assert code == 2
-        assert "jobs" in err
+    def test_no_jobs_option(self, workbook_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["analyze", workbook_path, "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_non_utf8_workbook_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "latin1.gridbook"
@@ -125,32 +127,26 @@ class TestAnalyze:
         assert code == 2
         assert "invalid cell address" in err
 
-
-class TestJobsSelection:
-    def test_env_variable_used(self, workbook_path, capsys, monkeypatch):
-        monkeypatch.setenv("GRIDLINT_JOBS", "2")
-        code, out, _ = run(["analyze", workbook_path], capsys)
-        assert code == 0
-        assert json.loads(out)["workbook"] == "inconsistent_sum"
-
-    @pytest.mark.parametrize("env", ["abc", "0", "-3"])
-    def test_invalid_env_rejected(self, workbook_path, env, capsys, monkeypatch):
-        monkeypatch.setenv("GRIDLINT_JOBS", env)
-        code, _, err = run(["analyze", workbook_path], capsys)
-        assert code == 2
-        assert "GRIDLINT_JOBS" in err
-
-    def test_flag_beats_invalid_env(self, workbook_path, capsys, monkeypatch):
-        monkeypatch.setenv("GRIDLINT_JOBS", "abc")
-        code, out, _ = run(["analyze", workbook_path, "--jobs", "1"], capsys)
-        assert code == 0
-
-    def test_parallel_output_identical(self, workbook_path, tmp_path, capsys):
-        one = tmp_path / "jobs1.json"
-        many = tmp_path / "jobs8.json"
-        assert run(["analyze", workbook_path, "--jobs", "1", "--out", str(one)], capsys)[0] == 0
-        assert run(["analyze", workbook_path, "--jobs", "8", "--out", str(many)], capsys)[0] == 0
-        assert one.read_bytes() == many.read_bytes()
+    @pytest.mark.parametrize("command", ["analyze", "render"])
+    def test_used_range_past_limit_is_usage_error(self, command, tmp_path):
+        # A1 plus XFD1048576 spans about 1.7e10 cells.  Run in a child under
+        # a 1 GB address-space limit, so a missing check fails the test
+        # with a MemoryError instead of exhausting the machine.
+        source = tmp_path / "corners.gridbook"
+        source.write_text(json.dumps({"workbook": "corners", "sheets": [
+            {"name": "S", "cells": {"A1": {"n": 1}, "XFD1048576": {"f": "=A1"}}},
+        ]}))
+        limit = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridlint", command, str(source), "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(Path(gridlint.__file__).parent.parent)),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert "A1:XFD1048576" in proc.stderr
 
     def test_no_preprocess_output_identical(self, workbook_path, tmp_path, capsys):
         with_pre = tmp_path / "pre.json"

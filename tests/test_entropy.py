@@ -14,6 +14,7 @@ from gridlint.entropy import (
     InvalidSplitError,
     NegativeCountError,
     Region,
+    _axis_runs,
     _cut_margin,
     _sweep,
     _xlogx_table,
@@ -79,7 +80,7 @@ class TestNormalizedEntropy:
 
 class TestSplitEntropy:
     def grid(self):
-        return FingerprintGrid.from_rows([["A", "A"], ["B", "B"]])
+        return FingerprintGrid([["A", "A"], ["B", "B"]])
 
     def test_clean_horizontal_cut(self):
         assert split_entropy(self.grid(), Rect(1, 1, 2, 2), 1, vertical=False) == 0.0
@@ -97,38 +98,38 @@ class TestSplitEntropy:
 
 class TestEntropyTree:
     def test_pure_grid_is_leaf(self):
-        grid = FingerprintGrid.from_rows([["A", "A"], ["A", "A"]])
+        grid = FingerprintGrid([["A", "A"], ["A", "A"]])
         tree = entropy_tree(grid)
         assert isinstance(tree, EntropyLeaf)
 
     def test_single_cell_is_leaf(self):
-        assert isinstance(entropy_tree(FingerprintGrid.from_rows([["A"]])), EntropyLeaf)
+        assert isinstance(entropy_tree(FingerprintGrid([["A"]])), EntropyLeaf)
 
     def test_two_band_grid(self):
-        grid = FingerprintGrid.from_rows([["A", "A"], ["B", "B"]])
+        grid = FingerprintGrid([["A", "A"], ["B", "B"]])
         tree = entropy_tree(grid)
         assert isinstance(tree, EntropyNode)
         assert tree.vertical is False and tree.index == 1 and tree.entropy == 0.0
 
     def test_vertical_wins_ties(self):
         # fully mixed 2x2: all cuts score 2.0; vertical, index 1 must win
-        grid = FingerprintGrid.from_rows([["A", "B"], ["B", "A"]])
+        grid = FingerprintGrid([["A", "B"], ["B", "A"]])
         tree = entropy_tree(grid)
         assert tree.vertical is True and tree.index == 1
 
     def test_smallest_index_wins_ties(self):
-        grid = FingerprintGrid.from_rows([["A", "B", "A", "B"]])
+        grid = FingerprintGrid([["A", "B", "A", "B"]])
         tree = entropy_tree(grid)
         assert tree.vertical is True and tree.index == 1
 
     def test_stripe_leaves(self):
-        grid = FingerprintGrid.from_rows([["A", "A", "B"], ["A", "A", "B"]])
+        grid = FingerprintGrid([["A", "A", "B"], ["A", "A", "B"]])
         leaves = tree_leaves(entropy_tree(grid))
         assert [leaf.region for leaf in leaves] == [Rect(1, 1, 2, 2), Rect(3, 1, 3, 2)]
 
     def test_deep_strip_does_not_recurse(self):
         # 1x400 alternating strip forces ~400 nested cuts
-        grid = FingerprintGrid.from_rows([["A" if i % 2 == 0 else "B" for i in range(400)]])
+        grid = FingerprintGrid([["A" if i % 2 == 0 else "B" for i in range(400)]])
         leaves = tree_leaves(entropy_tree(grid))
         assert len(leaves) == 400
 
@@ -227,6 +228,28 @@ class TestCoalesce:
         assert coalesce(regions) == coalesce(shuffled)
 
 
+def naive_axis_runs(grid, vertical):
+    """_axis_runs by reading every cell's fingerprint: a uniform line gets
+    the id of the run of equal uniform lines it belongs to, others None."""
+    length, depth = (grid.width, grid.height) if vertical else (grid.height, grid.width)
+    ids = [None]
+    run_id = 0
+    previous = None  # the previous line's fingerprint, if it was uniform
+    for i in range(1, length + 1):
+        cells = [(i, j) if vertical else (j, i) for j in range(1, depth + 1)]
+        fps = {grid.fingerprint_at(x, y) for x, y in cells}
+        if len(fps) == 1:
+            (fp,) = fps
+            if fp != previous:
+                run_id += 1
+            ids.append(run_id)
+            previous = fp
+        else:
+            ids.append(None)
+            previous = None
+    return ids
+
+
 class TestDelimiterSplits:
     def quadrant_grid(self):
         def label(x, y):
@@ -236,7 +259,7 @@ class TestDelimiterSplits:
                 (x > 4, y > 3)
             ]
 
-        return FingerprintGrid.from_rows(
+        return FingerprintGrid(
             [[label(x, y) for x in range(1, 8)] for y in range(1, 6)]
         )
 
@@ -252,16 +275,25 @@ class TestDelimiterSplits:
         ]
 
     def test_no_delimiters_single_piece(self):
-        grid = FingerprintGrid.from_rows([["A", "B"], ["B", "A"]])
+        grid = FingerprintGrid([["A", "B"], ["B", "A"]])
         assert delimiter_splits(grid) == [grid.full_rect()]
 
     def test_uniform_grid_single_piece(self):
-        grid = FingerprintGrid.from_rows([["A", "A"], ["A", "A"]])
+        grid = FingerprintGrid([["A", "A"], ["A", "A"]])
         assert delimiter_splits(grid) == [grid.full_rect()]
 
     def test_adjacent_runs_of_different_labels_cut_apart(self):
-        grid = FingerprintGrid.from_rows([["A", "A", "B", "B"], ["A", "A", "B", "B"]])
+        grid = FingerprintGrid([["A", "A", "B", "B"], ["A", "A", "B", "B"]])
         assert delimiter_splits(grid) == [Rect(1, 1, 2, 2), Rect(3, 1, 4, 2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_axis_runs_match_fingerprint_scan(self, rng):
+        # Two labels on small grids make uniform lines, and runs of them,
+        # common.
+        grid = random_label_grid(rng, max_side=6, max_labels=2)
+        for vertical in (True, False):
+            assert _axis_runs(grid, vertical) == naive_axis_runs(grid, vertical)
 
     def test_pieces_partition_grid(self):
         grid = self.quadrant_grid()
@@ -277,7 +309,7 @@ class TestDelimiterSplits:
         # inside the content column.  Grids like this sit outside the
         # invariance class: both modes must still produce valid pure
         # partitions, but the partitions are allowed to differ.
-        grid = FingerprintGrid.from_rows(
+        grid = FingerprintGrid(
             [
                 ["E", "E", "b"],
                 ["a", "E", "b"],
@@ -312,7 +344,7 @@ class TestDecomposeGrid:
 
     def test_checkerboard_all_singletons(self):
         rows = [["A" if (x + y) % 2 == 0 else "B" for x in range(4)] for y in range(4)]
-        grid = FingerprintGrid.from_rows(rows)
+        grid = FingerprintGrid(rows)
         regions = decompose_grid(grid)
         assert len(regions) == 16
         assert all(r.rect.area == 1 for r in regions)
@@ -330,12 +362,6 @@ class TestDecomposeGrid:
                 assert {grid.fingerprint_at(x, y) for x, y in cells} == {region.fingerprint}
             assert covered == set(grid.full_rect().cells())
 
-    def test_thread_count_does_not_change_result(self):
-        rng = random.Random(3)
-        for _ in range(10):
-            grid = banded_tile_grid(rng)
-            assert decompose_grid(grid, jobs=1) == decompose_grid(grid, jobs=4)
-
     def test_banded_class_preprocess_invariance(self):
         rng = random.Random(19)
         for _ in range(25):
@@ -345,7 +371,7 @@ class TestDecomposeGrid:
             )
 
     def test_best_split_requires_interior(self):
-        grid = FingerprintGrid.from_rows([["A"]])
+        grid = FingerprintGrid([["A"]])
         with pytest.raises(InvalidSplitError):
             best_split(grid, Rect(1, 1, 1, 1))
 
@@ -432,7 +458,7 @@ def stripe_grid(rng, width, height):
     """Columns or rows repeating a short label period: many cuts tie exactly."""
     period = [rng.choice("AB") for _ in range(rng.randint(1, 3))] + ["C"]
     by_column = rng.random() < 0.5
-    return FingerprintGrid.from_rows(
+    return FingerprintGrid(
         [[period[(x if by_column else y) % len(period)] for x in range(width)] for y in range(height)]
     )
 
@@ -454,7 +480,7 @@ class TestSweepOracle:
         # Running totals: a data column beside a column whose every cell
         # carries its own fingerprint.
         rows = [(["num"] if with_data_column else []) + [f"sum{r}"] for r in range(n)]
-        assert_tree_matches_naive(FingerprintGrid.from_rows(rows))
+        assert_tree_matches_naive(FingerprintGrid(rows))
 
     def test_region_of_200_by_200(self):
         rng = random.Random(5)
@@ -465,7 +491,7 @@ class TestSweepOracle:
                 rows[y][left:right + 1] = [label] * (right - left + 1)
         for _ in range(3):
             rows[rng.randrange(200)][rng.randrange(200)] = "E"
-        grid = FingerprintGrid.from_rows(rows)
+        grid = FingerprintGrid(rows)
         assert_tree_matches_naive(grid)
 
     @settings(max_examples=40, deadline=None)

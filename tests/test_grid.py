@@ -10,7 +10,7 @@ from gridlint.model import Rect
 
 
 def test_from_rows_shape():
-    grid = FingerprintGrid.from_rows([["A", "B"], ["B", "B"]])
+    grid = FingerprintGrid([["A", "B"], ["B", "B"]])
     assert (grid.width, grid.height) == (2, 2)
     assert grid.fingerprint_at(1, 1) == "A"
     assert grid.fingerprint_at(2, 2) == "B"
@@ -18,40 +18,47 @@ def test_from_rows_shape():
 
 def test_from_rows_rejects_ragged():
     with pytest.raises(ValueError):
-        FingerprintGrid.from_rows([["A"], ["A", "B"]])
+        FingerprintGrid([["A"], ["A", "B"]])
+
+
+def test_rejects_empty_grid():
+    for rows in ([], [[]]):
+        with pytest.raises(ValueError):
+            FingerprintGrid(rows)
 
 
 def test_bit_layout_row_major():
-    grid = FingerprintGrid.from_rows([["A", "B", "A"]])
-    assert grid.bit_index(1, 1) == 0
-    assert grid.bit_index(3, 1) == 2
-    assert grid.bitvectors["A"] == 0b101
-    assert grid.bitvectors["B"] == 0b010
+    grid = FingerprintGrid([["A", "B", "A"], ["B", "B", "C"]])
+    assert grid.palette == ("A", "B", "C")
+    assert grid.code_rows == [[0, 1, 0], [1, 1, 2]]
+    assert grid.bitvectors[0] == 0b000_101
+    assert grid.bitvectors[1] == 0b011_010
+    assert grid.bitvectors[2] == 0b100_000
 
 
 def test_bitvectors_partition_all_cells():
-    grid = FingerprintGrid.from_rows([["A", "B"], ["C", "A"]])
+    grid = FingerprintGrid([["A", "B"], ["C", "A"]])
     union = 0
-    for bv in grid.bitvectors.values():
+    for bv in grid.bitvectors:
         assert union & bv == 0
         union |= bv
     assert union == (1 << 4) - 1
 
 
 def test_rect_mask_popcount_is_area():
-    grid = FingerprintGrid.from_rows([["A"] * 5] * 4)
+    grid = FingerprintGrid([["A"] * 5] * 4)
     rect = Rect(2, 2, 4, 3)
     assert grid.rect_mask(rect).bit_count() == rect.area
 
 
 def test_rect_mask_out_of_bounds():
-    grid = FingerprintGrid.from_rows([["A", "A"]])
+    grid = FingerprintGrid([["A", "A"]])
     with pytest.raises(ValueError):
         grid.rect_mask(Rect(1, 1, 3, 1))
 
 
 def test_counts_known():
-    grid = FingerprintGrid.from_rows(
+    grid = FingerprintGrid(
         [
             ["A", "A", "B"],
             ["A", "C", "B"],
@@ -59,20 +66,19 @@ def test_counts_known():
     )
     assert grid.counts_in(Rect(1, 1, 3, 2)) == {"A": 3, "B": 2, "C": 1}
     assert grid.counts_in(Rect(1, 1, 2, 1)) == {"A": 2}
-    assert grid.distinct_in(Rect(3, 1, 3, 2)) == frozenset({"B"})
+    assert grid.counts_in(Rect(3, 1, 3, 2)) == {"B": 2}
+
+
+def test_counts_in_follows_code_order():
+    grid = FingerprintGrid([["C", "A", "B"], ["B", "B", "A"]])
+    assert grid.palette == ("C", "A", "B")
+    assert list(grid.counts_in(Rect(1, 1, 3, 2))) == ["C", "A", "B"]
+    assert list(grid.counts_in(Rect(2, 1, 3, 2))) == ["A", "B"]
 
 
 def test_zero_counts_omitted():
-    grid = FingerprintGrid.from_rows([["A", "B"]])
+    grid = FingerprintGrid([["A", "B"]])
     assert "B" not in grid.counts_in(Rect(1, 1, 1, 1))
-
-
-def test_relabel():
-    grid = FingerprintGrid.from_rows([["A", "A"]])
-    new = grid.relabel({(2, 1): "B"})
-    assert new.counts_in(Rect(1, 1, 2, 1)) == {"A": 1, "B": 1}
-    # original untouched
-    assert grid.counts_in(Rect(1, 1, 2, 1)) == {"A": 2}
 
 
 @st.composite
@@ -87,7 +93,7 @@ def grid_and_rect(draw):
     right = draw(st.integers(left, width))
     top = draw(st.integers(1, height))
     bottom = draw(st.integers(top, height))
-    return FingerprintGrid.from_rows(rows), Rect(left, top, right, bottom)
+    return FingerprintGrid(rows), Rect(left, top, right, bottom)
 
 
 @given(grid_and_rect())
@@ -105,6 +111,6 @@ def test_masked_counts_match_naive_scan(case):
 def test_large_grid_spot_check():
     rng = random.Random(7)
     rows = [[rng.randint(0, 3) for _ in range(60)] for _ in range(40)]
-    grid = FingerprintGrid.from_rows(rows)
+    grid = FingerprintGrid(rows)
     rect = Rect(5, 3, 55, 38)
     assert grid.counts_in(rect) == grid.naive_counts_in(rect)

@@ -13,7 +13,6 @@ from gridlint.model import (
     DuplicateCellError,
     EmptySheetError,
     FormatError,
-    OutOfRangeError,
     Rect,
     Worksheet,
     column_to_letters,
@@ -133,16 +132,6 @@ class TestWorksheet:
         with pytest.raises(EmptySheetError):
             Worksheet("S", {}).used_range()
 
-    def test_cell_kind(self):
-        ws = Worksheet("S", {(1, 1): CellContent.number(1.0), (2, 2): CellContent.text("x")})
-        assert ws.cell_kind(1, 1) is CellKind.NUMBER
-        assert ws.cell_kind(2, 1) is CellKind.EMPTY
-
-    def test_cell_kind_out_of_range(self):
-        ws = Worksheet("S", {(1, 1): CellContent.number(1.0)})
-        with pytest.raises(OutOfRangeError):
-            ws.cell_kind(0, 1)
-
 
 SAMPLE = {
     "workbook": "demo",
@@ -163,9 +152,9 @@ class TestJsonFormat:
     def test_load_kinds(self):
         wb = parse_workbook_json(json.dumps(SAMPLE))
         ws = wb.sheet("Totals")
-        assert ws.cell_kind(1, 1) is CellKind.NUMBER
-        assert ws.cell_kind(2, 1) is CellKind.TEXT
-        assert ws.cell_kind(3, 2) is CellKind.FORMULA
+        assert ws.cells[(1, 1)].kind is CellKind.NUMBER
+        assert ws.cells[(2, 1)].kind is CellKind.TEXT
+        assert ws.cells[(3, 2)].kind is CellKind.FORMULA
 
     def test_round_trip(self):
         wb = parse_workbook_json(json.dumps(SAMPLE))
@@ -219,12 +208,6 @@ class TestJsonFormat:
         }
         with pytest.raises(FormatError):
             parse_workbook_json(json.dumps(doc))
-
-    def test_workbook_lookup(self):
-        wb = parse_workbook_json(json.dumps(SAMPLE))
-        assert wb.has_sheet("Totals")
-        assert not wb.has_sheet("Other")
-        assert wb.sheet_names() == ["Totals"]
 
 
 class TestCellAddress:

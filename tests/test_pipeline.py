@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from conftest import inconsistent_sum_workbook
+from gridlint import pipeline
 from gridlint.entropy import Region
-from gridlint.model import CellContent, Rect, Workbook, Worksheet, load_workbook
+from gridlint.model import CellContent, FormatError, Rect, Workbook, Worksheet, load_workbook
 from gridlint.pipeline import (
+    MAX_USED_CELLS,
     PHASES,
     AnalysisConfig,
     analyze_sheet,
@@ -15,7 +19,7 @@ from gridlint.pipeline import (
     audit_payload,
     grid_from_table,
 )
-from gridlint.vectors import NUMBER_FINGERPRINT, analyze_sheet_vectors
+from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT, TEXT_FINGERPRINT, analyze_sheet_vectors
 
 
 class TestAnalysisConfig:
@@ -23,8 +27,8 @@ class TestAnalysisConfig:
         config = AnalysisConfig()
         assert config.threshold == 0.05
         assert config.preprocess is True
-        assert config.jobs >= 1
         assert config.fmt == "json"
+        assert [f.name for f in fields(AnalysisConfig)] == ["threshold", "preprocess", "fmt"]
 
     @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5])
     def test_threshold_range(self, threshold):
@@ -33,10 +37,6 @@ class TestAnalysisConfig:
 
     def test_threshold_of_one_allowed(self):
         assert AnalysisConfig(threshold=1.0).threshold == 1.0
-
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(ValueError):
-            AnalysisConfig(jobs=0)
 
     def test_format_names(self):
         with pytest.raises(ValueError):
@@ -53,6 +53,14 @@ class TestGridFromTable:
         assert grid.fingerprint_at(1, 1) == NUMBER_FINGERPRINT  # B6
         assert grid.fingerprint_at(5, 1) == table.fingerprint(6, 6)  # F6
         assert grid.fingerprint_at(5, 2) == table.fingerprint(6, 7)  # F7
+
+
+    def test_holes_are_empty_cells(self):
+        sheet = Worksheet("S", {(2, 3): CellContent.number(1.0), (4, 4): CellContent.text("x")})
+        table = analyze_sheet_vectors(Workbook("w", [sheet]), sheet)
+        grid = grid_from_table(table)
+        assert grid.palette == (NUMBER_FINGERPRINT, EMPTY_FINGERPRINT, TEXT_FINGERPRINT)
+        assert grid.code_rows == [[0, 1, 1], [1, 1, 2]]
 
 
 class TestAnalyzeSheet:
@@ -173,12 +181,27 @@ class TestTwoTablesFixture:
         assert sorted(with_pre.regions) == sorted(without.regions)
         assert with_pre.fixes == without.fixes
 
-    def test_jobs_do_not_change_results(self, fixtures_dir):
-        workbook = load_workbook(fixtures_dir / "two_tables.gridbook")
-        serial = analyze_workbook(workbook, AnalysisConfig(jobs=1))
-        parallel = analyze_workbook(workbook, AnalysisConfig(jobs=4))
-        assert sorted(serial.sheets[0].regions) == sorted(parallel.sheets[0].regions)
-        assert serial.sheets[0].fixes == parallel.sheets[0].fixes
+
+class TestUsedRangeLimit:
+    def test_limit_covers_every_bundled_sheet(self, fixtures_dir):
+        # 200 x 200 is the largest sheet of the benchmark workloads.
+        assert MAX_USED_CELLS >= 200 * 200
+        for path in fixtures_dir.glob("*.gridbook"):
+            for sheet in load_workbook(path).sheets:
+                assert sheet.used_range().area <= MAX_USED_CELLS
+
+    def test_checked_before_analysis(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_USED_CELLS", 12)
+        at_limit = Worksheet("S", {(1, 1): CellContent.number(1.0), (3, 4): CellContent.formula("=A1")})
+        assert analyze_sheet(Workbook("w", [at_limit]), at_limit).cells == 12
+        past = Worksheet("S", {(1, 1): CellContent.number(1.0), (3, 5): CellContent.formula("=A1")})
+
+        def unreachable(*args):
+            raise AssertionError("the limit must be checked before any per-cell work")
+
+        monkeypatch.setattr(pipeline, "analyze_sheet_vectors", unreachable)
+        with pytest.raises(FormatError, match="A1:C5 spans 15 cells"):
+            analyze_sheet(Workbook("w", [past]), past)
 
 
 class TestAuditPayload:
