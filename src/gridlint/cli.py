@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .evaluate import evaluate_report, load_annotations
 from .model import FormatError, GridlintError, load_workbook
-from .pipeline import AnalysisConfig, analyze_workbook, audit_payload
+from .pipeline import PHASES, AnalysisConfig, analyze_workbook, audit_payload
 from .report import (
     assign_colors,
     audit_json,
@@ -58,7 +58,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"{analysis.total_regions()} regions, {analysis.total_fixes()} proposed fixes",
         file=sys.stderr,
     )
-    for phase in ("parse", "vectors", "decomposition", "fixes"):
+    for phase in PHASES:
         print(f"  {phase}: {analysis.timings.get(phase, 0.0) * 1000:.1f} ms", file=sys.stderr)
     return EXIT_OK
 

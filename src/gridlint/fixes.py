@@ -1,11 +1,15 @@
 """Candidate-fix generation, screening, scoring, and ranking.
 
-A fix proposes rewriting a set of source cells to follow the reference
-pattern of an adjacent target region.  Candidates are screened by three
-conditions (merged layout must stay rectangular; an aggregate is never
-rewritten to match its own inputs; both sides must be formulas), scored
-by how much the rewrite simplifies the sheet layout versus how far the
-formulas must move, and reported within a flagged-cell budget.
+A fix proposes rewriting a source rectangle to follow the reference
+pattern of an adjacent target region.  The source is either the whole
+region next to the target or one of its boundary cells facing the
+target, so every source is a Rect and its cells are listed only when a
+kept fix is reported.  Candidates are screened by three conditions (C1:
+source and target must merge into one rectangle, by the rule coalescing
+uses; C3: an aggregate is never rewritten to match its own inputs; C2:
+both sides must be formulas), scored by how much the rewrite simplifies
+the sheet layout versus how far the formulas must move, and reported
+within a flagged-cell budget.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, NamedTuple, Optional, Sequence
 
-from .entropy import Region, _coalesce_targeted, normalized_entropy
+from .entropy import Region, _coalesce_targeted, _union_rect, mergeable, normalized_entropy
 from .model import CellKind, GridlintError, Rect
-from .vectors import SheetVectors, is_off_sheet, translated_location_fingerprint
+from .vectors import SheetVectors, is_off_sheet, location_fingerprint, translated_location_fingerprint
 
 # Rejection codes for inadmissible candidates.
 REASON_NOT_RECTANGULAR = "C1"
@@ -32,15 +36,15 @@ class NonNegativeDeltaError(GridlintError):
 class CandidateFix(NamedTuple):
     """An unscored rewrite proposal, in sheet coordinates."""
 
-    source_cells: tuple[tuple[int, int], ...]  # sorted by (row, col)
-    source_region: Region  # region the source cells belong to
+    source: Rect  # source_region.rect, or one of its cells facing the target
+    source_region: Region
     target: Region
 
 
 @dataclass(frozen=True)
 class ProposedFix:
     sheet: str
-    source_cells: tuple[tuple[int, int], ...]
+    source: Rect
     source_fingerprint: Hashable
     target: Rect
     target_fingerprint: Hashable
@@ -49,44 +53,36 @@ class ProposedFix:
     distance: float
     score: float
 
+    @property
+    def source_cells(self) -> tuple[tuple[int, int], ...]:
+        """The source's (column, row) cells in reading order."""
+        return tuple(self.source.cells())
 
-def adjacent(a: Rect, b: Rect) -> bool:
-    """True when the rectangles share an edge of at least one cell."""
+
+def facing_strip(a: Rect, b: Rect) -> Optional[Rect]:
+    """The line of cells of `a` whose edge-neighbour lies inside `b`, or
+    None when the rectangles share no edge of at least one cell."""
     if a.right + 1 == b.left or b.right + 1 == a.left:
-        return min(a.bottom, b.bottom) >= max(a.top, b.top)
+        top, bottom = max(a.top, b.top), min(a.bottom, b.bottom)
+        if top > bottom:
+            return None
+        x = a.right if a.right + 1 == b.left else a.left
+        return Rect(x, top, x, bottom)
     if a.bottom + 1 == b.top or b.bottom + 1 == a.top:
-        return min(a.right, b.right) >= max(a.left, b.left)
-    return False
-
-
-def boundary_cells_facing(a: Rect, b: Rect) -> list[tuple[int, int]]:
-    """Cells of `a` whose edge-neighbour lies inside `b`."""
-    cells: list[tuple[int, int]] = []
-    if a.right + 1 == b.left:
-        for y in range(max(a.top, b.top), min(a.bottom, b.bottom) + 1):
-            cells.append((a.right, y))
-    elif b.right + 1 == a.left:
-        for y in range(max(a.top, b.top), min(a.bottom, b.bottom) + 1):
-            cells.append((a.left, y))
-    elif a.bottom + 1 == b.top:
-        for x in range(max(a.left, b.left), min(a.right, b.right) + 1):
-            cells.append((x, a.bottom))
-    elif b.bottom + 1 == a.top:
-        for x in range(max(a.left, b.left), min(a.right, b.right) + 1):
-            cells.append((x, a.top))
-    return sorted(cells, key=lambda c: (c[1], c[0]))
-
-
-def _cell_sort_key(cell: tuple[int, int]) -> tuple[int, int]:
-    return (cell[1], cell[0])
+        left, right = max(a.left, b.left), min(a.right, b.right)
+        if left > right:
+            return None
+        y = a.bottom if a.bottom + 1 == b.top else a.top
+        return Rect(left, y, right, y)
+    return None
 
 
 def candidate_fixes(regions: Sequence[Region]) -> list[CandidateFix]:
     """All (source, target) proposals over ordered adjacent region pairs.
 
     For each pair this emits the whole source region, plus each single
-    boundary cell facing the target (skipped for one-cell regions, where
-    the whole-region candidate is the same thing).
+    boundary cell facing the target in reading order (skipped for
+    one-cell regions, where the whole-region candidate is the same thing).
     """
     ordered = sorted(regions, key=lambda r: (r.rect.top, r.rect.left, r.rect.bottom, r.rect.right))
     out: list[CandidateFix] = []
@@ -94,31 +90,14 @@ def candidate_fixes(regions: Sequence[Region]) -> list[CandidateFix]:
         for b in ordered:
             if a is b or a.fingerprint == b.fingerprint:
                 continue
-            if not adjacent(a.rect, b.rect):
+            strip = facing_strip(a.rect, b.rect)
+            if strip is None:
                 continue
-            whole = tuple(sorted(a.rect.cells(), key=_cell_sort_key))
-            out.append(CandidateFix(whole, a, b))
+            out.append(CandidateFix(a.rect, a, b))
             if a.rect.area > 1:
-                for cell in boundary_cells_facing(a.rect, b.rect):
-                    out.append(CandidateFix((cell,), a, b))
+                for x, y in strip.cells():
+                    out.append(CandidateFix(Rect(x, y, x, y), a, b))
     return out
-
-
-def _merged_bounds(fix: CandidateFix) -> tuple[int, int, int, int]:
-    """(left, top, right, bottom) of the source cells and the target together.
-    The source is one cell or else its whole region, so this is O(1)."""
-    t = fix.target.rect
-    if len(fix.source_cells) == 1:
-        (left, top), = fix.source_cells
-        right, bottom = left, top
-    else:
-        s = fix.source_region.rect
-        left, top, right, bottom = s.left, s.top, s.right, s.bottom
-    return min(left, t.left), min(top, t.top), max(right, t.right), max(bottom, t.bottom)
-
-
-def _merged_rect(fix: CandidateFix) -> Rect:
-    return Rect(*_merged_bounds(fix))
 
 
 def _reads_only_target(fix: CandidateFix, table: SheetVectors) -> bool:
@@ -126,7 +105,7 @@ def _reads_only_target(fix: CandidateFix, table: SheetVectors) -> bool:
     rectangle lies inside the target, on this sheet."""
     t = fix.target.rect
     found = False
-    for cell in fix.source_cells:
+    for cell in fix.source.cells():
         for r in table.refs.get(cell, ()):
             if (is_off_sheet(r, table.sheet_name, table.workbook_name)
                     or r.left < t.left or r.right > t.right or r.top < t.top or r.bottom > t.bottom):
@@ -135,23 +114,23 @@ def _reads_only_target(fix: CandidateFix, table: SheetVectors) -> bool:
     return found
 
 
-def admissible(fix: CandidateFix, table: SheetVectors, regions: Sequence[Region]) -> Optional[str]:
+def admissible(fix: CandidateFix, table: SheetVectors) -> Optional[str]:
     """None when the fix passes all three screens, else its rejection code.
 
-    C1: the source cells plus the target must tile an exact rectangle.
+    C1: the source and the target must tile an exact rectangle.  Being
+        disjoint, they do so exactly when coalescing could merge them.
     C3: an aggregate whose referents all sit inside the target is
         reporting on that data, not mistakenly diverging from it; skip,
         unless no source formula references anything at all.
     C2: both sides must consist entirely of formulas.
     """
-    left, top, right, bottom = _merged_bounds(fix)
-    if (right - left + 1) * (bottom - top + 1) != len(fix.source_cells) + fix.target.rect.area:
+    if not mergeable(fix.source, fix.target.rect):
         return REASON_NOT_RECTANGULAR
 
     if _reads_only_target(fix, table):
         return REASON_OWN_INPUTS
 
-    for x, y in fix.source_cells:
+    for x, y in fix.source.cells():
         if table.kind(x, y) is not CellKind.FORMULA:
             return REASON_NOT_FORMULAS
     for x, y in fix.target.rect.cells():
@@ -178,12 +157,12 @@ def rect_minus_cell(rect: Rect, cell: tuple[int, int]) -> list[Rect]:
 
 
 def hypothetical_regions(fix: CandidateFix, regions: Sequence[Region]) -> list[Region]:
-    """The region set after rewriting the source cells to the target's
+    """The region set after rewriting the source to the target's
     fingerprint, re-coalesced around the touched regions only."""
     stable = [r for r in regions if r != fix.source_region and r != fix.target]
-    dirty: list[Region] = [Region(_merged_rect(fix), fix.target.fingerprint)]
-    if len(fix.source_cells) < fix.source_region.rect.area:
-        for frag in rect_minus_cell(fix.source_region.rect, fix.source_cells[0]):
+    dirty: list[Region] = [Region(_union_rect(fix.source, fix.target.rect), fix.target.fingerprint)]
+    if fix.source != fix.source_region.rect:
+        for frag in rect_minus_cell(fix.source_region.rect, (fix.source.left, fix.source.top)):
             dirty.append(Region(frag, fix.source_region.fingerprint))
     return _coalesce_targeted(stable, dirty)
 
@@ -206,28 +185,21 @@ def entropy_delta(fix: CandidateFix, regions: Sequence[Region], total_cells: int
     return after - before
 
 
-def _target_representative(fix: CandidateFix, table: SheetVectors) -> tuple[int, int]:
-    t = fix.target.rect
-    for y in range(t.top, t.bottom + 1):
-        for x in range(t.left, t.right + 1):
-            if table.kind(x, y) is CellKind.FORMULA:
-                return (x, y)
-    return (t.left, t.top)
-
-
 def fix_distance(fix: CandidateFix, table: SheetVectors) -> float:
     """Total movement of the source cells' referenced-location sums.
 
     Each source cell contributes the Euclidean distance between its
     current location fingerprint and the one it would have after taking
     on the target's reference pattern, re-anchored at its own position.
-    Unchanged cells contribute nothing.
+    Unchanged cells contribute nothing.  The fix must have passed C2, so
+    the target's top-left cell is a formula that carries its pattern.
     """
-    rep = _target_representative(fix, table)
+    t = fix.target.rect
+    rep = (t.left, t.top)
     rep_refs = table.refs.get(rep, ())
     total = 0.0
-    for x, y in fix.source_cells:
-        as_is = table.loc(x, y)
+    for x, y in fix.source.cells():
+        as_is = location_fingerprint(table.refs.get((x, y), ()), table.sheet_name, table.workbook_name)
         would_be = translated_location_fingerprint(
             rep_refs, table.sheet_name, table.workbook_name, rep, (x, y)
         )
@@ -261,7 +233,7 @@ def score_candidates(
     out: list[ProposedFix] = []
     before = layout_entropy(regions, total_cells)
     for fix in candidates:
-        if admissible(fix, table, regions) is not None:
+        if admissible(fix, table) is not None:
             continue
         delta = entropy_delta(fix, regions, total_cells, before)
         if delta >= 0:
@@ -271,7 +243,7 @@ def score_candidates(
         out.append(
             ProposedFix(
                 sheet=table.sheet_name,
-                source_cells=fix.source_cells,
+                source=fix.source,
                 source_fingerprint=fix.source_region.fingerprint,
                 target=fix.target.rect,
                 target_fingerprint=fix.target.fingerprint,
@@ -285,12 +257,11 @@ def score_candidates(
 
 
 def _rank_key(fix: ProposedFix) -> tuple:
-    first = fix.source_cells[0]
-    t = fix.target
+    s, t = fix.source, fix.target
     return (
         -fix.score,
-        len(fix.source_cells),
-        (first[1], first[0]),
+        s.area,
+        (s.top, s.left),
         (t.top, t.left, t.bottom, t.right),
     )
 
@@ -300,23 +271,22 @@ def rank_and_cut(fixes: Sequence[ProposedFix], threshold: float, total_cells: in
 
     Budget = ceil(threshold x total cells), computed in exact rational
     arithmetic: 0.05 x 100 must give 5, not the 6 that float rounding of
-    ceil(5.000000000000001) would.  Only one fix per distinct source cell
-    set survives; emission stops at the first fix that would overflow the
-    budget.
+    ceil(5.000000000000001) would.  Only one fix per distinct source
+    rectangle survives; emission stops at the first fix that would
+    overflow the budget.
     """
     budget = math.ceil(Fraction(str(threshold)) * total_cells)
     ranked = sorted(fixes, key=_rank_key)
-    seen: set[frozenset] = set()
+    seen: set[Rect] = set()
     out: list[ProposedFix] = []
     flagged = 0
     for fix in ranked:
-        key = frozenset(fix.source_cells)
-        if key in seen:
+        if fix.source in seen:
             continue
-        seen.add(key)
-        if flagged + len(fix.source_cells) > budget:
+        seen.add(fix.source)
+        if flagged + fix.source.area > budget:
             break
-        flagged += len(fix.source_cells)
+        flagged += fix.source.area
         out.append(fix)
     return out
 

@@ -17,6 +17,7 @@ from .model import FormatError, Rect, Workbook, Worksheet
 from .report import audit_sheet_payload, audit_workbook_payload
 from .vectors import SheetVectors, analyze_sheet_vectors
 
+# Timed phases: parse once per workbook, the rest once per sheet.
 PHASES = ("parse", "vectors", "decomposition", "fixes")
 
 # Largest used range analysed, in cells.  The fingerprint grid, the
@@ -94,18 +95,17 @@ def _to_sheet_coords(region: Region, rect: Rect) -> Region:
 
 def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[AnalysisConfig] = None) -> SheetAnalysis:
     config = config or AnalysisConfig()
-    timings = {}
     if not sheet.cells:
         # Nothing on the sheet: empty table over a placeholder 1x1 range.
-        table = SheetVectors(sheet.name, workbook.name, Rect(1, 1, 1, 1), {}, {}, {}, {})
-        timings.update({"vectors": 0.0, "decomposition": 0.0, "fixes": 0.0})
-        return SheetAnalysis(sheet.name, table, [], [], 0, timings)
+        table = SheetVectors(sheet.name, workbook.name, Rect(1, 1, 1, 1), {}, {}, {})
+        return SheetAnalysis(sheet.name, table, [], [], 0, dict.fromkeys(PHASES[1:], 0.0))
     used = sheet.used_range()
     if used.area > MAX_USED_CELLS:
         raise FormatError(
             f"sheet {sheet.name!r}: used range {used.a1()} spans {used.area} cells, "
             f"more than the {MAX_USED_CELLS} analysed"
         )
+    timings = {}
     t0 = time.perf_counter()
     table = analyze_sheet_vectors(workbook, sheet)
     timings["vectors"] = time.perf_counter() - t0
@@ -125,7 +125,7 @@ def analyze_workbook(workbook: Workbook, config: Optional[AnalysisConfig] = None
     config = config or AnalysisConfig()
     sheets = [analyze_sheet(workbook, sheet, config) for sheet in workbook.sheets]
     timings = {"parse": parse_seconds}
-    for phase in ("vectors", "decomposition", "fixes"):
+    for phase in PHASES[1:]:
         timings[phase] = sum(s.timings.get(phase, 0.0) for s in sheets)
     return WorkbookAnalysis(workbook.name, sheets, timings)
 

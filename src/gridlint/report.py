@@ -234,10 +234,6 @@ def render_empty_view(sheet_name: str) -> str:
     )
 
 
-def _cell_name(cell: tuple[int, int]) -> str:
-    return to_a1(cell[0], cell[1])
-
-
 def audit_sheet_payload(sheet_name: str, fixes: Sequence[ProposedFix], threshold: float, cells: int) -> dict:
     """JSON-ready audit record for one sheet."""
     entries = []
@@ -248,7 +244,7 @@ def audit_sheet_payload(sheet_name: str, fixes: Sequence[ProposedFix], threshold
                 "score": fix.score,
                 "delta_entropy": fix.delta_entropy,
                 "distance": fix.distance,
-                "source": [_cell_name(c) for c in fix.source_cells],
+                "source": [to_a1(x, y) for x, y in fix.source.cells()],
                 "target": fix.target.a1(),
             }
         )

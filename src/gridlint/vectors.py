@@ -186,7 +186,6 @@ class SheetVectors:
     kinds: dict[tuple[int, int], CellKind]
     fingerprints: dict[tuple[int, int], Fingerprint]
     refs: dict[tuple[int, int], tuple[RefRect, ...]]
-    locs: dict[tuple[int, int], LocFingerprint]
     diagnostics: list[str] = field(default_factory=list)
 
     def kind(self, column: int, row: int) -> CellKind:
@@ -195,14 +194,11 @@ class SheetVectors:
     def fingerprint(self, column: int, row: int) -> Fingerprint:
         return self.fingerprints.get((column, row), EMPTY_FINGERPRINT)
 
-    def loc(self, column: int, row: int) -> LocFingerprint:
-        return self.locs.get((column, row), LocFingerprint(0, 0, 0))
-
 
 def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet) -> SheetVectors:
     """Parse every formula on the sheet and compute all per-cell summaries."""
     rect = sheet.used_range()
-    table = SheetVectors(sheet.name, workbook.name, rect, {}, {}, {}, {})
+    table = SheetVectors(sheet.name, workbook.name, rect, {}, {}, {})
     for (column, row), content in sorted(sheet.cells.items(), key=lambda item: (item[0][1], item[0][0])):
         kind = content.kind
         if kind is CellKind.FORMULA:
@@ -221,7 +217,6 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet) -> SheetVectors:
             table.fingerprints[(column, row)] = rects_fingerprint(
                 refs, column, row, sheet.name, workbook.name, numeric_constant_count(ast) > 0
             )
-            table.locs[(column, row)] = location_fingerprint(refs, sheet.name, workbook.name)
         else:
             table.kinds[(column, row)] = kind
             table.fingerprints[(column, row)] = null_fingerprint(kind)

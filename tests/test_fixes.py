@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import aggregate_own_inputs_workbook, inconsistent_sum_workbook
-from gridlint.entropy import Region, _coalesce_targeted, _region_key, coalesce, mergeable
+from gridlint.entropy import Region, _coalesce_targeted, _region_key, _union_rect, coalesce, mergeable
 from gridlint.fixes import (
     REASON_NOT_FORMULAS,
     REASON_NOT_RECTANGULAR,
@@ -17,12 +17,11 @@ from gridlint.fixes import (
     CandidateFix,
     NonNegativeDeltaError,
     ProposedFix,
-    adjacent,
     admissible,
-    boundary_cells_facing,
     build_fixes,
     candidate_fixes,
     entropy_delta,
+    facing_strip,
     fix_distance,
     hypothetical_regions,
     impact_score,
@@ -30,7 +29,6 @@ from gridlint.fixes import (
     rank_and_cut,
     rect_minus_cell,
     score_candidates,
-    _merged_rect,
 )
 from gridlint.model import CellContent, Rect, Workbook, Worksheet, to_a1
 from gridlint.pipeline import analyze_sheet
@@ -46,42 +44,114 @@ def tiny_workbook(cells: dict[tuple[int, int], str]) -> Workbook:
     return Workbook("t", [Worksheet("S", content)])
 
 
+def adjacent(a: Rect, b: Rect) -> bool:
+    """True when the rectangles share an edge of at least one cell."""
+    if a.right + 1 == b.left or b.right + 1 == a.left:
+        return min(a.bottom, b.bottom) >= max(a.top, b.top)
+    if a.bottom + 1 == b.top or b.bottom + 1 == a.top:
+        return min(a.right, b.right) >= max(a.left, b.left)
+    return False
+
+
+def boundary_cells_facing(a: Rect, b: Rect) -> list[tuple[int, int]]:
+    """Cells of `a` whose edge-neighbour lies inside `b`, in reading order."""
+    cells: list[tuple[int, int]] = []
+    if a.right + 1 == b.left:
+        for y in range(max(a.top, b.top), min(a.bottom, b.bottom) + 1):
+            cells.append((a.right, y))
+    elif b.right + 1 == a.left:
+        for y in range(max(a.top, b.top), min(a.bottom, b.bottom) + 1):
+            cells.append((a.left, y))
+    elif a.bottom + 1 == b.top:
+        for x in range(max(a.left, b.left), min(a.right, b.right) + 1):
+            cells.append((x, a.bottom))
+    elif b.bottom + 1 == a.top:
+        for x in range(max(a.left, b.left), min(a.right, b.right) + 1):
+            cells.append((x, a.top))
+    return sorted(cells, key=lambda c: (c[1], c[0]))
+
+
+def strip_cells(a: Rect, b: Rect) -> list[tuple[int, int]]:
+    strip = facing_strip(a, b)
+    return [] if strip is None else list(strip.cells())
+
+
+@st.composite
+def rect_pairs(draw):
+    """Two rectangles side by side with a gap of 0 to 2 columns and any
+    vertical offset, from shared rows through a shared corner to none;
+    then maybe transposed into a stacked pair, and maybe swapped."""
+    size = st.integers(0, 3)
+    a = (8, 8, 8 + draw(size), 8 + draw(size))  # left, top, right, bottom
+    left = a[2] + 1 + draw(st.integers(0, 2))
+    top = draw(st.integers(a[1] - 5, a[3] + 2))
+    b = (left, top, left + draw(size), top + draw(size))
+    if draw(st.booleans()):
+        a, b = (a[1], a[0], a[3], a[2]), (b[1], b[0], b[3], b[2])
+    if draw(st.booleans()):
+        a, b = b, a
+    return Rect(*a), Rect(*b)
+
+
+@st.composite
+def any_rects(draw):
+    left, right = sorted(draw(st.integers(1, 8)) for _ in range(2))
+    top, bottom = sorted(draw(st.integers(1, 8)) for _ in range(2))
+    return Rect(left, top, right, bottom)
+
+
 class TestAdjacency:
     def test_side_by_side(self):
-        assert adjacent(Rect(1, 1, 2, 3), Rect(3, 1, 4, 3))
-        assert adjacent(Rect(3, 1, 4, 3), Rect(1, 1, 2, 3))
+        assert facing_strip(Rect(1, 1, 2, 3), Rect(3, 1, 4, 3)) == Rect(2, 1, 2, 3)
+        assert facing_strip(Rect(3, 1, 4, 3), Rect(1, 1, 2, 3)) == Rect(3, 1, 3, 3)
 
     def test_stacked(self):
-        assert adjacent(Rect(1, 1, 3, 2), Rect(1, 3, 3, 5))
+        assert facing_strip(Rect(1, 1, 3, 2), Rect(1, 3, 3, 5)) == Rect(1, 2, 3, 2)
 
     def test_offset_but_touching(self):
-        assert adjacent(Rect(1, 1, 1, 2), Rect(2, 2, 2, 5))
+        assert facing_strip(Rect(1, 1, 1, 2), Rect(2, 2, 2, 5)) == Rect(1, 2, 1, 2)
 
     def test_diagonal_corner_only(self):
-        assert not adjacent(Rect(1, 1, 2, 2), Rect(3, 3, 4, 4))
+        assert facing_strip(Rect(1, 1, 2, 2), Rect(3, 3, 4, 4)) is None
 
     def test_gap(self):
-        assert not adjacent(Rect(1, 1, 2, 2), Rect(4, 1, 5, 2))
+        assert facing_strip(Rect(1, 1, 2, 2), Rect(4, 1, 5, 2)) is None
 
     def test_boundary_cells_right_edge(self):
-        cells = boundary_cells_facing(Rect(1, 1, 2, 4), Rect(3, 2, 3, 3))
+        cells = strip_cells(Rect(1, 1, 2, 4), Rect(3, 2, 3, 3))
         assert cells == [(2, 2), (2, 3)]
 
     def test_boundary_cells_left_edge(self):
-        cells = boundary_cells_facing(Rect(3, 1, 4, 2), Rect(1, 1, 2, 2))
+        cells = strip_cells(Rect(3, 1, 4, 2), Rect(1, 1, 2, 2))
         assert cells == [(3, 1), (3, 2)]
 
     def test_boundary_cells_bottom_edge(self):
-        cells = boundary_cells_facing(Rect(1, 1, 4, 2), Rect(2, 3, 3, 5))
+        cells = strip_cells(Rect(1, 1, 4, 2), Rect(2, 3, 3, 5))
         assert cells == [(2, 2), (3, 2)]
 
     def test_boundary_cells_top_edge(self):
-        cells = boundary_cells_facing(Rect(1, 3, 3, 4), Rect(1, 1, 3, 2))
+        cells = strip_cells(Rect(1, 3, 3, 4), Rect(1, 1, 3, 2))
         assert cells == [(1, 3), (2, 3), (3, 3)]
 
     def test_boundary_cells_reading_order(self):
-        cells = boundary_cells_facing(Rect(1, 1, 1, 5), Rect(2, 1, 2, 5))
+        cells = strip_cells(Rect(1, 1, 1, 5), Rect(2, 1, 2, 5))
         assert cells == sorted(cells, key=lambda c: (c[1], c[0]))
+
+
+class TestFacingStripOracle:
+    @settings(max_examples=400)
+    @given(rect_pairs())
+    def test_placed_pairs(self, pair):
+        a, b = pair
+        assert (facing_strip(a, b) is not None) == adjacent(a, b)
+        assert strip_cells(a, b) == boundary_cells_facing(a, b)
+
+    @settings(max_examples=300)
+    @given(any_rects(), any_rects())
+    def test_arbitrary_pairs(self, a, b):
+        # Overlapping and nested pairs included: neither side may see an edge.
+        assert (facing_strip(a, b) is not None) == adjacent(a, b)
+        assert strip_cells(a, b) == boundary_cells_facing(a, b)
 
 
 class TestRectMinusCell:
@@ -127,12 +197,10 @@ class TestCandidates:
         a = Region(Rect(1, 1, 2, 2), "a")
         b = Region(Rect(3, 1, 4, 2), "b")
         candidates = candidate_fixes([a, b])
-        whole_a = tuple(sorted(a.rect.cells(), key=lambda c: (c[1], c[0])))
-        whole_b = tuple(sorted(b.rect.cells(), key=lambda c: (c[1], c[0])))
-        assert CandidateFix(whole_a, a, b) in candidates
-        assert CandidateFix(whole_b, b, a) in candidates
-        assert CandidateFix(((2, 1),), a, b) in candidates
-        assert CandidateFix(((2, 2),), a, b) in candidates
+        assert CandidateFix(a.rect, a, b) in candidates
+        assert CandidateFix(b.rect, b, a) in candidates
+        assert CandidateFix(Rect(2, 1, 2, 1), a, b) in candidates
+        assert CandidateFix(Rect(2, 2, 2, 2), a, b) in candidates
         assert len(candidates) == 2 + 2 + 2  # two wholes, two singles each way
 
     def test_same_fingerprint_pairs_skipped(self):
@@ -150,27 +218,32 @@ class TestCandidates:
         b = Region(Rect(2, 1, 2, 1), "b")
         candidates = candidate_fixes([a, b])
         assert candidates == [
-            CandidateFix(((1, 1),), a, b),
-            CandidateFix(((2, 1),), b, a),
+            CandidateFix(Rect(1, 1, 1, 1), a, b),
+            CandidateFix(Rect(2, 1, 2, 1), b, a),
         ]
 
     def test_fixture_candidate_count(self):
         _, regions = analyzed(inconsistent_sum_workbook())
         candidates = candidate_fixes(regions)
         assert len(candidates) == 18
-        singles = [c for c in candidates if len(c.source_cells) == 1]
-        wholes = [c for c in candidates if c.source_cells == tuple(
-            sorted(c.source_region.rect.cells(), key=lambda p: (p[1], p[0]))
-        )]
+        singles = [c for c in candidates if c.source.area == 1]
+        wholes = [c for c in candidates if c.source == c.source_region.rect]
         assert len(wholes) == 6  # every ordered pair of the three regions
         assert len(singles) >= 2
 
     def test_source_cells_sorted(self):
+        # Per region pair: the whole region first, then its facing
+        # boundary cells in reading order.
         _, regions = analyzed(inconsistent_sum_workbook())
+        by_pair: dict[tuple, list[Rect]] = {}
         for candidate in candidate_fixes(regions):
-            assert list(candidate.source_cells) == sorted(
-                candidate.source_cells, key=lambda c: (c[1], c[0])
-            )
+            by_pair.setdefault((candidate.source_region, candidate.target), []).append(candidate.source)
+        for (source, target), rects in by_pair.items():
+            assert rects[0] == source.rect
+            cells = [(r.left, r.top) for r in rects[1:]]
+            assert all(r.area == 1 for r in rects[1:])
+            assert cells == sorted(cells, key=lambda c: (c[1], c[0]))
+            assert cells == ([] if source.rect.area == 1 else boundary_cells_facing(source.rect, target.rect))
 
 
 class TestAdmissible:
@@ -178,7 +251,7 @@ class TestAdmissible:
         table, regions = analyzed(inconsistent_sum_workbook())
         codes: dict[object, int] = {}
         for candidate in candidate_fixes(regions):
-            code = admissible(candidate, table, regions)
+            code = admissible(candidate, table)
             codes[code] = codes.get(code, 0) + 1
         assert codes == {REASON_NOT_RECTANGULAR: 14, REASON_NOT_FORMULAS: 1, None: 3}
 
@@ -186,16 +259,15 @@ class TestAdmissible:
         table, regions = analyzed(inconsistent_sum_workbook())
         data = next(r for r in regions if r.rect.area == 24)
         one_off = next(r for r in regions if r.rect.area == 1)
-        whole = tuple(sorted(data.rect.cells(), key=lambda c: (c[1], c[0])))
-        candidate = CandidateFix(whole, data, one_off)
-        assert admissible(candidate, table, regions) == REASON_NOT_RECTANGULAR
+        candidate = CandidateFix(data.rect, data, one_off)
+        assert admissible(candidate, table) == REASON_NOT_RECTANGULAR
 
     def test_number_source_rejected(self):
         table, regions = analyzed(inconsistent_sum_workbook())
         data = next(r for r in regions if r.rect.area == 24)
         one_off = next(r for r in regions if r.rect.area == 1)
-        candidate = CandidateFix(((5, 6),), data, one_off)
-        assert admissible(candidate, table, regions) == REASON_NOT_FORMULAS
+        candidate = CandidateFix(Rect(5, 6, 5, 6), data, one_off)
+        assert admissible(candidate, table) == REASON_NOT_FORMULAS
 
     def test_aggregate_over_target_rejected(self):
         # The column sum in C10 references exactly the number block above
@@ -203,8 +275,8 @@ class TestAdmissible:
         table, regions = analyzed(aggregate_own_inputs_workbook())
         formula = next(r for r in regions if r.rect.top == 10)
         data = next(r for r in regions if r.rect.top == 5)
-        candidate = CandidateFix(((3, 10),), formula, data)
-        assert admissible(candidate, table, regions) == REASON_OWN_INPUTS
+        candidate = CandidateFix(Rect(3, 10, 3, 10), formula, data)
+        assert admissible(candidate, table) == REASON_OWN_INPUTS
 
     def test_own_inputs_checked_before_formula_kinds(self):
         # The same candidate also fails the all-formulas screen (the
@@ -212,8 +284,8 @@ class TestAdmissible:
         table, regions = analyzed(aggregate_own_inputs_workbook())
         formula = next(r for r in regions if r.rect.top == 10)
         data = next(r for r in regions if r.rect.top == 5)
-        candidate = CandidateFix(((3, 10),), formula, data)
-        assert admissible(candidate, table, regions) == REASON_OWN_INPUTS
+        candidate = CandidateFix(Rect(3, 10, 3, 10), formula, data)
+        assert admissible(candidate, table) == REASON_OWN_INPUTS
         for x, y in data.rect.cells():
             assert table.kind(x, y).name == "NUMBER"
 
@@ -222,15 +294,15 @@ class TestAdmissible:
         table, regions = analyzed(workbook)
         constant = next(r for r in regions if r.rect.top == 1)
         anchored = next(r for r in regions if r.rect.top == 2)
-        candidate = CandidateFix(((1, 1),), constant, anchored)
-        assert admissible(candidate, table, regions) is None
+        candidate = CandidateFix(Rect(1, 1, 1, 1), constant, anchored)
+        assert admissible(candidate, table) is None
 
     def test_fixture_top_candidate_admissible(self):
         table, regions = analyzed(inconsistent_sum_workbook())
         wide = next(r for r in regions if r.rect == Rect(6, 6, 6, 6))
         rest = next(r for r in regions if r.rect == Rect(6, 7, 6, 11))
-        candidate = CandidateFix(((6, 6),), wide, rest)
-        assert admissible(candidate, table, regions) is None
+        candidate = CandidateFix(Rect(6, 6, 6, 6), wide, rest)
+        assert admissible(candidate, table) is None
 
 
 class TestHypotheticalRegions:
@@ -239,7 +311,7 @@ class TestHypotheticalRegions:
         wide = next(r for r in regions if r.rect == Rect(6, 6, 6, 6))
         rest = next(r for r in regions if r.rect == Rect(6, 7, 6, 11))
         data = next(r for r in regions if r.rect.area == 24)
-        candidate = CandidateFix(((6, 6),), wide, rest)
+        candidate = CandidateFix(Rect(6, 6, 6, 6), wide, rest)
         result = hypothetical_regions(candidate, regions)
         assert sorted(result) == sorted(
             [data, Region(Rect(6, 6, 6, 11), rest.fingerprint)]
@@ -250,7 +322,7 @@ class TestHypotheticalRegions:
         wide = next(r for r in regions if r.rect == Rect(6, 6, 6, 6))
         rest = next(r for r in regions if r.rect == Rect(6, 7, 6, 11))
         data = next(r for r in regions if r.rect.area == 24)
-        candidate = CandidateFix(((6, 7),), rest, wide)
+        candidate = CandidateFix(Rect(6, 7, 6, 7), rest, wide)
         result = hypothetical_regions(candidate, regions)
         assert sorted(result) == sorted(
             [
@@ -265,7 +337,7 @@ class TestHypotheticalRegions:
         # merge would overlap its neighbours.
         table, regions = analyzed(inconsistent_sum_workbook())
         for candidate in candidate_fixes(regions):
-            if admissible(candidate, table, regions) is not None:
+            if admissible(candidate, table) is not None:
                 continue
             result = hypothetical_regions(candidate, regions)
             covered: set[tuple[int, int]] = set()
@@ -280,7 +352,7 @@ class TestHypotheticalRegions:
         # coalescing the whole layout from scratch.
         table, regions = analyzed(inconsistent_sum_workbook())
         for candidate in candidate_fixes(regions):
-            if admissible(candidate, table, regions) is not None:
+            if admissible(candidate, table) is not None:
                 continue
             targeted = hypothetical_regions(candidate, regions)
             stable = [
@@ -342,20 +414,24 @@ def random_sheet(rng) -> Workbook:
     return Workbook("r", [Worksheet("S", cells)])
 
 
-def scanned_merged_rect(fix: CandidateFix) -> Rect:
-    """Bounding box of the source cells and the target, cell by cell."""
-    xs = [c[0] for c in fix.source_cells] + [fix.target.rect.left, fix.target.rect.right]
-    ys = [c[1] for c in fix.source_cells] + [fix.target.rect.top, fix.target.rect.bottom]
-    return Rect(min(xs), min(ys), max(xs), max(ys))
+def tiles_a_rectangle(fix: CandidateFix) -> bool:
+    """C1 by its definition: the bounding box of the source and target
+    cells, scanned one by one, holds exactly that many cells."""
+    source = list(fix.source.cells())
+    target = list(fix.target.rect.cells())
+    xs = [x for x, _ in source + target]
+    ys = [y for _, y in source + target]
+    return (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1) == len(source) + len(target)
 
 
-class TestMergedRectOracle:
+class TestRectangularScreenOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_every_candidate_of_random_sheets(self, rng):
-        _, regions = analyzed(random_sheet(rng))
+        table, regions = analyzed(random_sheet(rng))
         for candidate in candidate_fixes(regions):
-            assert _merged_rect(candidate) == scanned_merged_rect(candidate)
+            rejected = admissible(candidate, table) == REASON_NOT_RECTANGULAR
+            assert rejected != tiles_a_rectangle(candidate)
 
 
 class TestCoalesceTargetedOracle:
@@ -364,15 +440,15 @@ class TestCoalesceTargetedOracle:
     def test_every_admissible_candidate_of_random_sheets(self, rng):
         table, regions = analyzed(random_sheet(rng))
         for candidate in candidate_fixes(regions):
-            if admissible(candidate, table, regions) is not None:
+            if admissible(candidate, table) is not None:
                 continue
             # The same stable / dirty split hypothetical_regions makes.
             source, target = candidate.source_region, candidate.target
             stable = [r for r in regions if r != source and r != target]
-            dirty = [Region(_merged_rect(candidate), target.fingerprint)]
-            if len(candidate.source_cells) < source.rect.area:
+            dirty = [Region(_union_rect(candidate.source, target.rect), target.fingerprint)]
+            if candidate.source != source.rect:
                 dirty += [Region(f, source.fingerprint)
-                          for f in rect_minus_cell(source.rect, candidate.source_cells[0])]
+                          for f in rect_minus_cell(source.rect, (candidate.source.left, candidate.source.top))]
             got = _coalesce_targeted(stable, dirty)
             assert got == naive_coalesce_targeted(stable, dirty)
             assert got == hypothetical_regions(candidate, regions)
@@ -389,7 +465,7 @@ class TestEntropyDelta:
         table, regions = analyzed(inconsistent_sum_workbook())
         wide = next(r for r in regions if r.rect == Rect(6, 6, 6, 6))
         rest = next(r for r in regions if r.rect == Rect(6, 7, 6, 11))
-        candidate = CandidateFix(((6, 6),), wide, rest)
+        candidate = CandidateFix(Rect(6, 6, 6, 6), wide, rest)
         assert entropy_delta(candidate, regions, 30) == pytest.approx(
             -0.026494270005942233, rel=1e-12
         )
@@ -401,7 +477,7 @@ class TestEntropyDelta:
             Region(Rect(2, 4, 2, 4), "c"),
         ]
         candidate = CandidateFix(
-            ((2, 4),), regions[2], regions[1]
+            Rect(2, 4, 2, 4), regions[2], regions[1]
         )
         assert entropy_delta(candidate, regions, 8) < 0
 
@@ -414,7 +490,7 @@ class TestDistance:
         table, regions = analyzed(workbook)
         absolute = next(r for r in regions if r.rect.top == 2)
         relative = next(r for r in regions if r.rect.top == 3)
-        candidate = CandidateFix(((2, 2),), absolute, relative)
+        candidate = CandidateFix(Rect(2, 2, 2, 2), absolute, relative)
         assert fix_distance(candidate, table) == 0.0
 
     def test_one_row_shift(self):
@@ -422,8 +498,8 @@ class TestDistance:
         table, regions = analyzed(workbook)
         upper = next(r for r in regions if r.rect.top == 2)
         lower = next(r for r in regions if r.rect.top == 3)
-        assert fix_distance(CandidateFix(((2, 2),), upper, lower), table) == 1.0
-        assert fix_distance(CandidateFix(((2, 3),), lower, upper), table) == 1.0
+        assert fix_distance(CandidateFix(Rect(2, 2, 2, 2), upper, lower), table) == 1.0
+        assert fix_distance(CandidateFix(Rect(2, 3, 2, 3), lower, upper), table) == 1.0
 
     def test_fixture_top_distance(self):
         # F6 sums four columns, F7 sums three: location sums differ by
@@ -431,7 +507,7 @@ class TestDistance:
         table, regions = analyzed(inconsistent_sum_workbook())
         wide = next(r for r in regions if r.rect == Rect(6, 6, 6, 6))
         rest = next(r for r in regions if r.rect == Rect(6, 7, 6, 11))
-        candidate = CandidateFix(((6, 6),), wide, rest)
+        candidate = CandidateFix(Rect(6, 6, 6, 6), wide, rest)
         assert fix_distance(candidate, table) == pytest.approx(
             math.sqrt(61), rel=1e-12
         )
@@ -494,13 +570,14 @@ class TestScoreCandidates:
         assert len(scored) == 2
         by_score = sorted(scored, key=lambda p: -p.score)
         top, runner_up = by_score
-        assert top.source_cells == ((6, 6),)
+        assert top.source == Rect(6, 6, 6, 6)
         assert top.target == Rect(6, 7, 6, 11)
         assert top.score == pytest.approx(24.163126574949864, rel=1e-12)
         assert top.delta_entropy == pytest.approx(-0.026494270005942233, rel=1e-12)
         assert top.distance == pytest.approx(7.810249675906654, rel=1e-12)
         assert top.target_size == 5
         assert top.sheet == "Totals"
+        assert runner_up.source == Rect(6, 7, 6, 11)
         assert runner_up.source_cells == ((6, 7), (6, 8), (6, 9), (6, 10), (6, 11))
         assert runner_up.target == Rect(6, 6, 6, 6)
         assert runner_up.score == pytest.approx(0.7315393827118656, rel=1e-12)
@@ -509,16 +586,16 @@ class TestScoreCandidates:
     def test_admissible_but_non_reducing_dropped(self):
         table, regions = analyzed(inconsistent_sum_workbook())
         candidates = candidate_fixes(regions)
-        passing = [c for c in candidates if admissible(c, table, regions) is None]
+        passing = [c for c in candidates if admissible(c, table) is None]
         scored = score_candidates(candidates, table, regions, 30)
         assert len(passing) == 3
         assert len(scored) == 2  # one passing candidate raises entropy
 
 
-def proposed(score, source_cells, target, sheet="S"):
+def proposed(score, source, target, sheet="S"):
     return ProposedFix(
         sheet=sheet,
-        source_cells=tuple(source_cells),
+        source=source,
         source_fingerprint="src",
         target=target,
         target_fingerprint="dst",
@@ -532,9 +609,9 @@ def proposed(score, source_cells, target, sheet="S"):
 class TestRankAndCut:
     def test_budget_stops_at_first_overflow(self):
         fixes = [
-            proposed(3.0, [(1, 1), (2, 1), (3, 1)], Rect(1, 2, 3, 2)),
-            proposed(2.0, [(1, 4), (2, 4), (3, 4)], Rect(1, 5, 3, 5)),
-            proposed(1.0, [(5, 5)], Rect(5, 6, 5, 6)),
+            proposed(3.0, Rect(1, 1, 3, 1), Rect(1, 2, 3, 2)),
+            proposed(2.0, Rect(1, 4, 3, 4), Rect(1, 5, 3, 5)),
+            proposed(1.0, Rect(5, 5, 5, 5), Rect(5, 6, 5, 6)),
         ]
         # budget 5: first fits (3), second overflows (6) and emission
         # stops there; the later single-cell fix is not considered.
@@ -543,8 +620,8 @@ class TestRankAndCut:
 
     def test_budget_uses_exact_arithmetic(self):
         fixes = [
-            proposed(2.0, [(x, 1) for x in range(1, 8)], Rect(1, 2, 7, 2)),
-            proposed(1.0, [(9, 9)], Rect(9, 10, 9, 10)),
+            proposed(2.0, Rect(1, 1, 7, 1), Rect(1, 2, 7, 2)),
+            proposed(1.0, Rect(9, 9, 9, 9), Rect(9, 10, 9, 10)),
         ]
         # 0.07 * 100 is 7.000000000000001 in floats; the budget must
         # still be 7, so the second fix overflows.
@@ -552,23 +629,23 @@ class TestRankAndCut:
         assert kept == [fixes[0]]
 
     def test_duplicate_source_sets_collapse(self):
-        first = proposed(5.0, [(1, 1)], Rect(2, 1, 2, 1))
-        second = proposed(4.0, [(1, 1)], Rect(1, 2, 1, 2))
+        first = proposed(5.0, Rect(1, 1, 1, 1), Rect(2, 1, 2, 1))
+        second = proposed(4.0, Rect(1, 1, 1, 1), Rect(1, 2, 1, 2))
         kept = rank_and_cut([second, first], 1.0, 10)
         assert kept == [first]
 
     def test_full_threshold_keeps_everything(self):
         fixes = [
-            proposed(3.0, [(1, 1)], Rect(2, 1, 2, 1)),
-            proposed(2.0, [(1, 2)], Rect(2, 2, 2, 2)),
-            proposed(1.0, [(1, 3)], Rect(2, 3, 2, 3)),
+            proposed(3.0, Rect(1, 1, 1, 1), Rect(2, 1, 2, 1)),
+            proposed(2.0, Rect(1, 2, 1, 2), Rect(2, 2, 2, 2)),
+            proposed(1.0, Rect(1, 3, 1, 3), Rect(2, 3, 2, 3)),
         ]
         assert rank_and_cut(fixes, 1.0, 3) == fixes
 
     def test_ties_prefer_smaller_sources_then_position(self):
-        big = proposed(2.0, [(1, 1), (2, 1)], Rect(1, 2, 2, 2))
-        small_late = proposed(2.0, [(5, 5)], Rect(5, 6, 5, 6))
-        small_early = proposed(2.0, [(1, 3)], Rect(1, 4, 1, 4))
+        big = proposed(2.0, Rect(1, 1, 2, 1), Rect(1, 2, 2, 2))
+        small_late = proposed(2.0, Rect(5, 5, 5, 5), Rect(5, 6, 5, 6))
+        small_early = proposed(2.0, Rect(1, 3, 1, 3), Rect(1, 4, 1, 4))
         kept = rank_and_cut([big, small_late, small_early], 1.0, 100)
         assert kept == [small_early, small_late, big]
 
@@ -578,7 +655,7 @@ class TestRankAndCut:
         # ceil(0.05 * 30) = 2 flagged cells: the one-cell top fix fits,
         # the five-cell runner-up does not.
         kept = rank_and_cut(scored, 0.05, 30)
-        assert [f.source_cells for f in kept] == [((6, 6),)]
+        assert [f.source for f in kept] == [Rect(6, 6, 6, 6)]
 
 
 class TestBuildFixes:
@@ -587,7 +664,7 @@ class TestBuildFixes:
         fixes = build_fixes(table, regions, 30)
         assert len(fixes) == 1
         fix = fixes[0]
-        assert fix.source_cells == ((6, 6),)
+        assert fix.source == Rect(6, 6, 6, 6)
         assert fix.target == Rect(6, 7, 6, 11)
         assert fix.score == pytest.approx(24.163126574949864, rel=1e-12)
 

@@ -254,6 +254,6 @@ class TestClosedFormOracle:
         top, bottom = sorted(corners[1::2])
         target = Rect(left, top, right, bottom)
         own = Region(Rect(column, row, column, row), table.fingerprint(column, row))
-        fix = CandidateFix(((column, row),), own, Region(target, EMPTY_FINGERPRINT))
+        fix = CandidateFix(Rect(column, row, column, row), own, Region(target, EMPTY_FINGERPRINT))
         assert _reads_only_target(fix, table) == naive_reads_only(cells, CellAddress(column, row, "S", "wb"), target)
-        assert table.loc(column, row) == naive_location(cells, "S", "wb")
+        assert location_fingerprint(table.refs[(column, row)], "S", "wb") == naive_location(cells, "S", "wb")
