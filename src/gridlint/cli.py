@@ -24,8 +24,8 @@ from .report import (
     audit_json,
     audit_text,
     build_adjacency,
+    global_view_chunks,
     render_empty_view,
-    render_global_view,
 )
 
 EXIT_OK = 0
@@ -76,13 +76,15 @@ def cmd_render(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     analysis = analyze_workbook(workbook)
     for sheet in analysis.sheets:
-        if sheet.cells == 0:
-            html = render_empty_view(sheet.name)
-        else:
-            graph = build_adjacency(sheet.table)
-            html = render_global_view(sheet.table, graph, assign_colors(graph))
         path = out_dir / f"{_safe_name(workbook.name)}_{_safe_name(sheet.name)}.html"
-        path.write_text(html, encoding="utf-8")
+        if sheet.cells == 0:
+            path.write_text(render_empty_view(sheet.name), encoding="utf-8")
+        else:
+            # The page holds one <rect> per used-range cell; written as it
+            # is built, it is never whole in memory.
+            graph = build_adjacency(sheet.table)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(global_view_chunks(sheet.table, graph, assign_colors(graph)))
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 

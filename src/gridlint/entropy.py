@@ -335,6 +335,8 @@ class _EdgeIndex:
     one merge partner per side, found by one dictionary lookup.  Every
     region added gets a fresh serial number: a stale reference to a
     removed region is recognized by its serial, never by object identity.
+    A removed region may be added back under its old serial, which undoes
+    its removal.
     """
 
     def __init__(self) -> None:
@@ -346,8 +348,9 @@ class _EdgeIndex:
         self._lefts: dict[tuple, int] = {}
         self._rights: dict[tuple, int] = {}
 
-    def add(self, region: Region) -> int:
-        serial = self._serial = self._serial + 1
+    def add(self, region: Region, serial: Optional[int] = None) -> int:
+        if serial is None:
+            serial = self._serial = self._serial + 1
         r, fp = region.rect, region.fingerprint
         self.live[serial] = region
         self._tops[(r.left, r.right, r.top, fp)] = serial
@@ -418,38 +421,6 @@ def coalesce(regions: Sequence[Region]) -> list[Region]:
         serial = index.add(union)
         keys[serial] = _region_key(union)
         push_pairs(serial, only_larger=False)
-    return sorted(index.live.values(), key=_region_key)
-
-
-def _coalesce_targeted(stable: Sequence[Region], dirty: Sequence[Region]) -> list[Region]:
-    """Coalesce when `stable` is already a fixed point and only `dirty`
-    regions are new or reshaped; only pairs involving a dirty region can
-    merge, which keeps incremental re-coalescing cheap.
-
-    Dirty regions are taken smallest key first; each merges with its
-    smallest-keyed partner, found through the edge index, and the union
-    is queued as dirty in turn.  Together `stable` and `dirty` must tile
-    their area.
-    """
-    index = _EdgeIndex()
-    for region in stable:
-        index.add(region)
-    queue = []
-    for region in dirty:
-        serial = index.add(region)
-        heapq.heappush(queue, (_region_key(region), serial))
-    while queue:
-        _, serial = heapq.heappop(queue)
-        if serial not in index.live:
-            continue
-        partners = index.partners(serial)
-        if not partners:
-            continue
-        partner = min(partners, key=lambda s: _region_key(index.live[s]))
-        current = index.remove(serial)
-        other = index.remove(partner)
-        union = Region(_union_rect(current.rect, other.rect), current.fingerprint)
-        heapq.heappush(queue, (_region_key(union), index.add(union)))
     return sorted(index.live.values(), key=_region_key)
 
 

@@ -10,16 +10,30 @@ uses; C3: an aggregate is never rewritten to match its own inputs; C2:
 both sides must be formulas), scored by how much the rewrite simplifies
 the sheet layout versus how far the formulas must move, and reported
 within a flagged-cell budget.
+
+Costs.  Every candidate of a sheet is scored against one `Layout`, built
+once in O(R log R) for R regions: the regions sorted by `_region_key`,
+their entropy terms p*log2(p) cached per area, and one edge index.  A
+candidate then costs its merge cascade, a few dictionary lookups per
+merge, plus one O(R) splice of the term list and one
+`reduce(operator.sub, ...)` over it, both running in C.  The reduce makes
+exactly the subtractions of `normalized_entropy`'s loop, so each delta is
+the float a rebuilt layout gives.  `sum()` would not do: from Python 3.12
+it sums floats with compensation, and `requires-python` is `>=3.10`.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Hashable, NamedTuple, Optional, Sequence
 
-from .entropy import Region, _coalesce_targeted, _union_rect, mergeable, normalized_entropy
+from .entropy import Region, _EdgeIndex, _region_key, _union_rect, mergeable, normalized_entropy
 from .model import CellKind, GridlintError, Rect
 from .vectors import SheetVectors, is_off_sheet, location_fingerprint, translated_location_fingerprint
 
@@ -156,33 +170,108 @@ def rect_minus_cell(rect: Rect, cell: tuple[int, int]) -> list[Rect]:
     return out
 
 
-def hypothetical_regions(fix: CandidateFix, regions: Sequence[Region]) -> list[Region]:
-    """The region set after rewriting the source to the target's
-    fingerprint, re-coalesced around the touched regions only."""
-    stable = [r for r in regions if r != fix.source_region and r != fix.target]
-    dirty: list[Region] = [Region(_union_rect(fix.source, fix.target.rect), fix.target.fingerprint)]
-    if fix.source != fix.source_region.rect:
-        for frag in rect_minus_cell(fix.source_region.rect, (fix.source.left, fix.source.top)):
-            dirty.append(Region(frag, fix.source_region.fingerprint))
-    return _coalesce_targeted(stable, dirty)
+class Layout:
+    """One sheet's regions, kept across every candidate fix scored on it.
+
+    Holds the regions in `_region_key` order with their keys, each one's
+    entropy term p*log2(p), and one edge index over all of them.
+    `entropy_delta` edits the index for one fix and then puts it back as
+    it was built.
+    """
+
+    def __init__(self, regions: Sequence[Region], total_cells: int) -> None:
+        ordered = sorted(regions, key=_region_key)
+        self.keys = [_region_key(r) for r in ordered]
+        self.index = _EdgeIndex()
+        self.serials = {region: self.index.add(region) for region in ordered}
+        self.positions = {serial: i for i, serial in enumerate(self.serials.values())}
+        self.total_cells = total_cells
+        self.scale = 1.0 / math.log2(total_cells) if total_cells > 1 else 0.0
+        self._terms: dict[int, float] = {}
+        self.terms = [self.term(r.rect.area) for r in ordered]
+        self.before = normalized_entropy([r.rect.area for r in regions], total_cells)
+
+    def term(self, area: int) -> float:
+        """p*log2(p) for p = area / total_cells, as `normalized_entropy`
+        computes it, once per distinct area."""
+        t = self._terms.get(area)
+        if t is None:
+            p = area / self.total_cells
+            t = self._terms[area] = p * math.log2(p)
+        return t
 
 
-def layout_entropy(regions: Sequence[Region], total_cells: int) -> float:
-    """Normalized entropy of the region-size histogram of a layout."""
-    return normalized_entropy([r.rect.area for r in regions], total_cells)
-
-
-def entropy_delta(fix: CandidateFix, regions: Sequence[Region], total_cells: int,
-                  before: Optional[float] = None) -> float:
+def entropy_delta(fix: CandidateFix, layout: Layout) -> float:
     """Layout entropy after the fix minus before it.
 
-    `before`, when given, must be layout_entropy(regions, total_cells);
-    callers scoring many fixes of one layout compute it once.
+    The source and target leave the layout's edge index; the merged
+    region and any source fragments enter it and re-coalesce with their
+    neighbours only: taken smallest key first, each merges with its
+    smallest-keyed partner and the union is queued in turn.  The result's
+    terms are the base terms with the removed regions' positions cut out
+    and the new regions' terms inserted at their key positions.  The
+    index is restored before returning.
     """
-    if before is None:
-        before = layout_entropy(regions, total_cells)
-    after = layout_entropy(hypothetical_regions(fix, regions), total_cells)
-    return after - before
+    index = layout.index
+    removed: list[tuple[int, Region]] = []  # base regions taken out
+    added: dict[int, tuple] = {}  # live new regions: serial -> key
+    queue: list[tuple] = []
+
+    def take(serial: int) -> Region:
+        # A new region that merges away leaves nothing to restore.
+        if added.pop(serial, None) is None:
+            removed.append((serial, index.live[serial]))
+        return index.remove(serial)
+
+    def put(region: Region) -> None:
+        key = _region_key(region)
+        serial = index.add(region)
+        added[serial] = key
+        heapq.heappush(queue, (key, serial))
+
+    source, target = fix.source_region, fix.target
+    take(layout.serials[source])
+    take(layout.serials[target])
+    put(Region(_union_rect(fix.source, target.rect), target.fingerprint))
+    if fix.source != source.rect:
+        for frag in rect_minus_cell(source.rect, (fix.source.left, fix.source.top)):
+            put(Region(frag, source.fingerprint))
+    while queue:
+        _, serial = heapq.heappop(queue)
+        if serial not in index.live:
+            continue
+        partners = index.partners(serial)
+        if not partners:
+            continue
+        partner = min(partners, key=lambda s: _region_key(index.live[s]))
+        current = take(serial)
+        other = take(partner)
+        put(Region(_union_rect(current.rect, other.rect), current.fingerprint))
+
+    # Edits run from the highest position down, so the lower positions
+    # stay valid; at one position the cut goes first, then the inserts in
+    # descending key order.
+    edits: list[tuple] = [(layout.positions[serial], 1) for serial, _ in removed]
+    edits += [(bisect_left(layout.keys, key), 0, key, layout.term(index.live[serial].rect.area))
+              for serial, key in added.items()]
+    terms = layout.terms[:]
+    for edit in sorted(edits, reverse=True):
+        if edit[1]:
+            del terms[edit[0]]
+        else:
+            terms.insert(edit[0], edit[3])
+
+    for serial in added:
+        index.remove(serial)
+    for serial, region in removed:
+        index.add(region, serial)
+
+    if layout.total_cells <= 1 or len(terms) == 1:
+        after = 0.0
+    else:
+        # The subtraction sequence of normalized_entropy's loop, run in C.
+        after = reduce(operator.sub, terms, 0.0) * layout.scale
+    return after - layout.before
 
 
 def fix_distance(fix: CandidateFix, table: SheetVectors) -> float:
@@ -229,13 +318,14 @@ def score_candidates(
     total_cells: int,
 ) -> list[ProposedFix]:
     """Screen, score, and wrap candidates; inadmissible or
-    non-entropy-reducing ones are dropped."""
+    non-entropy-reducing ones are dropped.  Every candidate is scored
+    against one `Layout` of `regions`."""
     out: list[ProposedFix] = []
-    before = layout_entropy(regions, total_cells)
+    layout = Layout(regions, total_cells)
     for fix in candidates:
         if admissible(fix, table) is not None:
             continue
-        delta = entropy_delta(fix, regions, total_cells, before)
+        delta = entropy_delta(fix, layout)
         if delta >= 0:
             continue
         distance = fix_distance(fix, table)

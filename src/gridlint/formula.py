@@ -26,9 +26,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
-from .model import GridlintError, column_to_letters, letters_to_column
+from .model import GridlintError, letters_to_column
 
-MAX_RANGE_CELLS = 2**20
 # Sheet extent (A..XFD, rows 1..1,048,576): the open axis of B:B or 3:3.
 SHEET_COLUMNS = 16_384
 SHEET_ROWS = 1_048_576
@@ -44,10 +43,6 @@ class FormulaParseError(GridlintError):
         super().__init__(f"{message} at offset {position}")
         self.position = position
         self.expected = tuple(expected)
-
-
-class RangeTooLargeError(GridlintError):
-    """Range expansion would exceed MAX_RANGE_CELLS cells."""
 
 
 @dataclass(frozen=True)
@@ -438,7 +433,7 @@ def ref_rects(node: Node) -> list[RefRect]:
 
     Nothing is expanded, so a whole column costs what one cell does.
     Reversed corners are normalised, and an axis is absolute only when
-    both corners agree on it: the rule expand_range applies to each cell.
+    both corners agree on it, as for each cell the range covers.
     """
     out: list[RefRect] = []
     for item in _walk(node):
@@ -454,38 +449,6 @@ def ref_rects(node: Node) -> list[RefRect]:
                 a.sheet, a.workbook,
             ))
     return out
-
-
-def references(node: Node) -> list[RawReference]:
-    """All references in source order; ranges expand to their member cells.
-
-    Duplicates are preserved.  Expansion normalizes reversed corners, and
-    each expanded cell inherits an absolute flag only when both corners
-    agree on it.  The analysis uses ref_rects; this cell-by-cell form is
-    the reference the closed forms are tested against.
-    """
-    out: list[RawReference] = []
-    for item in _walk(node):
-        if isinstance(item, CellRef):
-            out.append(item.ref)
-        elif isinstance(item, RangeRef):
-            out.extend(expand_range(item.start, item.end))
-    return out
-
-
-def expand_range(start: RawReference, end: RawReference) -> list[RawReference]:
-    lo_col, hi_col = sorted((start.column, end.column))
-    lo_row, hi_row = sorted((start.row, end.row))
-    count = (hi_col - lo_col + 1) * (hi_row - lo_row + 1)
-    if count > MAX_RANGE_CELLS:
-        raise RangeTooLargeError(f"range expands to {count} cells (limit {MAX_RANGE_CELLS})")
-    col_abs = start.column_absolute and end.column_absolute
-    row_abs = start.row_absolute and end.row_absolute
-    return [
-        RawReference(col, row, col_abs, row_abs, start.sheet, start.workbook)
-        for row in range(lo_row, hi_row + 1)
-        for col in range(lo_col, hi_col + 1)
-    ]
 
 
 def constant_count(node: Node) -> int:
@@ -512,90 +475,3 @@ def _walk(node: Node) -> Iterator[Node]:
             stack.append(node.operand)
         elif isinstance(node, Paren):
             stack.append(node.inner)
-
-
-def _format_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
-
-
-def _needs_quoting(sheet: str) -> bool:
-    return not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.]*", sheet)
-
-
-def _format_prefix(ref: RawReference) -> str:
-    parts = []
-    if ref.workbook is not None:
-        parts.append(f"[{ref.workbook}]")
-    if ref.sheet is not None:
-        name = ref.sheet.replace("'", "''")
-        parts.append(f"'{name}'!" if _needs_quoting(ref.sheet) else f"{ref.sheet}!")
-    elif ref.workbook is not None:
-        parts.append("!")
-    return "".join(parts)
-
-
-def _format_ref(ref: RawReference, with_prefix: bool = True) -> str:
-    prefix = _format_prefix(ref) if with_prefix else ""
-    col_anchor = "$" if ref.column_absolute else ""
-    row_anchor = "$" if ref.row_absolute else ""
-    return f"{prefix}{col_anchor}{column_to_letters(ref.column)}{row_anchor}{ref.row}"
-
-
-def _format_line(ref: RawReference, whole: str) -> str:
-    """One end of a whole-column or whole-row range: $B or 3."""
-    if whole == "columns":
-        return ("$" if ref.column_absolute else "") + column_to_letters(ref.column)
-    return ("$" if ref.row_absolute else "") + str(ref.row)
-
-
-_BINOP_LEVEL = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
-                "&": 2, "+": 3, "-": 3, "*": 4, "/": 4, "^": 5}
-
-
-def _level(node: Node) -> int:
-    if isinstance(node, BinaryOp):
-        return _BINOP_LEVEL[node.op]
-    if isinstance(node, UnaryOp):
-        return 7 if node.op == "%" else 6
-    return 8
-
-
-def to_text(node: Node) -> str:
-    """Print an AST back to formula text.  parse(to_text(n)) reproduces n
-    whenever n does not need extra grouping; parentheses are inserted
-    otherwise so the printed text always means what the tree means."""
-    return "=" + _to_text(node, 0)
-
-
-def _to_text(node: Node, required: int) -> str:
-    if _level(node) < required:
-        return f"({_to_text(node, 0)})"
-    if isinstance(node, NumberLit):
-        return _format_number(node.value)
-    if isinstance(node, StringLit):
-        return '"' + node.value.replace('"', '""') + '"'
-    if isinstance(node, BoolLit):
-        return "TRUE" if node.value else "FALSE"
-    if isinstance(node, CellRef):
-        return _format_ref(node.ref)
-    if isinstance(node, RangeRef) and node.whole:
-        return (f"{_format_prefix(node.start)}{_format_line(node.start, node.whole)}"
-                f":{_format_line(node.end, node.whole)}")
-    if isinstance(node, RangeRef):
-        return f"{_format_ref(node.start)}:{_format_ref(node.end, with_prefix=False)}"
-    if isinstance(node, FunctionCall):
-        return f"{node.name}({','.join(_to_text(a, 0) for a in node.args)})"
-    if isinstance(node, BinaryOp):
-        level = _BINOP_LEVEL[node.op]
-        if node.op == "^":
-            return f"{_to_text(node.left, level + 1)}^{_to_text(node.right, level)}"
-        return f"{_to_text(node.left, level)}{node.op}{_to_text(node.right, level + 1)}"
-    if isinstance(node, UnaryOp):
-        if node.op == "%":
-            return f"{_to_text(node.operand, 7)}%"
-        return f"{node.op}{_to_text(node.operand, 6)}"
-    if isinstance(node, Paren):
-        return f"({_to_text(node.inner, 0)})"
-    raise TypeError(f"unknown node type: {type(node).__name__}")

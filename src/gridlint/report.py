@@ -12,7 +12,7 @@ from __future__ import annotations
 import html
 import json
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Iterator, Mapping, Optional, Sequence
 
 from .model import GridlintError, to_a1
 from .vectors import EMPTY_FINGERPRINT, TEXT_FINGERPRINT, SheetVectors
@@ -180,6 +180,13 @@ CELL_PX = 22
 def render_global_view(table: SheetVectors, graph: Optional[AdjacencyGraph] = None,
                        colors: Optional[Mapping[Hashable, Optional[HSL]]] = None) -> str:
     """Self-contained HTML page with one SVG rect per used-range cell."""
+    return "".join(global_view_chunks(table, graph, colors))
+
+
+def global_view_chunks(table: SheetVectors, graph: Optional[AdjacencyGraph] = None,
+                       colors: Optional[Mapping[Hashable, Optional[HSL]]] = None) -> Iterator[str]:
+    """The `render_global_view` page in pieces of at most one sheet row of
+    cells, so that a writer never holds the whole page."""
     if graph is None:
         graph = build_adjacency(table)
     if colors is None:
@@ -187,28 +194,8 @@ def render_global_view(table: SheetVectors, graph: Optional[AdjacencyGraph] = No
     rect = table.rect
     width_px = rect.width * CELL_PX
     height_px = rect.height * CELL_PX
-    rows: list[str] = []
-    for y in range(rect.top, rect.bottom + 1):
-        for x in range(rect.left, rect.right + 1):
-            fp = table.fingerprint(x, y)
-            fill = _css_color(colors.get(fp))
-            px = (x - rect.left) * CELL_PX
-            py = (y - rect.top) * CELL_PX
-            rows.append(
-                f'<rect x="{px}" y="{py}" width="{CELL_PX}" height="{CELL_PX}" '
-                f'fill="{fill}" stroke="#cccccc" stroke-width="1">'
-                f"<title>{html.escape(to_a1(x, y))}</title></rect>"
-            )
-    legend_items = []
-    for fp in sorted(graph.vertices, key=lambda v: (graph.anchors[v], repr(v))):
-        swatch = _css_color(colors.get(fp))
-        legend_items.append(
-            f'<li><span class="swatch" style="background:{swatch}"></span> '
-            f"{html.escape(_fingerprint_label(fp))} "
-            f"({graph.sizes[fp]} cells)</li>"
-        )
     name = html.escape(table.sheet_name)
-    return (
+    yield (
         "<!DOCTYPE html>\n"
         f"<html><head><meta charset=\"utf-8\"><title>{name}</title>\n"
         "<style>body{font-family:sans-serif}"
@@ -217,8 +204,26 @@ def render_global_view(table: SheetVectors, graph: Optional[AdjacencyGraph] = No
         f"<body><h1>{name}</h1>\n"
         f'<svg width="{width_px}" height="{height_px}" '
         f'viewBox="0 0 {width_px} {height_px}">\n'
-        + "\n".join(rows)
-        + "\n</svg>\n<h2>Legend</h2>\n<ul>\n"
+    )
+    for y in range(rect.top, rect.bottom + 1):
+        py = (y - rect.top) * CELL_PX
+        row = "\n".join(
+            f'<rect x="{(x - rect.left) * CELL_PX}" y="{py}" width="{CELL_PX}" height="{CELL_PX}" '
+            f'fill="{_css_color(colors.get(table.fingerprint(x, y)))}" stroke="#cccccc" stroke-width="1">'
+            f"<title>{html.escape(to_a1(x, y))}</title></rect>"
+            for x in range(rect.left, rect.right + 1)
+        )
+        yield row if y == rect.top else "\n" + row
+    legend_items = []
+    for fp in sorted(graph.vertices, key=lambda v: (graph.anchors[v], repr(v))):
+        swatch = _css_color(colors.get(fp))
+        legend_items.append(
+            f'<li><span class="swatch" style="background:{swatch}"></span> '
+            f"{html.escape(_fingerprint_label(fp))} "
+            f"({graph.sizes[fp]} cells)</li>"
+        )
+    yield (
+        "\n</svg>\n<h2>Legend</h2>\n<ul>\n"
         + "\n".join(legend_items)
         + "\n</ul>\n</body></html>\n"
     )

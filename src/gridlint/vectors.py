@@ -19,9 +19,8 @@ instead, and is used to measure how far a proposed rewrite moves them.
 A range contributes one vector per cell it covers.  The analysis never
 lists those cells: over a w x h rectangle every sum above has a closed
 form in n = w*h and the arithmetic sums of its columns and rows, so a
-whole column costs what one cell does.  reference_vectors and
-formula_fingerprint are the cell-by-cell definition the closed forms are
-tested against.
+whole column costs what one cell does.  The tests keep the cell-by-cell
+definition that the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .formula import FormulaParseError, RawReference, RefRect, numeric_constant_count, parse_formula, ref_rects
-from .model import CellAddress, CellKind, Rect, Workbook, Worksheet, to_a1
+from .model import CellKind, Rect, Workbook, Worksheet, to_a1
 
 
 class RefVector(NamedTuple):
@@ -74,39 +73,13 @@ def box_sums(left: int, top: int, right: int, bottom: int) -> tuple[int, int, in
 
 
 def offset_box(rect: RefRect, column: int, row: int, sheet: str, workbook: str) -> tuple[int, int, int, int, int]:
-    """(dz, dx_lo, dy_lo, dx_hi, dy_hi): the reference_vector of each cell
+    """(dz, dx_lo, dy_lo, dx_hi, dy_hi): the offset vector of each cell
     of rect, written in the cell at (column, row), lies in this box."""
     if is_off_sheet(rect, sheet, workbook):
         return 1, rect.left - 1, rect.top - 1, rect.right - 1, rect.bottom - 1
     x0 = 1 if rect.column_absolute else column
     y0 = 1 if rect.row_absolute else row
     return 0, rect.left - x0, rect.top - y0, rect.right - x0, rect.bottom - y0
-
-
-def reference_vector(ref: RawReference, column: int, row: int, sheet: str, workbook: str) -> RefVector:
-    """Offset vector for one reference written in the cell at (column, row)."""
-    if is_off_sheet(ref, sheet, workbook):
-        return RefVector(ref.column - 1, ref.row - 1, 1, 0)
-    dx = ref.column - 1 if ref.column_absolute else ref.column - column
-    dy = ref.row - 1 if ref.row_absolute else ref.row - row
-    return RefVector(dx, dy, 0, 0)
-
-
-def reference_vectors(refs: Iterable[RawReference], column: int, row: int,
-                      sheet: str, workbook: str) -> tuple[RefVector, ...]:
-    return tuple(reference_vector(r, column, row, sheet, workbook) for r in refs)
-
-
-def formula_fingerprint(vectors: Iterable[RefVector], has_numeric_constant: bool) -> Fingerprint:
-    x = y = z = c = 0
-    for v in vectors:
-        x += v.dx
-        y += v.dy
-        z += v.dz
-        c += v.dc
-    if has_numeric_constant:
-        c = 1
-    return Fingerprint(x, y, z, c)
 
 
 def null_fingerprint(kind: CellKind) -> Fingerprint:
@@ -121,8 +94,8 @@ def null_fingerprint(kind: CellKind) -> Fingerprint:
 
 def rects_fingerprint(rects: Iterable[RefRect], column: int, row: int, sheet: str, workbook: str,
                       has_numeric_constant: bool) -> Fingerprint:
-    """formula_fingerprint of the reference_vector of every covered cell,
-    summed per rectangle in closed form."""
+    """The fingerprint of the offset vectors of every covered cell, summed
+    per rectangle in closed form."""
     x = y = z = 0
     for rect in rects:
         dz, *box = offset_box(rect, column, row, sheet, workbook)
@@ -159,17 +132,6 @@ def translated_location_fingerprint(rects: Iterable[RefRect], sheet: str, workbo
         y += ys if (off or rect.row_absolute) else ys + n * dr
         z += n if off else 0
     return LocFingerprint(x, y, z)
-
-
-def resolve_reference(ref: RawReference, cell: CellAddress) -> CellAddress:
-    """Absolute address a reference points at, inheriting the cell's sheet
-    and workbook when the reference leaves them implicit."""
-    return CellAddress(
-        column=ref.column,
-        row=ref.row,
-        sheet=ref.sheet if ref.sheet is not None else cell.sheet,
-        workbook=ref.workbook if ref.workbook is not None else cell.workbook,
-    )
 
 
 @dataclass

@@ -23,7 +23,7 @@ from gridlint.evaluate import (
     expected_random_tp,
     precision_recall,
 )
-from gridlint.formula import numeric_constant_count, parse_formula, references
+from gridlint.formula import numeric_constant_count, parse_formula
 from gridlint.model import (
     CellContent,
     Rect,
@@ -35,7 +35,7 @@ from gridlint.model import (
 )
 from gridlint.pipeline import AnalysisConfig, analyze_workbook
 from gridlint.report import AdjacencyGraph, assign_colors
-from gridlint.vectors import formula_fingerprint, reference_vectors
+from oracle import formula_fingerprint, reference_vectors, references
 
 
 _terminal = None

@@ -13,7 +13,9 @@ import pytest
 
 import gridlint
 from gridlint import cli
-from gridlint.model import GridlintError
+from gridlint.model import GridlintError, load_workbook
+from gridlint.pipeline import analyze_workbook
+from gridlint.report import render_global_view
 
 
 def run(argv, capsys):
@@ -168,6 +170,14 @@ class TestRender:
         assert text.startswith("<!DOCTYPE html>")
         assert "<title>F6</title>" in text
         assert f"wrote {page}" in err
+
+    def test_streamed_pages_equal_the_rendered_string(self, fixtures_dir, tmp_path, capsys):
+        for path in sorted(fixtures_dir.glob("*.gridbook")):
+            assert run(["render", str(path), "--out", str(tmp_path)], capsys)[0] == 0
+            workbook = load_workbook(path)
+            for sheet in analyze_workbook(workbook).sheets:
+                page = tmp_path / f"{cli._safe_name(workbook.name)}_{cli._safe_name(sheet.name)}.html"
+                assert page.read_bytes() == render_global_view(sheet.table).encode("utf-8")
 
     def test_empty_sheet_page(self, tmp_path, capsys):
         source = tmp_path / "holes.gridbook"

