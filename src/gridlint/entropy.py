@@ -312,15 +312,6 @@ def _region_key(region: Region) -> tuple:
     return (r.top, r.left, r.bottom, r.right, repr(region.fingerprint))
 
 
-def mergeable(a: Rect, b: Rect) -> bool:
-    """True when the union of the two rectangles is itself a rectangle."""
-    if a.left == b.left and a.right == b.right:
-        return a.bottom + 1 == b.top or b.bottom + 1 == a.top
-    if a.top == b.top and a.bottom == b.bottom:
-        return a.right + 1 == b.left or b.right + 1 == a.left
-    return False
-
-
 def _union_rect(a: Rect, b: Rect) -> Rect:
     return Rect(min(a.left, b.left), min(a.top, b.top), max(a.right, b.right), max(a.bottom, b.bottom))
 
@@ -328,21 +319,23 @@ def _union_rect(a: Rect, b: Rect) -> Rect:
 class _EdgeIndex:
     """Live regions of a tiling, each found by any of its four full edges.
 
-    Two same-fingerprint regions are mergeable exactly when one's bottom
-    (right) edge, with its full column (row) span, sits just above (left
-    of) the other's top (left) edge with the same span.  In a tiling at
-    most one region owns a given full edge, so each region has at most
-    one merge partner per side, found by one dictionary lookup.  Every
-    region added gets a fresh serial number: a stale reference to a
-    removed region is recognized by its serial, never by object identity.
-    A removed region may be added back under its old serial, which undoes
-    its removal.
+    A full edge is a side with its whole span, keyed by span and line
+    alone: in a tiling at most one region owns it.  Two disjoint
+    rectangles tile a rectangle exactly when one's bottom (right) full
+    edge sits just above (left of) the other's top (left) one, so
+    `facing` finds all such regions in four lookups.  Coalescing merges
+    the facing ones of the same fingerprint (`partners`); fix candidates
+    target those of other fingerprints, so each merges with its target by
+    construction.  Every region added gets a fresh serial number: a stale
+    reference to a removed region is recognized by its serial, never by
+    object identity.  A removed region may be added back under its old
+    serial, which undoes its removal.
     """
 
     def __init__(self) -> None:
         self.live: dict[int, Region] = {}
         self._serial = 0
-        # (column span, row) / (row span, column) + fingerprint -> serial
+        # (column span, row) / (row span, column) -> serial
         self._tops: dict[tuple, int] = {}
         self._bottoms: dict[tuple, int] = {}
         self._lefts: dict[tuple, int] = {}
@@ -351,44 +344,51 @@ class _EdgeIndex:
     def add(self, region: Region, serial: Optional[int] = None) -> int:
         if serial is None:
             serial = self._serial = self._serial + 1
-        r, fp = region.rect, region.fingerprint
+        r = region.rect
         self.live[serial] = region
-        self._tops[(r.left, r.right, r.top, fp)] = serial
-        self._bottoms[(r.left, r.right, r.bottom, fp)] = serial
-        self._lefts[(r.top, r.bottom, r.left, fp)] = serial
-        self._rights[(r.top, r.bottom, r.right, fp)] = serial
+        self._tops[(r.left, r.right, r.top)] = serial
+        self._bottoms[(r.left, r.right, r.bottom)] = serial
+        self._lefts[(r.top, r.bottom, r.left)] = serial
+        self._rights[(r.top, r.bottom, r.right)] = serial
         return serial
 
     def remove(self, serial: int) -> Region:
         region = self.live.pop(serial)
-        r, fp = region.rect, region.fingerprint
-        del self._tops[(r.left, r.right, r.top, fp)]
-        del self._bottoms[(r.left, r.right, r.bottom, fp)]
-        del self._lefts[(r.top, r.bottom, r.left, fp)]
-        del self._rights[(r.top, r.bottom, r.right, fp)]
+        r = region.rect
+        del self._tops[(r.left, r.right, r.top)]
+        del self._bottoms[(r.left, r.right, r.bottom)]
+        del self._lefts[(r.top, r.bottom, r.left)]
+        del self._rights[(r.top, r.bottom, r.right)]
         return region
+
+    def facing(self, left: int, top: int, right: int, bottom: int) -> list[int]:
+        """Serials of the live regions whose full edge lies opposite one of
+        the rectangle's four sides, with the same span: above, below, left,
+        right.  Each one and the rectangle tile a rectangle."""
+        found = (
+            self._bottoms.get((left, right, top - 1)),
+            self._tops.get((left, right, bottom + 1)),
+            self._rights.get((top, bottom, left - 1)),
+            self._lefts.get((top, bottom, right + 1)),
+        )
+        return [s for s in found if s is not None]
 
     def partners(self, serial: int) -> list[int]:
         """Serials of the live regions that can merge with this one."""
         region = self.live[serial]
-        r, fp = region.rect, region.fingerprint
-        found = (
-            self._bottoms.get((r.left, r.right, r.top - 1, fp)),
-            self._tops.get((r.left, r.right, r.bottom + 1, fp)),
-            self._rights.get((r.top, r.bottom, r.left - 1, fp)),
-            self._lefts.get((r.top, r.bottom, r.right + 1, fp)),
-        )
-        return [s for s in found if s is not None]
+        r = region.rect
+        return [s for s in self.facing(r.left, r.top, r.right, r.bottom)
+                if self.live[s].fingerprint == region.fingerprint]
 
 
 def coalesce(regions: Sequence[Region]) -> list[Region]:
     """Merge same-fingerprint rectangle pairs whose union is a rectangle.
 
     `regions` must tile their area (no overlaps).  Runs to a fixed point.
-    The order is pinned: of all mergeable pairs (a, b) with
+    The order is pinned: of all pairs (a, b) that can merge, with
     _region_key(a) < _region_key(b), the one with the smallest
-    (key(a), key(b)) merges first, exactly the first mergeable pair of
-    the list kept sorted by (top, left, bottom, right).  Pairs wait in a
+    (key(a), key(b)) merges first, exactly the first such pair of the
+    list kept sorted by (top, left, bottom, right).  Pairs wait in a
     heap under that key; a pair whose region has since merged away is
     dropped when popped.  With the edge index each merge finds the new
     region's at most four partners directly, so the whole run costs

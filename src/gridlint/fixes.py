@@ -4,22 +4,25 @@ A fix proposes rewriting a source rectangle to follow the reference
 pattern of an adjacent target region.  The source is either the whole
 region next to the target or one of its boundary cells facing the
 target, so every source is a Rect and its cells are listed only when a
-kept fix is reported.  Candidates are screened by three conditions (C1:
-source and target must merge into one rectangle, by the rule coalescing
-uses; C3: an aggregate is never rewritten to match its own inputs; C2:
-both sides must be formulas), scored by how much the rewrite simplifies
-the sheet layout versus how far the formulas must move, and reported
-within a flagged-cell budget.
+kept fix is reported.  Candidates are read off an edge index of the
+regions, so each source merges with its target into one rectangle, by
+the rule coalescing uses (the paper's screen C1), by construction.  Two
+screens remain (C3: an aggregate is never rewritten to match its own
+inputs; C2: both sides must be formulas).  Survivors are scored by how
+much the rewrite simplifies the sheet layout versus how far the
+formulas must move, and reported within a flagged-cell budget.
 
-Costs.  Every candidate of a sheet is scored against one `Layout`, built
-once in O(R log R) for R regions: the regions sorted by `_region_key`,
-their entropy terms p*log2(p) cached per area, and one edge index.  A
-candidate then costs its merge cascade, a few dictionary lookups per
-merge, plus one O(R) splice of the term list and one
-`reduce(operator.sub, ...)` over it, both running in C.  The reduce makes
-exactly the subtractions of `normalized_entropy`'s loop, so each delta is
-the float a rebuilt layout gives.  `sum()` would not do: from Python 3.12
-it sums floats with compensation, and `requires-python` is `>=3.10`.
+Costs.  Candidates cost four dictionary lookups per region and per
+boundary cell, O(cells) at worst.  Every candidate of a sheet is scored
+against one `Layout`, built once in O(R log R) for R regions: the
+regions sorted by `_region_key`, their entropy terms p*log2(p) cached
+per area, and one edge index.  A candidate then costs its merge
+cascade, a few dictionary lookups per merge, plus one O(R) splice of the
+term list and one `reduce(operator.sub, ...)` over it, both running in
+C.  The reduce makes exactly the subtractions of `normalized_entropy`'s
+loop, so each entropy is the float a rebuilt layout gives.  `sum()`
+would not do: from Python 3.12 it sums floats with compensation, and
+`requires-python` is `>=3.10`.
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ from fractions import Fraction
 from functools import reduce
 from typing import Hashable, NamedTuple, Optional, Sequence
 
-from .entropy import Region, _EdgeIndex, _region_key, _union_rect, mergeable, normalized_entropy
+from .entropy import Region, _EdgeIndex, _region_key, _union_rect
 from .model import CellKind, GridlintError, Rect
 from .vectors import SheetVectors, is_off_sheet, location_fingerprint, translated_location_fingerprint
 
 # Rejection codes for inadmissible candidates.
-REASON_NOT_RECTANGULAR = "C1"
 REASON_NOT_FORMULAS = "C2"
 REASON_OWN_INPUTS = "C3"
 
@@ -73,44 +75,42 @@ class ProposedFix:
         return tuple(self.source.cells())
 
 
-def facing_strip(a: Rect, b: Rect) -> Optional[Rect]:
-    """The line of cells of `a` whose edge-neighbour lies inside `b`, or
-    None when the rectangles share no edge of at least one cell."""
-    if a.right + 1 == b.left or b.right + 1 == a.left:
-        top, bottom = max(a.top, b.top), min(a.bottom, b.bottom)
-        if top > bottom:
-            return None
-        x = a.right if a.right + 1 == b.left else a.left
-        return Rect(x, top, x, bottom)
-    if a.bottom + 1 == b.top or b.bottom + 1 == a.top:
-        left, right = max(a.left, b.left), min(a.right, b.right)
-        if left > right:
-            return None
-        y = a.bottom if a.bottom + 1 == b.top else a.top
-        return Rect(left, y, right, y)
-    return None
+def _boundary_cells(r: Rect) -> set[tuple[int, int]]:
+    cells = {(x, y) for x in (r.left, r.right) for y in range(r.top, r.bottom + 1)}
+    cells.update((x, y) for y in (r.top, r.bottom) for x in range(r.left, r.right + 1))
+    return cells
 
 
 def candidate_fixes(regions: Sequence[Region]) -> list[CandidateFix]:
-    """All (source, target) proposals over ordered adjacent region pairs.
+    """Every (source, target) proposal whose two sides tile a rectangle.
 
-    For each pair this emits the whole source region, plus each single
-    boundary cell facing the target in reading order (skipped for
-    one-cell regions, where the whole-region candidate is the same thing).
+    `regions` must tile their area.  Sources go in (top, left, bottom,
+    right) order.  A target faces a full side of the whole source, or an
+    outward side of one boundary cell with a one-cell edge, so it faces at
+    most one cell (skipped for one-cell regions, where the whole region is
+    that cell).  Targets carry another fingerprint and go in the same
+    order, each with the whole region first, then the cell.
     """
-    ordered = sorted(regions, key=lambda r: (r.rect.top, r.rect.left, r.rect.bottom, r.rect.right))
+    index = _EdgeIndex()
+    for region in regions:
+        index.add(region)
     out: list[CandidateFix] = []
-    for a in ordered:
-        for b in ordered:
-            if a is b or a.fingerprint == b.fingerprint:
+    for a in sorted(regions, key=_region_key):
+        r = a.rect
+        whole = index.facing(r.left, r.top, r.right, r.bottom)
+        cells: dict[int, Rect] = {}
+        if r.area > 1:
+            for x, y in _boundary_cells(r):
+                for serial in index.facing(x, y, x, y):
+                    cells[serial] = Rect(x, y, x, y)
+        for serial in sorted({*whole, *cells}, key=lambda s: _region_key(index.live[s])):
+            b = index.live[serial]
+            if b.fingerprint == a.fingerprint:
                 continue
-            strip = facing_strip(a.rect, b.rect)
-            if strip is None:
-                continue
-            out.append(CandidateFix(a.rect, a, b))
-            if a.rect.area > 1:
-                for x, y in strip.cells():
-                    out.append(CandidateFix(Rect(x, y, x, y), a, b))
+            if serial in whole:
+                out.append(CandidateFix(r, a, b))
+            if serial in cells:
+                out.append(CandidateFix(cells[serial], a, b))
     return out
 
 
@@ -129,18 +129,16 @@ def _reads_only_target(fix: CandidateFix, table: SheetVectors) -> bool:
 
 
 def admissible(fix: CandidateFix, table: SheetVectors) -> Optional[str]:
-    """None when the fix passes all three screens, else its rejection code.
+    """None when the fix passes both screens, else its rejection code.
 
-    C1: the source and the target must tile an exact rectangle.  Being
-        disjoint, they do so exactly when coalescing could merge them.
+    C1 (source and target tile one rectangle) holds by construction of
+    `candidate_fixes`, through the edge index.
+
     C3: an aggregate whose referents all sit inside the target is
         reporting on that data, not mistakenly diverging from it; skip,
         unless no source formula references anything at all.
     C2: both sides must consist entirely of formulas.
     """
-    if not mergeable(fix.source, fix.target.rect):
-        return REASON_NOT_RECTANGULAR
-
     if _reads_only_target(fix, table):
         return REASON_OWN_INPUTS
 
@@ -174,9 +172,11 @@ class Layout:
     """One sheet's regions, kept across every candidate fix scored on it.
 
     Holds the regions in `_region_key` order with their keys, each one's
-    entropy term p*log2(p), and one edge index over all of them.
-    `entropy_delta` edits the index for one fix and then puts it back as
-    it was built.
+    entropy term p*log2(p), and one edge index over all of them.  The
+    entropy before any fix comes from those terms by the same `entropy`
+    as every after, so a delta does not depend on the order `regions`
+    are listed in.  `entropy_delta` edits the index for one fix and then
+    puts it back as it was built.
     """
 
     def __init__(self, regions: Sequence[Region], total_cells: int) -> None:
@@ -189,7 +189,7 @@ class Layout:
         self.scale = 1.0 / math.log2(total_cells) if total_cells > 1 else 0.0
         self._terms: dict[int, float] = {}
         self.terms = [self.term(r.rect.area) for r in ordered]
-        self.before = normalized_entropy([r.rect.area for r in regions], total_cells)
+        self.before = self.entropy(self.terms)
 
     def term(self, area: int) -> float:
         """p*log2(p) for p = area / total_cells, as `normalized_entropy`
@@ -199,6 +199,13 @@ class Layout:
             p = area / self.total_cells
             t = self._terms[area] = p * math.log2(p)
         return t
+
+    def entropy(self, terms: Sequence[float]) -> float:
+        """Normalized entropy of a layout from its terms in key order: the
+        subtraction sequence of `normalized_entropy`'s loop, run in C."""
+        if self.total_cells <= 1 or len(terms) == 1:
+            return 0.0
+        return reduce(operator.sub, terms, 0.0) * self.scale
 
 
 def entropy_delta(fix: CandidateFix, layout: Layout) -> float:
@@ -265,13 +272,7 @@ def entropy_delta(fix: CandidateFix, layout: Layout) -> float:
         index.remove(serial)
     for serial, region in removed:
         index.add(region, serial)
-
-    if layout.total_cells <= 1 or len(terms) == 1:
-        after = 0.0
-    else:
-        # The subtraction sequence of normalized_entropy's loop, run in C.
-        after = reduce(operator.sub, terms, 0.0) * layout.scale
-    return after - layout.before
+    return layout.entropy(terms) - layout.before
 
 
 def fix_distance(fix: CandidateFix, table: SheetVectors) -> float:

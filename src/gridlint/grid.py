@@ -81,11 +81,3 @@ class FingerprintGrid:
             if n:
                 out[fp] = n
         return out
-
-    def naive_counts_in(self, rect: Rect) -> dict[Fingerprintish, int]:
-        """Plain cell-by-cell scan; the independent check for counts_in."""
-        out: dict[Fingerprintish, int] = {}
-        for x, y in rect.cells():
-            fp = self.fingerprint_at(x, y)
-            out[fp] = out.get(fp, 0) + 1
-        return out

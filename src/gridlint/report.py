@@ -52,27 +52,24 @@ class AdjacencyGraph:
 def build_adjacency(table: SheetVectors) -> AdjacencyGraph:
     """Cluster the used range by fingerprint and link touching clusters."""
     rect = table.rect
-    clusters: dict[Hashable, list[tuple[int, int]]] = {}
-    for y in range(rect.top, rect.bottom + 1):
-        for x in range(rect.left, rect.right + 1):
-            clusters.setdefault(table.fingerprint(x, y), []).append((x, y))
+    sizes: dict[Hashable, int] = {}
+    anchors: dict[Hashable, tuple[int, int]] = {}
     edges = set()
     for y in range(rect.top, rect.bottom + 1):
         for x in range(rect.left, rect.right + 1):
             fp = table.fingerprint(x, y)
+            sizes[fp] = sizes.get(fp, 0) + 1
+            # Reading order visits each fingerprint's top-left cell first.
+            anchors.setdefault(fp, (y, x))
             for nx, ny in ((x + 1, y), (x, y + 1)):
                 if nx <= rect.right and ny <= rect.bottom:
                     other = table.fingerprint(nx, ny)
                     if other != fp:
                         edges.add(frozenset((fp, other)))
-    sizes = {fp: len(cells) for fp, cells in clusters.items()}
-    anchors = {
-        fp: min((y, x) for x, y in cells) for fp, cells in clusters.items()
-    }
     uncolorable = frozenset(
-        fp for fp in clusters if fp in (TEXT_FINGERPRINT, EMPTY_FINGERPRINT)
+        fp for fp in sizes if fp in (TEXT_FINGERPRINT, EMPTY_FINGERPRINT)
     )
-    vertices = tuple(sorted(clusters, key=lambda fp: anchors[fp]))
+    vertices = tuple(sorted(sizes, key=lambda fp: anchors[fp]))
     return AdjacencyGraph(vertices, frozenset(edges), sizes, anchors, uncolorable)
 
 

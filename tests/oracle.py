@@ -7,6 +7,11 @@ computes in closed form or incrementally:
 * formula references expanded cell by cell, their offset vectors and
   fingerprints (`vectors.rects_fingerprint` sums them per rectangle);
 * the formula printer used by the parser's round-trip tests;
+* fingerprint counts in a rectangle by a scan of its cells
+  (`FingerprintGrid.counts_in` masks bitvectors);
+* fix candidates from every ordered pair of regions, screened by the
+  bounding-box rule C1 (`fixes.candidate_fixes` reads only the pairs
+  that pass it off an edge index);
 * fix scoring that rebuilds the region layout for every candidate
   (`fixes.entropy_delta` edits one persistent layout and undoes it).
 """
@@ -17,7 +22,7 @@ import heapq
 import re
 from typing import Iterable, Optional, Sequence
 
-from gridlint.entropy import Region, _EdgeIndex, _region_key, _union_rect, mergeable, normalized_entropy
+from gridlint.entropy import Region, _EdgeIndex, _region_key, _union_rect, normalized_entropy
 from gridlint.fixes import (
     CandidateFix,
     ProposedFix,
@@ -40,6 +45,7 @@ from gridlint.formula import (
     UnaryOp,
     _walk,
 )
+from gridlint.grid import FingerprintGrid
 from gridlint.model import CellAddress, GridlintError, Rect, column_to_letters
 from gridlint.vectors import Fingerprint, RefVector, SheetVectors, is_off_sheet
 
@@ -213,6 +219,83 @@ def resolve_reference(ref: RawReference, cell: CellAddress) -> CellAddress:
         sheet=ref.sheet if ref.sheet is not None else cell.sheet,
         workbook=ref.workbook if ref.workbook is not None else cell.workbook,
     )
+
+
+# -- fingerprint counts, cell by cell -----------------------------------------
+
+
+def naive_counts_in(grid: FingerprintGrid, rect: Rect) -> dict:
+    """Fingerprint -> cell count inside rect, by a plain cell-by-cell scan."""
+    out: dict = {}
+    for x, y in rect.cells():
+        fp = grid.fingerprint_at(x, y)
+        out[fp] = out.get(fp, 0) + 1
+    return out
+
+
+# -- fix candidates from all region pairs -------------------------------------
+
+REASON_NOT_RECTANGULAR = "C1"
+
+
+def mergeable(a: Rect, b: Rect) -> bool:
+    """True when the union of the two rectangles is itself a rectangle."""
+    if a.left == b.left and a.right == b.right:
+        return a.bottom + 1 == b.top or b.bottom + 1 == a.top
+    if a.top == b.top and a.bottom == b.bottom:
+        return a.right + 1 == b.left or b.right + 1 == a.left
+    return False
+
+
+def facing_strip(a: Rect, b: Rect) -> Optional[Rect]:
+    """The line of cells of `a` whose edge-neighbour lies inside `b`, or
+    None when the rectangles share no edge of at least one cell."""
+    if a.right + 1 == b.left or b.right + 1 == a.left:
+        top, bottom = max(a.top, b.top), min(a.bottom, b.bottom)
+        if top > bottom:
+            return None
+        x = a.right if a.right + 1 == b.left else a.left
+        return Rect(x, top, x, bottom)
+    if a.bottom + 1 == b.top or b.bottom + 1 == a.top:
+        left, right = max(a.left, b.left), min(a.right, b.right)
+        if left > right:
+            return None
+        y = a.bottom if a.bottom + 1 == b.top else a.top
+        return Rect(left, y, right, y)
+    return None
+
+
+def naive_candidate_fixes(regions: Sequence[Region]) -> list[CandidateFix]:
+    """All (source, target) proposals over ordered adjacent region pairs.
+
+    For each pair this emits the whole source region, plus each single
+    boundary cell facing the target in reading order (skipped for
+    one-cell regions, where the whole-region candidate is the same thing).
+    Most of them fail C1.
+    """
+    ordered = sorted(regions, key=lambda r: (r.rect.top, r.rect.left, r.rect.bottom, r.rect.right))
+    out: list[CandidateFix] = []
+    for a in ordered:
+        for b in ordered:
+            if a is b or a.fingerprint == b.fingerprint:
+                continue
+            strip = facing_strip(a.rect, b.rect)
+            if strip is None:
+                continue
+            out.append(CandidateFix(a.rect, a, b))
+            if a.rect.area > 1:
+                for x, y in strip.cells():
+                    out.append(CandidateFix(Rect(x, y, x, y), a, b))
+    return out
+
+
+def naive_admissible(fix: CandidateFix, table: SheetVectors) -> Optional[str]:
+    """`fixes.admissible` with screen C1 first: the source and the target
+    must tile an exact rectangle.  Being disjoint, they do so exactly when
+    coalescing could merge them."""
+    if not mergeable(fix.source, fix.target.rect):
+        return REASON_NOT_RECTANGULAR
+    return admissible(fix, table)
 
 
 # -- fix scoring, rebuilding the layout per candidate ------------------------

@@ -23,7 +23,6 @@ from gridlint.entropy import (
     decompose_grid,
     delimiter_splits,
     entropy_tree,
-    mergeable,
     normalized_entropy,
     split_entropy,
     split_halves,
@@ -33,6 +32,7 @@ from gridlint.grid import FingerprintGrid
 from gridlint.model import Rect
 
 from conftest import banded_tile_grid, random_label_grid
+from oracle import mergeable
 
 
 def reference_entropy(counts, n):

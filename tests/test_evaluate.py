@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import aggregate_own_inputs_workbook, inconsistent_sum_workbook
 from gridlint.evaluate import (
+    _connected_clusters,
     _union_key,
     BugDual,
     DomainError,
@@ -24,8 +25,9 @@ from gridlint.evaluate import (
     precision_recall,
     rectangularity_stats,
 )
-from gridlint.model import CellContent, FormatError, Workbook, Worksheet
+from gridlint.model import CellContent, FormatError, Rect, Workbook, Worksheet
 from gridlint.pipeline import analyze_sheet
+from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT
 
 
 def table_of(workbook):
@@ -199,6 +201,29 @@ class TestLayoutStats:
         frac_all, frac_formula = rectangularity_stats([table_of(workbook)])
         assert frac_all == 1.0
         assert frac_formula is None
+
+    def test_clusters_follow_cell_kinds_not_regions(self):
+        # A2's references cancel to the blank fingerprint, and B2's plus a
+        # constant give the number fingerprint.  The tiling puts A2 in one
+        # region with blank A1, yet blanks form no cluster, so A2 is a
+        # cluster alone; B2 joins the numbers C1:C2 in an L.
+        cells = {
+            (1, 2): CellContent.formula("=A1+A3"),
+            (2, 2): CellContent.formula("=B1+B3+1"),
+            (3, 1): CellContent.number(1.0),
+            (3, 2): CellContent.number(2.0),
+        }
+        workbook = Workbook("t", [Worksheet("S", cells)])
+        analysis = analyze_sheet(workbook, workbook.sheets[0])
+        table = analysis.table
+        assert table.fingerprint(1, 2) == EMPTY_FINGERPRINT
+        assert table.fingerprint(2, 2) == NUMBER_FINGERPRINT
+        assert (Rect(1, 1, 1, 2), EMPTY_FINGERPRINT) in analysis.regions
+        assert _connected_clusters(table) == [
+            (frozenset({(3, 1), (3, 2), (2, 2)}), NUMBER_FINGERPRINT),
+            (frozenset({(1, 2)}), EMPTY_FINGERPRINT),
+        ]
+        assert rectangularity_stats([table]) == (0.5, 1.0)
 
     def test_fixture_formula_column_is_rectangular(self):
         tables = [table_of(inconsistent_sum_workbook())]

@@ -13,7 +13,6 @@ from conftest import aggregate_own_inputs_workbook, inconsistent_sum_workbook
 from gridlint.entropy import Region, _union_rect, coalesce
 from gridlint.fixes import (
     REASON_NOT_FORMULAS,
-    REASON_NOT_RECTANGULAR,
     REASON_OWN_INPUTS,
     CandidateFix,
     Layout,
@@ -23,7 +22,6 @@ from gridlint.fixes import (
     build_fixes,
     candidate_fixes,
     entropy_delta,
-    facing_strip,
     fix_distance,
     impact_score,
     rank_and_cut,
@@ -31,11 +29,16 @@ from gridlint.fixes import (
     score_candidates,
 )
 from gridlint.model import CellContent, Rect, Workbook, Worksheet, load_workbook, to_a1
-from gridlint.pipeline import analyze_sheet
+from gridlint.pipeline import AnalysisConfig, analyze_sheet
 from oracle import (
+    REASON_NOT_RECTANGULAR,
     _coalesce_targeted,
+    facing_strip,
     hypothetical_regions,
     layout_entropy,
+    mergeable,
+    naive_admissible,
+    naive_candidate_fixes,
     naive_coalesce_targeted,
     rebuilt_entropy_delta,
     rebuilt_score_candidates,
@@ -204,12 +207,9 @@ class TestCandidates:
     def test_two_adjacent_regions(self):
         a = Region(Rect(1, 1, 2, 2), "a")
         b = Region(Rect(3, 1, 4, 2), "b")
-        candidates = candidate_fixes([a, b])
-        assert CandidateFix(a.rect, a, b) in candidates
-        assert CandidateFix(b.rect, b, a) in candidates
-        assert CandidateFix(Rect(2, 1, 2, 1), a, b) in candidates
-        assert CandidateFix(Rect(2, 2, 2, 2), a, b) in candidates
-        assert len(candidates) == 2 + 2 + 2  # two wholes, two singles each way
+        # Each whole region merges with the other; no single cell of a
+        # 2x2 region tiles a rectangle with the other 2x2 region.
+        assert candidate_fixes([a, b]) == [CandidateFix(a.rect, a, b), CandidateFix(b.rect, b, a)]
 
     def test_same_fingerprint_pairs_skipped(self):
         a = Region(Rect(1, 1, 2, 2), "a")
@@ -233,25 +233,29 @@ class TestCandidates:
     def test_fixture_candidate_count(self):
         _, regions = analyzed(inconsistent_sum_workbook())
         candidates = candidate_fixes(regions)
-        assert len(candidates) == 18
+        assert len(candidates) == 4
         singles = [c for c in candidates if c.source.area == 1]
         wholes = [c for c in candidates if c.source == c.source_region.rect]
-        assert len(wholes) == 6  # every ordered pair of the three regions
-        assert len(singles) >= 2
+        assert len(wholes) == 2  # F6 and F7:F11, each onto the other
+        assert len(singles) == 3  # F6, and the facing cells E6 and F7
 
     def test_source_cells_sorted(self):
-        # Per region pair: the whole region first, then its facing
-        # boundary cells in reading order.
+        # Per region pair: the whole region first, when it merges with the
+        # target, then at most one facing boundary cell that does.
         _, regions = analyzed(inconsistent_sum_workbook())
         by_pair: dict[tuple, list[Rect]] = {}
         for candidate in candidate_fixes(regions):
             by_pair.setdefault((candidate.source_region, candidate.target), []).append(candidate.source)
         for (source, target), rects in by_pair.items():
-            assert rects[0] == source.rect
-            cells = [(r.left, r.top) for r in rects[1:]]
-            assert all(r.area == 1 for r in rects[1:])
-            assert cells == sorted(cells, key=lambda c: (c[1], c[0]))
-            assert cells == ([] if source.rect.area == 1 else boundary_cells_facing(source.rect, target.rect))
+            assert all(mergeable(r, target.rect) for r in rects)
+            wholes = [r for r in rects if r == source.rect]
+            cells = [r for r in rects if r != source.rect]
+            assert rects == wholes + cells
+            assert len(wholes) <= 1
+            assert len(cells) <= (0 if source.rect.area == 1 else 1)
+            for cell in cells:
+                assert cell.area == 1
+                assert (cell.left, cell.top) in boundary_cells_facing(source.rect, target.rect)
 
 
 class TestAdmissible:
@@ -261,14 +265,18 @@ class TestAdmissible:
         for candidate in candidate_fixes(regions):
             code = admissible(candidate, table)
             codes[code] = codes.get(code, 0) + 1
-        assert codes == {REASON_NOT_RECTANGULAR: 14, REASON_NOT_FORMULAS: 1, None: 3}
+        assert codes == {REASON_NOT_FORMULAS: 1, None: 3}
 
     def test_non_rectangular_merge(self):
+        # The data block and F6 do not tile a rectangle, so candidate_fixes
+        # never emits the pair; the oracle's C1 screen names why.
         table, regions = analyzed(inconsistent_sum_workbook())
         data = next(r for r in regions if r.rect.area == 24)
         one_off = next(r for r in regions if r.rect.area == 1)
         candidate = CandidateFix(data.rect, data, one_off)
-        assert admissible(candidate, table) == REASON_NOT_RECTANGULAR
+        assert candidate not in candidate_fixes(regions)
+        assert candidate in naive_candidate_fixes(regions)
+        assert naive_admissible(candidate, table) == REASON_NOT_RECTANGULAR
 
     def test_number_source_rejected(self):
         table, regions = analyzed(inconsistent_sum_workbook())
@@ -411,6 +419,81 @@ class TestRectangularScreenOracle:
             assert rejected != tiles_a_rectangle(candidate)
 
 
+def filtered_naive_candidates(regions):
+    """The all-pairs candidates that pass C1, in their order."""
+    return [c for c in naive_candidate_fixes(regions) if mergeable(c.source, c.target.rect)]
+
+
+class TestCandidateOracle:
+    """`candidate_fixes` reads off the edge index exactly the all-pairs
+    candidates that pass C1, in the same order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_sheets(self, rng):
+        _, regions = analyzed(random_sheet(rng))
+        for candidate in naive_candidate_fixes(regions):
+            assert mergeable(candidate.source, candidate.target.rect) == tiles_a_rectangle(candidate)
+        assert candidate_fixes(regions) == filtered_naive_candidates(regions)
+
+    @pytest.mark.parametrize("preprocess", [True, False])
+    def test_fixtures(self, fixtures_dir, preprocess):
+        compared = 0
+        for path in sorted(fixtures_dir.glob("*.gridbook")):
+            workbook = load_workbook(path)
+            for sheet in workbook.sheets:
+                regions = analyze_sheet(workbook, sheet, AnalysisConfig(preprocess=preprocess)).regions
+                candidates = candidate_fixes(regions)
+                assert candidates == filtered_naive_candidates(regions)
+                compared += len(candidates)
+        assert compared > 0
+
+    def test_corner_cell_facing_one_row_regions(self):
+        a = Region(Rect(1, 1, 2, 2), "a")
+        right = Region(Rect(3, 2, 5, 2), "b")  # one row, beside a's bottom-right cell
+        below = Region(Rect(2, 3, 2, 5), "c")  # one column, under the same cell
+        expected = [CandidateFix(Rect(2, 2, 2, 2), a, right), CandidateFix(Rect(2, 2, 2, 2), a, below)]
+        assert candidate_fixes([below, right, a]) == expected
+        assert filtered_naive_candidates([below, right, a]) == expected
+
+    def test_wide_region_above_one_column_target(self):
+        a = Region(Rect(1, 1, 3, 2), "a")
+        b = Region(Rect(2, 3, 2, 4), "b")
+        expected = [CandidateFix(Rect(2, 2, 2, 2), a, b)]
+        assert candidate_fixes([a, b]) == expected
+        assert filtered_naive_candidates([a, b]) == expected
+
+    def test_one_wide_over_one_wide_emits_whole_then_cell(self):
+        a = Region(Rect(1, 1, 1, 2), "a")
+        b = Region(Rect(1, 3, 1, 5), "b")
+        expected = [
+            CandidateFix(a.rect, a, b),
+            CandidateFix(Rect(1, 2, 1, 2), a, b),
+            CandidateFix(b.rect, b, a),
+            CandidateFix(Rect(1, 3, 1, 3), b, a),
+        ]
+        assert candidate_fixes([b, a]) == expected
+        assert filtered_naive_candidates([b, a]) == expected
+
+    def test_one_cell_regions(self):
+        a = Region(Rect(1, 1, 1, 1), "a")
+        right = Region(Rect(2, 1, 2, 1), "b")
+        below = Region(Rect(1, 2, 1, 2), "c")
+        expected = [
+            CandidateFix(a.rect, a, right),
+            CandidateFix(a.rect, a, below),
+            CandidateFix(right.rect, right, a),
+            CandidateFix(below.rect, below, a),
+        ]
+        assert candidate_fixes([below, right, a]) == expected
+        assert filtered_naive_candidates([below, right, a]) == expected
+
+    def test_same_fingerprint_cell_target_skipped(self):
+        a = Region(Rect(1, 1, 2, 2), "a")
+        b = Region(Rect(3, 2, 5, 2), "a")
+        assert candidate_fixes([a, b]) == []
+
+
 class TestCoalesceTargetedOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -503,6 +586,18 @@ class TestEntropyDelta:
         assert entropy_delta(candidate, Layout(regions, 30)) == pytest.approx(
             -0.026494270005942233, rel=1e-12
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_region_order_does_not_change_deltas(self, rng):
+        table, regions = analyzed(random_sheet(rng))
+        shuffled = list(regions)
+        rng.shuffle(shuffled)
+        total = table.rect.area
+        layout, other = Layout(regions, total), Layout(shuffled, total)
+        assert other.before == layout.before
+        for candidate in candidate_fixes(regions):
+            assert entropy_delta(candidate, other) == entropy_delta(candidate, layout)
 
     def test_cascade_leaves_one_region(self):
         # b -> a merges into (1..2, 1), which then takes in the a at column 3.
