@@ -149,6 +149,25 @@ _SHEET_PREFIX_RE = re.compile(
 )
 _CMP_OPS = ("<=", ">=", "<>", "=", "<", ">")
 
+# Lexer of shape_key.  At each position it reads what the parser would
+# read there: a run of characters that start nothing below (a run of
+# parentheses on its own, which the regex engine scans fastest), a
+# number (_NUMBER_RE), a string literal, a cell token (_A1_RE, refused
+# before what _try_a1 refuses), a sheet prefix (_SHEET_PREFIX_RE) or a
+# name (_NAME_RE).  The parser tries a sheet prefix before a cell; the
+# token refuses a following "!", which is where a prefix would match.
+# So the "A1" of a string, of a quoted sheet name, of LOG10( or of 1E5
+# is no token, and a whole line (B:B, 3:3) stays plain text.  Only the
+# token has groups.
+_SHAPE_RE = re.compile(
+    r"""\(+|\)+|[^"'\[A-Za-z_$0-9.()]+"""
+    r"|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r'|"(?:[^"]+|"")*"?'
+    r"|(\$?)([A-Za-z]{1,8})(\$?)([0-9]{1,7})(?![A-Za-z0-9_.(!])"
+    r"|(?:\[[^\[\]]+\])?(?:'(?:[^']|'')*'|[A-Za-z_][A-Za-z0-9_.]*)!"
+    r"|[A-Za-z_][A-Za-z0-9_.]*"
+)
+
 
 class _Scanner:
     def __init__(self, text: str, offset: int = 0):
@@ -435,25 +454,94 @@ def ref_rects(node: Node) -> list[RefRect]:
     Reversed corners are normalised, and an axis is absolute only when
     both corners agree on it, as for each cell the range covers.
     """
-    out: list[RefRect] = []
+    return list(template_rects(*ref_template(node)))
+
+
+Corner = tuple[int, int, bool, bool]  # (column, row, column_absolute, row_absolute)
+
+
+def ref_template(node: Node) -> tuple[tuple, list[Corner]]:
+    """(template, corners): a formula's references over its written corners.
+
+    corners lists each cell reference and both corners of each range, in
+    source order.  The template has one entry per reference: (i, j,
+    sheet, workbook) for the rectangle that corners[i] and corners[j]
+    span (i == j for a cell), or a fixed RefRect for a whole line (B:B,
+    3:3), whose text holds no corner.
+    """
+    template: list = []
+    corners: list[Corner] = []
     for item in _walk(node):
         if isinstance(item, CellRef):
             r = item.ref
-            out.append(RefRect(r.column, r.row, r.column, r.row,
-                               r.column_absolute, r.row_absolute, r.sheet, r.workbook))
+            template.append((len(corners), len(corners), r.sheet, r.workbook))
+            corners.append(_corner(r))
         elif isinstance(item, RangeRef):
             a, b = item.start, item.end
-            out.append(RefRect(
-                min(a.column, b.column), min(a.row, b.row), max(a.column, b.column), max(a.row, b.row),
-                a.column_absolute and b.column_absolute, a.row_absolute and b.row_absolute,
-                a.sheet, a.workbook,
-            ))
-    return out
+            if item.whole:
+                template.append(_span(_corner(a), _corner(b), a.sheet, a.workbook))
+            else:
+                template.append((len(corners), len(corners) + 1, a.sheet, a.workbook))
+                corners += (_corner(a), _corner(b))
+    return tuple(template), corners
 
 
-def constant_count(node: Node) -> int:
-    """Number of literal constants (numeric, string or boolean) in the formula."""
-    return sum(1 for item in _walk(node) if isinstance(item, (NumberLit, StringLit, BoolLit)))
+def _corner(r: RawReference) -> Corner:
+    return r.column, r.row, r.column_absolute, r.row_absolute
+
+
+def _span(a: Corner, b: Corner, sheet: str | None, workbook: str | None) -> RefRect:
+    c0, r0, ca0, ra0 = a
+    c1, r1, ca1, ra1 = b
+    return RefRect(min(c0, c1), min(r0, r1), max(c0, c1), max(r0, r1), ca0 and ca1, ra0 and ra1, sheet, workbook)
+
+
+def template_rects(template: tuple, corners: Sequence[Corner]) -> tuple[RefRect, ...]:
+    """The RefRects of a template whose corners are filled in."""
+    out = []
+    for entry in template:
+        if type(entry) is RefRect:
+            out.append(entry)
+            continue
+        i, j, sheet, workbook = entry
+        if i == j:
+            c0, r0, ca0, ra0 = corners[i]
+            out.append(RefRect(c0, r0, c0, r0, ca0, ra0, sheet, workbook))
+            continue
+        out.append(_span(corners[i], corners[j], sheet, workbook))
+    return tuple(out)
+
+
+def shape_key(text: str, column: int, row: int) -> tuple[str | None, list[Corner]]:
+    """(key, corners) of a formula written in the cell at (column, row).
+
+    corners are the cell tokens that _SHAPE_RE lexes, in source order.
+    The key is the text with each token rewritten as its two axes,
+    comma-separated between NUL characters: a relative axis as its
+    offset from the cell, an anchored one as "$" and its value.  Copies
+    of a formula that differ only by translation share a key.  The rest
+    of the text is kept as written, so a key and a cell determine the
+    text up to how a token is spelled (letter case, leading zeros),
+    which the parser does not see.  A text that holds NUL itself gets no
+    key.
+    """
+    if "\x00" in text:
+        return None, []
+    pieces = []
+    corners: list[Corner] = []
+    last = 0
+    for m in _SHAPE_RE.finditer(text):
+        if m.lastindex is None:
+            continue
+        col_dollar, letters, row_dollar, digits = m.groups()
+        c, r = letters_to_column(letters), int(digits)
+        corners.append((c, r, col_dollar == "$", row_dollar == "$"))
+        pieces.append(text[last:m.start()])
+        pieces.append(f"\x00{col_dollar}{c if col_dollar else c - column},"
+                      f"{row_dollar}{r if row_dollar else r - row}\x00")
+        last = m.end()
+    pieces.append(text[last:])
+    return "".join(pieces), corners
 
 
 def numeric_constant_count(node: Node) -> int:

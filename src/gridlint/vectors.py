@@ -7,11 +7,21 @@ Every formula reference becomes an offset vector (dx, dy, dz, dc):
 * off-sheet references set dz = 1 and use the origin rule for dx, dy,
 * dc marks constants and is 0 for references themselves.
 
+A cell a range covers counts as anchored on an axis only when both of
+the range's corners anchor it.
+
 A cell's fingerprint is the componentwise sum of its vectors, with the
 constant slot replaced by a presence flag.  Data cells collapse to fixed
 null vectors so that layout structure survives in the grid:
 
     number -> (0, 0, 0, 1)    text -> (0, 0, 0, -1)    empty -> (0, 0, 0, 0)
+
+Copies of a formula up to translation mostly share a fingerprint, but
+not always.  A range anchored on one corner only grows as it is copied:
+=SUM(B$1:B5) in C5 gives (-5, -10, 0, 0) and =SUM(B$1:B6) in C6 gives
+(-6, -15, 0, 0).  A relative off-sheet reference follows the origin
+rule: =Sheet2!B5 in C5 gives (1, 4, 1, 0) and =Sheet2!B6 in C6 gives
+(1, 5, 1, 0).
 
 The location fingerprint sums the absolute coordinates of the referents
 instead, and is used to measure how far a proposed rewrite moves them.
@@ -21,6 +31,13 @@ lists those cells: over a w x h rectangle every sum above has a closed
 form in n = w*h and the arithmetic sums of its columns and rows, so a
 whole column costs what one cell does.  The tests keep the cell-by-cell
 definition that the closed forms are checked against.
+
+Costs.  A sheet's formulas are keyed by shape (`formula.shape_key`), so
+one parse serves every copy of a formula on the sheet, wherever it is
+translated to.  Each cell then costs O(#refs): lexing its text, filling
+the shape's template with its own corners, and the fingerprint sums.
+Fingerprints are computed per cell, not per shape, for the two cases
+above.
 """
 
 from __future__ import annotations
@@ -28,7 +45,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .formula import FormulaParseError, RawReference, RefRect, numeric_constant_count, parse_formula, ref_rects
+from .formula import (
+    FormulaParseError,
+    RawReference,
+    RefRect,
+    numeric_constant_count,
+    parse_formula,
+    ref_template,
+    shape_key,
+    template_rects,
+)
 from .model import CellKind, Rect, Workbook, Worksheet, to_a1
 
 
@@ -158,26 +184,41 @@ class SheetVectors:
 
 
 def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet) -> SheetVectors:
-    """Parse every formula on the sheet and compute all per-cell summaries."""
+    """Parse every formula shape on the sheet and compute all per-cell summaries.
+
+    A shape is parsed once, and its template and numeric-constant flag
+    serve every later cell with its key.  A key is kept only when the
+    parsed corners are the lexed ones; a formula that fails to parse is
+    parsed again at each cell, for a diagnostic with its own offsets.
+    """
     rect = sheet.used_range()
     table = SheetVectors(sheet.name, workbook.name, rect, {}, {}, {})
+    shapes: dict[str, tuple[tuple, bool]] = {}
     for (column, row), content in sorted(sheet.cells.items(), key=lambda item: (item[0][1], item[0][0])):
         kind = content.kind
         if kind is CellKind.FORMULA:
-            try:
-                ast = parse_formula(content.value)
-            except FormulaParseError as exc:
-                table.diagnostics.append(
-                    f"{sheet.name}!{to_a1(column, row)}: unparseable formula treated as text ({exc})"
-                )
-                table.kinds[(column, row)] = CellKind.TEXT
-                table.fingerprints[(column, row)] = TEXT_FINGERPRINT
-                continue
-            refs = tuple(ref_rects(ast))
+            key, corners = shape_key(content.value, column, row)
+            shape = shapes.get(key)
+            if shape is None:
+                try:
+                    ast = parse_formula(content.value)
+                except FormulaParseError as exc:
+                    table.diagnostics.append(
+                        f"{sheet.name}!{to_a1(column, row)}: unparseable formula treated as text ({exc})"
+                    )
+                    table.kinds[(column, row)] = CellKind.TEXT
+                    table.fingerprints[(column, row)] = TEXT_FINGERPRINT
+                    continue
+                template, parsed = ref_template(ast)
+                shape = template, numeric_constant_count(ast) > 0
+                if key is not None and parsed == corners:
+                    shapes[key] = shape
+                corners = parsed
+            refs = template_rects(shape[0], corners)
             table.kinds[(column, row)] = CellKind.FORMULA
             table.refs[(column, row)] = refs
             table.fingerprints[(column, row)] = rects_fingerprint(
-                refs, column, row, sheet.name, workbook.name, numeric_constant_count(ast) > 0
+                refs, column, row, sheet.name, workbook.name, shape[1]
             )
         else:
             table.kinds[(column, row)] = kind

@@ -6,6 +6,8 @@ computes in closed form or incrementally:
 
 * formula references expanded cell by cell, their offset vectors and
   fingerprints (`vectors.rects_fingerprint` sums them per rectangle);
+* a sheet's vector table with every formula parsed
+  (`vectors.analyze_sheet_vectors` parses each formula shape once);
 * the formula printer used by the parser's round-trip tests;
 * fingerprint counts in a rectangle by a scan of its cells
   (`FingerprintGrid.counts_in` masks bitvectors);
@@ -35,6 +37,7 @@ from gridlint.formula import (
     BinaryOp,
     BoolLit,
     CellRef,
+    FormulaParseError,
     FunctionCall,
     Node,
     NumberLit,
@@ -44,10 +47,21 @@ from gridlint.formula import (
     StringLit,
     UnaryOp,
     _walk,
+    numeric_constant_count,
+    parse_formula,
+    ref_rects,
 )
 from gridlint.grid import FingerprintGrid
-from gridlint.model import CellAddress, GridlintError, Rect, column_to_letters
-from gridlint.vectors import Fingerprint, RefVector, SheetVectors, is_off_sheet
+from gridlint.model import CellAddress, CellKind, GridlintError, Rect, Workbook, Worksheet, column_to_letters, to_a1
+from gridlint.vectors import (
+    TEXT_FINGERPRINT,
+    Fingerprint,
+    RefVector,
+    SheetVectors,
+    is_off_sheet,
+    null_fingerprint,
+    rects_fingerprint,
+)
 
 MAX_RANGE_CELLS = 2**20
 
@@ -208,6 +222,39 @@ def formula_fingerprint(vectors: Iterable[RefVector], has_numeric_constant: bool
     if has_numeric_constant:
         c = 1
     return Fingerprint(x, y, z, c)
+
+
+def constant_count(node: Node) -> int:
+    """Number of literal constants (numeric, string or boolean) in the formula."""
+    return sum(1 for item in _walk(node) if isinstance(item, (NumberLit, StringLit, BoolLit)))
+
+
+def naive_analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet) -> SheetVectors:
+    """`analyze_sheet_vectors` with every formula cell parsed from its own text."""
+    rect = sheet.used_range()
+    table = SheetVectors(sheet.name, workbook.name, rect, {}, {}, {})
+    for (column, row), content in sorted(sheet.cells.items(), key=lambda item: (item[0][1], item[0][0])):
+        kind = content.kind
+        if kind is CellKind.FORMULA:
+            try:
+                ast = parse_formula(content.value)
+            except FormulaParseError as exc:
+                table.diagnostics.append(
+                    f"{sheet.name}!{to_a1(column, row)}: unparseable formula treated as text ({exc})"
+                )
+                table.kinds[(column, row)] = CellKind.TEXT
+                table.fingerprints[(column, row)] = TEXT_FINGERPRINT
+                continue
+            refs = tuple(ref_rects(ast))
+            table.kinds[(column, row)] = CellKind.FORMULA
+            table.refs[(column, row)] = refs
+            table.fingerprints[(column, row)] = rects_fingerprint(
+                refs, column, row, sheet.name, workbook.name, numeric_constant_count(ast) > 0
+            )
+        else:
+            table.kinds[(column, row)] = kind
+            table.fingerprints[(column, row)] = null_fingerprint(kind)
+    return table
 
 
 def resolve_reference(ref: RawReference, cell: CellAddress) -> CellAddress:

@@ -21,12 +21,11 @@ from gridlint.formula import (
     RefRect,
     StringLit,
     UnaryOp,
-    constant_count,
     numeric_constant_count,
     parse_formula,
     ref_rects,
 )
-from oracle import RangeTooLargeError, expand_range, references, to_text
+from oracle import RangeTooLargeError, constant_count, expand_range, references, to_text
 
 
 def refs_of(text):

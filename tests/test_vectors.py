@@ -1,11 +1,22 @@
 """Reference vectors, fingerprints, location sums, closed forms over ranges."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridlint import pipeline, vectors
 from gridlint.entropy import Region
 from gridlint.fixes import CandidateFix, _reads_only_target
-from gridlint.formula import SHEET_COLUMNS, SHEET_ROWS, parse_formula, ref_rects, numeric_constant_count
-from gridlint.model import CellAddress, CellContent, CellKind, Rect, Workbook, Worksheet, column_to_letters
+from gridlint.formula import (
+    SHEET_COLUMNS,
+    SHEET_ROWS,
+    FormulaParseError,
+    numeric_constant_count,
+    parse_formula,
+    ref_rects,
+    ref_template,
+    shape_key,
+)
+from gridlint.model import CellAddress, CellContent, CellKind, Rect, Workbook, Worksheet, column_to_letters, letters_to_column, parse_a1
 from gridlint.vectors import (
     EMPTY_FINGERPRINT,
     NUMBER_FINGERPRINT,
@@ -21,7 +32,7 @@ from gridlint.vectors import (
 )
 
 from conftest import inconsistent_sum_workbook
-from oracle import formula_fingerprint, reference_vectors, references, resolve_reference
+from oracle import formula_fingerprint, naive_analyze_sheet_vectors, reference_vectors, references, resolve_reference
 
 
 def fingerprint_of(formula, column, row, sheet="S", workbook="wb"):
@@ -255,3 +266,219 @@ class TestClosedFormOracle:
         fix = CandidateFix(Rect(column, row, column, row), own, Region(target, EMPTY_FINGERPRINT))
         assert _reads_only_target(fix, table) == naive_reads_only(cells, CellAddress(column, row, "S", "wb"), target)
         assert location_fingerprint(table.refs[(column, row)], "S", "wb") == naive_location(cells, "S", "wb")
+
+
+# -- one parse per formula shape ---------------------------------------------
+
+
+def sheet_of(formulas: dict[str, str], name: str = "S") -> Worksheet:
+    """A sheet holding each formula at its A1 address."""
+    return Worksheet(name, {parse_a1(a1): CellContent.formula(text) for a1, text in formulas.items()})
+
+
+def table_of(formulas: dict[str, str]):
+    sheet = sheet_of(formulas)
+    return analyze_sheet_vectors(Workbook("wb", [sheet]), sheet)
+
+
+def assert_matches_uncached(sheet: Worksheet) -> None:
+    """Kinds, fingerprints, refs and diagnostics equal the uncached path's, in order."""
+    workbook = Workbook("wb", [sheet])
+    got, want = analyze_sheet_vectors(workbook, sheet), naive_analyze_sheet_vectors(workbook, sheet)
+    assert got.rect == want.rect
+    assert list(got.kinds.items()) == list(want.kinds.items())
+    assert list(got.fingerprints.items()) == list(want.fingerprints.items())
+    assert list(got.refs.items()) == list(want.refs.items())
+    assert got.diagnostics == want.diagnostics
+
+
+class TestCopiesThatDoNotShareAFingerprint:
+    """Translated copies share a shape, not always a fingerprint."""
+
+    def test_range_anchored_on_one_corner_grows(self):
+        table = table_of({"C5": "=SUM(B$1:B5)", "C6": "=SUM(B$1:B6)"})
+        assert table.fingerprint(3, 5) == Fingerprint(-5, -10, 0, 0)
+        assert table.fingerprint(3, 6) == Fingerprint(-6, -15, 0, 0)
+
+    def test_relative_off_sheet_reference_follows_origin_rule(self):
+        table = table_of({"C5": "=Sheet2!B5", "C6": "=Sheet2!B6"})
+        assert table.fingerprint(3, 5) == Fingerprint(1, 4, 1, 0)
+        assert table.fingerprint(3, 6) == Fingerprint(1, 5, 1, 0)
+
+
+# Literal pieces: A1-like text the key must leave alone, whole lines, and
+# text that fails to parse.
+_LITERALS = ["1E5", "2.E5", "3.5", "7", '"A1"', '"say ""B2"""', "TRUE", "B:B", "$B:$D", "3:3", "Other!A:C",
+             "$2:4", "A1B", "LOG10(2)", "ATAN2(1,2)", "$$A1", "A1:", "(", "A1:Sheet1!B2", "1E5A1"]
+_PREFIXES = ["", "", "S!", "Other!", "'Q1 2019'!", "'It''s A1'!", "[wb]S!", "[Book A1]Other!", "B2!", "'S'!"]
+EIGHT_LETTERS = letters_to_column("AAAAAAAA")
+
+
+@st.composite
+def corner_shapes(draw):
+    """(column anchored, column value or offset, row anchored, row value or
+    offset, lower case): one corner of a formula's shape."""
+    col_abs, row_abs = draw(st.booleans()), draw(st.booleans())
+    col = draw(st.sampled_from([1, 2, 27, EIGHT_LETTERS])) if col_abs else draw(st.integers(-3, 3))
+    row = draw(st.integers(1, 30)) if row_abs else draw(st.integers(-3, 3))
+    return col_abs, col, row_abs, row, draw(st.booleans())
+
+
+@st.composite
+def formula_shapes(draw, depth=0):
+    """A formula shape: a list of literal strings and corner shapes."""
+    kind = draw(st.sampled_from(["cell", "range", "literal", "call"] if depth < 2 else ["cell", "range", "literal"]))
+    if kind == "literal":
+        return [draw(st.sampled_from(_LITERALS))]
+    if kind == "call":
+        name = draw(st.sampled_from(["SUM(", "LOG10(", "ATAN2(", "sum("]))
+        args = draw(st.lists(formula_shapes(depth + 1), min_size=1, max_size=3))
+        out = [name]
+        for i, arg in enumerate(args):
+            out += ([","] if i else []) + arg
+        return out + [")"]
+    out = [draw(st.sampled_from(_PREFIXES)), draw(corner_shapes())]
+    if kind == "range":
+        out += [":", draw(corner_shapes())]
+    return out
+
+
+@st.composite
+def top_shapes(draw):
+    parts = draw(st.lists(formula_shapes(), min_size=1, max_size=3))
+    out = ["="]
+    for i, part in enumerate(parts):
+        out += ([draw(st.sampled_from(["+", "-", "*", "&", " + "]))] if i else []) + part
+    return out
+
+
+def render(shape, column: int, row: int) -> str | None:
+    """The shape's text in the cell at (column, row); None where a
+    relative corner would leave the sheet."""
+    text = []
+    for piece in shape:
+        if isinstance(piece, str):
+            text.append(piece)
+            continue
+        col_abs, col, row_abs, r, lower = piece
+        c, r = (col if col_abs else column + col), (r if row_abs else row + r)
+        if c < 1 or r < 1:
+            return None
+        letters = column_to_letters(c)
+        text.append(f"{'$' if col_abs else ''}{letters.lower() if lower else letters}{'$' if row_abs else ''}{r}")
+    return "".join(text)
+
+
+class TestShapeCacheOracle:
+    """analyze_sheet_vectors parses a shape once; the uncached path parses every cell."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(top_shapes(), st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                                                      min_size=1, max_size=4)),
+                    min_size=1, max_size=4))
+    def test_random_shapes_and_translated_copies(self, placed):
+        cells = {}
+        for shape, places in placed:
+            for column, row in places:
+                text = render(shape, column, row)
+                if text is not None:
+                    cells[(column, row)] = CellContent.formula(text)
+        cells.setdefault((1, 1), CellContent.number(1.0))
+        assert_matches_uncached(Worksheet("S", cells))
+        # The lexer finds the parser's corners, so every shape that parses is cached.
+        for (column, row), content in cells.items():
+            if content.kind is not CellKind.FORMULA:
+                continue
+            try:
+                ast = parse_formula(content.value)
+            except FormulaParseError:
+                continue
+            assert shape_key(content.value, column, row)[1] == ref_template(ast)[1]
+
+    @pytest.mark.parametrize("formulas", [
+        # A1-like text inside strings and quoted sheet names
+        {"B2": '="A1"&\'Q1 2019\'!A1', "B3": '="A1"&\'Q1 2019\'!A2', "C3": "=\"A1\"&'Q1 2019'!B2"},
+        {"B2": "='It''s A1'!B2+A1", "C3": "='It''s A1'!C3+B2", "D4": "='It''s A1'!$B$2+C3"},
+        # names and numbers that hold cell-like text
+        {"B2": "=LOG10(A1)+ATAN2(A1,B1)", "B3": "=LOG10(A2)+ATAN2(A2,B2)"},
+        {"B2": "=A1B", "B3": "=1E5+A2", "B4": "=2.E5*A3", "B5": "=1E5+A4", "B6": "=2.E5*A5"},
+        # whole lines, lower case, 8-letter columns
+        {"B2": "=SUM(B:B)", "B3": "=SUM($B:$D)", "B4": "=SUM(3:3)", "C4": "=SUM(4:4)", "C5": "=SUM(C:C)"},
+        {"B2": "=b1+A1", "B3": "=B2+a2", "B4": "=AAAAAAAA1+A3", "B5": "=AAAAAAAA1+A4"},
+        # range corners: on a second sheet prefix, reversed, anchored apart
+        {"B2": "=A1:Sheet1!B2", "B3": "=SUM(C4:A1)", "B4": "=SUM(C5:A2)", "B5": "=SUM($A1:A$5)", "B6": "=SUM($A2:A$5)"},
+        # a sheet named like a cell
+        {"C3": "=B2!C3+C2", "C4": "=B2!C4+C3"},
+        # offsets that read the same without a separator: (1, 23) and (12, 3)
+        {"A1": "=B24", "A2": "=M5"},
+        # a token's key against a literal that spells it without delimiters
+        {"A1": "=SUM(B24)", "A2": "=SUM(1,23)"},
+        # unparseable, each copy with its own offset, then a parseable copy
+        {"B9": "=SUM(A8+", "B10": "=SUM(A9+", "B11": "=SUM(A10+", "B12": "=SUM(A11)"},
+        # NUL in the text: no key
+        {"B2": '="\x00"&A1', "B3": '="\x00"&1+B1'},
+    ])
+    def test_hand_cases(self, formulas):
+        assert_matches_uncached(sheet_of(formulas))
+
+    def test_key_separates_axes(self):
+        # Column offset 1 then row 23 against column offset 12 then row 3.
+        assert shape_key("=B24", 1, 1)[0] != shape_key("=M5", 1, 2)[0]
+
+    def test_key_follows_translation(self):
+        key, corners = shape_key("=SUM(B$1:B5)+$A$1", 3, 5)
+        assert shape_key("=SUM(C$1:C9)+$A$1", 4, 9)[0] == key
+        assert shape_key("=SUM(B$1:B5)+$A$1", 3, 6)[0] != key
+        assert corners == [(2, 1, False, True), (2, 5, False, False), (1, 1, True, True)]
+
+    def test_key_leaves_literals_alone(self):
+        key, corners = shape_key("=\"A1\"&'Q1 2019'!A1+LOG10(1E5)+B:B+3:3", 2, 2)
+        assert corners == [(1, 1, False, False)]
+        assert key == "=\"A1\"&'Q1 2019'!\x00-1,-1\x00+LOG10(1E5)+B:B+3:3"
+
+    def test_deep_formula_key(self):
+        text = "=" + "(" * 5000 + "A1+1" + ")" * 5000
+        key, corners = shape_key(text, 2, 1)
+        assert corners == [(1, 1, False, False)]
+        assert key == "=" + "(" * 5000 + "\x00-1,0\x00+1" + ")" * 5000
+
+
+class TestShapeCacheEngages:
+    def test_running_totals_parse_a_handful_of_times(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_formula(text)
+
+        monkeypatch.setattr(vectors, "parse_formula", counting)
+        cells = {(1, row): CellContent.number(float(row)) for row in range(1, 501)}
+        cells[(2, 1)] = CellContent.formula("=A1")
+        for row in range(2, 501):
+            cells[(2, row)] = CellContent.formula(f"=B{row - 1}+A{row}")
+        sheet = Worksheet("S", cells)
+        table = analyze_sheet_vectors(Workbook("wb", [sheet]), sheet)
+        assert len(calls) <= 3
+        assert_matches_uncached(sheet)
+        assert {table.fingerprint(2, row) for row in range(2, 501)} == {Fingerprint(-1, -1, 0, 0)}
+
+    def test_pipeline_calls_the_hooks_the_tracer_wraps(self, monkeypatch):
+        # perfbench's tracer wraps vectors.parse_formula and
+        # pipeline.analyze_sheet_vectors by name.
+        seen = []
+
+        def wrap(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                seen.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        wrap(vectors, "parse_formula")
+        wrap(pipeline, "analyze_sheet_vectors")
+        workbook = inconsistent_sum_workbook()
+        pipeline.analyze_workbook(workbook)
+        assert seen.count("analyze_sheet_vectors") == 1
+        assert seen.count("parse_formula") == 2  # the two shapes of F6:F11
