@@ -33,7 +33,7 @@ def striped_workbook(columns: int, rows: int) -> Workbook:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="20x25,50x40,100x100,100x200",
+    parser.add_argument("--sizes", default="20x25,50x40,100x100,100x200,200x200,400x400",
                         help="comma-separated WxH sheet sizes")
     args = parser.parse_args()
 

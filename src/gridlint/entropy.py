@@ -6,29 +6,35 @@ single-fingerprint rectangles.  The resulting leaves are then coalesced:
 any two rectangles carrying the same fingerprint whose union is again a
 rectangle are merged, to a fixed point, in a pinned deterministic order.
 
+An optional preprocessing pass first cuts the grid along uniform
+full-height columns or full-width rows (delimiter lines such as blank
+separators or border strips), so that large sheets decompose piecewise.
+It chooses among the cuts at delimiter-run boundaries by the same rule.
+
 Costs.  A node of the tree finds its cut in O(area): one sweep per axis
 keeps running fingerprint histograms of the two halves and an exact
 integer running sum of c*log2(c), which scores every cut approximately;
 only the cuts within a proven rounding margin of the best are re-scored
 exactly (`split_entropy`), so trees and entropy floats are those of the
-plain per-cut search.  Coalescing indexes regions by their full edges,
-so a region's merge partners are a few dictionary lookups and R regions
-coalesce in O(R log R).
-
-An optional preprocessing pass first cuts the grid along uniform
-full-height columns or full-width rows (delimiter lines such as blank
-separators or border strips), so that large sheets decompose piecewise.
+plain per-cut search.  Preprocessing runs the same sweep over the strips
+between consecutive candidate cuts instead of single lines: a strip
+inside one delimiter run needs no counting and any other costs one
+`counts_in`, so a piece with c candidate cuts pays at most c + 1 counts
+for its sweep, plus two per cut re-scored near the minimum (none when
+only one is near it), where scoring every cut exactly pays 2c.
+Coalescing indexes regions by their full edges, so a region's merge
+partners are a few dictionary lookups and R regions coalesce in
+O(R log R).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
-from typing import Hashable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .grid import FingerprintGrid
 from .model import GridlintError, Rect
@@ -126,14 +132,14 @@ _SWEEP_SCALE = float(1 << _SWEEP_BITS)
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _xlogx_table(n: int) -> array:
-    """Entry c is round(c * log2(c) * 2**_SWEEP_BITS), for 0 <= c <= n.
+class _XLogXTable(dict):
+    """Maps a count c to round(c * log2(c) * 2**_SWEEP_BITS), computing
+    each entry when it is first read: a sweep reads only the counts its
+    histograms reach, often far fewer than its area."""
 
-    Signed 64-bit entries hold it for any count below 8 * 10**7.
-    """
-    table = array("q", [0, 0])
-    table.extend(round(c * math.log2(c) * _SWEEP_SCALE) for c in range(2, n + 1))
-    return table
+    def __missing__(self, c: int) -> int:
+        value = self[c] = round(c * math.log2(c) * _SWEEP_SCALE) if c > 1 else 0
+        return value
 
 
 def _cut_margin(area: int) -> float:
@@ -162,35 +168,38 @@ def _cut_margin(area: int) -> float:
     return 4.0 * (2.0**-_SWEEP_BITS + (2 * area + 44) * _UNIT_ROUNDOFF)
 
 
-def _sweep(lines: list[Counter], total: Counter, line_cells: int, table: array) -> list[float]:
-    """Approximate split entropy after each line but the last, in O(cells).
+def _sweep(blocks: Sequence[Mapping[Hashable, int]], sizes: Sequence[int], total: Mapping[Hashable, int],
+           table: _XLogXTable) -> list[float]:
+    """Approximate split entropy after each block but the last.
 
-    `lines` holds one fingerprint-code histogram per column (row) of the
-    rectangle, `total` their sum, and `table` an `_xlogx_table` covering
-    every count in `total`.  Moving a line from the right half to
-    the left updates each half's integer sum of c*log2(c) only for the
-    codes on that line; a half of n cells then scores
+    `blocks` are the histograms (fingerprint or code -> count) of the
+    consecutive strips, single lines or wider, that slice the rectangle
+    along one axis, `sizes` their cell counts and `total` their sum.
+    Moving a block from the right half to the left updates each half's
+    integer sum of c*log2(c) only for the keys in that block, so the
+    sweep costs O(sum of histogram sizes); a half of n cells then scores
     1 - S / (n * log2(n)), its normalized entropy.
     """
-    n = line_cells * len(lines)
-    left: dict[int, int] = {}
+    n = sum(sizes)
+    left: dict[Hashable, int] = {}
     s_left = 0
     s_right = sum(table[c] for c in total.values())
     k_left = 0
     k_right = len(total)
+    n_left = 0
     out = []
-    for step, hist in enumerate(lines[:-1], 1):
-        for code, c in hist.items():
-            old = left.get(code, 0)
-            new = left[code] = old + c
-            t = total[code]
+    for hist, size in zip(blocks[:-1], sizes):
+        for key, c in hist.items():
+            old = left.get(key, 0)
+            new = left[key] = old + c
+            t = total[key]
             s_left += table[new] - table[old]
             s_right += table[t - new] - table[t - old]
             if not old:
                 k_left += 1
             if new == t:
                 k_right -= 1
-        n_left = step * line_cells
+        n_left += size
         n_right = n - n_left
         e_left = 0.0 if n_left <= 1 or k_left == 1 else 1.0 - s_left / (_SWEEP_SCALE * n_left * math.log2(n_left))
         e_right = 0.0 if n_right <= 1 or k_right == 1 else 1.0 - s_right / (_SWEEP_SCALE * n_right * math.log2(n_right))
@@ -198,32 +207,50 @@ def _sweep(lines: list[Counter], total: Counter, line_cells: int, table: array) 
     return out
 
 
-def _decide(grid: FingerprintGrid, region: Rect, table: array) -> Optional[tuple[bool, int, float]]:
-    """None for a single-fingerprint rectangle, else its best cut.
+def _near_minimum(region: Rect, cuts: Sequence[tuple[bool, int]],
+                  scores: Sequence[float]) -> list[tuple[bool, int]]:
+    """The cuts whose sweep score is within `_cut_margin` of the lowest.
 
-    Sweeps both axes once for approximate cut scores, then re-scores
-    exactly, with `split_entropy`, only the cuts within `_cut_margin` of
-    the approximate minimum.  Among those, vertical cuts come before
-    horizontal ones and smaller indices first, and the first to attain
-    the exact minimum wins: the same cut as scoring every cut exactly
-    under the pinned order.
+    Every cut that minimizes `split_entropy` is among them (see
+    `_cut_margin`), in the order of `cuts`.
     """
-    block = [row[region.left - 1:region.right] for row in grid.code_rows[region.top - 1:region.bottom]]
-    total = Counter(chain.from_iterable(block))
-    if len(total) == 1:
-        return None
-    v_scores = _sweep([Counter(col) for col in zip(*block)], total, region.height, table)
-    h_scores = _sweep([Counter(row) for row in block], total, region.width, table)
-    threshold = min(v_scores + h_scores) + _cut_margin(region.area)
-    candidates = [(True, region.left + i) for i, e in enumerate(v_scores) if e <= threshold]
-    candidates += [(False, region.top + i) for i, e in enumerate(h_scores) if e <= threshold]
+    threshold = min(scores) + _cut_margin(region.area)
+    return [cut for cut, approx in zip(cuts, scores) if approx <= threshold]
+
+
+def _first_exact_minimum(grid: FingerprintGrid, region: Rect,
+                         cuts: Sequence[tuple[bool, int]]) -> tuple[bool, int, float]:
+    """(vertical, index, entropy) of the first of `cuts` to attain the
+    lowest `split_entropy`.
+
+    With `cuts` from `_near_minimum` in the pinned order, vertical before
+    horizontal and smaller indices first, this is the cut that scoring
+    every cut exactly in that order picks.
+    """
     best: Optional[tuple[bool, int, float]] = None
-    for vertical, index in candidates:
+    for vertical, index in cuts:
         e = split_entropy(grid, region, index, vertical)
         if best is None or e < best[2]:
             best = (vertical, index, e)
     assert best is not None
     return best
+
+
+def _decide(grid: FingerprintGrid, region: Rect, table: _XLogXTable) -> Optional[tuple[bool, int, float]]:
+    """None for a single-fingerprint rectangle, else its best cut.
+
+    Sweeps both axes once, line by line, for approximate cut scores,
+    then re-scores exactly only the cuts near the minimum.
+    """
+    block = [row[region.left - 1:region.right] for row in grid.code_rows[region.top - 1:region.bottom]]
+    total = Counter(chain.from_iterable(block))
+    if len(total) == 1:
+        return None
+    v_scores = _sweep([Counter(col) for col in zip(*block)], [region.height] * region.width, total, table)
+    h_scores = _sweep([Counter(row) for row in block], [region.width] * region.height, total, table)
+    cuts = [(True, i) for i in range(region.left, region.right)]
+    cuts += [(False, i) for i in range(region.top, region.bottom)]
+    return _first_exact_minimum(grid, region, _near_minimum(region, cuts, v_scores + h_scores))
 
 
 def best_split(grid: FingerprintGrid, region: Rect) -> tuple[bool, int, float]:
@@ -236,7 +263,7 @@ def best_split(grid: FingerprintGrid, region: Rect) -> tuple[bool, int, float]:
     """
     if region.area == 1:
         raise InvalidSplitError(f"{region} has no interior cut line")
-    decision = _decide(grid, region, _xlogx_table(region.area))
+    decision = _decide(grid, region, _XLogXTable())
     if decision is None:
         # One fingerprint: every cut scores 0.0, so the first one wins.
         if region.right > region.left:
@@ -255,7 +282,7 @@ def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> Entrop
     """
     if region is None:
         region = grid.full_rect()
-    table = _xlogx_table(region.area)
+    table = _XLogXTable()
     # Pass 1: decide every node's cut top-down, stack order = preorder.
     plan: dict[tuple[int, int, int, int], Optional[tuple[bool, int, float, Rect, Rect]]] = {}
     order: list[Rect] = []
@@ -464,6 +491,28 @@ def _run_cuts(ids: list[Optional[int]], length: int) -> list[int]:
     return sorted(cuts)
 
 
+def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], ids: list[Optional[int]],
+          vertical: bool) -> tuple[list[dict], list[int]]:
+    """Fingerprint histogram and cell count of each strip of `r` between
+    its consecutive `cuts` along one axis, edges included.
+
+    Cuts sit at every run boundary, so a strip is either one whole
+    delimiter run, which holds its run's fingerprint alone, or lines of
+    no run, which cost one `counts_in`.
+    """
+    first, last, depth = (r.left, r.right, r.height) if vertical else (r.top, r.bottom, r.width)
+    hists: list[dict] = []
+    sizes: list[int] = []
+    for lo, hi in zip([first] + [i + 1 for i in cuts], cuts + [last]):
+        size = (hi - lo + 1) * depth
+        if ids[lo] is not None and ids[lo] == ids[hi]:
+            hists.append({grid.fingerprint_at(lo, 1) if vertical else grid.fingerprint_at(1, lo): size})
+        else:
+            hists.append(grid.counts_in(Rect(lo, r.top, hi, r.bottom) if vertical else Rect(r.left, lo, r.right, hi)))
+        sizes.append(size)
+    return hists, sizes
+
+
 def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
     """Cut the grid along delimiter-run boundaries into work pieces.
 
@@ -472,11 +521,19 @@ def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
     rule as the decomposition itself: lowest summed half entropy, vertical
     before horizontal on ties, smallest index on ties.  A piece lying
     entirely inside one run needs no further cutting and is kept whole.
+
+    A piece scores its candidate cuts with one blockwise sweep per axis
+    over the strips between them (`_gaps`).  Only the cuts near the
+    sweep's minimum are re-scored exactly, and none when just one is.  So
+    a piece costs one `counts_in` per strip outside the runs, the
+    fingerprints of its strips, and rarely more than one exact re-score,
+    where scoring every cut exactly takes two counts per cut.
     """
     col_ids = _axis_runs(grid, True)
     row_ids = _axis_runs(grid, False)
     v_cuts = _run_cuts(col_ids, grid.width)
     h_cuts = _run_cuts(row_ids, grid.height)
+    table = _XLogXTable()
     pieces: list[Rect] = []
     stack = [grid.full_rect()]
     while stack:
@@ -488,24 +545,27 @@ def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
             continue
         cand_v = [i for i in v_cuts if r.left <= i < r.right]
         cand_h = [i for i in h_cuts if r.top <= i < r.bottom]
-        if not cand_v and not cand_h:
+        cuts = [(True, i) for i in cand_v] + [(False, i) for i in cand_h]
+        if not cuts:
             pieces.append(r)
             continue
-        best_v: Optional[tuple[float, int]] = None
-        for i in cand_v:
-            e = split_entropy(grid, r, i, True)
-            if best_v is None or e < best_v[0]:
-                best_v = (e, i)
-        best_h: Optional[tuple[float, int]] = None
-        for i in cand_h:
-            e = split_entropy(grid, r, i, False)
-            if best_h is None or e < best_h[0]:
-                best_h = (e, i)
-        if best_h is None or (best_v is not None and best_v[0] <= best_h[0]):
-            assert best_v is not None
-            low, high = split_halves(r, best_v[1], True)
-        else:
-            low, high = split_halves(r, best_h[1], False)
+        if len(cuts) > 1:
+            scores: list[float] = []
+            total: Optional[dict] = None
+            for vertical, cand, ids in ((True, cand_v, col_ids), (False, cand_h, row_ids)):
+                if not cand:
+                    continue
+                hists, sizes = _gaps(grid, r, cand, ids, vertical)
+                if total is None:
+                    total = {}
+                    for hist in hists:
+                        for fp, c in hist.items():
+                            total[fp] = total.get(fp, 0) + c
+                scores += _sweep(hists, sizes, total, table)
+            cuts = _near_minimum(r, cuts, scores)
+        # A lone cut near the minimum is the only exact minimizer.
+        vertical, index = cuts[0] if len(cuts) == 1 else _first_exact_minimum(grid, r, cuts)[:2]
+        low, high = split_halves(r, index, vertical)
         stack.append(high)
         stack.append(low)
     pieces.sort(key=lambda p: (p.top, p.left))

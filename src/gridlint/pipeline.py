@@ -93,7 +93,10 @@ def _to_sheet_coords(region: Region, rect: Rect) -> Region:
     )
 
 
-def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[AnalysisConfig] = None) -> SheetAnalysis:
+def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[AnalysisConfig] = None,
+                  shapes: Optional[dict] = None) -> SheetAnalysis:
+    """Analyse one sheet; `shapes` is the formula-shape dictionary of
+    `analyze_sheet_vectors`, shared by the sheets of a workbook."""
     config = config or AnalysisConfig()
     if not sheet.cells:
         # Nothing on the sheet: empty table over a placeholder 1x1 range.
@@ -107,7 +110,7 @@ def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[Analysi
         )
     timings = {}
     t0 = time.perf_counter()
-    table = analyze_sheet_vectors(workbook, sheet)
+    table = analyze_sheet_vectors(workbook, sheet, shapes)
     timings["vectors"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     grid = grid_from_table(table)
@@ -123,7 +126,8 @@ def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[Analysi
 def analyze_workbook(workbook: Workbook, config: Optional[AnalysisConfig] = None,
                      parse_seconds: float = 0.0) -> WorkbookAnalysis:
     config = config or AnalysisConfig()
-    sheets = [analyze_sheet(workbook, sheet, config) for sheet in workbook.sheets]
+    shapes: dict = {}
+    sheets = [analyze_sheet(workbook, sheet, config, shapes) for sheet in workbook.sheets]
     timings = {"parse": parse_seconds}
     for phase in PHASES[1:]:
         timings[phase] = sum(s.timings.get(phase, 0.0) for s in sheets)

@@ -32,10 +32,11 @@ form in n = w*h and the arithmetic sums of its columns and rows, so a
 whole column costs what one cell does.  The tests keep the cell-by-cell
 definition that the closed forms are checked against.
 
-Costs.  A sheet's formulas are keyed by shape (`formula.shape_key`), so
-one parse serves every copy of a formula on the sheet, wherever it is
-translated to.  Each cell then costs O(#refs): lexing its text, filling
-the shape's template with its own corners, and the fingerprint sums.
+Costs.  A workbook's formulas are keyed by shape (`formula.shape_key`),
+so one parse serves every copy of a formula on any of its sheets,
+wherever it is translated to.  Each cell then costs O(#refs): lexing its
+text, filling the shape's template with its own corners, and the
+fingerprint sums.
 Fingerprints are computed per cell, not per shape, for the two cases
 above.
 """
@@ -43,7 +44,7 @@ above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .formula import (
     FormulaParseError,
@@ -183,17 +184,22 @@ class SheetVectors:
         return self.fingerprints.get((column, row), EMPTY_FINGERPRINT)
 
 
-def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet) -> SheetVectors:
+def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
+                          shapes: Optional[dict[str, tuple[tuple, bool]]] = None) -> SheetVectors:
     """Parse every formula shape on the sheet and compute all per-cell summaries.
 
     A shape is parsed once, and its template and numeric-constant flag
     serve every later cell with its key.  A key is kept only when the
     parsed corners are the lexed ones; a formula that fails to parse is
     parsed again at each cell, for a diagnostic with its own offsets.
+    `shapes` is the key -> (template, flag) dictionary to read and fill;
+    a template names sheets as written, so the sheets of one workbook can
+    share one.  By default the sheet gets its own.
     """
     rect = sheet.used_range()
     table = SheetVectors(sheet.name, workbook.name, rect, {}, {}, {})
-    shapes: dict[str, tuple[tuple, bool]] = {}
+    if shapes is None:
+        shapes = {}
     for (column, row), content in sorted(sheet.cells.items(), key=lambda item: (item[0][1], item[0][0])):
         kind = content.kind
         if kind is CellKind.FORMULA:

@@ -11,6 +11,8 @@ computes in closed form or incrementally:
 * the formula printer used by the parser's round-trip tests;
 * fingerprint counts in a rectangle by a scan of its cells
   (`FingerprintGrid.counts_in` masks bitvectors);
+* delimiter preprocessing that scores every run-boundary cut with two
+  full counts (`entropy.delimiter_splits` sweeps one count per gap);
 * fix candidates from every ordered pair of regions, screened by the
   bounding-box rule C1 (`fixes.candidate_fixes` reads only the pairs
   that pass it off an edge index);
@@ -24,7 +26,17 @@ import heapq
 import re
 from typing import Iterable, Optional, Sequence
 
-from gridlint.entropy import Region, _EdgeIndex, _region_key, _union_rect, normalized_entropy
+from gridlint.entropy import (
+    Region,
+    _EdgeIndex,
+    _axis_runs,
+    _region_key,
+    _run_cuts,
+    _union_rect,
+    normalized_entropy,
+    split_entropy,
+    split_halves,
+)
 from gridlint.fixes import (
     CandidateFix,
     ProposedFix,
@@ -278,6 +290,51 @@ def naive_counts_in(grid: FingerprintGrid, rect: Rect) -> dict:
         fp = grid.fingerprint_at(x, y)
         out[fp] = out.get(fp, 0) + 1
     return out
+
+
+# -- delimiter cuts, each scored with two full counts -------------------------
+
+
+def naive_delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
+    """Delimiter pieces, every candidate cut scored with `split_entropy`:
+    lowest score wins, vertical before horizontal, then smallest index."""
+    col_ids = _axis_runs(grid, True)
+    row_ids = _axis_runs(grid, False)
+    v_cuts = _run_cuts(col_ids, grid.width)
+    h_cuts = _run_cuts(row_ids, grid.height)
+    pieces: list[Rect] = []
+    stack = [grid.full_rect()]
+    while stack:
+        r = stack.pop()
+        inside_col_run = col_ids[r.left] is not None and col_ids[r.left] == col_ids[r.right]
+        inside_row_run = row_ids[r.top] is not None and row_ids[r.top] == row_ids[r.bottom]
+        if inside_col_run or inside_row_run:
+            pieces.append(r)
+            continue
+        cand_v = [i for i in v_cuts if r.left <= i < r.right]
+        cand_h = [i for i in h_cuts if r.top <= i < r.bottom]
+        if not cand_v and not cand_h:
+            pieces.append(r)
+            continue
+        best_v: Optional[tuple[float, int]] = None
+        for i in cand_v:
+            e = split_entropy(grid, r, i, True)
+            if best_v is None or e < best_v[0]:
+                best_v = (e, i)
+        best_h: Optional[tuple[float, int]] = None
+        for i in cand_h:
+            e = split_entropy(grid, r, i, False)
+            if best_h is None or e < best_h[0]:
+                best_h = (e, i)
+        if best_h is None or (best_v is not None and best_v[0] <= best_h[0]):
+            assert best_v is not None
+            low, high = split_halves(r, best_v[1], True)
+        else:
+            low, high = split_halves(r, best_h[1], False)
+        stack.append(high)
+        stack.append(low)
+    pieces.sort(key=lambda p: (p.top, p.left))
+    return pieces
 
 
 # -- fix candidates from all region pairs -------------------------------------

@@ -14,10 +14,10 @@ from gridlint.entropy import (
     InvalidSplitError,
     NegativeCountError,
     Region,
+    _XLogXTable,
     _axis_runs,
     _cut_margin,
     _sweep,
-    _xlogx_table,
     best_split,
     coalesce,
     decompose_grid,
@@ -32,7 +32,7 @@ from gridlint.grid import FingerprintGrid
 from gridlint.model import Rect
 
 from conftest import banded_tile_grid, random_label_grid
-from oracle import mergeable
+from oracle import mergeable, naive_delimiter_splits
 
 
 def reference_entropy(counts, n):
@@ -513,14 +513,38 @@ class TestSweepOracle:
         if region.area == 1 or len(total) == 1:
             return
         bound = _cut_margin(region.area) / 4
-        table = _xlogx_table(region.area)
+        table = _XLogXTable()
         sweeps = [
-            (True, region.left, _sweep([Counter(col) for col in zip(*block)], total, region.height, table)),
-            (False, region.top, _sweep([Counter(row) for row in block], total, region.width, table)),
+            (True, region.left, _sweep([Counter(col) for col in zip(*block)], [region.height] * region.width,
+                                       total, table)),
+            (False, region.top, _sweep([Counter(row) for row in block], [region.width] * region.height,
+                                       total, table)),
         ]
         for vertical, first, scores in sweeps:
             for i, approx in enumerate(scores):
                 assert abs(approx - split_entropy(grid, region, first + i, vertical)) <= bound
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_block_sweep_error_within_margin(self, rng):
+        # Blocks of unequal size between random cuts of a banded grid,
+        # each counted once, against split_entropy at every cut.
+        grid = banded_tile_grid(rng)
+        region = grid.full_rect()
+        bound = _cut_margin(region.area) / 4
+        total = grid.counts_in(region)
+        table = _XLogXTable()
+        for vertical, first, last in ((True, region.left, region.right), (False, region.top, region.bottom)):
+            cuts = sorted(rng.sample(range(first, last), rng.randint(1, min(6, last - first))))
+            hists, sizes = [], []
+            for lo, hi in zip([first] + [i + 1 for i in cuts], cuts + [last]):
+                strip = Rect(lo, region.top, hi, region.bottom) if vertical else Rect(region.left, lo, region.right, hi)
+                hists.append(grid.counts_in(strip))
+                sizes.append(strip.area)
+            scores = _sweep(hists, sizes, total, table)
+            assert len(scores) == len(cuts)
+            for index, approx in zip(cuts, scores):
+                assert abs(approx - split_entropy(grid, region, index, vertical)) <= bound
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -528,6 +552,78 @@ class TestSweepOracle:
         grid = random_label_grid(rng, max_side=7, max_labels=2)
         if grid.full_rect().area > 1:
             assert best_split(grid, grid.full_rect()) == naive_best_split(grid, grid.full_rect())
+
+
+def random_banded_grid(rng, max_side=14):
+    """1-4 labels; some columns and rows uniform, in runs of 1-3 lines of
+    one label, the other cells random.  Where a uniform column crosses a
+    uniform row, one of the two (the same one on the whole grid) wins."""
+    labels = "ABCD"[: rng.randint(1, 4)]
+
+    def lines(n, chance):
+        out = []
+        while len(out) < n:
+            label = rng.choice(labels) if rng.random() < chance else None
+            out += [label] * rng.randint(1, 3)
+        return out[:n]
+
+    width, height = rng.randint(1, max_side), rng.randint(1, max_side)
+    columns, rows = lines(width, 0.5), lines(height, 0.4)
+    columns_win = rng.random() < 0.5
+    return FingerprintGrid(
+        [
+            [
+                ((columns[x] or rows[y]) if columns_win else (rows[y] or columns[x])) or rng.choice(labels)
+                for x in range(width)
+            ]
+            for y in range(height)
+        ]
+    )
+
+
+def striped_sheet_grid(n):
+    """Number, number, number, row-sum and blank columns repeated, the
+    bottom-right cell a number: 3n/5 - 1 run-boundary cuts, all vertical."""
+    rows = [["NNNSE"[x % 5] for x in range(n)] for _ in range(n)]
+    rows[-1][-1] = "N"
+    return FingerprintGrid(rows)
+
+
+class TestDelimiterSplitsOracle:
+    """The blockwise sweep against scoring every cut with two full counts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_banded_grids(self, rng):
+        grid = random_banded_grid(rng)
+        assert delimiter_splits(grid) == naive_delimiter_splits(grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_stripes_with_tied_cuts(self, rng):
+        grid = stripe_grid(rng, rng.randint(1, 30), rng.randint(1, 30))
+        assert delimiter_splits(grid) == naive_delimiter_splits(grid)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_banded_tile_grids(self, rng):
+        grid = banded_tile_grid(rng)
+        assert delimiter_splits(grid) == naive_delimiter_splits(grid)
+
+    def test_striped_sheet_counts_little(self, monkeypatch):
+        grid = striped_sheet_grid(200)
+        calls = []
+        counts_in = FingerprintGrid.counts_in
+
+        def counting(self, rect):
+            calls.append(rect)
+            return counts_in(self, rect)
+
+        monkeypatch.setattr(FingerprintGrid, "counts_in", counting)
+        pieces = delimiter_splits(grid)
+        assert len(calls) < 1000  # scoring every cut takes 14,280
+        assert len(pieces) == 120
+        assert pieces == naive_delimiter_splits(grid)
 
 
 def random_guillotine_tiling(rng, width, height, labels):

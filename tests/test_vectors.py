@@ -417,9 +417,23 @@ class TestShapeCacheOracle:
         {"B9": "=SUM(A8+", "B10": "=SUM(A9+", "B11": "=SUM(A10+", "B12": "=SUM(A11)"},
         # NUL in the text: no key
         {"B2": '="\x00"&A1', "B3": '="\x00"&1+B1'},
+        # references outside the sheet, each one text, and past its last row
+        {"B2": "=A0+1", "B3": "=XFE1", "B4": "=A1048577", "B5": "=SUM(A:XFE)", "B6": "=SUM(0:3)"},
+        # the sheet's last column and row
+        {"B2": "=XFD1048576", "B3": "=XFD1048576", "C3": "=$XFD$1", "C4": "=$XFD$1"},
+        # a parsed shape whose copy leaves the sheet past its last column
+        {"B3": "=A2", "C2": "=D2", "XFD2": "=XFE2"},
     ])
     def test_hand_cases(self, formulas):
         assert_matches_uncached(sheet_of(formulas))
+
+    def test_references_outside_the_sheet_are_text(self):
+        table = table_of({"B2": "=A0+1", "B3": "=XFE1", "B4": "=SUM(A:XFE)", "B5": "=SUM(0:3)",
+                          "B6": "=XFD1048576", "B7": "=$XFD$1", "C2": "=D2", "XFD2": "=XFE2"})
+        text = [(2, 2), (16384, 2), (2, 3), (2, 4), (2, 5)]
+        assert sorted(cell for cell, kind in table.kinds.items() if kind is CellKind.TEXT) == sorted(text)
+        assert len(table.diagnostics) == 5
+        assert all("outside the sheet" in d for d in table.diagnostics)
 
     def test_key_separates_axes(self):
         # Column offset 1 then row 23 against column offset 12 then row 3.
@@ -435,6 +449,11 @@ class TestShapeCacheOracle:
         key, corners = shape_key("=\"A1\"&'Q1 2019'!A1+LOG10(1E5)+B:B+3:3", 2, 2)
         assert corners == [(1, 1, False, False)]
         assert key == "=\"A1\"&'Q1 2019'!\x00-1,-1\x00+LOG10(1E5)+B:B+3:3"
+
+    def test_no_key_outside_the_sheet(self):
+        assert shape_key("=XFE2+A1", 2, 2) == (None, [])
+        assert shape_key("=A0", 2, 2) == (None, [])
+        assert shape_key("=XFD1", 2, 2)[0] is not None
 
     def test_deep_formula_key(self):
         text = "=" + "(" * 5000 + "A1+1" + ")" * 5000
@@ -461,6 +480,42 @@ class TestShapeCacheEngages:
         assert len(calls) <= 3
         assert_matches_uncached(sheet)
         assert {table.fingerprint(2, row) for row in range(2, 501)} == {Fingerprint(-1, -1, 0, 0)}
+
+    def test_one_shape_on_two_sheets_parses_once(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_formula(text)
+
+        monkeypatch.setattr(vectors, "parse_formula", counting)
+        first = Worksheet("First", {(1, 1): CellContent.number(1.0), (2, 1): CellContent.formula("=A1+Other!A1"),
+                                    (2, 2): CellContent.formula("=A2+Other!A2")})
+        second = Worksheet("Other", {(1, 3): CellContent.number(1.0), (2, 3): CellContent.formula("=A3+Other!A3"),
+                                     (2, 4): CellContent.formula("=SUM(")})
+        workbook = Workbook("wb", [first, second])
+        analysis = pipeline.analyze_workbook(workbook)
+        # One parse for the shared shape, one for the failing formula.
+        assert calls == ["=A1+Other!A1", "=SUM("]
+        for sheet, result in zip(workbook.sheets, analysis.sheets):
+            want = naive_analyze_sheet_vectors(workbook, sheet)
+            assert list(result.table.fingerprints.items()) == list(want.fingerprints.items())
+            assert list(result.table.refs.items()) == list(want.refs.items())
+            assert result.table.diagnostics == want.diagnostics
+        # The same text names its own sheet on one sheet and another on the other.
+        assert analysis.sheets[0].table.fingerprint(2, 1) == Fingerprint(-1, 0, 1, 0)
+        assert analysis.sheets[1].table.fingerprint(2, 3) == Fingerprint(-2, 0, 0, 0)
+
+    def test_shape_of_another_sheet_lends_no_parse_outside_the_sheet(self):
+        # =A4 at B5 and =A0 at B1 share a key; only the first parses.
+        first = Worksheet("First", {(2, 5): CellContent.formula("=A4")})
+        second = Worksheet("Other", {(2, 1): CellContent.formula("=A0")})
+        analysis = pipeline.analyze_workbook(Workbook("wb", [first, second]))
+        assert analysis.sheets[0].table.kind(2, 5) is CellKind.FORMULA
+        assert analysis.sheets[1].table.kind(2, 1) is CellKind.TEXT
+        assert analysis.sheets[1].table.diagnostics == [
+            "Other!B1: unparseable formula treated as text (reference A0 outside the sheet at offset 1)"
+        ]
 
     def test_pipeline_calls_the_hooks_the_tracer_wraps(self, monkeypatch):
         # perfbench's tracer wraps vectors.parse_formula and
