@@ -15,8 +15,11 @@ Costs.  A node of the tree finds its cut in O(area): one sweep per axis
 keeps running fingerprint histograms of the two halves and an exact
 integer running sum of c*log2(c), which scores every cut approximately;
 only the cuts within a proven rounding margin of the best are re-scored
-exactly (`split_entropy`), so trees and entropy floats are those of the
-plain per-cut search.  Preprocessing runs the same sweep over the strips
+exactly.  A re-score sums the histograms of one half's lines, which the
+sweep has already built, and reads the counts in code order, as
+`counts_in` returns them; so trees and entropy floats are those of the
+plain per-cut search with `split_entropy`, and the tree makes no
+`counts_in` call.  Preprocessing runs the same sweep over the strips
 between consecutive candidate cuts instead of single lines: a strip
 inside one delimiter run needs no counting and any other costs one
 `counts_in`, so a piece with c candidate cuts pays at most c + 1 counts
@@ -34,7 +37,7 @@ import math
 from collections import Counter
 from itertools import chain
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .grid import FingerprintGrid
 from .model import GridlintError, Rect
@@ -218,18 +221,19 @@ def _near_minimum(region: Rect, cuts: Sequence[tuple[bool, int]],
     return [cut for cut, approx in zip(cuts, scores) if approx <= threshold]
 
 
-def _first_exact_minimum(grid: FingerprintGrid, region: Rect,
-                         cuts: Sequence[tuple[bool, int]]) -> tuple[bool, int, float]:
+def _first_exact_minimum(cuts: Sequence[tuple[bool, int]],
+                         score: Callable[[bool, int], float]) -> tuple[bool, int, float]:
     """(vertical, index, entropy) of the first of `cuts` to attain the
-    lowest `split_entropy`.
+    lowest exact score, `score(vertical, index)`.
 
     With `cuts` from `_near_minimum` in the pinned order, vertical before
-    horizontal and smaller indices first, this is the cut that scoring
-    every cut exactly in that order picks.
+    horizontal and smaller indices first, and a `score` equal to
+    `split_entropy`, this is the cut that scoring every cut exactly in
+    that order picks.
     """
     best: Optional[tuple[bool, int, float]] = None
     for vertical, index in cuts:
-        e = split_entropy(grid, region, index, vertical)
+        e = score(vertical, index)
         if best is None or e < best[2]:
             best = (vertical, index, e)
     assert best is not None
@@ -240,45 +244,48 @@ def _decide(grid: FingerprintGrid, region: Rect, table: _XLogXTable) -> Optional
     """None for a single-fingerprint rectangle, else its best cut.
 
     Sweeps both axes once, line by line, for approximate cut scores,
-    then re-scores exactly only the cuts near the minimum.
+    then re-scores exactly only the cuts near the minimum, each from the
+    line histograms of its smaller half: O(area) in all, with no
+    `counts_in`.
     """
     block = [row[region.left - 1:region.right] for row in grid.code_rows[region.top - 1:region.bottom]]
     total = Counter(chain.from_iterable(block))
     if len(total) == 1:
         return None
-    v_scores = _sweep([Counter(col) for col in zip(*block)], [region.height] * region.width, total, table)
-    h_scores = _sweep([Counter(row) for row in block], [region.width] * region.height, total, table)
+    columns = [Counter(col) for col in zip(*block)]
+    rows = [Counter(row) for row in block]
+    v_scores = _sweep(columns, [region.height] * region.width, total, table)
+    h_scores = _sweep(rows, [region.width] * region.height, total, table)
     cuts = [(True, i) for i in range(region.left, region.right)]
     cuts += [(False, i) for i in range(region.top, region.bottom)]
-    return _first_exact_minimum(grid, region, _near_minimum(region, cuts, v_scores + h_scores))
+    # Codes are numbered in palette order, so this is `counts_in`'s order.
+    codes = sorted(total)
 
+    def exact(vertical: bool, index: int) -> float:
+        lines, first, depth = (columns, region.left, region.height) if vertical else (rows, region.top, region.width)
+        k = index - first + 1
+        low_is_smaller = 2 * k <= len(lines)
+        part: Counter = Counter()
+        for hist in lines[:k] if low_is_smaller else lines[k:]:
+            part.update(hist)
+        own = [part[c] for c in sorted(part)]
+        # normalized_entropy skips the zero counts, as counts_in omits them.
+        rest = [total[c] - part.get(c, 0) for c in codes]
+        low, high = (own, rest) if low_is_smaller else (rest, own)
+        n_low = k * depth
+        return normalized_entropy(low, n_low) + normalized_entropy(high, region.area - n_low)
 
-def best_split(grid: FingerprintGrid, region: Rect) -> tuple[bool, int, float]:
-    """(vertical, index, entropy) of the winning cut for a mixed rectangle.
-
-    The cut with the lowest `split_entropy`; vertical candidates win ties
-    against horizontal ones, and within an axis the smallest index
-    attaining the minimum wins.  Costs O(area) for the sweep plus two
-    `counts_in` per cut re-scored near the minimum (see `_decide`).
-    """
-    if region.area == 1:
-        raise InvalidSplitError(f"{region} has no interior cut line")
-    decision = _decide(grid, region, _XLogXTable())
-    if decision is None:
-        # One fingerprint: every cut scores 0.0, so the first one wins.
-        if region.right > region.left:
-            return True, region.left, split_entropy(grid, region, region.left, True)
-        return False, region.top, split_entropy(grid, region, region.top, False)
-    return decision
+    return _first_exact_minimum(_near_minimum(region, cuts, v_scores + h_scores), exact)
 
 
 def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> EntropyTree:
     """Full guillotine decomposition tree of `region` (default: whole grid).
 
-    Each node costs O(area) for its histograms and cut sweep, so a tree
-    costs O(sum of node areas): O(area x depth).  Built with an explicit
-    stack; deep, skewed cut sequences on long thin sheets would overflow
-    Python's recursion limit otherwise.
+    Each node costs O(area) for its histograms, cut sweep and exact
+    re-scores, with no `counts_in` call, so a tree costs O(sum of node
+    areas): O(area x depth).  Built with an explicit stack; deep, skewed
+    cut sequences on long thin sheets would overflow Python's recursion
+    limit otherwise.
     """
     if region is None:
         region = grid.full_rect()
@@ -564,7 +571,11 @@ def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
                 scores += _sweep(hists, sizes, total, table)
             cuts = _near_minimum(r, cuts, scores)
         # A lone cut near the minimum is the only exact minimizer.
-        vertical, index = cuts[0] if len(cuts) == 1 else _first_exact_minimum(grid, r, cuts)[:2]
+        if len(cuts) == 1:
+            vertical, index = cuts[0]
+        else:
+            vertical, index, _ = _first_exact_minimum(
+                cuts, lambda v, i: split_entropy(grid, r, i, v))
         low, high = split_halves(r, index, vertical)
         stack.append(high)
         stack.append(low)

@@ -464,16 +464,6 @@ def _finish_ref(sc: _Scanner, first: RawReference, start: int) -> Node:
     return CellRef(first, span=(start, sc.pos))
 
 
-def ref_rects(node: Node) -> list[RefRect]:
-    """All references in source order, each as the rectangle it covers.
-
-    Nothing is expanded, so a whole column costs what one cell does.
-    Reversed corners are normalised, and an axis is absolute only when
-    both corners agree on it, as for each cell the range covers.
-    """
-    return list(template_rects(*ref_template(node)))
-
-
 Corner = tuple[int, int, bool, bool]  # (column, row, column_absolute, row_absolute)
 
 

@@ -10,7 +10,7 @@ computes in closed form or incrementally:
   (`vectors.analyze_sheet_vectors` parses each formula shape once);
 * the formula printer used by the parser's round-trip tests;
 * fingerprint counts in a rectangle by a scan of its cells
-  (`FingerprintGrid.counts_in` masks bitvectors);
+  (`FingerprintGrid.counts_in` counts code-row slices);
 * delimiter preprocessing that scores every run-boundary cut with two
   full counts (`entropy.delimiter_splits` sweeps one count per gap);
 * fix candidates from every ordered pair of regions, screened by the
@@ -18,6 +18,10 @@ computes in closed form or incrementally:
   that pass it off an edge index);
 * fix scoring that rebuilds the region layout for every candidate
   (`fixes.entropy_delta` edits one persistent layout and undoes it).
+
+Two helpers only the tests call live here too: `ref_rects`, a formula's
+references as rectangles read off its tree, and `best_split`, one
+rectangle's cut decided outside a tree.
 """
 
 from __future__ import annotations
@@ -27,9 +31,12 @@ import re
 from typing import Iterable, Optional, Sequence
 
 from gridlint.entropy import (
+    InvalidSplitError,
     Region,
     _EdgeIndex,
+    _XLogXTable,
     _axis_runs,
+    _decide,
     _region_key,
     _run_cuts,
     _union_rect,
@@ -56,12 +63,14 @@ from gridlint.formula import (
     Paren,
     RangeRef,
     RawReference,
+    RefRect,
     StringLit,
     UnaryOp,
     _walk,
     numeric_constant_count,
     parse_formula,
-    ref_rects,
+    ref_template,
+    template_rects,
 )
 from gridlint.grid import FingerprintGrid
 from gridlint.model import CellAddress, CellKind, GridlintError, Rect, Workbook, Worksheet, column_to_letters, to_a1
@@ -78,11 +87,21 @@ from gridlint.vectors import (
 MAX_RANGE_CELLS = 2**20
 
 
-# -- formula references, cell by cell ----------------------------------------
+# -- formula references, as rectangles and cell by cell ----------------------
 
 
 class RangeTooLargeError(GridlintError):
     """Range expansion would exceed MAX_RANGE_CELLS cells."""
+
+
+def ref_rects(node: Node) -> list[RefRect]:
+    """All references in source order, each as the rectangle it covers.
+
+    Nothing is expanded, so a whole column costs what one cell does.
+    Reversed corners are normalised, and an axis is absolute only when
+    both corners agree on it, as for each cell the range covers.
+    """
+    return list(template_rects(*ref_template(node)))
 
 
 def references(node: Node) -> list[RawReference]:
@@ -90,7 +109,7 @@ def references(node: Node) -> list[RawReference]:
 
     Duplicates are preserved.  Expansion normalizes reversed corners, and
     each expanded cell inherits an absolute flag only when both corners
-    agree on it.  The analysis uses ref_rects; this cell-by-cell form is
+    agree on it.  The analysis uses rectangles; this cell-by-cell form is
     the reference the closed forms are tested against.
     """
     out: list[RawReference] = []
@@ -290,6 +309,27 @@ def naive_counts_in(grid: FingerprintGrid, rect: Rect) -> dict:
         fp = grid.fingerprint_at(x, y)
         out[fp] = out.get(fp, 0) + 1
     return out
+
+
+# -- one rectangle's best cut -------------------------------------------------
+
+
+def best_split(grid: FingerprintGrid, region: Rect) -> tuple[bool, int, float]:
+    """(vertical, index, entropy) of the winning cut for a mixed rectangle.
+
+    The cut with the lowest `split_entropy`; vertical candidates win ties
+    against horizontal ones, and within an axis the smallest index
+    attaining the minimum wins.  Decided as a tree node is (`_decide`).
+    """
+    if region.area == 1:
+        raise InvalidSplitError(f"{region} has no interior cut line")
+    decision = _decide(grid, region, _XLogXTable())
+    if decision is None:
+        # One fingerprint: every cut scores 0.0, so the first one wins.
+        if region.right > region.left:
+            return True, region.left, split_entropy(grid, region, region.left, True)
+        return False, region.top, split_entropy(grid, region, region.top, False)
+    return decision
 
 
 # -- delimiter cuts, each scored with two full counts -------------------------

@@ -18,7 +18,6 @@ from gridlint.entropy import (
     _axis_runs,
     _cut_margin,
     _sweep,
-    best_split,
     coalesce,
     decompose_grid,
     delimiter_splits,
@@ -32,7 +31,7 @@ from gridlint.grid import FingerprintGrid
 from gridlint.model import Rect
 
 from conftest import banded_tile_grid, random_label_grid
-from oracle import mergeable, naive_delimiter_splits
+from oracle import best_split, mergeable, naive_delimiter_splits
 
 
 def reference_entropy(counts, n):
@@ -482,6 +481,64 @@ class TestSweepOracle:
         rows = [(["num"] if with_data_column else []) + [f"sum{r}"] for r in range(n)]
         assert_tree_matches_naive(FingerprintGrid(rows))
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 60), st.booleans())
+    def test_long_thin_all_distinct(self, n, vertical):
+        line = [f"d{i}" for i in range(n)]
+        assert_tree_matches_naive(FingerprintGrid([[fp] for fp in line] if vertical else [line]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_all_distinct_blocks(self, rng):
+        # A block whose every cell carries its own fingerprint, alone or
+        # inside a grid of a few repeated labels.
+        width, height = rng.randint(1, 9), rng.randint(1, 9)
+        left, right = sorted(rng.randint(1, width) for _ in range(2))
+        top, bottom = sorted(rng.randint(1, height) for _ in range(2))
+        block = Rect(left, top, right, bottom) if rng.random() < 0.7 else Rect(1, 1, width, height)
+        labels = "AB"[: rng.randint(1, 2)]
+        rows = [
+            [f"d{x},{y}" if block.contains(x, y) else rng.choice(labels) for x in range(1, width + 1)]
+            for y in range(1, height + 1)
+        ]
+        assert_tree_matches_naive(FingerprintGrid(rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_distinct_and_repeated_mix(self, rng):
+        width, height = rng.randint(1, 10), rng.randint(1, 10)
+        distinct = rng.random()
+        labels = "ABC"[: rng.randint(1, 3)]
+        rows = [
+            [f"d{x},{y}" if rng.random() < distinct else rng.choice(labels) for x in range(width)]
+            for y in range(height)
+        ]
+        assert_tree_matches_naive(FingerprintGrid(rows))
+
+    def test_exact_minimum_above_sweep_minimum(self):
+        # Cutting after column 2 and after row 3 give halves of equal
+        # entropy.  The sweep puts the column cut lower by one ulp, the
+        # exact scores the row cut, so only `_near_minimum`'s margin keeps
+        # the row cut among the cuts re-scored.
+        grid = FingerprintGrid([
+            [0, 2, 3, 3],
+            [3, 0, 2, 4],
+            [0, 2, 4, 0],
+            [2, 1, 3, 0],
+            [3, 0, 1, 2],
+            [2, 1, 2, 4],
+        ])
+        region = grid.full_rect()
+        block = grid.code_rows
+        total = Counter(chain.from_iterable(block))
+        table = _XLogXTable()
+        v_scores = _sweep([Counter(col) for col in zip(*block)], [region.height] * region.width, total, table)
+        h_scores = _sweep([Counter(row) for row in block], [region.width] * region.height, total, table)
+        assert min(v_scores + h_scores) == v_scores[1] < h_scores[2]
+        assert split_entropy(grid, region, 3, False) < split_entropy(grid, region, 2, True)
+        assert naive_best_split(grid, region)[:2] == (False, 3)
+        assert_tree_matches_naive(grid)
+
     def test_region_of_200_by_200(self):
         rng = random.Random(5)
         rows = [["A"] * 200 for _ in range(200)]
@@ -624,6 +681,21 @@ class TestDelimiterSplitsOracle:
         assert len(calls) < 1000  # scoring every cut takes 14,280
         assert len(pieces) == 120
         assert pieces == naive_delimiter_splits(grid)
+
+    def test_running_totals_tree_counts_nothing(self, monkeypatch):
+        # The tree re-scores its cuts from its sweep's line histograms.
+        grid = FingerprintGrid([["num", f"sum{r}"] for r in range(200)])
+        calls = []
+        counts_in = FingerprintGrid.counts_in
+
+        def counting(self, rect):
+            calls.append(rect)
+            return counts_in(self, rect)
+
+        monkeypatch.setattr(FingerprintGrid, "counts_in", counting)
+        tree = entropy_tree(grid)
+        assert calls == []
+        assert len(tree_leaves(tree)) == 201
 
 
 def random_guillotine_tiling(rng, width, height, labels):

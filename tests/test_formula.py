@@ -23,9 +23,8 @@ from gridlint.formula import (
     UnaryOp,
     numeric_constant_count,
     parse_formula,
-    ref_rects,
 )
-from oracle import RangeTooLargeError, constant_count, expand_range, references, to_text
+from oracle import RangeTooLargeError, constant_count, expand_range, ref_rects, references, to_text
 
 
 def refs_of(text):

@@ -1,4 +1,4 @@
-"""Bitvector grid backend versus plain scanning."""
+"""Fingerprint grid: code rows, palette and slice counting versus plain scanning."""
 
 import random
 
@@ -32,30 +32,14 @@ def test_bit_layout_row_major():
     grid = FingerprintGrid([["A", "B", "A"], ["B", "B", "C"]])
     assert grid.palette == ("A", "B", "C")
     assert grid.code_rows == [[0, 1, 0], [1, 1, 2]]
-    assert grid.bitvectors[0] == 0b000_101
-    assert grid.bitvectors[1] == 0b011_010
-    assert grid.bitvectors[2] == 0b100_000
 
 
-def test_bitvectors_partition_all_cells():
-    grid = FingerprintGrid([["A", "B"], ["C", "A"]])
-    union = 0
-    for bv in grid.bitvectors:
-        assert union & bv == 0
-        union |= bv
-    assert union == (1 << 4) - 1
-
-
-def test_rect_mask_popcount_is_area():
-    grid = FingerprintGrid([["A"] * 5] * 4)
-    rect = Rect(2, 2, 4, 3)
-    assert grid.rect_mask(rect).bit_count() == rect.area
-
-
-def test_rect_mask_out_of_bounds():
+def test_counts_in_out_of_bounds():
     grid = FingerprintGrid([["A", "A"]])
     with pytest.raises(ValueError):
-        grid.rect_mask(Rect(1, 1, 3, 1))
+        grid.counts_in(Rect(1, 1, 3, 1))
+    with pytest.raises(ValueError):
+        grid.counts_in(Rect(1, 1, 1, 2))
 
 
 def test_counts_known():

@@ -12,7 +12,6 @@ from gridlint.formula import (
     FormulaParseError,
     numeric_constant_count,
     parse_formula,
-    ref_rects,
     ref_template,
     shape_key,
 )
@@ -32,7 +31,7 @@ from gridlint.vectors import (
 )
 
 from conftest import inconsistent_sum_workbook
-from oracle import formula_fingerprint, naive_analyze_sheet_vectors, reference_vectors, references, resolve_reference
+from oracle import formula_fingerprint, naive_analyze_sheet_vectors, ref_rects, reference_vectors, references, resolve_reference
 
 
 def fingerprint_of(formula, column, row, sheet="S", workbook="wb"):
