@@ -19,23 +19,32 @@ exactly.  A re-score sums the histograms of one half's lines, which the
 sweep has already built, and reads the counts in code order, as
 `counts_in` returns them; so trees and entropy floats are those of the
 plain per-cut search with `split_entropy`, and the tree makes no
-`counts_in` call.  Preprocessing runs the same sweep over the strips
-between consecutive candidate cuts instead of single lines: a strip
-inside one delimiter run needs no counting and any other costs one
-`counts_in`, so a piece with c candidate cuts pays at most c + 1 counts
-for its sweep, plus two per cut re-scored near the minimum (none when
-only one is near it), where scoring every cut exactly pays 2c.
-Coalescing indexes regions by their full edges, so a region's merge
-partners are a few dictionary lookups and R regions coalesce in
-O(R log R).
+`counts_in` call.  A node whose every cell has a fingerprint of its own
+(all-distinct) is decided in closed form: each half of it holds counts
+of 1 only, so its sweep scores, exact scores and cut depend on its width
+and height alone, and are memoised per shape for the tree.  Its subtree
+is all-distinct too and builds no histogram, so a 1 x n column of
+distinct fingerprints, which the tree peels one cell per node, costs one
+histogram and one exact half score per length.
+
+Preprocessing runs the same sweep over the strips between consecutive
+candidate cuts instead of single lines: a strip inside one delimiter run
+needs no counting and any other costs one `counts_in`, so a piece with c
+candidate cuts pays at most c + 1 counts for its sweep, plus two per cut
+re-scored near the minimum (none when only one is near it), where
+scoring every cut exactly pays 2c.  Coalescing indexes regions by their
+full edges, so a region's merge partners are a few dictionary lookups
+and R regions coalesce in O(R log R).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from collections import Counter
-from itertools import chain
+from functools import reduce
+from itertools import chain, repeat
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -210,14 +219,14 @@ def _sweep(blocks: Sequence[Mapping[Hashable, int]], sizes: Sequence[int], total
     return out
 
 
-def _near_minimum(region: Rect, cuts: Sequence[tuple[bool, int]],
+def _near_minimum(area: int, cuts: Sequence[tuple[bool, int]],
                   scores: Sequence[float]) -> list[tuple[bool, int]]:
     """The cuts whose sweep score is within `_cut_margin` of the lowest.
 
-    Every cut that minimizes `split_entropy` is among them (see
-    `_cut_margin`), in the order of `cuts`.
+    Every cut that minimizes `split_entropy` on a rectangle of `area`
+    cells is among them (see `_cut_margin`), in the order of `cuts`.
     """
-    threshold = min(scores) + _cut_margin(region.area)
+    threshold = min(scores) + _cut_margin(area)
     return [cut for cut, approx in zip(cuts, scores) if approx <= threshold]
 
 
@@ -240,18 +249,85 @@ def _first_exact_minimum(cuts: Sequence[tuple[bool, int]],
     return best
 
 
-def _decide(grid: FingerprintGrid, region: Rect, table: _XLogXTable) -> Optional[tuple[bool, int, float]]:
-    """None for a single-fingerprint rectangle, else its best cut.
+class _DistinctCuts:
+    """Cuts of all-distinct nodes, memoised per (width, height).
 
-    Sweeps both axes once, line by line, for approximate cut scores,
-    then re-scores exactly only the cuts near the minimum, each from the
-    line histograms of its smaller half: O(area) in all, with no
+    In a node whose every cell has a code of its own, a half of m cells
+    holds m counts of 1.  It sweeps to 1.0 for m >= 2, since every table
+    entry it reads is table[1] == 0, and to 0.0 for one cell; its exact
+    score is `normalized_entropy([1] * m, m)`, 0.0 for one cell.  So the
+    sweep, the cuts near its minimum and the exact re-scores of such a
+    node depend on its shape alone, and so does its cut.  One instance
+    serves one tree.
+    """
+
+    def __init__(self) -> None:
+        self._shapes: dict[tuple[int, int], tuple[bool, int, float]] = {}
+        self._halves: dict[int, float] = {}
+
+    def _half(self, m: int) -> float:
+        """Exact score of a half of m distinct cells:
+        `normalized_entropy([1] * m, m)`, whose loop subtracts the same
+        term p * log2(p), p = 1 / m, m times.  Subtracting it m times in
+        the same order gives the same float at a fraction of the cost."""
+        e = self._halves.get(m)
+        if e is None:
+            if m == 1:
+                e = 0.0
+            else:
+                p = 1 / m
+                e = reduce(operator.sub, repeat(p * math.log2(p), m), 0.0) * (1.0 / math.log2(m))
+            self._halves[m] = e
+        return e
+
+    def _shape_cut(self, width: int, height: int) -> tuple[bool, int, float]:
+        """(vertical, offset from the first line, entropy) of the cut."""
+        if min(width, height) == 1 and width * height >= 3:
+            # On a line of m >= 3 cells the two end cuts sweep to 1.0 and
+            # every other cut to 2.0, farther than `_cut_margin` (< 1 for
+            # any grid that fits in memory).  The end cuts tie exactly, so
+            # the first one wins.
+            return width > 1, 0, self._half(width * height - 1)
+        cuts = [(True, k) for k in range(1, width)] + [(False, k) for k in range(1, height)]
+
+        def sizes(vertical: bool, k: int) -> tuple[int, int]:
+            return (k * height, (width - k) * height) if vertical else (k * width, (height - k) * width)
+
+        def exact(vertical: bool, k: int) -> float:
+            low, high = sizes(vertical, k)
+            return self._half(low) + self._half(high)
+
+        scores = [sum(0.0 if m == 1 else 1.0 for m in sizes(v, k)) for v, k in cuts]
+        vertical, k, entropy = _first_exact_minimum(_near_minimum(width * height, cuts, scores), exact)
+        return vertical, k - 1, entropy
+
+    def cut(self, region: Rect) -> tuple[bool, int, float]:
+        """(vertical, index, entropy) of an all-distinct region's cut."""
+        shape = (region.width, region.height)
+        decision = self._shapes.get(shape)
+        if decision is None:
+            decision = self._shapes[shape] = self._shape_cut(*shape)
+        vertical, offset, entropy = decision
+        return vertical, (region.left if vertical else region.top) + offset, entropy
+
+
+def _decide(grid: FingerprintGrid, region: Rect, table: _XLogXTable,
+            distinct: _DistinctCuts) -> tuple[Optional[tuple[bool, int, float]], bool]:
+    """(cut, all_distinct): the cut is None for a single-fingerprint
+    rectangle, else its best cut; all_distinct is True when every cell
+    has a fingerprint of its own, and the cut then comes from `distinct`.
+
+    Otherwise sweeps both axes once, line by line, for approximate cut
+    scores, then re-scores exactly only the cuts near the minimum, each
+    from the line histograms of its smaller half: O(area) in all, with no
     `counts_in`.
     """
     block = [row[region.left - 1:region.right] for row in grid.code_rows[region.top - 1:region.bottom]]
     total = Counter(chain.from_iterable(block))
     if len(total) == 1:
-        return None
+        return None, False
+    if len(total) == region.area:
+        return distinct.cut(region), True
     columns = [Counter(col) for col in zip(*block)]
     rows = [Counter(row) for row in block]
     v_scores = _sweep(columns, [region.height] * region.width, total, table)
@@ -275,7 +351,7 @@ def _decide(grid: FingerprintGrid, region: Rect, table: _XLogXTable) -> Optional
         n_low = k * depth
         return normalized_entropy(low, n_low) + normalized_entropy(high, region.area - n_low)
 
-    return _first_exact_minimum(_near_minimum(region, cuts, v_scores + h_scores), exact)
+    return _first_exact_minimum(_near_minimum(region.area, cuts, v_scores + h_scores), exact), False
 
 
 def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> EntropyTree:
@@ -283,30 +359,40 @@ def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> Entrop
 
     Each node costs O(area) for its histograms, cut sweep and exact
     re-scores, with no `counts_in` call, so a tree costs O(sum of node
-    areas): O(area x depth).  Built with an explicit stack; deep, skewed
-    cut sequences on long thin sheets would overflow Python's recursion
-    limit otherwise.
+    areas): O(area x depth).  Below an all-distinct node every node is
+    all-distinct too; such nodes build no histogram and take their cut
+    from a memo per (width, height) (`_DistinctCuts`), so a 1 x n column
+    of distinct fingerprints, peeled one cell per node, costs one
+    histogram and one exact half score per length.  Built with an explicit
+    stack; deep, skewed cut sequences on long thin sheets would overflow
+    Python's recursion limit otherwise.
     """
     if region is None:
         region = grid.full_rect()
     table = _XLogXTable()
+    distinct_cuts = _DistinctCuts()
     # Pass 1: decide every node's cut top-down, stack order = preorder.
     plan: dict[tuple[int, int, int, int], Optional[tuple[bool, int, float, Rect, Rect]]] = {}
     order: list[Rect] = []
-    pending = [region]
+    pending = [(region, False)]
     while pending:
-        r = pending.pop()
+        r, distinct = pending.pop()
         order.append(r)
         key = (r.left, r.top, r.right, r.bottom)
-        decision = None if r.area == 1 else _decide(grid, r, table)
+        if r.area == 1:
+            decision = None
+        elif distinct:
+            decision = distinct_cuts.cut(r)
+        else:
+            decision, distinct = _decide(grid, r, table, distinct_cuts)
         if decision is None:
             plan[key] = None
             continue
         vertical, index, entropy = decision
         low, high = split_halves(r, index, vertical)
         plan[key] = (vertical, index, entropy, low, high)
-        pending.append(high)
-        pending.append(low)
+        pending.append((high, distinct))
+        pending.append((low, distinct))
     # Pass 2: assemble bottom-up; children precede parents in reversed preorder.
     built: dict[tuple[int, int, int, int], EntropyTree] = {}
     for r in reversed(order):
@@ -569,7 +655,7 @@ def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
                         for fp, c in hist.items():
                             total[fp] = total.get(fp, 0) + c
                 scores += _sweep(hists, sizes, total, table)
-            cuts = _near_minimum(r, cuts, scores)
+            cuts = _near_minimum(r.area, cuts, scores)
         # A lone cut near the minimum is the only exact minimizer.
         if len(cuts) == 1:
             vertical, index = cuts[0]

@@ -9,8 +9,9 @@ computes in closed form or incrementally:
 * a sheet's vector table with every formula parsed
   (`vectors.analyze_sheet_vectors` parses each formula shape once);
 * the formula printer used by the parser's round-trip tests;
-* fingerprint counts in a rectangle by a scan of its cells
-  (`FingerprintGrid.counts_in` counts code-row slices);
+* fingerprint counts in a rectangle by a scan of its cells, and from
+  per-code prefix counts (`FingerprintGrid.counts_in` counts code-row
+  slices);
 * delimiter preprocessing that scores every run-boundary cut with two
   full counts (`entropy.delimiter_splits` sweeps one count per gap);
 * fix candidates from every ordered pair of regions, screened by the
@@ -34,6 +35,7 @@ from gridlint.entropy import (
     InvalidSplitError,
     Region,
     _EdgeIndex,
+    _DistinctCuts,
     _XLogXTable,
     _axis_runs,
     _decide,
@@ -311,6 +313,51 @@ def naive_counts_in(grid: FingerprintGrid, rect: Rect) -> dict:
     return out
 
 
+class PrefixCounts:
+    """Exact fingerprint counts in any rectangle, from 2-D prefix counts of
+    every code built once per grid.
+
+    `prefix[y][x]` holds, in code order, the number of cells of each code
+    in columns 1..x of rows 1..y, read off `fingerprint_at`.  A
+    rectangle's counts combine four such tuples, in O(codes) whatever its
+    size, and share no code with `FingerprintGrid.counts_in`.
+    """
+
+    def __init__(self, grid: FingerprintGrid):
+        self.palette = grid.palette
+        code_of = {fp: code for code, fp in enumerate(grid.palette)}
+        zero = (0,) * len(grid.palette)
+        above = [zero] * (grid.width + 1)
+        self.prefix = [above]
+        for y in range(1, grid.height + 1):
+            line = [0] * len(grid.palette)
+            row = [zero]
+            for x in range(1, grid.width + 1):
+                line[code_of[grid.fingerprint_at(x, y)]] += 1
+                row.append(tuple(a + b for a, b in zip(above[x], line)))
+            self.prefix.append(row)
+            above = row
+
+    def counts(self, rect: Rect) -> list[int]:
+        """The cell count of every code inside rect, in code order, zeros
+        included."""
+        top, bottom = self.prefix[rect.top - 1], self.prefix[rect.bottom]
+        return [a - b - c + d for a, b, c, d in zip(
+            bottom[rect.right], top[rect.right], bottom[rect.left - 1], top[rect.left - 1])]
+
+    def counts_in(self, rect: Rect) -> dict:
+        """Fingerprint -> cell count inside rect, in code order; zero
+        counts omitted, as `FingerprintGrid.counts_in` returns them."""
+        return {self.palette[code]: n for code, n in enumerate(self.counts(rect)) if n}
+
+    def split_entropy(self, region: Rect, index: int, vertical: bool) -> float:
+        """`entropy.split_entropy` from these counts: `normalized_entropy`
+        skips zero counts, so it sees what `counts_in` returns."""
+        first, second = split_halves(region, index, vertical)
+        return (normalized_entropy(self.counts(first), first.area)
+                + normalized_entropy(self.counts(second), second.area))
+
+
 # -- one rectangle's best cut -------------------------------------------------
 
 
@@ -323,7 +370,7 @@ def best_split(grid: FingerprintGrid, region: Rect) -> tuple[bool, int, float]:
     """
     if region.area == 1:
         raise InvalidSplitError(f"{region} has no interior cut line")
-    decision = _decide(grid, region, _XLogXTable())
+    decision, _ = _decide(grid, region, _XLogXTable(), _DistinctCuts())
     if decision is None:
         # One fingerprint: every cut scores 0.0, so the first one wins.
         if region.right > region.left:
@@ -336,8 +383,10 @@ def best_split(grid: FingerprintGrid, region: Rect) -> tuple[bool, int, float]:
 
 
 def naive_delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
-    """Delimiter pieces, every candidate cut scored with `split_entropy`:
-    lowest score wins, vertical before horizontal, then smallest index."""
+    """Delimiter pieces, every candidate cut scored with `split_entropy`
+    over exact counts: lowest score wins, vertical before horizontal, then
+    smallest index."""
+    counter = PrefixCounts(grid)
     col_ids = _axis_runs(grid, True)
     row_ids = _axis_runs(grid, False)
     v_cuts = _run_cuts(col_ids, grid.width)
@@ -358,12 +407,12 @@ def naive_delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
             continue
         best_v: Optional[tuple[float, int]] = None
         for i in cand_v:
-            e = split_entropy(grid, r, i, True)
+            e = counter.split_entropy(r, i, True)
             if best_v is None or e < best_v[0]:
                 best_v = (e, i)
         best_h: Optional[tuple[float, int]] = None
         for i in cand_h:
-            e = split_entropy(grid, r, i, False)
+            e = counter.split_entropy(r, i, False)
             if best_h is None or e < best_h[0]:
                 best_h = (e, i)
         if best_h is None or (best_v is not None and best_v[0] <= best_h[0]):

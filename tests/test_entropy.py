@@ -8,12 +8,14 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridlint import entropy
 from gridlint.entropy import (
     EntropyLeaf,
     EntropyNode,
     InvalidSplitError,
     NegativeCountError,
     Region,
+    _DistinctCuts,
     _XLogXTable,
     _axis_runs,
     _cut_margin,
@@ -31,7 +33,7 @@ from gridlint.grid import FingerprintGrid
 from gridlint.model import Rect
 
 from conftest import banded_tile_grid, random_label_grid
-from oracle import best_split, mergeable, naive_delimiter_splits
+from oracle import PrefixCounts, best_split, mergeable, naive_delimiter_splits
 
 
 def reference_entropy(counts, n):
@@ -378,12 +380,13 @@ class TestDecomposeGrid:
 # -- naive references: the per-cut search and the O(R^3) fixed point ------
 
 
-def naive_best_split(grid, region):
-    """Score every cut with split_entropy; vertical first, smallest index."""
+def naive_best_split(counter, region):
+    """Score every cut with split_entropy over the exact counts of
+    `counter`, a PrefixCounts; vertical first, smallest index."""
     best = None
     for vertical, lo, hi in ((True, region.left, region.right), (False, region.top, region.bottom)):
         for i in range(lo, hi):
-            e = split_entropy(grid, region, i, vertical)
+            e = counter.split_entropy(region, i, vertical)
             if best is None or e < best[2]:
                 best = (vertical, i, e)
     return best
@@ -392,14 +395,15 @@ def naive_best_split(grid, region):
 def naive_preorder(grid, region=None):
     """Preorder (region, cut) list of the tree the per-cut search builds;
     cut is None for a leaf, else (vertical, index, entropy)."""
+    counter = PrefixCounts(grid)
     out = []
     stack = [region or grid.full_rect()]
     while stack:
         r = stack.pop()
-        if r.area == 1 or len(grid.counts_in(r)) == 1:
+        if r.area == 1 or len(counter.counts_in(r)) == 1:
             out.append((r, None))
             continue
-        cut = naive_best_split(grid, r)
+        cut = naive_best_split(counter, r)
         out.append((r, cut))
         low, high = split_halves(r, cut[1], cut[0])
         stack.extend([high, low])
@@ -515,6 +519,25 @@ class TestSweepOracle:
         ]
         assert_tree_matches_naive(FingerprintGrid(rows))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 300])
+    @pytest.mark.parametrize("vertical", [True, False])
+    def test_long_thin_all_distinct_hand_cases(self, n, vertical):
+        line = [f"d{i}" for i in range(n)]
+        assert_tree_matches_naive(FingerprintGrid([[fp] for fp in line] if vertical else [line]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 9), st.integers(2, 9), st.booleans())
+    def test_all_distinct_blocks_at_least_2_by_2(self, width, height, framed):
+        # A w x h block of distinct fingerprints, the whole grid or framed
+        # by a repeated label.
+        pad = 1 if framed else 0
+        rows = [
+            [f"d{x},{y}" if pad <= x < width + pad and pad <= y < height + pad else "A"
+             for x in range(width + 2 * pad)]
+            for y in range(height + 2 * pad)
+        ]
+        assert_tree_matches_naive(FingerprintGrid(rows))
+
     def test_exact_minimum_above_sweep_minimum(self):
         # Cutting after column 2 and after row 3 give halves of equal
         # entropy.  The sweep puts the column cut lower by one ulp, the
@@ -536,7 +559,7 @@ class TestSweepOracle:
         h_scores = _sweep([Counter(row) for row in block], [region.width] * region.height, total, table)
         assert min(v_scores + h_scores) == v_scores[1] < h_scores[2]
         assert split_entropy(grid, region, 3, False) < split_entropy(grid, region, 2, True)
-        assert naive_best_split(grid, region)[:2] == (False, 3)
+        assert naive_best_split(PrefixCounts(grid), region)[:2] == (False, 3)
         assert_tree_matches_naive(grid)
 
     def test_region_of_200_by_200(self):
@@ -608,7 +631,7 @@ class TestSweepOracle:
     def test_best_split_on_any_rectangle(self, rng):
         grid = random_label_grid(rng, max_side=7, max_labels=2)
         if grid.full_rect().area > 1:
-            assert best_split(grid, grid.full_rect()) == naive_best_split(grid, grid.full_rect())
+            assert best_split(grid, grid.full_rect()) == naive_best_split(PrefixCounts(grid), grid.full_rect())
 
 
 def random_banded_grid(rng, max_side=14):
@@ -696,6 +719,30 @@ class TestDelimiterSplitsOracle:
         tree = entropy_tree(grid)
         assert calls == []
         assert len(tree_leaves(tree)) == 201
+
+
+def test_distinct_half_is_normalized_entropy_of_ones():
+    cuts = _DistinctCuts()
+    for m in [*range(1, 700), 2048, 4097]:
+        assert cuts._half(m) == normalized_entropy([1] * m, m)
+
+
+def test_all_distinct_subtree_builds_no_histogram(monkeypatch):
+    # Running totals: the 1 x 2,000 column of distinct fingerprints is
+    # decided from its histogram once, and its 1,999 peeled cells from
+    # their shapes alone.
+    grid = FingerprintGrid([["num", f"sum{r}"] for r in range(2000)])
+    decided = []
+    decide = entropy._decide
+
+    def counting(grid, region, *args):
+        decided.append(region)
+        return decide(grid, region, *args)
+
+    monkeypatch.setattr(entropy, "_decide", counting)
+    tree = entropy_tree(grid)
+    assert decided == [Rect(1, 1, 2, 2000), Rect(1, 1, 1, 2000), Rect(2, 1, 2, 2000)]
+    assert len(tree_leaves(tree)) == 2001
 
 
 def random_guillotine_tiling(rng, width, height, labels):

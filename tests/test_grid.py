@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from gridlint.grid import FingerprintGrid
 from gridlint.model import Rect
-from oracle import naive_counts_in
+from oracle import PrefixCounts, naive_counts_in
 
 
 def test_from_rows_shape():
@@ -91,6 +91,29 @@ def test_masked_counts_match_naive_scan(case):
         expected[fp] = expected.get(fp, 0) + 1
     assert grid.counts_in(rect) == expected
     assert naive_counts_in(grid, rect) == expected
+
+
+@given(grid_and_rect())
+def test_prefix_counts_match_naive_scan(case):
+    # The tests' exact counter, in code order as counts_in returns counts.
+    grid, rect = case
+    got = PrefixCounts(grid).counts_in(rect)
+    assert got == naive_counts_in(grid, rect)
+    assert list(got) == [fp for fp in grid.palette if fp in got]
+
+
+def test_prefix_counts_on_random_rectangles():
+    rng = random.Random(3)
+    rows = [[rng.choice(["A", "B", "C", (rng.randint(0, 9),)]) for _ in range(30)] for _ in range(25)]
+    grid = FingerprintGrid(rows)
+    counter = PrefixCounts(grid)
+    for _ in range(300):
+        left, right = sorted(rng.randint(1, 30) for _ in range(2))
+        top, bottom = sorted(rng.randint(1, 25) for _ in range(2))
+        rect = Rect(left, top, right, bottom)
+        got = counter.counts_in(rect)
+        assert got == naive_counts_in(grid, rect)
+        assert list(got) == [fp for fp in grid.palette if fp in got]
 
 
 def test_large_grid_spot_check():

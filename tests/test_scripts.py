@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("argv", [
     ["collision_survey.py", "fixtures"],
     ["preprocessing_probe.py", "--trials", "3"],
-    ["scaling_benchmark.py", "--sizes", "5x5"],
+    ["scaling_benchmark.py", "--sizes", "5x5", "--totals", "5"],
 ])
 def test_script_runs(argv):
     proc = subprocess.run(
