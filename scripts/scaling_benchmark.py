@@ -6,7 +6,10 @@ blank-column pattern, so cell count scales while the region structure
 stays comparable.  Running totals hold numbers in column A and
 `=SUM($A$1:A{r})` in column B, so every formula cell has a fingerprint
 of its own, as a cumulative column in a ledger does.  Reports per-phase
-wall time for each sheet.
+wall time for each sheet, starting with the load: each workbook is
+serialized to its JSON file format and parsed back with
+`parse_workbook_json`, which is what `gridlint analyze` spends before
+the analysis.
 
     PYTHONPATH=src python3 scripts/scaling_benchmark.py [--sizes WxH,...] [--totals N,...]
 """
@@ -16,7 +19,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from gridlint.model import CellContent, Workbook, Worksheet, column_to_letters
+from gridlint.model import CellContent, Workbook, Worksheet, column_to_letters, parse_workbook_json, serialize_workbook
 from gridlint.pipeline import analyze_workbook
 
 
@@ -57,15 +60,19 @@ def main() -> None:
         workbooks.append(striped_workbook(columns, rows))
     workbooks += [running_totals_workbook(int(token)) for token in args.totals.split(",")]
 
-    print(f"{'sheet':<20} {'cells':>8} {'vectors':>9} {'decomp':>9} {'fixes':>9} {'total':>9} {'regions':>8}")
+    print(f"{'sheet':<20} {'cells':>8} {'load':>9} {'vectors':>9} {'decomp':>9} {'fixes':>9} {'total':>9} {'regions':>8}")
     for workbook in workbooks:
+        text = serialize_workbook(workbook)
         start = time.perf_counter()
+        workbook = parse_workbook_json(text)
+        load = time.perf_counter() - start
         analysis = analyze_workbook(workbook)
         total = time.perf_counter() - start
         t = analysis.timings
         print(
             f"{workbook.name:<20}"
             f" {analysis.sheets[0].cells:>8}"
+            f" {load * 1000:>7.1f}ms"
             f" {t['vectors'] * 1000:>7.1f}ms"
             f" {t['decomposition'] * 1000:>7.1f}ms"
             f" {t['fixes'] * 1000:>7.1f}ms"

@@ -10,7 +10,7 @@ Unknown function names parse as opaque calls.  Anything outside the grammar
 (R1C1 addresses, structured references, array formulas, bare names) raises
 FormulaParseError; callers are expected to degrade such cells to text.
 So does a reference outside the sheet: a column past XFD (16,384) or
-row 0 (`_outside_sheet`).
+row 0 (`model.outside_sheet`, the rule cell addresses follow too).
 So does nesting deeper than MAX_NESTING levels, counting each parenthesis,
 function call, unary sign and right operand of "^": the parser recurses
 once per level, and the bound keeps it well inside Python's recursion
@@ -28,11 +28,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
-from .model import GridlintError, letters_to_column
+# SHEET_COLUMNS and SHEET_ROWS are the open axis of B:B or 3:3.
+from .model import SHEET_COLUMNS, SHEET_ROWS, GridlintError, letters_to_column, outside_sheet
 
-# Sheet extent (A..XFD, rows 1..1,048,576): the open axis of B:B or 3:3.
-SHEET_COLUMNS = 16_384
-SHEET_ROWS = 1_048_576
 # Excel's own limit on nested functions.  A level costs at most nine parser
 # frames (a call), so a formula at full depth stays under 600 frames.
 MAX_NESTING = 64
@@ -344,16 +342,6 @@ def _unquote_sheet(quoted: str) -> str:
     return quoted.replace("''", "'")
 
 
-def _outside_sheet(column: int, row: int) -> bool:
-    """A column past XFD or a row before 1: the parser refuses it.
-
-    Rows past SHEET_ROWS are still read: a range such as B1:B1100000 is
-    analysed in closed form, as the tests and the `lookups` benchmark
-    workload expect.
-    """
-    return column > SHEET_COLUMNS or row < 1
-
-
 def _try_a1(sc: _Scanner, sheet: str | None, workbook: str | None) -> RawReference | None:
     save = sc.pos
     m = sc.match_re(_A1_RE)
@@ -365,7 +353,7 @@ def _try_a1(sc: _Scanner, sheet: str | None, workbook: str | None) -> RawReferen
         sc.pos = save
         return None
     column, row = letters_to_column(m.group(2)), int(m.group(4))
-    if _outside_sheet(column, row):
+    if outside_sheet(column, row):
         raise FormulaParseError(f"reference {m.group(0)} outside the sheet", save)
     return RawReference(
         column=column,
@@ -395,7 +383,7 @@ def _try_lines(sc: _Scanner, sheet: str | None, workbook: str | None, start: int
         else:
             first = RawReference(1, int(m.group(2)), True, first_abs, sheet, workbook)
             second = RawReference(SHEET_COLUMNS, int(m.group(4)), True, second_abs, sheet, workbook)
-        if _outside_sheet(first.column, first.row) or _outside_sheet(second.column, second.row):
+        if outside_sheet(first.column, first.row) or outside_sheet(second.column, second.row):
             raise FormulaParseError(f"{whole} {m.group(0)} outside the sheet", save)
         return RangeRef(first, second, span=(start, sc.pos), whole=whole)
     return None
@@ -530,7 +518,7 @@ def shape_key(text: str, column: int, row: int) -> tuple[str | None, list[Corner
     of the text is kept as written, so a key and a cell determine the
     text up to how a token is spelled (letter case, leading zeros),
     which the parser does not see.  A text that holds NUL itself gets no
-    key, and neither does one with a token `_outside_sheet`: the parser
+    key, and neither does one with a token `outside_sheet`: the parser
     refuses it, so a copy that lies inside the sheet must not lend it a
     parse.
     """
@@ -544,7 +532,7 @@ def shape_key(text: str, column: int, row: int) -> tuple[str | None, list[Corner
             continue
         col_dollar, letters, row_dollar, digits = m.groups()
         c, r = letters_to_column(letters), int(digits)
-        if _outside_sheet(c, r):
+        if outside_sheet(c, r):
             return None, []
         corners.append((c, r, col_dollar == "$", row_dollar == "$"))
         pieces.append(text[last:m.start()])

@@ -6,10 +6,17 @@ A workbook file is a JSON document:
      "sheets": [{"name": "<sheet>",
                  "cells": {"<A1>": {"f": "=SUM(A1:A9)"} | {"n": 3.5} | {"s": "label"}}}]}
 
-Column letters are bijective base-26 (A=1 .. Z=26, AA=27) and case-insensitive.
+Column letters are bijective base-26 (A=1 .. Z=26, AA=27) and case-insensitive;
+a cell address lies on the sheet, in columns A..XFD and from row 1 (rows past
+the sheet's last are still read, as the formula parser reads them).
 Each cell carries exactly one of the keys "f" (formula), "n" (number), "s" (text).
 Text cells containing only whitespace are dropped at load time, so they behave
-like empty cells and do not extend the used range.
+like empty cells and do not extend the used range.  A key repeated in any
+object of the document is refused.
+
+The loader turns each cell object into its `CellContent` as the JSON is
+decoded, so a stored cell costs one small object; a payload that is not a
+well-formed one-key cell is left to `_load_cell`, which names what is wrong.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class GridlintError(Exception):
@@ -37,7 +44,27 @@ class EmptySheetError(GridlintError):
     """Operation needs at least one non-empty cell on the sheet."""
 
 
+# Sheet extent (A..XFD, rows 1..1,048,576).
+SHEET_COLUMNS = 16_384
+SHEET_ROWS = 1_048_576
+
 _COLUMN_RE = re.compile(r"^([A-Za-z]+)([0-9]+)$")
+
+# Column letters -> index, shared by parse_a1 and the formula lexer.  Filled
+# on first use with upper-case spellings of columns A..XFD only, so it holds
+# at most SHEET_COLUMNS entries whatever the input.
+_COLUMNS: dict[str, int] = {}
+
+
+def outside_sheet(column: int, row: int) -> bool:
+    """A column past XFD or a row before 1: neither a cell address nor a
+    formula reference may name it.
+
+    Rows past SHEET_ROWS are still read: a range such as B1:B1100000 is
+    analysed in closed form, as the tests and the `lookups` benchmark
+    workload expect.
+    """
+    return column > SHEET_COLUMNS or row < 1
 
 
 def column_to_letters(column: int) -> str:
@@ -53,26 +80,33 @@ def column_to_letters(column: int) -> str:
 
 def letters_to_column(letters: str) -> int:
     """Parse column letters to a 1-based index (case-insensitive)."""
+    column = _COLUMNS.get(letters)
+    if column is not None:
+        return column
     if not letters or not letters.isalpha():
         raise ValueError(f"invalid column letters: {letters!r}")
     column = 0
     for ch in letters.upper():
         column = column * 26 + (ord(ch) - ord("A") + 1)
+    if column <= SHEET_COLUMNS and letters.isascii() and letters.isupper():
+        _COLUMNS[letters] = column
     return column
 
 
 def parse_a1(text: str) -> tuple[int, int]:
-    """Parse an A1-style address into (column, row)."""
+    """Parse an A1-style address into (column, row); refuse one off the sheet."""
     m = _COLUMN_RE.match(text)
     if not m:
         raise FormatError(f"invalid cell address: {text!r}")
+    letters, digits = m.groups()
     try:
-        row = int(m.group(2))
+        row = int(digits)
     except ValueError:  # more digits than Python converts
-        raise FormatError(f"invalid cell address: row of {len(m.group(2))} digits") from None
-    if row < 1:
-        raise FormatError(f"invalid cell address: {text!r}")
-    return letters_to_column(m.group(1)), row
+        raise FormatError(f"invalid cell address: row of {len(digits)} digits") from None
+    column = letters_to_column(letters)
+    if outside_sheet(column, row):
+        raise FormatError(f"invalid cell address: {text!r} is outside the sheet")
+    return column, row
 
 
 def to_a1(column: int, row: int) -> str:
@@ -102,8 +136,7 @@ class CellKind(Enum):
     EMPTY = "empty"
 
 
-@dataclass(frozen=True)
-class CellContent:
+class CellContent(NamedTuple):
     """Stored content of one cell.
 
     value holds the formula text (including the leading "="), the numeric
@@ -187,8 +220,7 @@ class Worksheet:
         """Smallest rectangle covering every stored cell."""
         if not self.cells:
             raise EmptySheetError(f"sheet {self.name!r} has no content")
-        cols = [c for c, _ in self.cells]
-        rows = [r for _, r in self.cells]
+        cols, rows = zip(*self.cells)
         return Rect(min(cols), min(rows), max(cols), max(rows))
 
 
@@ -207,20 +239,16 @@ class Workbook:
         raise KeyError(f"no sheet named {name!r}")
 
 
-def _cells_pairs_hook(pairs: list[tuple[str, object]]) -> dict:
-    # Duplicate keys inside one JSON object are silently collapsed by json.loads,
-    # so duplicates are detected here before normalization can hide them.
-    seen = set()
-    out = {}
-    for key, value in pairs:
-        if key in seen:
-            raise DuplicateCellError(f"duplicate cell address {key!r}")
-        seen.add(key)
-        out[key] = value
-    return out
+_FORMULA, _NUMBER, _TEXT = CellKind.FORMULA, CellKind.NUMBER, CellKind.TEXT
+# Builds a CellContent without the NamedTuple's own __new__, a Python call.
+_new_tuple = tuple.__new__
+# The key of a one-key cell object, by the kind it is read as.
+_PAYLOAD_KEYS = {_FORMULA: "f", _NUMBER: "n", _TEXT: "s"}
 
 
 def _load_cell(address: str, payload: object) -> CellContent | None:
+    """A cell object that is not a well-formed one-key cell: None for
+    whitespace-only text, else the error that names what is wrong."""
     if not isinstance(payload, dict):
         raise FormatError(f"cell {address!r}: expected an object, got {type(payload).__name__}")
     keys = set(payload)
@@ -246,15 +274,61 @@ def _load_cell(address: str, payload: object) -> CellContent | None:
     return CellContent.text(value)
 
 
+def _first_repeat(pairs: list[tuple[str, object]]) -> str:
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            return key
+        seen.add(key)
+    raise AssertionError("no key repeats")
+
+
+def _duplicate_error(doc: object, obj: dict, key: str, source: str) -> FormatError:
+    """The error for the first object that repeats a key: a cell address
+    when the object is a sheet's cells, any other key otherwise."""
+    sheets = doc.get("sheets") if isinstance(doc, dict) else None
+    for raw in sheets if isinstance(sheets, list) else ():
+        if isinstance(raw, dict) and raw.get("cells") is obj:
+            return DuplicateCellError(f"{source}: sheet {raw.get('name')!r}: duplicate cell address {key!r}")
+    return FormatError(f"{source}: duplicate key {key!r}")
+
+
 def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
     """Parse canonical workbook JSON into a Workbook."""
+    repeated: list[tuple[dict, str]] = []
+
+    def pairs_hook(pairs: list[tuple[str, object]]) -> object:
+        # Every JSON object passes through here as it closes.  A well-formed
+        # one-key cell becomes its CellContent at once; json.loads would
+        # silently keep the last of repeated keys, so they are noted here.
+        if len(pairs) == 1:
+            key, value = pairs[0]
+            kind = type(value)
+            if key == "f":
+                if kind is str and value.startswith("="):
+                    return _new_tuple(CellContent, (_FORMULA, value))
+            elif key == "n":
+                if kind is int or kind is float:
+                    return _new_tuple(CellContent, (_NUMBER, value))
+                if kind is bool:
+                    return _new_tuple(CellContent, (_NUMBER, int(value)))
+            elif key == "s" and kind is str and value.strip():
+                return _new_tuple(CellContent, (_TEXT, value))
+            return dict(pairs)
+        obj = dict(pairs)
+        if len(obj) != len(pairs) and not repeated:
+            repeated.append((obj, _first_repeat(pairs)))
+        return obj
+
     try:
-        doc = json.loads(text, object_pairs_hook=_cells_pairs_hook)
+        doc = json.loads(text, object_pairs_hook=pairs_hook)
     except ValueError as exc:
         # JSONDecodeError, or an integer past Python's digit limit.
         raise FormatError(f"{source}: not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FormatError(f"{source}: JSON nested too deeply") from exc
+    if repeated:
+        raise _duplicate_error(doc, *repeated[0], source)
     if not isinstance(doc, dict) or "workbook" not in doc or "sheets" not in doc:
         raise FormatError(f"{source}: top level must be an object with 'workbook' and 'sheets'")
     name = doc["workbook"]
@@ -275,18 +349,23 @@ def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
             raise FormatError(f"{source}: duplicate sheet name {sheet_name!r}")
         seen_names.add(sheet_name)
         raw_cells = raw["cells"]
+        if type(raw_cells) is CellContent:
+            # A one-key cell object where the cells belong: its key is no address.
+            parse_a1(_PAYLOAD_KEYS[raw_cells.kind])
         if not isinstance(raw_cells, dict):
             raise FormatError(f"{source}: sheet {sheet_name!r}: 'cells' must be an object")
         cells: dict[tuple[int, int], CellContent] = {}
-        for addr_text, payload in raw_cells.items():
-            column, row = parse_a1(addr_text)
-            if (column, row) in cells:
+        for addr_text, content in raw_cells.items():
+            address = parse_a1(addr_text)
+            if address in cells:
                 raise DuplicateCellError(
                     f"{source}: sheet {sheet_name!r}: duplicate cell address {addr_text!r}"
                 )
-            content = _load_cell(addr_text, payload)
-            if content is not None:
-                cells[(column, row)] = content
+            if type(content) is not CellContent:
+                content = _load_cell(addr_text, content)
+                if content is None:
+                    continue
+            cells[address] = content
         sheets.append(Worksheet(sheet_name, cells))
     return Workbook(name, sheets)
 

@@ -15,7 +15,7 @@ from .fixes import ProposedFix, build_fixes
 from .grid import FingerprintGrid
 from .model import FormatError, Rect, Workbook, Worksheet
 from .report import audit_sheet_payload, audit_workbook_payload
-from .vectors import SheetVectors, analyze_sheet_vectors
+from .vectors import EMPTY_FINGERPRINT, SheetVectors, analyze_sheet_vectors
 
 # Timed phases: parse once per workbook, the rest once per sheet.
 PHASES = ("parse", "vectors", "decomposition", "fixes")
@@ -72,12 +72,9 @@ class WorkbookAnalysis:
 
 
 def grid_from_table(table: SheetVectors) -> FingerprintGrid:
-    """Used range re-based to (1, 1) for decomposition."""
-    rect = table.rect
-    return FingerprintGrid(
-        [table.fingerprint(x, y) for x in range(rect.left, rect.right + 1)]
-        for y in range(rect.top, rect.bottom + 1)
-    )
+    """Used range re-based to (1, 1) for decomposition: the grid the
+    vectors pass wrote."""
+    return table.grid
 
 
 def _to_sheet_coords(region: Region, rect: Rect) -> Region:
@@ -100,7 +97,8 @@ def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[Analysi
     config = config or AnalysisConfig()
     if not sheet.cells:
         # Nothing on the sheet: empty table over a placeholder 1x1 range.
-        table = SheetVectors(sheet.name, workbook.name, Rect(1, 1, 1, 1), {}, {}, {})
+        table = SheetVectors(sheet.name, workbook.name, Rect(1, 1, 1, 1), {},
+                             FingerprintGrid([[EMPTY_FINGERPRINT]]), {})
         return SheetAnalysis(sheet.name, table, [], [], 0, dict.fromkeys(PHASES[1:], 0.0))
     used = sheet.used_range()
     if used.area > MAX_USED_CELLS:

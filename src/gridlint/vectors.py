@@ -34,17 +34,22 @@ definition that the closed forms are checked against.
 
 Costs.  A workbook's formulas are keyed by shape (`formula.shape_key`),
 so one parse serves every copy of a formula on any of its sheets,
-wherever it is translated to.  Each cell then costs O(#refs): lexing its
-text, filling the shape's template with its own corners, and the
-fingerprint sums.
-Fingerprints are computed per cell, not per shape, for the two cases
-above.
+wherever it is translated to.  Each formula cell then costs O(#refs):
+lexing its text and filling the shape's template with its own corners.
+Its fingerprint is computed once per (shape, sheet) when the shape is
+translation-invariant (`translation_invariant`): every copy on the sheet
+then shares it.  The two cases above are summed per cell, and so is a
+relative whole line such as B:B, whose rectangle stays where it is.
+One row-major pass writes each cell's kind, references and fingerprint
+code, so the used range's code rows come out of the pass itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .formula import (
     FormulaParseError,
@@ -56,6 +61,7 @@ from .formula import (
     shape_key,
     template_rects,
 )
+from .grid import FingerprintGrid
 from .model import CellKind, Rect, Workbook, Worksheet, to_a1
 
 
@@ -161,10 +167,37 @@ def translated_location_fingerprint(rects: Iterable[RefRect], sheet: str, workbo
     return LocFingerprint(x, y, z)
 
 
+def translation_invariant(template: tuple, corners: list, rects: tuple[RefRect, ...],
+                          sheet: str, workbook: str) -> bool:
+    """True when every copy of a formula shape on this sheet has one
+    fingerprint: each on-sheet range anchors each axis at both corners or
+    at neither, every corner of an off-sheet reference is absolute, and
+    no whole line is relative.
+
+    template and corners are `formula.ref_template`'s for one copy, and
+    rects its references (`formula.template_rects`).
+    """
+    for entry, rect in zip(template, rects):
+        if type(entry) is RefRect:  # a whole line, fixed wherever it is written
+            if not (rect.column_absolute and rect.row_absolute):
+                return False
+            continue
+        _, _, ca0, ra0 = corners[entry[0]]
+        _, _, ca1, ra1 = corners[entry[1]]
+        if is_off_sheet(rect, sheet, workbook):
+            if not (ca0 and ra0 and ca1 and ra1):
+                return False
+        elif ca0 != ca1 or ra0 != ra1:
+            return False
+    return True
+
+
 @dataclass
 class SheetVectors:
     """Per-cell analysis table for one sheet's used range.
 
+    `kinds` and `refs` are keyed by stored cell in row-major order; `grid`
+    holds every fingerprint of the used range, re-based to (1, 1).
     Formula cells that fail to parse are downgraded to text here (with a
     diagnostic) so every later stage sees one consistent view.
     """
@@ -173,7 +206,7 @@ class SheetVectors:
     workbook_name: str
     rect: Rect
     kinds: dict[tuple[int, int], CellKind]
-    fingerprints: dict[tuple[int, int], Fingerprint]
+    grid: FingerprintGrid
     refs: dict[tuple[int, int], tuple[RefRect, ...]]
     diagnostics: list[str] = field(default_factory=list)
 
@@ -181,7 +214,19 @@ class SheetVectors:
         return self.kinds.get((column, row), CellKind.EMPTY)
 
     def fingerprint(self, column: int, row: int) -> Fingerprint:
-        return self.fingerprints.get((column, row), EMPTY_FINGERPRINT)
+        rect = self.rect
+        if rect.left <= column <= rect.right and rect.top <= row <= rect.bottom:
+            return self.grid.palette[self.grid.code_rows[row - rect.top][column - rect.left]]
+        return EMPTY_FINGERPRINT
+
+    @property
+    def fingerprints(self) -> Mapping[tuple[int, int], Fingerprint]:
+        """The fingerprint of every stored cell, in row-major order: a
+        read-only mapping built on each call."""
+        return MappingProxyType({cell: self.fingerprint(*cell) for cell in self.kinds})
+
+
+_ROW_MAJOR = itemgetter(1, 0)
 
 
 def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
@@ -195,38 +240,95 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
     `shapes` is the key -> (template, flag) dictionary to read and fill;
     a template names sheets as written, so the sheets of one workbook can
     share one.  By default the sheet gets its own.
+
+    Cells are visited in row-major order, and each fingerprint gets its
+    code on first appearance, a blank one at the first unstored cell, as
+    `FingerprintGrid(rows)` numbers them.  Rows that hold no stored cell
+    share one list.
     """
     rect = sheet.used_range()
-    table = SheetVectors(sheet.name, workbook.name, rect, {}, {}, {})
+    left, top, width, area = rect.left, rect.top, rect.width, rect.area
     if shapes is None:
         shapes = {}
-    for (column, row), content in sorted(sheet.cells.items(), key=lambda item: (item[0][1], item[0][0])):
-        kind = content.kind
-        if kind is CellKind.FORMULA:
-            key, corners = shape_key(content.value, column, row)
-            shape = shapes.get(key)
-            if shape is None:
-                try:
-                    ast = parse_formula(content.value)
-                except FormulaParseError as exc:
-                    table.diagnostics.append(
-                        f"{sheet.name}!{to_a1(column, row)}: unparseable formula treated as text ({exc})"
-                    )
-                    table.kinds[(column, row)] = CellKind.TEXT
-                    table.fingerprints[(column, row)] = TEXT_FINGERPRINT
-                    continue
-                template, parsed = ref_template(ast)
-                shape = template, numeric_constant_count(ast) > 0
-                if key is not None and parsed == corners:
-                    shapes[key] = shape
-                corners = parsed
-            refs = template_rects(shape[0], corners)
-            table.kinds[(column, row)] = CellKind.FORMULA
-            table.refs[(column, row)] = refs
-            table.fingerprints[(column, row)] = rects_fingerprint(
-                refs, column, row, sheet.name, workbook.name, shape[1]
-            )
+    kinds: dict[tuple[int, int], CellKind] = {}
+    refs: dict[tuple[int, int], tuple[RefRect, ...]] = {}
+    diagnostics: list[str] = []
+    # key -> the fingerprint every copy of a translation-invariant shape has
+    # on this sheet, or None for a shape whose copies are summed one by one.
+    by_key: dict[str, Optional[Fingerprint]] = {}
+
+    def formula_fingerprint(column: int, row: int, text: str) -> Optional[Fingerprint]:
+        """Fill the cell's references and return its fingerprint; None
+        (with a diagnostic) when the formula does not parse."""
+        key, corners = shape_key(text, column, row)
+        shape = shapes.get(key)
+        if shape is None:
+            try:
+                ast = parse_formula(text)
+            except FormulaParseError as exc:
+                diagnostics.append(
+                    f"{sheet.name}!{to_a1(column, row)}: unparseable formula treated as text ({exc})"
+                )
+                return None
+            template, parsed = ref_template(ast)
+            shape = template, numeric_constant_count(ast) > 0
+            if key is not None and parsed == corners:
+                shapes[key] = shape
+            corners = parsed
+        rects = refs[(column, row)] = template_rects(shape[0], corners)
+        fingerprint = by_key.get(key)
+        if fingerprint is None:
+            fingerprint = rects_fingerprint(rects, column, row, sheet.name, workbook.name, shape[1])
+            if key not in by_key and shapes.get(key) is shape:
+                invariant = translation_invariant(shape[0], corners, rects, sheet.name, workbook.name)
+                by_key[key] = fingerprint if invariant else None
+        return fingerprint
+
+    codes: dict[Fingerprint, int] = {}
+    code_rows: list[list[int]] = []
+    line: list[int] = []  # the codes of the row being written, left to right
+    blank_row: list[int] = []  # shared by every row that holds no stored cell
+
+    def blanks(count: int) -> None:
+        """Write the blank's code into the next `count` cells."""
+        nonlocal line, blank_row
+        blank = codes.setdefault(EMPTY_FINGERPRINT, len(codes))
+        if line:
+            done = min(count, width - len(line))
+            line += [blank] * done
+            count -= done
+            if len(line) == width:
+                code_rows.append(line)
+                line = []
+        whole, count = divmod(count, width)
+        if whole:
+            blank_row = blank_row or [blank] * width
+            code_rows.extend([blank_row] * whole)
+        line += [blank] * count
+
+    cells = sheet.cells
+    following = 0  # the position after the last stored cell
+    for cell in sorted(cells, key=_ROW_MAJOR):
+        column, row = cell
+        position = (row - top) * width + column - left
+        if position != following:
+            blanks(position - following)
+        following = position + 1
+        kind, value = cells[cell]
+        if kind is CellKind.NUMBER:  # an enum hashes in Python, so no dictionary here
+            fingerprint = NUMBER_FINGERPRINT
+        elif kind is CellKind.FORMULA:
+            fingerprint = formula_fingerprint(column, row, value)
+            if fingerprint is None:
+                kind, fingerprint = CellKind.TEXT, TEXT_FINGERPRINT
         else:
-            table.kinds[(column, row)] = kind
-            table.fingerprints[(column, row)] = null_fingerprint(kind)
-    return table
+            fingerprint = null_fingerprint(kind)
+        kinds[cell] = kind
+        line.append(codes.setdefault(fingerprint, len(codes)))
+        if len(line) == width:
+            code_rows.append(line)
+            line = []
+    if following != area:
+        blanks(area - following)
+    grid = FingerprintGrid.from_codes(code_rows, tuple(codes))
+    return SheetVectors(sheet.name, workbook.name, rect, kinds, grid, refs, diagnostics)

@@ -6,8 +6,14 @@ computes in closed form or incrementally:
 
 * formula references expanded cell by cell, their offset vectors and
   fingerprints (`vectors.rects_fingerprint` sums them per rectangle);
-* a sheet's vector table with every formula parsed
-  (`vectors.analyze_sheet_vectors` parses each formula shape once);
+* a sheet's vector table with every formula parsed and every
+  fingerprint summed, kept in per-cell dictionaries, and its grid built
+  cell by cell (`vectors.analyze_sheet_vectors` parses each formula
+  shape once, reuses a translation-invariant shape's fingerprint, and
+  writes the code rows in its own pass);
+* the workbook loader that reads every cell object through one
+  validating function (`model.parse_workbook_json` decodes well-formed
+  one-key cells as it parses the JSON);
 * the formula printer used by the parser's round-trip tests;
 * fingerprint counts in a rectangle by a scan of its cells, and from
   per-code prefix counts (`FingerprintGrid.counts_in` counts code-row
@@ -27,8 +33,12 @@ rectangle's cut decided outside a tree.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import json
 import re
+from operator import add, itemgetter, sub
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from gridlint.entropy import (
@@ -75,8 +85,21 @@ from gridlint.formula import (
     template_rects,
 )
 from gridlint.grid import FingerprintGrid
-from gridlint.model import CellAddress, CellKind, GridlintError, Rect, Workbook, Worksheet, column_to_letters, to_a1
+from gridlint.model import (
+    CellAddress,
+    CellContent,
+    CellKind,
+    DuplicateCellError,
+    FormatError,
+    GridlintError,
+    Rect,
+    Workbook,
+    Worksheet,
+    column_to_letters,
+    to_a1,
+)
 from gridlint.vectors import (
+    EMPTY_FINGERPRINT,
     TEXT_FINGERPRINT,
     Fingerprint,
     RefVector,
@@ -262,10 +285,31 @@ def constant_count(node: Node) -> int:
     return sum(1 for item in _walk(node) if isinstance(item, (NumberLit, StringLit, BoolLit)))
 
 
-def naive_analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet) -> SheetVectors:
-    """`analyze_sheet_vectors` with every formula cell parsed from its own text."""
+@dataclass
+class NaiveSheetVectors:
+    """A sheet's vector table as per-cell dictionaries, each keyed by
+    stored cell in row-major order."""
+
+    sheet_name: str
+    workbook_name: str
+    rect: Rect
+    kinds: dict = field(default_factory=dict)
+    fingerprints: dict = field(default_factory=dict)
+    refs: dict = field(default_factory=dict)
+    diagnostics: list = field(default_factory=list)
+
+    def kind(self, column: int, row: int) -> CellKind:
+        return self.kinds.get((column, row), CellKind.EMPTY)
+
+    def fingerprint(self, column: int, row: int) -> Fingerprint:
+        return self.fingerprints.get((column, row), EMPTY_FINGERPRINT)
+
+
+def naive_analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet) -> NaiveSheetVectors:
+    """`analyze_sheet_vectors` with every formula cell parsed from its own
+    text and its fingerprint summed at that cell."""
     rect = sheet.used_range()
-    table = SheetVectors(sheet.name, workbook.name, rect, {}, {}, {})
+    table = NaiveSheetVectors(sheet.name, workbook.name, rect)
     for (column, row), content in sorted(sheet.cells.items(), key=lambda item: (item[0][1], item[0][0])):
         kind = content.kind
         if kind is CellKind.FORMULA:
@@ -288,6 +332,15 @@ def naive_analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet) -> SheetVe
             table.kinds[(column, row)] = kind
             table.fingerprints[(column, row)] = null_fingerprint(kind)
     return table
+
+
+def naive_grid(table) -> FingerprintGrid:
+    """The used range's fingerprints, re-based to (1, 1), read cell by cell."""
+    rect = table.rect
+    return FingerprintGrid(
+        [table.fingerprint(x, y) for x in range(rect.left, rect.right + 1)]
+        for y in range(rect.top, rect.bottom + 1)
+    )
 
 
 def resolve_reference(ref: RawReference, cell: CellAddress) -> CellAddress:
@@ -318,44 +371,85 @@ class PrefixCounts:
     every code built once per grid.
 
     `prefix[y][x]` holds, in code order, the number of cells of each code
-    in columns 1..x of rows 1..y, read off `fingerprint_at`.  A
-    rectangle's counts combine four such tuples, in O(codes) whatever its
-    size, and share no code with `FingerprintGrid.counts_in`.
+    in columns 1..x of rows 1..y, read off `fingerprint_at`.  A code's
+    count in a rectangle combines four entries of these tuples.  Only the
+    codes that can lie in the rectangle are counted: codes are numbered
+    by first appearance in row-major order, so one that first appears
+    after the rectangle's last cell, or last appears before its first
+    cell, is not in it.  All-distinct grids thus cost O(cells counted),
+    not O(codes), per rectangle.  Nothing here is shared with
+    `FingerprintGrid.counts_in`.
     """
 
     def __init__(self, grid: FingerprintGrid):
         self.palette = grid.palette
+        self.width = grid.width
         code_of = {fp: code for code, fp in enumerate(grid.palette)}
         zero = (0,) * len(grid.palette)
         above = [zero] * (grid.width + 1)
         self.prefix = [above]
+        # Row-major positions of each code's first and last cell.
+        self.first: list[int] = []
+        self.last: list[int] = []
         for y in range(1, grid.height + 1):
             line = [0] * len(grid.palette)
             row = [zero]
             for x in range(1, grid.width + 1):
-                line[code_of[grid.fingerprint_at(x, y)]] += 1
+                code = code_of[grid.fingerprint_at(x, y)]
+                position = (y - 1) * grid.width + x - 1
+                if code == len(self.first):
+                    self.first.append(position)
+                    self.last.append(position)
+                self.last[code] = position
+                line[code] += 1
                 row.append(tuple(a + b for a, b in zip(above[x], line)))
             self.prefix.append(row)
             above = row
+        self.by_last = sorted(range(len(self.last)), key=self.last.__getitem__)
+        self.lasts = [self.last[code] for code in self.by_last]
+        self._entropies: dict[tuple, float] = {}
 
-    def counts(self, rect: Rect) -> list[int]:
-        """The cell count of every code inside rect, in code order, zeros
-        included."""
+    def counts(self, rect: Rect) -> dict[int, int]:
+        """Code -> cell count inside rect, in code order, zeros omitted."""
+        codes, counts = self._histogram(rect)
+        return {code: n for code, n in zip(codes, counts) if n}
+
+    def _histogram(self, rect: Rect) -> tuple[list[int], tuple[int, ...]]:
+        """(codes, counts): the codes that can lie in rect, in code order,
+        and their counts there, some of them 0."""
+        start = (rect.top - 1) * self.width + rect.left - 1
+        end = (rect.bottom - 1) * self.width + rect.right - 1
+        # Codes last seen at or after the start, less those first seen
+        # after the end: codes from bisect_right(first, end) on.
+        codes = sorted(self.by_last[bisect.bisect_left(self.lasts, start):])
+        del codes[bisect.bisect_left(codes, bisect.bisect_right(self.first, end)):]
+        if not codes:
+            return codes, ()
         top, bottom = self.prefix[rect.top - 1], self.prefix[rect.bottom]
-        return [a - b - c + d for a, b, c, d in zip(
-            bottom[rect.right], top[rect.right], bottom[rect.left - 1], top[rect.left - 1])]
+        take = itemgetter(*codes) if len(codes) > 1 else (lambda row: (row[codes[0]],))
+        counts = tuple(map(add, map(sub, map(sub, take(bottom[rect.right]), take(top[rect.right])),
+                                        take(bottom[rect.left - 1])), take(top[rect.left - 1])))
+        return codes, counts
 
     def counts_in(self, rect: Rect) -> dict:
         """Fingerprint -> cell count inside rect, in code order; zero
         counts omitted, as `FingerprintGrid.counts_in` returns them."""
-        return {self.palette[code]: n for code, n in enumerate(self.counts(rect)) if n}
+        return {self.palette[code]: n for code, n in self.counts(rect).items()}
 
     def split_entropy(self, region: Rect, index: int, vertical: bool) -> float:
-        """`entropy.split_entropy` from these counts: `normalized_entropy`
-        skips zero counts, so it sees what `counts_in` returns."""
+        """`entropy.split_entropy` from these counts, in code order as
+        `counts_in` returns them."""
         first, second = split_halves(region, index, vertical)
-        return (normalized_entropy(self.counts(first), first.area)
-                + normalized_entropy(self.counts(second), second.area))
+        return self._entropy(first) + self._entropy(second)
+
+    def _entropy(self, rect: Rect) -> float:
+        # normalized_entropy is a function of the counts in order and the
+        # area: a histogram met before is not summed again.
+        key = (tuple(filter(None, self._histogram(rect)[1])), rect.area)
+        entropy = self._entropies.get(key)
+        if entropy is None:
+            entropy = self._entropies[key] = normalized_entropy(*key)
+        return entropy
 
 
 # -- one rectangle's best cut -------------------------------------------------
@@ -615,3 +709,112 @@ def rebuilt_score_candidates(
             )
         )
     return out
+
+
+# -- the workbook loader, every cell through one validating function ---------
+
+_A1_ADDRESS = re.compile(r"^([A-Za-z]+)([0-9]+)$")
+
+
+def naive_parse_a1(text: str) -> tuple[int, int]:
+    """`model.parse_a1` with the column summed letter by letter."""
+    m = _A1_ADDRESS.match(text)
+    if not m:
+        raise FormatError(f"invalid cell address: {text!r}")
+    try:
+        row = int(m.group(2))
+    except ValueError:
+        raise FormatError(f"invalid cell address: row of {len(m.group(2))} digits") from None
+    column = 0
+    for ch in m.group(1).upper():
+        column = column * 26 + (ord(ch) - ord("A") + 1)
+    if column > 16_384 or row < 1:
+        raise FormatError(f"invalid cell address: {text!r} is outside the sheet")
+    return column, row
+
+
+def _naive_load_cell(address: str, payload: object) -> Optional[CellContent]:
+    if not isinstance(payload, dict):
+        raise FormatError(f"cell {address!r}: expected an object, got {type(payload).__name__}")
+    keys = set(payload)
+    if len(keys & {"f", "n", "s"}) != 1 or keys - {"f", "n", "s"}:
+        raise FormatError(f"cell {address!r}: exactly one of 'f', 'n', 's' required, got {sorted(keys)}")
+    if "f" in payload:
+        text = payload["f"]
+        if not isinstance(text, str) or not text.startswith("="):
+            raise FormatError(f"cell {address!r}: 'f' must be a string starting with '='")
+        return CellContent.formula(text)
+    if "n" in payload:
+        value = payload["n"]
+        if not isinstance(value, (bool, int, float)):
+            raise FormatError(f"cell {address!r}: 'n' must be a number")
+        return CellContent.number(value)
+    value = payload["s"]
+    if not isinstance(value, str):
+        raise FormatError(f"cell {address!r}: 's' must be a string")
+    if value.strip() == "":
+        return None
+    return CellContent.text(value)
+
+
+def naive_parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
+    """`model.parse_workbook_json` with every JSON object decoded to a dict
+    and every cell object validated by one function."""
+    repeated: list = []
+
+    def pairs_hook(pairs):
+        out: dict = {}
+        for key, value in pairs:
+            if key in out and not repeated:
+                repeated.append((out, key))
+            out[key] = value
+        return out
+
+    try:
+        doc = json.loads(text, object_pairs_hook=pairs_hook)
+    except ValueError as exc:
+        raise FormatError(f"{source}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{source}: JSON nested too deeply") from exc
+    if repeated:
+        obj, key = repeated[0]
+        sheets = doc.get("sheets") if isinstance(doc, dict) else None
+        owners = [raw for raw in (sheets if isinstance(sheets, list) else [])
+                  if isinstance(raw, dict) and raw.get("cells") is obj]
+        if owners:
+            raise DuplicateCellError(f"{source}: sheet {owners[0].get('name')!r}: duplicate cell address {key!r}")
+        raise FormatError(f"{source}: duplicate key {key!r}")
+    if not isinstance(doc, dict) or "workbook" not in doc or "sheets" not in doc:
+        raise FormatError(f"{source}: top level must be an object with 'workbook' and 'sheets'")
+    name = doc["workbook"]
+    if not isinstance(name, str) or not name:
+        raise FormatError(f"{source}: 'workbook' must be a non-empty string")
+    raw_sheets = doc["sheets"]
+    if not isinstance(raw_sheets, list):
+        raise FormatError(f"{source}: 'sheets' must be a list")
+    sheets = []
+    seen_names = set()
+    for raw in raw_sheets:
+        if not isinstance(raw, dict) or "name" not in raw or "cells" not in raw:
+            raise FormatError(f"{source}: each sheet needs 'name' and 'cells'")
+        sheet_name = raw["name"]
+        if not isinstance(sheet_name, str) or not sheet_name:
+            raise FormatError(f"{source}: sheet names must be non-empty strings")
+        if sheet_name in seen_names:
+            raise FormatError(f"{source}: duplicate sheet name {sheet_name!r}")
+        seen_names.add(sheet_name)
+        raw_cells = raw["cells"]
+        if not isinstance(raw_cells, dict):
+            raise FormatError(f"{source}: sheet {sheet_name!r}: 'cells' must be an object")
+        cells: dict = {}
+        for addr_text, payload in raw_cells.items():
+            column, row = naive_parse_a1(addr_text)
+            if (column, row) in cells:
+                raise DuplicateCellError(
+                    f"{source}: sheet {sheet_name!r}: duplicate cell address {addr_text!r}"
+                )
+            content = _naive_load_cell(addr_text, payload)
+            if content is not None:
+                cells[(column, row)] = content
+        sheets.append(Worksheet(sheet_name, cells))
+    return Workbook(name, sheets)

@@ -129,6 +129,20 @@ class TestAnalyze:
         assert code == 2
         assert "invalid cell address" in err
 
+    def test_cell_past_the_last_column_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "wide.gridbook"
+        bad.write_text('{"workbook": "x", "sheets": [{"name": "S", "cells": {"XFE1": {"n": 1}}}]}')
+        code, out, err = run(["analyze", str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: invalid cell address: 'XFE1' is outside the sheet\n"
+
+    def test_duplicate_top_level_key_names_file_and_key(self, tmp_path, capsys):
+        bad = tmp_path / "twice.gridbook"
+        bad.write_text('{"workbook": "w", "workbook": "x", "sheets": []}')
+        code, _, err = run(["analyze", str(bad)], capsys)
+        assert code == 2
+        assert err == f"error: {bad}: duplicate key 'workbook'\n"
+
     @pytest.mark.parametrize("command", ["analyze", "render"])
     def test_used_range_past_limit_is_usage_error(self, command, tmp_path):
         # A1 plus XFD1048576 spans about 1.7e10 cells.  Run in a child under

@@ -14,12 +14,7 @@ import gridlint
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("argv", [
-    ["collision_survey.py", "fixtures"],
-    ["preprocessing_probe.py", "--trials", "3"],
-    ["scaling_benchmark.py", "--sizes", "5x5", "--totals", "5"],
-])
-def test_script_runs(argv):
+def run_script(argv):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         cwd=ROOT,
@@ -28,6 +23,26 @@ def test_script_runs(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    return proc.stdout
+
+
+SCALING = ["scaling_benchmark.py", "--sizes", "5x5", "--totals", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["collision_survey.py", "fixtures"],
+    ["preprocessing_probe.py", "--trials", "3"],
+    SCALING,
+])
+def test_script_runs(argv):
+    run_script(argv)
+
+
+def test_scaling_benchmark_times_the_load():
+    header, *rows = run_script(SCALING).splitlines()
+    assert header.split() == ["sheet", "cells", "load", "vectors", "decomp", "fixes", "total", "regions"]
+    assert [row.split()[:2] for row in rows] == [["stripes_5x5", "25"], ["running_totals_5", "10"]]
+    assert all(row.split()[2].endswith("ms") for row in rows)
 
 
 def test_same_reports_finds_a_tree_equal_to_itself():

@@ -31,7 +31,15 @@ from gridlint.vectors import (
 )
 
 from conftest import inconsistent_sum_workbook
-from oracle import formula_fingerprint, naive_analyze_sheet_vectors, ref_rects, reference_vectors, references, resolve_reference
+from oracle import (
+    formula_fingerprint,
+    naive_analyze_sheet_vectors,
+    naive_grid,
+    ref_rects,
+    reference_vectors,
+    references,
+    resolve_reference,
+)
 
 
 def fingerprint_of(formula, column, row, sheet="S", workbook="wb"):
@@ -280,15 +288,21 @@ def table_of(formulas: dict[str, str]):
     return analyze_sheet_vectors(Workbook("wb", [sheet]), sheet)
 
 
-def assert_matches_uncached(sheet: Worksheet) -> None:
-    """Kinds, fingerprints, refs and diagnostics equal the uncached path's, in order."""
-    workbook = Workbook("wb", [sheet])
-    got, want = analyze_sheet_vectors(workbook, sheet), naive_analyze_sheet_vectors(workbook, sheet)
+def assert_matches_uncached(sheet: Worksheet, workbook: Workbook | None = None, shapes: dict | None = None) -> None:
+    """Kinds, fingerprints, refs, diagnostics and the grid's code rows and
+    palette equal the uncached path's, in order.  `shapes` is the shape
+    dictionary the workbook's sheets share, as `analyze_workbook` shares it."""
+    workbook = workbook or Workbook("wb", [sheet])
+    got, want = analyze_sheet_vectors(workbook, sheet, shapes), naive_analyze_sheet_vectors(workbook, sheet)
     assert got.rect == want.rect
     assert list(got.kinds.items()) == list(want.kinds.items())
     assert list(got.fingerprints.items()) == list(want.fingerprints.items())
     assert list(got.refs.items()) == list(want.refs.items())
     assert got.diagnostics == want.diagnostics
+    grid = naive_grid(want)
+    assert (got.grid.code_rows, got.grid.palette) == (grid.code_rows, grid.palette)
+    for (column, row) in got.rect.cells():
+        assert got.fingerprint(column, row) == want.fingerprint(column, row)
 
 
 class TestCopiesThatDoNotShareAFingerprint:
@@ -459,6 +473,130 @@ class TestShapeCacheOracle:
         key, corners = shape_key(text, 2, 1)
         assert corners == [(1, 1, False, False)]
         assert key == "=" + "(" * 5000 + "\x00-1,0\x00+1" + ")" * 5000
+
+
+@st.composite
+def placed_formulas(draw, sheets):
+    """Per sheet, formula shapes placed at translated copies and data cells
+    between them."""
+    out = []
+    for _ in sheets:
+        cells = {}
+        for shape, places in draw(st.lists(
+                st.tuples(top_shapes(), st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=1, max_size=4)),
+                min_size=0, max_size=3)):
+            for column, row in places:
+                text = render(shape, column, row)
+                if text is not None:
+                    cells[(column, row)] = CellContent.formula(text)
+        for column, row, kind in draw(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7), st.sampled_from("nt")),
+                                               max_size=6)):
+            cells.setdefault((column, row), CellContent.number(1.0) if kind == "n" else CellContent.text("x"))
+        cells.setdefault(draw(st.tuples(st.integers(1, 7), st.integers(1, 7))), CellContent.number(2.0))
+        out.append(cells)
+    return out
+
+
+class TestFingerprintPerShape:
+    """A translation-invariant shape's fingerprint is computed once per
+    sheet; the other shapes are summed per cell, as the uncached path
+    sums every cell."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(placed_formulas(["S", "Other", "Sheet1"]))
+    def test_random_workbooks_of_three_sheets(self, placed):
+        workbook = Workbook("wb", [Worksheet(name, cells) for name, cells in zip(["S", "Other", "Sheet1"], placed)])
+        shapes: dict = {}
+        for sheet in workbook.sheets:
+            assert_matches_uncached(sheet, workbook, shapes)
+
+    def copies(self, text_at, cells, name="S"):
+        return Worksheet(name, {parse_a1(a1): CellContent.formula(text_at(a1)) for a1 in cells})
+
+    @pytest.mark.parametrize("sheet_names", [("Sheet1", "Sheet2"), ("Sheet2", "Sheet1")])
+    def test_one_key_off_one_sheet_and_on_another(self, sheet_names):
+        cells = ["C5", "C6", "C7", "D5"]
+        sheets = [self.copies(lambda a1: f"=Sheet2!{column_to_letters(parse_a1(a1)[0] - 1)}{a1[1:]}", cells, name)
+                  for name in sheet_names]
+        workbook = Workbook("wb", sheets)
+        shapes: dict = {}
+        for sheet in sheets:
+            assert_matches_uncached(sheet, workbook, shapes)
+        tables = {sheet.name: analyze_sheet_vectors(workbook, sheet) for sheet in sheets}
+        # Off the sheet the copies differ; on it they share one fingerprint.
+        assert len({tables["Sheet1"].fingerprint(*parse_a1(a1)) for a1 in cells}) == 4
+        assert {tables["Sheet2"].fingerprint(*parse_a1(a1)) for a1 in cells} == {Fingerprint(-1, 0, 0, 0)}
+
+    def test_relative_whole_column_in_two_columns(self):
+        table = table_of({"B2": "=SUM(B:B)", "C2": "=SUM(B:B)", "C3": "=SUM(B:B)", "D2": "=SUM($B:$B)",
+                          "E2": "=SUM($B:$B)"})
+        assert table.fingerprint(2, 2) != table.fingerprint(3, 2) == table.fingerprint(3, 3)
+        assert table.fingerprint(4, 2) == table.fingerprint(5, 2)
+        assert_matches_uncached(sheet_of({"B2": "=SUM(B:B)", "C2": "=SUM(B:B)", "D2": "=SUM($B:$B)",
+                                          "E2": "=SUM($B:$B)", "B3": "=SUM(3:3)", "C4": "=SUM(3:3)"}))
+
+    def test_range_anchored_on_one_corner_copied_down(self):
+        formulas = {f"C{row}": f"=SUM(B$1:B{row})" for row in range(5, 10)}
+        table = table_of(formulas)
+        assert len({table.fingerprint(3, row) for row in range(5, 10)}) == 5
+        assert_matches_uncached(sheet_of(formulas))
+
+    @pytest.mark.parametrize("prefix", ["[wb]S!", "[wb]Other!", "[other]S!", "S!", "'S'!"])
+    def test_workbook_prefix_naming_its_own_workbook(self, prefix):
+        formulas = {f"B{row}": f"={prefix}A{row - 1}+{prefix}$A$1" for row in range(2, 7)}
+        assert_matches_uncached(sheet_of(formulas))
+        table = table_of(formulas)
+        shared = len({table.fingerprint(2, row) for row in range(2, 7)}) == 1
+        assert shared == (prefix in ("[wb]S!", "S!", "'S'!"))
+
+    def test_invariant_shape_summed_once_per_sheet(self, monkeypatch):
+        calls = []
+
+        def counting(rects, column, row, *rest):
+            calls.append((column, row))
+            return rects_fingerprint(rects, column, row, *rest)
+
+        monkeypatch.setattr(vectors, "rects_fingerprint", counting)
+        cells = {(2, row): CellContent.formula(f"=A{row}*2+SUM($A$1:$A$3)") for row in range(1, 101)}
+        cells.update({(3, row): CellContent.formula(f"=SUM(A$1:A{row})") for row in range(1, 11)})
+        sheet = Worksheet("S", cells)
+        table = analyze_sheet_vectors(Workbook("wb", [sheet]), sheet)
+        assert calls == [(2, 1), (3, 1)] + [(3, row) for row in range(2, 11)]
+        assert len(table.refs) == 110
+
+    def test_cancelling_formula_numbers_blank_before_the_first_blank_cell(self):
+        cells = {(1, 1): CellContent.number(1.0), (2, 1): CellContent.number(2.0),
+                 (1, 2): CellContent.formula("=A1+A3"), (1, 3): CellContent.number(3.0), (3, 3): CellContent.text("x")}
+        sheet = Worksheet("S", cells)
+        table = analyze_sheet_vectors(Workbook("wb", [sheet]), sheet)
+        assert table.fingerprint(1, 2) == EMPTY_FINGERPRINT
+        assert table.grid.palette == (NUMBER_FINGERPRINT, EMPTY_FINGERPRINT, TEXT_FINGERPRINT)
+        assert table.grid.code_rows == [[0, 0, 1], [1, 1, 1], [0, 1, 2]]
+        assert_matches_uncached(sheet)
+
+    @pytest.mark.parametrize("cells", [
+        {(1, 1): CellContent.number(1.0)},
+        {(3, 2): CellContent.text("x"), (1, 4): CellContent.number(1.0)},
+        {(1, 1): CellContent.number(1.0), (2, 2): CellContent.number(1.0), (3, 1): CellContent.formula("=SUM(")},
+        {(2, 1): CellContent.formula("=A1+A1-A1-A1"), (1, 2): CellContent.number(1.0), (2, 3): CellContent.formula("=B2")},
+    ])
+    def test_code_rows_match_a_grid_built_cell_by_cell(self, cells):
+        assert_matches_uncached(Worksheet("S", cells))
+
+    def test_rows_without_cells_share_one_list(self):
+        sheet = Worksheet("S", {(1, 1): CellContent.number(1.0), (3, 1000): CellContent.text("x")})
+        table = analyze_sheet_vectors(Workbook("wb", [sheet]), sheet)
+        rows = table.grid.code_rows
+        assert len({id(row) for row in rows}) == 3
+        assert rows[1] == [1, 1, 1] and rows[-1] == [1, 1, 2]
+        assert_matches_uncached(sheet)
+
+    def test_fingerprints_is_a_read_only_view_of_every_stored_cell(self):
+        table = table_of({"B2": "=A1", "D4": "=SUM("})
+        assert list(table.fingerprints) == [(2, 2), (4, 4)]
+        assert table.fingerprints[(4, 4)] == TEXT_FINGERPRINT
+        with pytest.raises(TypeError):
+            table.fingerprints[(2, 2)] = EMPTY_FINGERPRINT
 
 
 class TestShapeCacheEngages:
