@@ -31,7 +31,7 @@ def data_like(tables, fingerprint) -> int:
         1
         for table in tables
         for key, kind in table.kinds.items()
-        if kind is CellKind.FORMULA and table.fingerprints[key] == fingerprint
+        if kind is CellKind.FORMULA and table.fingerprint(*key) == fingerprint
     )
 
 

@@ -351,7 +351,7 @@ def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
         raw_cells = raw["cells"]
         if type(raw_cells) is CellContent:
             # A one-key cell object where the cells belong: its key is no address.
-            parse_a1(_PAYLOAD_KEYS[raw_cells.kind])
+            raise FormatError(f"invalid cell address: {_PAYLOAD_KEYS[raw_cells.kind]!r}")
         if not isinstance(raw_cells, dict):
             raise FormatError(f"{source}: sheet {sheet_name!r}: 'cells' must be an object")
         cells: dict[tuple[int, int], CellContent] = {}

@@ -35,13 +35,11 @@ definition that the closed forms are checked against.
 Costs.  A workbook's formulas are keyed by shape (`formula.shape_key`),
 so one parse serves every copy of a formula on any of its sheets,
 wherever it is translated to.  Each formula cell then costs O(#refs):
-lexing its text and filling the shape's template with its own corners.
-Its fingerprint is computed once per (shape, sheet) when the shape is
-translation-invariant (`translation_invariant`): every copy on the sheet
-then shares it.  The two cases above are summed per cell, and so is a
-relative whole line such as B:B, whose rectangle stays where it is.
-One row-major pass writes each cell's kind, references and fingerprint
-code, so the used range's code rows come out of the pass itself.
+lexing its text, filling the shape's template with its own corners
+and summing the fingerprint of those rectangles, per cell since copies
+of a shape need not share one (the two cases above).  One row-major pass
+writes each cell's kind, references and fingerprint code, so the used
+range's code rows come out of the pass itself.
 """
 
 from __future__ import annotations
@@ -167,31 +165,6 @@ def translated_location_fingerprint(rects: Iterable[RefRect], sheet: str, workbo
     return LocFingerprint(x, y, z)
 
 
-def translation_invariant(template: tuple, corners: list, rects: tuple[RefRect, ...],
-                          sheet: str, workbook: str) -> bool:
-    """True when every copy of a formula shape on this sheet has one
-    fingerprint: each on-sheet range anchors each axis at both corners or
-    at neither, every corner of an off-sheet reference is absolute, and
-    no whole line is relative.
-
-    template and corners are `formula.ref_template`'s for one copy, and
-    rects its references (`formula.template_rects`).
-    """
-    for entry, rect in zip(template, rects):
-        if type(entry) is RefRect:  # a whole line, fixed wherever it is written
-            if not (rect.column_absolute and rect.row_absolute):
-                return False
-            continue
-        _, _, ca0, ra0 = corners[entry[0]]
-        _, _, ca1, ra1 = corners[entry[1]]
-        if is_off_sheet(rect, sheet, workbook):
-            if not (ca0 and ra0 and ca1 and ra1):
-                return False
-        elif ca0 != ca1 or ra0 != ra1:
-            return False
-    return True
-
-
 @dataclass
 class SheetVectors:
     """Per-cell analysis table for one sheet's used range.
@@ -253,9 +226,6 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
     kinds: dict[tuple[int, int], CellKind] = {}
     refs: dict[tuple[int, int], tuple[RefRect, ...]] = {}
     diagnostics: list[str] = []
-    # key -> the fingerprint every copy of a translation-invariant shape has
-    # on this sheet, or None for a shape whose copies are summed one by one.
-    by_key: dict[str, Optional[Fingerprint]] = {}
 
     def formula_fingerprint(column: int, row: int, text: str) -> Optional[Fingerprint]:
         """Fill the cell's references and return its fingerprint; None
@@ -276,13 +246,7 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
                 shapes[key] = shape
             corners = parsed
         rects = refs[(column, row)] = template_rects(shape[0], corners)
-        fingerprint = by_key.get(key)
-        if fingerprint is None:
-            fingerprint = rects_fingerprint(rects, column, row, sheet.name, workbook.name, shape[1])
-            if key not in by_key and shapes.get(key) is shape:
-                invariant = translation_invariant(shape[0], corners, rects, sheet.name, workbook.name)
-                by_key[key] = fingerprint if invariant else None
-        return fingerprint
+        return rects_fingerprint(rects, column, row, sheet.name, workbook.name, shape[1])
 
     codes: dict[Fingerprint, int] = {}
     code_rows: list[list[int]] = []

@@ -9,8 +9,7 @@ computes in closed form or incrementally:
 * a sheet's vector table with every formula parsed and every
   fingerprint summed, kept in per-cell dictionaries, and its grid built
   cell by cell (`vectors.analyze_sheet_vectors` parses each formula
-  shape once, reuses a translation-invariant shape's fingerprint, and
-  writes the code rows in its own pass);
+  shape once and writes the code rows in its own pass);
 * the workbook loader that reads every cell object through one
   validating function (`model.parse_workbook_json` decodes well-formed
   one-key cells as it parses the JSON);

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import gridlint
+from gridlint.model import parse_workbook_json
+from gridlint.pipeline import analyze_sheet
+from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT, SheetVectors
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,6 +31,13 @@ def run_script(argv):
     return proc.stdout
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 SCALING = ["scaling_benchmark.py", "--sizes", "5x5", "--totals", "5"]
 
 
@@ -36,6 +48,25 @@ SCALING = ["scaling_benchmark.py", "--sizes", "5x5", "--totals", "5"]
 ])
 def test_script_runs(argv):
     run_script(argv)
+
+
+def test_collision_survey_reads_one_fingerprint_per_formula(monkeypatch):
+    """`data_like` looks up each formula cell's fingerprint once and never
+    builds the mapping of every stored cell, which costs a pass per read."""
+    survey = load_script("collision_survey")
+    formulas = {1: "=B{0}+B{2}+1", 2: "=A{1}", 0: "=B{0}+B{2}"}  # by row % 3
+    cells = {f"A{r}": {"n": r} for r in range(1, 301)}
+    cells.update({f"B{r}": {"f": formulas[r % 3].format(r - 1, r, r + 1)} for r in range(2, 302)})
+    doc = {"workbook": "w", "sheets": [{"name": "S", "cells": cells}]}
+    workbook = parse_workbook_json(json.dumps(doc))
+    tables = [analyze_sheet(workbook, workbook.sheets[0]).table]
+    calls = []
+    lookup = SheetVectors.fingerprint
+    monkeypatch.setattr(SheetVectors, "fingerprint", lambda self, *cell: calls.append(cell) or lookup(self, *cell))
+    monkeypatch.setattr(SheetVectors, "fingerprints", property(lambda self: pytest.fail("mapping built")))
+    assert survey.data_like(tables, EMPTY_FINGERPRINT) == 100
+    assert len(calls) == 300
+    assert survey.data_like(tables, NUMBER_FINGERPRINT) == 100
 
 
 def test_scaling_benchmark_times_the_load():

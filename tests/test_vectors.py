@@ -498,9 +498,9 @@ def placed_formulas(draw, sheets):
 
 
 class TestFingerprintPerShape:
-    """A translation-invariant shape's fingerprint is computed once per
-    sheet; the other shapes are summed per cell, as the uncached path
-    sums every cell."""
+    """Copies of one shape, on one sheet and across the sheets that share
+    a shape dictionary, get the fingerprints and code rows the reference
+    table sums cell by cell, whether or not the copies share one."""
 
     @settings(max_examples=100, deadline=None)
     @given(placed_formulas(["S", "Other", "Sheet1"]))
@@ -548,21 +548,6 @@ class TestFingerprintPerShape:
         table = table_of(formulas)
         shared = len({table.fingerprint(2, row) for row in range(2, 7)}) == 1
         assert shared == (prefix in ("[wb]S!", "S!", "'S'!"))
-
-    def test_invariant_shape_summed_once_per_sheet(self, monkeypatch):
-        calls = []
-
-        def counting(rects, column, row, *rest):
-            calls.append((column, row))
-            return rects_fingerprint(rects, column, row, *rest)
-
-        monkeypatch.setattr(vectors, "rects_fingerprint", counting)
-        cells = {(2, row): CellContent.formula(f"=A{row}*2+SUM($A$1:$A$3)") for row in range(1, 101)}
-        cells.update({(3, row): CellContent.formula(f"=SUM(A$1:A{row})") for row in range(1, 11)})
-        sheet = Worksheet("S", cells)
-        table = analyze_sheet_vectors(Workbook("wb", [sheet]), sheet)
-        assert calls == [(2, 1), (3, 1)] + [(3, row) for row in range(2, 11)]
-        assert len(table.refs) == 110
 
     def test_cancelling_formula_numbers_blank_before_the_first_blank_cell(self):
         cells = {(1, 1): CellContent.number(1.0), (2, 1): CellContent.number(2.0),
