@@ -1,23 +1,29 @@
 #!/usr/bin/env python3
 """Time the analysis phases across growing synthetic sheets.
 
-Two families of sheets.  Stripes repeat a number-block / sum-column /
+Three families of sheets.  Stripes repeat a number-block / sum-column /
 blank-column pattern, so cell count scales while the region structure
 stays comparable.  Running totals hold numbers in column A and
 `=SUM($A$1:A{r})` in column B, so every formula cell has a fingerprint
-of its own, as a cumulative column in a ledger does.  Reports per-phase
+of its own, as a cumulative column in a ledger does.  Noisy n x n
+sheets are the benchmark's `perfbench/workloads.noisy_book` (seed 7):
+numbers with 30% of the cells holding one of four labels, so the
+layout has many small regions and many candidate fixes.  Reports per-phase
 wall time for each sheet, starting with the load: each workbook is
 serialized to its JSON file format and parsed back with
 `parse_workbook_json`, which is what `gridlint analyze` spends before
 the analysis.
 
-    PYTHONPATH=src python3 scripts/scaling_benchmark.py [--sizes WxH,...] [--totals N,...]
+    PYTHONPATH=src python3 scripts/scaling_benchmark.py [--sizes WxH,...] [--totals N,...] [--noisy N,...]
 """
 
 from __future__ import annotations
 
 import argparse
+import random
+import sys
 import time
+from pathlib import Path
 
 from gridlint.model import CellContent, Workbook, Worksheet, column_to_letters, parse_workbook_json, serialize_workbook
 from gridlint.pipeline import analyze_workbook
@@ -52,17 +58,23 @@ def main() -> None:
                         help="comma-separated WxH stripes sheet sizes")
     parser.add_argument("--totals", default="500,1000,2000,4000",
                         help="comma-separated row counts of running-totals sheets")
+    parser.add_argument("--noisy", default="40,80,160",
+                        help="comma-separated side lengths of noisy n x n sheets")
     args = parser.parse_args()
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import noisy_book
 
     workbooks = []
     for token in args.sizes.split(","):
         columns, rows = (int(part) for part in token.lower().split("x"))
-        workbooks.append(striped_workbook(columns, rows))
-    workbooks += [running_totals_workbook(int(token)) for token in args.totals.split(",")]
+        workbooks.append(serialize_workbook(striped_workbook(columns, rows)))
+    workbooks += [serialize_workbook(running_totals_workbook(int(token))) for token in args.totals.split(",")]
+    for n in (int(token) for token in args.noisy.split(",")):
+        workbooks.append(noisy_book(random.Random(7), n, f"noisy_{n}x{n}", mask_seed=n * 100).gridbook())
 
     print(f"{'sheet':<20} {'cells':>8} {'load':>9} {'vectors':>9} {'decomp':>9} {'fixes':>9} {'total':>9} {'regions':>8}")
-    for workbook in workbooks:
-        text = serialize_workbook(workbook)
+    for text in workbooks:
         start = time.perf_counter()
         workbook = parse_workbook_json(text)
         load = time.perf_counter() - start

@@ -14,26 +14,21 @@ formulas must move, and reported within a flagged-cell budget.
 
 Costs.  Candidates cost four dictionary lookups per region and per
 boundary cell, O(cells) at worst.  Every candidate of a sheet is scored
-against one `Layout`, built once in O(R log R) for R regions: the
-regions sorted by `_region_key`, their entropy terms p*log2(p) cached
-per area, and one edge index.  A candidate then costs its merge
-cascade, a few dictionary lookups per merge, plus one O(R) splice of the
-term list and one `reduce(operator.sub, ...)` over it, both running in
-C.  The reduce makes exactly the subtractions of `normalized_entropy`'s
-loop, so each entropy is the float a rebuilt layout gives.  `sum()`
-would not do: from Python 3.12 it sums floats with compensation, and
-`requires-python` is `>=3.10`.
+against one `Layout`, built once in O(R) for R regions: their entropy
+terms p*log2(p) cached per area, and one edge index.  A candidate then
+costs its merge cascade, a few dictionary lookups per merge, plus one
+`math.fsum` over the terms of the regions it takes out and puts in.
+`fsum` is correctly rounded, so the delta is the exact change of the
+layout's term sum rounded once, and a fix that keeps the multiset of
+region areas scores exactly 0.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import operator
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Hashable, NamedTuple, Optional, Sequence
 
 from .entropy import Region, _EdgeIndex, _region_key, _union_rect
@@ -171,25 +166,17 @@ def rect_minus_cell(rect: Rect, cell: tuple[int, int]) -> list[Rect]:
 class Layout:
     """One sheet's regions, kept across every candidate fix scored on it.
 
-    Holds the regions in `_region_key` order with their keys, each one's
-    entropy term p*log2(p), and one edge index over all of them.  The
-    entropy before any fix comes from those terms by the same `entropy`
-    as every after, so a delta does not depend on the order `regions`
-    are listed in.  `entropy_delta` edits the index for one fix and then
-    puts it back as it was built.
+    Holds one edge index over the regions, the serial of each, and each
+    area's entropy term p*log2(p).  `entropy_delta` edits the index for
+    one fix and then puts it back as it was built.
     """
 
     def __init__(self, regions: Sequence[Region], total_cells: int) -> None:
-        ordered = sorted(regions, key=_region_key)
-        self.keys = [_region_key(r) for r in ordered]
         self.index = _EdgeIndex()
-        self.serials = {region: self.index.add(region) for region in ordered}
-        self.positions = {serial: i for i, serial in enumerate(self.serials.values())}
+        self.serials = {region: self.index.add(region) for region in regions}
         self.total_cells = total_cells
         self.scale = 1.0 / math.log2(total_cells) if total_cells > 1 else 0.0
         self._terms: dict[int, float] = {}
-        self.terms = [self.term(r.rect.area) for r in ordered]
-        self.before = self.entropy(self.terms)
 
     def term(self, area: int) -> float:
         """p*log2(p) for p = area / total_cells, as `normalized_entropy`
@@ -200,13 +187,6 @@ class Layout:
             t = self._terms[area] = p * math.log2(p)
         return t
 
-    def entropy(self, terms: Sequence[float]) -> float:
-        """Normalized entropy of a layout from its terms in key order: the
-        subtraction sequence of `normalized_entropy`'s loop, run in C."""
-        if self.total_cells <= 1 or len(terms) == 1:
-            return 0.0
-        return reduce(operator.sub, terms, 0.0) * self.scale
-
 
 def entropy_delta(fix: CandidateFix, layout: Layout) -> float:
     """Layout entropy after the fix minus before it.
@@ -214,27 +194,28 @@ def entropy_delta(fix: CandidateFix, layout: Layout) -> float:
     The source and target leave the layout's edge index; the merged
     region and any source fragments enter it and re-coalesce with their
     neighbours only: taken smallest key first, each merges with its
-    smallest-keyed partner and the union is queued in turn.  The result's
-    terms are the base terms with the removed regions' positions cut out
-    and the new regions' terms inserted at their key positions.  The
-    index is restored before returning.
+    smallest-keyed partner and the union is queued in turn.  The entropy
+    is minus the sum of the regions' terms, so its change is the removed
+    regions' terms less the added ones', summed by `math.fsum` and
+    normalized.  The index is restored before returning.
     """
     index = layout.index
     removed: list[tuple[int, Region]] = []  # base regions taken out
-    added: dict[int, tuple] = {}  # live new regions: serial -> key
+    added: set[int] = set()  # serials of live new regions
     queue: list[tuple] = []
 
     def take(serial: int) -> Region:
         # A new region that merges away leaves nothing to restore.
-        if added.pop(serial, None) is None:
+        if serial in added:
+            added.remove(serial)
+        else:
             removed.append((serial, index.live[serial]))
         return index.remove(serial)
 
     def put(region: Region) -> None:
-        key = _region_key(region)
         serial = index.add(region)
-        added[serial] = key
-        heapq.heappush(queue, (key, serial))
+        added.add(serial)
+        heapq.heappush(queue, (_region_key(region), serial))
 
     source, target = fix.source_region, fix.target
     take(layout.serials[source])
@@ -255,24 +236,13 @@ def entropy_delta(fix: CandidateFix, layout: Layout) -> float:
         other = take(partner)
         put(Region(_union_rect(current.rect, other.rect), current.fingerprint))
 
-    # Edits run from the highest position down, so the lower positions
-    # stay valid; at one position the cut goes first, then the inserts in
-    # descending key order.
-    edits: list[tuple] = [(layout.positions[serial], 1) for serial, _ in removed]
-    edits += [(bisect_left(layout.keys, key), 0, key, layout.term(index.live[serial].rect.area))
-              for serial, key in added.items()]
-    terms = layout.terms[:]
-    for edit in sorted(edits, reverse=True):
-        if edit[1]:
-            del terms[edit[0]]
-        else:
-            terms.insert(edit[0], edit[3])
-
+    terms = [layout.term(region.rect.area) for _, region in removed]
+    terms += [-layout.term(index.live[serial].rect.area) for serial in added]
     for serial in added:
         index.remove(serial)
     for serial, region in removed:
         index.add(region, serial)
-    return layout.entropy(terms) - layout.before
+    return math.fsum(terms) * layout.scale
 
 
 def fix_distance(fix: CandidateFix, table: SheetVectors) -> float:

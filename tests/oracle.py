@@ -22,8 +22,10 @@ computes in closed form or incrementally:
 * fix candidates from every ordered pair of regions, screened by the
   bounding-box rule C1 (`fixes.candidate_fixes` reads only the pairs
   that pass it off an edge index);
-* fix scoring that rebuilds the region layout for every candidate
-  (`fixes.entropy_delta` edits one persistent layout and undoes it).
+* fix scoring that rebuilds the region layout for every candidate and
+  takes the entropy change from the exact sums of both layouts' terms
+  (`fixes.entropy_delta` edits one persistent layout, undoes it, and
+  sums only the terms the fix changes).
 
 Two helpers only the tests call live here too: `ref_rects`, a formula's
 references as rectangles read off its tree, and `best_split`, one
@@ -35,9 +37,11 @@ from __future__ import annotations
 import bisect
 import heapq
 import json
+import math
 import re
 from operator import add, itemgetter, sub
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from gridlint.entropy import (
@@ -666,16 +670,26 @@ def layout_entropy(regions: Sequence[Region], total_cells: int) -> float:
     return normalized_entropy([r.rect.area for r in regions], total_cells)
 
 
+def term_sum(regions: Sequence[Region], total_cells: int) -> Fraction:
+    """The exact sum of a layout's entropy terms p*log2(p), p = area /
+    total_cells, each the float `normalized_entropy` computes."""
+    return sum((Fraction(p * math.log2(p)) for p in (r.rect.area / total_cells for r in regions)), Fraction(0))
+
+
 def rebuilt_entropy_delta(fix: CandidateFix, regions: Sequence[Region], total_cells: int,
-                          before: Optional[float] = None) -> float:
+                          before: Optional[Fraction] = None) -> float:
     """Layout entropy after the fix minus before it, from a rebuilt layout.
 
-    `before`, when given, must be layout_entropy(regions, total_cells).
+    The entropy is minus the term sum, so the change is the before
+    layout's exact term sum less the after layout's, rounded once to a
+    float and normalized.  `before`, when given, must be
+    term_sum(regions, total_cells).
     """
     if before is None:
-        before = layout_entropy(regions, total_cells)
-    after = layout_entropy(hypothetical_regions(fix, regions), total_cells)
-    return after - before
+        before = term_sum(regions, total_cells)
+    after = term_sum(hypothetical_regions(fix, regions), total_cells)
+    scale = 1.0 / math.log2(total_cells) if total_cells > 1 else 0.0
+    return float(before - after) * scale
 
 
 def rebuilt_score_candidates(
@@ -686,7 +700,7 @@ def rebuilt_score_candidates(
 ) -> list[ProposedFix]:
     """`fixes.score_candidates` with the layout rebuilt for each candidate."""
     out: list[ProposedFix] = []
-    before = layout_entropy(regions, total_cells)
+    before = term_sum(regions, total_cells)
     for fix in candidates:
         if admissible(fix, table) is not None:
             continue

@@ -38,7 +38,7 @@ def load_script(name):
     return module
 
 
-SCALING = ["scaling_benchmark.py", "--sizes", "5x5", "--totals", "5"]
+SCALING = ["scaling_benchmark.py", "--sizes", "5x5", "--totals", "5", "--noisy", "4"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -72,7 +72,7 @@ def test_collision_survey_reads_one_fingerprint_per_formula(monkeypatch):
 def test_scaling_benchmark_times_the_load():
     header, *rows = run_script(SCALING).splitlines()
     assert header.split() == ["sheet", "cells", "load", "vectors", "decomp", "fixes", "total", "regions"]
-    assert [row.split()[:2] for row in rows] == [["stripes_5x5", "25"], ["running_totals_5", "10"]]
+    assert [row.split()[:2] for row in rows] == [["stripes_5x5", "25"], ["running_totals_5", "10"], ["noisy_4x4", "16"]]
     assert all(row.split()[2].endswith("ms") for row in rows)
 
 
