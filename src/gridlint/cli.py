@@ -75,8 +75,16 @@ def cmd_render(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
     analysis = analyze_workbook(workbook)
+    written: set[str] = set()
     for sheet in analysis.sheets:
-        path = out_dir / f"{_safe_name(workbook.name)}_{_safe_name(sheet.name)}.html"
+        # Sheet names that sanitize alike get _2, _3, ... in sheet order.
+        stem = name = f"{_safe_name(workbook.name)}_{_safe_name(sheet.name)}"
+        suffix = 1
+        while name in written:
+            suffix += 1
+            name = f"{stem}_{suffix}"
+        written.add(name)
+        path = out_dir / f"{name}.html"
         if sheet.cells == 0:
             path.write_text(render_empty_view(sheet.name), encoding="utf-8")
         else:

@@ -11,34 +11,38 @@ full-height columns or full-width rows (delimiter lines such as blank
 separators or border strips), so that large sheets decompose piecewise.
 It chooses among the cuts at delimiter-run boundaries by the same rule.
 
-Costs.  A node of the tree finds its cut in O(area): one sweep per axis
-keeps running fingerprint histograms of the two halves and an exact
-integer running sum of c*log2(c), which scores every cut approximately;
-only the cuts within a proven rounding margin of the best are re-scored
-exactly.  A re-score sums the histograms of one half's lines, which the
-sweep has already built, and reads the counts in code order, as
-`counts_in` returns them; so trees and entropy floats are those of the
-plain per-cut search with `split_entropy`, and the tree makes no
-`counts_in` call.  A node whose every cell has a fingerprint of its own
-(all-distinct) is decided in closed form: each half of it holds counts
-of 1 only, so its sweep scores, exact scores and cut depend on its width
-and height alone, and are memoised per shape for the tree.  Its subtree
-is all-distinct too and builds no histogram, so a 1 x n column of
-distinct fingerprints, which the tree peels one cell per node, costs one
-histogram and one exact half score per length.
+Costs.  The tree and the preprocessing share one cut search
+(`_cut_search`) over the code histograms of the strips that slice a
+rectangle along each axis: single lines for a tree node, the strips
+between consecutive candidate cuts for a delimiter piece.  One sweep per
+axis keeps running histograms of the two halves and an exact integer
+running sum of c*log2(c), which scores every cut approximately; only the
+cuts within a proven rounding margin of the best are re-scored exactly.
+A re-score sums the strip histograms of the cut's smaller half and reads
+the counts in code order, as `counts_in` returns them; so cuts and
+entropy floats are those of the plain search that scores each cut's
+split entropy (the summed normalized entropy of both halves' counts)
+with two `counts_in` calls, and neither the tree nor the preprocessing
+calls `counts_in`.  A tree node finds its cut in O(area).  A node whose
+every cell has a fingerprint of its own (all-distinct) is decided in
+closed form: each half of it holds counts of 1 only, so its sweep
+scores, exact scores and cut depend on its width and height alone, and
+are memoised per shape for the tree.  Its subtree is all-distinct too
+and builds no histogram, so a 1 x n column of distinct fingerprints,
+which the tree peels one cell per node, costs one histogram and one
+exact half score per length.
 
-Preprocessing runs the same sweep over the strips between consecutive
-candidate cuts instead of single lines: a strip inside one delimiter run
-needs no counting and any other costs one `counts_in`, so a piece with c
-candidate cuts pays at most c + 1 counts for its sweep, plus two per cut
-re-scored near the minimum (none when only one is near it), where
-scoring every cut exactly pays 2c.  Coalescing indexes regions by their
-full edges, so a region's merge partners are a few dictionary lookups
-and R regions coalesce in O(R log R).
+A delimiter piece counts the cells of its strips outside the delimiter
+runs once (a strip inside one run holds its run's code alone).  It is
+not swept when it has one candidate cut, and not re-scored when one cut
+is near the minimum.  Coalescing indexes regions by their full edges, so
+a region's merge partners are a few dictionary lookups and R regions
+coalesce in O(R log R).
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import operator
@@ -109,14 +113,6 @@ def split_halves(region: Rect, index: int, vertical: bool) -> tuple[Rect, Rect]:
     )
 
 
-def split_entropy(grid: FingerprintGrid, region: Rect, index: int, vertical: bool) -> float:
-    """Summed normalized entropy of the two halves of a candidate cut."""
-    first, second = split_halves(region, index, vertical)
-    e1 = normalized_entropy(grid.counts_in(first).values(), first.area)
-    e2 = normalized_entropy(grid.counts_in(second).values(), second.area)
-    return e1 + e2
-
-
 @dataclass(frozen=True)
 class EntropyLeaf:
     region: Rect
@@ -174,18 +170,17 @@ def _cut_margin(area: int) -> float:
     So a half's sweep value is within 2**-(B+1) + (N + 20)u of what
     `normalized_entropy` returns, and a cut's, after each side adds two
     halves (values <= 2, so 2u each), within d = 2**-B + (2N + 44)u of
-    what `split_entropy` returns.  An exact minimizer therefore sweeps
+    its split entropy.  An exact minimizer therefore sweeps
     to at most the sweep minimum + 2d; the margin is twice that, 4d.
     """
     return 4.0 * (2.0**-_SWEEP_BITS + (2 * area + 44) * _UNIT_ROUNDOFF)
 
 
-def _sweep(blocks: Sequence[Mapping[Hashable, int]], sizes: Sequence[int], total: Mapping[Hashable, int],
+def _sweep(blocks: Sequence[Mapping[int, int]], sizes: Sequence[int], total: Mapping[int, int],
            table: _XLogXTable) -> list[float]:
     """Approximate split entropy after each block but the last.
 
-    `blocks` are the histograms (fingerprint or code -> count) of the
-    consecutive strips, single lines or wider, that slice the rectangle
+    `blocks` are the code histograms of the consecutive strips, single lines or wider, that slice the rectangle
     along one axis, `sizes` their cell counts and `total` their sum.
     Moving a block from the right half to the left updates each half's
     integer sum of c*log2(c) only for the keys in that block, so the
@@ -193,7 +188,7 @@ def _sweep(blocks: Sequence[Mapping[Hashable, int]], sizes: Sequence[int], total
     1 - S / (n * log2(n)), its normalized entropy.
     """
     n = sum(sizes)
-    left: dict[Hashable, int] = {}
+    left: dict[int, int] = {}
     s_left = 0
     s_right = sum(table[c] for c in total.values())
     k_left = 0
@@ -223,7 +218,7 @@ def _near_minimum(area: int, cuts: Sequence[tuple[bool, int]],
                   scores: Sequence[float]) -> list[tuple[bool, int]]:
     """The cuts whose sweep score is within `_cut_margin` of the lowest.
 
-    Every cut that minimizes `split_entropy` on a rectangle of `area`
+    Every cut that minimizes the split entropy on a rectangle of `area`
     cells is among them (see `_cut_margin`), in the order of `cuts`.
     """
     threshold = min(scores) + _cut_margin(area)
@@ -236,8 +231,8 @@ def _first_exact_minimum(cuts: Sequence[tuple[bool, int]],
     lowest exact score, `score(vertical, index)`.
 
     With `cuts` from `_near_minimum` in the pinned order, vertical before
-    horizontal and smaller indices first, and a `score` equal to
-    `split_entropy`, this is the cut that scoring every cut exactly in
+    horizontal and smaller indices first, and a `score` equal to the
+    split entropy, this is the cut that scoring every cut exactly in
     that order picks.
     """
     best: Optional[tuple[bool, int, float]] = None
@@ -247,6 +242,45 @@ def _first_exact_minimum(cuts: Sequence[tuple[bool, int]],
             best = (vertical, index, e)
     assert best is not None
     return best
+
+
+def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple],
+                table: _XLogXTable) -> tuple[list[tuple[bool, int]], Callable[[bool, int], float]]:
+    """(cuts near the minimum, exact scorer) for a rectangle of `area`
+    cells whose code histogram is `total`.
+
+    Each of `axes` slices the rectangle into consecutive strips:
+    (vertical, their code histograms, cell counts, last lines).  A cut
+    lies after each strip but the last.  The cuts within `_cut_margin` of
+    the sweep's lowest come back in the order of `axes`, then of index.
+    `exact(vertical, index)` sums the strips of the cut's smaller half,
+    takes the other half's counts from `total`, and reads both in code
+    order, which is `counts_in`'s: its floats are the split entropy's.
+    """
+    cuts: list[tuple[bool, int]] = []
+    scores: list[float] = []
+    strips = {}
+    for vertical, hists, sizes, lasts in axes:
+        cuts += [(vertical, i) for i in lasts[:-1]]
+        scores += _sweep(hists, sizes, total, table)
+        strips[vertical] = hists, sizes, lasts
+    codes = sorted(total)
+
+    def exact(vertical: bool, index: int) -> float:
+        hists, sizes, lasts = strips[vertical]
+        k = bisect.bisect_left(lasts, index) + 1
+        n_low = sum(sizes[:k])
+        low_is_smaller = 2 * n_low <= area
+        part: Counter = Counter()
+        for hist in hists[:k] if low_is_smaller else hists[k:]:
+            part.update(hist)
+        own = [part[c] for c in sorted(part)]
+        # normalized_entropy skips the zero counts, as counts_in omits them.
+        rest = [total[c] - part.get(c, 0) for c in codes]
+        low, high = (own, rest) if low_is_smaller else (rest, own)
+        return normalized_entropy(low, n_low) + normalized_entropy(high, area - n_low)
+
+    return _near_minimum(area, cuts, scores), exact
 
 
 class _DistinctCuts:
@@ -317,10 +351,8 @@ def _decide(grid: FingerprintGrid, region: Rect, table: _XLogXTable,
     rectangle, else its best cut; all_distinct is True when every cell
     has a fingerprint of its own, and the cut then comes from `distinct`.
 
-    Otherwise sweeps both axes once, line by line, for approximate cut
-    scores, then re-scores exactly only the cuts near the minimum, each
-    from the line histograms of its smaller half: O(area) in all, with no
-    `counts_in`.
+    Otherwise searches the cuts between single lines (`_cut_search`):
+    O(area) in all, with no `counts_in`.
     """
     block = [row[region.left - 1:region.right] for row in grid.code_rows[region.top - 1:region.bottom]]
     total = Counter(chain.from_iterable(block))
@@ -328,30 +360,13 @@ def _decide(grid: FingerprintGrid, region: Rect, table: _XLogXTable,
         return None, False
     if len(total) == region.area:
         return distinct.cut(region), True
-    columns = [Counter(col) for col in zip(*block)]
-    rows = [Counter(row) for row in block]
-    v_scores = _sweep(columns, [region.height] * region.width, total, table)
-    h_scores = _sweep(rows, [region.width] * region.height, total, table)
-    cuts = [(True, i) for i in range(region.left, region.right)]
-    cuts += [(False, i) for i in range(region.top, region.bottom)]
-    # Codes are numbered in palette order, so this is `counts_in`'s order.
-    codes = sorted(total)
-
-    def exact(vertical: bool, index: int) -> float:
-        lines, first, depth = (columns, region.left, region.height) if vertical else (rows, region.top, region.width)
-        k = index - first + 1
-        low_is_smaller = 2 * k <= len(lines)
-        part: Counter = Counter()
-        for hist in lines[:k] if low_is_smaller else lines[k:]:
-            part.update(hist)
-        own = [part[c] for c in sorted(part)]
-        # normalized_entropy skips the zero counts, as counts_in omits them.
-        rest = [total[c] - part.get(c, 0) for c in codes]
-        low, high = (own, rest) if low_is_smaller else (rest, own)
-        n_low = k * depth
-        return normalized_entropy(low, n_low) + normalized_entropy(high, region.area - n_low)
-
-    return _first_exact_minimum(_near_minimum(region.area, cuts, v_scores + h_scores), exact), False
+    near, exact = _cut_search(region.area, total, (
+        (True, [Counter(col) for col in zip(*block)], [region.height] * region.width,
+         range(region.left, region.right + 1)),
+        (False, [Counter(row) for row in block], [region.width] * region.height,
+         range(region.top, region.bottom + 1)),
+    ), table)
+    return _first_exact_minimum(near, exact), False
 
 
 def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> EntropyTree:
@@ -371,46 +386,32 @@ def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> Entrop
         region = grid.full_rect()
     table = _XLogXTable()
     distinct_cuts = _DistinctCuts()
-    # Pass 1: decide every node's cut top-down, stack order = preorder.
-    plan: dict[tuple[int, int, int, int], Optional[tuple[bool, int, float, Rect, Rect]]] = {}
-    order: list[Rect] = []
+    # Decide every node's cut top-down; stack order is preorder.
+    order: list[tuple[Rect, Optional[tuple[bool, int, float]]]] = []
     pending = [(region, False)]
     while pending:
         r, distinct = pending.pop()
-        order.append(r)
-        key = (r.left, r.top, r.right, r.bottom)
         if r.area == 1:
             decision = None
         elif distinct:
             decision = distinct_cuts.cut(r)
         else:
             decision, distinct = _decide(grid, r, table, distinct_cuts)
+        order.append((r, decision))
+        if decision is not None:
+            low, high = split_halves(r, decision[1], decision[0])
+            pending += [(high, distinct), (low, distinct)]
+    # In reversed preorder a node's high subtree, then its low one, is
+    # built just before it, so both sit on top of the stack.
+    built: list[EntropyTree] = []
+    for r, decision in reversed(order):
         if decision is None:
-            plan[key] = None
-            continue
-        vertical, index, entropy = decision
-        low, high = split_halves(r, index, vertical)
-        plan[key] = (vertical, index, entropy, low, high)
-        pending.append((high, distinct))
-        pending.append((low, distinct))
-    # Pass 2: assemble bottom-up; children precede parents in reversed preorder.
-    built: dict[tuple[int, int, int, int], EntropyTree] = {}
-    for r in reversed(order):
-        key = (r.left, r.top, r.right, r.bottom)
-        decision = plan[key]
-        if decision is None:
-            built[key] = EntropyLeaf(r)
+            built.append(EntropyLeaf(r))
         else:
-            vertical, index, entropy, low, high = decision
-            built[key] = EntropyNode(
-                r,
-                built[(low.left, low.top, low.right, low.bottom)],
-                built[(high.left, high.top, high.right, high.bottom)],
-                vertical,
-                index,
-                entropy,
-            )
-    return built[(region.left, region.top, region.right, region.bottom)]
+            vertical, index, entropy = decision
+            low_tree = built.pop()
+            built.append(EntropyNode(r, low_tree, built.pop(), vertical, index, entropy))
+    return built[0]
 
 
 def tree_leaves(tree: EntropyTree) -> list[EntropyLeaf]:
@@ -427,9 +428,11 @@ def tree_leaves(tree: EntropyTree) -> list[EntropyLeaf]:
     return out
 
 
-def _region_key(region: Region) -> tuple:
+def _region_key(region: Region) -> tuple[int, int, int, int]:
+    # Live regions of a tiling never share a rectangle, and a region only
+    # grows, so no two regions ever compared share this key.
     r = region.rect
-    return (r.top, r.left, r.bottom, r.right, repr(region.fingerprint))
+    return (r.top, r.left, r.bottom, r.right)
 
 
 def _union_rect(a: Rect, b: Rect) -> Rect:
@@ -585,25 +588,29 @@ def _run_cuts(ids: list[Optional[int]], length: int) -> list[int]:
 
 
 def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], ids: list[Optional[int]],
-          vertical: bool) -> tuple[list[dict], list[int]]:
-    """Fingerprint histogram and cell count of each strip of `r` between
-    its consecutive `cuts` along one axis, edges included.
+          vertical: bool) -> tuple:
+    """One axis of `r` for `_cut_search`: the strips between its
+    consecutive `cuts`, edges included, counted off the code rows.
 
     Cuts sit at every run boundary, so a strip is either one whole
-    delimiter run, which holds its run's fingerprint alone, or lines of
-    no run, which cost one `counts_in`.
+    delimiter run, which holds its run's code alone, or lines of no run,
+    whose code-row slices are counted once.
     """
     first, last, depth = (r.left, r.right, r.height) if vertical else (r.top, r.bottom, r.width)
-    hists: list[dict] = []
+    rows = grid.code_rows
+    lasts = cuts + [last]
+    hists: list[Mapping[int, int]] = []
     sizes: list[int] = []
-    for lo, hi in zip([first] + [i + 1 for i in cuts], cuts + [last]):
+    for lo, hi in zip([first] + [i + 1 for i in cuts], lasts):
         size = (hi - lo + 1) * depth
         if ids[lo] is not None and ids[lo] == ids[hi]:
-            hists.append({grid.fingerprint_at(lo, 1) if vertical else grid.fingerprint_at(1, lo): size})
+            hists.append({rows[0][lo - 1] if vertical else rows[lo - 1][0]: size})
+        elif vertical:
+            hists.append(Counter(chain.from_iterable(row[lo - 1:hi] for row in rows[r.top - 1:r.bottom])))
         else:
-            hists.append(grid.counts_in(Rect(lo, r.top, hi, r.bottom) if vertical else Rect(r.left, lo, r.right, hi)))
+            hists.append(Counter(chain.from_iterable(row[r.left - 1:r.right] for row in rows[lo - 1:hi])))
         sizes.append(size)
-    return hists, sizes
+    return vertical, hists, sizes, lasts
 
 
 def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
@@ -615,12 +622,12 @@ def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
     before horizontal on ties, smallest index on ties.  A piece lying
     entirely inside one run needs no further cutting and is kept whole.
 
-    A piece scores its candidate cuts with one blockwise sweep per axis
-    over the strips between them (`_gaps`).  Only the cuts near the
-    sweep's minimum are re-scored exactly, and none when just one is.  So
-    a piece costs one `counts_in` per strip outside the runs, the
-    fingerprints of its strips, and rarely more than one exact re-score,
-    where scoring every cut exactly takes two counts per cut.
+    A piece with more than one candidate cut searches them as the tree
+    does (`_cut_search`), over the strips between them (`_gaps`) instead
+    of single lines, and re-scores exactly only the cuts near the sweep's
+    minimum, none when just one is.  So a piece counts each cell of its
+    strips outside the runs once, plus the strips of one half per exact
+    re-score, and makes no `counts_in` call.
     """
     col_ids = _axis_runs(grid, True)
     row_ids = _axis_runs(grid, False)
@@ -643,25 +650,14 @@ def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
             pieces.append(r)
             continue
         if len(cuts) > 1:
-            scores: list[float] = []
-            total: Optional[dict] = None
-            for vertical, cand, ids in ((True, cand_v, col_ids), (False, cand_h, row_ids)):
-                if not cand:
-                    continue
-                hists, sizes = _gaps(grid, r, cand, ids, vertical)
-                if total is None:
-                    total = {}
-                    for hist in hists:
-                        for fp, c in hist.items():
-                            total[fp] = total.get(fp, 0) + c
-                scores += _sweep(hists, sizes, total, table)
-            cuts = _near_minimum(r.area, cuts, scores)
+            axes = [_gaps(grid, r, cand, ids, vertical)
+                    for vertical, cand, ids in ((True, cand_v, col_ids), (False, cand_h, row_ids)) if cand]
+            total: Counter = Counter()
+            for hist in axes[0][1]:
+                total.update(hist)
+            cuts, exact = _cut_search(r.area, total, axes, table)
         # A lone cut near the minimum is the only exact minimizer.
-        if len(cuts) == 1:
-            vertical, index = cuts[0]
-        else:
-            vertical, index, _ = _first_exact_minimum(
-                cuts, lambda v, i: split_entropy(grid, r, i, v))
+        vertical, index = cuts[0] if len(cuts) == 1 else _first_exact_minimum(cuts, exact)[:2]
         low, high = split_halves(r, index, vertical)
         stack.append(high)
         stack.append(low)

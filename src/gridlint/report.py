@@ -37,17 +37,6 @@ class AdjacencyGraph:
     anchors: Mapping[Hashable, tuple[int, int]]  # (row, col) of top-left cell
     uncolorable: frozenset = field(default_factory=frozenset)
 
-    def degree(self, v: Hashable) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def neighbors(self, v: Hashable) -> list[Hashable]:
-        out = []
-        for e in self.edges:
-            if v in e:
-                (other,) = e - {v}
-                out.append(other)
-        return out
-
 
 def build_adjacency(table: SheetVectors) -> AdjacencyGraph:
     """Cluster the used range by fingerprint and link touching clusters."""
@@ -129,11 +118,16 @@ def assign_colors(graph: AdjacencyGraph, excluded: Optional[tuple[float, float]]
 
     Visit order: descending degree, then descending size, then top-left
     anchor.  Uncolorable clusters (plain text, blanks) get None and do
-    not constrain their neighbours.
+    not constrain their neighbours.  One pass over the edges builds every
+    vertex's neighbours, so coloring is linear in the graph's size.
     """
+    neighbors: dict[Hashable, list[Hashable]] = {v: [] for v in graph.vertices}
+    for a, b in graph.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
     order = sorted(
         graph.vertices,
-        key=lambda v: (-graph.degree(v), -graph.sizes.get(v, 1), graph.anchors.get(v, (0, 0))),
+        key=lambda v: (-len(neighbors[v]), -graph.sizes.get(v, 1), graph.anchors.get(v, (0, 0))),
     )
     palette: list[float] = []
     index_of: dict[Hashable, int] = {}
@@ -142,7 +136,7 @@ def assign_colors(graph: AdjacencyGraph, excluded: Optional[tuple[float, float]]
         if v in graph.uncolorable:
             colors[v] = None
             continue
-        taken = {index_of[n] for n in graph.neighbors(v) if n in index_of}
+        taken = {index_of[n] for n in neighbors[v] if n in index_of}
         k = 0
         while k in taken:
             k += 1

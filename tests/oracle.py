@@ -26,6 +26,8 @@ computes in closed form or incrementally:
   takes the entropy change from the exact sums of both layouts' terms
   (`fixes.entropy_delta` edits one persistent layout, undoes it, and
   sums only the terms the fix changes).
+* cluster coloring that scans every edge for each vertex's degree and
+  neighbours (`report.assign_colors` builds a neighbour map once).
 
 Two helpers only the tests call live here too: `ref_rects`, a formula's
 references as rectangles read off its tree, and `best_split`, one
@@ -42,7 +44,7 @@ import re
 from operator import add, itemgetter, sub
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from gridlint.entropy import (
     InvalidSplitError,
@@ -52,11 +54,9 @@ from gridlint.entropy import (
     _XLogXTable,
     _axis_runs,
     _decide,
-    _region_key,
     _run_cuts,
     _union_rect,
     normalized_entropy,
-    split_entropy,
     split_halves,
 )
 from gridlint.fixes import (
@@ -101,6 +101,7 @@ from gridlint.model import (
     column_to_letters,
     to_a1,
 )
+from gridlint.report import EXCLUDED_RED, HSL, AdjacencyGraph, next_hue
 from gridlint.vectors import (
     EMPTY_FINGERPRINT,
     TEXT_FINGERPRINT,
@@ -440,7 +441,7 @@ class PrefixCounts:
         return {self.palette[code]: n for code, n in self.counts(rect).items()}
 
     def split_entropy(self, region: Rect, index: int, vertical: bool) -> float:
-        """`entropy.split_entropy` from these counts, in code order as
+        """`split_entropy` from these counts, in code order as
         `counts_in` returns them."""
         first, second = split_halves(region, index, vertical)
         return self._entropy(first) + self._entropy(second)
@@ -456,6 +457,16 @@ class PrefixCounts:
 
 
 # -- one rectangle's best cut -------------------------------------------------
+
+
+def split_entropy(grid: FingerprintGrid, region: Rect, index: int, vertical: bool) -> float:
+    """Summed normalized entropy of the two halves of a candidate cut,
+    each counted with `counts_in`: the score `entropy._cut_search`
+    computes from strip histograms."""
+    first, second = split_halves(region, index, vertical)
+    e1 = normalized_entropy(grid.counts_in(first).values(), first.area)
+    e2 = normalized_entropy(grid.counts_in(second).values(), second.area)
+    return e1 + e2
 
 
 def best_split(grid: FingerprintGrid, region: Rect) -> tuple[bool, int, float]:
@@ -525,6 +536,16 @@ def naive_delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
 
 # -- fix candidates from all region pairs -------------------------------------
 
+
+def region_key(region: Region) -> tuple:
+    """The coalescing and fix order's key with the fingerprint's `repr`
+    as a last tie-break, which `entropy._region_key` drops: the naive
+    references below order by it, so that they show the tie-break
+    never decides."""
+    r = region.rect
+    return (r.top, r.left, r.bottom, r.right, repr(region.fingerprint))
+
+
 REASON_NOT_RECTANGULAR = "C1"
 
 
@@ -563,7 +584,7 @@ def naive_candidate_fixes(regions: Sequence[Region]) -> list[CandidateFix]:
     one-cell regions, where the whole-region candidate is the same thing).
     Most of them fail C1.
     """
-    ordered = sorted(regions, key=lambda r: (r.rect.top, r.rect.left, r.rect.bottom, r.rect.right))
+    ordered = sorted(regions, key=region_key)
     out: list[CandidateFix] = []
     for a in ordered:
         for b in ordered:
@@ -607,7 +628,7 @@ def _coalesce_targeted(stable: Sequence[Region], dirty: Sequence[Region]) -> lis
     queue = []
     for region in dirty:
         serial = index.add(region)
-        heapq.heappush(queue, (_region_key(region), serial))
+        heapq.heappush(queue, (region_key(region), serial))
     while queue:
         _, serial = heapq.heappop(queue)
         if serial not in index.live:
@@ -615,19 +636,19 @@ def _coalesce_targeted(stable: Sequence[Region], dirty: Sequence[Region]) -> lis
         partners = index.partners(serial)
         if not partners:
             continue
-        partner = min(partners, key=lambda s: _region_key(index.live[s]))
+        partner = min(partners, key=lambda s: region_key(index.live[s]))
         current = index.remove(serial)
         other = index.remove(partner)
         union = Region(_union_rect(current.rect, other.rect), current.fingerprint)
-        heapq.heappush(queue, (_region_key(union), index.add(union)))
-    return sorted(index.live.values(), key=_region_key)
+        heapq.heappush(queue, (region_key(union), index.add(union)))
+    return sorted(index.live.values(), key=region_key)
 
 
 def naive_coalesce_targeted(stable, dirty):
     """Take the smallest dirty region; merge it with the first mergeable
     region of the sorted list; queue the union; repeat."""
-    items = sorted(list(stable) + list(dirty), key=_region_key)
-    queue = sorted(dirty, key=_region_key)
+    items = sorted(list(stable) + list(dirty), key=region_key)
+    queue = sorted(dirty, key=region_key)
     while queue:
         current = queue.pop(0)
         if current not in items:
@@ -647,10 +668,10 @@ def naive_coalesce_targeted(stable, dirty):
             current.fingerprint,
         )
         items.append(union)
-        items.sort(key=_region_key)
+        items.sort(key=region_key)
         queue = [q for q in queue if q != partner]
         queue.append(union)
-        queue.sort(key=_region_key)
+        queue.sort(key=region_key)
     return items
 
 
@@ -722,6 +743,48 @@ def rebuilt_score_candidates(
             )
         )
     return out
+
+
+# -- cluster coloring, every edge scanned per vertex -------------------------
+
+
+def naive_assign_colors(graph: AdjacencyGraph,
+                        excluded: Optional[tuple[float, float]] = EXCLUDED_RED) -> dict[Hashable, Optional[HSL]]:
+    """`report.assign_colors` with each vertex's degree and neighbours
+    found by a scan of every edge, O(V*E) in all (`assign_colors` builds
+    a neighbour map once)."""
+
+    def degree(v: Hashable) -> int:
+        return sum(1 for e in graph.edges if v in e)
+
+    def neighbors(v: Hashable) -> list[Hashable]:
+        out = []
+        for e in graph.edges:
+            if v in e:
+                (other,) = e - {v}
+                out.append(other)
+        return out
+
+    order = sorted(
+        graph.vertices,
+        key=lambda v: (-degree(v), -graph.sizes.get(v, 1), graph.anchors.get(v, (0, 0))),
+    )
+    palette: list[float] = []
+    index_of: dict[Hashable, int] = {}
+    colors: dict[Hashable, Optional[HSL]] = {}
+    for v in order:
+        if v in graph.uncolorable:
+            colors[v] = None
+            continue
+        taken = {index_of[n] for n in neighbors(v) if n in index_of}
+        k = 0
+        while k in taken:
+            k += 1
+        while k >= len(palette):
+            palette.append(next_hue(set(palette), excluded))
+        index_of[v] = k
+        colors[v] = (palette[k], 1.0, 0.5)
+    return colors
 
 
 # -- the workbook loader, every cell through one validating function ---------

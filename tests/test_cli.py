@@ -221,6 +221,24 @@ class TestRender:
         assert code == 0
         assert (tmp_path / "odd_book_P_L_2024_.html").exists()
 
+    def test_sheets_named_alike_get_pages_of_their_own(self, tmp_path, capsys):
+        source = tmp_path / "wb.gridbook"
+        source.write_text(json.dumps({
+            "workbook": "wb",
+            "sheets": [
+                {"name": "Q1 2020", "cells": {"A1": {"n": 1}, "A2": {"f": "=A1"}}},
+                {"name": "Q1_2020", "cells": {"B1": {"s": "x"}}},
+                {"name": "Q1 2020_2", "cells": {"A1": {"n": 2}}},
+            ],
+        }))
+        code, _, err = run(["render", str(source), "--out", str(tmp_path)], capsys)
+        assert code == 0
+        names = ["wb_Q1_2020.html", "wb_Q1_2020_2.html", "wb_Q1_2020_2_2.html"]
+        assert sorted(p.name for p in tmp_path.glob("*.html")) == names
+        assert err.splitlines() == [f"wrote {tmp_path / name}" for name in names]
+        for name, sheet in zip(names, analyze_workbook(load_workbook(source)).sheets):
+            assert (tmp_path / name).read_text(encoding="utf-8") == render_global_view(sheet.table)
+
     def test_missing_file(self, capsys):
         assert run(["render", "absent.gridbook"], capsys)[0] == 2
 

@@ -19,13 +19,13 @@ from gridlint.entropy import (
     _XLogXTable,
     _axis_runs,
     _cut_margin,
+    _run_cuts,
     _sweep,
     coalesce,
     decompose_grid,
     delimiter_splits,
     entropy_tree,
     normalized_entropy,
-    split_entropy,
     split_halves,
     tree_leaves,
 )
@@ -33,7 +33,7 @@ from gridlint.grid import FingerprintGrid
 from gridlint.model import Rect
 
 from conftest import banded_tile_grid, random_label_grid
-from oracle import PrefixCounts, best_split, mergeable, naive_delimiter_splits
+from oracle import PrefixCounts, best_split, mergeable, naive_delimiter_splits, region_key, split_entropy
 
 
 def reference_entropy(counts, n):
@@ -425,8 +425,7 @@ def tree_preorder(tree):
 
 def naive_coalesce(regions):
     """Merge the first mergeable pair of the sorted list, to a fixed point."""
-    key = lambda r: (r.rect.top, r.rect.left, r.rect.bottom, r.rect.right, repr(r.fingerprint))
-    items = sorted(regions, key=key)
+    items = sorted(regions, key=region_key)
     merged = True
     while merged:
         merged = False
@@ -442,7 +441,7 @@ def naive_coalesce(regions):
                     del items[j]
                     del items[i]
                     items.append(union)
-                    items.sort(key=key)
+                    items.sort(key=region_key)
                     merged = True
                     break
             if merged:
@@ -690,6 +689,29 @@ class TestDelimiterSplitsOracle:
         grid = banded_tile_grid(rng)
         assert delimiter_splits(grid) == naive_delimiter_splits(grid)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_exact_scores_equal_split_entropy(self, rng):
+        # Every candidate cut of a piece, scored from the strips between
+        # the cuts, against two full counts, bit for bit.
+        grid = random_banded_grid(rng)
+        left, right = sorted(rng.randint(1, grid.width) for _ in range(2))
+        top, bottom = sorted(rng.randint(1, grid.height) for _ in range(2))
+        piece = Rect(left, top, right, bottom)
+        axes = []
+        for vertical, length, first, last in ((True, grid.width, left, right), (False, grid.height, top, bottom)):
+            ids = _axis_runs(grid, vertical)
+            cuts = [i for i in _run_cuts(ids, length) if first <= i < last]
+            if cuts:
+                axes.append(entropy._gaps(grid, piece, cuts, ids, vertical))
+        if not axes:
+            return
+        total = Counter(chain.from_iterable(row[left - 1:right] for row in grid.code_rows[top - 1:bottom]))
+        _, exact = entropy._cut_search(piece.area, total, axes, _XLogXTable())
+        for vertical, _, _, lasts in axes:
+            for index in lasts[:-1]:
+                assert exact(vertical, index) == split_entropy(grid, piece, index, vertical)
+
     def test_striped_sheet_counts_little(self, monkeypatch):
         grid = striped_sheet_grid(200)
         calls = []
@@ -701,7 +723,7 @@ class TestDelimiterSplitsOracle:
 
         monkeypatch.setattr(FingerprintGrid, "counts_in", counting)
         pieces = delimiter_splits(grid)
-        assert len(calls) < 1000  # scoring every cut takes 14,280
+        assert calls == []  # scoring every cut with two counts takes 14,280
         assert len(pieces) == 120
         assert pieces == naive_delimiter_splits(grid)
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import inconsistent_sum_workbook
 from gridlint import pipeline
 from gridlint.entropy import Region
+from gridlint.grid import FingerprintGrid
 from gridlint.model import CellContent, FormatError, Rect, Workbook, Worksheet, load_workbook
 from gridlint.pipeline import (
     MAX_USED_CELLS,
@@ -137,6 +138,21 @@ class TestAnalyzeWorkbook:
     def test_parse_seconds_carried_through(self):
         analysis = analyze_workbook(inconsistent_sum_workbook(), parse_seconds=1.25)
         assert analysis.timings["parse"] == 1.25
+
+    def test_fixtures_make_no_counts_in_call(self, fixtures_dir, monkeypatch):
+        # The tree and the delimiter preprocessing count their own strips.
+        calls = []
+        counts_in = FingerprintGrid.counts_in
+
+        def counting(self, rect):
+            calls.append(rect)
+            return counts_in(self, rect)
+
+        monkeypatch.setattr(FingerprintGrid, "counts_in", counting)
+        for path in sorted(fixtures_dir.glob("*.gridbook")):
+            for preprocess in (True, False):
+                analyze_workbook(load_workbook(path), AnalysisConfig(preprocess=preprocess))
+        assert calls == []
 
 
 class TestTwoTablesFixture:

@@ -7,8 +7,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import inconsistent_sum_workbook
+from oracle import naive_assign_colors
 from gridlint.model import CellContent, Workbook, Worksheet
 from gridlint.pipeline import analyze_sheet
 from gridlint.report import (
@@ -141,8 +143,23 @@ class TestAssignColors:
             for e in graph.edges:
                 u, v = tuple(e)
                 assert colors[u] != colors[v]
-            max_degree = max((graph.degree(v) for v in graph.vertices), default=0)
+            max_degree = max((sum(v in e for e in graph.edges) for v in graph.vertices), default=0)
             assert len({c[0] for c in colors.values()}) <= max_degree + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_edge_scanning_reference(self, data):
+        n = data.draw(st.integers(1, 14))
+        vertex = st.integers(0, n - 1)
+        edges = data.draw(st.sets(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])))
+        graph = AdjacencyGraph(
+            vertices=tuple(range(n)),
+            edges=frozenset(frozenset(e) for e in edges),
+            sizes={v: data.draw(st.integers(1, 4)) for v in range(n)},
+            anchors={v: data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3))) for v in range(n)},
+            uncolorable=frozenset(data.draw(st.sets(vertex))),
+        )
+        assert assign_colors(graph) == naive_assign_colors(graph)
 
 
 class TestBuildAdjacency:
