@@ -20,7 +20,7 @@ import argparse
 from pathlib import Path
 
 from gridlint.evaluate import collision_rate, rectangularity_stats
-from gridlint.model import CellKind, load_workbook
+from gridlint.model import load_workbook
 from gridlint.pipeline import analyze_sheet
 from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT
 
@@ -30,8 +30,8 @@ def data_like(tables, fingerprint) -> int:
     return sum(
         1
         for table in tables
-        for key, kind in table.kinds.items()
-        if kind is CellKind.FORMULA and table.fingerprint(*key) == fingerprint
+        for cell in table.refs
+        if table.fingerprint(*cell) == fingerprint
     )
 
 

@@ -10,6 +10,7 @@ replacement) anchors an adjusted precision.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -226,26 +227,19 @@ def collision_rate(tables: Sequence[SheetVectors]) -> float:
     sets differ (the fingerprint sum hides a real shape difference).
 
     A reference's vectors fill a box (vectors.offset_box); each cell's set
-    is compared through the canonical form of the union of its boxes."""
-    groups: dict[tuple, list[tuple]] = {}
+    is compared through the canonical form of the union of its boxes.  The
+    pairs that differ are the same-fingerprint pairs less the same-set ones."""
+    by_fingerprint: Counter = Counter()
+    by_set: Counter = Counter()
     for table in tables:
-        for key, kind in sorted(table.kinds.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            if kind is not CellKind.FORMULA:
-                continue
-            boxes = [offset_box(r, *key, table.sheet_name, table.workbook_name) for r in table.refs.get(key, ())]
-            groups.setdefault(table.fingerprint(*key), []).append(_union_key(boxes))
-    pairs = 0
-    collisions = 0
-    for members in groups.values():
-        k = len(members)
-        if k < 2:
-            continue
-        for i in range(k):
-            for j in range(i + 1, k):
-                pairs += 1
-                if members[i] != members[j]:
-                    collisions += 1
-    return collisions / pairs if pairs else 0.0
+        for cell, rects in table.refs.items():
+            fingerprint = table.fingerprint(*cell)
+            boxes = [offset_box(r, *cell, table.sheet_name, table.workbook_name) for r in rects]
+            by_fingerprint[fingerprint] += 1
+            by_set[fingerprint, _union_key(boxes)] += 1
+    pairs = sum(n * (n - 1) // 2 for n in by_fingerprint.values())
+    same = sum(n * (n - 1) // 2 for n in by_set.values())
+    return (pairs - same) / pairs if pairs else 0.0
 
 
 # --- annotation file handling ---
@@ -276,8 +270,11 @@ def parse_annotations(data: dict) -> GroundTruth:
             raise FormatError(f"sheet {name!r} annotations must be an object")
         errors = _parse_cell_list(body.get("errors", []), f"{name}.errors")
         not_bugs = _parse_cell_list(body.get("not_bugs", []), f"{name}.not_bugs")
+        duals_raw = body.get("duals", [])
+        if not isinstance(duals_raw, list):
+            raise FormatError(f"{name}.duals must be a list of objects")
         duals = []
-        for i, dual_raw in enumerate(body.get("duals", [])):
+        for i, dual_raw in enumerate(duals_raw):
             if not isinstance(dual_raw, dict):
                 raise FormatError(f"{name}.duals[{i}] must be an object")
             duals.append(

@@ -13,7 +13,8 @@ much the rewrite simplifies the sheet layout versus how far the
 formulas must move, and reported within a flagged-cell budget.
 
 Costs.  Candidates cost four dictionary lookups per region and per
-boundary cell, O(cells) at worst.  Every candidate of a sheet is scored
+boundary cell, O(cells) at worst.  C2 walks a side's cells only when
+its region has a data cell's fingerprint.  Every candidate of a sheet is scored
 against one `Layout`, built once in O(R) for R regions: their entropy
 terms p*log2(p) cached per area, and one edge index.  A candidate then
 costs its merge cascade, a few dictionary lookups per merge, plus one
@@ -32,8 +33,8 @@ from fractions import Fraction
 from typing import Hashable, NamedTuple, Optional, Sequence
 
 from .entropy import Region, _EdgeIndex, _region_key, _union_rect
-from .model import CellKind, GridlintError, Rect
-from .vectors import SheetVectors, is_off_sheet, location_fingerprint, translated_location_fingerprint
+from .model import GridlintError, Rect
+from .vectors import DATA_KINDS, SheetVectors, is_off_sheet, location_fingerprint, translated_location_fingerprint
 
 # Rejection codes for inadmissible candidates.
 REASON_NOT_FORMULAS = "C2"
@@ -132,16 +133,16 @@ def admissible(fix: CandidateFix, table: SheetVectors) -> Optional[str]:
     C3: an aggregate whose referents all sit inside the target is
         reporting on that data, not mistakenly diverging from it; skip,
         unless no source formula references anything at all.
-    C2: both sides must consist entirely of formulas.
+    C2: both sides must consist entirely of formulas.  A cell that is
+        not a formula has a data fingerprint, so only a side whose region
+        has one (a formula whose vectors cancel can) is walked.
     """
     if _reads_only_target(fix, table):
         return REASON_OWN_INPUTS
-
-    for x, y in fix.source.cells():
-        if table.kind(x, y) is not CellKind.FORMULA:
-            return REASON_NOT_FORMULAS
-    for x, y in fix.target.rect.cells():
-        if table.kind(x, y) is not CellKind.FORMULA:
+    refs = table.refs
+    for fingerprint, side in ((fix.source_region.fingerprint, fix.source),
+                              (fix.target.fingerprint, fix.target.rect)):
+        if fingerprint in DATA_KINDS and not all(cell in refs for cell in side.cells()):
             return REASON_NOT_FORMULAS
     return None
 

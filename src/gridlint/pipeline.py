@@ -97,7 +97,7 @@ def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[Analysi
     config = config or AnalysisConfig()
     if not sheet.cells:
         # Nothing on the sheet: empty table over a placeholder 1x1 range.
-        table = SheetVectors(sheet.name, workbook.name, Rect(1, 1, 1, 1), {},
+        table = SheetVectors(sheet.name, workbook.name, Rect(1, 1, 1, 1),
                              FingerprintGrid([[EMPTY_FINGERPRINT]]), {})
         return SheetAnalysis(sheet.name, table, [], [], 0, dict.fromkeys(PHASES[1:], 0.0))
     used = sheet.used_range()

@@ -38,8 +38,8 @@ wherever it is translated to.  Each formula cell then costs O(#refs):
 lexing its text, filling the shape's template with its own corners
 and summing the fingerprint of those rectangles, per cell since copies
 of a shape need not share one (the two cases above).  One row-major pass
-writes each cell's kind, references and fingerprint code, so the used
-range's code rows come out of the pass itself.
+gives each stored cell its fingerprint code and each formula its
+references; a cell's kind follows from those (`SheetVectors.kind`).
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ class LocFingerprint(NamedTuple):
 NUMBER_FINGERPRINT = Fingerprint(0, 0, 0, 1)
 TEXT_FINGERPRINT = Fingerprint(0, 0, 0, -1)
 EMPTY_FINGERPRINT = Fingerprint(0, 0, 0, 0)
+# The kind of data cell each null fingerprint stands for.
+DATA_KINDS = {NUMBER_FINGERPRINT: CellKind.NUMBER, TEXT_FINGERPRINT: CellKind.TEXT, EMPTY_FINGERPRINT: CellKind.EMPTY}
 
 
 def is_off_sheet(ref: RawReference | RefRect, sheet: str, workbook: str) -> bool:
@@ -114,12 +116,9 @@ def offset_box(rect: RefRect, column: int, row: int, sheet: str, workbook: str) 
 
 
 def null_fingerprint(kind: CellKind) -> Fingerprint:
-    if kind is CellKind.NUMBER:
-        return NUMBER_FINGERPRINT
-    if kind is CellKind.TEXT:
-        return TEXT_FINGERPRINT
-    if kind is CellKind.EMPTY:
-        return EMPTY_FINGERPRINT
+    for fingerprint, data_kind in DATA_KINDS.items():
+        if data_kind is kind:
+            return fingerprint
     raise ValueError("formula cells have no null fingerprint")
 
 
@@ -169,22 +168,23 @@ def translated_location_fingerprint(rects: Iterable[RefRect], sheet: str, workbo
 class SheetVectors:
     """Per-cell analysis table for one sheet's used range.
 
-    `kinds` and `refs` are keyed by stored cell in row-major order; `grid`
-    holds every fingerprint of the used range, re-based to (1, 1).
-    Formula cells that fail to parse are downgraded to text here (with a
-    diagnostic) so every later stage sees one consistent view.
+    `grid` holds every fingerprint of the used range, re-based to (1, 1);
+    `refs` is keyed by formula cell in row-major order.  A formula that
+    fails to parse is downgraded to text here (with a diagnostic), so a
+    cell is a formula exactly when it is in `refs`.
     """
 
     sheet_name: str
     workbook_name: str
     rect: Rect
-    kinds: dict[tuple[int, int], CellKind]
     grid: FingerprintGrid
     refs: dict[tuple[int, int], tuple[RefRect, ...]]
     diagnostics: list[str] = field(default_factory=list)
 
     def kind(self, column: int, row: int) -> CellKind:
-        return self.kinds.get((column, row), CellKind.EMPTY)
+        if (column, row) in self.refs:
+            return CellKind.FORMULA
+        return DATA_KINDS[self.fingerprint(column, row)]
 
     def fingerprint(self, column: int, row: int) -> Fingerprint:
         rect = self.rect
@@ -194,9 +194,19 @@ class SheetVectors:
 
     @property
     def fingerprints(self) -> Mapping[tuple[int, int], Fingerprint]:
-        """The fingerprint of every stored cell, in row-major order: a
-        read-only mapping built on each call."""
-        return MappingProxyType({cell: self.fingerprint(*cell) for cell in self.kinds})
+        """The fingerprint of every formula and every cell that is not
+        blank, in row-major order (for a loaded workbook, every stored
+        cell): a read-only mapping built on each call."""
+        rect, palette, refs = self.rect, self.grid.palette, self.refs
+        blank = palette.index(EMPTY_FINGERPRINT) if EMPTY_FINGERPRINT in palette else None
+        formula_rows = {row for _, row in refs}
+        return MappingProxyType({
+            (column, row): palette[code]
+            for row, line in enumerate(self.grid.code_rows, rect.top)
+            if row in formula_rows or line.count(blank) != len(line)  # blank rows cost one count
+            for column, code in enumerate(line, rect.left)
+            if code != blank or (column, row) in refs
+        })
 
 
 _ROW_MAJOR = itemgetter(1, 0)
@@ -217,13 +227,12 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
     Cells are visited in row-major order, and each fingerprint gets its
     code on first appearance, a blank one at the first unstored cell, as
     `FingerprintGrid(rows)` numbers them.  Rows that hold no stored cell
-    share one list.
+    share one blank row, and the others start as copies of it.
     """
     rect = sheet.used_range()
-    left, top, width, area = rect.left, rect.top, rect.width, rect.area
+    left, top, width = rect.left, rect.top, rect.width
     if shapes is None:
         shapes = {}
-    kinds: dict[tuple[int, int], CellKind] = {}
     refs: dict[tuple[int, int], tuple[RefRect, ...]] = {}
     diagnostics: list[str] = []
 
@@ -249,34 +258,15 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
         return rects_fingerprint(rects, column, row, sheet.name, workbook.name, shape[1])
 
     codes: dict[Fingerprint, int] = {}
-    code_rows: list[list[int]] = []
-    line: list[int] = []  # the codes of the row being written, left to right
-    blank_row: list[int] = []  # shared by every row that holds no stored cell
-
-    def blanks(count: int) -> None:
-        """Write the blank's code into the next `count` cells."""
-        nonlocal line, blank_row
-        blank = codes.setdefault(EMPTY_FINGERPRINT, len(codes))
-        if line:
-            done = min(count, width - len(line))
-            line += [blank] * done
-            count -= done
-            if len(line) == width:
-                code_rows.append(line)
-                line = []
-        whole, count = divmod(count, width)
-        if whole:
-            blank_row = blank_row or [blank] * width
-            code_rows.extend([blank_row] * whole)
-        line += [blank] * count
-
     cells = sheet.cells
+    stored = sorted(cells, key=_ROW_MAJOR)
+    stored_codes: list[int] = []
     following = 0  # the position after the last stored cell
-    for cell in sorted(cells, key=_ROW_MAJOR):
+    for cell in stored:
         column, row = cell
         position = (row - top) * width + column - left
         if position != following:
-            blanks(position - following)
+            codes.setdefault(EMPTY_FINGERPRINT, len(codes))
         following = position + 1
         kind, value = cells[cell]
         if kind is CellKind.NUMBER:  # an enum hashes in Python, so no dictionary here
@@ -284,15 +274,20 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
         elif kind is CellKind.FORMULA:
             fingerprint = formula_fingerprint(column, row, value)
             if fingerprint is None:
-                kind, fingerprint = CellKind.TEXT, TEXT_FINGERPRINT
+                fingerprint = TEXT_FINGERPRINT
         else:
             fingerprint = null_fingerprint(kind)
-        kinds[cell] = kind
-        line.append(codes.setdefault(fingerprint, len(codes)))
-        if len(line) == width:
-            code_rows.append(line)
-            line = []
-    if following != area:
-        blanks(area - following)
+        stored_codes.append(codes.setdefault(fingerprint, len(codes)))
+    if following != rect.area:
+        codes.setdefault(EMPTY_FINGERPRINT, len(codes))
+
+    # Without a code for the blank every cell is stored, so every row is overwritten.
+    blank_row = [codes.get(EMPTY_FINGERPRINT, 0)] * width
+    code_rows = [blank_row] * rect.height
+    for (column, row), code in zip(stored, stored_codes):
+        line = code_rows[row - top]
+        if line is blank_row:
+            line = code_rows[row - top] = blank_row.copy()
+        line[column - left] = code
     grid = FingerprintGrid.from_codes(code_rows, tuple(codes))
-    return SheetVectors(sheet.name, workbook.name, rect, kinds, grid, refs, diagnostics)
+    return SheetVectors(sheet.name, workbook.name, rect, grid, refs, diagnostics)

@@ -21,7 +21,12 @@ computes in closed form or incrementally:
   full counts (`entropy.delimiter_splits` sweeps one count per gap);
 * fix candidates from every ordered pair of regions, screened by the
   bounding-box rule C1 (`fixes.candidate_fixes` reads only the pairs
-  that pass it off an edge index);
+  that pass it off an edge index), and by C2 through every cell's kind
+  (`fixes.admissible` reads the regions' fingerprints and walks only a
+  side with a data fingerprint);
+* the collision rate from every pair of same-fingerprint formulas
+  (`evaluate.collision_rate` counts formulas per fingerprint and per
+  reference-vector set);
 * fix scoring that rebuilds the region layout for every candidate and
   takes the entropy change from the exact sums of both layouts' terms
   (`fixes.entropy_delta` edits one persistent layout, undoes it, and
@@ -41,6 +46,7 @@ import heapq
 import json
 import math
 import re
+from itertools import chain
 from operator import add, itemgetter, sub
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,9 +65,13 @@ from gridlint.entropy import (
     normalized_entropy,
     split_halves,
 )
+from gridlint.evaluate import _union_key
 from gridlint.fixes import (
+    REASON_NOT_FORMULAS,
+    REASON_OWN_INPUTS,
     CandidateFix,
     ProposedFix,
+    _reads_only_target,
     admissible,
     fix_distance,
     impact_score,
@@ -110,6 +120,7 @@ from gridlint.vectors import (
     SheetVectors,
     is_off_sheet,
     null_fingerprint,
+    offset_box,
     rects_fingerprint,
 )
 
@@ -600,13 +611,21 @@ def naive_candidate_fixes(regions: Sequence[Region]) -> list[CandidateFix]:
     return out
 
 
-def naive_admissible(fix: CandidateFix, table: SheetVectors) -> Optional[str]:
-    """`fixes.admissible` with screen C1 first: the source and the target
-    must tile an exact rectangle.  Being disjoint, they do so exactly when
-    coalescing could merge them."""
+def naive_admissible(fix: CandidateFix, table: NaiveSheetVectors) -> Optional[str]:
+    """`fixes.admissible` with screen C1 first, and C2 cell by cell.
+
+    C1: the source and the target must tile an exact rectangle.  Being
+    disjoint, they do so exactly when coalescing could merge them.  C3 is
+    `fixes.admissible`'s.  C2: every cell of both sides is stored as a
+    formula in `table.kinds`."""
     if not mergeable(fix.source, fix.target.rect):
         return REASON_NOT_RECTANGULAR
-    return admissible(fix, table)
+    if _reads_only_target(fix, table):
+        return REASON_OWN_INPUTS
+    for cell in chain(fix.source.cells(), fix.target.rect.cells()):
+        if table.kinds.get(cell) is not CellKind.FORMULA:
+            return REASON_NOT_FORMULAS
+    return None
 
 
 # -- fix scoring, rebuilding the layout per candidate ------------------------
@@ -785,6 +804,29 @@ def naive_assign_colors(graph: AdjacencyGraph,
         index_of[v] = k
         colors[v] = (palette[k], 1.0, 0.5)
     return colors
+
+
+# -- the collision rate, pair by pair ----------------------------------------
+
+
+def naive_collision_rate(tables: Sequence[SheetVectors]) -> float:
+    """`evaluate.collision_rate` by comparing every pair of formulas that
+    share a fingerprint, each formula found by the kind of its cell."""
+    groups: dict[Fingerprint, list[tuple]] = {}
+    for table in tables:
+        for column, row in table.rect.cells():
+            if table.kind(column, row) is not CellKind.FORMULA:
+                continue
+            boxes = [offset_box(r, column, row, table.sheet_name, table.workbook_name)
+                     for r in table.refs[(column, row)]]
+            groups.setdefault(table.fingerprint(column, row), []).append(_union_key(boxes))
+    pairs = collisions = 0
+    for members in groups.values():
+        for i, key in enumerate(members):
+            for other in members[i + 1:]:
+                pairs += 1
+                collisions += key != other
+    return collisions / pairs if pairs else 0.0
 
 
 # -- the workbook loader, every cell through one validating function ---------

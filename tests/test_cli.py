@@ -356,6 +356,17 @@ class TestEval:
         assert code == 2
         assert f"invalid {where[:-1] if where == 'annotations' else where}" in err
 
+    @pytest.mark.parametrize("duals", [5, "x", {"c1": ["F6"], "c2": ["F7"]}])
+    def test_duals_not_a_list(self, tmp_path, duals, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"workbook": "w", "sheets": []}))
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(json.dumps({"workbook": "w", "sheets": {"S": {"errors": ["F6", "F7"], "duals": duals}}}))
+        code, _, err = run(["eval", str(report), str(annotations)], capsys)
+        assert code == 2
+        assert err.strip().splitlines() == [err.strip()]
+        assert "S.duals must be a list" in err
+
     def test_missing_annotations(self, fixtures_dir, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         run(

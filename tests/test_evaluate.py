@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import aggregate_own_inputs_workbook, inconsistent_sum_workbook
@@ -28,6 +28,7 @@ from gridlint.evaluate import (
 from gridlint.model import CellContent, FormatError, Rect, Workbook, Worksheet
 from gridlint.pipeline import analyze_sheet
 from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT
+from oracle import naive_collision_rate
 
 
 def table_of(workbook):
@@ -265,6 +266,39 @@ class TestCollisionRate:
         tables = [table_of(a), table_of(b)]
         assert tables[0].fingerprint(3, 1) == tables[1].fingerprint(4, 1)
         assert collision_rate(tables) == 1.0
+
+
+# In its column each formula's vectors sum to (-3, 0, 0, 0).  C and E
+# reference the same two cells to their left, D only the third.
+_SAME_FINGERPRINT = {3: "=SUM(A{0}:B{0})", 4: "=ABS(A{0})", 5: "=C{0}+D{0}"}
+
+
+@st.composite
+def same_fingerprint_tables(draw):
+    """One or two sheets of formulas that share a fingerprint, some pairs
+    with equal reference sets and some not."""
+    tables = []
+    for name in ("A", "B")[:draw(st.integers(1, 2))]:
+        placed = draw(st.sets(st.tuples(st.integers(3, 5), st.integers(1, 6)), min_size=1))
+        cells = {cell: CellContent.formula(_SAME_FINGERPRINT[cell[0]].format(cell[1])) for cell in placed}
+        tables.append(table_of(Workbook("t", [Worksheet(name, cells)])))
+    return tables
+
+
+class TestCollisionRateOracle:
+    def test_mixed_group(self):
+        # C1 and E1 reference the same cells, D1 another set: 2 of 3 pairs differ.
+        cells = {(column, 1): CellContent.formula(text.format(1)) for column, text in _SAME_FINGERPRINT.items()}
+        cells[(2, 3)] = CellContent.formula("=A3+1")
+        tables = [table_of(Workbook("t", [Worksheet("S", cells)]))]
+        assert collision_rate(tables) == naive_collision_rate(tables) == 2 / 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(same_fingerprint_tables())
+    def test_matches_every_pair_compared(self, tables):
+        rate = naive_collision_rate(tables)
+        assume(0 < rate < 1)
+        assert collision_rate(tables) == rate
 
 
 _boxes = st.lists(

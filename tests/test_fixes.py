@@ -38,6 +38,7 @@ from oracle import (
     layout_entropy,
     mergeable,
     naive_admissible,
+    naive_analyze_sheet_vectors,
     naive_candidate_fixes,
     naive_coalesce_targeted,
     rebuilt_entropy_delta,
@@ -277,7 +278,9 @@ class TestAdmissible:
         candidate = CandidateFix(data.rect, data, one_off)
         assert candidate not in candidate_fixes(regions)
         assert candidate in naive_candidate_fixes(regions)
-        assert naive_admissible(candidate, table) == REASON_NOT_RECTANGULAR
+        workbook = inconsistent_sum_workbook()
+        naive = naive_analyze_sheet_vectors(workbook, workbook.sheets[0])
+        assert naive_admissible(candidate, naive) == REASON_NOT_RECTANGULAR
 
     def test_number_source_rejected(self):
         table, regions = analyzed(inconsistent_sum_workbook())
@@ -408,6 +411,68 @@ def tiles_a_rectangle(fix: CandidateFix) -> bool:
     xs = [x for x, _ in source + target]
     ys = [y for _, y in source + target]
     return (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1) == len(source) + len(target)
+
+
+def data_like_sheet(rng) -> Workbook:
+    """Cells of every kind, with formulas that carry a data fingerprint:
+    `=A1+A3` in A2 cancels to the blank's, `=B1+B3+1` in B2 to a number's,
+    and `=SUM(` is refused and becomes text.  Some cells stay blank."""
+    width, height = rng.randint(2, 6), rng.randint(2, 6)
+    cells = {}
+    for y in range(1, height + 1):
+        for x in range(1, width + 1):
+            choice = rng.randrange(7)
+            if y > 1:
+                cancelling = f"={to_a1(x, y - 1)}+{to_a1(x, y + 1)}"
+            elif x > 1:
+                cancelling = f"={to_a1(x - 1, y)}+{to_a1(x + 1, y)}"
+            else:
+                cancelling = "=$A$2"
+            if choice == 0:
+                cells[(x, y)] = CellContent.number(float(rng.randint(1, 9)))
+            elif choice == 1:
+                cells[(x, y)] = CellContent.text("label")
+            elif choice == 2:
+                cells[(x, y)] = CellContent.formula(cancelling)
+            elif choice == 3:
+                cells[(x, y)] = CellContent.formula(cancelling + "+1")
+            elif choice == 4:
+                cells[(x, y)] = CellContent.formula("=SUM(")
+            elif choice == 5:
+                cells[(x, y)] = CellContent.formula(f"={to_a1(x, max(y - 1, 1))}")
+    return Workbook("r", [Worksheet("S", cells)])
+
+
+def check_formula_screen(workbook: Workbook) -> None:
+    """`admissible` gives every candidate the code of the cell-by-cell
+    screens over the oracle's kinds."""
+    table, regions = analyzed(workbook)
+    naive = naive_analyze_sheet_vectors(workbook, workbook.sheets[0])
+    for candidate in candidate_fixes(regions):
+        assert admissible(candidate, table) == naive_admissible(candidate, naive)
+
+
+class TestFormulaScreenOracle:
+    """C2 read off the regions' fingerprints, against every cell's kind."""
+
+    def test_formulas_with_data_fingerprints_pass(self):
+        # A2 cancels to the blank's fingerprint and D2 to a number's; each
+        # is a one-cell region beside a one-cell formula region.
+        cells = {(1, 1): CellContent.number(1.0), (1, 2): CellContent.formula("=A1+A3"),
+                 (1, 3): CellContent.number(2.0), (2, 2): CellContent.formula("=Z2"),
+                 (3, 2): CellContent.formula("=Z2"), (4, 2): CellContent.formula("=D1+D3+1")}
+        cells.update({(x, y): CellContent.text("x") for x in (2, 3, 4) for y in (1, 3)})
+        workbook = Workbook("t", [Worksheet("S", cells)])
+        table, regions = analyzed(workbook)
+        passed = {(c.source, c.target.rect) for c in candidate_fixes(regions) if admissible(c, table) is None}
+        a2, b2, c2, d2 = (Rect(x, 2, x, 2) for x in (1, 2, 3, 4))
+        assert {(a2, b2), (b2, a2), (d2, c2), (c2, d2)} <= passed
+        check_formula_screen(workbook)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_sheets_with_data_like_formulas(self, rng):
+        check_formula_screen(data_like_sheet(rng))
 
 
 class TestRectangularScreenOracle:

@@ -69,6 +69,20 @@ def test_collision_survey_reads_one_fingerprint_per_formula(monkeypatch):
     assert survey.data_like(tables, NUMBER_FINGERPRINT) == 100
 
 
+def test_collision_survey_counts_collisions_and_data_like_formulas(tmp_path):
+    # C1 and D1 share a fingerprint over different references; A3 cancels
+    # to the blank's fingerprint and B3 to a number's.
+    cells = {"C1": {"f": "=SUM(A1:B1)"}, "D1": {"f": "=ABS(A1)"},
+             "A3": {"f": "=A2+A4"}, "B3": {"f": "=B2+B4+1"}}
+    path = tmp_path / "mixed.gridbook"
+    path.write_text(json.dumps({"workbook": "mixed", "sheets": [{"name": "S", "cells": cells}]}))
+    _, row, total = run_script(["collision_survey.py", str(path)]).splitlines()
+    name, _, collisions, *_, as_blank, as_number = row.split()
+    assert name == "mixed" and float(collisions.rstrip("%")) > 0
+    assert (as_blank, as_number) == ("1", "1")
+    assert total.endswith("blank cell's fingerprint: 1, with a number cell's: 1")
+
+
 def test_scaling_benchmark_times_the_load():
     header, *rows = run_script(SCALING).splitlines()
     assert header.split() == ["sheet", "cells", "load", "vectors", "decomp", "fixes", "total", "regions"]

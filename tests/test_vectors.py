@@ -289,13 +289,13 @@ def table_of(formulas: dict[str, str]):
 
 
 def assert_matches_uncached(sheet: Worksheet, workbook: Workbook | None = None, shapes: dict | None = None) -> None:
-    """Kinds, fingerprints, refs, diagnostics and the grid's code rows and
-    palette equal the uncached path's, in order.  `shapes` is the shape
-    dictionary the workbook's sheets share, as `analyze_workbook` shares it."""
+    """Fingerprints, refs, diagnostics, the grid's code rows and palette,
+    and the kind of every used-range cell equal the uncached path's, in
+    order.  `shapes` is the shape dictionary the workbook's sheets share,
+    as `analyze_workbook` shares it."""
     workbook = workbook or Workbook("wb", [sheet])
     got, want = analyze_sheet_vectors(workbook, sheet, shapes), naive_analyze_sheet_vectors(workbook, sheet)
     assert got.rect == want.rect
-    assert list(got.kinds.items()) == list(want.kinds.items())
     assert list(got.fingerprints.items()) == list(want.fingerprints.items())
     assert list(got.refs.items()) == list(want.refs.items())
     assert got.diagnostics == want.diagnostics
@@ -303,6 +303,7 @@ def assert_matches_uncached(sheet: Worksheet, workbook: Workbook | None = None, 
     assert (got.grid.code_rows, got.grid.palette) == (grid.code_rows, grid.palette)
     for (column, row) in got.rect.cells():
         assert got.fingerprint(column, row) == want.fingerprint(column, row)
+        assert got.kind(column, row) is want.kind(column, row)
 
 
 class TestCopiesThatDoNotShareAFingerprint:
@@ -444,7 +445,7 @@ class TestShapeCacheOracle:
         table = table_of({"B2": "=A0+1", "B3": "=XFE1", "B4": "=SUM(A:XFE)", "B5": "=SUM(0:3)",
                           "B6": "=XFD1048576", "B7": "=$XFD$1", "C2": "=D2", "XFD2": "=XFE2"})
         text = [(2, 2), (16384, 2), (2, 3), (2, 4), (2, 5)]
-        assert sorted(cell for cell, kind in table.kinds.items() if kind is CellKind.TEXT) == sorted(text)
+        assert sorted(cell for cell in table.fingerprints if table.kind(*cell) is CellKind.TEXT) == sorted(text)
         assert len(table.diagnostics) == 5
         assert all("outside the sheet" in d for d in table.diagnostics)
 
@@ -577,8 +578,13 @@ class TestFingerprintPerShape:
         assert_matches_uncached(sheet)
 
     def test_fingerprints_is_a_read_only_view_of_every_stored_cell(self):
-        table = table_of({"B2": "=A1", "D4": "=SUM("})
-        assert list(table.fingerprints) == [(2, 2), (4, 4)]
+        # A2's vectors cancel to the blank's fingerprint, alone on its row;
+        # C3 is a blank inside the used range.
+        table = table_of({"A2": "=A1+A3", "B3": "=A1", "D4": "=SUM("})
+        assert list(table.fingerprints) == [(1, 2), (2, 3), (4, 4)]
+        assert table.fingerprints[(1, 2)] == EMPTY_FINGERPRINT
+        assert table.kind(1, 2) is CellKind.FORMULA
+        assert (3, 3) not in table.fingerprints and table.kind(3, 3) is CellKind.EMPTY
         assert table.fingerprints[(4, 4)] == TEXT_FINGERPRINT
         with pytest.raises(TypeError):
             table.fingerprints[(2, 2)] = EMPTY_FINGERPRINT
