@@ -6,7 +6,6 @@ and ranking the small edits that would make the layout more regular.
 """
 
 from .model import (
-    CellAddress,
     CellContent,
     CellKind,
     Rect,
@@ -17,7 +16,7 @@ from .model import (
     save_workbook,
     to_a1,
 )
-from .vectors import Fingerprint, LocFingerprint, RefVector, analyze_sheet_vectors
+from .vectors import Fingerprint, LocFingerprint, analyze_sheet_vectors
 from .grid import FingerprintGrid
 from .entropy import Region, decompose_grid, entropy_tree, normalized_entropy
 from .fixes import ProposedFix, build_fixes
@@ -27,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig",
-    "CellAddress",
     "CellContent",
     "CellKind",
     "Fingerprint",
@@ -35,7 +33,6 @@ __all__ = [
     "LocFingerprint",
     "ProposedFix",
     "Rect",
-    "RefVector",
     "Region",
     "SheetAnalysis",
     "Workbook",

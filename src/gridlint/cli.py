@@ -60,6 +60,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     for phase in PHASES:
         print(f"  {phase}: {analysis.timings.get(phase, 0.0) * 1000:.1f} ms", file=sys.stderr)
+    for sheet in analysis.sheets:
+        for diagnostic in sheet.table.diagnostics:
+            print(diagnostic, file=sys.stderr)
     return EXIT_OK
 
 
@@ -144,7 +147,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FormatError as exc:

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 # SHEET_COLUMNS and SHEET_ROWS are the open axis of B:B or 3:3.
-from .model import SHEET_COLUMNS, SHEET_ROWS, GridlintError, letters_to_column, outside_sheet
+from .model import SHEET_COLUMNS, SHEET_ROWS, GridlintError, column_to_letters, letters_to_column, outside_sheet
 
 # Excel's own limit on nested functions.  A level costs at most nine parser
 # frames (a call), so a formula at full depth stays under 600 frames.
@@ -517,10 +517,11 @@ def shape_key(text: str, column: int, row: int) -> tuple[str | None, list[Corner
     of a formula that differ only by translation share a key.  The rest
     of the text is kept as written, so a key and a cell determine the
     text up to how a token is spelled (letter case, leading zeros),
-    which the parser does not see.  A text that holds NUL itself gets no
-    key, and neither does one with a token `outside_sheet`: the parser
-    refuses it, so a copy that lies inside the sheet must not lend it a
-    parse.
+    which the parser does not see.  `shape_printer` spells it back, so
+    a copy spelled as it prints needs no lexing.  A text that holds NUL
+    itself gets no key, and neither does one with a token
+    `outside_sheet`: the parser refuses it, so a copy that lies inside
+    the sheet must not lend it a parse.
     """
     if "\x00" in text:
         return None, []
@@ -541,6 +542,68 @@ def shape_key(text: str, column: int, row: int) -> tuple[str | None, list[Corner
         last = m.end()
     pieces.append(text[last:])
     return "".join(pieces), corners
+
+
+# A row the lexer reads as part of a cell token has at most 7 digits (_SHAPE_RE).
+_TOKEN_ROWS = 10**7
+
+
+def shape_printer(key: str) -> Callable[[int, int], tuple[str, list[Corner]] | None]:
+    """The translated copies of a `shape_key` key.
+
+    The printer maps a cell (column, row) to (text, corners): the copy
+    of the shape written there, with each token spelled in upper case
+    without leading zeros, and the corners `shape_key` lexes from it, so
+    that `shape_key(text, column, row) == (key, corners)`.  It is one
+    format string with the anchored axes written in and a slot for each
+    relative column and row.  It gives None where a corner would leave
+    the lexer's reach: a column outside A..XFD, a row below 1, or a row
+    of more than 7 digits.
+
+    The rest of the text is the key's, and the lexer reads it as it did
+    in the text the key came from: a token's spelling changes neither
+    where the matches before it stop nor what follows it.  The one
+    exception is a relative column right after a digit or ".", where
+    E5 would read as the exponent of a number (1E5); such a key, which
+    no formula that parses has, gets a printer that prints nothing.
+    """
+    pieces = key.split("\x00")
+    spelled = [pieces[0].replace("%", "%%")]
+    tokens: list[Corner] = []  # each axis as its offset, or its value where anchored
+    for before, axes, after in zip(pieces[0::2], pieces[1::2], pieces[2::2]):
+        column_text, row_text = axes.split(",")
+        column_absolute, row_absolute = column_text[0] == "$", row_text[0] == "$"
+        if not column_absolute and before and before[-1] in "0123456789.":
+            return lambda column, row: None
+        column, row = int(column_text.lstrip("$")), int(row_text.lstrip("$"))
+        spelled += ("$" + column_to_letters(column) if column_absolute else "%s",
+                    "$%d" % row if row_absolute else "%d",
+                    after.replace("%", "%%"))
+        tokens.append((column, row, column_absolute, row_absolute))
+    pattern = "".join(spelled)
+    letters: dict[int, str] = {}  # the relative columns spelled so far
+
+    def print_copy(column: int, row: int) -> tuple[str, list[Corner]] | None:
+        slots = []
+        corners = []
+        for c, r, column_absolute, row_absolute in tokens:
+            if not column_absolute:
+                c += column
+                if not 0 < c <= SHEET_COLUMNS:
+                    return None
+                spelled_column = letters.get(c)
+                if spelled_column is None:
+                    spelled_column = letters[c] = column_to_letters(c)
+                slots.append(spelled_column)
+            if not row_absolute:
+                r += row
+                if not 0 < r < _TOKEN_ROWS:
+                    return None
+                slots.append(r)
+            corners.append((c, r, column_absolute, row_absolute))
+        return pattern % tuple(slots), corners
+
+    return print_copy
 
 
 def numeric_constant_count(node: Node) -> int:

@@ -113,22 +113,6 @@ def to_a1(column: int, row: int) -> str:
     return f"{column_to_letters(column)}{row}"
 
 
-@dataclass(frozen=True, order=True)
-class CellAddress:
-    """Absolute cell position: 1-based column and row on a named sheet."""
-
-    column: int
-    row: int
-    sheet: str
-    workbook: str
-
-    def a1(self) -> str:
-        return to_a1(self.column, self.row)
-
-    def __repr__(self) -> str:
-        return f"CellAddress({self.a1()}, sheet={self.sheet!r}, workbook={self.workbook!r})"
-
-
 class CellKind(Enum):
     FORMULA = "formula"
     NUMBER = "number"

@@ -20,12 +20,6 @@ from .vectors import EMPTY_FINGERPRINT, SheetVectors, analyze_sheet_vectors
 # Timed phases: parse once per workbook, the rest once per sheet.
 PHASES = ("parse", "vectors", "decomposition", "fixes")
 
-# Largest used range analysed, in cells.  The fingerprint grid, the
-# entropy tree and the HTML view are dense over the used range, so a
-# sheet holding only A1 and XFD1048576 (about 1.7e10 cells) is refused
-# up front instead of exhausting memory.
-MAX_USED_CELLS = 2**20
-
 
 class ConfigError(FormatError, ValueError):
     """An analysis option is out of range: a usage error, not a bug.
@@ -93,19 +87,15 @@ def _to_sheet_coords(region: Region, rect: Rect) -> Region:
 def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[AnalysisConfig] = None,
                   shapes: Optional[dict] = None) -> SheetAnalysis:
     """Analyse one sheet; `shapes` is the formula-shape dictionary of
-    `analyze_sheet_vectors`, shared by the sheets of a workbook."""
+    `analyze_sheet_vectors`, shared by the sheets of a workbook.  A used
+    range of more than `vectors.MAX_USED_CELLS` cells raises FormatError
+    there, before any formula is read."""
     config = config or AnalysisConfig()
     if not sheet.cells:
         # Nothing on the sheet: empty table over a placeholder 1x1 range.
         table = SheetVectors(sheet.name, workbook.name, Rect(1, 1, 1, 1),
                              FingerprintGrid([[EMPTY_FINGERPRINT]]), {})
         return SheetAnalysis(sheet.name, table, [], [], 0, dict.fromkeys(PHASES[1:], 0.0))
-    used = sheet.used_range()
-    if used.area > MAX_USED_CELLS:
-        raise FormatError(
-            f"sheet {sheet.name!r}: used range {used.a1()} spans {used.area} cells, "
-            f"more than the {MAX_USED_CELLS} analysed"
-        )
     timings = {}
     t0 = time.perf_counter()
     table = analyze_sheet_vectors(workbook, sheet, shapes)

@@ -34,10 +34,15 @@ definition that the closed forms are checked against.
 
 Costs.  A workbook's formulas are keyed by shape (`formula.shape_key`),
 so one parse serves every copy of a formula on any of its sheets,
-wherever it is translated to.  Each formula cell then costs O(#refs):
-lexing its text, filling the shape's template with its own corners
-and summing the fingerprint of those rectangles, per cell since copies
-of a shape need not share one (the two cases above).  One row-major pass
+wherever it is translated to.  A formula cell whose neighbour above,
+or else on its left, has a parsed shape is first compared with the
+copy of that shape printed for the cell (`formula.shape_printer`): a
+translated copy, as most cells of a copied run are, costs that one
+string comparison and is never lexed.  Any other formula cell is
+lexed once.  Either way it then costs O(#refs): filling the shape's
+template with its own corners and summing the fingerprint of those
+rectangles, per cell since copies of a shape need not share one (the
+two cases above).  One row-major pass
 gives each stored cell its fingerprint code and each formula its
 references; a cell's kind follows from those (`SheetVectors.kind`).
 """
@@ -57,17 +62,11 @@ from .formula import (
     parse_formula,
     ref_template,
     shape_key,
+    shape_printer,
     template_rects,
 )
 from .grid import FingerprintGrid
-from .model import CellKind, Rect, Workbook, Worksheet, to_a1
-
-
-class RefVector(NamedTuple):
-    dx: int
-    dy: int
-    dz: int
-    dc: int
+from .model import CellKind, FormatError, Rect, Workbook, Worksheet, to_a1
 
 
 class Fingerprint(NamedTuple):
@@ -211,18 +210,44 @@ class SheetVectors:
 
 _ROW_MAJOR = itemgetter(1, 0)
 
+# Largest used range analysed, in cells.  The code rows, the entropy tree
+# and the HTML view are dense over the used range, so a sheet holding
+# only A1 and XFD1048576 (about 1.7e10 cells) is refused before any
+# formula is read instead of exhausting memory.
+MAX_USED_CELLS = 2**20
+
+
+class _Shape:
+    """A parsed formula shape: its reference template, whether it holds a
+    numeric constant, and its printer (`formula.shape_printer`), built
+    when a neighbour first lends its key."""
+
+    __slots__ = ("template", "has_constant", "printer")
+
+    def __init__(self, template: tuple, has_constant: bool):
+        self.template = template
+        self.has_constant = has_constant
+        self.printer = None
+
 
 def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
-                          shapes: Optional[dict[str, tuple[tuple, bool]]] = None) -> SheetVectors:
+                          shapes: Optional[dict[str, _Shape]] = None) -> SheetVectors:
     """Parse every formula shape on the sheet and compute all per-cell summaries.
 
     A shape is parsed once, and its template and numeric-constant flag
     serve every later cell with its key.  A key is kept only when the
     parsed corners are the lexed ones; a formula that fails to parse is
     parsed again at each cell, for a diagnostic with its own offsets.
-    `shapes` is the key -> (template, flag) dictionary to read and fill;
-    a template names sheets as written, so the sheets of one workbook can
-    share one.  By default the sheet gets its own.
+    `shapes` is the key -> shape dictionary to read and fill; a template
+    names sheets as written, so the sheets of one workbook can share one.
+    By default the sheet gets its own.
+
+    A formula cell whose neighbour above, else on its left, has a key in
+    `shapes` is first compared with the copy of that shape printed for
+    it; when the texts are equal, the key and the printed corners are the
+    ones `shape_key` would lex, and the cell is not lexed.  A cell lends
+    its key to the cells below and right of it only when that key is in
+    `shapes`, so a formula that failed to parse lends nothing.
 
     Cells are visited in row-major order, and each fingerprint gets its
     code on first appearance, a blank one at the first unstored cell, as
@@ -230,38 +255,65 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
     share one blank row, and the others start as copies of it.
     """
     rect = sheet.used_range()
+    if rect.area > MAX_USED_CELLS:
+        raise FormatError(
+            f"sheet {sheet.name!r}: used range {rect.a1()} spans {rect.area} cells, "
+            f"more than the {MAX_USED_CELLS} analysed"
+        )
     left, top, width = rect.left, rect.top, rect.width
     if shapes is None:
         shapes = {}
     refs: dict[tuple[int, int], tuple[RefRect, ...]] = {}
     diagnostics: list[str] = []
 
-    def formula_fingerprint(column: int, row: int, text: str) -> Optional[Fingerprint]:
+    def formula_fingerprint(column: int, row: int, text: str,
+                            above: dict[int, str], current: dict[int, str]) -> Optional[Fingerprint]:
         """Fill the cell's references and return its fingerprint; None
-        (with a diagnostic) when the formula does not parse."""
-        key, corners = shape_key(text, column, row)
-        shape = shapes.get(key)
-        if shape is None:
-            try:
-                ast = parse_formula(text)
-            except FormulaParseError as exc:
-                diagnostics.append(
-                    f"{sheet.name}!{to_a1(column, row)}: unparseable formula treated as text ({exc})"
-                )
-                return None
-            template, parsed = ref_template(ast)
-            shape = template, numeric_constant_count(ast) > 0
-            if key is not None and parsed == corners:
-                shapes[key] = shape
-            corners = parsed
-        rects = refs[(column, row)] = template_rects(shape[0], corners)
-        return rects_fingerprint(rects, column, row, sheet.name, workbook.name, shape[1])
+        (with a diagnostic) when the formula does not parse.  `above`
+        and `current` map columns to the keys that the formulas of the
+        row above and of this row lend; the cell adds its own."""
+        above_key, left_key = above.get(column), current.get(column - 1)
+        for key in (above_key, left_key if left_key != above_key else None):
+            if key is None:
+                continue
+            shape = shapes[key]
+            if shape.printer is None:
+                shape.printer = shape_printer(key)
+            copy = shape.printer(column, row)
+            if copy is not None and copy[0] == text:
+                corners = copy[1]
+                break
+        else:
+            key, corners = shape_key(text, column, row)
+            shape = shapes.get(key)
+            if shape is None:
+                try:
+                    ast = parse_formula(text)
+                except FormulaParseError as exc:
+                    diagnostics.append(
+                        f"{sheet.name}!{to_a1(column, row)}: unparseable formula treated as text ({exc})"
+                    )
+                    return None
+                template, parsed = ref_template(ast)
+                shape = _Shape(template, numeric_constant_count(ast) > 0)
+                if key is not None and parsed == corners:
+                    shapes[key] = shape
+                else:
+                    key = None
+                corners = parsed
+        if key is not None:
+            current[column] = key
+        rects = refs[(column, row)] = template_rects(shape.template, corners)
+        return rects_fingerprint(rects, column, row, sheet.name, workbook.name, shape.has_constant)
 
     codes: dict[Fingerprint, int] = {}
     cells = sheet.cells
     stored = sorted(cells, key=_ROW_MAJOR)
     stored_codes: list[int] = []
     following = 0  # the position after the last stored cell
+    above: dict[int, str] = {}
+    lending: dict[int, str] = {}  # the keys the formulas of lending_row lend
+    lending_row = 0
     for cell in stored:
         column, row = cell
         position = (row - top) * width + column - left
@@ -272,7 +324,10 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
         if kind is CellKind.NUMBER:  # an enum hashes in Python, so no dictionary here
             fingerprint = NUMBER_FINGERPRINT
         elif kind is CellKind.FORMULA:
-            fingerprint = formula_fingerprint(column, row, value)
+            if row != lending_row:
+                above = lending if row == lending_row + 1 else {}
+                lending, lending_row = {}, row
+            fingerprint = formula_fingerprint(column, row, value, above, lending)
             if fingerprint is None:
                 fingerprint = TEXT_FINGERPRINT
         else:

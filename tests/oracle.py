@@ -34,9 +34,11 @@ computes in closed form or incrementally:
 * cluster coloring that scans every edge for each vertex's degree and
   neighbours (`report.assign_colors` builds a neighbour map once).
 
-Two helpers only the tests call live here too: `ref_rects`, a formula's
-references as rectangles read off its tree, and `best_split`, one
-rectangle's cut decided outside a tree.
+Helpers only the tests call live here too: `ref_rects`, a formula's
+references as rectangles read off its tree; `best_split`, one
+rectangle's cut decided outside a tree; and the two records of the
+cell-by-cell definitions, `RefVector` (one referenced cell's offset
+vector) and `CellAddress` (a cell on a named sheet).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from itertools import chain
 from operator import add, itemgetter, sub
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from gridlint.entropy import (
     InvalidSplitError,
@@ -99,7 +101,6 @@ from gridlint.formula import (
 )
 from gridlint.grid import FingerprintGrid
 from gridlint.model import (
-    CellAddress,
     CellContent,
     CellKind,
     DuplicateCellError,
@@ -116,7 +117,6 @@ from gridlint.vectors import (
     EMPTY_FINGERPRINT,
     TEXT_FINGERPRINT,
     Fingerprint,
-    RefVector,
     SheetVectors,
     is_off_sheet,
     null_fingerprint,
@@ -267,6 +267,32 @@ def _to_text(node: Node, required: int) -> str:
 
 
 # -- offset vectors and fingerprints, cell by cell ----------------------------
+
+
+class RefVector(NamedTuple):
+    """The offset vector of one referenced cell (`vectors` module docstring)."""
+
+    dx: int
+    dy: int
+    dz: int
+    dc: int
+
+
+@dataclass(frozen=True, order=True)
+class CellAddress:
+    """Absolute cell position: 1-based column and row on a named sheet."""
+
+    column: int
+    row: int
+    sheet: str
+    workbook: str
+
+    def a1(self) -> str:
+        return to_a1(self.column, self.row)
+
+    def __repr__(self) -> str:
+        return f"CellAddress({self.a1()}, sheet={self.sheet!r}, workbook={self.workbook!r})"
+
 
 
 def reference_vector(ref: RawReference, column: int, row: int, sheet: str, workbook: str) -> RefVector:

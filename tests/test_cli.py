@@ -164,6 +164,26 @@ class TestAnalyze:
         assert proc.stderr.count("\n") == 1
         assert "A1:XFD1048576" in proc.stderr
 
+    def test_refused_formula_named_on_stderr(self, tmp_path, capsys):
+        source = tmp_path / "row0.gridbook"
+        source.write_text(json.dumps({"workbook": "row0", "sheets": [
+            {"name": "S", "cells": {"A1": {"n": 1}, "B1": {"f": "=A0"}, "B2": {"f": "=A1"}}},
+        ]}))
+        code, out, err = run(["analyze", str(source)], capsys)
+        assert code == 0
+        assert json.loads(out)["workbook"] == "row0"
+        lines = err.splitlines()
+        assert lines[0].startswith("analyzed 1 sheet(s)")
+        assert lines[-1] == "S!B1: unparseable formula treated as text (reference A0 outside the sheet at offset 1)"
+        assert sum("unparseable" in line for line in lines) == 1
+
+    def test_out_under_a_file_is_usage_error(self, workbook_path, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code, out, err = run(["analyze", workbook_path, "--out", str(tmp_path / "file" / "report.json")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_no_preprocess_output_identical(self, workbook_path, tmp_path, capsys):
         with_pre = tmp_path / "pre.json"
         without = tmp_path / "nopre.json"
@@ -242,6 +262,12 @@ class TestRender:
     def test_missing_file(self, capsys):
         assert run(["render", "absent.gridbook"], capsys)[0] == 2
 
+    def test_out_naming_a_file_is_usage_error(self, workbook_path, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code, _, err = run(["render", workbook_path, "--out", str(tmp_path / "file")], capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestEval:
     def test_end_to_end(self, fixtures_dir, tmp_path, capsys):
@@ -277,6 +303,18 @@ class TestEval:
         assert code == 0
         assert out == ""
         assert json.loads(result_path.read_text())["workbook"] == "weekly_totals"
+
+    def test_out_under_a_file_is_usage_error(self, fixtures_dir, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        run(["analyze", str(fixtures_dir / "weekly_totals.gridbook"), "--out", str(report_path)], capsys)
+        code, out, err = run(
+            ["eval", str(report_path), str(fixtures_dir / "weekly_totals.annotations.json"),
+             "--out", str(report_path / "scores.json")],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_workbook_mismatch(self, fixtures_dir, tmp_path, capsys):
         report_path = tmp_path / "report.json"

@@ -19,7 +19,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from gridlint import pipeline
+from gridlint import pipeline, vectors
 from gridlint.model import FormatError, parse_workbook_json, to_a1
 from gridlint.report import audit_json
 
@@ -118,7 +118,7 @@ def analyze_text(text: str) -> bool:
     """True when analysed, False when refused with a FormatError; any
     other exception fails the test."""
     try:
-        with mock.patch.object(pipeline, "MAX_USED_CELLS", FUZZ_LIMIT):
+        with mock.patch.object(vectors, "MAX_USED_CELLS", FUZZ_LIMIT):
             workbook = parse_workbook_json(text)
             analysis = pipeline.analyze_workbook(workbook)
             audit_json(pipeline.audit_payload(analysis, 0.05))

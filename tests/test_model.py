@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from gridlint import model
 from gridlint.model import (
     EMPTY_CELL,
-    CellAddress,
     CellContent,
     CellKind,
     DuplicateCellError,
@@ -25,7 +24,7 @@ from gridlint.model import (
     to_a1,
 )
 
-from oracle import naive_parse_workbook_json
+from oracle import CellAddress, naive_parse_workbook_json
 
 
 class TestColumnLetters:

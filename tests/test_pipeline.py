@@ -7,12 +7,11 @@ from dataclasses import fields
 import pytest
 
 from conftest import inconsistent_sum_workbook
-from gridlint import pipeline
+from gridlint import vectors
 from gridlint.entropy import Region
 from gridlint.grid import FingerprintGrid
 from gridlint.model import CellContent, FormatError, Rect, Workbook, Worksheet, load_workbook
 from gridlint.pipeline import (
-    MAX_USED_CELLS,
     PHASES,
     AnalysisConfig,
     analyze_sheet,
@@ -20,7 +19,13 @@ from gridlint.pipeline import (
     audit_payload,
     grid_from_table,
 )
-from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT, TEXT_FINGERPRINT, analyze_sheet_vectors
+from gridlint.vectors import (
+    EMPTY_FINGERPRINT,
+    MAX_USED_CELLS,
+    NUMBER_FINGERPRINT,
+    TEXT_FINGERPRINT,
+    analyze_sheet_vectors,
+)
 
 
 class TestAnalysisConfig:
@@ -200,15 +205,16 @@ class TestUsedRangeLimit:
                 assert sheet.used_range().area <= MAX_USED_CELLS
 
     def test_checked_before_analysis(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "MAX_USED_CELLS", 12)
+        monkeypatch.setattr(vectors, "MAX_USED_CELLS", 12)
         at_limit = Worksheet("S", {(1, 1): CellContent.number(1.0), (3, 4): CellContent.formula("=A1")})
         assert analyze_sheet(Workbook("w", [at_limit]), at_limit).cells == 12
         past = Worksheet("S", {(1, 1): CellContent.number(1.0), (3, 5): CellContent.formula("=A1")})
 
         def unreachable(*args):
-            raise AssertionError("the limit must be checked before any per-cell work")
+            raise AssertionError("the limit must be checked before any formula is read")
 
-        monkeypatch.setattr(pipeline, "analyze_sheet_vectors", unreachable)
+        monkeypatch.setattr(vectors, "shape_key", unreachable)
+        monkeypatch.setattr(vectors, "parse_formula", unreachable)
         with pytest.raises(FormatError, match="A1:C5 spans 15 cells"):
             analyze_sheet(Workbook("w", [past]), past)
 

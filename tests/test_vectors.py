@@ -1,5 +1,7 @@
 """Reference vectors, fingerprints, location sums, closed forms over ranges."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,15 +16,15 @@ from gridlint.formula import (
     parse_formula,
     ref_template,
     shape_key,
+    shape_printer,
 )
-from gridlint.model import CellAddress, CellContent, CellKind, Rect, Workbook, Worksheet, column_to_letters, letters_to_column, parse_a1
+from gridlint.model import CellContent, CellKind, Rect, Workbook, Worksheet, column_to_letters, letters_to_column, parse_a1
 from gridlint.vectors import (
     EMPTY_FINGERPRINT,
     NUMBER_FINGERPRINT,
     TEXT_FINGERPRINT,
     Fingerprint,
     LocFingerprint,
-    RefVector,
     analyze_sheet_vectors,
     location_fingerprint,
     null_fingerprint,
@@ -32,6 +34,8 @@ from gridlint.vectors import (
 
 from conftest import inconsistent_sum_workbook
 from oracle import (
+    CellAddress,
+    RefVector,
     formula_fingerprint,
     naive_analyze_sheet_vectors,
     naive_grid,
@@ -383,20 +387,39 @@ def render(shape, column: int, row: int) -> str | None:
     return "".join(text)
 
 
+@st.composite
+def copied_runs(draw):
+    """(shape, column, row, down, length, breaker, at): a shape copied down
+    (or across) `length` cells from (column, row), with the cell `at`
+    steps into the run holding the shape `breaker` instead, or a number
+    where `breaker` is None."""
+    return (draw(top_shapes()), draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.booleans()),
+            draw(st.integers(2, 6)), draw(st.none() | top_shapes()), draw(st.integers(1, 5)))
+
+
 class TestShapeCacheOracle:
-    """analyze_sheet_vectors parses a shape once; the uncached path parses every cell."""
+    """analyze_sheet_vectors parses a shape once and reads a copy printed
+    from a neighbour's shape without lexing it; the uncached path parses
+    every cell."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(top_shapes(), st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)),
                                                       min_size=1, max_size=4)),
-                    min_size=1, max_size=4))
-    def test_random_shapes_and_translated_copies(self, placed):
+                    min_size=1, max_size=4),
+           st.lists(copied_runs(), max_size=3))
+    def test_random_shapes_and_translated_copies(self, placed, runs):
         cells = {}
         for shape, places in placed:
             for column, row in places:
                 text = render(shape, column, row)
                 if text is not None:
                     cells[(column, row)] = CellContent.formula(text)
+        for shape, column, row, down, length, breaker, at in runs:
+            for step in range(length):
+                cell = (column, row + step) if down else (column + step, row)
+                written = breaker if step == at else shape
+                text = render(written, *cell) if written is not None else None
+                cells[cell] = CellContent.formula(text) if text is not None else CellContent.number(1.0)
         cells.setdefault((1, 1), CellContent.number(1.0))
         assert_matches_uncached(Worksheet("S", cells))
         # The lexer finds the parser's corners, so every shape that parses is cached.
@@ -437,6 +460,23 @@ class TestShapeCacheOracle:
         {"B2": "=XFD1048576", "B3": "=XFD1048576", "C3": "=$XFD$1", "C4": "=$XFD$1"},
         # a parsed shape whose copy leaves the sheet past its last column
         {"B3": "=A2", "C2": "=D2", "XFD2": "=XFE2"},
+        # copies that leave the sheet, or the lexer's reach, beside copies
+        # that lend to them: past XFD, at row 0, at a row of 8 digits
+        {"XFB2": "=XFC1+$A$1", "XFC2": "=XFD1+$A$1", "XFD2": "=XFE1+$A$1", "XFD3": "=XFE2+$A$1"},
+        {"B1": "=A1", "B2": "=A0", "C1": "=B0", "C2": "=B1"},
+        {"B2": "=A9999998", "B3": "=A9999999", "B4": "=A10000000", "B5": "=A10000001"},
+        # copies spelled otherwise than printed: lower case, leading zeros
+        {"B2": "=A1+$C$1", "B3": "=a2+$C$1", "B4": "=A03+$c$1", "B5": "=A4+$C$01", "B6": "=A5+$C$1", "C6": "=B05+$C$1"},
+        # copies that differ from the printed copy in the letter case of a
+        # sheet name: s! is another sheet than S!
+        {"B2": "=s!A1+Other!A1", "B3": "=S!A2+Other!A2", "B4": "=S!A3+other!A3", "C4": "=s!B3+Other!B3"},
+        # format characters in literals
+        {"B2": '=A1&"%s{}%%{0}%d"', "B3": '=A2&"%s{}%%{0}%d"', "C3": '=B2&"%s{}%%{0}%d"', "C4": '=B3&"%s{}%%{0}"'},
+        {"B2": "=A1&'50%{x}'!B1", "B3": "=A2&'50%{x}'!B2", "C3": "=B2&'50%{x}'!C2"},
+        # NUL breaking a run: it lends nothing and is lent nothing
+        {"B2": '="a"&A1', "B3": '="\x00"&A2', "B4": '="a"&A3', "C4": '="\x00"&B3', "C5": '="a"&B4'},
+        # neighbours that fail to parse, with copies that do below them
+        {"B2": "=SUM(A1", "B3": "=SUM(A2", "C2": "=SUM(B1", "C3": "=SUM(B2)", "C4": "=SUM(B3)", "D4": "=SUM(C3"},
     ])
     def test_hand_cases(self, formulas):
         assert_matches_uncached(sheet_of(formulas))
@@ -468,6 +508,74 @@ class TestShapeCacheOracle:
         assert shape_key("=XFE2+A1", 2, 2) == (None, [])
         assert shape_key("=A0", 2, 2) == (None, [])
         assert shape_key("=XFD1", 2, 2)[0] is not None
+
+    def test_copied_down_column_is_lexed_once(self, monkeypatch):
+        calls = []
+
+        def counting(text, column, row):
+            calls.append((column, row))
+            return shape_key(text, column, row)
+
+        monkeypatch.setattr(vectors, "shape_key", counting)
+        table = table_of({f"B{row}": f"=SUM($A$1:A{row})*2+C{row + 1}" for row in range(1, 101)})
+        assert calls == [(2, 1)]
+        assert len(table.refs) == 100 and not table.diagnostics
+
+    @settings(max_examples=300, deadline=None)
+    @given(top_shapes(), st.integers(1, 9), st.integers(1, 9), st.integers(-12, 12), st.integers(-12, 12))
+    def test_printer_prints_what_shape_key_reads(self, shape, column, row, dc, dr):
+        text = render(shape, column, row)
+        if text is None:
+            return
+        key, corners = shape_key(text, column, row)
+        if key is None:
+            return
+        printer = shape_printer(key)
+        if text == render([p if isinstance(p, str) else p[:4] + (False,) for p in shape], column, row):
+            # Spelled as printed, unless a relative column follows a digit or "." (1E5A1).
+            assert printer(column, row) == (text, corners) or re.search("[0-9.]\x00[-0-9]", key)
+        copy = printer(column + dc, row + dr)
+        if copy is not None:
+            assert shape_key(copy[0], column + dc, row + dr) == (key, copy[1])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text("AEBe$019.:!'\"[]()+,%{} \x00", max_size=14), st.integers(1, 30), st.integers(1, 30),
+           st.integers(-30, 30), st.integers(-30, 30))
+    def test_printer_on_any_text(self, body, column, row, dc, dr):
+        """Texts that mostly fail to parse: the printer's copy still lexes
+        to its key and corners wherever it prints one."""
+        key, _ = shape_key("=" + body, column, row)
+        if key is None:
+            return
+        copy = shape_printer(key)(column + dc, row + dr)
+        if copy is not None:
+            assert shape_key(copy[0], column + dc, row + dr) == (key, copy[1])
+
+    @pytest.mark.parametrize("text, copy, printed", [
+        ("=B2+1", (16384, 3), "=XFC2+1"),
+        ("=B2+1", (16385, 3), "=XFD2+1"),
+        ("=B2+1", (16386, 3), None),  # column XFE
+        ("=B2+1", (2, 2), "=A1+1"),
+        ("=B2+1", (1, 2), None),  # column 0
+        ("=B2+1", (2, 1), None),  # row 0
+        ("=B2+1", (3, 10000000), "=B9999999+1"),
+        ("=B2+1", (3, 10000001), None),  # row 10,000,000: 8 digits
+        ("=B$2+1", (3, 10000001), "=B$2+1"),
+        ("=$B2+1", (30000, 2), "=$B1+1"),
+        ("=1+B2", (6, 3), "=1+E2"),  # E2 after "+", not after the digit
+    ])
+    def test_printer_refuses_copies_past_the_lexer(self, text, copy, printed):
+        key, _ = shape_key(text, 3, 3)
+        got = shape_printer(key)(*copy)
+        assert (got and got[0]) == printed
+        if got is not None:
+            assert shape_key(got[0], *copy) == (key, got[1])
+
+    def test_printer_refuses_a_token_after_a_number(self):
+        # =1E5 is a number, so a key with a cell token right after a digit prints nothing.
+        key, corners = shape_key("=1B5", 3, 5)
+        assert corners == [(2, 5, False, False)]
+        assert shape_printer(key)(5, 5) is None and shape_printer(key)(3, 5) is None
 
     def test_deep_formula_key(self):
         text = "=" + "(" * 5000 + "A1+1" + ")" * 5000
