@@ -56,7 +56,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="20x25,50x40,100x100,100x200,200x200,400x400",
                         help="comma-separated WxH stripes sheet sizes")
-    parser.add_argument("--totals", default="500,1000,2000,4000",
+    parser.add_argument("--totals", default="500,1000,2000,4000,8000",
                         help="comma-separated row counts of running-totals sheets")
     parser.add_argument("--noisy", default="40,80,160",
                         help="comma-separated side lengths of noisy n x n sheets")

@@ -23,14 +23,18 @@ the counts in code order, as `counts_in` returns them; so cuts and
 entropy floats are those of the plain search that scores each cut's
 split entropy (the summed normalized entropy of both halves' counts)
 with two `counts_in` calls, and neither the tree nor the preprocessing
-calls `counts_in`.  A tree node finds its cut in O(area).  A node whose
+calls `counts_in`.  A tree node finds its cut in O(area): it counts its
+total and its lines across its parent's cut, and takes its lines along
+that cut from its parent.  It re-scores its cuts exactly only when
+more than one is near the minimum; the chosen cut's entropy decides
+nothing, so it is scored when read (`EntropyNode.entropy`).  A node whose
 every cell has a fingerprint of its own (all-distinct) is decided in
 closed form: each half of it holds counts of 1 only, so its sweep
 scores, exact scores and cut depend on its width and height alone, and
 are memoised per shape for the tree.  Its subtree is all-distinct too
 and builds no histogram, so a 1 x n column of distinct fingerprints,
-which the tree peels one cell per node, costs one histogram and one
-exact half score per length.
+which the tree peels one cell per node, costs one histogram and no
+exact score.
 
 A delimiter piece counts the cells of its strips outside the delimiter
 runs once (a strip inside one run holds its run's code alone).  It is
@@ -47,9 +51,9 @@ import heapq
 import math
 import operator
 from collections import Counter
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, repeat
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .grid import FingerprintGrid
@@ -120,12 +124,27 @@ class EntropyLeaf:
 
 @dataclass(frozen=True)
 class EntropyNode:
+    """A cut of `region` after column (vertical) or row `index` into the
+    subtrees `low` and `high`.
+
+    `entropy`, the cut's split entropy, is scored when first read: the
+    decomposition reads only the cuts.  Its float is the one the cut
+    search's exact scorer returns, the normalized entropy of each half's
+    counts in code order, as `counts_in` returns them, low plus high.
+    """
+
     region: Rect
     low: "EntropyTree"
     high: "EntropyTree"
     vertical: bool
     index: int
-    entropy: float
+    grid: FingerprintGrid = field(repr=False, compare=False)
+
+    @cached_property
+    def entropy(self) -> float:
+        low, high = split_halves(self.region, self.index, self.vertical)
+        return (normalized_entropy(self.grid.counts_in(low).values(), low.area)
+                + normalized_entropy(self.grid.counts_in(high).values(), high.area))
 
 
 EntropyTree = Union[EntropyLeaf, EntropyNode]
@@ -226,22 +245,20 @@ def _near_minimum(area: int, cuts: Sequence[tuple[bool, int]],
 
 
 def _first_exact_minimum(cuts: Sequence[tuple[bool, int]],
-                         score: Callable[[bool, int], float]) -> tuple[bool, int, float]:
-    """(vertical, index, entropy) of the first of `cuts` to attain the
-    lowest exact score, `score(vertical, index)`.
+                         score: Callable[[bool, int], float]) -> tuple[bool, int]:
+    """(vertical, index) of the first of `cuts` to attain the lowest exact
+    score, `score(vertical, index)`; a lone cut is not scored.
 
     With `cuts` from `_near_minimum` in the pinned order, vertical before
     horizontal and smaller indices first, and a `score` equal to the
     split entropy, this is the cut that scoring every cut exactly in
-    that order picks.
+    that order picks: a lone cut near the minimum is the only exact
+    minimizer.
     """
-    best: Optional[tuple[bool, int, float]] = None
-    for vertical, index in cuts:
-        e = score(vertical, index)
-        if best is None or e < best[2]:
-            best = (vertical, index, e)
-    assert best is not None
-    return best
+    if len(cuts) == 1:
+        return cuts[0]
+    # min keeps the first of equal scores.
+    return min(cuts, key=lambda cut: score(*cut))
 
 
 def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple],
@@ -284,19 +301,22 @@ def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple],
 
 
 class _DistinctCuts:
-    """Cuts of all-distinct nodes, memoised per (width, height).
+    """Cuts of all-distinct nodes, memoised per (width, height) as
+    (vertical, offset from the node's first line).
 
     In a node whose every cell has a code of its own, a half of m cells
     holds m counts of 1.  It sweeps to 1.0 for m >= 2, since every table
     entry it reads is table[1] == 0, and to 0.0 for one cell; its exact
     score is `normalized_entropy([1] * m, m)`, 0.0 for one cell.  So the
     sweep, the cuts near its minimum and the exact re-scores of such a
-    node depend on its shape alone, and so does its cut.  One instance
+    node depend on its shape alone, and so does its cut.  A line's cut
+    is the first end cut, found with no exact score; a block of at least
+    2 x 2 re-scores its cuts from the memoised half scores.  One instance
     serves one tree.
     """
 
     def __init__(self) -> None:
-        self._shapes: dict[tuple[int, int], tuple[bool, int, float]] = {}
+        self._shapes: dict[tuple[int, int], tuple[bool, int]] = {}
         self._halves: dict[int, float] = {}
 
     def _half(self, m: int) -> float:
@@ -314,14 +334,14 @@ class _DistinctCuts:
             self._halves[m] = e
         return e
 
-    def _shape_cut(self, width: int, height: int) -> tuple[bool, int, float]:
-        """(vertical, offset from the first line, entropy) of the cut."""
-        if min(width, height) == 1 and width * height >= 3:
+    def _shape_cut(self, width: int, height: int) -> tuple[bool, int]:
+        """(vertical, offset from the first line) of the cut."""
+        if min(width, height) == 1:
             # On a line of m >= 3 cells the two end cuts sweep to 1.0 and
             # every other cut to 2.0, farther than `_cut_margin` (< 1 for
             # any grid that fits in memory).  The end cuts tie exactly, so
-            # the first one wins.
-            return width > 1, 0, self._half(width * height - 1)
+            # the first one wins; a line of two cells has no other cut.
+            return width > 1, 0
         cuts = [(True, k) for k in range(1, width)] + [(False, k) for k in range(1, height)]
 
         def sizes(vertical: bool, k: int) -> tuple[int, int]:
@@ -332,75 +352,98 @@ class _DistinctCuts:
             return self._half(low) + self._half(high)
 
         scores = [sum(0.0 if m == 1 else 1.0 for m in sizes(v, k)) for v, k in cuts]
-        vertical, k, entropy = _first_exact_minimum(_near_minimum(width * height, cuts, scores), exact)
-        return vertical, k - 1, entropy
+        vertical, k = _first_exact_minimum(_near_minimum(width * height, cuts, scores), exact)
+        return vertical, k - 1
 
-    def cut(self, region: Rect) -> tuple[bool, int, float]:
-        """(vertical, index, entropy) of an all-distinct region's cut."""
+    def cut(self, region: Rect) -> tuple[bool, int]:
+        """(vertical, index) of an all-distinct region's cut."""
         shape = (region.width, region.height)
         decision = self._shapes.get(shape)
         if decision is None:
             decision = self._shapes[shape] = self._shape_cut(*shape)
-        vertical, offset, entropy = decision
-        return vertical, (region.left if vertical else region.top) + offset, entropy
+        vertical, offset = decision
+        return vertical, (region.left if vertical else region.top) + offset
 
 
-def _decide(grid: FingerprintGrid, region: Rect, table: _XLogXTable,
-            distinct: _DistinctCuts) -> tuple[Optional[tuple[bool, int, float]], bool]:
-    """(cut, all_distinct): the cut is None for a single-fingerprint
-    rectangle, else its best cut; all_distinct is True when every cell
-    has a fingerprint of its own, and the cut then comes from `distinct`.
+# (vertical, the code histograms of a node's columns or rows): a child
+# holds whole lines of its parent along the parent's cut, so it gets
+# that slice of the parent's histograms.
+_Inherited = tuple[bool, list]
+
+
+def _line_counts(block: list[list[int]], vertical: bool) -> list[Counter]:
+    """The code histogram of each column (vertical) or row of `block`."""
+    return [Counter(line) for line in (zip(*block) if vertical else block)]
+
+
+def _decide(grid: FingerprintGrid, region: Rect, table: _XLogXTable, distinct: _DistinctCuts,
+            inherited: Optional[_Inherited] = None) -> tuple[Optional[tuple[bool, int]], bool, list]:
+    """(cut, all_distinct, lines): the cut is None for a single-fingerprint
+    rectangle, else its best (vertical, index); all_distinct is True when
+    every cell has a fingerprint of its own, and the cut then comes from
+    `distinct`.
 
     Otherwise searches the cuts between single lines (`_cut_search`):
-    O(area) in all, with no `counts_in`.
+    O(area) in all, with no `counts_in`.  The line histograms along one
+    axis may come from the parent (`inherited`); only those across it
+    are counted from the cells.  `lines` are the histograms along the
+    cut's axis, for the children; empty unless the search ran.
     """
     block = [row[region.left - 1:region.right] for row in grid.code_rows[region.top - 1:region.bottom]]
     total = Counter(chain.from_iterable(block))
     if len(total) == 1:
-        return None, False
+        return None, False, []
     if len(total) == region.area:
-        return distinct.cut(region), True
+        return distinct.cut(region), True, []
+    along, lines = inherited if inherited is not None else (None, [])
+    cols = lines if along is True else _line_counts(block, True)
+    rows = lines if along is False else _line_counts(block, False)
     near, exact = _cut_search(region.area, total, (
-        (True, [Counter(col) for col in zip(*block)], [region.height] * region.width,
-         range(region.left, region.right + 1)),
-        (False, [Counter(row) for row in block], [region.width] * region.height,
-         range(region.top, region.bottom + 1)),
+        (True, cols, [region.height] * region.width, range(region.left, region.right + 1)),
+        (False, rows, [region.width] * region.height, range(region.top, region.bottom + 1)),
     ), table)
-    return _first_exact_minimum(near, exact), False
+    cut = _first_exact_minimum(near, exact)
+    return cut, False, cols if cut[0] else rows
 
 
 def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> EntropyTree:
     """Full guillotine decomposition tree of `region` (default: whole grid).
 
-    Each node costs O(area) for its histograms, cut sweep and exact
-    re-scores, with no `counts_in` call, so a tree costs O(sum of node
-    areas): O(area x depth).  Below an all-distinct node every node is
-    all-distinct too; such nodes build no histogram and take their cut
-    from a memo per (width, height) (`_DistinctCuts`), so a 1 x n column
-    of distinct fingerprints, peeled one cell per node, costs one
-    histogram and one exact half score per length.  Built with an explicit
-    stack; deep, skewed cut sequences on long thin sheets would overflow
-    Python's recursion limit otherwise.
+    Each node costs O(area) for its histograms and cut sweep, with no
+    `counts_in` call, so a tree costs O(sum of node areas):
+    O(area x depth).  A node counts only its total and its lines across
+    its parent's cut; its lines along that cut are a slice of its
+    parent's.  It re-scores its cuts exactly only when more than one is
+    near the sweep's minimum, and its `entropy` is scored when read.
+    Below an all-distinct node every node is all-distinct too; such
+    nodes build no histogram and take their cut from a memo per
+    (width, height) (`_DistinctCuts`), so a 1 x n column of distinct
+    fingerprints, peeled one cell per node, costs one histogram.  Built
+    with an explicit stack; deep, skewed cut sequences on long thin
+    sheets would overflow Python's recursion limit otherwise.
     """
     if region is None:
         region = grid.full_rect()
     table = _XLogXTable()
     distinct_cuts = _DistinctCuts()
     # Decide every node's cut top-down; stack order is preorder.
-    order: list[tuple[Rect, Optional[tuple[bool, int, float]]]] = []
-    pending = [(region, False)]
+    order: list[tuple[Rect, Optional[tuple[bool, int]]]] = []
+    pending: list[tuple[Rect, bool, Optional[_Inherited]]] = [(region, False, None)]
     while pending:
-        r, distinct = pending.pop()
+        r, distinct, inherited = pending.pop()
+        lines: list = []
         if r.area == 1:
             decision = None
         elif distinct:
             decision = distinct_cuts.cut(r)
         else:
-            decision, distinct = _decide(grid, r, table, distinct_cuts)
+            decision, distinct, lines = _decide(grid, r, table, distinct_cuts, inherited)
         order.append((r, decision))
         if decision is not None:
-            low, high = split_halves(r, decision[1], decision[0])
-            pending += [(high, distinct), (low, distinct)]
+            vertical, index = decision
+            low, high = split_halves(r, index, vertical)
+            k = index - (r.left if vertical else r.top) + 1
+            pending += [(high, distinct, (vertical, lines[k:])), (low, distinct, (vertical, lines[:k]))]
     # In reversed preorder a node's high subtree, then its low one, is
     # built just before it, so both sit on top of the stack.
     built: list[EntropyTree] = []
@@ -408,9 +451,9 @@ def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> Entrop
         if decision is None:
             built.append(EntropyLeaf(r))
         else:
-            vertical, index, entropy = decision
+            vertical, index = decision
             low_tree = built.pop()
-            built.append(EntropyNode(r, low_tree, built.pop(), vertical, index, entropy))
+            built.append(EntropyNode(r, low_tree, built.pop(), vertical, index, grid))
     return built[0]
 
 
@@ -655,9 +698,9 @@ def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
             total: Counter = Counter()
             for hist in axes[0][1]:
                 total.update(hist)
-            cuts, exact = _cut_search(r.area, total, axes, table)
-        # A lone cut near the minimum is the only exact minimizer.
-        vertical, index = cuts[0] if len(cuts) == 1 else _first_exact_minimum(cuts, exact)[:2]
+            near, exact = _cut_search(r.area, total, axes, table)
+            cuts = [_first_exact_minimum(near, exact)]
+        vertical, index = cuts[0]
         low, high = split_halves(r, index, vertical)
         stack.append(high)
         stack.append(low)

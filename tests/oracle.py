@@ -511,17 +511,15 @@ def best_split(grid: FingerprintGrid, region: Rect) -> tuple[bool, int, float]:
 
     The cut with the lowest `split_entropy`; vertical candidates win ties
     against horizontal ones, and within an axis the smallest index
-    attaining the minimum wins.  Decided as a tree node is (`_decide`).
+    attaining the minimum wins.  The cut is decided as a tree node's is
+    (`_decide`), and scored with `split_entropy`.
     """
     if region.area == 1:
         raise InvalidSplitError(f"{region} has no interior cut line")
-    decision, _ = _decide(grid, region, _XLogXTable(), _DistinctCuts())
-    if decision is None:
-        # One fingerprint: every cut scores 0.0, so the first one wins.
-        if region.right > region.left:
-            return True, region.left, split_entropy(grid, region, region.left, True)
-        return False, region.top, split_entropy(grid, region, region.top, False)
-    return decision
+    decision, _, _ = _decide(grid, region, _XLogXTable(), _DistinctCuts())
+    # One fingerprint: every cut scores 0.0, so the first one wins.
+    vertical, index = decision or ((True, region.left) if region.right > region.left else (False, region.top))
+    return vertical, index, split_entropy(grid, region, index, vertical)
 
 
 # -- delimiter cuts, each scored with two full counts -------------------------

@@ -394,7 +394,7 @@ def naive_best_split(counter, region):
 
 def naive_preorder(grid, region=None):
     """Preorder (region, cut) list of the tree the per-cut search builds;
-    cut is None for a leaf, else (vertical, index, entropy)."""
+    cut is None for a leaf, else (vertical, index, float.hex(entropy))."""
     counter = PrefixCounts(grid)
     out = []
     stack = [region or grid.full_rect()]
@@ -403,14 +403,15 @@ def naive_preorder(grid, region=None):
         if r.area == 1 or len(counter.counts_in(r)) == 1:
             out.append((r, None))
             continue
-        cut = naive_best_split(counter, r)
-        out.append((r, cut))
-        low, high = split_halves(r, cut[1], cut[0])
+        vertical, index, e = naive_best_split(counter, r)
+        out.append((r, (vertical, index, float.hex(e))))
+        low, high = split_halves(r, index, vertical)
         stack.extend([high, low])
     return out
 
 
 def tree_preorder(tree):
+    """Preorder (region, cut) list of a tree, as `naive_preorder` gives it."""
     out = []
     stack = [tree]
     while stack:
@@ -418,7 +419,7 @@ def tree_preorder(tree):
         if isinstance(node, EntropyLeaf):
             out.append((node.region, None))
         else:
-            out.append((node.region, (node.vertical, node.index, node.entropy)))
+            out.append((node.region, (node.vertical, node.index, float.hex(node.entropy))))
             stack.extend([node.high, node.low])
     return out
 
@@ -452,8 +453,16 @@ def naive_coalesce(regions):
 def assert_tree_matches_naive(grid, region=None):
     got = tree_preorder(entropy_tree(grid, region))
     want = naive_preorder(grid, region)
-    # == on the entropy floats: the sweep must reproduce them bit for bit.
+    # The entropy floats by float.hex: a read must reproduce them bit for bit.
     assert got == want
+
+
+def noisy_grid(rng, width, height, labels="ABCD", chance=0.3):
+    """Numbers with a share `chance` of the cells holding one of `labels`,
+    as the benchmark's noisy sheets are laid out."""
+    return FingerprintGrid(
+        [[rng.choice(labels) if rng.random() < chance else "N" for _ in range(width)] for _ in range(height)]
+    )
 
 
 def stripe_grid(rng, width, height):
@@ -572,6 +581,40 @@ class TestSweepOracle:
             rows[rng.randrange(200)][rng.randrange(200)] = "E"
         grid = FingerprintGrid(rows)
         assert_tree_matches_naive(grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_noisy_grids(self, rng):
+        assert_tree_matches_naive(noisy_grid(rng, rng.randint(1, 16), rng.randint(1, 16)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_few_code_sparse_grids(self, rng):
+        # Mostly blank, with a few cells of one to three codes.
+        grid = noisy_grid(rng, rng.randint(1, 20), rng.randint(1, 20), "XYZ"[: rng.randint(1, 3)],
+                          rng.choice([0.02, 0.05, 0.1]))
+        assert_tree_matches_naive(grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_banded_grids(self, rng):
+        grid = random_banded_grid(rng) if rng.random() < 0.7 else banded_tile_grid(rng)
+        assert_tree_matches_naive(grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_distinct_lines_in_noise(self, rng):
+        # Noisy cells around all-distinct columns or rows, as running
+        # totals sit beside data.
+        width, height = rng.randint(1, 12), rng.randint(1, 12)
+        vertical = rng.random() < 0.5
+        length = width if vertical else height
+        lines = set(rng.sample(range(length), rng.randint(1, min(2, length))))
+        rows = [
+            [f"d{x},{y}" if (x if vertical else y) in lines else rng.choice("NNA") for x in range(width)]
+            for y in range(height)
+        ]
+        assert_tree_matches_naive(FingerprintGrid(rows))
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -741,6 +784,91 @@ class TestDelimiterSplitsOracle:
         tree = entropy_tree(grid)
         assert calls == []
         assert len(tree_leaves(tree)) == 201
+
+
+def test_lone_near_minimum_cut_is_not_rescored(monkeypatch):
+    # Two stripes: only the cut between them is near the sweep's minimum.
+    # A checkerboard: both cuts of the root tie, so both are scored, two
+    # halves each, and its 1 x 2 children are all-distinct lines.
+    calls = []
+    score = entropy.normalized_entropy
+    monkeypatch.setattr(entropy, "normalized_entropy", lambda counts, n: calls.append(n) or score(counts, n))
+    stripes = entropy_tree(FingerprintGrid([["A", "A", "B"], ["A", "A", "B"]]))
+    assert (stripes.vertical, stripes.index) == (True, 2) and calls == []
+    board = entropy_tree(FingerprintGrid([["A", "B"], ["B", "A"]]))
+    assert (board.vertical, board.index) == (True, 1) and calls == [2, 2, 2, 2]
+    # The entropy of a cut is scored when read.
+    assert stripes.entropy == 0.0 and board.entropy == 2.0
+    assert calls == [2, 2, 2, 2, 4, 2, 2, 2]
+
+
+def test_only_near_minimum_ties_are_rescored(monkeypatch):
+    scored = []  # (cuts near the minimum, exact scores) per search
+    first = entropy._first_exact_minimum
+
+    def spying(cuts, score):
+        calls = []
+        cut = first(cuts, lambda *cut: calls.append(cut) or score(*cut))
+        scored.append((len(cuts), len(calls)))
+        return cut
+
+    monkeypatch.setattr(entropy, "_first_exact_minimum", spying)
+    for seed in range(5):
+        entropy_tree(noisy_grid(random.Random(seed), 12, 12))
+    assert (1, 0) in scored and any(n > 1 for n, _ in scored)
+    assert all(calls == (0 if n == 1 else n) for n, calls in scored)
+
+
+def test_running_totals_column_scores_no_half(monkeypatch):
+    # The 1 x 2,000 column peels one end cell per node and needs no exact
+    # half score to do so.
+    grid = FingerprintGrid([["num", f"sum{r}"] for r in range(2000)])
+    halves = []
+    half = _DistinctCuts._half
+    monkeypatch.setattr(_DistinctCuts, "_half", lambda self, m: halves.append(m) or half(self, m))
+    tree = entropy_tree(grid)
+    assert halves == []
+    assert len(tree_leaves(tree)) == 2001
+    column = tree.high
+    assert (column.region, column.vertical, column.index) == (Rect(2, 1, 2, 2000), False, 1)
+    assert column.entropy == normalized_entropy([1] * 1999, 1999)
+
+
+def test_child_counts_only_lines_across_its_parents_cut(monkeypatch):
+    grid = noisy_grid(random.Random(22), 22, 22)
+    counted = []  # (region, axes whose lines it counted) per decided node
+    decide, line_counts = entropy._decide, entropy._line_counts
+
+    def deciding(grid, region, *args):
+        counted.append((region, []))
+        return decide(grid, region, *args)
+
+    def counting(block, vertical):
+        counted[-1][1].append(vertical)
+        return line_counts(block, vertical)
+
+    monkeypatch.setattr(entropy, "_decide", deciding)
+    monkeypatch.setattr(entropy, "_line_counts", counting)
+    tree = entropy_tree(grid)
+    parent_cut = {}
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, EntropyNode):
+            parent_cut[node.low.region] = parent_cut[node.high.region] = node.vertical
+            stack += [node.low, node.high]
+    (root, root_axes), *children = counted
+    assert root == grid.full_rect() and root_axes == [True, False]
+    searched = [(region, axes) for region, axes in children if axes]
+    assert len(searched) > 20
+    assert all(axes == [not parent_cut[region]] for region, axes in searched)
+
+
+def test_decomposition_counts_nothing(monkeypatch):
+    # No cut's entropy is read while decomposing.
+    grid = noisy_grid(random.Random(3), 30, 30)
+    monkeypatch.setattr(FingerprintGrid, "counts_in", lambda self, rect: pytest.fail("counts_in called"))
+    assert len(decompose_grid(grid, preprocess=False)) > 1
 
 
 def test_distinct_half_is_normalized_entropy_of_ones():
