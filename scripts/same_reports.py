@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two source trees of gridlint write the same audit reports.
+"""Check that two source trees of gridlint write the same reports, pages and scores.
 
     python3 scripts/same_reports.py OLD_SRC NEW_SRC [--seeds 7 11] [--python EXE]
 
@@ -8,11 +8,17 @@ OLD_SRC and NEW_SRC are directories that hold the `gridlint` package
 `fixtures/`, analysed with and without preprocessing, and every workbook
 of the `corpus`, `adversarial` and `lookups` workloads at each seed,
 generated by `perfbench/workloads.py` and analysed with preprocessing.
-Each side runs `gridlint analyze` on every input, once per report
-format (JSON and text), in one child interpreter of its own (EXE, by
-default this one), with the CLI's defaults otherwise.  Exit codes are
-compared too.  Prints the reports that differ or exist on one side
-only; exits 1 if there are any, else 0.
+Each side runs, in one child interpreter of its own (EXE, by default
+this one) and with the CLI's defaults otherwise:
+
+* `gridlint analyze` on every input, once per report format (JSON and
+  text);
+* `gridlint render` on every workbook, once;
+* `gridlint eval` of the JSON report of `fixtures/weekly_totals`
+  against its annotations.
+
+Exit codes are compared too.  Prints the outputs that differ or exist
+on one side only; exits 1 if there are any, else 0.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("corpus", "adversarial", "lookups")
 
-# Run in each child: sys.argv = [-c, src, variants.json, out_dir].
+# Run in each child: sys.argv = [-c, src, variants.json, out_dir, annotations, eval file name].
+# Reports go to out_dir, each workbook's pages to out_dir/render/<name>/.
 CHILD = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -37,13 +44,18 @@ sys.path.insert(0, sys.argv[1])
 from gridlint.cli import main
 out_dir = Path(sys.argv[3])
 codes = {}
-for name, path, preprocess in json.loads(Path(sys.argv[2]).read_text()):
-    for fmt, ext in (("json", "json"), ("text", "txt")):
-        argv = ["analyze", path, "--format", fmt, "--out", str(out_dir / f"{name}.{ext}")]
-        with contextlib.redirect_stderr(io.StringIO()):
+with contextlib.redirect_stderr(io.StringIO()):
+    for name, path, preprocess in json.loads(Path(sys.argv[2]).read_text()):
+        for fmt, ext in (("json", "json"), ("text", "txt")):
+            argv = ["analyze", path, "--format", fmt, "--out", str(out_dir / f"{name}.{ext}")]
             codes[f"{name}.{ext}"] = main(argv + ([] if preprocess else ["--no-preprocess"]))
+        if preprocess:
+            codes[f"render/{name}"] = main(["render", path, "--out", str(out_dir / "render" / name)])
+    codes[sys.argv[5]] = main(["eval", str(out_dir / "fixtures-weekly_totals.json"), sys.argv[4],
+                               "--out", str(out_dir / sys.argv[5])])
 (out_dir / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True))
 """
+EVAL = "eval-weekly_totals.json"
 
 
 def write_variants(directory: Path, seeds: list[int]) -> list[tuple[str, str, bool]]:
@@ -84,31 +96,39 @@ def main(argv: list[str] | None = None) -> int:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         env.pop("PYTHONPATH", None)
         children = []
+        annotations = ROOT / "fixtures" / "weekly_totals.annotations.json"
         for side, src in (("old", args.old_src), ("new", args.new_src)):
             (tmp / side).mkdir()
             children.append(subprocess.Popen(
-                [args.python, "-c", CHILD, str(src.resolve()), str(tmp / "variants.json"), str(tmp / side)],
+                [args.python, "-c", CHILD, str(src.resolve()), str(tmp / "variants.json"), str(tmp / side),
+                 str(annotations), EVAL],
                 env=env,
             ))
         if any([child.wait() != 0 for child in children]):
             print("error: a child interpreter failed", file=sys.stderr)
             return 2
 
-        old = sorted(p.name for p in (tmp / "old").iterdir())
-        new = sorted(p.name for p in (tmp / "new").iterdir())
-        _, mismatch, errors = filecmp.cmpfiles(tmp / "old", tmp / "new", sorted(set(old) & set(new)), shallow=False)
-        only = sorted(set(old) ^ set(new))
+        old, new = (
+            {p.relative_to(tmp / side).as_posix() for p in (tmp / side).rglob("*") if p.is_file()}
+            for side in ("old", "new")
+        )
+        _, mismatch, errors = filecmp.cmpfiles(tmp / "old", tmp / "new", sorted(old & new), shallow=False)
+        only = sorted(old ^ new)
         for name in mismatch + errors:
             print(f"differs: {name}")
         for name in only:
             print(f"one side only: {name}")
-        reports = len(set(old) | set(new)) - 1  # less exit_codes.json
+        outputs = (old | new) - {"exit_codes.json"}
+        pages = sum(name.startswith("render/") for name in outputs)
+        reports = len(outputs) - pages - (EVAL in outputs)
         if mismatch or errors or only:
-            print(f"{len(mismatch) + len(errors) + len(only)} of {reports} reports differ "
-                  f"({len(variants)} variants, seeds {args.seeds})")
+            print(f"{len(mismatch) + len(errors) + len(only)} of {len(outputs)} outputs differ "
+                  f"({reports} reports, {pages} render pages and the eval output; "
+                  f"{len(variants)} variants, seeds {args.seeds})")
             return 1
         print(f"all {reports} reports and their exit codes identical "
               f"({len(variants)} variants, seeds {args.seeds})")
+        print(f"all {pages} render pages and the eval output identical, with their exit codes")
         return 0
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .evaluate import evaluate_report, load_annotations
+from .fixes import DEFAULT_THRESHOLD
 from .model import FormatError, GridlintError, load_workbook
 from .pipeline import PHASES, AnalysisConfig, analyze_workbook, audit_payload
 from .report import (
@@ -27,6 +28,7 @@ from .report import (
     global_view_chunks,
     render_empty_view,
 )
+from .vectors import analyze_sheet_vectors
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -44,14 +46,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     workbook = load_workbook(args.workbook)
     parse_seconds = time.perf_counter() - t0
-    config = AnalysisConfig(
-        threshold=args.threshold,
-        preprocess=not args.no_preprocess,
-        fmt=args.format,
-    )
+    config = AnalysisConfig(threshold=args.threshold, preprocess=not args.no_preprocess)
     analysis = analyze_workbook(workbook, config, parse_seconds=parse_seconds)
     payload = audit_payload(analysis, config.threshold)
-    text = audit_json(payload) if config.fmt == "json" else audit_text(payload)
+    text = audit_json(payload) if args.format == "json" else audit_text(payload)
     _write_or_print(text, args.out)
     print(
         f"analyzed {len(analysis.sheets)} sheet(s): "
@@ -77,9 +75,12 @@ def cmd_render(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     out_dir = Path(args.out) if args.out else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
-    analysis = analyze_workbook(workbook)
+    # A page shows the vector table alone.  All tables are built first, so a
+    # refused used range writes no page; one shape dictionary serves them all.
+    shapes: dict = {}
+    tables = [analyze_sheet_vectors(workbook, sheet, shapes) if sheet.cells else None for sheet in workbook.sheets]
     written: set[str] = set()
-    for sheet in analysis.sheets:
+    for sheet, table in zip(workbook.sheets, tables):
         # Sheet names that sanitize alike get _2, _3, ... in sheet order.
         stem = name = f"{_safe_name(workbook.name)}_{_safe_name(sheet.name)}"
         suffix = 1
@@ -88,14 +89,14 @@ def cmd_render(args: argparse.Namespace) -> int:
             name = f"{stem}_{suffix}"
         written.add(name)
         path = out_dir / f"{name}.html"
-        if sheet.cells == 0:
+        if table is None:
             path.write_text(render_empty_view(sheet.name), encoding="utf-8")
         else:
             # The page holds one <rect> per used-range cell; written as it
             # is built, it is never whole in memory.
-            graph = build_adjacency(sheet.table)
+            graph = build_adjacency(table)
             with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(global_view_chunks(sheet.table, graph, assign_colors(graph)))
+                fh.writelines(global_view_chunks(table, graph, assign_colors(graph)))
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 
@@ -121,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="rank likely formula errors in a workbook")
     p_analyze.add_argument("workbook", help="path to a .gridbook JSON workbook")
-    p_analyze.add_argument("--threshold", type=float, default=0.05,
-                           help="fraction of cells a reader will inspect (default 0.05)")
+    p_analyze.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                           help="fraction of cells a reader will inspect (default %(default)s)")
     p_analyze.add_argument("--no-preprocess", action="store_true",
                            help="skip the delimiter-split preprocessing pass")
     p_analyze.add_argument("--format", choices=("json", "text"), default="json")

@@ -615,19 +615,9 @@ def _axis_runs(grid: FingerprintGrid, vertical: bool) -> list[Optional[int]]:
 
 
 def _run_cuts(ids: list[Optional[int]], length: int) -> list[int]:
-    """Cut lines at run boundaries: after the line preceding a run start,
-    and after a run end, when those fall strictly inside the grid."""
-    cuts = set()
-    for i in range(1, length + 1):
-        if ids[i] is None:
-            continue
-        starts = i == 1 or ids[i - 1] != ids[i]
-        ends = i == length or (i + 1 <= length and ids[i + 1] != ids[i])
-        if starts and i > 1:
-            cuts.add(i - 1)
-        if ends and i < length:
-            cuts.add(i)
-    return sorted(cuts)
+    """Cut after line i exactly when lines i and i + 1 differ in run id;
+    two lines of no run are both None, so none falls between them."""
+    return [i for i in range(1, length) if ids[i] != ids[i + 1]]
 
 
 def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], ids: list[Optional[int]],

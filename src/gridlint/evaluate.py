@@ -10,12 +10,10 @@ replacement) anchors an adjusted precision.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Mapping
 
-from .model import CellKind, FormatError, GridlintError, Rect, parse_a1
-from .vectors import SheetVectors, offset_box
+from .model import FormatError, GridlintError, parse_a1
 
 Cell = tuple[int, int]
 
@@ -135,113 +133,6 @@ def evaluate_sheet(flagged: Iterable[Cell], truth: SheetTruth, total_cells: int)
     return EvalResult(tp, fp, fn, len(flagged_set), precision, recall, expected, adjusted)
 
 
-# --- layout statistics ---
-
-
-def _connected_clusters(table: SheetVectors) -> list[tuple[frozenset, tuple]]:
-    """Maximal edge-connected same-fingerprint cell sets, skipping blanks.
-
-    Returns (cells, fingerprint) pairs; deterministic order."""
-    rect = table.rect
-    seen: set[Cell] = set()
-    clusters: list[tuple[frozenset, tuple]] = []
-    for y in range(rect.top, rect.bottom + 1):
-        for x in range(rect.left, rect.right + 1):
-            if (x, y) in seen or table.kind(x, y) is CellKind.EMPTY:
-                continue
-            fp = table.fingerprint(x, y)
-            stack = [(x, y)]
-            members = set()
-            while stack:
-                cx, cy = stack.pop()
-                if (cx, cy) in members:
-                    continue
-                members.add((cx, cy))
-                for nx, ny in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
-                    if (
-                        rect.contains(nx, ny)
-                        and (nx, ny) not in members
-                        and table.kind(nx, ny) is not CellKind.EMPTY
-                        and table.fingerprint(nx, ny) == fp
-                    ):
-                        stack.append((nx, ny))
-            seen |= members
-            clusters.append((frozenset(members), fp))
-    return clusters
-
-
-def _is_rectangular(cells: frozenset) -> bool:
-    left = min(c[0] for c in cells)
-    right = max(c[0] for c in cells)
-    top = min(c[1] for c in cells)
-    bottom = max(c[1] for c in cells)
-    return Rect(left, top, right, bottom).area == len(cells)
-
-
-def rectangularity_stats(tables: Sequence[SheetVectors]) -> tuple[Optional[float], Optional[float]]:
-    """(rectangular fraction of all content clusters, of formula-only
-    clusters); None when a denominator is empty."""
-    all_total = all_rect = 0
-    formula_total = formula_rect = 0
-    for table in tables:
-        for cells, _fp in _connected_clusters(table):
-            rectangular = _is_rectangular(cells)
-            all_total += 1
-            all_rect += rectangular
-            if all(table.kind(x, y) is CellKind.FORMULA for x, y in cells):
-                formula_total += 1
-                formula_rect += rectangular
-    frac_all = all_rect / all_total if all_total else None
-    frac_formula = formula_rect / formula_total if formula_total else None
-    return frac_all, frac_formula
-
-
-def _union_key(boxes: Sequence[tuple[int, int, int, int, int]]) -> tuple:
-    """Canonical form of a union of integer boxes (z, x0, y0, x1, y1), bounds
-    inclusive: per z, the maximal runs of rows that cover the same merged
-    x-intervals.  Two unions hold the same points exactly when their keys
-    are equal, without listing the points."""
-    key = []
-    for z in sorted({b[0] for b in boxes}):
-        layer = [b for b in boxes if b[0] == z]
-        edges = sorted({b[2] for b in layer} | {b[4] + 1 for b in layer})
-        bands: list[tuple[int, int, tuple]] = []
-        for y0, y_end in zip(edges, edges[1:]):
-            merged: list[list[int]] = []
-            for x0, x1 in sorted((b[1], b[3]) for b in layer if b[2] <= y0 <= b[4]):
-                if merged and x0 <= merged[-1][1] + 1:
-                    merged[-1][1] = max(merged[-1][1], x1)
-                else:
-                    merged.append([x0, x1])
-            spans = tuple(map(tuple, merged))
-            if bands and bands[-1][1] == y0 - 1 and bands[-1][2] == spans:
-                bands[-1] = (bands[-1][0], y_end - 1, spans)
-            elif spans:
-                bands.append((y0, y_end - 1, spans))
-        key.append((z, tuple(bands)))
-    return tuple(key)
-
-
-def collision_rate(tables: Sequence[SheetVectors]) -> float:
-    """Fraction of same-fingerprint formula pairs whose reference-vector
-    sets differ (the fingerprint sum hides a real shape difference).
-
-    A reference's vectors fill a box (vectors.offset_box); each cell's set
-    is compared through the canonical form of the union of its boxes.  The
-    pairs that differ are the same-fingerprint pairs less the same-set ones."""
-    by_fingerprint: Counter = Counter()
-    by_set: Counter = Counter()
-    for table in tables:
-        for cell, rects in table.refs.items():
-            fingerprint = table.fingerprint(*cell)
-            boxes = [offset_box(r, *cell, table.sheet_name, table.workbook_name) for r in rects]
-            by_fingerprint[fingerprint] += 1
-            by_set[fingerprint, _union_key(boxes)] += 1
-    pairs = sum(n * (n - 1) // 2 for n in by_fingerprint.values())
-    same = sum(n * (n - 1) // 2 for n in by_set.values())
-    return (pairs - same) / pairs if pairs else 0.0
-
-
 # --- annotation file handling ---
 
 
@@ -328,45 +219,21 @@ def evaluate_report(report: dict, truth: GroundTruth) -> dict:
         )
     if not isinstance(report["sheets"], list):
         raise FormatError("report sheets must be a list")
-    sheet_results = []
-    totals = {"tp": 0, "fp": 0, "fn": 0, "flagged": 0}
-    expected_total = 0.0
+    sheets = []
+    tp = fp = fn = flagged = 0
+    expected = 0.0
     for sheet in report["sheets"]:
-        name, flagged, total_cells = _parse_report_sheet(sheet)
+        name, cells, total_cells = _parse_report_sheet(sheet)
         sheet_truth = truth.sheets.get(name, SheetTruth(frozenset(), (), frozenset()))
-        result = evaluate_sheet(flagged, sheet_truth, total_cells)
-        totals["tp"] += result.tp
-        totals["fp"] += result.fp
-        totals["fn"] += result.fn
-        totals["flagged"] += result.flagged
-        expected_total += result.expected_random_tp
-        sheet_results.append(
-            {
-                "sheet": name,
-                "tp": result.tp,
-                "fp": result.fp,
-                "fn": result.fn,
-                "flagged": result.flagged,
-                "precision": result.precision,
-                "recall": result.recall,
-                "expected_random_tp": result.expected_random_tp,
-                "adjusted_precision": result.adjusted_precision,
-            }
-        )
+        result = evaluate_sheet(cells, sheet_truth, total_cells)
+        sheets.append({"sheet": name, **asdict(result)})
+        tp += result.tp
+        fp += result.fp
+        fn += result.fn
+        flagged += result.flagged
+        expected += result.expected_random_tp
     truth_total = sum(t.capped_error_count for t in truth.sheets.values())
-    precision, recall = precision_recall(
-        totals["tp"], totals["fp"], totals["fn"], totals["flagged"], truth_total
-    )
-    overall = {
-        "tp": totals["tp"],
-        "fp": totals["fp"],
-        "fn": totals["fn"],
-        "flagged": totals["flagged"],
-        "precision": precision,
-        "recall": recall,
-        "expected_random_tp": expected_total,
-        "adjusted_precision": adjusted_precision(
-            totals["tp"], totals["fp"], totals["flagged"], expected_total
-        ),
-    }
-    return {"workbook": truth.workbook, "sheets": sheet_results, "overall": overall}
+    precision, recall = precision_recall(tp, fp, fn, flagged, truth_total)
+    overall = EvalResult(tp, fp, fn, flagged, precision, recall, expected,
+                         adjusted_precision(tp, fp, flagged, expected))
+    return {"workbook": truth.workbook, "sheets": sheets, "overall": asdict(overall)}

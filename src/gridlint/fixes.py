@@ -34,7 +34,9 @@ from typing import Hashable, NamedTuple, Optional, Sequence
 
 from .entropy import Region, _EdgeIndex, _region_key, _union_rect
 from .model import GridlintError, Rect
-from .vectors import DATA_KINDS, SheetVectors, is_off_sheet, location_fingerprint, translated_location_fingerprint
+from .vectors import DATA_KINDS, SheetVectors, is_off_sheet, location_fingerprint
+
+DEFAULT_THRESHOLD = 0.05  # fraction of a sheet's cells a reader inspects (`rank_and_cut`)
 
 # Rejection codes for inadmissible candidates.
 REASON_NOT_FORMULAS = "C2"
@@ -261,9 +263,7 @@ def fix_distance(fix: CandidateFix, table: SheetVectors) -> float:
     total = 0.0
     for x, y in fix.source.cells():
         as_is = location_fingerprint(table.refs.get((x, y), ()), table.sheet_name, table.workbook_name)
-        would_be = translated_location_fingerprint(
-            rep_refs, table.sheet_name, table.workbook_name, rep, (x, y)
-        )
+        would_be = location_fingerprint(rep_refs, table.sheet_name, table.workbook_name, (x - rep[0], y - rep[1]))
         total += math.sqrt(
             (as_is.x - would_be.x) ** 2
             + (as_is.y - would_be.y) ** 2
@@ -357,7 +357,7 @@ def build_fixes(
     table: SheetVectors,
     regions: Sequence[Region],
     total_cells: int,
-    threshold: float = 0.05,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> list[ProposedFix]:
     """End-to-end: candidates -> screens -> scores -> ranked audit list."""
     scored = score_candidates(candidate_fixes(regions), table, regions, total_cells)

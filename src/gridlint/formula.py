@@ -19,13 +19,15 @@ length limit; the tree walks below are iterative.
 
 Precedence, loosest to tightest: comparisons, "&", "+ -", "* /", "^"
 (right-associative), unary sign, postfix "%".  Unary sign binds tighter
-than "^", so -2^2 means (-2)^2.
+than "^", so -2^2 means (-2)^2.  The four left-associative levels are
+one loop over a table of their operators, one frame per level.  A parse
+error carries the offset where the parser stopped; nodes keep none.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 # SHEET_COLUMNS and SHEET_ROWS are the open axis of B:B or 3:3.
@@ -39,10 +41,9 @@ MAX_NESTING = 64
 class FormulaParseError(GridlintError):
     """Formula text falls outside the supported grammar."""
 
-    def __init__(self, message: str, position: int, expected: Sequence[str] = ()):
+    def __init__(self, message: str, position: int):
         super().__init__(f"{message} at offset {position}")
         self.position = position
-        self.expected = tuple(expected)
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,6 @@ class BoolLit(Node):
 @dataclass(frozen=True)
 class CellRef(Node):
     ref: RawReference
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,6 @@ class RangeRef(Node):
 
     start: RawReference
     end: RawReference
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
     whole: str = ""
 
 
@@ -147,7 +146,9 @@ _ROWS_RE = re.compile(r"(\$?)([0-9]{1,7}):(\$?)([0-9]{1,7})")
 _SHEET_PREFIX_RE = re.compile(
     r"(?:\[(?P<wb>[^\[\]]+)\])?(?:'(?P<qsheet>(?:[^']|'')*)'|(?P<sheet>[A-Za-z_][A-Za-z0-9_.]*))!"
 )
-_CMP_OPS = ("<=", ">=", "<>", "=", "<", ">")
+# The left-associative operator levels, loosest first ("^" is `_parse_power`).
+# A level tries its operators in order, so "<=" is read before "<".
+_BINARY_LEVELS = (("<=", ">=", "<>", "=", "<", ">"), ("&",), ("+", "-"), ("*", "/"))
 
 # Lexer of shape_key.  At each position it reads what the parser would
 # read there: a run of characters that start nothing below (a run of
@@ -202,63 +203,33 @@ class _Scanner:
 
     def expect(self, literal: str) -> None:
         if not self.match(literal):
-            raise FormulaParseError(f"expected {literal!r}", self.pos, [literal])
+            raise FormulaParseError(f"expected {literal!r}", self.pos)
 
 
 def parse_formula(text: str) -> Node:
     """Parse a full formula string (with its leading '=') into an AST."""
     if not text.startswith("="):
-        raise FormulaParseError("formula must start with '='", 0, ["="])
+        raise FormulaParseError("formula must start with '='", 0)
     sc = _Scanner(text, 1)
-    node = _parse_compare(sc)
+    node = _parse_binary(sc)
     sc.skip_ws()
     if sc.pos != len(text):
-        raise FormulaParseError("unexpected trailing input", sc.pos, ["end of formula"])
+        raise FormulaParseError("unexpected trailing input", sc.pos)
     return node
 
 
-def _parse_compare(sc: _Scanner) -> Node:
-    node = _parse_concat(sc)
+def _parse_binary(sc: _Scanner, level: int = 0) -> Node:
+    """A left-associative chain of `_BINARY_LEVELS[level]`; its operands
+    are the next level's, or `_parse_power`'s after the last one."""
+    last = level + 1 == len(_BINARY_LEVELS)
+    node = _parse_power(sc) if last else _parse_binary(sc, level + 1)
     while True:
         sc.skip_ws()
-        for op in _CMP_OPS:
+        for op in _BINARY_LEVELS[level]:
             if sc.match(op):
-                node = BinaryOp(op, node, _parse_concat(sc))
+                right = _parse_power(sc) if last else _parse_binary(sc, level + 1)
+                node = BinaryOp(op, node, right)
                 break
-        else:
-            return node
-
-
-def _parse_concat(sc: _Scanner) -> Node:
-    node = _parse_additive(sc)
-    while True:
-        sc.skip_ws()
-        if sc.match("&"):
-            node = BinaryOp("&", node, _parse_additive(sc))
-        else:
-            return node
-
-
-def _parse_additive(sc: _Scanner) -> Node:
-    node = _parse_multiplicative(sc)
-    while True:
-        sc.skip_ws()
-        if sc.match("+"):
-            node = BinaryOp("+", node, _parse_multiplicative(sc))
-        elif sc.match("-"):
-            node = BinaryOp("-", node, _parse_multiplicative(sc))
-        else:
-            return node
-
-
-def _parse_multiplicative(sc: _Scanner) -> Node:
-    node = _parse_power(sc)
-    while True:
-        sc.skip_ws()
-        if sc.match("*"):
-            node = BinaryOp("*", node, _parse_power(sc))
-        elif sc.match("/"):
-            node = BinaryOp("/", node, _parse_power(sc))
         else:
             return node
 
@@ -301,7 +272,7 @@ def _parse_atom(sc: _Scanner) -> Node:
     if ch == "(":
         sc.pos += 1
         sc.nest()
-        inner = _parse_compare(sc)
+        inner = _parse_binary(sc)
         sc.skip_ws()
         sc.expect(")")
         sc.depth -= 1
@@ -309,12 +280,12 @@ def _parse_atom(sc: _Scanner) -> Node:
     if ch == '"':
         return _parse_string(sc)
     if ch.isdigit() or ch == ".":
-        rows = _try_lines(sc, None, None, sc.pos)
+        rows = _try_lines(sc, None, None)
         if rows is not None:
             return rows
         m = sc.match_re(_NUMBER_RE)
         if not m:
-            raise FormulaParseError("malformed number", sc.pos, ["number"])
+            raise FormulaParseError("malformed number", sc.pos)
         return NumberLit(float(m.group(0)))
     return _parse_ref_or_call(sc)
 
@@ -325,7 +296,7 @@ def _parse_string(sc: _Scanner) -> StringLit:
     chunks = []
     while True:
         if sc.pos >= len(sc.text):
-            raise FormulaParseError("unterminated string literal", start, ['"'])
+            raise FormulaParseError("unterminated string literal", start)
         ch = sc.text[sc.pos]
         if ch == '"':
             if sc.text.startswith('""', sc.pos):
@@ -365,7 +336,7 @@ def _try_a1(sc: _Scanner, sheet: str | None, workbook: str | None) -> RawReferen
     )
 
 
-def _try_lines(sc: _Scanner, sheet: str | None, workbook: str | None, start: int) -> RangeRef | None:
+def _try_lines(sc: _Scanner, sheet: str | None, workbook: str | None) -> RangeRef | None:
     """Whole columns such as $B:D or whole rows such as 3:$5, else None."""
     for pattern, whole in ((_COLUMNS_RE, "columns"), (_ROWS_RE, "rows")):
         save = sc.pos
@@ -385,32 +356,25 @@ def _try_lines(sc: _Scanner, sheet: str | None, workbook: str | None, start: int
             second = RawReference(SHEET_COLUMNS, int(m.group(4)), True, second_abs, sheet, workbook)
         if outside_sheet(first.column, first.row) or outside_sheet(second.column, second.row):
             raise FormulaParseError(f"{whole} {m.group(0)} outside the sheet", save)
-        return RangeRef(first, second, span=(start, sc.pos), whole=whole)
+        return RangeRef(first, second, whole=whole)
     return None
 
 
 def _parse_ref_or_call(sc: _Scanner) -> Node:
     start = sc.pos
     prefix = sc.match_re(_SHEET_PREFIX_RE)
-    sheet = None
-    workbook = None
+    sheet = workbook = None
     if prefix:
         workbook = prefix.group("wb")
         sheet = prefix.group("sheet") or _unquote_sheet(prefix.group("qsheet") or "")
-        first = _try_a1(sc, sheet, workbook)
-        if first is not None:
-            return _finish_ref(sc, first, start)
-        lines = _try_lines(sc, sheet, workbook, start)
-        if lines is None:
-            raise FormulaParseError("expected cell address after sheet qualifier", sc.pos, ["A1 reference"])
-        return lines
-
-    first = _try_a1(sc, None, None)
+    first = _try_a1(sc, sheet, workbook)
     if first is not None:
-        return _finish_ref(sc, first, start)
-    lines = _try_lines(sc, None, None, start)
+        return _finish_ref(sc, first)
+    lines = _try_lines(sc, sheet, workbook)
     if lines is not None:
         return lines
+    if prefix:
+        raise FormulaParseError("expected cell address after sheet qualifier", sc.pos)
 
     m = sc.match_re(_NAME_RE)
     if m:
@@ -421,35 +385,34 @@ def _parse_ref_or_call(sc: _Scanner) -> Node:
             args: list[Node] = []
             sc.skip_ws()
             if not sc.match(")"):
-                args.append(_parse_compare(sc))
+                args.append(_parse_binary(sc))
                 sc.skip_ws()
                 while sc.match(","):
-                    args.append(_parse_compare(sc))
+                    args.append(_parse_binary(sc))
                     sc.skip_ws()
                 sc.expect(")")
             sc.depth -= 1
             return FunctionCall(name.upper(), tuple(args))
         if name.upper() in ("TRUE", "FALSE"):
             return BoolLit(name.upper() == "TRUE")
-        raise FormulaParseError(f"unsupported name {name!r}", start, ["reference", "function call"])
-    raise FormulaParseError("expected a value, reference, or function", sc.pos,
-                            ["number", "string", "reference", "function call", "("])
+        raise FormulaParseError(f"unsupported name {name!r}", start)
+    raise FormulaParseError("expected a value, reference, or function", sc.pos)
 
 
-def _finish_ref(sc: _Scanner, first: RawReference, start: int) -> Node:
+def _finish_ref(sc: _Scanner, first: RawReference) -> Node:
     save = sc.pos
     if sc.match(":"):
         prefix = sc.match_re(_SHEET_PREFIX_RE)
         if prefix:
             other = prefix.group("sheet") or _unquote_sheet(prefix.group("qsheet") or "")
             if other != first.sheet or prefix.group("wb") != first.workbook:
-                raise FormulaParseError("range endpoints on different sheets", save + 1, [])
+                raise FormulaParseError("range endpoints on different sheets", save + 1)
         second = _try_a1(sc, first.sheet, first.workbook)
         if second is None:
             # "A1:" followed by non-address; ranges are the only use of ':'.
-            raise FormulaParseError("expected cell address after ':'", sc.pos, ["A1 reference"])
-        return RangeRef(first, second, span=(start, sc.pos))
-    return CellRef(first, span=(start, sc.pos))
+            raise FormulaParseError("expected cell address after ':'", sc.pos)
+        return RangeRef(first, second)
+    return CellRef(first)
 
 
 Corner = tuple[int, int, bool, bool]  # (column, row, column_absolute, row_absolute)

@@ -48,7 +48,7 @@ class EmptySheetError(GridlintError):
 SHEET_COLUMNS = 16_384
 SHEET_ROWS = 1_048_576
 
-_COLUMN_RE = re.compile(r"^([A-Za-z]+)([0-9]+)$")
+_COLUMN_RE = re.compile(r"([A-Za-z]+)([0-9]+)")
 
 # Column letters -> index, shared by parse_a1 and the formula lexer.  Filled
 # on first use with upper-case spellings of columns A..XFD only, so it holds
@@ -95,7 +95,7 @@ def letters_to_column(letters: str) -> int:
 
 def parse_a1(text: str) -> tuple[int, int]:
     """Parse an A1-style address into (column, row); refuse one off the sheet."""
-    m = _COLUMN_RE.match(text)
+    m = _COLUMN_RE.fullmatch(text)
     if not m:
         raise FormatError(f"invalid cell address: {text!r}")
     letters, digits = m.groups()
@@ -146,8 +146,6 @@ class CellContent(NamedTuple):
     def text(value: str) -> "CellContent":
         return CellContent(CellKind.TEXT, value)
 
-
-EMPTY_CELL = CellContent(CellKind.EMPTY)
 
 
 @dataclass(frozen=True, order=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .entropy import Region, decompose_grid
-from .fixes import ProposedFix, build_fixes
+from .fixes import DEFAULT_THRESHOLD, ProposedFix, build_fixes
 from .grid import FingerprintGrid
 from .model import FormatError, Rect, Workbook, Worksheet
 from .report import audit_sheet_payload, audit_workbook_payload
@@ -31,15 +31,12 @@ class ConfigError(FormatError, ValueError):
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    threshold: float = 0.05
+    threshold: float = DEFAULT_THRESHOLD
     preprocess: bool = True
-    fmt: str = "json"
 
     def __post_init__(self):
         if not 0 < self.threshold <= 1:
             raise ConfigError(f"threshold {self.threshold} must be in (0, 1]")
-        if self.fmt not in ("json", "text"):
-            raise ConfigError(f"format {self.fmt!r} must be json or text")
 
 
 @dataclass

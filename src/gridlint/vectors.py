@@ -24,7 +24,8 @@ rule: =Sheet2!B5 in C5 gives (1, 4, 1, 0) and =Sheet2!B6 in C6 gives
 (1, 5, 1, 0).
 
 The location fingerprint sums the absolute coordinates of the referents
-instead, and is used to measure how far a proposed rewrite moves them.
+instead; summed with the formula shifted to another cell (relative axes
+move, anchors stay), it measures how far a proposed rewrite moves them.
 
 A range contributes one vector per cell it covers.  The analysis never
 lists those cells: over a w x h rectangle every sum above has a closed
@@ -135,31 +136,22 @@ def rects_fingerprint(rects: Iterable[RefRect], column: int, row: int, sheet: st
     return Fingerprint(x, y, z, 1 if has_numeric_constant else 0)
 
 
-def location_fingerprint(rects: Iterable[RefRect], sheet: str, workbook: str) -> LocFingerprint:
-    """Sum of the absolute (column, row, off-sheet flag) of every referent."""
+def location_fingerprint(rects: Iterable[RefRect], sheet: str, workbook: str,
+                         shift: tuple[int, int] = (0, 0)) -> LocFingerprint:
+    """Sum of the absolute (column, row, off-sheet flag) of every referent,
+    with the formula moved by shift = (columns, rows): relative axes move
+    with it; absolute anchors and off-sheet references stay put."""
+    dc, dr = shift
     x = y = z = 0
     for rect in rects:
         n, xs, ys = box_sums(rect.left, rect.top, rect.right, rect.bottom)
+        if is_off_sheet(rect, sheet, workbook):
+            z += n
+        else:
+            xs += 0 if rect.column_absolute else n * dc
+            ys += 0 if rect.row_absolute else n * dr
         x += xs
         y += ys
-        z += n if is_off_sheet(rect, sheet, workbook) else 0
-    return LocFingerprint(x, y, z)
-
-
-def translated_location_fingerprint(rects: Iterable[RefRect], sheet: str, workbook: str,
-                                    from_cell: tuple[int, int], to_cell: tuple[int, int]) -> LocFingerprint:
-    """Location fingerprint the reference pattern would have after moving the
-    formula from from_cell to to_cell.  Relative axes shift with the formula;
-    absolute anchors and off-sheet references stay put."""
-    dc = to_cell[0] - from_cell[0]
-    dr = to_cell[1] - from_cell[1]
-    x = y = z = 0
-    for rect in rects:
-        n, xs, ys = box_sums(rect.left, rect.top, rect.right, rect.bottom)
-        off = is_off_sheet(rect, sheet, workbook)
-        x += xs if (off or rect.column_absolute) else xs + n * dc
-        y += ys if (off or rect.row_absolute) else ys + n * dr
-        z += n if off else 0
     return LocFingerprint(x, y, z)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from pathlib import Path
 
@@ -10,7 +11,16 @@ import pytest
 from gridlint.grid import FingerprintGrid
 from gridlint.model import CellContent, Workbook, Worksheet
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+def load_script(name):
+    """The module of scripts/<name>.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def inconsistent_sum_workbook() -> Workbook:

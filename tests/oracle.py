@@ -18,15 +18,18 @@ computes in closed form or incrementally:
   per-code prefix counts (`FingerprintGrid.counts_in` counts code-row
   slices);
 * delimiter preprocessing that scores every run-boundary cut with two
-  full counts (`entropy.delimiter_splits` sweeps one count per gap);
+  full counts (`entropy.delimiter_splits` sweeps one count per gap),
+  with the run boundaries found by where runs start and end
+  (`entropy._run_cuts` compares neighbouring run ids);
 * fix candidates from every ordered pair of regions, screened by the
   bounding-box rule C1 (`fixes.candidate_fixes` reads only the pairs
   that pass it off an edge index), and by C2 through every cell's kind
   (`fixes.admissible` reads the regions' fingerprints and walks only a
   side with a data fingerprint);
-* the collision rate from every pair of same-fingerprint formulas
-  (`evaluate.collision_rate` counts formulas per fingerprint and per
-  reference-vector set);
+* the collision rate from every pair of same-fingerprint formulas,
+  each compared by its reference vectors listed cell by cell
+  (`collision_rate` of scripts/collision_survey.py counts formulas per
+  fingerprint and per canonical form of their vector boxes);
 * fix scoring that rebuilds the region layout for every candidate and
   takes the entropy change from the exact sums of both layouts' terms
   (`fixes.entropy_delta` edits one persistent layout, undoes it, and
@@ -62,12 +65,10 @@ from gridlint.entropy import (
     _XLogXTable,
     _axis_runs,
     _decide,
-    _run_cuts,
     _union_rect,
     normalized_entropy,
     split_halves,
 )
-from gridlint.evaluate import _union_key
 from gridlint.fixes import (
     REASON_NOT_FORMULAS,
     REASON_OWN_INPUTS,
@@ -120,7 +121,6 @@ from gridlint.vectors import (
     SheetVectors,
     is_off_sheet,
     null_fingerprint,
-    offset_box,
     rects_fingerprint,
 )
 
@@ -525,6 +525,22 @@ def best_split(grid: FingerprintGrid, region: Rect) -> tuple[bool, int, float]:
 # -- delimiter cuts, each scored with two full counts -------------------------
 
 
+def naive_run_cuts(ids: list[Optional[int]], length: int) -> list[int]:
+    """Cut lines at run boundaries: after the line preceding a run start,
+    and after a run end, when those fall strictly inside the grid."""
+    cuts = set()
+    for i in range(1, length + 1):
+        if ids[i] is None:
+            continue
+        starts = i == 1 or ids[i - 1] != ids[i]
+        ends = i == length or (i + 1 <= length and ids[i + 1] != ids[i])
+        if starts and i > 1:
+            cuts.add(i - 1)
+        if ends and i < length:
+            cuts.add(i)
+    return sorted(cuts)
+
+
 def naive_delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
     """Delimiter pieces, every candidate cut scored with `split_entropy`
     over exact counts: lowest score wins, vertical before horizontal, then
@@ -532,8 +548,8 @@ def naive_delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
     counter = PrefixCounts(grid)
     col_ids = _axis_runs(grid, True)
     row_ids = _axis_runs(grid, False)
-    v_cuts = _run_cuts(col_ids, grid.width)
-    h_cuts = _run_cuts(row_ids, grid.height)
+    v_cuts = naive_run_cuts(col_ids, grid.width)
+    h_cuts = naive_run_cuts(row_ids, grid.height)
     pieces: list[Rect] = []
     stack = [grid.full_rect()]
     while stack:
@@ -834,16 +850,23 @@ def naive_assign_colors(graph: AdjacencyGraph,
 
 
 def naive_collision_rate(tables: Sequence[SheetVectors]) -> float:
-    """`evaluate.collision_rate` by comparing every pair of formulas that
-    share a fingerprint, each formula found by the kind of its cell."""
-    groups: dict[Fingerprint, list[tuple]] = {}
+    """The collision rate of scripts/collision_survey.py by comparing
+    every pair of formulas that share a fingerprint, each formula found
+    by the kind of its cell and compared by the set of its reference
+    vectors, listed cell by cell."""
+    groups: dict[Fingerprint, list[frozenset]] = {}
     for table in tables:
         for column, row in table.rect.cells():
             if table.kind(column, row) is not CellKind.FORMULA:
                 continue
-            boxes = [offset_box(r, column, row, table.sheet_name, table.workbook_name)
-                     for r in table.refs[(column, row)]]
-            groups.setdefault(table.fingerprint(column, row), []).append(_union_key(boxes))
+            vectors = frozenset(
+                reference_vector(RawReference(c, r, rect.column_absolute, rect.row_absolute, rect.sheet, rect.workbook),
+                                 column, row, table.sheet_name, table.workbook_name)
+                for rect in table.refs[(column, row)]
+                for r in range(rect.top, rect.bottom + 1)
+                for c in range(rect.left, rect.right + 1)
+            )
+            groups.setdefault(table.fingerprint(column, row), []).append(vectors)
     pairs = collisions = 0
     for members in groups.values():
         for i, key in enumerate(members):
@@ -855,12 +878,12 @@ def naive_collision_rate(tables: Sequence[SheetVectors]) -> float:
 
 # -- the workbook loader, every cell through one validating function ---------
 
-_A1_ADDRESS = re.compile(r"^([A-Za-z]+)([0-9]+)$")
+_A1_ADDRESS = re.compile(r"([A-Za-z]+)([0-9]+)")
 
 
 def naive_parse_a1(text: str) -> tuple[int, int]:
     """`model.parse_a1` with the column summed letter by letter."""
-    m = _A1_ADDRESS.match(text)
+    m = _A1_ADDRESS.fullmatch(text)
     if not m:
         raise FormatError(f"invalid cell address: {text!r}")
     try:

@@ -136,6 +136,15 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err == "error: invalid cell address: 'XFE1' is outside the sheet\n"
 
+    def test_address_ending_in_a_newline_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "newline.gridbook"
+        bad.write_text(json.dumps({"workbook": "x", "sheets": [
+            {"name": "S", "cells": {"B2\n": {"n": 1}, "A1": {"n": 2}}},
+        ]}))
+        code, out, err = run(["analyze", str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: invalid cell address: 'B2\\n'\n"
+
     def test_duplicate_top_level_key_names_file_and_key(self, tmp_path, capsys):
         bad = tmp_path / "twice.gridbook"
         bad.write_text('{"workbook": "w", "workbook": "x", "sheets": []}')
@@ -329,6 +338,15 @@ class TestEval:
         )
         assert code == 2
         assert "mismatch" in err
+
+    def test_annotation_ending_in_a_newline_is_usage_error(self, fixtures_dir, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        run(["analyze", str(fixtures_dir / "weekly_totals.gridbook"), "--out", str(report_path)], capsys)
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(json.dumps({"workbook": "weekly_totals", "sheets": {"Totals": {"errors": ["F6\n"]}}}))
+        code, out, err = run(["eval", str(report_path), str(annotations)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: invalid cell address: 'F6\\n'\n"
 
     def test_malformed_report(self, fixtures_dir, tmp_path, capsys):
         bad = tmp_path / "report.json"

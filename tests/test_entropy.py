@@ -33,7 +33,15 @@ from gridlint.grid import FingerprintGrid
 from gridlint.model import Rect
 
 from conftest import banded_tile_grid, random_label_grid
-from oracle import PrefixCounts, best_split, mergeable, naive_delimiter_splits, region_key, split_entropy
+from oracle import (
+    PrefixCounts,
+    best_split,
+    mergeable,
+    naive_delimiter_splits,
+    naive_run_cuts,
+    region_key,
+    split_entropy,
+)
 
 
 def reference_entropy(counts, n):
@@ -713,6 +721,13 @@ def striped_sheet_grid(n):
 
 class TestDelimiterSplitsOracle:
     """The blockwise sweep against scoring every cut with two full counts."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=1, max_size=30))
+    def test_run_cuts_match_run_starts_and_ends(self, lines):
+        # Any list of run ids, 1-based behind the unused ids[0], as `_axis_runs` writes it.
+        ids = [None] + lines
+        assert _run_cuts(ids, len(lines)) == naive_run_cuts(ids, len(lines))
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False))

@@ -1,4 +1,5 @@
-"""Scoring against ground truth, layout statistics, annotation files."""
+"""Scoring against ground truth, annotation files, and the layout
+statistics of scripts/collision_survey.py."""
 
 from __future__ import annotations
 
@@ -6,16 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import aggregate_own_inputs_workbook, inconsistent_sum_workbook
+from conftest import aggregate_own_inputs_workbook, inconsistent_sum_workbook, load_script
 from gridlint.evaluate import (
-    _connected_clusters,
-    _union_key,
     BugDual,
     DomainError,
     GroundTruth,
     SheetTruth,
     adjusted_precision,
-    collision_rate,
     count_true_positives,
     evaluate_report,
     evaluate_sheet,
@@ -23,12 +21,18 @@ from gridlint.evaluate import (
     load_annotations,
     parse_annotations,
     precision_recall,
-    rectangularity_stats,
 )
 from gridlint.model import CellContent, FormatError, Rect, Workbook, Worksheet
 from gridlint.pipeline import analyze_sheet
 from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT
 from oracle import naive_collision_rate
+
+# The layout statistics live in the survey script, their only caller.
+survey = load_script("collision_survey")
+collision_rate = survey.collision_rate
+rectangularity_stats = survey.rectangularity_stats
+_connected_clusters = survey._connected_clusters
+_union_key = survey._union_key
 
 
 def table_of(workbook):

@@ -214,6 +214,24 @@ class TestOperators:
         ast = parse_formula("=(1+2)*3")
         assert ast.op == "*" and isinstance(ast.left, Paren)
 
+    @pytest.mark.parametrize("text, ops, leaves", [
+        ("=1-2-3", ("-", "-"), (NumberLit(1.0), NumberLit(2.0), NumberLit(3.0))),
+        ("=8/4/2", ("/", "/"), (NumberLit(8.0), NumberLit(4.0), NumberLit(2.0))),
+        ('="a"&"b"&"c"', ("&", "&"), (StringLit("a"), StringLit("b"), StringLit("c"))),
+        ("=1<2<3", ("<", "<"), (NumberLit(1.0), NumberLit(2.0), NumberLit(3.0))),
+        ("=1+2-3", ("+", "-"), (NumberLit(1.0), NumberLit(2.0), NumberLit(3.0))),
+        ("=1*2/3", ("*", "/"), (NumberLit(1.0), NumberLit(2.0), NumberLit(3.0))),
+    ])
+    def test_left_associative_at_every_level(self, text, ops, leaves):
+        # a op b op c groups as (a op b) op c.
+        a, b, c = leaves
+        assert parse_formula(text) == BinaryOp(ops[1], BinaryOp(ops[0], a, b), c)
+
+    @pytest.mark.parametrize("op", ["<=", ">=", "<>", "=", "<", ">"])
+    def test_comparison_read_as_one_operator(self, op):
+        assert parse_formula(f"=A1{op}2") == BinaryOp(op, CellRef(RawReference(1, 1)), NumberLit(2.0))
+        assert parse_formula(f"=1{op}2{op}3").left == BinaryOp(op, NumberLit(1.0), NumberLit(2.0))
+
 
 class TestFunctions:
     def test_call(self):

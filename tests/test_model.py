@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from gridlint import model
 from gridlint.model import (
-    EMPTY_CELL,
     CellContent,
     CellKind,
     DuplicateCellError,
@@ -24,7 +23,7 @@ from gridlint.model import (
     to_a1,
 )
 
-from oracle import CellAddress, naive_parse_workbook_json
+from oracle import CellAddress, naive_parse_a1, naive_parse_workbook_json
 
 
 class TestColumnLetters:
@@ -73,6 +72,13 @@ class TestA1:
     def test_rejects(self, bad):
         with pytest.raises(FormatError):
             parse_a1(bad)
+
+    @pytest.mark.parametrize("parse", [parse_a1, naive_parse_a1])
+    @pytest.mark.parametrize("bad", ["A1\n", "B2\n", "A1\n\n", "\nA1"])
+    def test_rejects_a_newline(self, parse, bad):
+        # "$" in a regular expression also matches before a final newline.
+        with pytest.raises(FormatError, match="invalid cell address"):
+            parse(bad)
 
 
 class TestRect:
@@ -123,7 +129,8 @@ class TestCellContent:
         assert CellContent.text("label").kind is CellKind.TEXT
 
     def test_empty(self):
-        assert EMPTY_CELL.kind is CellKind.EMPTY
+        empty = CellContent(CellKind.EMPTY)
+        assert empty.kind is CellKind.EMPTY and empty.value is None
 
 
 class TestWorksheet:

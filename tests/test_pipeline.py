@@ -8,6 +8,7 @@ import pytest
 
 from conftest import inconsistent_sum_workbook
 from gridlint import vectors
+from gridlint.cli import build_parser
 from gridlint.entropy import Region
 from gridlint.grid import FingerprintGrid
 from gridlint.model import CellContent, FormatError, Rect, Workbook, Worksheet, load_workbook
@@ -33,8 +34,7 @@ class TestAnalysisConfig:
         config = AnalysisConfig()
         assert config.threshold == 0.05
         assert config.preprocess is True
-        assert config.fmt == "json"
-        assert [f.name for f in fields(AnalysisConfig)] == ["threshold", "preprocess", "fmt"]
+        assert [f.name for f in fields(AnalysisConfig)] == ["threshold", "preprocess"]
 
     @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5])
     def test_threshold_range(self, threshold):
@@ -44,10 +44,14 @@ class TestAnalysisConfig:
     def test_threshold_of_one_allowed(self):
         assert AnalysisConfig(threshold=1.0).threshold == 1.0
 
-    def test_format_names(self):
-        with pytest.raises(ValueError):
-            AnalysisConfig(fmt="xml")
-        assert AnalysisConfig(fmt="text").fmt == "text"
+    def test_format_names(self, capsys):
+        # The report format is the CLI's to check, not the analysis's.
+        parser = build_parser()
+        assert parser.parse_args(["analyze", "w", "--format", "text"]).format == "text"
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["analyze", "w", "--format", "xml"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
 
 
 class TestGridFromTable:

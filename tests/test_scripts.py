@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -12,11 +11,10 @@ from pathlib import Path
 import pytest
 
 import gridlint
+from conftest import ROOT, load_script
 from gridlint.model import parse_workbook_json
 from gridlint.pipeline import analyze_sheet
 from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT, SheetVectors
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(argv):
@@ -29,13 +27,6 @@ def run_script(argv):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     return proc.stdout
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 SCALING = ["scaling_benchmark.py", "--sizes", "5x5", "--totals", "5", "--noisy", "4"]
@@ -99,3 +90,5 @@ def test_same_reports_finds_a_tree_equal_to_itself():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # fixtures/ twice over, and the 57 workload workbooks of seed 7; JSON and text each
     assert "all 134 reports and their exit codes identical (67 variants" in proc.stdout
+    # one render per workbook: a page per sheet
+    assert "all 181 render pages and the eval output identical" in proc.stdout

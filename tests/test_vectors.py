@@ -29,7 +29,6 @@ from gridlint.vectors import (
     location_fingerprint,
     null_fingerprint,
     rects_fingerprint,
-    translated_location_fingerprint,
 )
 
 from conftest import inconsistent_sum_workbook
@@ -125,20 +124,16 @@ class TestLocationFingerprint:
     def test_translation_moves_relative_refs(self):
         refs = ref_rects(parse_formula("=SUM(B7:D7)"))
         base = location_fingerprint(refs, "S", "wb")
-        moved = translated_location_fingerprint(refs, "S", "wb", (6, 7), (6, 6))
+        moved = location_fingerprint(refs, "S", "wb", (0, -1))
         assert moved == LocFingerprint(base.x, base.y - 3, base.z)
 
     def test_translation_identity(self):
-        refs = ref_rects(parse_formula("=SUM(B7:D7)+$A$1"))
-        assert translated_location_fingerprint(refs, "S", "wb", (6, 7), (6, 7)) == (
-            location_fingerprint(refs, "S", "wb")
-        )
+        refs = ref_rects(parse_formula("=SUM(B7:D7)+$A$1+Other!B2"))
+        assert location_fingerprint(refs, "S", "wb", (0, 0)) == location_fingerprint(refs, "S", "wb")
 
     def test_absolute_refs_do_not_move(self):
-        refs = ref_rects(parse_formula("=$A$1"))
-        assert translated_location_fingerprint(refs, "S", "wb", (3, 3), (9, 9)) == (
-            location_fingerprint(refs, "S", "wb")
-        )
+        refs = ref_rects(parse_formula("=$A$1+Other!B2+[x]S!C3"))
+        assert location_fingerprint(refs, "S", "wb", (6, 6)) == location_fingerprint(refs, "S", "wb")
 
 
 class TestResolveReference:
@@ -264,7 +259,7 @@ class TestClosedFormOracle:
             reference_vectors(cells, column, row, "S", "wb"), constant
         )
         assert location_fingerprint(rects, "S", "wb") == naive_location(cells, "S", "wb")
-        moved = translated_location_fingerprint(rects, "S", "wb", (column, row), (to_column, to_row))
+        moved = location_fingerprint(rects, "S", "wb", (to_column - column, to_row - row))
         assert moved == naive_location(cells, "S", "wb", (to_column - column, to_row - row))
 
         # C3: every referent inside the target, on this sheet.
