@@ -8,7 +8,9 @@ stays comparable.  Running totals hold numbers in column A and
 of its own, as a cumulative column in a ledger does.  Noisy n x n
 sheets are the benchmark's `perfbench/workloads.noisy_book` (seed 7):
 numbers with 30% of the cells holding one of four labels, so the
-layout has many small regions and many candidate fixes.  Reports per-phase
+layout has many small regions and many candidate fixes.  Last comes one
+sparse sheet: three cells, A1, H30000 and P65536, in a 16 x 65,536 used
+range that is almost all blank regions.  Reports per-phase
 wall time for each sheet, starting with the load: each workbook is
 serialized to its JSON file format and parsed back with
 `parse_workbook_json`, which is what `gridlint analyze` spends before
@@ -52,6 +54,12 @@ def running_totals_workbook(rows: int) -> Workbook:
     return Workbook(f"running_totals_{rows}", [Worksheet("Sheet1", cells)])
 
 
+def sparse_workbook() -> Workbook:
+    cells = {(1, 1): CellContent.number(1.0), (8, 30_000): CellContent.formula("=A1"),
+             (16, 65_536): CellContent.number(2.0)}
+    return Workbook("sparse_16x65536", [Worksheet("Sheet1", cells)])
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="20x25,50x40,100x100,100x200,200x200,400x400",
@@ -72,6 +80,7 @@ def main() -> None:
     workbooks += [serialize_workbook(running_totals_workbook(int(token))) for token in args.totals.split(",")]
     for n in (int(token) for token in args.noisy.split(",")):
         workbooks.append(noisy_book(random.Random(7), n, f"noisy_{n}x{n}", mask_seed=n * 100).gridbook())
+    workbooks.append(serialize_workbook(sparse_workbook()))
 
     print(f"{'sheet':<20} {'cells':>8} {'load':>9} {'vectors':>9} {'decomp':>9} {'fixes':>9} {'total':>9} {'regions':>8}")
     for text in workbooks:

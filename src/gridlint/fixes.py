@@ -12,29 +12,39 @@ inputs; C2: both sides must be formulas).  Survivors are scored by how
 much the rewrite simplifies the sheet layout versus how far the
 formulas must move, and reported within a flagged-cell budget.
 
-Costs.  Candidates cost four dictionary lookups per region and per
-boundary cell, O(cells) at worst.  C2 walks a side's cells only when
-its region has a data cell's fingerprint.  Every candidate of a sheet is scored
-against one `Layout`, built once in O(R) for R regions: their entropy
-terms p*log2(p) cached per area, and one edge index.  A candidate then
-costs its merge cascade, a few dictionary lookups per merge, plus one
-`math.fsum` over the terms of the regions it takes out and puts in.
-`fsum` is correctly rounded, so the delta is the exact change of the
-layout's term sum rounded once, and a fix that keeps the multiset of
-region areas scores exactly 0.
+Costs.  For R regions, candidates cost O(R log R) plus O(1) each: a
+source's whole-region targets are four lookups in an edge index, and
+its one-cell targets are bisected out of sorted lists of the regions
+one cell wide, so no boundary cell is probed.  The screens read one
+reference box and formula count per region (`Screens`), computed the
+first time the region is a whole source or a data target.  A formula
+region's cells are read once.  A data region's are never read: it holds
+formulas only where a formula's vectors cancel, and those come from one
+list per sheet, built in one pass over the formulas and usually empty.
+A one-cell source reads its own references.  Every candidate of a sheet
+is scored against one `Layout`, built once in O(R): the regions'
+entropy terms p*log2(p) cached per area, and one edge index.  A
+candidate then costs its merge cascade, a few dictionary lookups per
+merge, plus one `math.fsum` over the terms of the regions it takes out
+and puts in.  `fsum` is correctly rounded, so the delta is the exact
+change of the layout's term sum rounded once, and a fix that keeps the
+multiset of region areas scores exactly 0.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, product, repeat
 from typing import Hashable, NamedTuple, Optional, Sequence
 
 from .entropy import Region, _EdgeIndex, _region_key, _union_rect
+from .formula import RefRect
 from .model import GridlintError, Rect
-from .vectors import DATA_KINDS, SheetVectors, is_off_sheet, location_fingerprint
+from .vectors import DATA_KINDS, SheetVectors, location_fingerprint
 
 DEFAULT_THRESHOLD = 0.05  # fraction of a sheet's cells a reader inspects (`rank_and_cut`)
 
@@ -73,10 +83,31 @@ class ProposedFix:
         return tuple(self.source.cells())
 
 
-def _boundary_cells(r: Rect) -> set[tuple[int, int]]:
-    cells = {(x, y) for x in (r.left, r.right) for y in range(r.top, r.bottom + 1)}
-    cells.update((x, y) for y in (r.top, r.bottom) for x in range(r.left, r.right + 1))
-    return cells
+def _one_wide_lines(ordered: Sequence[Region]) -> tuple[dict, dict, dict, dict]:
+    """The regions one cell wide across a side, by the line that side
+    lies on: one-column regions by their bottom row and by their top row,
+    one-row regions by their right column and by their left column.  Each
+    line is a list of (position along it, serial), sorted; the serial of
+    a region is its place in `ordered`, counted from 1."""
+    lines: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
+    bottoms, tops, rights, lefts = lines
+    for serial, region in enumerate(ordered, 1):
+        r = region.rect
+        if r.left == r.right:
+            bottoms.setdefault(r.bottom, []).append((r.left, serial))
+            tops.setdefault(r.top, []).append((r.left, serial))
+        if r.top == r.bottom:
+            rights.setdefault(r.right, []).append((r.top, serial))
+            lefts.setdefault(r.left, []).append((r.top, serial))
+    for by_line in lines:
+        for line in by_line.values():
+            line.sort()
+    return lines
+
+
+def _within(line: list[tuple[int, int]], low: int, high: int) -> list[tuple[int, int]]:
+    """The (position, serial) pairs of a sorted line with low <= position <= high."""
+    return line[bisect_left(line, (low,)):bisect_left(line, (high + 1,))]
 
 
 def candidate_fixes(regions: Sequence[Region]) -> list[CandidateFix]:
@@ -88,45 +119,94 @@ def candidate_fixes(regions: Sequence[Region]) -> list[CandidateFix]:
     most one cell (skipped for one-cell regions, where the whole region is
     that cell).  Targets carry another fingerprint and go in the same
     order, each with the whole region first, then the cell.
+
+    The whole-region targets are four lookups in an edge index.  The
+    one-cell targets are the regions one cell wide across a side, found
+    by bisecting the line beyond that side over its span, so a source
+    costs O(log R + its targets) for R regions.  Regions get their
+    serials in the order above, so the targets sort as their serials do.
     """
+    ordered = sorted(regions, key=_region_key)
     index = _EdgeIndex()
-    for region in regions:
+    for region in ordered:
         index.add(region)
+    bottoms, tops, rights, lefts = _one_wide_lines(ordered)
     out: list[CandidateFix] = []
-    for a in sorted(regions, key=_region_key):
+    for a in ordered:
         r = a.rect
-        whole = index.facing(r.left, r.top, r.right, r.bottom)
-        cells: dict[int, Rect] = {}
-        if r.area > 1:
-            for x, y in _boundary_cells(r):
-                for serial in index.facing(x, y, x, y):
-                    cells[serial] = Rect(x, y, x, y)
-        for serial in sorted({*whole, *cells}, key=lambda s: _region_key(index.live[s])):
-            b = index.live[serial]
+        left, top, right, bottom = r.left, r.top, r.right, r.bottom
+        whole = index.facing(left, top, right, bottom)
+        cells: dict[int, tuple[int, int]] = {}  # serial -> the one boundary cell it faces
+        if left != right or top != bottom:
+            cells.update((serial, (x, top)) for x, serial in _within(bottoms.get(top - 1, []), left, right))
+            cells.update((serial, (x, bottom)) for x, serial in _within(tops.get(bottom + 1, []), left, right))
+            cells.update((serial, (left, y)) for y, serial in _within(rights.get(left - 1, []), top, bottom))
+            cells.update((serial, (right, y)) for y, serial in _within(lefts.get(right + 1, []), top, bottom))
+        for serial in sorted({*whole, *cells}):
+            b = ordered[serial - 1]
             if b.fingerprint == a.fingerprint:
                 continue
             if serial in whole:
                 out.append(CandidateFix(r, a, b))
             if serial in cells:
-                out.append(CandidateFix(cells[serial], a, b))
+                x, y = cells[serial]
+                out.append(CandidateFix(Rect(x, y, x, y), a, b))
     return out
 
 
-def _reads_only_target(fix: CandidateFix, table: SheetVectors) -> bool:
-    """True when the source cells reference something and every referenced
-    rectangle lies inside the target, on this sheet."""
-    t = fix.target.rect
-    found = False
-    for cell in fix.source.cells():
-        for r in table.refs.get(cell, ()):
-            if (is_off_sheet(r, table.sheet_name, table.workbook_name)
-                    or r.left < t.left or r.right > t.right or r.top < t.top or r.bottom > t.bottom):
-                return False
-            found = True
-    return found
+class Screens:
+    """What screens C3 and C2 read of one sheet's regions: for a
+    rectangle of one fingerprint, the bounding box of every rectangle its
+    cells reference (None when they reference nothing or another sheet)
+    and how many of its cells are formulas.  Each is computed once and
+    keyed by the rectangle's corners."""
+
+    def __init__(self, table: SheetVectors) -> None:
+        self.table = table
+        self._facts: dict[tuple[int, int, int, int], tuple[Optional[tuple[int, int, int, int]], int]] = {}
+        self._cancelling: Optional[list[tuple[int, int]]] = None
+
+    def cancelling(self) -> list[tuple[int, int]]:
+        """The formula cells whose vectors cancel to a data cell's fingerprint."""
+        if self._cancelling is None:
+            table = self.table
+            codes = {code for code, fingerprint in enumerate(table.grid.palette) if fingerprint in DATA_KINDS}
+            rows, left, top = table.grid.code_rows, table.rect.left, table.rect.top
+            self._cancelling = [(x, y) for x, y in table.refs if rows[y - top][x - left] in codes]
+        return self._cancelling
+
+    def facts(self, rect: Rect, fingerprint: Hashable) -> tuple[Optional[tuple[int, int, int, int]], int]:
+        """(reference box, formula count) of a rectangle of one fingerprint.
+        One that is not a data cell's holds formulas only, and its cells
+        are read.  One that is holds formulas only where their vectors
+        cancel, which `cancelling` lists, so its cells are not read."""
+        key = (rect.left, rect.top, rect.right, rect.bottom)
+        found = self._facts.get(key)
+        if found is None:
+            left, top, right, bottom = key
+            if fingerprint in DATA_KINDS:
+                cells = [(x, y) for x, y in self.cancelling() if left <= x <= right and top <= y <= bottom]
+                count = len(cells)
+            else:
+                cells = product(range(left, right + 1), range(top, bottom + 1))
+                count = (right - left + 1) * (bottom - top + 1)
+            rects = list(chain.from_iterable(map(self.table.refs.get, cells, repeat(()))))
+            found = self._facts[key] = (self.reference_box(rects), count)
+        return found
+
+    def reference_box(self, rects: Sequence[RefRect]) -> Optional[tuple[int, int, int, int]]:
+        """(left, top, right, bottom) around the rectangles; None when there
+        are none or one lies on another sheet (`vectors.is_off_sheet`)."""
+        if not rects:
+            return None
+        lefts, tops, rights, bottoms, _, _, sheets, workbooks = zip(*rects)
+        table = self.table
+        if not ({None, table.sheet_name}.issuperset(sheets) and {None, table.workbook_name}.issuperset(workbooks)):
+            return None
+        return min(lefts), min(tops), max(rights), max(bottoms)
 
 
-def admissible(fix: CandidateFix, table: SheetVectors) -> Optional[str]:
+def admissible(fix: CandidateFix, table: SheetVectors, screens: Optional[Screens] = None) -> Optional[str]:
     """None when the fix passes both screens, else its rejection code.
 
     C1 (source and target tile one rectangle) holds by construction of
@@ -137,15 +217,30 @@ def admissible(fix: CandidateFix, table: SheetVectors) -> Optional[str]:
         unless no source formula references anything at all.
     C2: both sides must consist entirely of formulas.  A cell that is
         not a formula has a data fingerprint, so only a side whose region
-        has one (a formula whose vectors cancel can) is walked.
+        has one (a formula whose vectors cancel can) is counted.
+
+    Both are read off `screens`' facts of the source and the target (a
+    one-cell source's off its own references), so a candidate costs
+    O(1) once its regions' facts are known.  `screens` holds them across
+    the candidates of one sheet; by default the call builds its own.
     """
-    if _reads_only_target(fix, table):
+    if screens is None:
+        screens = Screens(table)
+    source, region, target = fix.source, fix.source_region, fix.target
+    if source.left == source.right and source.top == source.bottom:
+        cell = (source.left, source.top)
+        refs = table.refs.get(cell)
+        box = screens.reference_box(refs) if refs else None
+        formulas = 0 if refs is None else 1
+    else:
+        box, formulas = screens.facts(source, region.fingerprint)
+    t = target.rect
+    if box is not None and t.left <= box[0] and t.top <= box[1] and box[2] <= t.right and box[3] <= t.bottom:
         return REASON_OWN_INPUTS
-    refs = table.refs
-    for fingerprint, side in ((fix.source_region.fingerprint, fix.source),
-                              (fix.target.fingerprint, fix.target.rect)):
-        if fingerprint in DATA_KINDS and not all(cell in refs for cell in side.cells()):
-            return REASON_NOT_FORMULAS
+    if region.fingerprint in DATA_KINDS and formulas != source.area:
+        return REASON_NOT_FORMULAS
+    if target.fingerprint in DATA_KINDS and screens.facts(t, target.fingerprint)[1] != t.area:
+        return REASON_NOT_FORMULAS
     return None
 
 
@@ -294,8 +389,9 @@ def score_candidates(
     against one `Layout` of `regions`."""
     out: list[ProposedFix] = []
     layout = Layout(regions, total_cells)
+    screens = Screens(table)
     for fix in candidates:
-        if admissible(fix, table) is not None:
+        if admissible(fix, table, screens) is not None:
             continue
         delta = entropy_delta(fix, layout)
         if delta >= 0:

@@ -173,7 +173,7 @@ class Rect:
 
     @property
     def area(self) -> int:
-        return self.width * self.height
+        return (self.right - self.left + 1) * (self.bottom - self.top + 1)
 
     def contains(self, column: int, row: int) -> bool:
         return self.left <= column <= self.right and self.top <= row <= self.bottom

@@ -23,9 +23,10 @@ computes in closed form or incrementally:
   (`entropy._run_cuts` compares neighbouring run ids);
 * fix candidates from every ordered pair of regions, screened by the
   bounding-box rule C1 (`fixes.candidate_fixes` reads only the pairs
-  that pass it off an edge index), and by C2 through every cell's kind
-  (`fixes.admissible` reads the regions' fingerprints and walks only a
-  side with a data fingerprint);
+  that pass it off an edge index), by C3 over every referenced
+  rectangle of every source cell, and by C2 through every cell's kind
+  (`fixes.admissible` reads one reference box and formula count per
+  region, and never reads a blank region's cells);
 * the collision rate from every pair of same-fingerprint formulas,
   each compared by its reference vectors listed cell by cell
   (`collision_rate` of scripts/collision_survey.py counts formulas per
@@ -74,7 +75,6 @@ from gridlint.fixes import (
     REASON_OWN_INPUTS,
     CandidateFix,
     ProposedFix,
-    _reads_only_target,
     admissible,
     fix_distance,
     impact_score,
@@ -651,16 +651,43 @@ def naive_candidate_fixes(regions: Sequence[Region]) -> list[CandidateFix]:
     return out
 
 
+def reads_only_target(fix: CandidateFix, table) -> bool:
+    """Screen C3 cell by cell: true when the source cells reference
+    something and every referenced rectangle lies inside the target, on
+    this sheet (`fixes.admissible` reads a bounding box per region)."""
+    t = fix.target.rect
+    found = False
+    for cell in fix.source.cells():
+        for r in table.refs.get(cell, ()):
+            if (is_off_sheet(r, table.sheet_name, table.workbook_name)
+                    or r.left < t.left or r.right > t.right or r.top < t.top or r.bottom > t.bottom):
+                return False
+            found = True
+    return found
+
+
+def walking_admissible(fix: CandidateFix, table) -> Optional[str]:
+    """`fixes.admissible` by walking cells: C3 over every source cell,
+    then C2 over every cell of both sides, where a cell is a formula
+    exactly when it is a key of `table.refs`."""
+    if reads_only_target(fix, table):
+        return REASON_OWN_INPUTS
+    for cell in chain(fix.source.cells(), fix.target.rect.cells()):
+        if cell not in table.refs:
+            return REASON_NOT_FORMULAS
+    return None
+
+
 def naive_admissible(fix: CandidateFix, table: NaiveSheetVectors) -> Optional[str]:
-    """`fixes.admissible` with screen C1 first, and C2 cell by cell.
+    """`fixes.admissible` with screen C1 first, and C3 and C2 cell by cell.
 
     C1: the source and the target must tile an exact rectangle.  Being
     disjoint, they do so exactly when coalescing could merge them.  C3 is
-    `fixes.admissible`'s.  C2: every cell of both sides is stored as a
+    `reads_only_target`.  C2: every cell of both sides is stored as a
     formula in `table.kinds`."""
     if not mergeable(fix.source, fix.target.rect):
         return REASON_NOT_RECTANGULAR
-    if _reads_only_target(fix, table):
+    if reads_only_target(fix, table):
         return REASON_OWN_INPUTS
     for cell in chain(fix.source.cells(), fix.target.rect.cells()):
         if table.kinds.get(cell) is not CellKind.FORMULA:

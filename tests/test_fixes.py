@@ -18,6 +18,7 @@ from gridlint.fixes import (
     Layout,
     NonNegativeDeltaError,
     ProposedFix,
+    Screens,
     admissible,
     build_fixes,
     candidate_fixes,
@@ -30,6 +31,7 @@ from gridlint.fixes import (
 )
 from gridlint.model import CellContent, Rect, Workbook, Worksheet, load_workbook, to_a1
 from gridlint.pipeline import AnalysisConfig, analyze_sheet
+from gridlint.vectors import EMPTY_FINGERPRINT as EMPTY
 from oracle import (
     REASON_NOT_RECTANGULAR,
     _coalesce_targeted,
@@ -44,6 +46,7 @@ from oracle import (
     rebuilt_entropy_delta,
     rebuilt_score_candidates,
     term_sum,
+    walking_admissible,
 )
 
 
@@ -473,6 +476,131 @@ class TestFormulaScreenOracle:
     @given(st.randoms(use_true_random=False))
     def test_sheets_with_data_like_formulas(self, rng):
         check_formula_screen(data_like_sheet(rng))
+
+
+def cancelling_cells(dx: int = 0, dy: int = 0) -> dict:
+    """The sheet of CHANGES.md's note on cancelling vectors, moved by
+    (dx, dy): A2 `=A1+A3` has a blank's fingerprint and B2 `=B1+B3+1` a
+    number's, beside numbers in C1:C2."""
+    def around(x, y):
+        return f"={to_a1(x + dx, y + dy - 1)}+{to_a1(x + dx, y + dy + 1)}"
+
+    return {(1 + dx, 2 + dy): CellContent.formula(around(1, 2)),
+            (2 + dx, 2 + dy): CellContent.formula(around(2, 2) + "+1"),
+            (3 + dx, 1 + dy): CellContent.number(1.0), (3 + dx, 2 + dy): CellContent.number(2.0)}
+
+
+def screened_sheet(rng) -> Workbook:
+    """Cells of every kind the screens read: numbers, text, blanks,
+    formulas whose vectors cancel, off-sheet and own-sheet-qualified
+    references, reference-free formulas, sums of the cells above or on
+    the left (which C3 rejects beside their inputs), and copies of a
+    neighbour.  A third of the sheets hold `cancelling_cells` at an
+    offset, and a third start with a block of numbers over a row of its
+    column sums, one region that C3 rejects beside its inputs."""
+    width, height = rng.randint(2, 7), rng.randint(2, 7)
+    layout = rng.randrange(3)
+    cells = {}
+    if layout == 1:
+        cells = cancelling_cells(rng.randint(0, 3), rng.randint(0, 3))
+    elif layout == 2:
+        columns, rows = rng.randint(2, width), rng.randint(1, height - 1)
+        cells = {(x, y): CellContent.number(float(x * y)) for x in range(1, columns + 1) for y in range(1, rows + 1)}
+        cells.update({(x, rows + 1): CellContent.formula(f"=SUM({to_a1(x, 1)}:{to_a1(x, rows)})")
+                      for x in range(1, columns + 1)})
+    for y in range(1, height + 1):
+        for x in range(1, width + 1):
+            if (x, y) in cells:
+                continue
+            choice = rng.randrange(10)
+            if choice == 0:
+                cells[(x, y)] = CellContent.number(float(rng.randint(1, 9)))
+            elif choice == 1:
+                cells[(x, y)] = CellContent.text("label")
+            elif choice == 2 and y > 1:
+                cells[(x, y)] = CellContent.formula(f"={to_a1(x, y - 1)}+{to_a1(x, y + 1)}" + rng.choice(("", "+1")))
+            elif choice == 3:
+                cells[(x, y)] = CellContent.formula(rng.choice(("=Other!A1", f"=[Book]S!{to_a1(x, max(y - 1, 1))}")))
+            elif choice == 4:
+                cells[(x, y)] = CellContent.formula(rng.choice(("=5", "=1+2")))
+            elif choice == 5 and y > 1:
+                cells[(x, y)] = CellContent.formula(f"=SUM({to_a1(x, 1)}:{to_a1(x, y - 1)})")
+            elif choice == 6 and x > 1:
+                cells[(x, y)] = CellContent.formula(f"=SUM({to_a1(1, y)}:{to_a1(x - 1, y)})")
+            elif choice == 7:
+                cells[(x, y)] = CellContent.formula(f"=S!{to_a1(x, max(y - 1, 1))}")
+            elif choice == 8:
+                cells[(x, y)] = CellContent.formula(f"={to_a1(max(x - 1, 1), y)}")
+    return Workbook("r", [Worksheet("S", cells)])
+
+
+def check_screens(workbook: Workbook) -> list[tuple[bool, object]]:
+    """Every candidate's `admissible` code, with one `Screens` shared
+    across the sheet and with a fresh one, is the cell-walking C3-then-C2
+    reference's.  Returns (source of more than one cell, code) per
+    candidate: such a source is a whole region, read through its facts."""
+    table, regions = analyzed(workbook)
+    screens = Screens(table)
+    seen = []
+    for candidate in candidate_fixes(regions):
+        code = walking_admissible(candidate, table)
+        assert admissible(candidate, table, screens) == code
+        assert admissible(candidate, table) == code
+        seen.append((candidate.source.area > 1, code))
+    return seen
+
+
+class TestScreenOracle:
+    """C3 and C2 read off per-region reference boxes and formula counts,
+    against walking every cell of both sides."""
+
+    def test_cancelling_sheet(self):
+        workbook = Workbook("t", [Worksheet("S", cancelling_cells())])
+        table, regions = analyzed(workbook)
+        # A2 sits in the blank region A1:A2 and B2 is a region with a
+        # number's fingerprint; A2 may take on B2's pattern.
+        assert Region(Rect(1, 1, 1, 2), EMPTY) in regions
+        verdicts = {(c.source.a1(), c.target.rect.a1()): admissible(c, table) for c in candidate_fixes(regions)}
+        assert verdicts == {("A2", "B2"): None, ("B1", "B2"): REASON_NOT_FORMULAS,
+                            ("C1", "B1"): REASON_NOT_FORMULAS, ("B2", "B1"): REASON_NOT_FORMULAS}
+        assert check_screens(workbook)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_random_sheets(self, rng):
+        check_screens(screened_sheet(rng))
+
+    def test_seeded_sheets_cover_both_sources_and_every_code(self):
+        seen = set()
+        for seed in range(40):
+            seen.update(check_screens(screened_sheet(random.Random(seed))))
+        assert seen == {(region, code) for region in (True, False)
+                        for code in (None, REASON_NOT_FORMULAS, REASON_OWN_INPUTS)}
+
+
+class TestSparseSheet:
+    """A used range of 16 x 65,536 that holds three cells is almost all
+    blank regions: the fix layer reads none of their cells."""
+
+    def test_build_fixes_reads_few_cells(self, monkeypatch):
+        cells = {(1, 1): CellContent.number(1.0), (8, 30_000): CellContent.formula("=A1"),
+                 (16, 65_536): CellContent.number(2.0)}
+        table, regions = analyzed(Workbook("sparse", [Worksheet("S", cells)]))
+        read = []
+        walk = Rect.cells
+
+        def counting(self):
+            for cell in walk(self):
+                read.append(cell)
+                yield cell
+
+        monkeypatch.setattr(Rect, "cells", counting)
+        assert build_fixes(table, regions, table.rect.area) == []
+        assert len(read) <= 36  # walking the screens' cells reads about a million
+        monkeypatch.undo()
+        candidates = candidate_fixes(regions)
+        assert len(candidates) == 14
+        assert candidates == filtered_naive_candidates(regions)
 
 
 class TestRectangularScreenOracle:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridlint import pipeline, vectors
 from gridlint.entropy import Region
-from gridlint.fixes import CandidateFix, _reads_only_target
+from gridlint.fixes import REASON_OWN_INPUTS, CandidateFix, admissible
 from gridlint.formula import (
     SHEET_COLUMNS,
     SHEET_ROWS,
@@ -38,6 +38,7 @@ from oracle import (
     formula_fingerprint,
     naive_analyze_sheet_vectors,
     naive_grid,
+    reads_only_target,
     ref_rects,
     reference_vectors,
     references,
@@ -270,7 +271,9 @@ class TestClosedFormOracle:
         target = Rect(left, top, right, bottom)
         own = Region(Rect(column, row, column, row), table.fingerprint(column, row))
         fix = CandidateFix(Rect(column, row, column, row), own, Region(target, EMPTY_FINGERPRINT))
-        assert _reads_only_target(fix, table) == naive_reads_only(cells, CellAddress(column, row, "S", "wb"), target)
+        reads_only = naive_reads_only(cells, CellAddress(column, row, "S", "wb"), target)
+        assert reads_only_target(fix, table) == reads_only
+        assert (admissible(fix, table) == REASON_OWN_INPUTS) == reads_only
         assert location_fingerprint(table.refs[(column, row)], "S", "wb") == naive_location(cells, "S", "wb")
 
 
