@@ -20,12 +20,15 @@ none of them.  Each reads the sheets' vector tables alone.
 from __future__ import annotations
 
 import argparse
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
-from gridlint.model import CellKind, load_workbook
-from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT, SheetVectors, analyze_sheet_vectors, offset_box
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from gridlint.model import CellKind, load_workbook  # noqa: E402
+from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT, SheetVectors, analyze_sheet_vectors, offset_box  # noqa: E402
 
 
 def _connected_clusters(table: SheetVectors) -> list[tuple[frozenset, tuple]]:

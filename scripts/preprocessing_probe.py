@@ -20,9 +20,13 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
+from pathlib import Path
 
-from gridlint.entropy import decompose_grid
-from gridlint.grid import FingerprintGrid
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from gridlint.entropy import decompose_grid  # noqa: E402
+from gridlint.grid import FingerprintGrid  # noqa: E402
 
 
 def band_layout(rng: random.Random, separators: bool) -> tuple[list[int], list[int]]:

@@ -16,7 +16,7 @@ serialized to its JSON file format and parsed back with
 `parse_workbook_json`, which is what `gridlint analyze` spends before
 the analysis.
 
-    PYTHONPATH=src python3 scripts/scaling_benchmark.py [--sizes WxH,...] [--totals N,...] [--noisy N,...]
+    python3 scripts/scaling_benchmark.py [--sizes WxH,...] [--totals N,...] [--noisy N,...]
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ import sys
 import time
 from pathlib import Path
 
-from gridlint.model import CellContent, Workbook, Worksheet, column_to_letters, parse_workbook_json, serialize_workbook
-from gridlint.pipeline import analyze_workbook
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from gridlint.model import CellContent, Workbook, Worksheet, column_to_letters, parse_workbook_json, serialize_workbook  # noqa: E402
+from gridlint.pipeline import analyze_workbook  # noqa: E402
 
 
 def striped_workbook(columns: int, rows: int) -> Workbook:

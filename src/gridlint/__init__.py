@@ -13,7 +13,6 @@ from .model import (
     Worksheet,
     load_workbook,
     parse_a1,
-    save_workbook,
     to_a1,
 )
 from .vectors import Fingerprint, LocFingerprint, analyze_sheet_vectors
@@ -46,7 +45,6 @@ __all__ = [
     "load_workbook",
     "normalized_entropy",
     "parse_a1",
-    "save_workbook",
     "to_a1",
     "__version__",
 ]

@@ -27,14 +27,18 @@ calls `counts_in`.  A tree node finds its cut in O(area): it counts its
 total and its lines across its parent's cut, and takes its lines along
 that cut from its parent.  It re-scores its cuts exactly only when
 more than one is near the minimum; the chosen cut's entropy decides
-nothing, so it is scored when read (`EntropyNode.entropy`).  A node whose
-every cell has a fingerprint of its own (all-distinct) is decided in
-closed form: each half of it holds counts of 1 only, so its sweep
-scores, exact scores and cut depend on its width and height alone, and
-are memoised per shape for the tree.  Its subtree is all-distinct too
+nothing, so no node keeps it.  A node whose every cell has a
+fingerprint of its own (all-distinct) is decided in closed form: each
+half of it holds counts of 1 only, so its sweep scores, exact scores
+and cut depend on its width and height alone, and are memoised per
+shape for the tree.  Its subtree is all-distinct too
 and builds no histogram, so a 1 x n column of distinct fingerprints,
 which the tree peels one cell per node, costs one histogram and no
 exact score.
+
+The grid sits at its sheet coordinates (`FingerprintGrid.left`, `top`)
+and every rectangle here is read through it (`FingerprintGrid.block`),
+so cuts, pieces and regions come out in sheet coordinates.
 
 A delimiter piece counts the cells of its strips outside the delimiter
 runs once (a strip inside one run holds its run's code alone).  It is
@@ -51,9 +55,9 @@ import heapq
 import math
 import operator
 from collections import Counter
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, repeat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .grid import FingerprintGrid
@@ -125,26 +129,13 @@ class EntropyLeaf:
 @dataclass(frozen=True)
 class EntropyNode:
     """A cut of `region` after column (vertical) or row `index` into the
-    subtrees `low` and `high`.
-
-    `entropy`, the cut's split entropy, is scored when first read: the
-    decomposition reads only the cuts.  Its float is the one the cut
-    search's exact scorer returns, the normalized entropy of each half's
-    counts in code order, as `counts_in` returns them, low plus high.
-    """
+    subtrees `low` and `high`."""
 
     region: Rect
     low: "EntropyTree"
     high: "EntropyTree"
     vertical: bool
     index: int
-    grid: FingerprintGrid = field(repr=False, compare=False)
-
-    @cached_property
-    def entropy(self) -> float:
-        low, high = split_halves(self.region, self.index, self.vertical)
-        return (normalized_entropy(self.grid.counts_in(low).values(), low.area)
-                + normalized_entropy(self.grid.counts_in(high).values(), high.area))
 
 
 EntropyTree = Union[EntropyLeaf, EntropyNode]
@@ -389,7 +380,7 @@ def _decide(grid: FingerprintGrid, region: Rect, table: _XLogXTable, distinct: _
     are counted from the cells.  `lines` are the histograms along the
     cut's axis, for the children; empty unless the search ran.
     """
-    block = [row[region.left - 1:region.right] for row in grid.code_rows[region.top - 1:region.bottom]]
+    block = list(grid.block(region))
     total = Counter(chain.from_iterable(block))
     if len(total) == 1:
         return None, False, []
@@ -414,7 +405,7 @@ def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> Entrop
     O(area x depth).  A node counts only its total and its lines across
     its parent's cut; its lines along that cut are a slice of its
     parent's.  It re-scores its cuts exactly only when more than one is
-    near the sweep's minimum, and its `entropy` is scored when read.
+    near the sweep's minimum.
     Below an all-distinct node every node is all-distinct too; such
     nodes build no histogram and take their cut from a memo per
     (width, height) (`_DistinctCuts`), so a 1 x n column of distinct
@@ -453,7 +444,7 @@ def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> Entrop
         else:
             vertical, index = decision
             low_tree = built.pop()
-            built.append(EntropyNode(r, low_tree, built.pop(), vertical, index, grid))
+            built.append(EntropyNode(r, low_tree, built.pop(), vertical, index))
     return built[0]
 
 
@@ -590,37 +581,44 @@ def coalesce(regions: Sequence[Region]) -> list[Region]:
     return sorted(index.live.values(), key=_region_key)
 
 
-def _axis_runs(grid: FingerprintGrid, vertical: bool) -> list[Optional[int]]:
-    """Run ids for delimiter lines along one axis.
+def _axis_runs(grid: FingerprintGrid, vertical: bool) -> dict[int, int]:
+    """Run ids of the delimiter lines along one axis, by column (row).
 
     A column (row) is a delimiter line when every cell on it carries the
     same fingerprint.  Consecutive delimiter lines with the same
-    fingerprint share a run id; other lines get None.  Index 0 unused.
+    fingerprint share a run id; other lines have none.
     """
     lines = zip(*grid.code_rows) if vertical else grid.code_rows
-    ids: list[Optional[int]] = [None]
+    ids: dict[int, int] = {}
     run_id = 0
     prev_code: Optional[int] = None
-    for line in lines:
+    for i, line in enumerate(lines, grid.left if vertical else grid.top):
         code = line[0]
         if line.count(code) != len(line):
-            ids.append(None)
             prev_code = None
             continue
         if code != prev_code:
             run_id += 1
-        ids.append(run_id)
+        ids[i] = run_id
         prev_code = code
     return ids
 
 
-def _run_cuts(ids: list[Optional[int]], length: int) -> list[int]:
-    """Cut after line i exactly when lines i and i + 1 differ in run id;
-    two lines of no run are both None, so none falls between them."""
-    return [i for i in range(1, length) if ids[i] != ids[i + 1]]
+def _run_cuts(ids: dict[int, int], first: int, last: int) -> list[int]:
+    """Cut after line i, first <= i < last, exactly when lines i and
+    i + 1 differ in run id; two lines of no run both read None, so no
+    cut falls between them."""
+    runs = list(map(ids.get, range(first, last + 1)))
+    return [i for i, run, following in zip(range(first, last), runs, runs[1:]) if run != following]
 
 
-def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], ids: list[Optional[int]],
+def _inside_run(ids: dict[int, int], first: int, last: int) -> bool:
+    """Whether lines first..last all lie in one delimiter run."""
+    run = ids.get(first)
+    return run is not None and run == ids.get(last)
+
+
+def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], ids: dict[int, int],
           vertical: bool) -> tuple:
     """One axis of `r` for `_cut_search`: the strips between its
     consecutive `cuts`, edges included, counted off the code rows.
@@ -630,18 +628,16 @@ def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], ids: list[Optional[in
     whose code-row slices are counted once.
     """
     first, last, depth = (r.left, r.right, r.height) if vertical else (r.top, r.bottom, r.width)
-    rows = grid.code_rows
     lasts = cuts + [last]
     hists: list[Mapping[int, int]] = []
     sizes: list[int] = []
     for lo, hi in zip([first] + [i + 1 for i in cuts], lasts):
         size = (hi - lo + 1) * depth
-        if ids[lo] is not None and ids[lo] == ids[hi]:
-            hists.append({rows[0][lo - 1] if vertical else rows[lo - 1][0]: size})
-        elif vertical:
-            hists.append(Counter(chain.from_iterable(row[lo - 1:hi] for row in rows[r.top - 1:r.bottom])))
+        if _inside_run(ids, lo, hi):
+            hists.append({grid.code_at(lo, r.top) if vertical else grid.code_at(r.left, lo): size})
         else:
-            hists.append(Counter(chain.from_iterable(row[r.left - 1:r.right] for row in rows[lo - 1:hi])))
+            strip = Rect(lo, r.top, hi, r.bottom) if vertical else Rect(r.left, lo, r.right, hi)
+            hists.append(Counter(chain.from_iterable(grid.block(strip))))
         sizes.append(size)
     return vertical, hists, sizes, lasts
 
@@ -662,18 +658,17 @@ def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
     strips outside the runs once, plus the strips of one half per exact
     re-score, and makes no `counts_in` call.
     """
+    full = grid.full_rect()
     col_ids = _axis_runs(grid, True)
     row_ids = _axis_runs(grid, False)
-    v_cuts = _run_cuts(col_ids, grid.width)
-    h_cuts = _run_cuts(row_ids, grid.height)
+    v_cuts = _run_cuts(col_ids, full.left, full.right)
+    h_cuts = _run_cuts(row_ids, full.top, full.bottom)
     table = _XLogXTable()
     pieces: list[Rect] = []
-    stack = [grid.full_rect()]
+    stack = [full]
     while stack:
         r = stack.pop()
-        inside_col_run = col_ids[r.left] is not None and col_ids[r.left] == col_ids[r.right]
-        inside_row_run = row_ids[r.top] is not None and row_ids[r.top] == row_ids[r.bottom]
-        if inside_col_run or inside_row_run:
+        if _inside_run(col_ids, r.left, r.right) or _inside_run(row_ids, r.top, r.bottom):
             pieces.append(r)
             continue
         cand_v = [i for i in v_cuts if r.left <= i < r.right]

@@ -12,8 +12,10 @@ inputs; C2: both sides must be formulas).  Survivors are scored by how
 much the rewrite simplifies the sheet layout versus how far the
 formulas must move, and reported within a flagged-cell budget.
 
-Costs.  For R regions, candidates cost O(R log R) plus O(1) each: a
-source's whole-region targets are four lookups in an edge index, and
+Costs.  A sheet's regions are sorted and indexed once, into one
+`Layout` that both candidate generation and scoring read.  For R
+regions, candidates cost O(R log R) plus O(1) each: a source's
+whole-region targets are four lookups in the layout's edge index, and
 its one-cell targets are bisected out of sorted lists of the regions
 one cell wide, so no boundary cell is probed.  The screens read one
 reference box and formula count per region (`Screens`), computed the
@@ -22,13 +24,13 @@ region's cells are read once.  A data region's are never read: it holds
 formulas only where a formula's vectors cancel, and those come from one
 list per sheet, built in one pass over the formulas and usually empty.
 A one-cell source reads its own references.  Every candidate of a sheet
-is scored against one `Layout`, built once in O(R): the regions'
-entropy terms p*log2(p) cached per area, and one edge index.  A
-candidate then costs its merge cascade, a few dictionary lookups per
-merge, plus one `math.fsum` over the terms of the regions it takes out
-and puts in.  `fsum` is correctly rounded, so the delta is the exact
-change of the layout's term sum rounded once, and a fix that keeps the
-multiset of region areas scores exactly 0.
+is scored against the same `Layout`: its edge index, and the regions'
+entropy terms p*log2(p) cached per area.  A candidate then costs its
+merge cascade, a few dictionary lookups per merge, plus one `math.fsum`
+over the terms of the regions it takes out and puts in.  `fsum` is
+correctly rounded, so the delta is the exact change of the layout's term
+sum rounded once, and a fix that keeps the multiset of region areas
+scores exactly 0.
 """
 
 from __future__ import annotations
@@ -83,12 +85,40 @@ class ProposedFix:
         return tuple(self.source.cells())
 
 
+class Layout:
+    """One sheet's tiling, indexed once for every candidate fix proposed
+    and scored on it.
+
+    Holds the regions in `_region_key` order, one edge index over them in
+    which `regions[k]` has serial k + 1, the serial of each region, and
+    each area's entropy term p*log2(p).  `entropy_delta` edits the index
+    for one fix and then puts it back as it was built.
+    """
+
+    def __init__(self, regions: Sequence[Region], total_cells: int) -> None:
+        self.regions = sorted(regions, key=_region_key)
+        self.index = _EdgeIndex()
+        self.serials = {region: self.index.add(region) for region in self.regions}
+        self.total_cells = total_cells
+        self.scale = 1.0 / math.log2(total_cells) if total_cells > 1 else 0.0
+        self._terms: dict[int, float] = {}
+
+    def term(self, area: int) -> float:
+        """p*log2(p) for p = area / total_cells, as `normalized_entropy`
+        computes it, once per distinct area."""
+        t = self._terms.get(area)
+        if t is None:
+            p = area / self.total_cells
+            t = self._terms[area] = p * math.log2(p)
+        return t
+
+
 def _one_wide_lines(ordered: Sequence[Region]) -> tuple[dict, dict, dict, dict]:
     """The regions one cell wide across a side, by the line that side
     lies on: one-column regions by their bottom row and by their top row,
     one-row regions by their right column and by their left column.  Each
     line is a list of (position along it, serial), sorted; the serial of
-    a region is its place in `ordered`, counted from 1."""
+    a region is its place in `ordered`, counted from 1, as in `Layout`."""
     lines: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
     bottoms, tops, rights, lefts = lines
     for serial, region in enumerate(ordered, 1):
@@ -110,26 +140,24 @@ def _within(line: list[tuple[int, int]], low: int, high: int) -> list[tuple[int,
     return line[bisect_left(line, (low,)):bisect_left(line, (high + 1,))]
 
 
-def candidate_fixes(regions: Sequence[Region]) -> list[CandidateFix]:
+def candidate_fixes(layout: Layout) -> list[CandidateFix]:
     """Every (source, target) proposal whose two sides tile a rectangle.
 
-    `regions` must tile their area.  Sources go in (top, left, bottom,
-    right) order.  A target faces a full side of the whole source, or an
-    outward side of one boundary cell with a one-cell edge, so it faces at
-    most one cell (skipped for one-cell regions, where the whole region is
-    that cell).  Targets carry another fingerprint and go in the same
-    order, each with the whole region first, then the cell.
+    Reads the layout's regions, which tile their area, and its edge
+    index as built.  Sources go in (top, left, bottom, right) order.  A
+    target faces a full side of the whole source, or an outward side of
+    one boundary cell with a one-cell edge, so it faces at most one cell
+    (skipped for one-cell regions, where the whole region is that cell).
+    Targets carry another fingerprint and go in the same order, each with
+    the whole region first, then the cell.
 
-    The whole-region targets are four lookups in an edge index.  The
+    The whole-region targets are four lookups in the edge index.  The
     one-cell targets are the regions one cell wide across a side, found
     by bisecting the line beyond that side over its span, so a source
-    costs O(log R + its targets) for R regions.  Regions get their
-    serials in the order above, so the targets sort as their serials do.
+    costs O(log R + its targets) for R regions.  The layout numbers its
+    regions in the order above, so the targets sort as their serials do.
     """
-    ordered = sorted(regions, key=_region_key)
-    index = _EdgeIndex()
-    for region in ordered:
-        index.add(region)
+    ordered, index = layout.regions, layout.index
     bottoms, tops, rights, lefts = _one_wide_lines(ordered)
     out: list[CandidateFix] = []
     for a in ordered:
@@ -169,10 +197,8 @@ class Screens:
     def cancelling(self) -> list[tuple[int, int]]:
         """The formula cells whose vectors cancel to a data cell's fingerprint."""
         if self._cancelling is None:
-            table = self.table
-            codes = {code for code, fingerprint in enumerate(table.grid.palette) if fingerprint in DATA_KINDS}
-            rows, left, top = table.grid.code_rows, table.rect.left, table.rect.top
-            self._cancelling = [(x, y) for x, y in table.refs if rows[y - top][x - left] in codes]
+            grid = self.table.grid
+            self._cancelling = [(x, y) for x, y in self.table.refs if grid.fingerprint_at(x, y) in DATA_KINDS]
         return self._cancelling
 
     def facts(self, rect: Rect, fingerprint: Hashable) -> tuple[Optional[tuple[int, int, int, int]], int]:
@@ -259,31 +285,6 @@ def rect_minus_cell(rect: Rect, cell: tuple[int, int]) -> list[Rect]:
     if cy < rect.bottom:
         out.append(Rect(rect.left, cy + 1, rect.right, rect.bottom))
     return out
-
-
-class Layout:
-    """One sheet's regions, kept across every candidate fix scored on it.
-
-    Holds one edge index over the regions, the serial of each, and each
-    area's entropy term p*log2(p).  `entropy_delta` edits the index for
-    one fix and then puts it back as it was built.
-    """
-
-    def __init__(self, regions: Sequence[Region], total_cells: int) -> None:
-        self.index = _EdgeIndex()
-        self.serials = {region: self.index.add(region) for region in regions}
-        self.total_cells = total_cells
-        self.scale = 1.0 / math.log2(total_cells) if total_cells > 1 else 0.0
-        self._terms: dict[int, float] = {}
-
-    def term(self, area: int) -> float:
-        """p*log2(p) for p = area / total_cells, as `normalized_entropy`
-        computes it, once per distinct area."""
-        t = self._terms.get(area)
-        if t is None:
-            p = area / self.total_cells
-            t = self._terms[area] = p * math.log2(p)
-        return t
 
 
 def entropy_delta(fix: CandidateFix, layout: Layout) -> float:
@@ -378,17 +379,11 @@ def impact_score(target_size: int, delta_entropy: float, distance: float) -> flo
     return target_size / (-delta_entropy * max(distance, 1.0))
 
 
-def score_candidates(
-    candidates: Sequence[CandidateFix],
-    table: SheetVectors,
-    regions: Sequence[Region],
-    total_cells: int,
-) -> list[ProposedFix]:
+def score_candidates(candidates: Sequence[CandidateFix], table: SheetVectors, layout: Layout) -> list[ProposedFix]:
     """Screen, score, and wrap candidates; inadmissible or
     non-entropy-reducing ones are dropped.  Every candidate is scored
-    against one `Layout` of `regions`."""
+    against `layout`, the sheet's one."""
     out: list[ProposedFix] = []
-    layout = Layout(regions, total_cells)
     screens = Screens(table)
     for fix in candidates:
         if admissible(fix, table, screens) is not None:
@@ -455,6 +450,8 @@ def build_fixes(
     total_cells: int,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[ProposedFix]:
-    """End-to-end: candidates -> screens -> scores -> ranked audit list."""
-    scored = score_candidates(candidate_fixes(regions), table, regions, total_cells)
+    """End-to-end: candidates -> screens -> scores -> ranked audit list,
+    all read off one `Layout` of `regions`."""
+    layout = Layout(regions, total_cells)
+    scored = score_candidates(candidate_fixes(layout), table, layout)
     return rank_and_cut(scored, threshold, total_cells)

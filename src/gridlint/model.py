@@ -214,12 +214,6 @@ class Workbook:
     name: str
     sheets: list[Worksheet] = field(default_factory=list)
 
-    def sheet(self, name: str) -> Worksheet:
-        for ws in self.sheets:
-            if ws.name == name:
-                return ws
-        raise KeyError(f"no sheet named {name!r}")
-
 
 _FORMULA, _NUMBER, _TEXT = CellKind.FORMULA, CellKind.NUMBER, CellKind.TEXT
 # Builds a CellContent without the NamedTuple's own __new__, a Python call.
@@ -378,7 +372,3 @@ def serialize_workbook(workbook: Workbook) -> str:
         sheets.append({"name": ws.name, "cells": cells})
     return json.dumps({"workbook": workbook.name, "sheets": sheets}, indent=2) + "\n"
 
-
-def save_workbook(workbook: Workbook, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_workbook(workbook))

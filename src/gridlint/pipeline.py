@@ -1,7 +1,8 @@
 """Whole-workbook analysis: vectors -> regions -> ranked fixes, timed.
 
-Each sheet is processed independently; coordinates in results are sheet
-coordinates (column, row), not positions within the used range.
+Each sheet is processed independently, in sheet coordinates (column,
+row) throughout: the grid sits at the used range, so its regions and
+fixes need no translation.
 """
 
 from __future__ import annotations
@@ -63,22 +64,8 @@ class WorkbookAnalysis:
 
 
 def grid_from_table(table: SheetVectors) -> FingerprintGrid:
-    """Used range re-based to (1, 1) for decomposition: the grid the
-    vectors pass wrote."""
+    """The grid the vectors pass wrote over the used range, for decomposition."""
     return table.grid
-
-
-def _to_sheet_coords(region: Region, rect: Rect) -> Region:
-    r = region.rect
-    return Region(
-        Rect(
-            r.left + rect.left - 1,
-            r.top + rect.top - 1,
-            r.right + rect.left - 1,
-            r.bottom + rect.top - 1,
-        ),
-        region.fingerprint,
-    )
 
 
 def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[AnalysisConfig] = None,
@@ -98,9 +85,7 @@ def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[Analysi
     table = analyze_sheet_vectors(workbook, sheet, shapes)
     timings["vectors"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    grid = grid_from_table(table)
-    local = decompose_grid(grid, preprocess=config.preprocess)
-    regions = [_to_sheet_coords(r, table.rect) for r in local]
+    regions = decompose_grid(grid_from_table(table), preprocess=config.preprocess)
     timings["decomposition"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     fixes = build_fixes(table, regions, table.rect.area, config.threshold)

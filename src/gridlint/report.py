@@ -168,16 +168,11 @@ def _fingerprint_label(fp: Hashable) -> str:
 CELL_PX = 22
 
 
-def render_global_view(table: SheetVectors, graph: Optional[AdjacencyGraph] = None,
-                       colors: Optional[Mapping[Hashable, Optional[HSL]]] = None) -> str:
-    """Self-contained HTML page with one SVG rect per used-range cell."""
-    return "".join(global_view_chunks(table, graph, colors))
-
-
 def global_view_chunks(table: SheetVectors, graph: Optional[AdjacencyGraph] = None,
                        colors: Optional[Mapping[Hashable, Optional[HSL]]] = None) -> Iterator[str]:
-    """The `render_global_view` page in pieces of at most one sheet row of
-    cells, so that a writer never holds the whole page."""
+    """Self-contained HTML page with one SVG rect per used-range cell, in
+    pieces of at most one sheet row of cells, so that a writer never
+    holds the whole page."""
     if graph is None:
         graph = build_adjacency(table)
     if colors is None:

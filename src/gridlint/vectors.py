@@ -159,10 +159,11 @@ def location_fingerprint(rects: Iterable[RefRect], sheet: str, workbook: str,
 class SheetVectors:
     """Per-cell analysis table for one sheet's used range.
 
-    `grid` holds every fingerprint of the used range, re-based to (1, 1);
-    `refs` is keyed by formula cell in row-major order.  A formula that
-    fails to parse is downgraded to text here (with a diagnostic), so a
-    cell is a formula exactly when it is in `refs`.
+    `grid` holds every fingerprint of the used range `rect`, at the
+    cells' own sheet coordinates; `refs` is keyed by formula cell in
+    row-major order.  A formula that fails to parse is downgraded to text
+    here (with a diagnostic), so a cell is a formula exactly when it is
+    in `refs`.
     """
 
     sheet_name: str
@@ -178,9 +179,8 @@ class SheetVectors:
         return DATA_KINDS[self.fingerprint(column, row)]
 
     def fingerprint(self, column: int, row: int) -> Fingerprint:
-        rect = self.rect
-        if rect.left <= column <= rect.right and rect.top <= row <= rect.bottom:
-            return self.grid.palette[self.grid.code_rows[row - rect.top][column - rect.left]]
+        if self.rect.contains(column, row):
+            return self.grid.fingerprint_at(column, row)
         return EMPTY_FINGERPRINT
 
     @property
@@ -188,14 +188,14 @@ class SheetVectors:
         """The fingerprint of every formula and every cell that is not
         blank, in row-major order (for a loaded workbook, every stored
         cell): a read-only mapping built on each call."""
-        rect, palette, refs = self.rect, self.grid.palette, self.refs
+        grid, palette, refs = self.grid, self.grid.palette, self.refs
         blank = palette.index(EMPTY_FINGERPRINT) if EMPTY_FINGERPRINT in palette else None
         formula_rows = {row for _, row in refs}
         return MappingProxyType({
             (column, row): palette[code]
-            for row, line in enumerate(self.grid.code_rows, rect.top)
+            for row, line in enumerate(grid.code_rows, grid.top)
             if row in formula_rows or line.count(blank) != len(line)  # blank rows cost one count
-            for column, code in enumerate(line, rect.left)
+            for column, code in enumerate(line, grid.left)
             if code != blank or (column, row) in refs
         })
 
@@ -328,13 +328,6 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
     if following != rect.area:
         codes.setdefault(EMPTY_FINGERPRINT, len(codes))
 
-    # Without a code for the blank every cell is stored, so every row is overwritten.
-    blank_row = [codes.get(EMPTY_FINGERPRINT, 0)] * width
-    code_rows = [blank_row] * rect.height
-    for (column, row), code in zip(stored, stored_codes):
-        line = code_rows[row - top]
-        if line is blank_row:
-            line = code_rows[row - top] = blank_row.copy()
-        line[column - left] = code
-    grid = FingerprintGrid.from_codes(code_rows, tuple(codes))
+    # Without a code for the blank every cell is stored, so no cell is left blank.
+    grid = FingerprintGrid.from_cells(rect, stored, stored_codes, codes.get(EMPTY_FINGERPRINT, 0), tuple(codes))
     return SheetVectors(sheet.name, workbook.name, rect, grid, refs, diagnostics)

@@ -544,10 +544,12 @@ def naive_run_cuts(ids: list[Optional[int]], length: int) -> list[int]:
 def naive_delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
     """Delimiter pieces, every candidate cut scored with `split_entropy`
     over exact counts: lowest score wins, vertical before horizontal, then
-    smallest index."""
+    smallest index.  For a grid at (1, 1)."""
     counter = PrefixCounts(grid)
-    col_ids = _axis_runs(grid, True)
-    row_ids = _axis_runs(grid, False)
+    # Run ids 1-based behind an unused ids[0], None off the runs.
+    col_runs, row_runs = _axis_runs(grid, True), _axis_runs(grid, False)
+    col_ids = [None] + [col_runs.get(i) for i in range(1, grid.width + 1)]
+    row_ids = [None] + [row_runs.get(i) for i in range(1, grid.height + 1)]
     v_cuts = naive_run_cuts(col_ids, grid.width)
     h_cuts = naive_run_cuts(row_ids, grid.height)
     pieces: list[Rect] = []

@@ -15,7 +15,7 @@ import gridlint
 from gridlint import cli
 from gridlint.model import GridlintError, load_workbook
 from gridlint.pipeline import analyze_workbook
-from gridlint.report import render_global_view
+from gridlint.report import global_view_chunks
 
 
 def run(argv, capsys):
@@ -220,7 +220,7 @@ class TestRender:
             workbook = load_workbook(path)
             for sheet in analyze_workbook(workbook).sheets:
                 page = tmp_path / f"{cli._safe_name(workbook.name)}_{cli._safe_name(sheet.name)}.html"
-                assert page.read_bytes() == render_global_view(sheet.table).encode("utf-8")
+                assert page.read_bytes() == "".join(global_view_chunks(sheet.table)).encode("utf-8")
 
     def test_empty_sheet_page(self, tmp_path, capsys):
         source = tmp_path / "holes.gridbook"
@@ -266,7 +266,7 @@ class TestRender:
         assert sorted(p.name for p in tmp_path.glob("*.html")) == names
         assert err.splitlines() == [f"wrote {tmp_path / name}" for name in names]
         for name, sheet in zip(names, analyze_workbook(load_workbook(source)).sheets):
-            assert (tmp_path / name).read_text(encoding="utf-8") == render_global_view(sheet.table)
+            assert (tmp_path / name).read_text(encoding="utf-8") == "".join(global_view_chunks(sheet.table))
 
     def test_missing_file(self, capsys):
         assert run(["render", "absent.gridbook"], capsys)[0] == 2

@@ -118,7 +118,8 @@ class TestEntropyTree:
         grid = FingerprintGrid([["A", "A"], ["B", "B"]])
         tree = entropy_tree(grid)
         assert isinstance(tree, EntropyNode)
-        assert tree.vertical is False and tree.index == 1 and tree.entropy == 0.0
+        assert tree.vertical is False and tree.index == 1
+        assert split_entropy(grid, tree.region, tree.index, tree.vertical) == 0.0
 
     def test_vertical_wins_ties(self):
         # fully mixed 2x2: all cuts score 2.0; vertical, index 1 must win
@@ -178,7 +179,7 @@ class TestEntropyTree:
                     grid.counts_in(a).values(), a.area
                 ) + reference_entropy(grid.counts_in(b).values(), b.area)
                 best = min(best, value)
-            assert node.entropy == pytest.approx(best, abs=1e-9)
+            assert split_entropy(grid, region, node.index, node.vertical) == pytest.approx(best, abs=1e-9)
             stack.extend([node.low, node.high])
 
 
@@ -238,23 +239,25 @@ class TestCoalesce:
 
 
 def naive_axis_runs(grid, vertical):
-    """_axis_runs by reading every cell's fingerprint: a uniform line gets
-    the id of the run of equal uniform lines it belongs to, others None."""
-    length, depth = (grid.width, grid.height) if vertical else (grid.height, grid.width)
-    ids = [None]
+    """_axis_runs by reading every cell's fingerprint: a uniform line maps
+    to the id of the run of equal uniform lines it belongs to; other lines
+    are absent."""
+    full = grid.full_rect()
+    lines, depth = ((full.left, full.right), (full.top, full.bottom)) if vertical else (
+        (full.top, full.bottom), (full.left, full.right))
+    ids = {}
     run_id = 0
     previous = None  # the previous line's fingerprint, if it was uniform
-    for i in range(1, length + 1):
-        cells = [(i, j) if vertical else (j, i) for j in range(1, depth + 1)]
+    for i in range(lines[0], lines[1] + 1):
+        cells = [(i, j) if vertical else (j, i) for j in range(depth[0], depth[1] + 1)]
         fps = {grid.fingerprint_at(x, y) for x, y in cells}
         if len(fps) == 1:
             (fp,) = fps
             if fp != previous:
                 run_id += 1
-            ids.append(run_id)
+            ids[i] = run_id
             previous = fp
         else:
-            ids.append(None)
             previous = None
     return ids
 
@@ -418,8 +421,9 @@ def naive_preorder(grid, region=None):
     return out
 
 
-def tree_preorder(tree):
-    """Preorder (region, cut) list of a tree, as `naive_preorder` gives it."""
+def tree_preorder(tree, grid):
+    """Preorder (region, cut) list of a tree on `grid`, as `naive_preorder`
+    gives it, each cut scored with `split_entropy`."""
     out = []
     stack = [tree]
     while stack:
@@ -427,7 +431,8 @@ def tree_preorder(tree):
         if isinstance(node, EntropyLeaf):
             out.append((node.region, None))
         else:
-            out.append((node.region, (node.vertical, node.index, float.hex(node.entropy))))
+            e = split_entropy(grid, node.region, node.index, node.vertical)
+            out.append((node.region, (node.vertical, node.index, float.hex(e))))
             stack.extend([node.high, node.low])
     return out
 
@@ -459,7 +464,7 @@ def naive_coalesce(regions):
 
 
 def assert_tree_matches_naive(grid, region=None):
-    got = tree_preorder(entropy_tree(grid, region))
+    got = tree_preorder(entropy_tree(grid, region), grid)
     want = naive_preorder(grid, region)
     # The entropy floats by float.hex: a read must reproduce them bit for bit.
     assert got == want
@@ -723,11 +728,13 @@ class TestDelimiterSplitsOracle:
     """The blockwise sweep against scoring every cut with two full counts."""
 
     @settings(max_examples=500, deadline=None)
-    @given(st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=1, max_size=30))
-    def test_run_cuts_match_run_starts_and_ends(self, lines):
-        # Any list of run ids, 1-based behind the unused ids[0], as `_axis_runs` writes it.
-        ids = [None] + lines
-        assert _run_cuts(ids, len(lines)) == naive_run_cuts(ids, len(lines))
+    @given(st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=1, max_size=30),
+           st.integers(1, 1_048_576))
+    def test_run_cuts_match_run_starts_and_ends(self, lines, first):
+        # Any run ids of the lines from `first` on, as `_axis_runs` maps them.
+        ids = {line: run for line, run in enumerate(lines, first) if run is not None}
+        want = [first - 1 + i for i in naive_run_cuts([None] + lines, len(lines))]
+        assert _run_cuts(ids, first, first + len(lines) - 1) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -759,7 +766,7 @@ class TestDelimiterSplitsOracle:
         axes = []
         for vertical, length, first, last in ((True, grid.width, left, right), (False, grid.height, top, bottom)):
             ids = _axis_runs(grid, vertical)
-            cuts = [i for i in _run_cuts(ids, length) if first <= i < last]
+            cuts = [i for i in _run_cuts(ids, 1, length) if first <= i < last]
             if cuts:
                 axes.append(entropy._gaps(grid, piece, cuts, ids, vertical))
         if not axes:
@@ -808,13 +815,15 @@ def test_lone_near_minimum_cut_is_not_rescored(monkeypatch):
     calls = []
     score = entropy.normalized_entropy
     monkeypatch.setattr(entropy, "normalized_entropy", lambda counts, n: calls.append(n) or score(counts, n))
-    stripes = entropy_tree(FingerprintGrid([["A", "A", "B"], ["A", "A", "B"]]))
+    stripes_grid = FingerprintGrid([["A", "A", "B"], ["A", "A", "B"]])
+    stripes = entropy_tree(stripes_grid)
     assert (stripes.vertical, stripes.index) == (True, 2) and calls == []
-    board = entropy_tree(FingerprintGrid([["A", "B"], ["B", "A"]]))
+    board_grid = FingerprintGrid([["A", "B"], ["B", "A"]])
+    board = entropy_tree(board_grid)
     assert (board.vertical, board.index) == (True, 1) and calls == [2, 2, 2, 2]
-    # The entropy of a cut is scored when read.
-    assert stripes.entropy == 0.0 and board.entropy == 2.0
-    assert calls == [2, 2, 2, 2, 4, 2, 2, 2]
+    # The cuts' entropies are the oracle's.
+    assert split_entropy(stripes_grid, stripes.region, stripes.index, stripes.vertical) == 0.0
+    assert split_entropy(board_grid, board.region, board.index, board.vertical) == 2.0
 
 
 def test_only_near_minimum_ties_are_rescored(monkeypatch):
@@ -846,7 +855,7 @@ def test_running_totals_column_scores_no_half(monkeypatch):
     assert len(tree_leaves(tree)) == 2001
     column = tree.high
     assert (column.region, column.vertical, column.index) == (Rect(2, 1, 2, 2000), False, 1)
-    assert column.entropy == normalized_entropy([1] * 1999, 1999)
+    assert split_entropy(grid, column.region, column.index, column.vertical) == normalized_entropy([1] * 1999, 1999)
 
 
 def test_child_counts_only_lines_across_its_parents_cut(monkeypatch):
@@ -956,3 +965,67 @@ class TestCoalesceOracle:
         regions = random_guillotine_tiling(rng, rng.randint(1, 12), rng.randint(1, 12), "AB"[: rng.randint(1, 2)])
         rng.shuffle(regions)
         assert coalesce(regions) == naive_coalesce(regions)
+
+
+MAX_COLUMN, MAX_ROW = 16_384, 1_048_576  # XFD, and the last row of a sheet
+
+
+def placed(grid, left, top):
+    """The same code rows and palette with the top-left cell at (left, top)."""
+    return FingerprintGrid.from_codes(grid.code_rows, grid.palette, left, top)
+
+
+def shifted(rect, dx, dy):
+    return Rect(rect.left + dx, rect.top + dy, rect.right + dx, rect.bottom + dy)
+
+
+@st.composite
+def grids_and_corners(draw):
+    """A random, banded or banded-tile grid at (1, 1), and a corner to place
+    it at: anywhere, or with its last column at XFD or its last row at
+    1,048,576, or both."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["labels", "banded", "tiles"]))
+    grid = {"labels": lambda: random_label_grid(rng, max_side=10),
+            "banded": lambda: random_banded_grid(rng),
+            "tiles": lambda: banded_tile_grid(rng)}[kind]()
+    last_left, last_top = MAX_COLUMN - grid.width + 1, MAX_ROW - grid.height + 1
+    left = draw(st.one_of(st.integers(1, last_left), st.just(last_left)))
+    top = draw(st.one_of(st.integers(1, last_top), st.just(last_top)))
+    return grid, left, top
+
+
+class TestGridAwayFromA1:
+    """A grid placed at another corner decomposes as the same grid at (1, 1)
+    does, with every rectangle shifted by the corner."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grids_and_corners())
+    def test_tree_leaves_and_cuts(self, case):
+        # Cut entropies too: the oracle counts the same cells either way.
+        grid, left, top = case
+        dx, dy = left - 1, top - 1
+        want = [(shifted(region, dx, dy), cut and (cut[0], cut[1] + (dx if cut[0] else dy), cut[2]))
+                for region, cut in tree_preorder(entropy_tree(grid), grid)]
+        moved = placed(grid, left, top)
+        assert tree_preorder(entropy_tree(moved), moved) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(grids_and_corners())
+    def test_delimiter_pieces(self, case):
+        grid, left, top = case
+        want = [shifted(piece, left - 1, top - 1) for piece in delimiter_splits(grid)]
+        assert delimiter_splits(placed(grid, left, top)) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(grids_and_corners(), st.booleans())
+    def test_decompose_grid(self, case, preprocess):
+        grid, left, top = case
+        want = [Region(shifted(r.rect, left - 1, top - 1), r.fingerprint)
+                for r in decompose_grid(grid, preprocess=preprocess)]
+        assert decompose_grid(placed(grid, left, top), preprocess=preprocess) == want
+
+    def test_region_of_a_lone_corner_cell(self):
+        # One cell at XFD1048576: its own used range.
+        grid = placed(FingerprintGrid([["A"]]), MAX_COLUMN, MAX_ROW)
+        assert decompose_grid(grid) == [Region(Rect(MAX_COLUMN, MAX_ROW, MAX_COLUMN, MAX_ROW), "A")]

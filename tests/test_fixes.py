@@ -55,6 +55,11 @@ def analyzed(workbook):
     return sheet_analysis.table, sheet_analysis.regions
 
 
+def candidates_of(regions):
+    """`candidate_fixes` of the layout of `regions`, which tile their area."""
+    return candidate_fixes(Layout(regions, sum(region.rect.area for region in regions)))
+
+
 def tiny_workbook(cells: dict[tuple[int, int], str]) -> Workbook:
     content = {pos: CellContent.formula(text) for pos, text in cells.items()}
     return Workbook("t", [Worksheet("S", content)])
@@ -214,22 +219,22 @@ class TestCandidates:
         b = Region(Rect(3, 1, 4, 2), "b")
         # Each whole region merges with the other; no single cell of a
         # 2x2 region tiles a rectangle with the other 2x2 region.
-        assert candidate_fixes([a, b]) == [CandidateFix(a.rect, a, b), CandidateFix(b.rect, b, a)]
+        assert candidates_of([a, b]) == [CandidateFix(a.rect, a, b), CandidateFix(b.rect, b, a)]
 
     def test_same_fingerprint_pairs_skipped(self):
         a = Region(Rect(1, 1, 2, 2), "a")
         b = Region(Rect(3, 1, 4, 2), "a")
-        assert candidate_fixes([a, b]) == []
+        assert candidates_of([a, b]) == []
 
     def test_non_adjacent_pairs_skipped(self):
         a = Region(Rect(1, 1, 1, 1), "a")
         b = Region(Rect(3, 3, 3, 3), "b")
-        assert candidate_fixes([a, b]) == []
+        assert candidates_of([a, b]) == []
 
     def test_single_cell_source_not_duplicated(self):
         a = Region(Rect(1, 1, 1, 1), "a")
         b = Region(Rect(2, 1, 2, 1), "b")
-        candidates = candidate_fixes([a, b])
+        candidates = candidates_of([a, b])
         assert candidates == [
             CandidateFix(Rect(1, 1, 1, 1), a, b),
             CandidateFix(Rect(2, 1, 2, 1), b, a),
@@ -237,7 +242,7 @@ class TestCandidates:
 
     def test_fixture_candidate_count(self):
         _, regions = analyzed(inconsistent_sum_workbook())
-        candidates = candidate_fixes(regions)
+        candidates = candidates_of(regions)
         assert len(candidates) == 4
         singles = [c for c in candidates if c.source.area == 1]
         wholes = [c for c in candidates if c.source == c.source_region.rect]
@@ -249,7 +254,7 @@ class TestCandidates:
         # target, then at most one facing boundary cell that does.
         _, regions = analyzed(inconsistent_sum_workbook())
         by_pair: dict[tuple, list[Rect]] = {}
-        for candidate in candidate_fixes(regions):
+        for candidate in candidates_of(regions):
             by_pair.setdefault((candidate.source_region, candidate.target), []).append(candidate.source)
         for (source, target), rects in by_pair.items():
             assert all(mergeable(r, target.rect) for r in rects)
@@ -267,7 +272,7 @@ class TestAdmissible:
     def test_fixture_histogram(self):
         table, regions = analyzed(inconsistent_sum_workbook())
         codes: dict[object, int] = {}
-        for candidate in candidate_fixes(regions):
+        for candidate in candidates_of(regions):
             code = admissible(candidate, table)
             codes[code] = codes.get(code, 0) + 1
         assert codes == {REASON_NOT_FORMULAS: 1, None: 3}
@@ -279,7 +284,7 @@ class TestAdmissible:
         data = next(r for r in regions if r.rect.area == 24)
         one_off = next(r for r in regions if r.rect.area == 1)
         candidate = CandidateFix(data.rect, data, one_off)
-        assert candidate not in candidate_fixes(regions)
+        assert candidate not in candidates_of(regions)
         assert candidate in naive_candidate_fixes(regions)
         workbook = inconsistent_sum_workbook()
         naive = naive_analyze_sheet_vectors(workbook, workbook.sheets[0])
@@ -359,7 +364,7 @@ class TestHypotheticalRegions:
         # Only screened candidates reach this stage: a non-rectangular
         # merge would overlap its neighbours.
         table, regions = analyzed(inconsistent_sum_workbook())
-        for candidate in candidate_fixes(regions):
+        for candidate in candidates_of(regions):
             if admissible(candidate, table) is not None:
                 continue
             result = hypothetical_regions(candidate, regions)
@@ -374,7 +379,7 @@ class TestHypotheticalRegions:
         # Re-coalescing only around the touched regions must agree with
         # coalescing the whole layout from scratch.
         table, regions = analyzed(inconsistent_sum_workbook())
-        for candidate in candidate_fixes(regions):
+        for candidate in candidates_of(regions):
             if admissible(candidate, table) is not None:
                 continue
             targeted = hypothetical_regions(candidate, regions)
@@ -451,7 +456,7 @@ def check_formula_screen(workbook: Workbook) -> None:
     screens over the oracle's kinds."""
     table, regions = analyzed(workbook)
     naive = naive_analyze_sheet_vectors(workbook, workbook.sheets[0])
-    for candidate in candidate_fixes(regions):
+    for candidate in candidates_of(regions):
         assert admissible(candidate, table) == naive_admissible(candidate, naive)
 
 
@@ -467,7 +472,7 @@ class TestFormulaScreenOracle:
         cells.update({(x, y): CellContent.text("x") for x in (2, 3, 4) for y in (1, 3)})
         workbook = Workbook("t", [Worksheet("S", cells)])
         table, regions = analyzed(workbook)
-        passed = {(c.source, c.target.rect) for c in candidate_fixes(regions) if admissible(c, table) is None}
+        passed = {(c.source, c.target.rect) for c in candidates_of(regions) if admissible(c, table) is None}
         a2, b2, c2, d2 = (Rect(x, 2, x, 2) for x in (1, 2, 3, 4))
         assert {(a2, b2), (b2, a2), (d2, c2), (c2, d2)} <= passed
         check_formula_screen(workbook)
@@ -542,7 +547,7 @@ def check_screens(workbook: Workbook) -> list[tuple[bool, object]]:
     table, regions = analyzed(workbook)
     screens = Screens(table)
     seen = []
-    for candidate in candidate_fixes(regions):
+    for candidate in candidates_of(regions):
         code = walking_admissible(candidate, table)
         assert admissible(candidate, table, screens) == code
         assert admissible(candidate, table) == code
@@ -560,7 +565,7 @@ class TestScreenOracle:
         # A2 sits in the blank region A1:A2 and B2 is a region with a
         # number's fingerprint; A2 may take on B2's pattern.
         assert Region(Rect(1, 1, 1, 2), EMPTY) in regions
-        verdicts = {(c.source.a1(), c.target.rect.a1()): admissible(c, table) for c in candidate_fixes(regions)}
+        verdicts = {(c.source.a1(), c.target.rect.a1()): admissible(c, table) for c in candidates_of(regions)}
         assert verdicts == {("A2", "B2"): None, ("B1", "B2"): REASON_NOT_FORMULAS,
                             ("C1", "B1"): REASON_NOT_FORMULAS, ("B2", "B1"): REASON_NOT_FORMULAS}
         assert check_screens(workbook)
@@ -598,7 +603,7 @@ class TestSparseSheet:
         assert build_fixes(table, regions, table.rect.area) == []
         assert len(read) <= 36  # walking the screens' cells reads about a million
         monkeypatch.undo()
-        candidates = candidate_fixes(regions)
+        candidates = candidates_of(regions)
         assert len(candidates) == 14
         assert candidates == filtered_naive_candidates(regions)
 
@@ -608,7 +613,7 @@ class TestRectangularScreenOracle:
     @given(st.randoms(use_true_random=False))
     def test_every_candidate_of_random_sheets(self, rng):
         table, regions = analyzed(random_sheet(rng))
-        for candidate in candidate_fixes(regions):
+        for candidate in candidates_of(regions):
             rejected = admissible(candidate, table) == REASON_NOT_RECTANGULAR
             assert rejected != tiles_a_rectangle(candidate)
 
@@ -628,7 +633,7 @@ class TestCandidateOracle:
         _, regions = analyzed(random_sheet(rng))
         for candidate in naive_candidate_fixes(regions):
             assert mergeable(candidate.source, candidate.target.rect) == tiles_a_rectangle(candidate)
-        assert candidate_fixes(regions) == filtered_naive_candidates(regions)
+        assert candidates_of(regions) == filtered_naive_candidates(regions)
 
     @pytest.mark.parametrize("preprocess", [True, False])
     def test_fixtures(self, fixtures_dir, preprocess):
@@ -637,7 +642,7 @@ class TestCandidateOracle:
             workbook = load_workbook(path)
             for sheet in workbook.sheets:
                 regions = analyze_sheet(workbook, sheet, AnalysisConfig(preprocess=preprocess)).regions
-                candidates = candidate_fixes(regions)
+                candidates = candidates_of(regions)
                 assert candidates == filtered_naive_candidates(regions)
                 compared += len(candidates)
         assert compared > 0
@@ -647,14 +652,14 @@ class TestCandidateOracle:
         right = Region(Rect(3, 2, 5, 2), "b")  # one row, beside a's bottom-right cell
         below = Region(Rect(2, 3, 2, 5), "c")  # one column, under the same cell
         expected = [CandidateFix(Rect(2, 2, 2, 2), a, right), CandidateFix(Rect(2, 2, 2, 2), a, below)]
-        assert candidate_fixes([below, right, a]) == expected
+        assert candidates_of([below, right, a]) == expected
         assert filtered_naive_candidates([below, right, a]) == expected
 
     def test_wide_region_above_one_column_target(self):
         a = Region(Rect(1, 1, 3, 2), "a")
         b = Region(Rect(2, 3, 2, 4), "b")
         expected = [CandidateFix(Rect(2, 2, 2, 2), a, b)]
-        assert candidate_fixes([a, b]) == expected
+        assert candidates_of([a, b]) == expected
         assert filtered_naive_candidates([a, b]) == expected
 
     def test_one_wide_over_one_wide_emits_whole_then_cell(self):
@@ -666,7 +671,7 @@ class TestCandidateOracle:
             CandidateFix(b.rect, b, a),
             CandidateFix(Rect(1, 3, 1, 3), b, a),
         ]
-        assert candidate_fixes([b, a]) == expected
+        assert candidates_of([b, a]) == expected
         assert filtered_naive_candidates([b, a]) == expected
 
     def test_one_cell_regions(self):
@@ -679,13 +684,13 @@ class TestCandidateOracle:
             CandidateFix(right.rect, right, a),
             CandidateFix(below.rect, below, a),
         ]
-        assert candidate_fixes([below, right, a]) == expected
+        assert candidates_of([below, right, a]) == expected
         assert filtered_naive_candidates([below, right, a]) == expected
 
     def test_same_fingerprint_cell_target_skipped(self):
         a = Region(Rect(1, 1, 2, 2), "a")
         b = Region(Rect(3, 2, 5, 2), "a")
-        assert candidate_fixes([a, b]) == []
+        assert candidates_of([a, b]) == []
 
 
 class TestCoalesceTargetedOracle:
@@ -693,7 +698,7 @@ class TestCoalesceTargetedOracle:
     @given(st.randoms(use_true_random=False))
     def test_every_admissible_candidate_of_random_sheets(self, rng):
         table, regions = analyzed(random_sheet(rng))
-        for candidate in candidate_fixes(regions):
+        for candidate in candidates_of(regions):
             if admissible(candidate, table) is not None:
                 continue
             # The same stable / dirty split hypothetical_regions makes.
@@ -729,11 +734,11 @@ def check_against_rebuilt(table, regions):
     persistent index must end as it was built.  Returns the number of
     admissible candidates whose merges cascaded."""
     total = table.rect.area
-    candidates = candidate_fixes(regions)
-    assert score_candidates(candidates, table, regions, total) == rebuilt_score_candidates(
-        candidates, table, regions, total)
     layout = Layout(regions, total)
     built = index_state(layout.index)
+    candidates = candidate_fixes(layout)
+    assert score_candidates(candidates, table, layout) == rebuilt_score_candidates(
+        candidates, table, regions, total)
     before = term_sum(regions, total)
     cascaded = 0
     for candidate in candidates:
@@ -750,9 +755,9 @@ def check_area_keeping_fixes(table, regions):
     areas scores exactly 0.0 and is not scored; returns how many there
     were."""
     total = table.rect.area
-    candidates = candidate_fixes(regions)
-    scored = {(fix.source, fix.target) for fix in score_candidates(candidates, table, regions, total)}
     layout = Layout(regions, total)
+    candidates = candidate_fixes(layout)
+    scored = {(fix.source, fix.target) for fix in score_candidates(candidates, table, layout)}
     areas = sorted(r.rect.area for r in regions)
     found = 0
     for candidate in candidates:
@@ -810,7 +815,7 @@ class TestEntropyDelta:
         rng.shuffle(shuffled)
         total = table.rect.area
         layout, other = Layout(regions, total), Layout(shuffled, total)
-        for candidate in candidate_fixes(regions):
+        for candidate in candidates_of(regions):
             assert entropy_delta(candidate, other) == entropy_delta(candidate, layout)
 
     @settings(max_examples=60, deadline=None)
@@ -955,7 +960,7 @@ class TestImpactScore:
 class TestScoreCandidates:
     def test_fixture_scored_list(self):
         table, regions = analyzed(inconsistent_sum_workbook())
-        scored = score_candidates(candidate_fixes(regions), table, regions, 30)
+        scored = score_candidates(candidates_of(regions), table, Layout(regions, 30))
         assert len(scored) == 2
         by_score = sorted(scored, key=lambda p: -p.score)
         top, runner_up = by_score
@@ -974,9 +979,9 @@ class TestScoreCandidates:
 
     def test_admissible_but_non_reducing_dropped(self):
         table, regions = analyzed(inconsistent_sum_workbook())
-        candidates = candidate_fixes(regions)
+        candidates = candidates_of(regions)
         passing = [c for c in candidates if admissible(c, table) is None]
-        scored = score_candidates(candidates, table, regions, 30)
+        scored = score_candidates(candidates, table, Layout(regions, 30))
         assert len(passing) == 3
         assert len(scored) == 2  # one passing candidate raises entropy
 
@@ -1040,7 +1045,7 @@ class TestRankAndCut:
 
     def test_fixture_budget(self):
         table, regions = analyzed(inconsistent_sum_workbook())
-        scored = score_candidates(candidate_fixes(regions), table, regions, 30)
+        scored = score_candidates(candidates_of(regions), table, Layout(regions, 30))
         # ceil(0.05 * 30) = 2 flagged cells: the one-cell top fix fits,
         # the five-cell runner-up does not.
         kept = rank_and_cut(scored, 0.05, 30)
@@ -1072,6 +1077,23 @@ class TestBuildFixes:
         assert build_fixes(table2, regions2, 30) == []
 
 
+def test_build_fixes_indexes_the_regions_once(monkeypatch):
+    # Candidates and scores read one Layout: one edge index per call.
+    from gridlint import fixes
+
+    table, regions = analyzed(inconsistent_sum_workbook())
+    built = []
+
+    class CountingIndex(fixes._EdgeIndex):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(fixes, "_EdgeIndex", CountingIndex)
+    assert len(build_fixes(table, regions, 30)) == 1
+    assert len(built) == 1
+
+
 class TestBenchmarkHooks:
     """The benchmark's tracer replaces `admissible`, `entropy_delta` and
     `fix_distance` on the module, times the delta and counts non-drops
@@ -1082,7 +1104,7 @@ class TestBenchmarkHooks:
         from gridlint import fixes
 
         table, regions = analyzed(inconsistent_sum_workbook())
-        candidates = candidate_fixes(regions)
+        candidates = candidates_of(regions)
         expected = [rebuilt_entropy_delta(c, regions, 30) for c in candidates if admissible(c, table) is None]
         calls: dict[str, list] = {"admissible": [], "entropy_delta": [], "fix_distance": []}
         for name, log in calls.items():

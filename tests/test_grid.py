@@ -122,3 +122,40 @@ def test_large_grid_spot_check():
     grid = FingerprintGrid(rows)
     rect = Rect(5, 3, 55, 38)
     assert grid.counts_in(rect) == naive_counts_in(grid, rect)
+
+
+def test_grid_sits_at_its_corner():
+    grid = FingerprintGrid.from_codes([[0, 1], [1, 1]], ("A", "B"), 3, 5)
+    assert grid.full_rect() == Rect(3, 5, 4, 6)
+    assert grid.fingerprint_at(3, 5) == "A" and grid.fingerprint_at(4, 6) == "B"
+    assert list(grid.block(Rect(4, 5, 4, 6))) == [[1], [1]]
+    assert FingerprintGrid([["A"]]).full_rect() == Rect(1, 1, 1, 1)
+    with pytest.raises(ValueError):
+        grid.counts_in(Rect(2, 5, 3, 5))
+    with pytest.raises(ValueError):
+        grid.counts_in(Rect(3, 4, 3, 5))
+
+
+def test_from_cells_fills_the_rest_with_the_blank():
+    grid = FingerprintGrid.from_cells(Rect(2, 3, 4, 4), [(2, 3), (4, 4)], [0, 2], 1, ("N", "E", "T"))
+    assert grid.code_rows == [[0, 1, 1], [1, 1, 2]]
+    assert grid.full_rect() == Rect(2, 3, 4, 4)
+
+
+@given(grid_and_rect(), st.sampled_from(["any", "edge"]), st.randoms(use_true_random=False))
+def test_placed_grid_counts_and_fingerprints_shift(case, where, rng):
+    # The same grid with its top-left cell anywhere, or with its last
+    # column at XFD and last row at 1,048,576, reads every rectangle and
+    # cell as the grid at (1, 1) does, shifted by the corner.
+    grid, rect = case
+    if where == "edge":
+        left, top = 16_384 - grid.width + 1, 1_048_576 - grid.height + 1
+    else:
+        left, top = rng.randint(1, 16_384 - grid.width + 1), rng.randint(1, 1_048_576 - grid.height + 1)
+    moved = FingerprintGrid.from_codes(grid.code_rows, grid.palette, left, top)
+    dx, dy = left - 1, top - 1
+    assert moved.full_rect() == Rect(left, top, grid.width + dx, grid.height + dy)
+    moved_rect = Rect(rect.left + dx, rect.top + dy, rect.right + dx, rect.bottom + dy)
+    assert moved.counts_in(moved_rect) == grid.counts_in(rect) == naive_counts_in(moved, moved_rect)
+    for x, y in rect.cells():
+        assert moved.fingerprint_at(x + dx, y + dy) == grid.fingerprint_at(x, y)

@@ -161,7 +161,8 @@ SAMPLE = {
 class TestJsonFormat:
     def test_load_kinds(self):
         wb = parse_workbook_json(json.dumps(SAMPLE))
-        ws = wb.sheet("Totals")
+        [ws] = wb.sheets
+        assert ws.name == "Totals"
         assert ws.cells[(1, 1)].kind is CellKind.NUMBER
         assert ws.cells[(2, 1)].kind is CellKind.TEXT
         assert ws.cells[(3, 2)].kind is CellKind.FORMULA
@@ -177,7 +178,7 @@ class TestJsonFormat:
     def test_whitespace_only_text_dropped(self):
         doc = {"workbook": "w", "sheets": [{"name": "S", "cells": {"A1": {"s": "   "}, "B1": {"n": 1}}}]}
         wb = parse_workbook_json(json.dumps(doc))
-        assert (1, 1) not in wb.sheet("S").cells
+        assert (1, 1) not in wb.sheets[0].cells
 
     def test_duplicate_cell_rejected(self):
         text = (
@@ -290,13 +291,13 @@ class TestDuplicateKeys:
 class TestOneKeyCells:
     def test_contents_are_named_tuples(self):
         wb = parse_workbook_json(json.dumps(SAMPLE))
-        cell = wb.sheet("Totals").cells[(1, 1)]
+        cell = wb.sheets[0].cells[(1, 1)]
         assert cell == CellContent(CellKind.NUMBER, 3) and isinstance(cell, tuple)
         assert cell._replace(value=4).value == 4
 
     def test_boolean_number_reads_as_an_integer(self):
         doc = {"workbook": "w", "sheets": [{"name": "S", "cells": {"A1": {"n": True}, "A2": {"n": False}}}]}
-        cells = parse_workbook_json(json.dumps(doc)).sheet("S").cells
+        cells = parse_workbook_json(json.dumps(doc)).sheets[0].cells
         assert [(type(c.value), c.value) for c in cells.values()] == [(int, 1), (int, 0)]
 
     @pytest.mark.parametrize("cells, message", [

@@ -55,15 +55,14 @@ class TestAnalysisConfig:
 
 
 class TestGridFromTable:
-    def test_rebases_used_range_to_origin(self):
+    def test_grid_sits_at_the_used_range(self):
         workbook = inconsistent_sum_workbook()
         table = analyze_sheet_vectors(workbook, workbook.sheets[0])
         grid = grid_from_table(table)
-        assert (grid.width, grid.height) == (5, 6)
-        assert grid.fingerprint_at(1, 1) == NUMBER_FINGERPRINT  # B6
-        assert grid.fingerprint_at(5, 1) == table.fingerprint(6, 6)  # F6
-        assert grid.fingerprint_at(5, 2) == table.fingerprint(6, 7)  # F7
-
+        assert grid.full_rect() == table.rect == Rect(2, 6, 6, 11)
+        assert grid.fingerprint_at(2, 6) == NUMBER_FINGERPRINT  # B6
+        assert grid.fingerprint_at(6, 6) == table.fingerprint(6, 6)  # F6
+        assert grid.fingerprint_at(6, 7) == table.fingerprint(6, 7)  # F7
 
     def test_holes_are_empty_cells(self):
         sheet = Worksheet("S", {(2, 3): CellContent.number(1.0), (4, 4): CellContent.text("x")})

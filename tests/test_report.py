@@ -23,9 +23,9 @@ from gridlint.report import (
     audit_text,
     audit_workbook_payload,
     build_adjacency,
+    global_view_chunks,
     next_hue,
     render_empty_view,
-    render_global_view,
 )
 from gridlint.vectors import EMPTY_FINGERPRINT, TEXT_FINGERPRINT
 
@@ -205,11 +205,11 @@ def fill_of(page: str, cell: str) -> str:
 class TestRenderGlobalView:
     def test_deterministic(self):
         analysis = analyzed(inconsistent_sum_workbook())
-        assert render_global_view(analysis.table) == render_global_view(analysis.table)
+        assert "".join(global_view_chunks(analysis.table)) == "".join(global_view_chunks(analysis.table))
 
     def test_one_rect_per_used_cell(self):
         analysis = analyzed(inconsistent_sum_workbook())
-        page = render_global_view(analysis.table)
+        page = "".join(global_view_chunks(analysis.table))
         assert page.count("<rect ") == 30
         assert "<title>B6</title>" in page
         assert "<title>F11</title>" in page
@@ -217,7 +217,7 @@ class TestRenderGlobalView:
 
     def test_inconsistent_cell_colored_apart(self):
         analysis = analyzed(inconsistent_sum_workbook())
-        page = render_global_view(analysis.table)
+        page = "".join(global_view_chunks(analysis.table))
         fills = {cell: fill_of(page, cell) for cell in ("B6", "F6", "F7")}
         assert fills["F6"] != fills["F7"]
         assert fills["F6"] != fills["B6"]
@@ -225,21 +225,21 @@ class TestRenderGlobalView:
 
     def test_legend_lists_cluster_sizes(self):
         analysis = analyzed(inconsistent_sum_workbook())
-        page = render_global_view(analysis.table)
+        page = "".join(global_view_chunks(analysis.table))
         assert "(24 cells)" in page
         assert "(5 cells)" in page
         assert "(1 cells)" in page
 
     def test_canvas_size_follows_used_range(self):
         analysis = analyzed(inconsistent_sum_workbook())
-        page = render_global_view(analysis.table)
+        page = "".join(global_view_chunks(analysis.table))
         assert '<svg width="110" height="132"' in page  # 5 x 22 by 6 x 22
 
     def test_sheet_name_escaped(self):
         cells = {(1, 1): CellContent.formula("=1+1")}
         workbook = Workbook("t", [Worksheet("a<b & c", cells)])
         analysis = analyzed(workbook)
-        page = render_global_view(analysis.table)
+        page = "".join(global_view_chunks(analysis.table))
         assert "a&lt;b &amp; c" in page
         assert "<h1>a<b" not in page
 

@@ -18,10 +18,11 @@ from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT, SheetVectors
 
 
 def run_script(argv):
+    # Without PYTHONPATH: each script finds the repository's src/ itself.
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         cwd=ROOT,
-        env=dict(os.environ, PYTHONPATH=str(Path(gridlint.__file__).parent.parent)),
+        env={name: value for name, value in os.environ.items() if name != "PYTHONPATH"},
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
