@@ -9,9 +9,10 @@ overall and for formula-only clusters.  Low
 collision and high rectangularity are what make fingerprints a usable
 proxy for formula-shape equality on real sheets.
 
-It also counts the formula cells whose reference vectors cancel to the
-fingerprint of a blank cell (`=A1+A3` in A2) or of a number cell
-(`=B1+B3+1` in B2): the decomposition cannot tell those from data.
+It also counts the formula cells whose reference vectors sum to
+(0, 0, 0), such as `=A1+A3` in A2 or `=B1+B3+1` in B2, and so take the
+reserved fingerprint (0, 0, 0, 2 + flag) rather than a data cell's:
+without a numeric constant (flag 0) and with one (flag 1).
 
 The statistics are defined here, not in `gridlint`: the analysis reads
 none of them.  Each reads the sheets' vector tables alone.
@@ -28,7 +29,7 @@ from typing import Optional, Sequence
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gridlint.model import CellKind, load_workbook  # noqa: E402
-from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT, SheetVectors, analyze_sheet_vectors, offset_box  # noqa: E402
+from gridlint.vectors import Fingerprint, SheetVectors, analyze_sheet_vectors, offset_box  # noqa: E402
 
 
 def _connected_clusters(table: SheetVectors) -> list[tuple[frozenset, tuple]]:
@@ -128,8 +129,12 @@ def collision_rate(tables: Sequence[SheetVectors]) -> float:
     return (pairs - same) / pairs if pairs else 0.0
 
 
-def data_like(tables, fingerprint) -> int:
-    """Formula cells whose fingerprint is that of a data cell."""
+RESERVED = Fingerprint(0, 0, 0, 2)
+RESERVED_WITH_CONSTANT = Fingerprint(0, 0, 0, 3)
+
+
+def formulas_with(tables, fingerprint) -> int:
+    """Formula cells whose fingerprint is the given one."""
     return sum(
         1
         for table in tables
@@ -147,7 +152,7 @@ def survey(path: Path) -> tuple[float, str, str, int, int, int]:
     fmt = lambda v: "n/a" if v is None else f"{100 * v:.1f}%"
     cells = sum(t.rect.area for t in tables)
     return (rate, fmt(frac_all), fmt(frac_formula), cells,
-            data_like(tables, EMPTY_FINGERPRINT), data_like(tables, NUMBER_FINGERPRINT))
+            formulas_with(tables, RESERVED), formulas_with(tables, RESERVED_WITH_CONSTANT))
 
 
 def main() -> None:
@@ -161,15 +166,15 @@ def main() -> None:
     paths = [f for p in args.paths for f in (sorted(p.glob("*.gridbook")) if p.is_dir() else [p])]
 
     print(f"{'workbook':<24} {'cells':>6} {'collisions':>10} {'rect(all)':>10} {'rect(formula)':>14}"
-          f" {'as blank':>9} {'as number':>10}")
-    blank = number = 0
+          f" {'reserved':>9} {'reserved+c':>10}")
+    plain = constant = 0
     for path in paths:
-        rate, frac_all, frac_formula, cells, as_blank, as_number = survey(path)
-        blank += as_blank
-        number += as_number
+        rate, frac_all, frac_formula, cells, reserved, reserved_c = survey(path)
+        plain += reserved
+        constant += reserved_c
         print(f"{path.stem:<24} {cells:>6} {100 * rate:>9.2f}% {frac_all:>10} {frac_formula:>14}"
-              f" {as_blank:>9} {as_number:>10}")
-    print(f"formula cells with a blank cell's fingerprint: {blank}, with a number cell's: {number}")
+              f" {reserved:>9} {reserved_c:>10}")
+    print(f"formula cells with the reserved fingerprint: {plain} without a numeric constant, {constant} with one")
 
 
 if __name__ == "__main__":

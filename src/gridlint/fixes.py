@@ -17,20 +17,19 @@ Costs.  A sheet's regions are sorted and indexed once, into one
 regions, candidates cost O(R log R) plus O(1) each: a source's
 whole-region targets are four lookups in the layout's edge index, and
 its one-cell targets are bisected out of sorted lists of the regions
-one cell wide, so no boundary cell is probed.  The screens read one
-reference box and formula count per region (`Screens`), computed the
-first time the region is a whole source or a data target.  A formula
-region's cells are read once.  A data region's are never read: it holds
-formulas only where a formula's vectors cancel, and those come from one
-list per sheet, built in one pass over the formulas and usually empty.
-A one-cell source reads its own references.  Every candidate of a sheet
-is scored against the same `Layout`: its edge index, and the regions'
-entropy terms p*log2(p) cached per area.  A candidate then costs its
-merge cascade, a few dictionary lookups per merge, plus one `math.fsum`
-over the terms of the regions it takes out and puts in.  `fsum` is
-correctly rounded, so the delta is the exact change of the layout's term
-sum rounded once, and a fix that keeps the multiset of region areas
-scores exactly 0.
+one cell wide, so no boundary cell is probed.  No formula has a data
+cell's fingerprint, so C2 compares the two sides' fingerprints with
+those of data cells and reads no cell.  C3 reads one reference box per
+formula region (`Screens`), computed the first time the region is a
+whole source, so a formula region's cells are read at most once and a
+data region's never.  A one-cell source reads its own references.
+Every candidate of a sheet is scored against the same `Layout`: its
+edge index, and the regions' entropy terms p*log2(p) cached per area.
+A candidate then costs its merge cascade, a few dictionary lookups per
+merge, plus one `math.fsum` over the terms of the regions it takes out
+and puts in.  `fsum` is correctly rounded, so the delta is the exact
+change of the layout's term sum rounded once, and a fix that keeps the
+multiset of region areas scores exactly 0.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, product
 from typing import Hashable, NamedTuple, Optional, Sequence
 
 from .entropy import Region, _EdgeIndex, _region_key, _union_rect
@@ -183,42 +182,24 @@ def candidate_fixes(layout: Layout) -> list[CandidateFix]:
 
 
 class Screens:
-    """What screens C3 and C2 read of one sheet's regions: for a
-    rectangle of one fingerprint, the bounding box of every rectangle its
-    cells reference (None when they reference nothing or another sheet)
-    and how many of its cells are formulas.  Each is computed once and
-    keyed by the rectangle's corners."""
+    """What screen C3 reads of one sheet's formula regions: for a
+    rectangle of formulas, the bounding box of every rectangle its cells
+    reference (None when they reference nothing or another sheet),
+    computed once and keyed by the rectangle's corners."""
 
     def __init__(self, table: SheetVectors) -> None:
         self.table = table
-        self._facts: dict[tuple[int, int, int, int], tuple[Optional[tuple[int, int, int, int]], int]] = {}
-        self._cancelling: Optional[list[tuple[int, int]]] = None
+        self._boxes: dict[tuple[int, int, int, int], Optional[tuple[int, int, int, int]]] = {}
 
-    def cancelling(self) -> list[tuple[int, int]]:
-        """The formula cells whose vectors cancel to a data cell's fingerprint."""
-        if self._cancelling is None:
-            grid = self.table.grid
-            self._cancelling = [(x, y) for x, y in self.table.refs if grid.fingerprint_at(x, y) in DATA_KINDS]
-        return self._cancelling
-
-    def facts(self, rect: Rect, fingerprint: Hashable) -> tuple[Optional[tuple[int, int, int, int]], int]:
-        """(reference box, formula count) of a rectangle of one fingerprint.
-        One that is not a data cell's holds formulas only, and its cells
-        are read.  One that is holds formulas only where their vectors
-        cancel, which `cancelling` lists, so its cells are not read."""
+    def box(self, rect: Rect) -> Optional[tuple[int, int, int, int]]:
+        """The reference box of a rectangle whose every cell is a formula."""
         key = (rect.left, rect.top, rect.right, rect.bottom)
-        found = self._facts.get(key)
-        if found is None:
+        if key not in self._boxes:
             left, top, right, bottom = key
-            if fingerprint in DATA_KINDS:
-                cells = [(x, y) for x, y in self.cancelling() if left <= x <= right and top <= y <= bottom]
-                count = len(cells)
-            else:
-                cells = product(range(left, right + 1), range(top, bottom + 1))
-                count = (right - left + 1) * (bottom - top + 1)
-            rects = list(chain.from_iterable(map(self.table.refs.get, cells, repeat(()))))
-            found = self._facts[key] = (self.reference_box(rects), count)
-        return found
+            cells = product(range(left, right + 1), range(top, bottom + 1))
+            rects = list(chain.from_iterable(map(self.table.refs.__getitem__, cells)))
+            self._boxes[key] = self.reference_box(rects)
+        return self._boxes[key]
 
     def reference_box(self, rects: Sequence[RefRect]) -> Optional[tuple[int, int, int, int]]:
         """(left, top, right, bottom) around the rectangles; None when there
@@ -241,31 +222,29 @@ def admissible(fix: CandidateFix, table: SheetVectors, screens: Optional[Screens
     C3: an aggregate whose referents all sit inside the target is
         reporting on that data, not mistakenly diverging from it; skip,
         unless no source formula references anything at all.
-    C2: both sides must consist entirely of formulas.  A cell that is
-        not a formula has a data fingerprint, so only a side whose region
-        has one (a formula whose vectors cancel can) is counted.
+    C2: both sides must consist entirely of formulas.  A region's cells
+        share its fingerprint, and no formula has a data cell's, so a
+        side fails exactly when its fingerprint is in `DATA_KINDS`.
 
-    Both are read off `screens`' facts of the source and the target (a
-    one-cell source's off its own references), so a candidate costs
-    O(1) once its regions' facts are known.  `screens` holds them across
-    the candidates of one sheet; by default the call builds its own.
+    C3 is decided first for a formula source, off `screens`' reference
+    box of a whole-region source or a one-cell source's own references;
+    a data source fails C2 and reads no cell.  `screens` holds the boxes
+    across the candidates of one sheet; by default the call builds its
+    own.
     """
+    source, region, target = fix.source, fix.source_region, fix.target
+    if region.fingerprint in DATA_KINDS:
+        return REASON_NOT_FORMULAS
     if screens is None:
         screens = Screens(table)
-    source, region, target = fix.source, fix.source_region, fix.target
     if source.left == source.right and source.top == source.bottom:
-        cell = (source.left, source.top)
-        refs = table.refs.get(cell)
-        box = screens.reference_box(refs) if refs else None
-        formulas = 0 if refs is None else 1
+        box = screens.reference_box(table.refs[source.left, source.top])
     else:
-        box, formulas = screens.facts(source, region.fingerprint)
+        box = screens.box(source)
     t = target.rect
     if box is not None and t.left <= box[0] and t.top <= box[1] and box[2] <= t.right and box[3] <= t.bottom:
         return REASON_OWN_INPUTS
-    if region.fingerprint in DATA_KINDS and formulas != source.area:
-        return REASON_NOT_FORMULAS
-    if target.fingerprint in DATA_KINDS and screens.facts(t, target.fingerprint)[1] != t.area:
+    if target.fingerprint in DATA_KINDS:
         return REASON_NOT_FORMULAS
     return None
 

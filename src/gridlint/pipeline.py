@@ -14,7 +14,7 @@ from typing import Optional
 from .entropy import Region, decompose_grid
 from .fixes import DEFAULT_THRESHOLD, ProposedFix, build_fixes
 from .grid import FingerprintGrid
-from .model import FormatError, Rect, Workbook, Worksheet
+from .model import FormatError, Workbook, Worksheet
 from .report import audit_sheet_payload, audit_workbook_payload
 from .vectors import EMPTY_FINGERPRINT, SheetVectors, analyze_sheet_vectors
 
@@ -77,8 +77,7 @@ def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[Analysi
     config = config or AnalysisConfig()
     if not sheet.cells:
         # Nothing on the sheet: empty table over a placeholder 1x1 range.
-        table = SheetVectors(sheet.name, workbook.name, Rect(1, 1, 1, 1),
-                             FingerprintGrid([[EMPTY_FINGERPRINT]]), {})
+        table = SheetVectors(sheet.name, workbook.name, FingerprintGrid([[EMPTY_FINGERPRINT]]), {})
         return SheetAnalysis(sheet.name, table, [], [], 0, dict.fromkeys(PHASES[1:], 0.0))
     timings = {}
     t0 = time.perf_counter()
@@ -88,9 +87,10 @@ def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[Analysi
     regions = decompose_grid(grid_from_table(table), preprocess=config.preprocess)
     timings["decomposition"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    fixes = build_fixes(table, regions, table.rect.area, config.threshold)
+    cells = table.rect.area
+    fixes = build_fixes(table, regions, cells, config.threshold)
     timings["fixes"] = time.perf_counter() - t0
-    return SheetAnalysis(sheet.name, table, regions, fixes, table.rect.area, timings)
+    return SheetAnalysis(sheet.name, table, regions, fixes, cells, timings)
 
 
 def analyze_workbook(workbook: Workbook, config: Optional[AnalysisConfig] = None,

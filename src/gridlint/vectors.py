@@ -16,6 +16,11 @@ null vectors so that layout structure survives in the grid:
 
     number -> (0, 0, 0, 1)    text -> (0, 0, 0, -1)    empty -> (0, 0, 0, 0)
 
+A formula whose vectors sum to (0, 0, 0), such as =A1+A3 in A2 or the
+reference-free =100*12, takes the reserved (0, 0, 0, 2 + flag) instead,
+so no formula shares a data cell's fingerprint and a cell's kind follows
+from its fingerprint alone.
+
 Copies of a formula up to translation mostly share a fingerprint, but
 not always.  A range anchored on one corner only grows as it is copied:
 =SUM(B$1:B5) in C5 gives (-5, -10, 0, 0) and =SUM(B$1:B6) in C6 gives
@@ -45,7 +50,7 @@ template with its own corners and summing the fingerprint of those
 rectangles, per cell since copies of a shape need not share one (the
 two cases above).  One row-major pass
 gives each stored cell its fingerprint code and each formula its
-references; a cell's kind follows from those (`SheetVectors.kind`).
+references.
 """
 
 from __future__ import annotations
@@ -125,7 +130,7 @@ def null_fingerprint(kind: CellKind) -> Fingerprint:
 def rects_fingerprint(rects: Iterable[RefRect], column: int, row: int, sheet: str, workbook: str,
                       has_numeric_constant: bool) -> Fingerprint:
     """The fingerprint of the offset vectors of every covered cell, summed
-    per rectangle in closed form."""
+    per rectangle in closed form; (0, 0, 0, 2 + flag) when they cancel."""
     x = y = z = 0
     for rect in rects:
         dz, *box = offset_box(rect, column, row, sheet, workbook)
@@ -133,7 +138,8 @@ def rects_fingerprint(rects: Iterable[RefRect], column: int, row: int, sheet: st
         x += xs
         y += ys
         z += dz * n
-    return Fingerprint(x, y, z, 1 if has_numeric_constant else 0)
+    flag = 1 if has_numeric_constant else 0
+    return Fingerprint(x, y, z, flag if x or y or z else 2 + flag)
 
 
 def location_fingerprint(rects: Iterable[RefRect], sheet: str, workbook: str,
@@ -159,44 +165,46 @@ def location_fingerprint(rects: Iterable[RefRect], sheet: str, workbook: str,
 class SheetVectors:
     """Per-cell analysis table for one sheet's used range.
 
-    `grid` holds every fingerprint of the used range `rect`, at the
-    cells' own sheet coordinates; `refs` is keyed by formula cell in
-    row-major order.  A formula that fails to parse is downgraded to text
-    here (with a diagnostic), so a cell is a formula exactly when it is
-    in `refs`.
+    `grid` holds every fingerprint of the used range, at the cells' own
+    sheet coordinates; `refs` is keyed by formula cell in row-major
+    order.  A formula that fails to parse is downgraded to text here
+    (with a diagnostic), so a cell is a formula exactly when it is in
+    `refs`, which is exactly when its fingerprint is not in `DATA_KINDS`.
     """
 
     sheet_name: str
     workbook_name: str
-    rect: Rect
     grid: FingerprintGrid
     refs: dict[tuple[int, int], tuple[RefRect, ...]]
     diagnostics: list[str] = field(default_factory=list)
 
+    @property
+    def rect(self) -> Rect:
+        """The used range: the grid's."""
+        return self.grid.full_rect()
+
     def kind(self, column: int, row: int) -> CellKind:
-        if (column, row) in self.refs:
-            return CellKind.FORMULA
-        return DATA_KINDS[self.fingerprint(column, row)]
+        return DATA_KINDS.get(self.fingerprint(column, row), CellKind.FORMULA)
 
     def fingerprint(self, column: int, row: int) -> Fingerprint:
-        if self.rect.contains(column, row):
-            return self.grid.fingerprint_at(column, row)
+        grid = self.grid
+        if 0 <= column - grid.left < grid.width and 0 <= row - grid.top < grid.height:
+            return grid.fingerprint_at(column, row)
         return EMPTY_FINGERPRINT
 
     @property
     def fingerprints(self) -> Mapping[tuple[int, int], Fingerprint]:
-        """The fingerprint of every formula and every cell that is not
-        blank, in row-major order (for a loaded workbook, every stored
-        cell): a read-only mapping built on each call."""
-        grid, palette, refs = self.grid, self.grid.palette, self.refs
+        """The fingerprint of every cell that is not blank, in row-major
+        order (for a loaded workbook, every stored cell): a read-only
+        mapping built on each call."""
+        grid, palette = self.grid, self.grid.palette
         blank = palette.index(EMPTY_FINGERPRINT) if EMPTY_FINGERPRINT in palette else None
-        formula_rows = {row for _, row in refs}
         return MappingProxyType({
             (column, row): palette[code]
             for row, line in enumerate(grid.code_rows, grid.top)
-            if row in formula_rows or line.count(blank) != len(line)  # blank rows cost one count
+            if line.count(blank) != len(line)  # blank rows cost one count
             for column, code in enumerate(line, grid.left)
-            if code != blank or (column, row) in refs
+            if code != blank
         })
 
 
@@ -330,4 +338,4 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
 
     # Without a code for the blank every cell is stored, so no cell is left blank.
     grid = FingerprintGrid.from_cells(rect, stored, stored_codes, codes.get(EMPTY_FINGERPRINT, 0), tuple(codes))
-    return SheetVectors(sheet.name, workbook.name, rect, grid, refs, diagnostics)
+    return SheetVectors(sheet.name, workbook.name, grid, refs, diagnostics)

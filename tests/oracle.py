@@ -25,8 +25,8 @@ computes in closed form or incrementally:
   bounding-box rule C1 (`fixes.candidate_fixes` reads only the pairs
   that pass it off an edge index), by C3 over every referenced
   rectangle of every source cell, and by C2 through every cell's kind
-  (`fixes.admissible` reads one reference box and formula count per
-  region, and never reads a blank region's cells);
+  (`fixes.admissible` reads one reference box per formula region and
+  decides C2 from the two regions' fingerprints);
 * the collision rate from every pair of same-fingerprint formulas,
   each compared by its reference vectors listed cell by cell
   (`collision_rate` of scripts/collision_survey.py counts formulas per
@@ -310,6 +310,9 @@ def reference_vectors(refs: Iterable[RawReference], column: int, row: int,
 
 
 def formula_fingerprint(vectors: Iterable[RefVector], has_numeric_constant: bool) -> Fingerprint:
+    """The vectors' componentwise sum with the constant flag, or the
+    reserved (0, 0, 0, 2 + flag) when the sum is (0, 0, 0), so that no
+    formula takes a data cell's fingerprint."""
     x = y = z = c = 0
     for v in vectors:
         x += v.dx
@@ -318,6 +321,8 @@ def formula_fingerprint(vectors: Iterable[RefVector], has_numeric_constant: bool
         c += v.dc
     if has_numeric_constant:
         c = 1
+    if (x, y, z) == (0, 0, 0):
+        c += 2
     return Fingerprint(x, y, z, c)
 
 

@@ -24,7 +24,7 @@ from gridlint.evaluate import (
 )
 from gridlint.model import CellContent, FormatError, Rect, Workbook, Worksheet
 from gridlint.pipeline import analyze_sheet
-from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT
+from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT, Fingerprint
 from oracle import naive_collision_rate
 
 # The layout statistics live in the survey script, their only caller.
@@ -208,10 +208,9 @@ class TestLayoutStats:
         assert frac_formula is None
 
     def test_clusters_follow_cell_kinds_not_regions(self):
-        # A2's references cancel to the blank fingerprint, and B2's plus a
-        # constant give the number fingerprint.  The tiling puts A2 in one
-        # region with blank A1, yet blanks form no cluster, so A2 is a
-        # cluster alone; B2 joins the numbers C1:C2 in an L.
+        # A2's references cancel, and so do B2's beside a constant: each
+        # takes a reserved fingerprint, so neither joins the blank above
+        # it or the numbers C1:C2 beside it, in a cluster or in a region.
         cells = {
             (1, 2): CellContent.formula("=A1+A3"),
             (2, 2): CellContent.formula("=B1+B3+1"),
@@ -221,14 +220,16 @@ class TestLayoutStats:
         workbook = Workbook("t", [Worksheet("S", cells)])
         analysis = analyze_sheet(workbook, workbook.sheets[0])
         table = analysis.table
-        assert table.fingerprint(1, 2) == EMPTY_FINGERPRINT
-        assert table.fingerprint(2, 2) == NUMBER_FINGERPRINT
-        assert (Rect(1, 1, 1, 2), EMPTY_FINGERPRINT) in analysis.regions
+        assert table.fingerprint(1, 2) == Fingerprint(0, 0, 0, 2)
+        assert table.fingerprint(2, 2) == Fingerprint(0, 0, 0, 3)
+        assert (Rect(1, 1, 2, 1), EMPTY_FINGERPRINT) in analysis.regions
+        assert (Rect(1, 2, 1, 2), Fingerprint(0, 0, 0, 2)) in analysis.regions
         assert _connected_clusters(table) == [
-            (frozenset({(3, 1), (3, 2), (2, 2)}), NUMBER_FINGERPRINT),
-            (frozenset({(1, 2)}), EMPTY_FINGERPRINT),
+            (frozenset({(3, 1), (3, 2)}), NUMBER_FINGERPRINT),
+            (frozenset({(1, 2)}), Fingerprint(0, 0, 0, 2)),
+            (frozenset({(2, 2)}), Fingerprint(0, 0, 0, 3)),
         ]
-        assert rectangularity_stats([table]) == (0.5, 1.0)
+        assert rectangularity_stats([table]) == (1.0, 1.0)
 
     def test_fixture_formula_column_is_rectangular(self):
         tables = [table_of(inconsistent_sum_workbook())]

@@ -31,7 +31,7 @@ from gridlint.fixes import (
 )
 from gridlint.model import CellContent, Rect, Workbook, Worksheet, load_workbook, to_a1
 from gridlint.pipeline import AnalysisConfig, analyze_sheet
-from gridlint.vectors import EMPTY_FINGERPRINT as EMPTY
+from gridlint.vectors import EMPTY_FINGERPRINT as EMPTY, NUMBER_FINGERPRINT, Fingerprint
 from oracle import (
     REASON_NOT_RECTANGULAR,
     _coalesce_targeted,
@@ -422,9 +422,9 @@ def tiles_a_rectangle(fix: CandidateFix) -> bool:
 
 
 def data_like_sheet(rng) -> Workbook:
-    """Cells of every kind, with formulas that carry a data fingerprint:
-    `=A1+A3` in A2 cancels to the blank's, `=B1+B3+1` in B2 to a number's,
-    and `=SUM(` is refused and becomes text.  Some cells stay blank."""
+    """Cells of every kind, with formulas whose vectors cancel and so take
+    the reserved fingerprint: `=A1+A3` in A2 and `=B1+B3+1` in B2; `=SUM(`
+    is refused and becomes text.  Some cells stay blank."""
     width, height = rng.randint(2, 6), rng.randint(2, 6)
     cells = {}
     for y in range(1, height + 1):
@@ -464,8 +464,8 @@ class TestFormulaScreenOracle:
     """C2 read off the regions' fingerprints, against every cell's kind."""
 
     def test_formulas_with_data_fingerprints_pass(self):
-        # A2 cancels to the blank's fingerprint and D2 to a number's; each
-        # is a one-cell region beside a one-cell formula region.
+        # The vectors of A2 and D2 cancel; each is a one-cell region beside
+        # a one-cell formula region.
         cells = {(1, 1): CellContent.number(1.0), (1, 2): CellContent.formula("=A1+A3"),
                  (1, 3): CellContent.number(2.0), (2, 2): CellContent.formula("=Z2"),
                  (3, 2): CellContent.formula("=Z2"), (4, 2): CellContent.formula("=D1+D3+1")}
@@ -484,9 +484,8 @@ class TestFormulaScreenOracle:
 
 
 def cancelling_cells(dx: int = 0, dy: int = 0) -> dict:
-    """The sheet of CHANGES.md's note on cancelling vectors, moved by
-    (dx, dy): A2 `=A1+A3` has a blank's fingerprint and B2 `=B1+B3+1` a
-    number's, beside numbers in C1:C2."""
+    """A2 `=A1+A3` and B2 `=B1+B3+1`, whose vectors cancel, beside numbers
+    in C1:C2 and below blanks in A1:B1, moved by (dx, dy)."""
     def around(x, y):
         return f"={to_a1(x + dx, y + dy - 1)}+{to_a1(x + dx, y + dy + 1)}"
 
@@ -498,11 +497,12 @@ def cancelling_cells(dx: int = 0, dy: int = 0) -> dict:
 def screened_sheet(rng) -> Workbook:
     """Cells of every kind the screens read: numbers, text, blanks,
     formulas whose vectors cancel, off-sheet and own-sheet-qualified
-    references, reference-free formulas, sums of the cells above or on
-    the left (which C3 rejects beside their inputs), and copies of a
-    neighbour.  A third of the sheets hold `cancelling_cells` at an
-    offset, and a third start with a block of numbers over a row of its
-    column sums, one region that C3 rejects beside its inputs."""
+    references, reference-free formulas (numeric, text and boolean), sums
+    of the cells above or on the left (which C3 rejects beside their
+    inputs), and copies of a neighbour.  A third of the sheets hold
+    `cancelling_cells` at an offset, and a third start with a block of
+    numbers over a row of its column sums, one region that C3 rejects
+    beside its inputs."""
     width, height = rng.randint(2, 7), rng.randint(2, 7)
     layout = rng.randrange(3)
     cells = {}
@@ -527,7 +527,7 @@ def screened_sheet(rng) -> Workbook:
             elif choice == 3:
                 cells[(x, y)] = CellContent.formula(rng.choice(("=Other!A1", f"=[Book]S!{to_a1(x, max(y - 1, 1))}")))
             elif choice == 4:
-                cells[(x, y)] = CellContent.formula(rng.choice(("=5", "=1+2")))
+                cells[(x, y)] = CellContent.formula(rng.choice(("=5", "=1+2", '="a"', "=TRUE", "=$A$1")))
             elif choice == 5 and y > 1:
                 cells[(x, y)] = CellContent.formula(f"=SUM({to_a1(x, 1)}:{to_a1(x, y - 1)})")
             elif choice == 6 and x > 1:
@@ -543,7 +543,7 @@ def check_screens(workbook: Workbook) -> list[tuple[bool, object]]:
     """Every candidate's `admissible` code, with one `Screens` shared
     across the sheet and with a fresh one, is the cell-walking C3-then-C2
     reference's.  Returns (source of more than one cell, code) per
-    candidate: such a source is a whole region, read through its facts."""
+    candidate: such a source is a whole region, read through its box."""
     table, regions = analyzed(workbook)
     screens = Screens(table)
     seen = []
@@ -556,18 +556,22 @@ def check_screens(workbook: Workbook) -> list[tuple[bool, object]]:
 
 
 class TestScreenOracle:
-    """C3 and C2 read off per-region reference boxes and formula counts,
-    against walking every cell of both sides."""
+    """C3 read off per-region reference boxes and C2 off the two sides'
+    fingerprints, against walking every cell of both sides."""
 
     def test_cancelling_sheet(self):
         workbook = Workbook("t", [Worksheet("S", cancelling_cells())])
         table, regions = analyzed(workbook)
-        # A2 sits in the blank region A1:A2 and B2 is a region with a
-        # number's fingerprint; A2 may take on B2's pattern.
-        assert Region(Rect(1, 1, 1, 2), EMPTY) in regions
+        # A2 and B2 take the reserved fingerprints, so neither joins the
+        # blanks above it or the numbers beside it; each may take on the
+        # other's pattern.
+        assert regions == [Region(Rect(1, 1, 2, 1), EMPTY), Region(Rect(3, 1, 3, 2), NUMBER_FINGERPRINT),
+                           Region(Rect(1, 2, 1, 2), Fingerprint(0, 0, 0, 2)),
+                           Region(Rect(2, 2, 2, 2), Fingerprint(0, 0, 0, 3))]
         verdicts = {(c.source.a1(), c.target.rect.a1()): admissible(c, table) for c in candidates_of(regions)}
-        assert verdicts == {("A2", "B2"): None, ("B1", "B2"): REASON_NOT_FORMULAS,
-                            ("C1", "B1"): REASON_NOT_FORMULAS, ("B2", "B1"): REASON_NOT_FORMULAS}
+        assert verdicts == {("A1", "A2"): REASON_NOT_FORMULAS, ("B1", "B2"): REASON_NOT_FORMULAS,
+                            ("C1", "A1:B1"): REASON_NOT_FORMULAS, ("C2", "B2"): REASON_NOT_FORMULAS,
+                            ("A2", "B2"): None, ("B2", "A2"): None}
         assert check_screens(workbook)
 
     @settings(max_examples=150, deadline=None)

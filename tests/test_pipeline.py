@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import pytest
@@ -11,7 +12,7 @@ from gridlint import vectors
 from gridlint.cli import build_parser
 from gridlint.entropy import Region
 from gridlint.grid import FingerprintGrid
-from gridlint.model import CellContent, FormatError, Rect, Workbook, Worksheet, load_workbook
+from gridlint.model import CellContent, FormatError, Rect, Workbook, Worksheet, load_workbook, parse_a1
 from gridlint.pipeline import (
     PHASES,
     AnalysisConfig,
@@ -21,10 +22,12 @@ from gridlint.pipeline import (
     grid_from_table,
 )
 from gridlint.vectors import (
+    DATA_KINDS,
     EMPTY_FINGERPRINT,
     MAX_USED_CELLS,
     NUMBER_FINGERPRINT,
     TEXT_FINGERPRINT,
+    Fingerprint,
     analyze_sheet_vectors,
 )
 
@@ -197,6 +200,63 @@ class TestTwoTablesFixture:
         without = self.analysis(fixtures_dir, preprocess=False).sheets[0]
         assert sorted(with_pre.regions) == sorted(without.regions)
         assert with_pre.fixes == without.fixes
+
+
+def term(area: int, cells: int) -> float:
+    """A region's share p of the sheet's cells times log2(p)."""
+    p = area / cells
+    return p * math.log2(p)
+
+
+class TestCancellingFixture:
+    """fixtures/cancelling.gridbook: formulas whose reference vectors
+    cancel take the reserved fingerprint, so none tiles with data."""
+
+    CANCELLING = {"Readings": ["C5", "E4"], "Run": ["B6", "C6"], "Pairs": ["A2", "B2"]}
+
+    def test_report(self, fixtures_dir):
+        analysis = analyze_workbook(load_workbook(fixtures_dir / "cancelling.gridbook"))
+        # Readings: C5 =(B5+D5)/2 and E4 =100*12 are one-cell formula
+        # regions among numbers, so C2 rejects every candidate they are in.
+        # Run: row 6 of the copied run B2:C9 sums the cells above and below
+        # (=B5+B7, =C5+C7), beside the blank D6.  Its areas are 4, 8, 8, 4,
+        # 2, 1, 6, 3 of 36.  B6:C6 following B2:C5 merges into B2:C6 and then
+        # B2:C9, so areas 8, 2 and 6 give way to 16; its location sums move
+        # from (4, 12) and (6, 12) to A6's (1, 6) and B6's (2, 6).  Following
+        # the smaller B7:C9 scores less, and the budget of ceil(0.05 * 36) = 2
+        # cells is spent.
+        # Pairs: A2 =A1+A3 beside B2 =B1+B3+1, areas 2, 2, 1, 1 of 6.  A2
+        # following B2 makes A2:B2 and still reads A1 and A3; the tie with
+        # B2 following A2 goes to the earlier source, in a budget of 1 cell.
+        run_delta = (term(8, 36) + term(2, 36) + term(6, 36) - term(16, 36)) / math.log2(36)
+        run_distance = math.hypot(3, 6) + math.hypot(4, 6)
+        pairs_delta = (2 * term(1, 6) - term(2, 6)) / math.log2(6)
+
+        def fix(score, delta, distance, source, target):
+            return {"rank": 1, "score": pytest.approx(score, rel=1e-12),
+                    "delta_entropy": pytest.approx(delta, rel=1e-12),
+                    "distance": pytest.approx(distance, rel=1e-12), "source": source, "target": target}
+
+        def sheet(name, cells, fixes):
+            return {"sheet": name, "threshold": 0.05, "cells": cells, "fixes": fixes,
+                    "message": f"{len(fixes)} proposed fixes" if fixes else "no errors found"}
+
+        assert audit_payload(analysis, 0.05) == {"workbook": "cancelling", "threshold": 0.05, "sheets": [
+            sheet("Readings", 40, []),
+            sheet("Run", 36, [fix(8 / (-run_delta * run_distance), run_delta, run_distance, ["B6", "C6"], "B2:C5")]),
+            sheet("Pairs", 6, [fix(1 / -pairs_delta, pairs_delta, 0.0, ["A2"], "B2")]),
+        ]}
+
+    @pytest.mark.parametrize("preprocess", [True, False])
+    def test_no_cancelling_formula_tiles_with_data(self, fixtures_dir, preprocess):
+        workbook = load_workbook(fixtures_dir / "cancelling.gridbook")
+        analysis = analyze_workbook(workbook, AnalysisConfig(preprocess=preprocess))
+        for sheet in analysis.sheets:
+            for a1 in self.CANCELLING[sheet.name]:
+                cell = parse_a1(a1)
+                assert sheet.table.fingerprint(*cell) in (Fingerprint(0, 0, 0, 2), Fingerprint(0, 0, 0, 3))
+                (region,) = [r for r in sheet.regions if r.rect.contains(*cell)]
+                assert region.fingerprint not in DATA_KINDS
 
 
 class TestUsedRangeLimit:

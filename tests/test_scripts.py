@@ -14,7 +14,7 @@ import gridlint
 from conftest import ROOT, load_script
 from gridlint.model import parse_workbook_json
 from gridlint.pipeline import analyze_sheet
-from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT, SheetVectors
+from gridlint.vectors import EMPTY_FINGERPRINT, NUMBER_FINGERPRINT, Fingerprint, SheetVectors
 
 
 def run_script(argv):
@@ -43,8 +43,9 @@ def test_script_runs(argv):
 
 
 def test_collision_survey_reads_one_fingerprint_per_formula(monkeypatch):
-    """`data_like` looks up each formula cell's fingerprint once and never
-    builds the mapping of every stored cell, which costs a pass per read."""
+    """`formulas_with` looks up each formula cell's fingerprint once and
+    never builds the mapping of every stored cell, which costs a pass per
+    read."""
     survey = load_script("collision_survey")
     formulas = {1: "=B{0}+B{2}+1", 2: "=A{1}", 0: "=B{0}+B{2}"}  # by row % 3
     cells = {f"A{r}": {"n": r} for r in range(1, 301)}
@@ -56,23 +57,25 @@ def test_collision_survey_reads_one_fingerprint_per_formula(monkeypatch):
     lookup = SheetVectors.fingerprint
     monkeypatch.setattr(SheetVectors, "fingerprint", lambda self, *cell: calls.append(cell) or lookup(self, *cell))
     monkeypatch.setattr(SheetVectors, "fingerprints", property(lambda self: pytest.fail("mapping built")))
-    assert survey.data_like(tables, EMPTY_FINGERPRINT) == 100
+    assert survey.formulas_with(tables, Fingerprint(0, 0, 0, 2)) == 100
     assert len(calls) == 300
-    assert survey.data_like(tables, NUMBER_FINGERPRINT) == 100
+    assert survey.formulas_with(tables, Fingerprint(0, 0, 0, 3)) == 100
+    assert survey.formulas_with(tables, EMPTY_FINGERPRINT) == survey.formulas_with(tables, NUMBER_FINGERPRINT) == 0
 
 
 def test_collision_survey_counts_collisions_and_data_like_formulas(tmp_path):
-    # C1 and D1 share a fingerprint over different references; A3 cancels
-    # to the blank's fingerprint and B3 to a number's.
+    # C1 and D1 share a fingerprint over different references; the vectors
+    # of A3 and B3 cancel, so they take the reserved fingerprint, B3 with
+    # its constant flag.
     cells = {"C1": {"f": "=SUM(A1:B1)"}, "D1": {"f": "=ABS(A1)"},
              "A3": {"f": "=A2+A4"}, "B3": {"f": "=B2+B4+1"}}
     path = tmp_path / "mixed.gridbook"
     path.write_text(json.dumps({"workbook": "mixed", "sheets": [{"name": "S", "cells": cells}]}))
     _, row, total = run_script(["collision_survey.py", str(path)]).splitlines()
-    name, _, collisions, *_, as_blank, as_number = row.split()
+    name, _, collisions, *_, reserved, reserved_c = row.split()
     assert name == "mixed" and float(collisions.rstrip("%")) > 0
-    assert (as_blank, as_number) == ("1", "1")
-    assert total.endswith("blank cell's fingerprint: 1, with a number cell's: 1")
+    assert (reserved, reserved_c) == ("1", "1")
+    assert total.endswith("reserved fingerprint: 1 without a numeric constant, 1 with one")
 
 
 def test_scaling_benchmark_times_the_load():
@@ -91,6 +94,6 @@ def test_same_reports_finds_a_tree_equal_to_itself():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # fixtures/ twice over, and the 57 workload workbooks of seed 7; JSON and text each
-    assert "all 134 reports and their exit codes identical (67 variants" in proc.stdout
+    assert "all 138 reports and their exit codes identical (69 variants" in proc.stdout
     # one render per workbook: a page per sheet
-    assert "all 181 render pages and the eval output identical" in proc.stdout
+    assert "all 184 render pages and the eval output identical" in proc.stdout

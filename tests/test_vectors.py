@@ -18,8 +18,11 @@ from gridlint.formula import (
     shape_key,
     shape_printer,
 )
-from gridlint.model import CellContent, CellKind, Rect, Workbook, Worksheet, column_to_letters, letters_to_column, parse_a1
+from gridlint.model import (
+    CellContent, CellKind, Rect, Workbook, Worksheet, column_to_letters, letters_to_column, parse_a1, to_a1,
+)
 from gridlint.vectors import (
+    DATA_KINDS,
     EMPTY_FINGERPRINT,
     NUMBER_FINGERPRINT,
     TEXT_FINGERPRINT,
@@ -93,8 +96,15 @@ class TestFingerprints:
         assert fingerprint_of("=ABS(A1)", 4, 1) == Fingerprint(-3, 0, 0, 0)
 
     def test_numeric_constant_overrides_c(self):
-        assert fingerprint_of("=5", 1, 1) == Fingerprint(0, 0, 0, 1)
+        # =5 references nothing, so it takes the reserved fingerprint with its flag set
+        assert fingerprint_of("=5", 1, 1) == Fingerprint(0, 0, 0, 3)
         assert fingerprint_of("=A1+5", 2, 1) == Fingerprint(-1, 0, 0, 1)
+
+    def test_cancelling_formulas_take_the_reserved_fingerprint(self):
+        assert fingerprint_of("=A1+A3", 1, 2) == Fingerprint(0, 0, 0, 2)
+        assert fingerprint_of("=(B5+D5)/2", 3, 5) == Fingerprint(0, 0, 0, 3)
+        assert fingerprint_of('="a"', 1, 1) == fingerprint_of("=TRUE", 1, 1) == Fingerprint(0, 0, 0, 2)
+        assert fingerprint_of("=Other!A1", 1, 1) == Fingerprint(0, 0, 1, 0)
 
     def test_null_fingerprints(self):
         assert null_fingerprint(CellKind.NUMBER) == NUMBER_FINGERPRINT == Fingerprint(0, 0, 0, 1)
@@ -656,14 +666,17 @@ class TestFingerprintPerShape:
         shared = len({table.fingerprint(2, row) for row in range(2, 7)}) == 1
         assert shared == (prefix in ("[wb]S!", "S!", "'S'!"))
 
-    def test_cancelling_formula_numbers_blank_before_the_first_blank_cell(self):
+    def test_cancelling_formula_gets_a_code_of_its_own(self):
+        # A2's vectors cancel: its reserved fingerprint is coded after the
+        # blank, which C1 numbers, and A2 is a formula by its fingerprint alone.
         cells = {(1, 1): CellContent.number(1.0), (2, 1): CellContent.number(2.0),
                  (1, 2): CellContent.formula("=A1+A3"), (1, 3): CellContent.number(3.0), (3, 3): CellContent.text("x")}
         sheet = Worksheet("S", cells)
         table = analyze_sheet_vectors(Workbook("wb", [sheet]), sheet)
-        assert table.fingerprint(1, 2) == EMPTY_FINGERPRINT
-        assert table.grid.palette == (NUMBER_FINGERPRINT, EMPTY_FINGERPRINT, TEXT_FINGERPRINT)
-        assert table.grid.code_rows == [[0, 0, 1], [1, 1, 1], [0, 1, 2]]
+        assert table.fingerprint(1, 2) == Fingerprint(0, 0, 0, 2)
+        assert table.kind(1, 2) is CellKind.FORMULA
+        assert table.grid.palette == (NUMBER_FINGERPRINT, EMPTY_FINGERPRINT, Fingerprint(0, 0, 0, 2), TEXT_FINGERPRINT)
+        assert table.grid.code_rows == [[0, 0, 1], [2, 1, 1], [0, 1, 3]]
         assert_matches_uncached(sheet)
 
     @pytest.mark.parametrize("cells", [
@@ -684,16 +697,76 @@ class TestFingerprintPerShape:
         assert_matches_uncached(sheet)
 
     def test_fingerprints_is_a_read_only_view_of_every_stored_cell(self):
-        # A2's vectors cancel to the blank's fingerprint, alone on its row;
-        # C3 is a blank inside the used range.
+        # A2's vectors cancel, alone on its row; C3 is a blank inside the
+        # used range.
         table = table_of({"A2": "=A1+A3", "B3": "=A1", "D4": "=SUM("})
         assert list(table.fingerprints) == [(1, 2), (2, 3), (4, 4)]
-        assert table.fingerprints[(1, 2)] == EMPTY_FINGERPRINT
+        assert table.fingerprints[(1, 2)] == Fingerprint(0, 0, 0, 2)
         assert table.kind(1, 2) is CellKind.FORMULA
         assert (3, 3) not in table.fingerprints and table.kind(3, 3) is CellKind.EMPTY
         assert table.fingerprints[(4, 4)] == TEXT_FINGERPRINT
         with pytest.raises(TypeError):
             table.fingerprints[(2, 2)] = EMPTY_FINGERPRINT
+
+
+@st.composite
+def mixed_sheets(draw):
+    """Up to 6 x 6 cells mixing numbers, text, blanks, reference-free
+    formulas, formulas whose vectors cancel (pairs around the cell, ranges
+    centred on it, =$A$1), some with a numeric constant, off-sheet
+    references, and plain references."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = {}
+    for y in range(1, height + 1):
+        for x in range(1, width + 1):
+            dx, dy = draw(st.integers(0, x - 1)), draw(st.integers(0, y - 1))
+            pair = f"{to_a1(x - dx, y - dy)}+{to_a1(x + dx, y + dy)}"
+            choice = draw(st.sampled_from([
+                None, "n", "t", "=1", '="a"', "=TRUE", "=100*12", "=$A$1", f"={pair}", f"=({pair})/2", f"={pair}+1",
+                f"=SUM({to_a1(x - dx, y)}:{to_a1(x + dx, y)})", f"=Other!{to_a1(x, y)}", f"={pair}+Other!A1",
+                f"={to_a1(x, max(y - 1, 1))}",
+            ]))
+            if choice == "n":
+                cells[(x, y)] = CellContent.number(1.0)
+            elif choice == "t":
+                cells[(x, y)] = CellContent.text("x")
+            elif choice is not None:
+                cells[(x, y)] = CellContent.formula(choice)
+    cells.setdefault(draw(st.tuples(st.integers(1, width), st.integers(1, height))), CellContent.number(2.0))
+    return cells
+
+
+class TestFormulasNeverFingerprintAsData:
+    """A formula whose vectors sum to (0, 0, 0) takes the reserved
+    (0, 0, 0, 2 + flag), so no formula shares a data cell's fingerprint
+    and no data region holds a formula."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_sheets())
+    def test_fingerprints_match_expand_and_sum_with_the_reserved_rule(self, cells):
+        sheet = Worksheet("S", cells)
+        table = analyze_sheet_vectors(Workbook("wb", [sheet]), sheet)
+        for (column, row), content in cells.items():
+            if content.kind is not CellKind.FORMULA:
+                continue
+            ast = parse_formula(content.value)
+            vectors = reference_vectors(references(ast), column, row, "S", "wb")
+            x, y, z = (sum(v[axis] for v in vectors) for axis in range(3))
+            flag = 1 if numeric_constant_count(ast) > 0 else 0
+            want = Fingerprint(0, 0, 0, 2 + flag) if (x, y, z) == (0, 0, 0) else Fingerprint(x, y, z, flag)
+            assert table.fingerprint(column, row) == want
+            assert want not in DATA_KINDS
+            assert table.kind(column, row) is CellKind.FORMULA
+        assert_matches_uncached(sheet)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_sheets(), st.booleans())
+    def test_no_data_region_covers_a_formula(self, cells, preprocess):
+        workbook = Workbook("wb", [Worksheet("S", cells)])
+        analysis = pipeline.analyze_sheet(workbook, workbook.sheets[0], pipeline.AnalysisConfig(preprocess=preprocess))
+        for region in analysis.regions:
+            if region.fingerprint in DATA_KINDS:
+                assert not any(cell in analysis.table.refs for cell in region.rect.cells())
 
 
 class TestShapeCacheEngages:
