@@ -8,9 +8,13 @@ stays comparable.  Running totals hold numbers in column A and
 of its own, as a cumulative column in a ledger does.  Noisy n x n
 sheets are the benchmark's `perfbench/workloads.noisy_book` (seed 7):
 numbers with 30% of the cells holding one of four labels, so the
-layout has many small regions and many candidate fixes.  Last comes one
+layout has many small regions and many candidate fixes.  Then comes one
 sparse sheet: three cells, A1, H30000 and P65536, in a 16 x 65,536 used
-range that is almost all blank regions.  Reports per-phase
+range that is almost all blank regions.  Last comes the stripes
+200 x 200 sheet again, its addresses written in a shuffled order (seed
+7): a sheet loaded in row-major order is neither sorted nor scanned for
+its bounds, and this row keeps the cost of one that is next to the
+ordered one.  Reports per-phase
 wall time for each sheet, starting with the load: each workbook is
 serialized to its JSON file format and parsed back with
 `parse_workbook_json`, which is what `gridlint analyze` spends before
@@ -22,6 +26,7 @@ the analysis.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 import time
@@ -62,6 +67,19 @@ def sparse_workbook() -> Workbook:
     return Workbook("sparse_16x65536", [Worksheet("Sheet1", cells)])
 
 
+def shuffled_text(workbook: Workbook, name: str, seed: int) -> str:
+    """The workbook's JSON file format under another name, each sheet's
+    addresses in a shuffled order."""
+    doc = json.loads(serialize_workbook(workbook))
+    doc["workbook"] = name
+    rng = random.Random(seed)
+    for sheet in doc["sheets"]:
+        cells = list(sheet["cells"].items())
+        rng.shuffle(cells)
+        sheet["cells"] = dict(cells)
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="20x25,50x40,100x100,100x200,200x200,400x400",
@@ -83,6 +101,7 @@ def main() -> None:
     for n in (int(token) for token in args.noisy.split(",")):
         workbooks.append(noisy_book(random.Random(7), n, f"noisy_{n}x{n}", mask_seed=n * 100).gridbook())
     workbooks.append(serialize_workbook(sparse_workbook()))
+    workbooks.append(shuffled_text(striped_workbook(200, 200), "shuffled_200x200", seed=7))
 
     print(f"{'sheet':<20} {'cells':>8} {'load':>9} {'vectors':>9} {'decomp':>9} {'fixes':>9} {'total':>9} {'regions':>8}")
     for text in workbooks:

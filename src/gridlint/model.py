@@ -17,15 +17,26 @@ object of the document is refused.
 The loader turns each cell object into its `CellContent` as the JSON is
 decoded, so a stored cell costs one small object; a payload that is not a
 well-formed one-key cell is left to `_load_cell`, which names what is wrong.
+While it walks a sheet's addresses it notes whether they arrive in
+row-major order, as `serialize_workbook` writes them, and records such a
+sheet's order and used range (`RowMajor`), so the analysis neither sorts
+its cells nor scans them for their bounds.
+
+`parse_workbook_json`, and so `load_workbook`, runs with the cyclic
+garbage collector paused (`collector_paused`), as does
+`pipeline.analyze_workbook`.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 
 class GridlintError(Exception):
@@ -54,6 +65,32 @@ _COLUMN_RE = re.compile(r"([A-Za-z]+)([0-9]+)")
 # on first use with upper-case spellings of columns A..XFD only, so it holds
 # at most SHEET_COLUMNS entries whatever the input.
 _COLUMNS: dict[str, int] = {}
+
+
+_Call = TypeVar("_Call", bound=Callable)
+
+
+def collector_paused(function: _Call) -> _Call:
+    """`function` with the cyclic garbage collector paused while it runs.
+
+    A workbook's load and analysis allocate hundreds of thousands of
+    small objects that hold no cycle, and each collection on the way
+    would scan the young ones and rescan the old.  The caller's state
+    is restored on every exit, a raise included: a collector the caller
+    paused stays paused.
+    """
+
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return function(*args, **kwargs)
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def outside_sheet(column: int, row: int) -> bool:
@@ -191,19 +228,48 @@ class Rect:
         return f"{start}:{to_a1(self.right, self.bottom)}"
 
 
+_ROW = itemgetter(1)
+_ROW_MAJOR = itemgetter(1, 0)
+
+
+class RowMajor(NamedTuple):
+    """A sheet's stored addresses in row-major order, as the loader read
+    them, and the used range they span."""
+
+    cells: tuple[tuple[int, int], ...]
+    rect: Rect
+
+
 @dataclass
 class Worksheet:
-    """One sheet: a sparse mapping from (column, row) to stored content."""
+    """One sheet: a sparse mapping from (column, row) to stored content.
+
+    `row_major` is the loader's record of a sheet whose addresses arrived
+    in row-major order.  It is read only while `cells` holds exactly its
+    addresses in its order, so a sheet changed afterwards, or built by
+    hand without one, is sorted and scanned instead.
+    """
 
     name: str
     cells: dict[tuple[int, int], CellContent] = field(default_factory=dict)
+    row_major: Optional[RowMajor] = field(default=None, repr=False, compare=False)
 
     def used_range(self) -> Rect:
         """Smallest rectangle covering every stored cell."""
-        if not self.cells:
+        cells = self.cells
+        if not cells:
             raise EmptySheetError(f"sheet {self.name!r} has no content")
-        cols, rows = zip(*self.cells)
-        return Rect(min(cols), min(rows), max(cols), max(rows))
+        # Addresses compare column first, so min and max give the columns.
+        return Rect(min(cells)[0], _ROW(min(cells, key=_ROW)), max(cells)[0], _ROW(max(cells, key=_ROW)))
+
+    def in_row_major_order(self) -> tuple[Sequence[tuple[int, int]], Rect]:
+        """(the stored addresses in row-major order, the used range): the
+        loader's record while it still lists `cells` in their order (one
+        pass of identity checks), else a sort and a bounds scan."""
+        record = self.row_major
+        if record is not None and tuple(self.cells) == record.cells:
+            return record.cells, record.rect
+        return sorted(self.cells, key=_ROW_MAJOR), self.used_range()
 
 
 @dataclass
@@ -269,6 +335,11 @@ def _duplicate_error(doc: object, obj: dict, key: str, source: str) -> FormatErr
     return FormatError(f"{source}: duplicate key {key!r}")
 
 
+# A row-major rank of an address: row * _RANK + column grows along rows.
+_RANK = SHEET_COLUMNS + 1
+
+
+@collector_paused
 def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
     """Parse canonical workbook JSON into a Workbook."""
     repeated: list[tuple[dict, str]] = []
@@ -331,6 +402,8 @@ def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
         if not isinstance(raw_cells, dict):
             raise FormatError(f"{source}: sheet {sheet_name!r}: 'cells' must be an object")
         cells: dict[tuple[int, int], CellContent] = {}
+        ordered, last = True, 0  # whether the stored addresses ascend in rank; the last rank
+        left, right = SHEET_COLUMNS, 1
         for addr_text, content in raw_cells.items():
             address = parse_a1(addr_text)
             if address in cells:
@@ -342,7 +415,20 @@ def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
                 if content is None:
                     continue
             cells[address] = content
-        sheets.append(Worksheet(sheet_name, cells))
+            column, row = address
+            rank = row * _RANK + column
+            if rank < last:
+                ordered = False
+            last = rank
+            if column < left:
+                left = column
+            if column > right:
+                right = column
+        record = None
+        if ordered and cells:
+            order = tuple(cells)
+            record = RowMajor(order, Rect(left, order[0][1], right, order[-1][1]))
+        sheets.append(Worksheet(sheet_name, cells, record))
     return Workbook(name, sheets)
 
 
@@ -361,7 +447,7 @@ def serialize_workbook(workbook: Workbook) -> str:
     sheets = []
     for ws in workbook.sheets:
         cells = {}
-        for (column, row) in sorted(ws.cells, key=lambda cr: (cr[1], cr[0])):
+        for (column, row) in sorted(ws.cells, key=_ROW_MAJOR):
             content = ws.cells[(column, row)]
             if content.kind is CellKind.FORMULA:
                 cells[to_a1(column, row)] = {"f": content.value}

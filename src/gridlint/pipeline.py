@@ -2,7 +2,10 @@
 
 Each sheet is processed independently, in sheet coordinates (column,
 row) throughout: the grid sits at the used range, so its regions and
-fixes need no translation.
+fixes need no translation.  `analyze_workbook` runs with the cyclic
+garbage collector paused (`model.collector_paused`); `audit_payload`
+does not, so a caller that loops over workbooks still gets the
+collector's full collections between them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Optional
 from .entropy import Region, decompose_grid
 from .fixes import DEFAULT_THRESHOLD, ProposedFix, build_fixes
 from .grid import FingerprintGrid
-from .model import FormatError, Workbook, Worksheet
+from .model import FormatError, Workbook, Worksheet, collector_paused
 from .report import audit_sheet_payload, audit_workbook_payload
 from .vectors import EMPTY_FINGERPRINT, SheetVectors, analyze_sheet_vectors
 
@@ -93,6 +96,7 @@ def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[Analysi
     return SheetAnalysis(sheet.name, table, regions, fixes, cells, timings)
 
 
+@collector_paused
 def analyze_workbook(workbook: Workbook, config: Optional[AnalysisConfig] = None,
                      parse_seconds: float = 0.0) -> WorkbookAnalysis:
     config = config or AnalysisConfig()

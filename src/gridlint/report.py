@@ -257,8 +257,44 @@ def audit_workbook_payload(workbook_name: str, threshold: float, sheet_payloads:
     }
 
 
+def _write_json(value: object, indent: str, out: list[str]) -> None:
+    """Append the text of `json.dumps(value, indent=2)` nested at `indent`
+    to `out`.  Keys are strings, and every other leaf goes through the
+    C encoder (`json.dumps` without `indent`)."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key, item in value.items():
+            out += (separator, json.dumps(key), ": ")
+            _write_json(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[\n" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def audit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    """`json.dumps(payload, indent=2)` and a newline.  The indenting
+    encoder of `json` is pure Python, and its recursive closures leave
+    reference cycles behind on every call; this writer leaves none."""
+    out: list[str] = []
+    _write_json(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def audit_text(payload: dict) -> str:

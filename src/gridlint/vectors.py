@@ -45,18 +45,21 @@ or else on its left, has a parsed shape is first compared with the
 copy of that shape printed for the cell (`formula.shape_printer`): a
 translated copy, as most cells of a copied run are, costs that one
 string comparison and is never lexed.  Any other formula cell is
-lexed once.  Either way it then costs O(#refs): filling the shape's
-template with its own corners and summing the fingerprint of those
-rectangles, per cell since copies of a shape need not share one (the
-two cases above).  One row-major pass
-gives each stored cell its fingerprint code and each formula its
-references.
+lexed once.  Either way it then costs O(#refs) to fill the shape's
+template with its own corners.  Its fingerprint is summed per cell
+only when copies of its shape need not share one: when a reference
+names a sheet or workbook, a range is anchored differently at its two
+corners (the two cases above), or the shape holds a whole line.  Any
+other shape keeps the fingerprint of its first use for every copy.
+One pass in row-major order gives each stored cell its fingerprint
+code and each formula its references; a loaded sheet whose addresses
+arrived in that order (`model.RowMajor`) is neither sorted nor scanned
+for its used range first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -208,8 +211,6 @@ class SheetVectors:
         })
 
 
-_ROW_MAJOR = itemgetter(1, 0)
-
 # Largest used range analysed, in cells.  The code rows, the entropy tree
 # and the HTML view are dense over the used range, so a sheet holding
 # only A1 and XFD1048576 (about 1.7e10 cells) is refused before any
@@ -217,17 +218,34 @@ _ROW_MAJOR = itemgetter(1, 0)
 MAX_USED_CELLS = 2**20
 
 
+def translation_invariant(template: tuple, corners: list) -> bool:
+    """Whether every translated copy of a shape has one fingerprint: no
+    reference names a sheet or workbook (on or off the sheet depends on
+    the sheet), every range is anchored alike at both corners, and no
+    whole line is fixed in the template."""
+    for entry in template:
+        if type(entry) is RefRect:
+            return False
+        i, j, sheet, workbook = entry
+        if sheet is not None or workbook is not None or corners[i][2:] != corners[j][2:]:
+            return False
+    return True
+
+
 class _Shape:
     """A parsed formula shape: its reference template, whether it holds a
-    numeric constant, and its printer (`formula.shape_printer`), built
-    when a neighbour first lends its key."""
+    numeric constant, its printer (`formula.shape_printer`), built when a
+    neighbour first lends its key, and, once used, the fingerprint that
+    every copy of a `translation_invariant` shape shares."""
 
-    __slots__ = ("template", "has_constant", "printer")
+    __slots__ = ("template", "has_constant", "printer", "invariant", "fingerprint")
 
-    def __init__(self, template: tuple, has_constant: bool):
+    def __init__(self, template: tuple, has_constant: bool, invariant: bool):
         self.template = template
         self.has_constant = has_constant
         self.printer = None
+        self.invariant = invariant
+        self.fingerprint: Optional[Fingerprint] = None
 
 
 def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
@@ -249,12 +267,13 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
     its key to the cells below and right of it only when that key is in
     `shapes`, so a formula that failed to parse lends nothing.
 
-    Cells are visited in row-major order, and each fingerprint gets its
-    code on first appearance, a blank one at the first unstored cell, as
-    `FingerprintGrid(rows)` numbers them.  Rows that hold no stored cell
-    share one blank row, and the others start as copies of it.
+    Cells are visited in row-major order (`Worksheet.in_row_major_order`),
+    and each fingerprint gets its code on first appearance, a blank one
+    at the first unstored cell, as `FingerprintGrid(rows)` numbers them.
+    Rows that hold no stored cell share one blank row, and the others
+    start as copies of it.
     """
-    rect = sheet.used_range()
+    stored, rect = sheet.in_row_major_order()
     if rect.area > MAX_USED_CELLS:
         raise FormatError(
             f"sheet {sheet.name!r}: used range {rect.a1()} spans {rect.area} cells, "
@@ -295,7 +314,7 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
                     )
                     return None
                 template, parsed = ref_template(ast)
-                shape = _Shape(template, numeric_constant_count(ast) > 0)
+                shape = _Shape(template, numeric_constant_count(ast) > 0, translation_invariant(template, parsed))
                 if key is not None and parsed == corners:
                     shapes[key] = shape
                 else:
@@ -304,11 +323,15 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
         if key is not None:
             current[column] = key
         rects = refs[(column, row)] = template_rects(shape.template, corners)
-        return rects_fingerprint(rects, column, row, sheet.name, workbook.name, shape.has_constant)
+        fingerprint = shape.fingerprint
+        if fingerprint is None:
+            fingerprint = rects_fingerprint(rects, column, row, sheet.name, workbook.name, shape.has_constant)
+            if shape.invariant:
+                shape.fingerprint = fingerprint
+        return fingerprint
 
     codes: dict[Fingerprint, int] = {}
     cells = sheet.cells
-    stored = sorted(cells, key=_ROW_MAJOR)
     stored_codes: list[int] = []
     following = 0  # the position after the last stored cell
     above: dict[int, str] = {}

@@ -415,3 +415,101 @@ class TestLoaderOracle:
     ])
     def test_hand_cases(self, text):
         assert loaded(parse_workbook_json, text) == loaded(naive_parse_workbook_json, text)
+
+
+# -- the loader's row-major record ---------------------------------------------
+
+_ROW_MAJOR_KEY = lambda cell: (cell[1], cell[0])  # noqa: E731
+_CONTENTS = [{"n": 1}, {"n": 2.5}, {"s": "x"}, {"s": " "}, {"f": "=A1+1"}, {"f": "=SUM(A1:B2)"},
+             {"f": "=$A$1*2"}, {"f": "=SUM(B$1:B3)"}, {"f": "=Other!A1"}, {"f": "=SUM("}, {"f": "=A0"}]
+
+
+@st.composite
+def stored_sheets(draw):
+    """A sheet's cells as (column, row) -> .gridbook payload: one cell, one
+    row, one column, none, or scattered.  Some payloads are whitespace
+    text, which the loader drops, and some formulas do not parse."""
+    shape = draw(st.sampled_from(["cell", "row", "column", "empty", "any", "any"]))
+    if shape == "empty":
+        return {}
+    column, row = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    if shape == "cell":
+        addresses = [(column, row)]
+    elif shape == "row":
+        addresses = [(c, row) for c in draw(st.sets(st.integers(1, 12), min_size=1))]
+    elif shape == "column":
+        addresses = [(column, r) for r in draw(st.sets(st.integers(1, 12), min_size=1))]
+    else:
+        addresses = draw(st.sets(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=30))
+    return {address: draw(st.sampled_from(_CONTENTS)) for address in addresses}
+
+
+def gridbook(items) -> str:
+    return json.dumps({"workbook": "wb", "sheets": [{"name": "S", "cells": {to_a1(*a): p for a, p in items}}]})
+
+
+def table_values(sheet: Worksheet):
+    """What the vectors pass gives a sheet, as comparable values, in order."""
+    from gridlint.vectors import analyze_sheet_vectors
+
+    table = analyze_sheet_vectors(model.Workbook("wb", [sheet]), sheet)
+    return table.grid.code_rows, table.grid.palette, list(table.refs.items()), table.diagnostics
+
+
+class TestRowMajorRecord:
+    """A loaded sheet whose addresses arrive in row-major order carries
+    that order and its bounds, and gives the table that the sort and the
+    bounds scan give a sheet in any other order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stored_sheets(), st.randoms(use_true_random=False))
+    def test_shuffled_addresses_give_the_row_major_table(self, payloads, rnd):
+        in_order = sorted(payloads.items(), key=lambda item: _ROW_MAJOR_KEY(item[0]))
+        shuffled = list(in_order)
+        rnd.shuffle(shuffled)
+        ordered_sheet = parse_workbook_json(gridbook(in_order)).sheets[0]
+        shuffled_sheet = parse_workbook_json(gridbook(shuffled)).sheets[0]
+        stored = [a for a, p in shuffled if "s" not in p or p["s"].strip()]
+        hand_sheet = Worksheet("S", {a: ordered_sheet.cells[a] for a in stored})
+        sheets = (ordered_sheet, shuffled_sheet, hand_sheet)
+        assert ordered_sheet.cells == shuffled_sheet.cells == hand_sheet.cells
+        assert hand_sheet.row_major is None
+        if not stored:
+            for sheet in sheets:
+                with pytest.raises(EmptySheetError):
+                    sheet.used_range()
+            assert ordered_sheet.row_major is None
+            return
+        columns, rows = [a[0] for a in stored], [a[1] for a in stored]
+        oracle = Rect(min(columns), min(rows), max(columns), max(rows))
+        order = sorted(stored, key=_ROW_MAJOR_KEY)
+        assert ordered_sheet.row_major == (tuple(order), oracle)
+        assert (shuffled_sheet.row_major is None) == (stored != order)
+        for sheet in sheets:
+            assert sheet.used_range() == oracle
+            addresses, rect = sheet.in_row_major_order()
+            assert (list(addresses), rect) == (order, oracle)
+        assert table_values(ordered_sheet) == table_values(shuffled_sheet) == table_values(hand_sheet)
+
+    def test_a_changed_sheet_is_sorted_and_scanned_again(self):
+        # A1, C1, A2 in row-major order; then C1 goes and B2 comes: the
+        # cells stay in row-major order and as many, but span A1:B2.
+        sheet = parse_workbook_json(gridbook([((1, 1), {"n": 1}), ((3, 1), {"n": 1}), ((1, 2), {"n": 1})])).sheets[0]
+        assert sheet.row_major.rect == Rect(1, 1, 3, 2)
+        del sheet.cells[(3, 1)]
+        sheet.cells[(2, 2)] = CellContent.number(1.0)
+        assert sheet.in_row_major_order() == ([(1, 1), (1, 2), (2, 2)], Rect(1, 1, 2, 2))
+        # Moving a cell to the end of the dictionary breaks the order.
+        sheet.cells[(1, 1)] = sheet.cells.pop((1, 1))
+        assert sheet.in_row_major_order() == ([(1, 1), (1, 2), (2, 2)], Rect(1, 1, 2, 2))
+        assert table_values(sheet) == table_values(Worksheet("S", dict(sheet.cells)))
+
+    def test_record_is_no_part_of_equality(self):
+        sheet = parse_workbook_json(gridbook([((1, 1), {"n": 1})])).sheets[0]
+        assert sheet.row_major is not None
+        assert sheet == Worksheet("S", dict(sheet.cells))
+        assert "row_major" not in repr(sheet)
+
+    def test_used_range_of_rows_past_the_sheet(self):
+        ws = Worksheet("S", {(3, 2_000_000): CellContent.number(1.0), (2, 7): CellContent.number(2.0)})
+        assert ws.used_range() == Rect(2, 7, 3, 2_000_000)

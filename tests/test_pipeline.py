@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import gc
+import json
 import math
 from dataclasses import fields
 
 import pytest
 
 from conftest import inconsistent_sum_workbook
-from gridlint import vectors
+from gridlint import cli, pipeline, vectors
 from gridlint.cli import build_parser
 from gridlint.entropy import Region
 from gridlint.grid import FingerprintGrid
-from gridlint.model import CellContent, FormatError, Rect, Workbook, Worksheet, load_workbook, parse_a1
+from gridlint.model import (
+    CellContent, FormatError, Rect, Workbook, Worksheet, load_workbook, parse_a1, parse_workbook_json,
+)
+from gridlint.report import audit_json
 from gridlint.pipeline import (
     PHASES,
     AnalysisConfig,
@@ -301,3 +306,111 @@ class TestAuditPayload:
         payload = audit_payload(analyze_workbook(workbook), 0.05)
         assert payload["sheets"][0]["cells"] == 0
         assert payload["sheets"][0]["message"] == "no errors found"
+
+
+def book_text(cells: dict) -> str:
+    return json.dumps({"workbook": "w", "sheets": [{"name": "S", "cells": cells}]})
+
+
+GOOD = book_text({"A1": {"n": 1}, "A2": {"n": 2}, "A3": {"f": "=A1+A2"}, "B3": {"f": "=SUM(A1:A2)"}})
+MALFORMED = '{"workbook": "w", "sheets": ['
+DUPLICATE = '{"workbook": "w", "sheets": [{"name": "S", "cells": {"A1": {"n": 1}, "a1": {"n": 2}}}]}'
+PAST_LIMIT = book_text({"A1": {"n": 1}, "C1048576": {"f": "=A1"}})
+
+
+def entry_point_calls(tmp_path):
+    """(name, call, the exception it raises or None) for the library
+    entry points that `gridlint analyze` calls, for `cli.main`, and for
+    a config the CLI refuses."""
+    paths = {}
+    for name, text in (("good", GOOD), ("malformed", MALFORMED), ("duplicate", DUPLICATE), ("past", PAST_LIMIT)):
+        paths[name] = tmp_path / f"{name}.gridbook"
+        paths[name].write_text(text)
+    analysis = analyze_workbook(parse_workbook_json(GOOD))
+    payload = audit_payload(analysis, 0.05)
+
+    def main(name, code, *options):
+        def call():
+            assert cli.main(["analyze", str(paths[name]), "--out", str(tmp_path / "report.json"), *options]) == code
+        return call
+
+    return [
+        ("config threshold 0", lambda: AnalysisConfig(threshold=0), FormatError),
+        ("parse", lambda: parse_workbook_json(GOOD), None),
+        ("parse malformed", lambda: parse_workbook_json(MALFORMED), FormatError),
+        ("parse duplicate", lambda: parse_workbook_json(DUPLICATE), FormatError),
+        ("load", lambda: load_workbook(str(paths["good"])), None),
+        ("load malformed", lambda: load_workbook(str(paths["malformed"])), FormatError),
+        ("analyze", lambda: analyze_workbook(parse_workbook_json(GOOD)), None),
+        ("analyze past the limit", lambda: analyze_workbook(parse_workbook_json(PAST_LIMIT)), FormatError),
+        ("payload", lambda: audit_payload(analysis, 0.05), None),
+        ("json", lambda: audit_json(payload), None),
+        ("json of no JSON value", lambda: audit_json({"x": object()}), TypeError),
+        ("main", main("good", 0), None),
+        ("main malformed", main("malformed", 2), None),
+        ("main duplicate", main("duplicate", 2), None),
+        ("main past the limit", main("past", 2), None),
+        ("main threshold 0", main("good", 2, "--threshold", "0"), None),
+    ]
+
+
+class TestCollectorPause:
+    """The load and the analysis pause the cyclic garbage collector while
+    they run, and every entry point hands the caller back the state it
+    had, after a raise too."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_every_entry_point_restores_the_callers_state(self, enabled, tmp_path, capsys):
+        was = gc.isenabled()
+        try:
+            for name, call, raises in entry_point_calls(tmp_path):
+                gc.enable() if enabled else gc.disable()
+                if raises is None:
+                    call()
+                else:
+                    with pytest.raises(raises):
+                        call()
+                assert gc.isenabled() is enabled, name
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_paused_while_the_analysis_runs_and_not_while_it_reports(self, monkeypatch):
+        # The report steps leave the collector running, so a caller that
+        # loops over workbooks still gets its full collections.
+        seen = []
+
+        def spy(name):
+            original = getattr(pipeline, name)
+
+            def recorded(*args):
+                seen.append((name, gc.isenabled()))
+                return original(*args)
+
+            monkeypatch.setattr(pipeline, name, recorded)
+
+        spy("analyze_sheet_vectors")
+        spy("audit_workbook_payload")
+        assert gc.isenabled()
+        audit_json(audit_payload(analyze_workbook(parse_workbook_json(GOOD)), 0.05))
+        assert seen == [("analyze_sheet_vectors", False), ("audit_workbook_payload", True)]
+        assert gc.isenabled()
+
+    def test_a_run_leaves_no_cycles(self, fixtures_dir):
+        # Load, analyse and both report steps of every fixture, each
+        # workbook collected on its own.  DEBUG_SAVEALL is turned off before
+        # gc.garbage is cleared, so saved objects are not found twice.
+        paths = sorted(fixtures_dir.glob("*.gridbook"))
+        assert paths
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            found = {}
+            for path in paths:
+                analysis = analyze_workbook(load_workbook(str(path)))
+                audit_json(audit_payload(analysis, 0.05))
+                del analysis
+                found[path.name] = gc.collect()
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert found == dict.fromkeys(found, 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
@@ -297,3 +298,40 @@ class TestAuditPayload:
         sheet = audit_sheet_payload("Clean", [], 0.05, 12)
         text = audit_text(audit_workbook_payload("clean", 0.05, [sheet]))
         assert "sheet Clean (12 cells): no errors found" in text
+
+
+# Leaves the pure-Python indenting encoder and the C encoder might spell
+# differently: escapes and non-ASCII text, signed zero, exponents, big ints.
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([-0.0, 1e-07, 1e+16, 1.5e300, 10**40, -(10**40), float("inf"), float("nan")]),
+    st.text(), st.sampled_from(["é", "\u2028", "\x00", '"', "\\", "\n\t", "😀", "\ud800", "</script>"]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestAuditJson:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_writes_the_bytes_of_the_indenting_encoder(self, value):
+        assert audit_json(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [{}, [], {"a": {}}, {"a": []}, [[], {}], {"": [[[]]]}, "x", 0])
+    def test_empty_containers_and_bare_leaves(self, value):
+        assert audit_json(value) == json.dumps(value, indent=2) + "\n"
+
+    def test_leaves_no_reference_cycle(self):
+        payload = audit_workbook_payload("w", 0.05, [audit_sheet_payload("S", [], 0.05, 4)] * 3)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            audit_json(payload)
+            found = gc.collect()
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert found == 0

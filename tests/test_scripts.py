@@ -82,7 +82,7 @@ def test_scaling_benchmark_times_the_load():
     header, *rows = run_script(SCALING).splitlines()
     assert header.split() == ["sheet", "cells", "load", "vectors", "decomp", "fixes", "total", "regions"]
     assert [row.split()[:2] for row in rows] == [["stripes_5x5", "25"], ["running_totals_5", "10"], ["noisy_4x4", "16"],
-                                                 ["sparse_16x65536", "1048576"]]
+                                                 ["sparse_16x65536", "1048576"], ["shuffled_200x200", "40000"]]
     assert all(row.split()[2].endswith("ms") for row in rows)
 
 

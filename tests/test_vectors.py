@@ -316,6 +316,7 @@ def assert_matches_uncached(sheet: Worksheet, workbook: Workbook | None = None, 
     for (column, row) in got.rect.cells():
         assert got.fingerprint(column, row) == want.fingerprint(column, row)
         assert got.kind(column, row) is want.kind(column, row)
+    return got
 
 
 class TestCopiesThatDoNotShareAFingerprint:
@@ -614,6 +615,32 @@ def placed_formulas(draw, sheets):
     return out
 
 
+_WHOLE_COLUMNS = re.compile(r"\$?[A-Za-z]+:\$?[A-Za-z]+(?![0-9])")
+
+
+@st.composite
+def reuse_shapes(draw):
+    """A shape from one family of the invariance rule: a range anchored
+    differently at its corners, a reference naming a sheet (relative or
+    absolute), a whole line, or any shape."""
+    family = draw(st.sampled_from(["mixed range", "named", "whole line", "any"]))
+    if family == "mixed range":
+        first, second = draw(corner_shapes()), draw(corner_shapes())
+        if first[0] == second[0] and first[2] == second[2]:
+            second = (not second[0], 2 if second[0] else 1, *second[2:])
+        return ["=SUM(", first, ":", second, ")"]
+    if family == "named":
+        corner = draw(corner_shapes())
+        if draw(st.booleans()):
+            corner = (True, draw(st.sampled_from([1, 2, 27])), True, draw(st.integers(1, 9)), corner[4])
+        prefix = draw(st.sampled_from(["S!", "Other!", "'Other'!", "[wb]S!", "[x]Other!"]))
+        return ["=", prefix, corner, "+", draw(corner_shapes())]
+    if family == "whole line":
+        line = draw(st.sampled_from(["3:3", "$2:$2", "Other!4:4", "B:B", "$B:$C", "S!A:A"]))
+        return ["=SUM(", line, ")+", draw(corner_shapes())]
+    return draw(top_shapes())
+
+
 class TestFingerprintPerShape:
     """Copies of one shape, on one sheet and across the sheets that share
     a shape dictionary, get the fingerprints and code rows the reference
@@ -665,6 +692,65 @@ class TestFingerprintPerShape:
         table = table_of(formulas)
         shared = len({table.fingerprint(2, row) for row in range(2, 7)}) == 1
         assert shared == (prefix in ("[wb]S!", "S!", "'S'!"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(reuse_shapes(), st.integers(1, 5), st.integers(1, 5), st.booleans(), st.integers(2, 4),
+                              st.sampled_from([(True, True), (True, False), (False, True)])),
+                    min_size=1, max_size=4))
+    def test_copied_runs_on_two_sheets(self, runs):
+        """Runs of copies, each on S, on Other or on both: a key that names
+        one of them is on-sheet there and off-sheet on the other.  Every
+        formula's fingerprint is its own references' and the sum of its
+        expanded vectors, whether or not its shape keeps one for all copies."""
+        placed: dict[str, dict] = {"S": {}, "Other": {}}
+        for shape, column, row, down, length, on in runs:
+            for name, here in zip(placed, on):
+                for step in range(length * here):
+                    cell = (column, row + step) if down else (column + step, row)
+                    text = render(shape, *cell)
+                    if text is not None:
+                        placed[name][cell] = CellContent.formula(text)
+        workbook = Workbook("wb", [Worksheet(name, cells) for name, cells in placed.items() if cells])
+        shapes: dict = {}
+        for sheet in workbook.sheets:
+            table = assert_matches_uncached(sheet, workbook, shapes)
+            for (column, row), rects in table.refs.items():
+                text = sheet.cells[(column, row)].value
+                ast = parse_formula(text)
+                fingerprint = table.fingerprint(column, row)
+                assert fingerprint == rects_fingerprint(rects, column, row, sheet.name, "wb",
+                                                        numeric_constant_count(ast) > 0)
+                if not _WHOLE_COLUMNS.search(text):  # a million cells each: TestWholeLineFingerprints
+                    assert fingerprint == fingerprint_of(text, column, row, sheet.name, "wb")
+
+    def test_invariant_shape_sums_its_fingerprint_once(self, monkeypatch):
+        calls = []
+        original = vectors.rects_fingerprint
+        monkeypatch.setattr(vectors, "rects_fingerprint", lambda *args: calls.append(args[1:3]) or original(*args))
+        formulas = {f"C{row}": f"=SUM(A{row}:B{row})*2+$A$1" for row in range(2, 12)}
+        formulas.update({f"D{row}": f"=SUM(B$1:B{row})" for row in range(2, 12)})
+        formulas.update({f"E{row}": f"=Other!A{row}" for row in range(2, 12)})
+        table = table_of(formulas)
+        # One sum for the invariant shape, one per copy of the two others.
+        assert sorted(calls) == [(3, 2)] + [(column, row) for column in (4, 5) for row in range(2, 12)]
+        assert len({table.fingerprint(3, row) for row in range(2, 12)}) == 1
+        assert_matches_uncached(sheet_of(formulas))
+
+    @pytest.mark.parametrize("text, invariant", [
+        ("=A1+SUM(B2:C3)+$A$1+SUM($A$1:$B$2)+SUM($A1:$B2)+SUM(A$1:B$2)+1", True),
+        ("=SUM(C4:A1)", True),
+        ("=SUM(B$1:B5)", False),
+        ("=SUM($A1:A$5)", False),
+        ("=Sheet2!B5", False),
+        ("=Sheet2!$B$5", False),
+        ("=[wb]S!A1", False),
+        ("=SUM(B:B)", False),
+        ("=SUM($3:$3)", False),
+        ("=PI()", True),
+    ])
+    def test_translation_invariant(self, text, invariant):
+        template, corners = ref_template(parse_formula(text))
+        assert vectors.translation_invariant(template, corners) is invariant
 
     def test_cancelling_formula_gets_a_code_of_its_own(self):
         # A2's vectors cancel: its reserved fingerprint is coded after the
