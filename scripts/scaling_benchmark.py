@@ -12,11 +12,12 @@ layout has many small regions and many candidate fixes.  Then comes one
 sparse sheet: three cells, A1, H30000 and P65536, in a 16 x 65,536 used
 range that is almost all blank regions.  Last comes the stripes
 200 x 200 sheet again, its addresses written in a shuffled order (seed
-7): a sheet loaded in row-major order is neither sorted nor scanned for
-its bounds, and this row keeps the cost of one that is next to the
-ordered one.  Reports per-phase
-wall time for each sheet, starting with the load: each workbook is
-serialized to its JSON file format and parsed back with
+7): the vectors pass checks in one pass that a sheet's cells are stored
+in row-major order and takes their bounds on the way, and only a sheet
+that fails the check, as this one does, is sorted and scanned for its
+bounds, so this row keeps that cost next to the ordered one.  Reports
+per-phase wall time for each sheet, starting with the load: each
+workbook is serialized to its JSON file format and parsed back with
 `parse_workbook_json`, which is what `gridlint analyze` spends before
 the analysis.
 

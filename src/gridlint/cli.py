@@ -47,7 +47,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     workbook = load_workbook(args.workbook)
     parse_seconds = time.perf_counter() - t0
     config = AnalysisConfig(threshold=args.threshold, preprocess=not args.no_preprocess)
-    analysis = analyze_workbook(workbook, config, parse_seconds=parse_seconds)
+    analysis = analyze_workbook(workbook, config)
     payload = audit_payload(analysis, config.threshold)
     text = audit_json(payload) if args.format == "json" else audit_text(payload)
     _write_or_print(text, args.out)
@@ -56,8 +56,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"{analysis.total_regions()} regions, {analysis.total_fixes()} proposed fixes",
         file=sys.stderr,
     )
+    print(f"  parse: {parse_seconds * 1000:.1f} ms", file=sys.stderr)
     for phase in PHASES:
-        print(f"  {phase}: {analysis.timings.get(phase, 0.0) * 1000:.1f} ms", file=sys.stderr)
+        print(f"  {phase}: {analysis.timings[phase] * 1000:.1f} ms", file=sys.stderr)
     for sheet in analysis.sheets:
         for diagnostic in sheet.table.diagnostics:
             print(diagnostic, file=sys.stderr)

@@ -17,10 +17,11 @@ object of the document is refused.
 The loader turns each cell object into its `CellContent` as the JSON is
 decoded, so a stored cell costs one small object; a payload that is not a
 well-formed one-key cell is left to `_load_cell`, which names what is wrong.
-While it walks a sheet's addresses it notes whether they arrive in
-row-major order, as `serialize_workbook` writes them, and records such a
-sheet's order and used range (`RowMajor`), so the analysis neither sorts
-its cells nor scans them for their bounds.
+A sheet is its `cells` dictionary alone.  The analysis reads them in
+row-major order (`Worksheet.in_row_major_order`): one pass checks that
+they are stored in that order, as the loader reads a file
+`serialize_workbook` wrote, and takes their used range on the way, so
+only a sheet in another order is sorted and scanned for its bounds.
 
 `parse_workbook_json`, and so `load_workbook`, runs with the cyclic
 garbage collector paused (`collector_paused`), as does
@@ -36,7 +37,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 
 class GridlintError(Exception):
@@ -232,27 +233,12 @@ _ROW = itemgetter(1)
 _ROW_MAJOR = itemgetter(1, 0)
 
 
-class RowMajor(NamedTuple):
-    """A sheet's stored addresses in row-major order, as the loader read
-    them, and the used range they span."""
-
-    cells: tuple[tuple[int, int], ...]
-    rect: Rect
-
-
 @dataclass
 class Worksheet:
-    """One sheet: a sparse mapping from (column, row) to stored content.
-
-    `row_major` is the loader's record of a sheet whose addresses arrived
-    in row-major order.  It is read only while `cells` holds exactly its
-    addresses in its order, so a sheet changed afterwards, or built by
-    hand without one, is sorted and scanned instead.
-    """
+    """One sheet: a sparse mapping from (column, row) to stored content."""
 
     name: str
     cells: dict[tuple[int, int], CellContent] = field(default_factory=dict)
-    row_major: Optional[RowMajor] = field(default=None, repr=False, compare=False)
 
     def used_range(self) -> Rect:
         """Smallest rectangle covering every stored cell."""
@@ -263,13 +249,37 @@ class Worksheet:
         return Rect(min(cells)[0], _ROW(min(cells, key=_ROW)), max(cells)[0], _ROW(max(cells, key=_ROW)))
 
     def in_row_major_order(self) -> tuple[Sequence[tuple[int, int]], Rect]:
-        """(the stored addresses in row-major order, the used range): the
-        loader's record while it still lists `cells` in their order (one
-        pass of identity checks), else a sort and a bounds scan."""
-        record = self.row_major
-        if record is not None and tuple(self.cells) == record.cells:
-            return record.cells, record.rect
-        return sorted(self.cells, key=_ROW_MAJOR), self.used_range()
+        """(the stored addresses in row-major order, the used range).
+
+        One pass checks that `cells` already lists its addresses in
+        row-major order and takes the columns they span on the way: in
+        that order a row's first address holds its leftmost column and
+        its last the rightmost.  A sheet in any other order is sorted
+        and scanned for its bounds.
+        """
+        cells = self.cells
+        if not cells:
+            raise EmptySheetError(f"sheet {self.name!r} has no content")
+        addresses = iter(cells)
+        column_before, row_before = next(addresses)
+        left = right = column_before
+        top = row_before
+        for column, row in addresses:
+            if row == row_before:
+                if column < column_before:
+                    break
+            elif row > row_before:
+                if column < left:
+                    left = column
+                if column_before > right:
+                    right = column_before
+                row_before = row
+            else:
+                break
+            column_before = column
+        else:
+            return list(cells), Rect(left, top, max(right, column_before), row_before)
+        return sorted(cells, key=_ROW_MAJOR), self.used_range()
 
 
 @dataclass
@@ -288,32 +298,22 @@ _new_tuple = tuple.__new__
 _PAYLOAD_KEYS = {_FORMULA: "f", _NUMBER: "n", _TEXT: "s"}
 
 
-def _load_cell(address: str, payload: object) -> CellContent | None:
-    """A cell object that is not a well-formed one-key cell: None for
-    whitespace-only text, else the error that names what is wrong."""
+def _load_cell(address: str, payload: object) -> None:
+    """Check a cell object that the decode hook left as it is: either
+    whitespace-only text, which is dropped, or a fault, which raises the
+    error that names it.  Every well-formed one-key cell is a
+    CellContent already."""
     if not isinstance(payload, dict):
         raise FormatError(f"cell {address!r}: expected an object, got {type(payload).__name__}")
     keys = set(payload)
     if len(keys & {"f", "n", "s"}) != 1 or keys - {"f", "n", "s"}:
         raise FormatError(f"cell {address!r}: exactly one of 'f', 'n', 's' required, got {sorted(keys)}")
     if "f" in payload:
-        text = payload["f"]
-        if not isinstance(text, str) or not text.startswith("="):
-            raise FormatError(f"cell {address!r}: 'f' must be a string starting with '='")
-        return CellContent.formula(text)
+        raise FormatError(f"cell {address!r}: 'f' must be a string starting with '='")
     if "n" in payload:
-        value = payload["n"]
-        if isinstance(value, bool):
-            return CellContent.number(value)
-        if not isinstance(value, (int, float)):
-            raise FormatError(f"cell {address!r}: 'n' must be a number")
-        return CellContent.number(value)
-    value = payload["s"]
-    if not isinstance(value, str):
+        raise FormatError(f"cell {address!r}: 'n' must be a number")
+    if not isinstance(payload["s"], str):
         raise FormatError(f"cell {address!r}: 's' must be a string")
-    if value.strip() == "":
-        return None
-    return CellContent.text(value)
 
 
 def _first_repeat(pairs: list[tuple[str, object]]) -> str:
@@ -333,10 +333,6 @@ def _duplicate_error(doc: object, obj: dict, key: str, source: str) -> FormatErr
         if isinstance(raw, dict) and raw.get("cells") is obj:
             return DuplicateCellError(f"{source}: sheet {raw.get('name')!r}: duplicate cell address {key!r}")
     return FormatError(f"{source}: duplicate key {key!r}")
-
-
-# A row-major rank of an address: row * _RANK + column grows along rows.
-_RANK = SHEET_COLUMNS + 1
 
 
 @collector_paused
@@ -402,8 +398,6 @@ def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
         if not isinstance(raw_cells, dict):
             raise FormatError(f"{source}: sheet {sheet_name!r}: 'cells' must be an object")
         cells: dict[tuple[int, int], CellContent] = {}
-        ordered, last = True, 0  # whether the stored addresses ascend in rank; the last rank
-        left, right = SHEET_COLUMNS, 1
         for addr_text, content in raw_cells.items():
             address = parse_a1(addr_text)
             if address in cells:
@@ -411,24 +405,10 @@ def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
                     f"{source}: sheet {sheet_name!r}: duplicate cell address {addr_text!r}"
                 )
             if type(content) is not CellContent:
-                content = _load_cell(addr_text, content)
-                if content is None:
-                    continue
+                _load_cell(addr_text, content)  # whitespace-only text, or it raises
+                continue
             cells[address] = content
-            column, row = address
-            rank = row * _RANK + column
-            if rank < last:
-                ordered = False
-            last = rank
-            if column < left:
-                left = column
-            if column > right:
-                right = column
-        record = None
-        if ordered and cells:
-            order = tuple(cells)
-            record = RowMajor(order, Rect(left, order[0][1], right, order[-1][1]))
-        sheets.append(Worksheet(sheet_name, cells, record))
+        sheets.append(Worksheet(sheet_name, cells))
     return Workbook(name, sheets)
 
 

@@ -21,8 +21,9 @@ from .model import FormatError, Workbook, Worksheet, collector_paused
 from .report import audit_sheet_payload, audit_workbook_payload
 from .vectors import EMPTY_FINGERPRINT, SheetVectors, analyze_sheet_vectors
 
-# Timed phases: parse once per workbook, the rest once per sheet.
-PHASES = ("parse", "vectors", "decomposition", "fixes")
+# Timed phases, once per sheet and summed per workbook.  The workbook's
+# load ("parse") is timed by whoever loads it, as the CLI does.
+PHASES = ("vectors", "decomposition", "fixes")
 
 
 class ConfigError(FormatError, ValueError):
@@ -81,7 +82,7 @@ def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[Analysi
     if not sheet.cells:
         # Nothing on the sheet: empty table over a placeholder 1x1 range.
         table = SheetVectors(sheet.name, workbook.name, FingerprintGrid([[EMPTY_FINGERPRINT]]), {})
-        return SheetAnalysis(sheet.name, table, [], [], 0, dict.fromkeys(PHASES[1:], 0.0))
+        return SheetAnalysis(sheet.name, table, [], [], 0, dict.fromkeys(PHASES, 0.0))
     timings = {}
     t0 = time.perf_counter()
     table = analyze_sheet_vectors(workbook, sheet, shapes)
@@ -97,14 +98,11 @@ def analyze_sheet(workbook: Workbook, sheet: Worksheet, config: Optional[Analysi
 
 
 @collector_paused
-def analyze_workbook(workbook: Workbook, config: Optional[AnalysisConfig] = None,
-                     parse_seconds: float = 0.0) -> WorkbookAnalysis:
+def analyze_workbook(workbook: Workbook, config: Optional[AnalysisConfig] = None) -> WorkbookAnalysis:
     config = config or AnalysisConfig()
     shapes: dict = {}
     sheets = [analyze_sheet(workbook, sheet, config, shapes) for sheet in workbook.sheets]
-    timings = {"parse": parse_seconds}
-    for phase in PHASES[1:]:
-        timings[phase] = sum(s.timings.get(phase, 0.0) for s in sheets)
+    timings = {phase: sum(s.timings[phase] for s in sheets) for phase in PHASES}
     return WorkbookAnalysis(workbook.name, sheets, timings)
 
 

@@ -52,9 +52,10 @@ names a sheet or workbook, a range is anchored differently at its two
 corners (the two cases above), or the shape holds a whole line.  Any
 other shape keeps the fingerprint of its first use for every copy.
 One pass in row-major order gives each stored cell its fingerprint
-code and each formula its references; a loaded sheet whose addresses
-arrived in that order (`model.RowMajor`) is neither sorted nor scanned
-for its used range first.
+code and each formula its references; a sheet whose cells are stored in
+that order, as a loaded `serialize_workbook` file's are, is neither
+sorted nor scanned for its used range first
+(`Worksheet.in_row_major_order`).
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -40,6 +41,16 @@ class TestAnalyze:
         assert "analyzed 1 sheet(s): 3 regions, 1 proposed fixes" in err
         for phase in ("parse", "vectors", "decomposition", "fixes"):
             assert f"{phase}:" in err
+
+    def test_phase_timings_on_stderr(self, workbook_path, capsys):
+        code, _, err = run(["analyze", workbook_path], capsys)
+        assert code == 0
+        lines = err.splitlines()
+        assert lines[0] == "analyzed 1 sheet(s): 3 regions, 1 proposed fixes"
+        timings = [re.fullmatch(r"  (\w+): (\S+) ms", line) for line in lines[1:]]
+        assert all(timings)
+        assert [m[1] for m in timings] == ["parse", "vectors", "decomposition", "fixes"]
+        assert all(float(m[2]) >= 0 for m in timings)
 
     def test_out_file(self, workbook_path, tmp_path, capsys):
         out_file = tmp_path / "report.json"

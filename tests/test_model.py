@@ -417,7 +417,7 @@ class TestLoaderOracle:
         assert loaded(parse_workbook_json, text) == loaded(naive_parse_workbook_json, text)
 
 
-# -- the loader's row-major record ---------------------------------------------
+# -- a sheet's cells in row-major order ---------------------------------------
 
 _ROW_MAJOR_KEY = lambda cell: (cell[1], cell[0])  # noqa: E731
 _CONTENTS = [{"n": 1}, {"n": 2.5}, {"s": "x"}, {"s": " "}, {"f": "=A1+1"}, {"f": "=SUM(A1:B2)"},
@@ -457,9 +457,18 @@ def table_values(sheet: Worksheet):
 
 
 class TestRowMajorRecord:
-    """A loaded sheet whose addresses arrive in row-major order carries
-    that order and its bounds, and gives the table that the sort and the
-    bounds scan give a sheet in any other order."""
+    """`in_row_major_order` gives a sheet's addresses in row-major order and
+    its used range, as the sort and the bounds scan do, whether its cells
+    are stored in that order (one pass) or in any other (sorted)."""
+
+    @staticmethod
+    def assert_sorted_and_scanned(sheet: Worksheet) -> None:
+        stored = list(sheet.cells)
+        columns, rows = [a[0] for a in stored], [a[1] for a in stored]
+        oracle = Rect(min(columns), min(rows), max(columns), max(rows))
+        assert sheet.used_range() == oracle
+        addresses, rect = sheet.in_row_major_order()
+        assert (list(addresses), rect) == (sorted(stored, key=_ROW_MAJOR_KEY), oracle)
 
     @settings(max_examples=200, deadline=None)
     @given(stored_sheets(), st.randoms(use_true_random=False))
@@ -473,29 +482,49 @@ class TestRowMajorRecord:
         hand_sheet = Worksheet("S", {a: ordered_sheet.cells[a] for a in stored})
         sheets = (ordered_sheet, shuffled_sheet, hand_sheet)
         assert ordered_sheet.cells == shuffled_sheet.cells == hand_sheet.cells
-        assert hand_sheet.row_major is None
         if not stored:
             for sheet in sheets:
                 with pytest.raises(EmptySheetError):
                     sheet.used_range()
-            assert ordered_sheet.row_major is None
+                with pytest.raises(EmptySheetError):
+                    sheet.in_row_major_order()
             return
-        columns, rows = [a[0] for a in stored], [a[1] for a in stored]
-        oracle = Rect(min(columns), min(rows), max(columns), max(rows))
-        order = sorted(stored, key=_ROW_MAJOR_KEY)
-        assert ordered_sheet.row_major == (tuple(order), oracle)
-        assert (shuffled_sheet.row_major is None) == (stored != order)
         for sheet in sheets:
-            assert sheet.used_range() == oracle
-            addresses, rect = sheet.in_row_major_order()
-            assert (list(addresses), rect) == (order, oracle)
+            self.assert_sorted_and_scanned(sheet)
         assert table_values(ordered_sheet) == table_values(shuffled_sheet) == table_values(hand_sheet)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([1, 2, 3, 16_384, 16_385, 16_390, 40_000]), st.integers(1, 4)),
+                    min_size=1, max_size=12, unique=True), st.booleans())
+    def test_hand_built_sheets_past_the_last_column(self, addresses, in_order):
+        # A hand-built sheet may hold columns past XFD, which the loader
+        # refuses; there a rank row * (XFD + 1) + column no longer orders
+        # addresses row first.
+        if in_order:
+            addresses.sort(key=_ROW_MAJOR_KEY)
+        self.assert_sorted_and_scanned(Worksheet("S", dict.fromkeys(addresses, CellContent.number(1.0))))
+
+    def test_hand_built_sheet_in_row_major_order(self):
+        n = CellContent.number(1.0)
+        sheet = Worksheet("S", {(3, 2): n, (5, 2): n, (2, 4): n, (6, 4): n, (4, 7): n})
+        assert sheet.in_row_major_order() == ([(3, 2), (5, 2), (2, 4), (6, 4), (4, 7)], Rect(2, 2, 6, 7))
+        assert table_values(sheet) == table_values(Worksheet("S", dict(reversed(sheet.cells.items()))))
+
+    def test_empty_sheet(self):
+        with pytest.raises(EmptySheetError):
+            Worksheet("S", {}).in_row_major_order()
+
+    def test_a_far_column_does_not_pass_for_row_major(self):
+        # As ranks row * 16,385 + column these ascend: 32,771 < 32,775.
+        n = CellContent.number(1.0)
+        sheet = Worksheet("S", {(1, 2): n, (16_390, 1): n})
+        assert sheet.in_row_major_order() == ([(16_390, 1), (1, 2)], Rect(1, 1, 16_390, 2))
 
     def test_a_changed_sheet_is_sorted_and_scanned_again(self):
         # A1, C1, A2 in row-major order; then C1 goes and B2 comes: the
         # cells stay in row-major order and as many, but span A1:B2.
         sheet = parse_workbook_json(gridbook([((1, 1), {"n": 1}), ((3, 1), {"n": 1}), ((1, 2), {"n": 1})])).sheets[0]
-        assert sheet.row_major.rect == Rect(1, 1, 3, 2)
+        assert sheet.in_row_major_order() == ([(1, 1), (3, 1), (1, 2)], Rect(1, 1, 3, 2))
         del sheet.cells[(3, 1)]
         sheet.cells[(2, 2)] = CellContent.number(1.0)
         assert sheet.in_row_major_order() == ([(1, 1), (1, 2), (2, 2)], Rect(1, 1, 2, 2))
@@ -503,12 +532,6 @@ class TestRowMajorRecord:
         sheet.cells[(1, 1)] = sheet.cells.pop((1, 1))
         assert sheet.in_row_major_order() == ([(1, 1), (1, 2), (2, 2)], Rect(1, 1, 2, 2))
         assert table_values(sheet) == table_values(Worksheet("S", dict(sheet.cells)))
-
-    def test_record_is_no_part_of_equality(self):
-        sheet = parse_workbook_json(gridbook([((1, 1), {"n": 1})])).sheets[0]
-        assert sheet.row_major is not None
-        assert sheet == Worksheet("S", dict(sheet.cells))
-        assert "row_major" not in repr(sheet)
 
     def test_used_range_of_rows_past_the_sheet(self):
         ws = Worksheet("S", {(3, 2_000_000): CellContent.number(1.0), (2, 7): CellContent.number(2.0)})

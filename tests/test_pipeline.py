@@ -19,7 +19,6 @@ from gridlint.model import (
 )
 from gridlint.report import audit_json
 from gridlint.pipeline import (
-    PHASES,
     AnalysisConfig,
     analyze_sheet,
     analyze_workbook,
@@ -135,7 +134,7 @@ class TestAnalyzeWorkbook:
         workbook = inconsistent_sum_workbook()
         analysis = analyze_workbook(workbook)
         assert analysis.name == "inconsistent_sum"
-        assert set(analysis.timings) == set(PHASES)
+        assert set(analysis.timings) == {"vectors", "decomposition", "fixes"}
         assert analysis.total_regions() == 3
         assert analysis.total_fixes() == 1
 
@@ -150,10 +149,6 @@ class TestAnalyzeWorkbook:
         assert [s.name for s in analysis.sheets] == ["Totals", "Empty", "One"]
         assert analysis.total_fixes() == 1
         assert analysis.total_regions() == 4
-
-    def test_parse_seconds_carried_through(self):
-        analysis = analyze_workbook(inconsistent_sum_workbook(), parse_seconds=1.25)
-        assert analysis.timings["parse"] == 1.25
 
     def test_fixtures_make_no_counts_in_call(self, fixtures_dir, monkeypatch):
         # The tree and the delimiter preprocessing count their own strips.
