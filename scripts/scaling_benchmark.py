@@ -19,7 +19,9 @@ bounds, so this row keeps that cost next to the ordered one.  Reports
 per-phase wall time for each sheet, starting with the load: each
 workbook is serialized to its JSON file format and parsed back with
 `parse_workbook_json`, which is what `gridlint analyze` spends before
-the analysis.
+the analysis.  Each sheet is loaded and analysed RUNS times, and each
+column is the minimum over those runs: on a shared machine a single
+run's phase times scatter by about 30%, the minimum far less.
 
     python3 scripts/scaling_benchmark.py [--sizes WxH,...] [--totals N,...] [--noisy N,...]
 """
@@ -37,6 +39,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gridlint.model import CellContent, Workbook, Worksheet, column_to_letters, parse_workbook_json, serialize_workbook  # noqa: E402
 from gridlint.pipeline import analyze_workbook  # noqa: E402
+
+RUNS = 3
 
 
 def striped_workbook(columns: int, rows: int) -> Workbook:
@@ -106,21 +110,20 @@ def main() -> None:
 
     print(f"{'sheet':<20} {'cells':>8} {'load':>9} {'vectors':>9} {'decomp':>9} {'fixes':>9} {'total':>9} {'regions':>8}")
     for text in workbooks:
-        start = time.perf_counter()
-        workbook = parse_workbook_json(text)
-        load = time.perf_counter() - start
-        analysis = analyze_workbook(workbook)
-        total = time.perf_counter() - start
-        t = analysis.timings
+        best = None
+        for _ in range(RUNS):
+            start = time.perf_counter()
+            workbook = parse_workbook_json(text)
+            load = time.perf_counter() - start
+            analysis = analyze_workbook(workbook)
+            t = analysis.timings
+            times = (load, t["vectors"], t["decomposition"], t["fixes"], time.perf_counter() - start)
+            best = times if best is None else tuple(map(min, best, times))
         print(
             f"{workbook.name:<20}"
             f" {analysis.sheets[0].cells:>8}"
-            f" {load * 1000:>7.1f}ms"
-            f" {t['vectors'] * 1000:>7.1f}ms"
-            f" {t['decomposition'] * 1000:>7.1f}ms"
-            f" {t['fixes'] * 1000:>7.1f}ms"
-            f" {total * 1000:>7.1f}ms"
-            f" {analysis.total_regions():>8}",
+            + "".join(f" {seconds * 1000:>7.1f}ms" for seconds in best)
+            + f" {analysis.total_regions():>8}",
             flush=True,
         )
 

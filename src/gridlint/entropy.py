@@ -25,20 +25,25 @@ split entropy (the summed normalized entropy of both halves' counts)
 with two `counts_in` calls, and neither the tree nor the preprocessing
 calls `counts_in`.  A tree node finds its cut in O(area): it counts its
 total and its lines across its parent's cut, and takes its lines along
-that cut from its parent.  It re-scores its cuts exactly only when
-more than one is near the minimum; the chosen cut's entropy decides
-nothing, so no node keeps it.  A node whose every cell has a
+that cut from its parent.  A node one cell wide or tall, most of a
+tree's nodes, builds no line histograms: its strips are single cells,
+so it sweeps its codes in order with one running count per code
+(`_line_cut`) and re-scores from the codes of a cut's smaller half.  A
+node re-scores its cuts exactly only when more than one is near the
+minimum; the chosen cut's entropy decides nothing, so no node keeps it.
+Nodes move through the tree's loop as coordinates, and each gets its
+`Rect` once, when the tree is built.  A node whose every cell has a
 fingerprint of its own (all-distinct) is decided in closed form: each
 half of it holds counts of 1 only, so its sweep scores, exact scores
 and cut depend on its width and height alone, and are memoised per
-shape for the tree.  Its subtree is all-distinct too
-and builds no histogram, so a 1 x n column of distinct fingerprints,
-which the tree peels one cell per node, costs one histogram and no
-exact score.
+shape for the sheet.  Its subtree is all-distinct too and builds no
+histogram, so a 1 x n column of distinct fingerprints, which the tree
+peels one cell per node, costs one set of its codes and no exact score.
+The sheet's pieces and trees share one table of c*log2(c) terms.
 
 The grid sits at its sheet coordinates (`FingerprintGrid.left`, `top`)
-and every rectangle here is read through it (`FingerprintGrid.block`),
-so cuts, pieces and regions come out in sheet coordinates.
+and every rectangle here is read through it, so cuts, pieces and
+regions come out in sheet coordinates.
 
 A delimiter piece counts the cells of its strips outside the delimiter
 runs once (a strip inside one run holds its run's code alone).  It is
@@ -150,10 +155,24 @@ _SWEEP_SCALE = float(1 << _SWEEP_BITS)
 _UNIT_ROUNDOFF = 2.0**-53
 
 
+class _Divisors(dict):
+    """Maps a half's cell count n >= 2 to _SWEEP_SCALE * n * log2(n), the
+    divisor of its sweep score, computing each entry when first read."""
+
+    def __missing__(self, n: int) -> float:
+        value = self[n] = _SWEEP_SCALE * n * math.log2(n)
+        return value
+
+
 class _XLogXTable(dict):
     """Maps a count c to round(c * log2(c) * 2**_SWEEP_BITS), computing
     each entry when it is first read: a sweep reads only the counts its
-    histograms reach, often far fewer than its area."""
+    histograms reach, often far fewer than its area.  Its `divisors`
+    serve the same sweeps."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.divisors = _Divisors()
 
     def __missing__(self, c: int) -> int:
         value = self[c] = round(c * math.log2(c) * _SWEEP_SCALE) if c > 1 else 0
@@ -198,6 +217,7 @@ def _sweep(blocks: Sequence[Mapping[int, int]], sizes: Sequence[int], total: Map
     1 - S / (n * log2(n)), its normalized entropy.
     """
     n = sum(sizes)
+    divisors = table.divisors
     left: dict[int, int] = {}
     s_left = 0
     s_right = sum(table[c] for c in total.values())
@@ -218,27 +238,29 @@ def _sweep(blocks: Sequence[Mapping[int, int]], sizes: Sequence[int], total: Map
                 k_right -= 1
         n_left += size
         n_right = n - n_left
-        e_left = 0.0 if n_left <= 1 or k_left == 1 else 1.0 - s_left / (_SWEEP_SCALE * n_left * math.log2(n_left))
-        e_right = 0.0 if n_right <= 1 or k_right == 1 else 1.0 - s_right / (_SWEEP_SCALE * n_right * math.log2(n_right))
+        e_left = 0.0 if n_left <= 1 or k_left == 1 else 1.0 - s_left / divisors[n_left]
+        e_right = 0.0 if n_right <= 1 or k_right == 1 else 1.0 - s_right / divisors[n_right]
         out.append(e_left + e_right)
     return out
 
 
-def _near_minimum(area: int, cuts: Sequence[tuple[bool, int]],
-                  scores: Sequence[float]) -> list[tuple[bool, int]]:
+def _near_minimum(area: int, sweeps: Sequence[tuple[bool, Sequence[int], Sequence[float]]]) -> list[tuple[bool, int]]:
     """The cuts whose sweep score is within `_cut_margin` of the lowest.
 
-    Every cut that minimizes the split entropy on a rectangle of `area`
-    cells is among them (see `_cut_margin`), in the order of `cuts`.
+    `sweeps` holds one (vertical, cut indices, their sweep scores) per
+    axis, at least one cut each.  Every cut that minimizes the split
+    entropy on a rectangle of `area` cells is among those returned (see
+    `_cut_margin`), in the order of `sweeps`, then of index.
     """
-    threshold = min(scores) + _cut_margin(area)
-    return [cut for cut, approx in zip(cuts, scores) if approx <= threshold]
+    threshold = min([min(scores) for _, _, scores in sweeps]) + _cut_margin(area)
+    return [(vertical, index) for vertical, indices, scores in sweeps
+            for index, approx in zip(indices, scores) if approx <= threshold]
 
 
-def _first_exact_minimum(cuts: Sequence[tuple[bool, int]],
-                         score: Callable[[bool, int], float]) -> tuple[bool, int]:
+def _first_exact_minimum(cuts: Sequence[tuple[bool, int]], score: Callable[..., float],
+                         *args) -> tuple[bool, int]:
     """(vertical, index) of the first of `cuts` to attain the lowest exact
-    score, `score(vertical, index)`; a lone cut is not scored.
+    score, `score(vertical, index, *args)`; a lone cut is not scored.
 
     With `cuts` from `_near_minimum` in the pinned order, vertical before
     horizontal and smaller indices first, and a `score` equal to the
@@ -249,46 +271,53 @@ def _first_exact_minimum(cuts: Sequence[tuple[bool, int]],
     if len(cuts) == 1:
         return cuts[0]
     # min keeps the first of equal scores.
-    return min(cuts, key=lambda cut: score(*cut))
+    return min(cuts, key=lambda cut: score(*cut, *args))
 
 
-def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple],
-                table: _XLogXTable) -> tuple[list[tuple[bool, int]], Callable[[bool, int], float]]:
-    """(cuts near the minimum, exact scorer) for a rectangle of `area`
-    cells whose code histogram is `total`.
+def _split_score(order: list[int], own: list[int], total: Mapping[int, int], n_low: int, area: int) -> float:
+    """Split entropy of a cut of a rectangle of `area` cells, whose code
+    histogram is `total`, into a low half of `n_low` cells and a high
+    one; `own` counts each code of `order`, the codes of `total` in code
+    order, in the smaller half (the low one when 2 * n_low <= area).
+    Both halves' counts are read in code order, as `counts_in` returns
+    them, so the float is the split entropy's."""
+    # normalized_entropy skips the zero counts, as counts_in omits them.
+    rest = [total[c] - m for c, m in zip(order, own)]
+    low, high = (own, rest) if 2 * n_low <= area else (rest, own)
+    return normalized_entropy(low, n_low) + normalized_entropy(high, area - n_low)
+
+
+def _strip_score(vertical: bool, index: int, strips: Mapping[bool, tuple], total: Mapping[int, int],
+                 area: int) -> float:
+    """Exact split entropy of the cut after line `index`, from the strip
+    histograms of its smaller half; `strips[vertical]` holds one axis's
+    (histograms, cell counts, last lines) as `_cut_search` takes them."""
+    hists, sizes, lasts = strips[vertical]
+    k = bisect.bisect_left(lasts, index) + 1
+    n_low = sum(sizes[:k])
+    part: Counter = Counter()
+    for hist in hists[:k] if 2 * n_low <= area else hists[k:]:
+        part.update(hist)
+    order = sorted(total)
+    return _split_score(order, [part[c] for c in order], total, n_low, area)
+
+
+def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple], table: _XLogXTable) -> tuple[bool, int]:
+    """(vertical, index) of the best cut of a rectangle of `area` cells
+    whose code histogram is `total`.
 
     Each of `axes` slices the rectangle into consecutive strips:
     (vertical, their code histograms, cell counts, last lines).  A cut
-    lies after each strip but the last.  The cuts within `_cut_margin` of
-    the sweep's lowest come back in the order of `axes`, then of index.
-    `exact(vertical, index)` sums the strips of the cut's smaller half,
-    takes the other half's counts from `total`, and reads both in code
-    order, which is `counts_in`'s: its floats are the split entropy's.
+    lies after each strip but the last.  Every cut is swept; only those
+    within `_cut_margin` of the sweep's lowest are re-scored exactly
+    (`_strip_score`), and none when just one is.
     """
-    cuts: list[tuple[bool, int]] = []
-    scores: list[float] = []
+    sweeps = []
     strips = {}
     for vertical, hists, sizes, lasts in axes:
-        cuts += [(vertical, i) for i in lasts[:-1]]
-        scores += _sweep(hists, sizes, total, table)
+        sweeps.append((vertical, lasts[:-1], _sweep(hists, sizes, total, table)))
         strips[vertical] = hists, sizes, lasts
-    codes = sorted(total)
-
-    def exact(vertical: bool, index: int) -> float:
-        hists, sizes, lasts = strips[vertical]
-        k = bisect.bisect_left(lasts, index) + 1
-        n_low = sum(sizes[:k])
-        low_is_smaller = 2 * n_low <= area
-        part: Counter = Counter()
-        for hist in hists[:k] if low_is_smaller else hists[k:]:
-            part.update(hist)
-        own = [part[c] for c in sorted(part)]
-        # normalized_entropy skips the zero counts, as counts_in omits them.
-        rest = [total[c] - part.get(c, 0) for c in codes]
-        low, high = (own, rest) if low_is_smaller else (rest, own)
-        return normalized_entropy(low, n_low) + normalized_entropy(high, area - n_low)
-
-    return _near_minimum(area, cuts, scores), exact
+    return _first_exact_minimum(_near_minimum(area, sweeps), _strip_score, strips, total, area)
 
 
 class _DistinctCuts:
@@ -303,7 +332,7 @@ class _DistinctCuts:
     node depend on its shape alone, and so does its cut.  A line's cut
     is the first end cut, found with no exact score; a block of at least
     2 x 2 re-scores its cuts from the memoised half scores.  One instance
-    serves one tree.
+    serves every tree of a sheet.
     """
 
     def __init__(self) -> None:
@@ -325,6 +354,15 @@ class _DistinctCuts:
             self._halves[m] = e
         return e
 
+    @staticmethod
+    def _sizes(vertical: bool, k: int, width: int, height: int) -> tuple[int, int]:
+        """Cell counts of the halves of the cut after the k-th column (row)."""
+        return (k * height, (width - k) * height) if vertical else (k * width, (height - k) * width)
+
+    def _exact(self, vertical: bool, k: int, width: int, height: int) -> float:
+        low, high = self._sizes(vertical, k, width, height)
+        return self._half(low) + self._half(high)
+
     def _shape_cut(self, width: int, height: int) -> tuple[bool, int]:
         """(vertical, offset from the first line) of the cut."""
         if min(width, height) == 1:
@@ -333,118 +371,215 @@ class _DistinctCuts:
             # any grid that fits in memory).  The end cuts tie exactly, so
             # the first one wins; a line of two cells has no other cut.
             return width > 1, 0
-        cuts = [(True, k) for k in range(1, width)] + [(False, k) for k in range(1, height)]
-
-        def sizes(vertical: bool, k: int) -> tuple[int, int]:
-            return (k * height, (width - k) * height) if vertical else (k * width, (height - k) * width)
-
-        def exact(vertical: bool, k: int) -> float:
-            low, high = sizes(vertical, k)
-            return self._half(low) + self._half(high)
-
-        scores = [sum(0.0 if m == 1 else 1.0 for m in sizes(v, k)) for v, k in cuts]
-        vertical, k = _first_exact_minimum(_near_minimum(width * height, cuts, scores), exact)
+        sweeps = [(vertical, range(1, length),
+                   [sum(0.0 if m == 1 else 1.0 for m in self._sizes(vertical, k, width, height))
+                    for k in range(1, length)])
+                  for vertical, length in ((True, width), (False, height))]
+        vertical, k = _first_exact_minimum(_near_minimum(width * height, sweeps), self._exact, width, height)
         return vertical, k - 1
 
-    def cut(self, region: Rect) -> tuple[bool, int]:
-        """(vertical, index) of an all-distinct region's cut."""
-        shape = (region.width, region.height)
+    def cut(self, left: int, top: int, right: int, bottom: int) -> tuple[bool, int]:
+        """(vertical, index) of the cut of the all-distinct rectangle with
+        these corners."""
+        shape = (right - left + 1, bottom - top + 1)
         decision = self._shapes.get(shape)
         if decision is None:
             decision = self._shapes[shape] = self._shape_cut(*shape)
         vertical, offset = decision
-        return vertical, (region.left if vertical else region.top) + offset
+        return vertical, (left if vertical else top) + offset
 
 
-# (vertical, the code histograms of a node's columns or rows): a child
-# holds whole lines of its parent along the parent's cut, so it gets
-# that slice of the parent's histograms.
-_Inherited = tuple[bool, list]
+# At most this many codes in a node, a line's histogram is cheaper to
+# take with one `list.count` per code than with a `Counter`.
+_FEW_CODES = 4
 
 
-def _line_counts(block: list[list[int]], vertical: bool) -> list[Counter]:
-    """The code histogram of each column (vertical) or row of `block`."""
-    return [Counter(line) for line in (zip(*block) if vertical else block)]
+def _line_counts(block: list[list[int]], vertical: bool, codes: Sequence[int]) -> list[Mapping[int, int]]:
+    """The code histogram of each column (vertical) or row of `block`,
+    whose codes are `codes`; zero counts omitted."""
+    lines = zip(*block) if vertical else block
+    if len(codes) > _FEW_CODES:
+        return list(map(Counter, lines))
+    return [{code: n for code in codes if (n := line.count(code))} for line in lines]
 
 
-def _decide(grid: FingerprintGrid, region: Rect, table: _XLogXTable, distinct: _DistinctCuts,
-            inherited: Optional[_Inherited] = None) -> tuple[Optional[tuple[bool, int]], bool, list]:
-    """(cut, all_distinct, lines): the cut is None for a single-fingerprint
-    rectangle, else its best (vertical, index); all_distinct is True when
-    every cell has a fingerprint of its own, and the cut then comes from
-    `distinct`.
+def _block_cut(block: list[list[int]], left: int, top: int, inherited: Optional[tuple[bool, list]],
+               table: _XLogXTable) -> tuple[Optional[tuple[bool, int]], bool, Optional[list]]:
+    """(cut, all_distinct, lines) of a node at least two cells wide and
+    tall whose code-row slices are `block`, its top-left cell at
+    (left, top).
 
-    Otherwise searches the cuts between single lines (`_cut_search`):
-    O(area) in all, with no `counts_in`.  The line histograms along one
-    axis may come from the parent (`inherited`); only those across it
-    are counted from the cells.  `lines` are the histograms along the
-    cut's axis, for the children; empty unless the search ran.
+    The cut is None for a single-fingerprint node, and for an
+    all-distinct one (every cell a fingerprint of its own, all_distinct
+    True), whose cut comes from its shape.  Otherwise it is the best
+    (vertical, index) by `_cut_search` over the node's single lines.  The
+    line histograms along one axis may come from the parent
+    (`inherited`: (vertical, histograms)); only those across it are
+    counted from the cells.  `lines` are the histograms along the cut's
+    axis, for the children.
     """
-    block = list(grid.block(region))
     total = Counter(chain.from_iterable(block))
-    if len(total) == 1:
-        return None, False, []
-    if len(total) == region.area:
-        return distinct.cut(region), True, []
-    along, lines = inherited if inherited is not None else (None, [])
-    cols = lines if along is True else _line_counts(block, True)
-    rows = lines if along is False else _line_counts(block, False)
-    near, exact = _cut_search(region.area, total, (
-        (True, cols, [region.height] * region.width, range(region.left, region.right + 1)),
-        (False, rows, [region.width] * region.height, range(region.top, region.bottom + 1)),
+    width, height = len(block[0]), len(block)
+    area = width * height
+    if len(total) == 1 or len(total) == area:
+        return None, len(total) == area, None
+    along, lines = inherited if inherited is not None else (None, None)
+    codes = list(total)
+    cols = lines if along is True else _line_counts(block, True, codes)
+    rows = lines if along is False else _line_counts(block, False, codes)
+    cut = _cut_search(area, total, (
+        (True, cols, [height] * width, range(left, left + width)),
+        (False, rows, [width] * height, range(top, top + height)),
     ), table)
-    cut = _first_exact_minimum(near, exact)
     return cut, False, cols if cut[0] else rows
 
 
-def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None) -> EntropyTree:
+def _line_score(vertical: bool, index: int, codes: list[int], first: int, total: Mapping[int, int]) -> float:
+    """Exact split entropy of the cut of a one-wide node after line
+    `index`, from the codes of its smaller half."""
+    k = index - first + 1
+    n = len(codes)
+    half = codes[:k] if 2 * k <= n else codes[k:]
+    order = sorted(total)
+    if len(order) > _FEW_CODES:
+        own = list(map(Counter(half).__getitem__, order))
+    else:
+        own = [half.count(c) for c in order]
+    return _split_score(order, own, total, k, n)
+
+
+def _line_cut(codes: list[int], first: int, vertical: bool,
+              table: _XLogXTable) -> tuple[Optional[tuple[bool, int]], bool]:
+    """(cut, all_distinct) of a one-wide node of at least two cells whose
+    codes, in order, are `codes`, the first on line `first`; `vertical`
+    when the node is one row, whose cuts fall between columns.
+
+    The cut is None, as in `_block_cut`, for a single-fingerprint or an
+    all-distinct node.  Otherwise the node is swept cell by cell with one
+    running count per code: each cell is a strip of one cell, so the
+    scores are `_sweep`'s over single-cell histograms, without building
+    them.  The cuts near the minimum are re-scored exactly from the codes
+    of their smaller half (`_line_score`), as `_cut_search` does.
+    """
+    n = len(codes)
+    kinds = set(codes)
+    if len(kinds) == 1 or len(kinds) == n:
+        return None, len(kinds) == n
+    total = Counter(codes) if len(kinds) > _FEW_CODES else {code: codes.count(code) for code in kinds}
+    divisors = table.divisors
+    left = dict.fromkeys(total, 0)
+    s_left = 0
+    s_right = sum(table[c] for c in total.values())
+    k_left = 0
+    k_right = len(total)
+    scores = []
+    for n_left, code in enumerate(codes[:-1], 1):
+        old = left[code]
+        new = left[code] = old + 1
+        t = total[code]
+        s_left += table[new] - table[old]
+        s_right += table[t - new] - table[t - old]
+        if not old:
+            k_left += 1
+        if new == t:
+            k_right -= 1
+        n_right = n - n_left
+        e_left = 0.0 if n_left <= 1 or k_left == 1 else 1.0 - s_left / divisors[n_left]
+        e_right = 0.0 if n_right <= 1 or k_right == 1 else 1.0 - s_right / divisors[n_right]
+        scores.append(e_left + e_right)
+    near = _near_minimum(n, [(vertical, range(first, first + n - 1), scores)])
+    return _first_exact_minimum(near, _line_score, codes, first, total), False
+
+
+def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None, *, table: Optional[_XLogXTable] = None,
+                 distinct: Optional[_DistinctCuts] = None) -> EntropyTree:
     """Full guillotine decomposition tree of `region` (default: whole grid).
 
     Each node costs O(area) for its histograms and cut sweep, with no
     `counts_in` call, so a tree costs O(sum of node areas):
-    O(area x depth).  A node counts only its total and its lines across
-    its parent's cut; its lines along that cut are a slice of its
-    parent's.  It re-scores its cuts exactly only when more than one is
-    near the sweep's minimum.
+    O(area x depth).  Nodes travel as (left, top, right, bottom) tuples,
+    and each node of the tree gets its `Rect` once, when the tree is
+    built.  A node one cell wide or tall is swept cell by cell from its
+    codes (`_line_cut`), which it takes from its parent when that is
+    one-wide too, and builds no line histograms.  A wider node counts
+    only its total and its lines across its parent's cut (`_block_cut`);
+    its lines along that cut are a slice of its parent's.  Either
+    re-scores its cuts exactly only when more than one is near the
+    sweep's minimum.
     Below an all-distinct node every node is all-distinct too; such
     nodes build no histogram and take their cut from a memo per
     (width, height) (`_DistinctCuts`), so a 1 x n column of distinct
-    fingerprints, peeled one cell per node, costs one histogram.  Built
-    with an explicit stack; deep, skewed cut sequences on long thin
-    sheets would overflow Python's recursion limit otherwise.
+    fingerprints, peeled one cell per node, costs one set of its codes.
+    `table` and `distinct` may be shared by the trees of one sheet.
+    Built with an explicit stack; deep, skewed cut sequences on long
+    thin sheets would overflow Python's recursion limit otherwise.
     """
     if region is None:
         region = grid.full_rect()
-    table = _XLogXTable()
-    distinct_cuts = _DistinctCuts()
-    # Decide every node's cut top-down; stack order is preorder.
-    order: list[tuple[Rect, Optional[tuple[bool, int]]]] = []
-    pending: list[tuple[Rect, bool, Optional[_Inherited]]] = [(region, False, None)]
+    if table is None:
+        table = _XLogXTable()
+    if distinct is None:
+        distinct = _DistinctCuts()
+    code_rows, grid_left, grid_top = grid.code_rows, grid.left, grid.top
+    # Decide every node's cut top-down; stack order is preorder.  A
+    # pending node is (left, top, right, bottom, all_distinct, inherited):
+    # inherited is a one-wide node's codes, or a wider node's (vertical,
+    # line histograms) along its parent's cut, or None if not known.
+    order: list[tuple[int, int, int, int, Optional[tuple[bool, int]]]] = []
+    pending: list[tuple] = [(region.left, region.top, region.right, region.bottom, False, None)]
     while pending:
-        r, distinct, inherited = pending.pop()
-        lines: list = []
-        if r.area == 1:
-            decision = None
-        elif distinct:
-            decision = distinct_cuts.cut(r)
+        left, top, right, bottom, all_distinct, inherited = pending.pop()
+        lines = None
+        if left == right and top == bottom:
+            cut = None
+        elif all_distinct:
+            cut = distinct.cut(left, top, right, bottom)
         else:
-            decision, distinct, lines = _decide(grid, r, table, distinct_cuts, inherited)
-        order.append((r, decision))
-        if decision is not None:
-            vertical, index = decision
-            low, high = split_halves(r, index, vertical)
-            k = index - (r.left if vertical else r.top) + 1
-            pending += [(high, distinct, (vertical, lines[k:])), (low, distinct, (vertical, lines[:k]))]
+            if left == right or top == bottom:
+                if inherited is not None:
+                    lines = inherited
+                elif top == bottom:
+                    lines = code_rows[top - grid_top][left - grid_left:right - grid_left + 1]
+                else:
+                    lines = list(map(operator.itemgetter(left - grid_left),
+                                     code_rows[top - grid_top:bottom - grid_top + 1]))
+                cut, all_distinct = _line_cut(lines, left if top == bottom else top, top == bottom, table)
+            else:
+                block = list(map(operator.getitem, code_rows[top - grid_top:bottom - grid_top + 1],
+                                 repeat(slice(left - grid_left, right - grid_left + 1))))
+                cut, all_distinct, lines = _block_cut(block, left, top, inherited, table)
+            if all_distinct:
+                cut, lines = distinct.cut(left, top, right, bottom), None
+        order.append((left, top, right, bottom, cut))
+        if cut is None:
+            continue
+        vertical, index = cut
+        k = index - (left if vertical else top) + 1
+        low_lines = high_lines = None
+        if lines is not None:
+            if left == right or top == bottom:
+                low_lines, high_lines = lines[:k], lines[k:]
+            else:
+                # A child one line wide reads its codes from the grid.
+                low_lines = (vertical, lines[:k]) if k > 1 else None
+                high_lines = (vertical, lines[k:]) if len(lines) - k > 1 else None
+        if vertical:
+            pending.append((index + 1, top, right, bottom, all_distinct, high_lines))
+            pending.append((left, top, index, bottom, all_distinct, low_lines))
+        else:
+            pending.append((left, index + 1, right, bottom, all_distinct, high_lines))
+            pending.append((left, top, right, index, all_distinct, low_lines))
     # In reversed preorder a node's high subtree, then its low one, is
     # built just before it, so both sit on top of the stack.
     built: list[EntropyTree] = []
-    for r, decision in reversed(order):
-        if decision is None:
-            built.append(EntropyLeaf(r))
+    while order:
+        left, top, right, bottom, cut = order.pop()
+        rect = Rect(left, top, right, bottom)
+        if cut is None:
+            built.append(EntropyLeaf(rect))
         else:
-            vertical, index = decision
             low_tree = built.pop()
-            built.append(EntropyNode(r, low_tree, built.pop(), vertical, index))
+            built.append(EntropyNode(rect, low_tree, built.pop(), *cut))
     return built[0]
 
 
@@ -642,7 +777,7 @@ def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], ids: dict[int, int],
     return vertical, hists, sizes, lasts
 
 
-def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
+def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = None) -> list[Rect]:
     """Cut the grid along delimiter-run boundaries into work pieces.
 
     Candidate cut lines sit only at edges of uniform single-fingerprint
@@ -656,14 +791,16 @@ def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
     of single lines, and re-scores exactly only the cuts near the sweep's
     minimum, none when just one is.  So a piece counts each cell of its
     strips outside the runs once, plus the strips of one half per exact
-    re-score, and makes no `counts_in` call.
+    re-score, and makes no `counts_in` call.  `table` may be shared with
+    the sheet's trees.
     """
     full = grid.full_rect()
     col_ids = _axis_runs(grid, True)
     row_ids = _axis_runs(grid, False)
     v_cuts = _run_cuts(col_ids, full.left, full.right)
     h_cuts = _run_cuts(row_ids, full.top, full.bottom)
-    table = _XLogXTable()
+    if table is None:
+        table = _XLogXTable()
     pieces: list[Rect] = []
     stack = [full]
     while stack:
@@ -683,8 +820,7 @@ def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
             total: Counter = Counter()
             for hist in axes[0][1]:
                 total.update(hist)
-            near, exact = _cut_search(r.area, total, axes, table)
-            cuts = [_first_exact_minimum(near, exact)]
+            cuts = [_cut_search(r.area, total, axes, table)]
         vertical, index = cuts[0]
         low, high = split_halves(r, index, vertical)
         stack.append(high)
@@ -693,11 +829,12 @@ def delimiter_splits(grid: FingerprintGrid) -> list[Rect]:
     return pieces
 
 
-def _piece_regions(grid: FingerprintGrid, piece: Rect) -> list[Region]:
+def _piece_regions(grid: FingerprintGrid, piece: Rect, table: _XLogXTable,
+                   distinct: _DistinctCuts) -> list[Region]:
     # A leaf holds one fingerprint, so any of its cells names it.
     return [
         Region(leaf.region, grid.fingerprint_at(leaf.region.left, leaf.region.top))
-        for leaf in tree_leaves(entropy_tree(grid, piece))
+        for leaf in tree_leaves(entropy_tree(grid, piece, table=table, distinct=distinct))
     ]
 
 
@@ -706,8 +843,10 @@ def decompose_grid(grid: FingerprintGrid, preprocess: bool = True) -> list[Regio
 
     With preprocess=True the grid is first split along delimiter runs and
     each piece decomposed independently; the piece list and the final
-    coalesce order are both pinned.
+    coalesce order are both pinned.  The sheet's pieces and trees share
+    one table of c*log2(c) terms and one memo of all-distinct cuts.
     """
-    pieces = delimiter_splits(grid) if preprocess else [grid.full_rect()]
-    leaves = [region for piece in pieces for region in _piece_regions(grid, piece)]
+    table, distinct = _XLogXTable(), _DistinctCuts()
+    pieces = delimiter_splits(grid, table=table) if preprocess else [grid.full_rect()]
+    leaves = [region for piece in pieces for region in _piece_regions(grid, piece, table, distinct)]
     return coalesce(leaves)

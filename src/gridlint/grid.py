@@ -5,8 +5,8 @@ row-major order of first appearance.  The grid sits where its cells sit
 on the sheet: its top-left cell is (left, top), (1, 1) by default, and
 every coordinate it takes or returns is a sheet coordinate.  The entropy
 cut sweeps count these codes without hashing a fingerprint per cell,
-reading a rectangle's code-row slices (`block`) or one cell's code
-(`code_at`).
+reading slices of the code rows (`code_rows`, `block`) or one cell's
+code (`code_at`).
 `vectors.analyze_sheet_vectors` codes a sheet's stored cells in its own
 pass and hands them over with the used range (`from_cells`).
 """

@@ -39,8 +39,8 @@ computes in closed form or incrementally:
   neighbours (`report.assign_colors` builds a neighbour map once).
 
 Helpers only the tests call live here too: `ref_rects`, a formula's
-references as rectangles read off its tree; `best_split`, one
-rectangle's cut decided outside a tree; and the two records of the
+references as rectangles read off its tree; `best_split`, a
+rectangle's cut and its split entropy; and the two records of the
 cell-by-cell definitions, `RefVector` (one referenced cell's offset
 vector) and `CellAddress` (a cell on a named sheet).
 """
@@ -61,12 +61,11 @@ from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 from gridlint.entropy import (
     InvalidSplitError,
     Region,
+    EntropyNode,
     _EdgeIndex,
-    _DistinctCuts,
-    _XLogXTable,
     _axis_runs,
-    _decide,
     _union_rect,
+    entropy_tree,
     normalized_entropy,
     split_halves,
 )
@@ -516,14 +515,15 @@ def best_split(grid: FingerprintGrid, region: Rect) -> tuple[bool, int, float]:
 
     The cut with the lowest `split_entropy`; vertical candidates win ties
     against horizontal ones, and within an axis the smallest index
-    attaining the minimum wins.  The cut is decided as a tree node's is
-    (`_decide`), and scored with `split_entropy`.
+    attaining the minimum wins.  The cut is the root's of the tree over
+    `region` (`entropy_tree`), scored with `split_entropy`.
     """
     if region.area == 1:
         raise InvalidSplitError(f"{region} has no interior cut line")
-    decision, _, _ = _decide(grid, region, _XLogXTable(), _DistinctCuts())
+    root = entropy_tree(grid, region)
     # One fingerprint: every cut scores 0.0, so the first one wins.
-    vertical, index = decision or ((True, region.left) if region.right > region.left else (False, region.top))
+    vertical, index = ((root.vertical, root.index) if isinstance(root, EntropyNode)
+                       else (True, region.left) if region.right > region.left else (False, region.top))
     return vertical, index, split_entropy(grid, region, index, vertical)
 
 

@@ -772,10 +772,11 @@ class TestDelimiterSplitsOracle:
         if not axes:
             return
         total = Counter(chain.from_iterable(row[left - 1:right] for row in grid.code_rows[top - 1:bottom]))
-        _, exact = entropy._cut_search(piece.area, total, axes, _XLogXTable())
+        strips = {vertical: (hists, sizes, lasts) for vertical, hists, sizes, lasts in axes}
         for vertical, _, _, lasts in axes:
             for index in lasts[:-1]:
-                assert exact(vertical, index) == split_entropy(grid, piece, index, vertical)
+                exact = entropy._strip_score(vertical, index, strips, total, piece.area)
+                assert exact == split_entropy(grid, piece, index, vertical)
 
     def test_striped_sheet_counts_little(self, monkeypatch):
         grid = striped_sheet_grid(200)
@@ -827,20 +828,24 @@ def test_lone_near_minimum_cut_is_not_rescored(monkeypatch):
 
 
 def test_only_near_minimum_ties_are_rescored(monkeypatch):
-    scored = []  # (cuts near the minimum, exact scores) per search
+    # One-wide nodes, wider ones and all-distinct ones all pick their cut
+    # through `_first_exact_minimum`, each with its own exact scorer.
+    scored = []  # (cuts near the minimum, exact scores, scorer) per search
     first = entropy._first_exact_minimum
 
-    def spying(cuts, score):
+    def spying(cuts, score, *args):
         calls = []
-        cut = first(cuts, lambda *cut: calls.append(cut) or score(*cut))
-        scored.append((len(cuts), len(calls)))
+        cut = first(cuts, lambda *cut: calls.append(cut) or score(*cut), *args)
+        scored.append((len(cuts), len(calls), score.__name__))
         return cut
 
     monkeypatch.setattr(entropy, "_first_exact_minimum", spying)
     for seed in range(5):
         entropy_tree(noisy_grid(random.Random(seed), 12, 12))
-    assert (1, 0) in scored and any(n > 1 for n, _ in scored)
-    assert all(calls == (0 if n == 1 else n) for n, calls in scored)
+    assert (1, 0, "_strip_score") in scored and (1, 0, "_line_score") in scored
+    ties = {name for n, _, name in scored if n > 1}
+    assert {"_strip_score", "_line_score"} <= ties
+    assert all(calls == (0 if n == 1 else n) for n, calls, _ in scored)
 
 
 def test_running_totals_column_scores_no_half(monkeypatch):
@@ -860,18 +865,18 @@ def test_running_totals_column_scores_no_half(monkeypatch):
 
 def test_child_counts_only_lines_across_its_parents_cut(monkeypatch):
     grid = noisy_grid(random.Random(22), 22, 22)
-    counted = []  # (region, axes whose lines it counted) per decided node
-    decide, line_counts = entropy._decide, entropy._line_counts
+    counted = []  # (region, axes whose lines it counted) per node wider than one line
+    block_cut, line_counts = entropy._block_cut, entropy._line_counts
 
-    def deciding(grid, region, *args):
-        counted.append((region, []))
-        return decide(grid, region, *args)
+    def deciding(block, left, top, *args):
+        counted.append((Rect(left, top, left + len(block[0]) - 1, top + len(block) - 1), []))
+        return block_cut(block, left, top, *args)
 
-    def counting(block, vertical):
+    def counting(block, vertical, codes):
         counted[-1][1].append(vertical)
-        return line_counts(block, vertical)
+        return line_counts(block, vertical, codes)
 
-    monkeypatch.setattr(entropy, "_decide", deciding)
+    monkeypatch.setattr(entropy, "_block_cut", deciding)
     monkeypatch.setattr(entropy, "_line_counts", counting)
     tree = entropy_tree(grid)
     parent_cut = {}
@@ -886,6 +891,8 @@ def test_child_counts_only_lines_across_its_parents_cut(monkeypatch):
     searched = [(region, axes) for region, axes in children if axes]
     assert len(searched) > 20
     assert all(axes == [not parent_cut[region]] for region, axes in searched)
+    # One-wide nodes are swept from their codes and count no lines.
+    assert all(region.width > 1 and region.height > 1 for region, _ in counted)
 
 
 def test_decomposition_counts_nothing(monkeypatch):
@@ -907,15 +914,22 @@ def test_all_distinct_subtree_builds_no_histogram(monkeypatch):
     # their shapes alone.
     grid = FingerprintGrid([["num", f"sum{r}"] for r in range(2000)])
     decided = []
-    decide = entropy._decide
+    block_cut, line_cut = entropy._block_cut, entropy._line_cut
 
-    def counting(grid, region, *args):
-        decided.append(region)
-        return decide(grid, region, *args)
+    def deciding_block(block, left, top, *args):
+        decided.append(Rect(left, top, left + len(block[0]) - 1, top + len(block) - 1))
+        return block_cut(block, left, top, *args)
 
-    monkeypatch.setattr(entropy, "_decide", counting)
+    def deciding_line(codes, first, vertical, *args):
+        decided.append((first, len(codes), vertical, len(set(codes))))
+        return line_cut(codes, first, vertical, *args)
+
+    monkeypatch.setattr(entropy, "_block_cut", deciding_block)
+    monkeypatch.setattr(entropy, "_line_cut", deciding_line)
     tree = entropy_tree(grid)
-    assert decided == [Rect(1, 1, 2, 2000), Rect(1, 1, 1, 2000), Rect(2, 1, 2, 2000)]
+    # The root, then column A (one code) and column B (2,000), each
+    # swept down its rows from row 1.
+    assert decided == [Rect(1, 1, 2, 2000), (1, 2000, False, 1), (1, 2000, False, 2000)]
     assert len(tree_leaves(tree)) == 2001
 
 
@@ -1029,3 +1043,76 @@ class TestGridAwayFromA1:
         # One cell at XFD1048576: its own used range.
         grid = placed(FingerprintGrid([["A"]]), MAX_COLUMN, MAX_ROW)
         assert decompose_grid(grid) == [Region(Rect(MAX_COLUMN, MAX_ROW, MAX_COLUMN, MAX_ROW), "A")]
+
+
+@st.composite
+def thin_grids(draw):
+    """A grid one or two cells wide or tall, of 2-4 codes, at (1, 1), and a
+    corner to place it at as `grids_and_corners` does.  Its lines are
+    random, palindromes or runs of equal length, so that cuts tie."""
+    k = draw(st.integers(2, 4))
+    codes = st.integers(0, k - 1)
+
+    def line(n):
+        kind = draw(st.sampled_from(["random", "palindrome", "runs"]))
+        if kind == "random":
+            return draw(st.lists(codes, min_size=n, max_size=n))
+        if kind == "palindrome":
+            half = draw(st.lists(codes, min_size=n // 2, max_size=n // 2))
+            return half + draw(st.lists(codes, min_size=n % 2, max_size=n % 2)) + half[::-1]
+        run = draw(st.integers(1, 6))
+        return [c for c in draw(st.lists(codes, min_size=-(-n // run), max_size=-(-n // run))) for _ in range(run)][:n]
+
+    n = draw(st.integers(2, 40))
+    lines = [line(n) for _ in range(draw(st.integers(1, 2)))]
+    grid = FingerprintGrid(lines if draw(st.booleans()) else [list(cells) for cells in zip(*lines)])
+    last_left, last_top = MAX_COLUMN - grid.width + 1, MAX_ROW - grid.height + 1
+    left = draw(st.one_of(st.integers(1, last_left), st.just(last_left)))
+    top = draw(st.one_of(st.integers(1, last_top), st.just(last_top)))
+    return grid, left, top
+
+
+class TestThinNodesOracle:
+    """Nodes one cell wide, swept cell by cell from their codes, against
+    scoring every cut with exact counts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(thin_grids())
+    def test_tree_matches_the_per_cut_search(self, case):
+        grid, left, top = case
+        dx, dy = left - 1, top - 1
+        # Cut entropies by float.hex, from exact counts on either side.
+        want = [(shifted(region, dx, dy), cut and (cut[0], cut[1] + (dx if cut[0] else dy), cut[2]))
+                for region, cut in naive_preorder(grid)]
+        counted = []
+        line_counts = entropy._line_counts
+
+        def counting(block, vertical, codes):
+            counted.append((len(block[0]), len(block)))
+            return line_counts(block, vertical, codes)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(entropy, "_line_counts", counting)
+            moved = placed(grid, left, top)
+            tree = entropy_tree(moved)
+        assert tree_preorder(tree, moved) == want
+        # Only a node at least two cells wide and tall counts its lines.
+        assert all(width > 1 and height > 1 for width, height in counted)
+
+    @pytest.mark.parametrize("codes", [[0, 0, 1, 1, 0, 0], [0, 1, 2, 2, 1, 0], [0, 0, 1, 1, 2, 2, 3, 3]])
+    @pytest.mark.parametrize("vertical", [True, False])
+    def test_tied_cuts_are_rescored(self, codes, vertical, monkeypatch):
+        # Palindromes and equal runs tie their cuts near the minimum, so
+        # the line's sweep hands more than one to the exact scorer.
+        ties = []
+        first = entropy._first_exact_minimum
+
+        def spying(cuts, score, *args):
+            if score is entropy._line_score:
+                ties.append(len(cuts))
+            return first(cuts, score, *args)
+
+        monkeypatch.setattr(entropy, "_first_exact_minimum", spying)
+        grid = FingerprintGrid([codes] if vertical else [[c] for c in codes])
+        assert_tree_matches_naive(grid)
+        assert ties and max(ties) > 1
