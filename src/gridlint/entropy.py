@@ -28,7 +28,9 @@ total and its lines across its parent's cut, and takes its lines along
 that cut from its parent.  A node one cell wide or tall, most of a
 tree's nodes, builds no line histograms: its strips are single cells,
 so it sweeps its codes in order with one running count per code
-(`_line_cut`) and re-scores from the codes of a cut's smaller half.  A
+(`_line_cut`) and re-scores from the codes of a cut's smaller half.
+Lines, halves and one-wide nodes are counted by `_histogram`: one
+`count` per code when the node holds few codes, else a `Counter`.  A
 node re-scores its cuts exactly only when more than one is near the
 minimum; the chosen cut's entropy decides nothing, so no node keeps it.
 Nodes move through the tree's loop as coordinates, and each gets its
@@ -63,7 +65,7 @@ from collections import Counter
 from functools import reduce
 from itertools import chain, repeat
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Collection, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .grid import FingerprintGrid
 from .model import GridlintError, Rect
@@ -155,24 +157,10 @@ _SWEEP_SCALE = float(1 << _SWEEP_BITS)
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-class _Divisors(dict):
-    """Maps a half's cell count n >= 2 to _SWEEP_SCALE * n * log2(n), the
-    divisor of its sweep score, computing each entry when first read."""
-
-    def __missing__(self, n: int) -> float:
-        value = self[n] = _SWEEP_SCALE * n * math.log2(n)
-        return value
-
-
 class _XLogXTable(dict):
     """Maps a count c to round(c * log2(c) * 2**_SWEEP_BITS), computing
     each entry when it is first read: a sweep reads only the counts its
-    histograms reach, often far fewer than its area.  Its `divisors`
-    serve the same sweeps."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.divisors = _Divisors()
+    histograms reach, often far fewer than its area."""
 
     def __missing__(self, c: int) -> int:
         value = self[c] = round(c * math.log2(c) * _SWEEP_SCALE) if c > 1 else 0
@@ -217,7 +205,6 @@ def _sweep(blocks: Sequence[Mapping[int, int]], sizes: Sequence[int], total: Map
     1 - S / (n * log2(n)), its normalized entropy.
     """
     n = sum(sizes)
-    divisors = table.divisors
     left: dict[int, int] = {}
     s_left = 0
     s_right = sum(table[c] for c in total.values())
@@ -238,8 +225,8 @@ def _sweep(blocks: Sequence[Mapping[int, int]], sizes: Sequence[int], total: Map
                 k_right -= 1
         n_left += size
         n_right = n - n_left
-        e_left = 0.0 if n_left <= 1 or k_left == 1 else 1.0 - s_left / divisors[n_left]
-        e_right = 0.0 if n_right <= 1 or k_right == 1 else 1.0 - s_right / divisors[n_right]
+        e_left = 0.0 if n_left <= 1 or k_left == 1 else 1.0 - s_left / (_SWEEP_SCALE * n_left * math.log2(n_left))
+        e_right = 0.0 if n_right <= 1 or k_right == 1 else 1.0 - s_right / (_SWEEP_SCALE * n_right * math.log2(n_right))
         out.append(e_left + e_right)
     return out
 
@@ -274,32 +261,34 @@ def _first_exact_minimum(cuts: Sequence[tuple[bool, int]], score: Callable[..., 
     return min(cuts, key=lambda cut: score(*cut, *args))
 
 
-def _split_score(order: list[int], own: list[int], total: Mapping[int, int], n_low: int, area: int) -> float:
+def _split_score(order: list[int], part: Mapping[int, int], total: Mapping[int, int], n_low: int,
+                 area: int) -> float:
     """Split entropy of a cut of a rectangle of `area` cells, whose code
     histogram is `total`, into a low half of `n_low` cells and a high
-    one; `own` counts each code of `order`, the codes of `total` in code
-    order, in the smaller half (the low one when 2 * n_low <= area).
-    Both halves' counts are read in code order, as `counts_in` returns
-    them, so the float is the split entropy's."""
+    one; `part` is the code histogram of the smaller half (the low one
+    when 2 * n_low <= area), and `order` the codes of `total` in code
+    order.  Both halves' counts are read in that order, as `counts_in`
+    returns them, so the float is the split entropy's."""
     # normalized_entropy skips the zero counts, as counts_in omits them.
+    own = [part.get(c, 0) for c in order]
     rest = [total[c] - m for c, m in zip(order, own)]
     low, high = (own, rest) if 2 * n_low <= area else (rest, own)
     return normalized_entropy(low, n_low) + normalized_entropy(high, area - n_low)
 
 
-def _strip_score(vertical: bool, index: int, strips: Mapping[bool, tuple], total: Mapping[int, int],
-                 area: int) -> float:
+def _strip_score(vertical: bool, index: int, strips: Mapping[bool, tuple], order: list[int],
+                 total: Mapping[int, int], area: int) -> float:
     """Exact split entropy of the cut after line `index`, from the strip
     histograms of its smaller half; `strips[vertical]` holds one axis's
-    (histograms, cell counts, last lines) as `_cut_search` takes them."""
+    (histograms, cell counts, last lines) as `_cut_search` takes them,
+    and `order` is `sorted(total)`."""
     hists, sizes, lasts = strips[vertical]
     k = bisect.bisect_left(lasts, index) + 1
     n_low = sum(sizes[:k])
     part: Counter = Counter()
     for hist in hists[:k] if 2 * n_low <= area else hists[k:]:
         part.update(hist)
-    order = sorted(total)
-    return _split_score(order, [part[c] for c in order], total, n_low, area)
+    return _split_score(order, part, total, n_low, area)
 
 
 def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple], table: _XLogXTable) -> tuple[bool, int]:
@@ -317,7 +306,7 @@ def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple], tabl
     for vertical, hists, sizes, lasts in axes:
         sweeps.append((vertical, lasts[:-1], _sweep(hists, sizes, total, table)))
         strips[vertical] = hists, sizes, lasts
-    return _first_exact_minimum(_near_minimum(area, sweeps), _strip_score, strips, total, area)
+    return _first_exact_minimum(_near_minimum(area, sweeps), _strip_score, strips, sorted(total), total, area)
 
 
 class _DistinctCuts:
@@ -389,18 +378,25 @@ class _DistinctCuts:
         return vertical, (left if vertical else top) + offset
 
 
-# At most this many codes in a node, a line's histogram is cheaper to
-# take with one `list.count` per code than with a `Counter`.
-_FEW_CODES = 4
+# Up to this many codes in a node, one `count` per code takes a line's,
+# a half's or a one-wide node's histogram faster than a `Counter` does
+# (at 8 codes the two tie on perfbench's paper-style sheets); with more,
+# the `Counter` keeps the cost linear in the cells.
+_FEW_CODES = 7
 
 
-def _line_counts(block: list[list[int]], vertical: bool, codes: Sequence[int]) -> list[Mapping[int, int]]:
-    """The code histogram of each column (vertical) or row of `block`,
-    whose codes are `codes`; zero counts omitted."""
-    lines = zip(*block) if vertical else block
+def _histogram(cells: Sequence[int], codes: Collection[int]) -> Mapping[int, int]:
+    """The code histogram of `cells`, whose codes are among `codes`;
+    zero counts omitted."""
     if len(codes) > _FEW_CODES:
-        return list(map(Counter, lines))
-    return [{code: n for code in codes if (n := line.count(code))} for line in lines]
+        return Counter(cells)
+    return {code: n for code in codes if (n := cells.count(code))}
+
+
+def _line_counts(block: list[list[int]], vertical: bool, codes: Collection[int]) -> list[Mapping[int, int]]:
+    """The code histogram of each column (vertical) or row of `block`,
+    whose codes are `codes`."""
+    return [_histogram(line, codes) for line in (zip(*block) if vertical else block)]
 
 
 def _block_cut(block: list[list[int]], left: int, top: int, inherited: Optional[tuple[bool, list]],
@@ -424,9 +420,8 @@ def _block_cut(block: list[list[int]], left: int, top: int, inherited: Optional[
     if len(total) == 1 or len(total) == area:
         return None, len(total) == area, None
     along, lines = inherited if inherited is not None else (None, None)
-    codes = list(total)
-    cols = lines if along is True else _line_counts(block, True, codes)
-    rows = lines if along is False else _line_counts(block, False, codes)
+    cols = lines if along is True else _line_counts(block, True, total)
+    rows = lines if along is False else _line_counts(block, False, total)
     cut = _cut_search(area, total, (
         (True, cols, [height] * width, range(left, left + width)),
         (False, rows, [width] * height, range(top, top + height)),
@@ -434,18 +429,15 @@ def _block_cut(block: list[list[int]], left: int, top: int, inherited: Optional[
     return cut, False, cols if cut[0] else rows
 
 
-def _line_score(vertical: bool, index: int, codes: list[int], first: int, total: Mapping[int, int]) -> float:
+def _line_score(vertical: bool, index: int, codes: list[int], first: int, order: list[int],
+                total: Mapping[int, int]) -> float:
     """Exact split entropy of the cut of a one-wide node after line
-    `index`, from the codes of its smaller half."""
+    `index`, from the codes of its smaller half; `order` is
+    `sorted(total)`."""
     k = index - first + 1
     n = len(codes)
     half = codes[:k] if 2 * k <= n else codes[k:]
-    order = sorted(total)
-    if len(order) > _FEW_CODES:
-        own = list(map(Counter(half).__getitem__, order))
-    else:
-        own = [half.count(c) for c in order]
-    return _split_score(order, own, total, k, n)
+    return _split_score(order, _histogram(half, order), total, k, n)
 
 
 def _line_cut(codes: list[int], first: int, vertical: bool,
@@ -465,8 +457,7 @@ def _line_cut(codes: list[int], first: int, vertical: bool,
     kinds = set(codes)
     if len(kinds) == 1 or len(kinds) == n:
         return None, len(kinds) == n
-    total = Counter(codes) if len(kinds) > _FEW_CODES else {code: codes.count(code) for code in kinds}
-    divisors = table.divisors
+    total = _histogram(codes, kinds)
     left = dict.fromkeys(total, 0)
     s_left = 0
     s_right = sum(table[c] for c in total.values())
@@ -484,11 +475,11 @@ def _line_cut(codes: list[int], first: int, vertical: bool,
         if new == t:
             k_right -= 1
         n_right = n - n_left
-        e_left = 0.0 if n_left <= 1 or k_left == 1 else 1.0 - s_left / divisors[n_left]
-        e_right = 0.0 if n_right <= 1 or k_right == 1 else 1.0 - s_right / divisors[n_right]
+        e_left = 0.0 if n_left <= 1 or k_left == 1 else 1.0 - s_left / (_SWEEP_SCALE * n_left * math.log2(n_left))
+        e_right = 0.0 if n_right <= 1 or k_right == 1 else 1.0 - s_right / (_SWEEP_SCALE * n_right * math.log2(n_right))
         scores.append(e_left + e_right)
     near = _near_minimum(n, [(vertical, range(first, first + n - 1), scores)])
-    return _first_exact_minimum(near, _line_score, codes, first, total), False
+    return _first_exact_minimum(near, _line_score, codes, first, sorted(total), total), False
 
 
 def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None, *, table: Optional[_XLogXTable] = None,

@@ -602,6 +602,29 @@ class TestSweepOracle:
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
+    def test_many_code_grids(self, rng):
+        # Up to 13 codes: nodes count their lines, halves and totals with
+        # one count per code or with a Counter, on either side of
+        # _FEW_CODES, and both give the per-cut search's tree.
+        width, height = rng.choice([(1, rng.randint(2, 30)), (rng.randint(2, 30), 1),
+                                    (rng.randint(2, 12), rng.randint(2, 12))])
+        assert_tree_matches_naive(noisy_grid(rng, width, height, "ABCDEFGHIJKL", chance=0.7))
+
+    def test_many_code_nodes_take_both_counting_paths(self, monkeypatch):
+        sides = set()
+        histogram = entropy._histogram
+
+        def spying(cells, codes):
+            sides.add(len(codes) > entropy._FEW_CODES)
+            return histogram(cells, codes)
+
+        monkeypatch.setattr(entropy, "_histogram", spying)
+        assert_tree_matches_naive(noisy_grid(random.Random(5), 12, 12, "ABCDEFGHIJKL", chance=0.7))
+        assert_tree_matches_naive(FingerprintGrid([list("ABCDEFGHIJKLABCDEFGHIJKL")]))
+        assert sides == {False, True}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
     def test_few_code_sparse_grids(self, rng):
         # Mostly blank, with a few cells of one to three codes.
         grid = noisy_grid(rng, rng.randint(1, 20), rng.randint(1, 20), "XYZ"[: rng.randint(1, 3)],
@@ -775,7 +798,7 @@ class TestDelimiterSplitsOracle:
         strips = {vertical: (hists, sizes, lasts) for vertical, hists, sizes, lasts in axes}
         for vertical, _, _, lasts in axes:
             for index in lasts[:-1]:
-                exact = entropy._strip_score(vertical, index, strips, total, piece.area)
+                exact = entropy._strip_score(vertical, index, strips, sorted(total), total, piece.area)
                 assert exact == split_entropy(grid, piece, index, vertical)
 
     def test_striped_sheet_counts_little(self, monkeypatch):
