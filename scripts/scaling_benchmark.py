@@ -16,12 +16,15 @@ range that is almost all blank regions.  Last comes the stripes
 in row-major order and takes their bounds on the way, and only a sheet
 that fails the check, as this one does, is sorted and scanned for its
 bounds, so this row keeps that cost next to the ordered one.  Reports
-per-phase wall time for each sheet, starting with the load: each
-workbook is serialized to its JSON file format and parsed back with
-`parse_workbook_json`, which is what `gridlint analyze` spends before
-the analysis.  Each sheet is loaded and analysed RUNS times, and each
-column is the minimum over those runs: on a shared machine a single
-run's phase times scatter by about 30%, the minimum far less.
+per-phase CPU time (`time.process_time`) for each sheet, starting with
+the load: each workbook is serialized to its JSON file format and
+parsed back with `parse_workbook_json`, which is what `gridlint analyze`
+spends before the analysis.  The phases run as `analyze_workbook` runs
+them, with the cyclic garbage collector paused.  Each sheet is loaded
+and analysed RUNS times, and each column is the minimum over those
+runs.  The runs are interleaved: every sheet runs once, then every
+sheet again, so a slow stretch of a shared machine touches one run of
+several sheets rather than every run of one sheet.
 
     python3 scripts/scaling_benchmark.py [--sizes WxH,...] [--totals N,...] [--noisy N,...]
 """
@@ -37,8 +40,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gridlint.model import CellContent, Workbook, Worksheet, column_to_letters, parse_workbook_json, serialize_workbook  # noqa: E402
-from gridlint.pipeline import analyze_workbook  # noqa: E402
+from gridlint.entropy import decompose_grid  # noqa: E402
+from gridlint.fixes import build_fixes  # noqa: E402
+from gridlint.model import (  # noqa: E402
+    CellContent, Workbook, Worksheet, collector_paused, column_to_letters, parse_workbook_json, serialize_workbook,
+)
+from gridlint.vectors import analyze_sheet_vectors  # noqa: E402
 
 RUNS = 3
 
@@ -85,6 +92,24 @@ def shuffled_text(workbook: Workbook, name: str, seed: int) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+@collector_paused
+def phase_times(text: str) -> tuple[str, int, int, tuple[float, ...]]:
+    """(workbook name, cells, regions, CPU seconds of the load, vectors,
+    decomposition, fixes and all four) for a one-sheet workbook's JSON."""
+    clock = time.process_time
+    start = clock()
+    workbook = parse_workbook_json(text)
+    loaded = clock()
+    table = analyze_sheet_vectors(workbook, workbook.sheets[0])
+    vectored = clock()
+    regions = decompose_grid(table.grid)
+    decomposed = clock()
+    build_fixes(table, regions, table.rect.area)
+    done = clock()
+    times = (loaded - start, vectored - loaded, decomposed - vectored, done - decomposed, done - start)
+    return workbook.name, table.rect.area, len(regions), times
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="20x25,50x40,100x100,100x200,200x200,400x400",
@@ -108,24 +133,13 @@ def main() -> None:
     workbooks.append(serialize_workbook(sparse_workbook()))
     workbooks.append(shuffled_text(striped_workbook(200, 200), "shuffled_200x200", seed=7))
 
+    # Every sheet runs once, then every sheet again, RUNS times.
+    runs = [[phase_times(text) for text in workbooks] for _ in range(RUNS)]
     print(f"{'sheet':<20} {'cells':>8} {'load':>9} {'vectors':>9} {'decomp':>9} {'fixes':>9} {'total':>9} {'regions':>8}")
-    for text in workbooks:
-        best = None
-        for _ in range(RUNS):
-            start = time.perf_counter()
-            workbook = parse_workbook_json(text)
-            load = time.perf_counter() - start
-            analysis = analyze_workbook(workbook)
-            t = analysis.timings
-            times = (load, t["vectors"], t["decomposition"], t["fixes"], time.perf_counter() - start)
-            best = times if best is None else tuple(map(min, best, times))
-        print(
-            f"{workbook.name:<20}"
-            f" {analysis.sheets[0].cells:>8}"
-            + "".join(f" {seconds * 1000:>7.1f}ms" for seconds in best)
-            + f" {analysis.total_regions():>8}",
-            flush=True,
-        )
+    for results in zip(*runs):
+        name, cells, regions, _ = results[0]
+        best = map(min, *(times for *_, times in results))
+        print(f"{name:<20} {cells:>8}" + "".join(f" {seconds * 1000:>7.1f}ms" for seconds in best) + f" {regions:>8}")
 
 
 if __name__ == "__main__":

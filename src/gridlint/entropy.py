@@ -517,7 +517,7 @@ def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None, *, table:
     # inherited is a one-wide node's codes, or a wider node's (vertical,
     # line histograms) along its parent's cut, or None if not known.
     order: list[tuple[int, int, int, int, Optional[tuple[bool, int]]]] = []
-    pending: list[tuple] = [(region.left, region.top, region.right, region.bottom, False, None)]
+    pending: list[tuple] = [(*region, False, None)]
     while pending:
         left, top, right, bottom, all_distinct, inherited = pending.pop()
         lines = None
@@ -659,9 +659,7 @@ class _EdgeIndex:
     def partners(self, serial: int) -> list[int]:
         """Serials of the live regions that can merge with this one."""
         region = self.live[serial]
-        r = region.rect
-        return [s for s in self.facing(r.left, r.top, r.right, r.bottom)
-                if self.live[s].fingerprint == region.fingerprint]
+        return [s for s in self.facing(*region.rect) if self.live[s].fingerprint == region.fingerprint]
 
 
 def coalesce(regions: Sequence[Region]) -> list[Region]:

@@ -25,11 +25,15 @@ whole source, so a formula region's cells are read at most once and a
 data region's never.  A one-cell source reads its own references.
 Every candidate of a sheet is scored against the same `Layout`: its
 edge index, and the regions' entropy terms p*log2(p) cached per area.
-A candidate then costs its merge cascade, a few dictionary lookups per
-merge, plus one `math.fsum` over the terms of the regions it takes out
-and puts in.  `fsum` is correctly rounded, so the delta is the exact
-change of the layout's term sum rounded once, and a fix that keeps the
-multiset of region areas scores exactly 0.
+A candidate then costs up to five new regions (the merged rectangle and
+a one-cell source's fragments), four edge lookups for each, plus one
+`math.fsum` over the terms of the regions it takes out and puts in.
+Most fixes merge nothing further, and that is all they cost: the edge
+index is not edited.  A fix whose new regions do merge on runs its
+merge cascade on the index, a few dictionary lookups per merge, and
+puts the index back.  `fsum` is correctly rounded, so the delta is the
+exact change of the layout's term sum rounded once, and a fix that
+keeps the multiset of region areas scores exactly 0.
 """
 
 from __future__ import annotations
@@ -161,8 +165,8 @@ def candidate_fixes(layout: Layout) -> list[CandidateFix]:
     out: list[CandidateFix] = []
     for a in ordered:
         r = a.rect
-        left, top, right, bottom = r.left, r.top, r.right, r.bottom
-        whole = index.facing(left, top, right, bottom)
+        left, top, right, bottom = r
+        whole = index.facing(*r)
         cells: dict[int, tuple[int, int]] = {}  # serial -> the one boundary cell it faces
         if left != right or top != bottom:
             cells.update((serial, (x, top)) for x, serial in _within(bottoms.get(top - 1, []), left, right))
@@ -185,21 +189,20 @@ class Screens:
     """What screen C3 reads of one sheet's formula regions: for a
     rectangle of formulas, the bounding box of every rectangle its cells
     reference (None when they reference nothing or another sheet),
-    computed once and keyed by the rectangle's corners."""
+    computed once and keyed by the rectangle."""
 
     def __init__(self, table: SheetVectors) -> None:
         self.table = table
-        self._boxes: dict[tuple[int, int, int, int], Optional[tuple[int, int, int, int]]] = {}
+        self._boxes: dict[Rect, Optional[tuple[int, int, int, int]]] = {}
 
     def box(self, rect: Rect) -> Optional[tuple[int, int, int, int]]:
         """The reference box of a rectangle whose every cell is a formula."""
-        key = (rect.left, rect.top, rect.right, rect.bottom)
-        if key not in self._boxes:
-            left, top, right, bottom = key
+        if rect not in self._boxes:
+            left, top, right, bottom = rect
             cells = product(range(left, right + 1), range(top, bottom + 1))
             rects = list(chain.from_iterable(map(self.table.refs.__getitem__, cells)))
-            self._boxes[key] = self.reference_box(rects)
-        return self._boxes[key]
+            self._boxes[rect] = self.reference_box(rects)
+        return self._boxes[rect]
 
     def reference_box(self, rects: Sequence[RefRect]) -> Optional[tuple[int, int, int, int]]:
         """(left, top, right, bottom) around the rectangles; None when there
@@ -254,30 +257,65 @@ def rect_minus_cell(rect: Rect, cell: tuple[int, int]) -> list[Rect]:
     full-width bands above and below, then the left/right remainders of
     the cell's own row."""
     cx, cy = cell
+    left, top, right, bottom = rect
     out: list[Rect] = []
-    if cy > rect.top:
-        out.append(Rect(rect.left, rect.top, rect.right, cy - 1))
-    if cx > rect.left:
-        out.append(Rect(rect.left, cy, cx - 1, cy))
-    if cx < rect.right:
-        out.append(Rect(cx + 1, cy, rect.right, cy))
-    if cy < rect.bottom:
-        out.append(Rect(rect.left, cy + 1, rect.right, rect.bottom))
+    if cy > top:
+        out.append(Rect(left, top, right, cy - 1))
+    if cx > left:
+        out.append(Rect(left, cy, cx - 1, cy))
+    if cx < right:
+        out.append(Rect(cx + 1, cy, right, cy))
+    if cy < bottom:
+        out.append(Rect(left, cy + 1, right, bottom))
     return out
 
 
 def entropy_delta(fix: CandidateFix, layout: Layout) -> float:
     """Layout entropy after the fix minus before it.
 
-    The source and target leave the layout's edge index; the merged
-    region and any source fragments enter it and re-coalesce with their
-    neighbours only: taken smallest key first, each merges with its
-    smallest-keyed partner and the union is queued in turn.  The entropy
-    is minus the sum of the regions' terms, so its change is the removed
-    regions' terms less the added ones', summed by `math.fsum` and
-    normalized.  The index is restored before returning.
+    The fix takes the source and target out of the layout and puts new
+    regions in: their merged rectangle, and for a one-cell source the
+    fragments of the source around that cell (`rect_minus_cell`).  The
+    new regions then re-coalesce with their neighbours only: taken
+    smallest key first, each merges with its smallest-keyed partner and
+    the union is queued in turn.  The entropy is minus the sum of the
+    regions' terms, so its change is the removed regions' terms less the
+    added ones', summed by `math.fsum` and normalized.
+
+    Most fixes merge nothing further, and those are scored in closed
+    form, without touching the edge index: when no new region faces a
+    region of its own fingerprint (the source and target aside), the
+    delta is the fsum of the source's and target's terms less the new
+    regions'.  That is what the cascade returns.  Its queue holds only
+    the new regions, and none of them has a partner.  Not among the
+    other regions: the check reads the index as built, where a full
+    edge belongs to at most one region, so each lookup finds what it
+    would find after the edit, except that the new regions are not there
+    yet and the source and target, which are skipped, still are.  Not
+    among the new regions either, which never partner each other: the
+    merged region carries the target's fingerprint and the fragments the
+    source's, which differ, and the fragments are separated by the
+    removed cell's row or column.  So the cascade would merge nothing,
+    and `fsum`, being correctly rounded, gives the same float in any
+    order of the terms.
+
+    Otherwise the cascade runs on the layout's edge index, which is
+    restored before returning.
     """
-    index = layout.index
+    index, term = layout.index, layout.term
+    source, target = fix.source_region, fix.target
+    taken = (layout.serials[source], layout.serials[target])
+    new = [Region(_union_rect(fix.source, target.rect), target.fingerprint)]
+    if fix.source != source.rect:
+        new += [Region(frag, source.fingerprint)
+                for frag in rect_minus_cell(source.rect, (fix.source.left, fix.source.top))]
+    live = index.live
+    if not any(live[serial].fingerprint == region.fingerprint
+               for region in new for serial in index.facing(*region.rect) if serial not in taken):
+        terms = [term(source.rect.area), term(target.rect.area)]
+        terms += [-term(region.rect.area) for region in new]
+        return math.fsum(terms) * layout.scale
+
     removed: list[tuple[int, Region]] = []  # base regions taken out
     added: set[int] = set()  # serials of live new regions
     queue: list[tuple] = []
@@ -287,7 +325,7 @@ def entropy_delta(fix: CandidateFix, layout: Layout) -> float:
         if serial in added:
             added.remove(serial)
         else:
-            removed.append((serial, index.live[serial]))
+            removed.append((serial, live[serial]))
         return index.remove(serial)
 
     def put(region: Region) -> None:
@@ -295,27 +333,24 @@ def entropy_delta(fix: CandidateFix, layout: Layout) -> float:
         added.add(serial)
         heapq.heappush(queue, (_region_key(region), serial))
 
-    source, target = fix.source_region, fix.target
-    take(layout.serials[source])
-    take(layout.serials[target])
-    put(Region(_union_rect(fix.source, target.rect), target.fingerprint))
-    if fix.source != source.rect:
-        for frag in rect_minus_cell(source.rect, (fix.source.left, fix.source.top)):
-            put(Region(frag, source.fingerprint))
+    for serial in taken:
+        take(serial)
+    for region in new:
+        put(region)
     while queue:
         _, serial = heapq.heappop(queue)
-        if serial not in index.live:
+        if serial not in live:
             continue
         partners = index.partners(serial)
         if not partners:
             continue
-        partner = min(partners, key=lambda s: _region_key(index.live[s]))
+        partner = min(partners, key=lambda s: _region_key(live[s]))
         current = take(serial)
         other = take(partner)
         put(Region(_union_rect(current.rect, other.rect), current.fingerprint))
 
-    terms = [layout.term(region.rect.area) for _, region in removed]
-    terms += [-layout.term(index.live[serial].rect.area) for serial in added]
+    terms = [term(region.rect.area) for _, region in removed]
+    terms += [-term(live[serial].rect.area) for serial in added]
     for serial in added:
         index.remove(serial)
     for serial, region in removed:

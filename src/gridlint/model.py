@@ -186,20 +186,33 @@ class CellContent(NamedTuple):
 
 
 
-@dataclass(frozen=True, order=True)
-class Rect:
-    """Inclusive rectangle of cells, 1-based coordinates."""
-
+# A NamedTuple class may not define __new__, so Rect's check lives in a
+# subclass of one.
+class _Corners(NamedTuple):
     left: int
     top: int
     right: int
     bottom: int
 
-    def __post_init__(self) -> None:
-        if self.left < 1 or self.top < 1:
-            raise ValueError(f"coordinates are 1-based: {self}")
-        if self.left > self.right or self.top > self.bottom:
-            raise ValueError(f"degenerate rectangle: {self}")
+
+class Rect(_Corners):
+    """Inclusive rectangle of cells, 1-based coordinates.
+
+    A tuple of its corners (left, top, right, bottom): it is immutable,
+    hashes and orders as that tuple, and compares equal to it.  The
+    constructor checks the corners, and every site in the package builds
+    its rectangles through it; the named tuple's own `_make` and
+    `_replace` do not check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, left: int, top: int, right: int, bottom: int) -> "Rect":
+        if left < 1 or top < 1:
+            raise ValueError(f"coordinates are 1-based: {(left, top, right, bottom)}")
+        if left > right or top > bottom:
+            raise ValueError(f"degenerate rectangle: {(left, top, right, bottom)}")
+        return tuple.__new__(cls, (left, top, right, bottom))
 
     @property
     def width(self) -> int:

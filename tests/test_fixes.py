@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -734,24 +735,33 @@ def cascades(candidate, regions):
 
 def check_against_rebuilt(table, regions):
     """Score every candidate against one persistent layout and against a
-    layout rebuilt per candidate; floats must agree exactly, and the
-    persistent index must end as it was built.  Returns the number of
-    admissible candidates whose merges cascaded."""
+    layout rebuilt per candidate; floats must agree exactly.  A fix edits
+    the persistent index (`add`, `remove`, spied on) exactly when its
+    merges cascade, and leaves it as it was built.  Returns the
+    admissible candidates counted by (whether their merges cascaded,
+    whether the source is the whole region)."""
     total = table.rect.area
     layout = Layout(regions, total)
-    built = index_state(layout.index)
+    index = layout.index
+    built = index_state(index)
+    edits = []
+    index.add = lambda *args, _add=index.add: edits.append(args) or _add(*args)
+    index.remove = lambda serial, _remove=index.remove: edits.append(serial) or _remove(serial)
     candidates = candidate_fixes(layout)
     assert score_candidates(candidates, table, layout) == rebuilt_score_candidates(
         candidates, table, regions, total)
     before = term_sum(regions, total)
-    cascaded = 0
+    kinds: Counter = Counter()
     for candidate in candidates:
         if admissible(candidate, table) is not None:
             continue
+        edits.clear()
         assert entropy_delta(candidate, layout) == rebuilt_entropy_delta(candidate, regions, total, before)
-        cascaded += cascades(candidate, regions)
-    assert index_state(layout.index) == built
-    return cascaded
+        cascaded = cascades(candidate, regions)
+        assert bool(edits) == cascaded
+        assert index_state(index) == built
+        kinds[cascaded, candidate.source == candidate.source_region.rect] += 1
+    return kinds
 
 
 def check_area_keeping_fixes(table, regions):
@@ -782,9 +792,14 @@ class TestPersistentScorerOracle:
         check_against_rebuilt(*analyzed(random_sheet(rng)))
 
     def test_seeded_sheets_include_cascades(self):
-        cascaded = sum(check_against_rebuilt(*analyzed(random_sheet(random.Random(seed))))
-                       for seed in range(30))
-        assert cascaded > 0
+        """The seeded sheets hold fixes that cascade, and fixes that merge
+        nothing further, and so edit no index, of both kinds: a
+        whole-region source, and a one-cell source that leaves
+        fragments."""
+        kinds = sum((check_against_rebuilt(*analyzed(random_sheet(random.Random(seed)))) for seed in range(30)),
+                    Counter())
+        assert kinds[True, True] + kinds[True, False] > 0
+        assert kinds[False, True] > 0 and kinds[False, False] > 0
 
     def test_fixtures(self, fixtures_dir):
         for path in sorted(fixtures_dir.glob("*.gridbook")):

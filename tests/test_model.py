@@ -106,10 +106,31 @@ class TestRect:
         assert Rect(6, 6, 6, 6).a1() == "F6"
         assert Rect(6, 7, 6, 11).a1() == "F7:F11"
 
-    @pytest.mark.parametrize("bad", [(2, 1, 1, 1), (1, 2, 1, 1), (0, 1, 1, 1)])
+    @pytest.mark.parametrize("bad", [(2, 1, 1, 1), (1, 2, 1, 1), (0, 1, 1, 1), (1, 0, 1, 1), (0, 0, 0, 0)])
     def test_degenerate_rejected(self, bad):
         with pytest.raises(ValueError):
             Rect(*bad)
+
+    def test_immutable(self):
+        r = Rect(2, 3, 4, 5)
+        with pytest.raises(AttributeError):
+            r.left = 1
+        with pytest.raises(TypeError):
+            r[0] = 1
+        with pytest.raises(AttributeError):
+            r.extra = 1
+
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 3), st.integers(0, 3)),
+                    min_size=1, max_size=12))
+    def test_hashes_and_orders_as_its_corners(self, shapes):
+        corners = [(left, top, left + w, top + h) for left, top, w, h in shapes]
+        rects = [Rect(*c) for c in corners]
+        for rect, c in zip(rects, corners):
+            assert rect == c and hash(rect) == hash(c) and tuple(rect) == c
+        assert sorted(rects) == sorted(corners)
+        assert set(rects) == set(corners)
+        assert {rect: i for i, rect in enumerate(rects)} == {c: i for i, c in enumerate(corners)}
+        assert all((a < b) == (ca < cb) for a, ca in zip(rects, corners) for b, cb in zip(rects, corners))
 
 
 class TestCellContent:
