@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two source trees of gridlint write the same reports, pages and scores.
+"""Check that two source trees of gridlint write the same reports, regions, pages and scores.
 
     python3 scripts/same_reports.py OLD_SRC NEW_SRC [--seeds 7 11] [--python EXE]
 
@@ -12,7 +12,8 @@ Each side runs, in one child interpreter of its own (EXE, by default
 this one) and with the CLI's defaults otherwise:
 
 * `gridlint analyze` on every input, once per report format (JSON and
-  text);
+  text), keeping the regions of each sheet that the analysis decomposed
+  it into (`SheetAnalysis.regions`) as [rect, fingerprint] lists;
 * `gridlint render` on every workbook, once;
 * `gridlint eval` of the JSON report of `fixtures/weekly_totals`
   against its annotations.
@@ -36,23 +37,39 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("corpus", "adversarial", "lookups")
 
 # Run in each child: sys.argv = [-c, src, variants.json, out_dir, annotations, eval file name].
-# Reports go to out_dir, each workbook's pages to out_dir/render/<name>/.
+# Reports go to out_dir, each workbook's pages to out_dir/render/<name>/, and
+# the regions of its sheets, as [sheet, [[rect, fingerprint], ...]] pairs, to
+# out_dir/regions/<name>.json.  The CLI's analysis is kept by wrapping the
+# `analyze_workbook` it calls.
 CHILD = """
 import contextlib, io, json, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
-from gridlint.cli import main
+from gridlint import cli
 out_dir = Path(sys.argv[3])
+(out_dir / "regions").mkdir()
+analyses = []
+
+def keeping(*args, _analyze=cli.analyze_workbook, **kwargs):
+    analysis = _analyze(*args, **kwargs)
+    analyses[:] = [analysis]
+    return analysis
+
+cli.analyze_workbook = keeping
 codes = {}
 with contextlib.redirect_stderr(io.StringIO()):
     for name, path, preprocess in json.loads(Path(sys.argv[2]).read_text()):
+        analyses.clear()
         for fmt, ext in (("json", "json"), ("text", "txt")):
             argv = ["analyze", path, "--format", fmt, "--out", str(out_dir / f"{name}.{ext}")]
-            codes[f"{name}.{ext}"] = main(argv + ([] if preprocess else ["--no-preprocess"]))
+            codes[f"{name}.{ext}"] = cli.main(argv + ([] if preprocess else ["--no-preprocess"]))
+        if analyses:
+            sheets = [[s.name, [[r.rect, r.fingerprint] for r in s.regions]] for s in analyses[0].sheets]
+            (out_dir / "regions" / f"{name}.json").write_text(json.dumps(sheets))
         if preprocess:
-            codes[f"render/{name}"] = main(["render", path, "--out", str(out_dir / "render" / name)])
-    codes[sys.argv[5]] = main(["eval", str(out_dir / "fixtures-weekly_totals.json"), sys.argv[4],
-                               "--out", str(out_dir / sys.argv[5])])
+            codes[f"render/{name}"] = cli.main(["render", path, "--out", str(out_dir / "render" / name)])
+    codes[sys.argv[5]] = cli.main(["eval", str(out_dir / "fixtures-weekly_totals.json"), sys.argv[4],
+                                   "--out", str(out_dir / sys.argv[5])])
 (out_dir / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True))
 """
 EVAL = "eval-weekly_totals.json"
@@ -120,14 +137,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"one side only: {name}")
         outputs = (old | new) - {"exit_codes.json"}
         pages = sum(name.startswith("render/") for name in outputs)
-        reports = len(outputs) - pages - (EVAL in outputs)
+        regions = sum(name.startswith("regions/") for name in outputs)
+        reports = len(outputs) - pages - regions - (EVAL in outputs)
         if mismatch or errors or only:
             print(f"{len(mismatch) + len(errors) + len(only)} of {len(outputs)} outputs differ "
-                  f"({reports} reports, {pages} render pages and the eval output; "
+                  f"({reports} reports, {regions} region lists, {pages} render pages and the eval output; "
                   f"{len(variants)} variants, seeds {args.seeds})")
             return 1
         print(f"all {reports} reports and their exit codes identical "
               f"({len(variants)} variants, seeds {args.seeds})")
+        print(f"all {regions} region lists identical")
         print(f"all {pages} render pages and the eval output identical, with their exit codes")
         return 0
 

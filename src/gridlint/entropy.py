@@ -28,19 +28,22 @@ total and its lines across its parent's cut, and takes its lines along
 that cut from its parent.  A node one cell wide or tall, most of a
 tree's nodes, builds no line histograms: its strips are single cells,
 so it sweeps its codes in order with one running count per code
-(`_line_cut`) and re-scores from the codes of a cut's smaller half.
+(`_line_cut`) and re-scores from the codes of a cut's smaller half;
+`_sweep` over single-cell strips gives the same scores, more slowly.
 Lines, halves and one-wide nodes are counted by `_histogram`: one
 `count` per code when the node holds few codes, else a `Counter`.  A
 node re-scores its cuts exactly only when more than one is near the
 minimum; the chosen cut's entropy decides nothing, so no node keeps it.
 Nodes move through the tree's loop as coordinates, and each gets its
-`Rect` once, when the tree is built.  A node whose every cell has a
-fingerprint of its own (all-distinct) is decided in closed form: each
-half of it holds counts of 1 only, so its sweep scores, exact scores
-and cut depend on its width and height alone, and are memoised per
-shape for the sheet.  Its subtree is all-distinct too and builds no
-histogram, so a 1 x n column of distinct fingerprints, which the tree
-peels one cell per node, costs one set of its codes and no exact score.
+`Rect` once, when the tree is built; a leaf is built as the `Region`
+that coalescing reads, its fingerprint read off its top-left code.  A
+node whose every cell has a fingerprint of its own (all-distinct) is
+decided in closed form: each half of it holds counts of 1 only, so its
+sweep scores, exact scores and cut depend on its width and height
+alone, and are memoised per shape for the sheet.  Its subtree is
+all-distinct too and builds no histogram, so a 1 x n column of distinct
+fingerprints, which the tree peels one cell per node, costs one set of
+its codes and no exact score.
 The sheet's pieces and trees share one table of c*log2(c) terms.
 
 The grid sits at its sheet coordinates (`FingerprintGrid.left`, `top`)
@@ -64,7 +67,6 @@ import operator
 from collections import Counter
 from functools import reduce
 from itertools import chain, repeat
-from dataclasses import dataclass
 from typing import Callable, Collection, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .grid import FingerprintGrid
@@ -128,24 +130,19 @@ def split_halves(region: Rect, index: int, vertical: bool) -> tuple[Rect, Rect]:
     )
 
 
-@dataclass(frozen=True)
-class EntropyLeaf:
-    region: Rect
+class EntropyNode(NamedTuple):
+    """A cut of `rect` after column (vertical) or row `index` into the
+    subtrees `low` and `high`.  A leaf is the `Region` of its rectangle;
+    `index` shadows `tuple.index`, which no caller uses on a node."""
 
-
-@dataclass(frozen=True)
-class EntropyNode:
-    """A cut of `region` after column (vertical) or row `index` into the
-    subtrees `low` and `high`."""
-
-    region: Rect
+    rect: Rect
     low: "EntropyTree"
     high: "EntropyTree"
     vertical: bool
     index: int
 
 
-EntropyTree = Union[EntropyLeaf, EntropyNode]
+EntropyTree = Union[Region, EntropyNode]
 
 
 # The cut sweep scores every cut from running sums of c*log2(c) over the
@@ -490,13 +487,14 @@ def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None, *, table:
     `counts_in` call, so a tree costs O(sum of node areas):
     O(area x depth).  Nodes travel as (left, top, right, bottom) tuples,
     and each node of the tree gets its `Rect` once, when the tree is
-    built.  A node one cell wide or tall is swept cell by cell from its
-    codes (`_line_cut`), which it takes from its parent when that is
-    one-wide too, and builds no line histograms.  A wider node counts
-    only its total and its lines across its parent's cut (`_block_cut`);
-    its lines along that cut are a slice of its parent's.  Either
-    re-scores its cuts exactly only when more than one is near the
-    sweep's minimum.
+    built: an inner node as an `EntropyNode`, a leaf as the `Region` of
+    its rectangle and its one fingerprint.  A node one cell wide or tall
+    is swept cell by cell from its codes (`_line_cut`), which it takes
+    from its parent when that is one-wide too, and builds no line
+    histograms.  A wider node counts only its total and its lines across
+    its parent's cut (`_block_cut`); its lines along that cut are a
+    slice of its parent's.  Either re-scores its cuts exactly only when
+    more than one is near the sweep's minimum.
     Below an all-distinct node every node is all-distinct too; such
     nodes build no histogram and take their cut from a memo per
     (width, height) (`_DistinctCuts`), so a 1 x n column of distinct
@@ -561,26 +559,28 @@ def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None, *, table:
             pending.append((left, index + 1, right, bottom, all_distinct, high_lines))
             pending.append((left, top, right, index, all_distinct, low_lines))
     # In reversed preorder a node's high subtree, then its low one, is
-    # built just before it, so both sit on top of the stack.
+    # built just before it, so both sit on top of the stack.  A leaf holds
+    # one fingerprint, so its top-left cell names it.
+    palette = grid.palette
     built: list[EntropyTree] = []
     while order:
         left, top, right, bottom, cut = order.pop()
         rect = Rect(left, top, right, bottom)
         if cut is None:
-            built.append(EntropyLeaf(rect))
+            built.append(Region(rect, palette[code_rows[top - grid_top][left - grid_left]]))
         else:
             low_tree = built.pop()
             built.append(EntropyNode(rect, low_tree, built.pop(), *cut))
     return built[0]
 
 
-def tree_leaves(tree: EntropyTree) -> list[EntropyLeaf]:
-    """Leaves in left-to-right (low-before-high) order, iteratively."""
-    out: list[EntropyLeaf] = []
+def tree_leaves(tree: EntropyTree) -> list[Region]:
+    """Leaf regions in left-to-right (low-before-high) order, iteratively."""
+    out: list[Region] = []
     stack: list[EntropyTree] = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, EntropyLeaf):
+        if isinstance(node, Region):
             out.append(node)
         else:
             stack.append(node.high)
@@ -818,24 +818,19 @@ def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = No
     return pieces
 
 
-def _piece_regions(grid: FingerprintGrid, piece: Rect, table: _XLogXTable,
-                   distinct: _DistinctCuts) -> list[Region]:
-    # A leaf holds one fingerprint, so any of its cells names it.
-    return [
-        Region(leaf.region, grid.fingerprint_at(leaf.region.left, leaf.region.top))
-        for leaf in tree_leaves(entropy_tree(grid, piece, table=table, distinct=distinct))
-    ]
-
-
 def decompose_grid(grid: FingerprintGrid, preprocess: bool = True) -> list[Region]:
     """Single-fingerprint rectangles covering the grid, coalesced.
 
     With preprocess=True the grid is first split along delimiter runs and
     each piece decomposed independently; the piece list and the final
-    coalesce order are both pinned.  The sheet's pieces and trees share
-    one table of c*log2(c) terms and one memo of all-distinct cuts.
+    coalesce order are both pinned.  The leaf regions of every piece's
+    tree go to `coalesce` as the tree built them.  The sheet's pieces and
+    trees share one table of c*log2(c) terms and one memo of all-distinct
+    cuts.  `delimiter_splits`, `entropy_tree` and `coalesce` are called
+    through this module's attributes, where a caller may wrap them.
     """
     table, distinct = _XLogXTable(), _DistinctCuts()
     pieces = delimiter_splits(grid, table=table) if preprocess else [grid.full_rect()]
-    leaves = [region for piece in pieces for region in _piece_regions(grid, piece, table, distinct)]
+    leaves = [region for piece in pieces
+              for region in tree_leaves(entropy_tree(grid, piece, table=table, distinct=distinct))]
     return coalesce(leaves)

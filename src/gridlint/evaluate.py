@@ -114,7 +114,7 @@ def expected_random_tp(m: int, r: int, n: int) -> float:
     return n * r / m
 
 
-def adjusted_precision(tp: int, fp: int, flagged: int, expected: float) -> float:
+def adjusted_precision(tp: int, flagged: int, expected: float) -> float:
     if flagged == 0:
         return 1.0
     adjusted_tp = tp - expected
@@ -129,7 +129,7 @@ def evaluate_sheet(flagged: Iterable[Cell], truth: SheetTruth, total_cells: int)
     fn = capped - tp
     precision, recall = precision_recall(tp, fp, fn, len(flagged_set), capped)
     expected = expected_random_tp(total_cells, min(capped, total_cells), min(len(flagged_set), total_cells))
-    adjusted = adjusted_precision(tp, fp, len(flagged_set), expected)
+    adjusted = adjusted_precision(tp, len(flagged_set), expected)
     return EvalResult(tp, fp, fn, len(flagged_set), precision, recall, expected, adjusted)
 
 
@@ -235,5 +235,5 @@ def evaluate_report(report: dict, truth: GroundTruth) -> dict:
     truth_total = sum(t.capped_error_count for t in truth.sheets.values())
     precision, recall = precision_recall(tp, fp, fn, flagged, truth_total)
     overall = EvalResult(tp, fp, fn, flagged, precision, recall, expected,
-                         adjusted_precision(tp, fp, flagged, expected))
+                         adjusted_precision(tp, flagged, expected))
     return {"workbook": truth.workbook, "sheets": sheets, "overall": asdict(overall)}

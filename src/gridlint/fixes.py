@@ -41,10 +41,9 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from typing import Hashable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .entropy import Region, _EdgeIndex, _region_key, _union_rect
 from .formula import RefRect
@@ -70,14 +69,13 @@ class CandidateFix(NamedTuple):
     target: Region
 
 
-@dataclass(frozen=True)
-class ProposedFix:
-    sheet: str
+class ProposedFix(NamedTuple):
+    """A scored candidate, holding what ranking and the report read: the
+    source to rewrite, its target region's rectangle, the rewrite's
+    entropy change and formula movement, and its `impact_score`."""
+
     source: Rect
-    source_fingerprint: Hashable
     target: Rect
-    target_fingerprint: Hashable
-    target_size: int
     delta_entropy: float
     distance: float
     score: float
@@ -406,20 +404,8 @@ def score_candidates(candidates: Sequence[CandidateFix], table: SheetVectors, la
         if delta >= 0:
             continue
         distance = fix_distance(fix, table)
-        score = impact_score(fix.target.rect.area, delta, distance)
-        out.append(
-            ProposedFix(
-                sheet=table.sheet_name,
-                source=fix.source,
-                source_fingerprint=fix.source_region.fingerprint,
-                target=fix.target.rect,
-                target_fingerprint=fix.target.fingerprint,
-                target_size=fix.target.rect.area,
-                delta_entropy=delta,
-                distance=distance,
-                score=score,
-            )
-        )
+        target = fix.target.rect
+        out.append(ProposedFix(fix.source, target, delta, distance, impact_score(target.area, delta, distance)))
     return out
 
 

@@ -822,19 +822,8 @@ def rebuilt_score_candidates(
         if delta >= 0:
             continue
         distance = fix_distance(fix, table)
-        out.append(
-            ProposedFix(
-                sheet=table.sheet_name,
-                source=fix.source,
-                source_fingerprint=fix.source_region.fingerprint,
-                target=fix.target.rect,
-                target_fingerprint=fix.target.fingerprint,
-                target_size=fix.target.rect.area,
-                delta_entropy=delta,
-                distance=distance,
-                score=impact_score(fix.target.rect.area, delta, distance),
-            )
-        )
+        target = fix.target.rect
+        out.append(ProposedFix(fix.source, target, delta, distance, impact_score(target.area, delta, distance)))
     return out
 
 

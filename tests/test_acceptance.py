@@ -14,7 +14,7 @@ import pytest
 
 from conftest import banded_tile_workbook, random_label_grid
 from gridlint import cli
-from gridlint.entropy import EntropyLeaf, decompose_grid, entropy_tree, split_halves, tree_leaves
+from gridlint.entropy import Region, decompose_grid, entropy_tree, split_halves, tree_leaves
 from gridlint.evaluate import (
     BugDual,
     SheetTruth,
@@ -135,9 +135,9 @@ def test_criterion_03_entropy_tree_oracle():
         stack = [tree]
         while stack:
             node = stack.pop()
-            if isinstance(node, EntropyLeaf):
+            if isinstance(node, Region):
                 continue
-            region = node.region
+            region = node.rect
             best = math.inf
             for i in range(region.left, region.right):
                 a, b = split_halves(region, i, True)
@@ -159,7 +159,7 @@ def test_criterion_03_entropy_tree_oracle():
             stack.extend([node.low, node.high])
         covered: set[tuple[int, int]] = set()
         for leaf in tree_leaves(tree):
-            cells = set(leaf.region.cells())
+            cells = set(leaf.rect.cells())
             if covered & cells:
                 violations += 1
             covered |= cells

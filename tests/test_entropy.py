@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from gridlint import entropy
 from gridlint.entropy import (
-    EntropyLeaf,
     EntropyNode,
     InvalidSplitError,
     NegativeCountError,
@@ -109,17 +108,17 @@ class TestEntropyTree:
     def test_pure_grid_is_leaf(self):
         grid = FingerprintGrid([["A", "A"], ["A", "A"]])
         tree = entropy_tree(grid)
-        assert isinstance(tree, EntropyLeaf)
+        assert isinstance(tree, Region)
 
     def test_single_cell_is_leaf(self):
-        assert isinstance(entropy_tree(FingerprintGrid([["A"]])), EntropyLeaf)
+        assert isinstance(entropy_tree(FingerprintGrid([["A"]])), Region)
 
     def test_two_band_grid(self):
         grid = FingerprintGrid([["A", "A"], ["B", "B"]])
         tree = entropy_tree(grid)
         assert isinstance(tree, EntropyNode)
         assert tree.vertical is False and tree.index == 1
-        assert split_entropy(grid, tree.region, tree.index, tree.vertical) == 0.0
+        assert split_entropy(grid, tree.rect, tree.index, tree.vertical) == 0.0
 
     def test_vertical_wins_ties(self):
         # fully mixed 2x2: all cuts score 2.0; vertical, index 1 must win
@@ -135,7 +134,7 @@ class TestEntropyTree:
     def test_stripe_leaves(self):
         grid = FingerprintGrid([["A", "A", "B"], ["A", "A", "B"]])
         leaves = tree_leaves(entropy_tree(grid))
-        assert [leaf.region for leaf in leaves] == [Rect(1, 1, 2, 2), Rect(3, 1, 3, 2)]
+        assert [leaf.rect for leaf in leaves] == [Rect(1, 1, 2, 2), Rect(3, 1, 3, 2)]
 
     def test_deep_strip_does_not_recurse(self):
         # 1x400 alternating strip forces ~400 nested cuts
@@ -150,7 +149,7 @@ class TestEntropyTree:
         leaves = tree_leaves(entropy_tree(grid))
         covered = set()
         for leaf in leaves:
-            cells = set(leaf.region.cells())
+            cells = set(leaf.rect.cells())
             assert not (covered & cells)
             covered |= cells
             assert len({grid.fingerprint_at(x, y) for x, y in cells}) == 1
@@ -163,9 +162,9 @@ class TestEntropyTree:
         stack = [entropy_tree(grid)]
         while stack:
             node = stack.pop()
-            if isinstance(node, EntropyLeaf):
+            if isinstance(node, Region):
                 continue
-            region = node.region
+            region = node.rect
             best = math.inf
             for i in range(region.left, region.right):
                 a, b = split_halves(region, i, True)
@@ -228,11 +227,7 @@ class TestCoalesce:
     @given(st.randoms(use_true_random=False))
     def test_input_order_does_not_matter(self, rng):
         grid = random_label_grid(rng, max_side=6)
-        leaves = tree_leaves(entropy_tree(grid))
-        regions = [
-            Region(l.region, grid.fingerprint_at(l.region.left, l.region.top))
-            for l in leaves
-        ]
+        regions = tree_leaves(entropy_tree(grid))
         shuffled = regions[:]
         rng.shuffle(shuffled)
         assert coalesce(regions) == coalesce(shuffled)
@@ -388,6 +383,45 @@ class TestDecomposeGrid:
             best_split(grid, Rect(1, 1, 1, 1))
 
 
+class TestBenchmarkHooks:
+    """The benchmark's tracer replaces `delimiter_splits`, `entropy_tree`
+    and `coalesce` on the module, and counts each returned tree's nodes
+    and leaves by shape: a node has `low` and `high`, a leaf neither.  A
+    call that bypasses the module attribute silently zeroes those metrics."""
+
+    def test_decomposition_calls_each_hook_through_the_module(self, monkeypatch):
+        # Delimiter runs along column 4 and row 3 cut the grid into seven
+        # pieces: three single-fingerprint ones and four mixed 3 x 2 blocks.
+        grid = FingerprintGrid([list(row) for row in ("aabEccd", "abbEcdd", "EEEEEEE", "abaEddc", "bbaEcdd")])
+        calls: dict[str, list] = {"delimiter_splits": [], "entropy_tree": [], "coalesce": []}
+        for name, log in calls.items():
+            def recording(*args, _original=getattr(entropy, name), _log=log, **kwargs):
+                result = _original(*args, **kwargs)
+                _log.append((args, result))
+                return result
+            monkeypatch.setattr(entropy, name, recording)
+
+        regions = decompose_grid(grid)
+        [(_, pieces)] = calls["delimiter_splits"]
+        assert len(pieces) == 7
+        assert [args[1] for args, _ in calls["entropy_tree"]] == pieces
+        [((coalesced,), result)] = calls["coalesce"]
+        assert result == regions
+        nodes, leaves = 0, []
+        for _, tree in calls["entropy_tree"]:
+            stack = [tree]
+            while stack:
+                node = stack.pop()
+                if hasattr(node, "low"):
+                    nodes += 1
+                    stack.extend([node.high, node.low])
+                else:
+                    leaves.append(node)
+        assert all(isinstance(leaf, Region) for leaf in leaves)
+        assert leaves == coalesced and len(leaves) == 19
+        assert nodes == len(leaves) - len(pieces)
+
+
 # -- naive references: the per-cut search and the O(R^3) fixed point ------
 
 
@@ -428,11 +462,11 @@ def tree_preorder(tree, grid):
     stack = [tree]
     while stack:
         node = stack.pop()
-        if isinstance(node, EntropyLeaf):
-            out.append((node.region, None))
+        if isinstance(node, Region):
+            out.append((node.rect, None))
         else:
-            e = split_entropy(grid, node.region, node.index, node.vertical)
-            out.append((node.region, (node.vertical, node.index, float.hex(e))))
+            e = split_entropy(grid, node.rect, node.index, node.vertical)
+            out.append((node.rect, (node.vertical, node.index, float.hex(e))))
             stack.extend([node.high, node.low])
     return out
 
@@ -846,8 +880,8 @@ def test_lone_near_minimum_cut_is_not_rescored(monkeypatch):
     board = entropy_tree(board_grid)
     assert (board.vertical, board.index) == (True, 1) and calls == [2, 2, 2, 2]
     # The cuts' entropies are the oracle's.
-    assert split_entropy(stripes_grid, stripes.region, stripes.index, stripes.vertical) == 0.0
-    assert split_entropy(board_grid, board.region, board.index, board.vertical) == 2.0
+    assert split_entropy(stripes_grid, stripes.rect, stripes.index, stripes.vertical) == 0.0
+    assert split_entropy(board_grid, board.rect, board.index, board.vertical) == 2.0
 
 
 def test_only_near_minimum_ties_are_rescored(monkeypatch):
@@ -882,8 +916,8 @@ def test_running_totals_column_scores_no_half(monkeypatch):
     assert halves == []
     assert len(tree_leaves(tree)) == 2001
     column = tree.high
-    assert (column.region, column.vertical, column.index) == (Rect(2, 1, 2, 2000), False, 1)
-    assert split_entropy(grid, column.region, column.index, column.vertical) == normalized_entropy([1] * 1999, 1999)
+    assert (column.rect, column.vertical, column.index) == (Rect(2, 1, 2, 2000), False, 1)
+    assert split_entropy(grid, column.rect, column.index, column.vertical) == normalized_entropy([1] * 1999, 1999)
 
 
 def test_child_counts_only_lines_across_its_parents_cut(monkeypatch):
@@ -907,7 +941,7 @@ def test_child_counts_only_lines_across_its_parents_cut(monkeypatch):
     while stack:
         node = stack.pop()
         if isinstance(node, EntropyNode):
-            parent_cut[node.low.region] = parent_cut[node.high.region] = node.vertical
+            parent_cut[node.low.rect] = parent_cut[node.high.rect] = node.vertical
             stack += [node.low, node.high]
     (root, root_axes), *children = counted
     assert root == grid.full_rect() and root_axes == [True, False]
@@ -989,10 +1023,7 @@ class TestCoalesceOracle:
     @given(st.randoms(use_true_random=False))
     def test_tree_leaves_in_shuffled_order(self, rng):
         grid = random_label_grid(rng, max_side=9, max_labels=3)
-        regions = [
-            Region(leaf.region, grid.fingerprint_at(leaf.region.left, leaf.region.top))
-            for leaf in tree_leaves(entropy_tree(grid))
-        ]
+        regions = tree_leaves(entropy_tree(grid))
         rng.shuffle(regions)
         assert coalesce(regions) == naive_coalesce(regions)
 
@@ -1042,10 +1073,16 @@ class TestGridAwayFromA1:
         # Cut entropies too: the oracle counts the same cells either way.
         grid, left, top = case
         dx, dy = left - 1, top - 1
+        at_a1 = tree_preorder(entropy_tree(grid), grid)
+        assert at_a1 == naive_preorder(grid)
         want = [(shifted(region, dx, dy), cut and (cut[0], cut[1] + (dx if cut[0] else dy), cut[2]))
-                for region, cut in tree_preorder(entropy_tree(grid), grid)]
+                for region, cut in at_a1]
         moved = placed(grid, left, top)
-        assert tree_preorder(entropy_tree(moved), moved) == want
+        tree = entropy_tree(moved)
+        assert tree_preorder(tree, moved) == want
+        # A leaf is named by its top-left code, read at sheet coordinates.
+        for leaf in tree_leaves(tree):
+            assert moved.counts_in(leaf.rect) == {leaf.fingerprint: leaf.rect.area}
 
     @settings(max_examples=150, deadline=None)
     @given(grids_and_corners())

@@ -138,10 +138,10 @@ class TestRandomBaseline:
             expected_random_tp(m, r, n)
 
     def test_adjustment(self):
-        assert adjusted_precision(5, 0, 5, 0.5) == pytest.approx(0.9)
-        assert adjusted_precision(0, 0, 0, 0.0) == 1.0
-        assert adjusted_precision(0, 10, 10, 5.0) == 0.0  # clamped at zero
-        assert adjusted_precision(10, 0, 10, 0.0) == 1.0
+        assert adjusted_precision(5, 5, 0.5) == pytest.approx(0.9)
+        assert adjusted_precision(0, 0, 0.0) == 1.0
+        assert adjusted_precision(0, 10, 5.0) == 0.0  # clamped at zero
+        assert adjusted_precision(10, 10, 0.0) == 1.0
 
 
 class TestEvaluateSheet:

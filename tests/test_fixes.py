@@ -988,8 +988,7 @@ class TestScoreCandidates:
         assert top.score == pytest.approx(24.163126574949864, rel=1e-12)
         assert top.delta_entropy == pytest.approx(-0.026494270005942233, rel=1e-12)
         assert top.distance == pytest.approx(7.810249675906654, rel=1e-12)
-        assert top.target_size == 5
-        assert top.sheet == "Totals"
+        assert top.target.area == 5
         assert runner_up.source == Rect(6, 7, 6, 11)
         assert runner_up.source_cells == ((6, 7), (6, 8), (6, 9), (6, 10), (6, 11))
         assert runner_up.target == Rect(6, 6, 6, 6)
@@ -1005,18 +1004,8 @@ class TestScoreCandidates:
         assert len(scored) == 2  # one passing candidate raises entropy
 
 
-def proposed(score, source, target, sheet="S"):
-    return ProposedFix(
-        sheet=sheet,
-        source=source,
-        source_fingerprint="src",
-        target=target,
-        target_fingerprint="dst",
-        target_size=target.area,
-        delta_entropy=-0.1,
-        distance=1.0,
-        score=score,
-    )
+def proposed(score, source, target):
+    return ProposedFix(source=source, target=target, delta_entropy=-0.1, distance=1.0, score=score)
 
 
 class TestRankAndCut:
