@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two source trees of gridlint write the same reports, regions, pages and scores.
+"""Check that two source trees of gridlint write the same reports, regions, diagnostics, pages and scores.
 
     python3 scripts/same_reports.py OLD_SRC NEW_SRC [--seeds 7 11] [--python EXE]
 
@@ -13,7 +13,10 @@ this one) and with the CLI's defaults otherwise:
 
 * `gridlint analyze` on every input, once per report format (JSON and
   text), keeping the regions of each sheet that the analysis decomposed
-  it into (`SheetAnalysis.regions`) as [rect, fingerprint] lists;
+  it into (`SheetAnalysis.regions`) as [rect, fingerprint] lists, and
+  each sheet's diagnostics (`SheetVectors.diagnostics`: the formulas
+  refused, with the parser's message and offset), which the CLI prints
+  to stderr;
 * `gridlint render` on every workbook, once;
 * `gridlint eval` of the JSON report of `fixtures/weekly_totals`
   against its annotations.
@@ -37,10 +40,11 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("corpus", "adversarial", "lookups")
 
 # Run in each child: sys.argv = [-c, src, variants.json, out_dir, annotations, eval file name].
-# Reports go to out_dir, each workbook's pages to out_dir/render/<name>/, and
-# the regions of its sheets, as [sheet, [[rect, fingerprint], ...]] pairs, to
-# out_dir/regions/<name>.json.  The CLI's analysis is kept by wrapping the
-# `analyze_workbook` it calls.
+# Reports go to out_dir, each workbook's pages to out_dir/render/<name>/, the
+# regions of its sheets, as [sheet, [[rect, fingerprint], ...]] pairs, to
+# out_dir/regions/<name>.json, and their diagnostics, as [sheet, [line, ...]]
+# pairs, to out_dir/diagnostics/<name>.json.  The CLI's analysis is kept by
+# wrapping the `analyze_workbook` it calls.
 CHILD = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -48,6 +52,7 @@ sys.path.insert(0, sys.argv[1])
 from gridlint import cli
 out_dir = Path(sys.argv[3])
 (out_dir / "regions").mkdir()
+(out_dir / "diagnostics").mkdir()
 analyses = []
 
 def keeping(*args, _analyze=cli.analyze_workbook, **kwargs):
@@ -66,6 +71,8 @@ with contextlib.redirect_stderr(io.StringIO()):
         if analyses:
             sheets = [[s.name, [[r.rect, r.fingerprint] for r in s.regions]] for s in analyses[0].sheets]
             (out_dir / "regions" / f"{name}.json").write_text(json.dumps(sheets))
+            diagnostics = [[s.name, s.table.diagnostics] for s in analyses[0].sheets]
+            (out_dir / "diagnostics" / f"{name}.json").write_text(json.dumps(diagnostics))
         if preprocess:
             codes[f"render/{name}"] = cli.main(["render", path, "--out", str(out_dir / "render" / name)])
     codes[sys.argv[5]] = cli.main(["eval", str(out_dir / "fixtures-weekly_totals.json"), sys.argv[4],
@@ -138,15 +145,18 @@ def main(argv: list[str] | None = None) -> int:
         outputs = (old | new) - {"exit_codes.json"}
         pages = sum(name.startswith("render/") for name in outputs)
         regions = sum(name.startswith("regions/") for name in outputs)
-        reports = len(outputs) - pages - regions - (EVAL in outputs)
+        diagnostics = sum(name.startswith("diagnostics/") for name in outputs)
+        reports = len(outputs) - pages - regions - diagnostics - (EVAL in outputs)
         if mismatch or errors or only:
             print(f"{len(mismatch) + len(errors) + len(only)} of {len(outputs)} outputs differ "
-                  f"({reports} reports, {regions} region lists, {pages} render pages and the eval output; "
+                  f"({reports} reports, {regions} region lists, {diagnostics} diagnostic lists, "
+                  f"{pages} render pages and the eval output; "
                   f"{len(variants)} variants, seeds {args.seeds})")
             return 1
         print(f"all {reports} reports and their exit codes identical "
               f"({len(variants)} variants, seeds {args.seeds})")
         print(f"all {regions} region lists identical")
+        print(f"all {diagnostics} diagnostic lists identical")
         print(f"all {pages} render pages and the eval output identical, with their exit codes")
         return 0
 

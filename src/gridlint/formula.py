@@ -1,10 +1,14 @@
-"""Recursive-descent parser for spreadsheet formulas.
+"""Recursive-descent recognizer for spreadsheet formulas.
 
 Covers numbers, strings, the booleans TRUE and FALSE, A1-style cell
 references with any combination of $ anchors, rectangular ranges, whole
 columns (B:D) and whole rows (3:5), sheet- and workbook-qualified
 references, arbitrary function calls, the usual arithmetic / comparison /
 concatenation operators, postfix percent, unary sign, and parentheses.
+
+A parse builds no tree: it records what the fingerprint reads
+(`ParsedFormula`), the references in source order and whether a number
+literal occurs.  Operators, strings and names are checked, then dropped.
 
 Unknown function names parse as opaque calls.  Anything outside the grammar
 (R1C1 addresses, structured references, array formulas, bare names) raises
@@ -15,20 +19,19 @@ So does nesting deeper than MAX_NESTING levels, counting each parenthesis,
 function call, unary sign and right operand of "^": the parser recurses
 once per level, and the bound keeps it well inside Python's recursion
 limit.  Long flat chains such as =A1+A1+...+A1 nest nothing and have no
-length limit; the tree walks below are iterative.
+length limit.
 
 Precedence, loosest to tightest: comparisons, "&", "+ -", "* /", "^"
 (right-associative), unary sign, postfix "%".  Unary sign binds tighter
 than "^", so -2^2 means (-2)^2.  The four left-associative levels are
 one loop over a table of their operators, one frame per level.  A parse
-error carries the offset where the parser stopped; nodes keep none.
+error carries the offset where the parser stopped.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 # SHEET_COLUMNS and SHEET_ROWS are the open axis of B:B or 3:3.
 from .model import SHEET_COLUMNS, SHEET_ROWS, GridlintError, column_to_letters, letters_to_column, outside_sheet
@@ -46,19 +49,6 @@ class FormulaParseError(GridlintError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class RawReference:
-    """A single cell reference as written: 1-based coordinates plus
-    per-axis absolute flags and optional sheet / workbook qualifiers."""
-
-    column: int
-    row: int
-    column_absolute: bool = False
-    row_absolute: bool = False
-    sheet: str | None = None
-    workbook: str | None = None
-
-
 class RefRect(NamedTuple):
     """A reference as written, as the rectangle of cells it covers: corners
     normalised, per-axis absolute flags, optional sheet and workbook.  A
@@ -74,68 +64,23 @@ class RefRect(NamedTuple):
     workbook: str | None = None
 
 
-@dataclass(frozen=True)
-class Node:
-    pass
+Corner = tuple[int, int, bool, bool]  # (column, row, column_absolute, row_absolute)
 
 
-@dataclass(frozen=True)
-class NumberLit(Node):
-    value: float
+class ParsedFormula(NamedTuple):
+    """What a parse reads of a formula.
 
+    corners lists each cell reference and both corners of each range, in
+    source order.  The template has one entry per reference: (i, j,
+    sheet, workbook) for the rectangle that corners[i] and corners[j]
+    span (i == j for a cell), or a fixed RefRect for a whole line (B:B,
+    3:3), whose text holds no corner.  numeric_constant is whether the
+    formula holds a number literal; TRUE and FALSE are not numeric.
+    """
 
-@dataclass(frozen=True)
-class StringLit(Node):
-    value: str
-
-
-@dataclass(frozen=True)
-class BoolLit(Node):
-    """TRUE or FALSE: a constant, but not a numeric one."""
-
-    value: bool
-
-
-@dataclass(frozen=True)
-class CellRef(Node):
-    ref: RawReference
-
-
-@dataclass(frozen=True)
-class RangeRef(Node):
-    """start and end are the corners as written.  For whole columns (B:D)
-    and whole rows (3:5), `whole` is "columns" or "rows" and the corners
-    span the open axis from 1 to the sheet's extent, absolute on it."""
-
-    start: RawReference
-    end: RawReference
-    whole: str = ""
-
-
-@dataclass(frozen=True)
-class FunctionCall(Node):
-    name: str
-    args: tuple[Node, ...]
-
-
-@dataclass(frozen=True)
-class BinaryOp(Node):
-    op: str
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class UnaryOp(Node):
-    """op is '+', '-' (prefix) or '%' (postfix)."""
-
-    op: str
-    operand: Node
-
-
-@dataclass(frozen=True)
-class Paren(Node):
-    inner: Node
+    template: tuple
+    corners: list[Corner]
+    numeric_constant: bool
 
 
 _NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
@@ -143,6 +88,9 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 _A1_RE = re.compile(r"(\$?)([A-Za-z]{1,8})(\$?)([0-9]{1,7})")
 _COLUMNS_RE = re.compile(r"(\$?)([A-Za-z]{1,8}):(\$?)([A-Za-z]{1,8})")
 _ROWS_RE = re.compile(r"(\$?)([0-9]{1,7}):(\$?)([0-9]{1,7})")
+# A string ends at the first quote that is not doubled; without the
+# lookahead, "a""b would backtrack to the literal "a".
+_STRING_RE = re.compile(r'"(?:[^"]|"")*"(?!")')
 _SHEET_PREFIX_RE = re.compile(
     r"(?:\[(?P<wb>[^\[\]]+)\])?(?:'(?P<qsheet>(?:[^']|'')*)'|(?P<sheet>[A-Za-z_][A-Za-z0-9_.]*))!"
 )
@@ -162,19 +110,24 @@ _BINARY_LEVELS = (("<=", ">=", "<>", "=", "<", ">"), ("&",), ("+", "-"), ("*", "
 # token has groups.
 _SHAPE_RE = re.compile(
     r"""\(+|\)+|[^"'\[A-Za-z_$0-9.()]+"""
-    r"|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    f"|{_NUMBER_RE.pattern}"
     r'|"(?:[^"]+|"")*"?'
-    r"|(\$?)([A-Za-z]{1,8})(\$?)([0-9]{1,7})(?![A-Za-z0-9_.(!])"
+    f"|{_A1_RE.pattern}(?![A-Za-z0-9_.(!])"
     r"|(?:\[[^\[\]]+\])?(?:'(?:[^']|'')*'|[A-Za-z_][A-Za-z0-9_.]*)!"
-    r"|[A-Za-z_][A-Za-z0-9_.]*"
+    f"|{_NAME_RE.pattern}"
 )
 
 
 class _Scanner:
+    """Position and nesting depth in the text, and what the parse has read."""
+
     def __init__(self, text: str, offset: int = 0):
         self.text = text
         self.pos = offset
         self.depth = 0
+        self.template: list = []
+        self.corners: list[Corner] = []
+        self.numeric_constant = False
 
     def nest(self) -> None:
         """Enter one nesting level; callers decrement depth on the way out."""
@@ -206,114 +159,90 @@ class _Scanner:
             raise FormulaParseError(f"expected {literal!r}", self.pos)
 
 
-def parse_formula(text: str) -> Node:
-    """Parse a full formula string (with its leading '=') into an AST."""
+def parse_formula(text: str) -> ParsedFormula:
+    """Check a formula's text, its leading '=' included, and return what it reads."""
     if not text.startswith("="):
         raise FormulaParseError("formula must start with '='", 0)
     sc = _Scanner(text, 1)
-    node = _parse_binary(sc)
+    _parse_binary(sc)
     sc.skip_ws()
     if sc.pos != len(text):
         raise FormulaParseError("unexpected trailing input", sc.pos)
-    return node
+    return ParsedFormula(tuple(sc.template), sc.corners, sc.numeric_constant)
 
 
-def _parse_binary(sc: _Scanner, level: int = 0) -> Node:
+def _parse_binary(sc: _Scanner, level: int = 0) -> None:
     """A left-associative chain of `_BINARY_LEVELS[level]`; its operands
     are the next level's, or `_parse_power`'s after the last one."""
     last = level + 1 == len(_BINARY_LEVELS)
-    node = _parse_power(sc) if last else _parse_binary(sc, level + 1)
     while True:
+        if last:
+            _parse_power(sc)
+        else:
+            _parse_binary(sc, level + 1)
         sc.skip_ws()
         for op in _BINARY_LEVELS[level]:
             if sc.match(op):
-                right = _parse_power(sc) if last else _parse_binary(sc, level + 1)
-                node = BinaryOp(op, node, right)
                 break
         else:
-            return node
+            return
 
 
-def _parse_power(sc: _Scanner) -> Node:
-    node = _parse_unary(sc)
+def _parse_power(sc: _Scanner) -> None:
+    _parse_unary(sc)
     sc.skip_ws()
     if sc.match("^"):
         sc.nest()
-        right = _parse_power(sc)
+        _parse_power(sc)
         sc.depth -= 1
-        return BinaryOp("^", node, right)
-    return node
 
 
-def _parse_unary(sc: _Scanner) -> Node:
+def _parse_unary(sc: _Scanner) -> None:
     sc.skip_ws()
     for sign in "-+":
         if sc.match(sign):
             sc.nest()
-            operand = _parse_unary(sc)
+            _parse_unary(sc)
             sc.depth -= 1
-            return UnaryOp(sign, operand)
-    return _parse_postfix(sc)
+            return
+    _parse_postfix(sc)
 
 
-def _parse_postfix(sc: _Scanner) -> Node:
-    node = _parse_atom(sc)
-    while True:
+def _parse_postfix(sc: _Scanner) -> None:
+    _parse_atom(sc)
+    sc.skip_ws()
+    while sc.match("%"):
         sc.skip_ws()
-        if sc.match("%"):
-            node = UnaryOp("%", node)
-        else:
-            return node
 
 
-def _parse_atom(sc: _Scanner) -> Node:
+def _parse_atom(sc: _Scanner) -> None:
     sc.skip_ws()
     ch = sc.peek()
     if ch == "(":
         sc.pos += 1
         sc.nest()
-        inner = _parse_binary(sc)
+        _parse_binary(sc)
         sc.skip_ws()
         sc.expect(")")
         sc.depth -= 1
-        return Paren(inner)
-    if ch == '"':
-        return _parse_string(sc)
-    if ch.isdigit() or ch == ".":
-        rows = _try_lines(sc, None, None)
-        if rows is not None:
-            return rows
-        m = sc.match_re(_NUMBER_RE)
-        if not m:
-            raise FormulaParseError("malformed number", sc.pos)
-        return NumberLit(float(m.group(0)))
-    return _parse_ref_or_call(sc)
+    elif ch == '"':
+        if not sc.match_re(_STRING_RE):
+            raise FormulaParseError("unterminated string literal", sc.pos)
+    elif ch.isdigit() or ch == ".":
+        if not _try_lines(sc, None, None):
+            if not sc.match_re(_NUMBER_RE):
+                raise FormulaParseError("malformed number", sc.pos)
+            sc.numeric_constant = True
+    else:
+        _parse_ref_or_call(sc)
 
 
-def _parse_string(sc: _Scanner) -> StringLit:
-    start = sc.pos
-    sc.pos += 1
-    chunks = []
-    while True:
-        if sc.pos >= len(sc.text):
-            raise FormulaParseError("unterminated string literal", start)
-        ch = sc.text[sc.pos]
-        if ch == '"':
-            if sc.text.startswith('""', sc.pos):
-                chunks.append('"')
-                sc.pos += 2
-                continue
-            sc.pos += 1
-            return StringLit("".join(chunks))
-        chunks.append(ch)
-        sc.pos += 1
+def _prefix_sheet(prefix: re.Match) -> str:
+    """The sheet a `_SHEET_PREFIX_RE` match names, unquoted."""
+    return prefix.group("sheet") or (prefix.group("qsheet") or "").replace("''", "'")
 
 
-def _unquote_sheet(quoted: str) -> str:
-    return quoted.replace("''", "'")
-
-
-def _try_a1(sc: _Scanner, sheet: str | None, workbook: str | None) -> RawReference | None:
+def _try_a1(sc: _Scanner) -> Corner | None:
     save = sc.pos
     m = sc.match_re(_A1_RE)
     if not m:
@@ -326,18 +255,11 @@ def _try_a1(sc: _Scanner, sheet: str | None, workbook: str | None) -> RawReferen
     column, row = letters_to_column(m.group(2)), int(m.group(4))
     if outside_sheet(column, row):
         raise FormulaParseError(f"reference {m.group(0)} outside the sheet", save)
-    return RawReference(
-        column=column,
-        row=row,
-        column_absolute=m.group(1) == "$",
-        row_absolute=m.group(3) == "$",
-        sheet=sheet,
-        workbook=workbook,
-    )
+    return column, row, m.group(1) == "$", m.group(3) == "$"
 
 
-def _try_lines(sc: _Scanner, sheet: str | None, workbook: str | None) -> RangeRef | None:
-    """Whole columns such as $B:D or whole rows such as 3:$5, else None."""
+def _try_lines(sc: _Scanner, sheet: str | None, workbook: str | None) -> bool:
+    """Whole columns ($B:D) or rows (3:$5) as one fixed RefRect of the template; False if none."""
     for pattern, whole in ((_COLUMNS_RE, "columns"), (_ROWS_RE, "rows")):
         save = sc.pos
         m = sc.match_re(pattern)
@@ -349,103 +271,71 @@ def _try_lines(sc: _Scanner, sheet: str | None, workbook: str | None) -> RangeRe
             continue
         first_abs, second_abs = m.group(1) == "$", m.group(3) == "$"
         if whole == "columns":
-            first = RawReference(letters_to_column(m.group(2)), 1, first_abs, True, sheet, workbook)
-            second = RawReference(letters_to_column(m.group(4)), SHEET_ROWS, second_abs, True, sheet, workbook)
+            first = (letters_to_column(m.group(2)), 1, first_abs, True)
+            second = (letters_to_column(m.group(4)), SHEET_ROWS, second_abs, True)
         else:
-            first = RawReference(1, int(m.group(2)), True, first_abs, sheet, workbook)
-            second = RawReference(SHEET_COLUMNS, int(m.group(4)), True, second_abs, sheet, workbook)
-        if outside_sheet(first.column, first.row) or outside_sheet(second.column, second.row):
+            first = (1, int(m.group(2)), True, first_abs)
+            second = (SHEET_COLUMNS, int(m.group(4)), True, second_abs)
+        if outside_sheet(first[0], first[1]) or outside_sheet(second[0], second[1]):
             raise FormulaParseError(f"{whole} {m.group(0)} outside the sheet", save)
-        return RangeRef(first, second, whole=whole)
-    return None
+        sc.template.append(_span(first, second, sheet, workbook))
+        return True
+    return False
 
 
-def _parse_ref_or_call(sc: _Scanner) -> Node:
+def _parse_ref_or_call(sc: _Scanner) -> None:
     start = sc.pos
     prefix = sc.match_re(_SHEET_PREFIX_RE)
     sheet = workbook = None
     if prefix:
         workbook = prefix.group("wb")
-        sheet = prefix.group("sheet") or _unquote_sheet(prefix.group("qsheet") or "")
-    first = _try_a1(sc, sheet, workbook)
+        sheet = _prefix_sheet(prefix)
+    first = _try_a1(sc)
     if first is not None:
-        return _finish_ref(sc, first)
-    lines = _try_lines(sc, sheet, workbook)
-    if lines is not None:
-        return lines
+        _finish_ref(sc, first, sheet, workbook)
+        return
+    if _try_lines(sc, sheet, workbook):
+        return
     if prefix:
         raise FormulaParseError("expected cell address after sheet qualifier", sc.pos)
 
     m = sc.match_re(_NAME_RE)
-    if m:
-        name = m.group(0)
-        if sc.peek() == "(":
-            sc.pos += 1
-            sc.nest()
-            args: list[Node] = []
+    if not m:
+        raise FormulaParseError("expected a value, reference, or function", sc.pos)
+    if sc.peek() != "(":
+        if m.group(0).upper() not in ("TRUE", "FALSE"):
+            raise FormulaParseError(f"unsupported name {m.group(0)!r}", start)
+        return
+    sc.pos += 1
+    sc.nest()
+    sc.skip_ws()
+    if not sc.match(")"):
+        _parse_binary(sc)
+        sc.skip_ws()
+        while sc.match(","):
+            _parse_binary(sc)
             sc.skip_ws()
-            if not sc.match(")"):
-                args.append(_parse_binary(sc))
-                sc.skip_ws()
-                while sc.match(","):
-                    args.append(_parse_binary(sc))
-                    sc.skip_ws()
-                sc.expect(")")
-            sc.depth -= 1
-            return FunctionCall(name.upper(), tuple(args))
-        if name.upper() in ("TRUE", "FALSE"):
-            return BoolLit(name.upper() == "TRUE")
-        raise FormulaParseError(f"unsupported name {name!r}", start)
-    raise FormulaParseError("expected a value, reference, or function", sc.pos)
+        sc.expect(")")
+    sc.depth -= 1
 
 
-def _finish_ref(sc: _Scanner, first: RawReference) -> Node:
+def _finish_ref(sc: _Scanner, first: Corner, sheet: str | None, workbook: str | None) -> None:
+    """Read a cell, or a range that starts at first, into the template."""
     save = sc.pos
+    i = len(sc.corners)
     if sc.match(":"):
         prefix = sc.match_re(_SHEET_PREFIX_RE)
-        if prefix:
-            other = prefix.group("sheet") or _unquote_sheet(prefix.group("qsheet") or "")
-            if other != first.sheet or prefix.group("wb") != first.workbook:
-                raise FormulaParseError("range endpoints on different sheets", save + 1)
-        second = _try_a1(sc, first.sheet, first.workbook)
+        if prefix and (_prefix_sheet(prefix) != sheet or prefix.group("wb") != workbook):
+            raise FormulaParseError("range endpoints on different sheets", save + 1)
+        second = _try_a1(sc)
         if second is None:
             # "A1:" followed by non-address; ranges are the only use of ':'.
             raise FormulaParseError("expected cell address after ':'", sc.pos)
-        return RangeRef(first, second)
-    return CellRef(first)
-
-
-Corner = tuple[int, int, bool, bool]  # (column, row, column_absolute, row_absolute)
-
-
-def ref_template(node: Node) -> tuple[tuple, list[Corner]]:
-    """(template, corners): a formula's references over its written corners.
-
-    corners lists each cell reference and both corners of each range, in
-    source order.  The template has one entry per reference: (i, j,
-    sheet, workbook) for the rectangle that corners[i] and corners[j]
-    span (i == j for a cell), or a fixed RefRect for a whole line (B:B,
-    3:3), whose text holds no corner.
-    """
-    template: list = []
-    corners: list[Corner] = []
-    for item in _walk(node):
-        if isinstance(item, CellRef):
-            r = item.ref
-            template.append((len(corners), len(corners), r.sheet, r.workbook))
-            corners.append(_corner(r))
-        elif isinstance(item, RangeRef):
-            a, b = item.start, item.end
-            if item.whole:
-                template.append(_span(_corner(a), _corner(b), a.sheet, a.workbook))
-            else:
-                template.append((len(corners), len(corners) + 1, a.sheet, a.workbook))
-                corners += (_corner(a), _corner(b))
-    return tuple(template), corners
-
-
-def _corner(r: RawReference) -> Corner:
-    return r.column, r.row, r.column_absolute, r.row_absolute
+        sc.template.append((i, i + 1, sheet, workbook))
+        sc.corners += (first, second)
+    else:
+        sc.template.append((i, i, sheet, workbook))
+        sc.corners.append(first)
 
 
 def _span(a: Corner, b: Corner, sheet: str | None, workbook: str | None) -> RefRect:
@@ -567,24 +457,3 @@ def shape_printer(key: str) -> Callable[[int, int], tuple[str, list[Corner]] | N
         return pattern % tuple(slots), corners
 
     return print_copy
-
-
-def numeric_constant_count(node: Node) -> int:
-    return sum(1 for item in _walk(node) if isinstance(item, NumberLit))
-
-
-def _walk(node: Node) -> Iterator[Node]:
-    """Every node in preorder, children left to right, with an explicit stack."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, FunctionCall):
-            stack.extend(reversed(node.args))
-        elif isinstance(node, BinaryOp):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, UnaryOp):
-            stack.append(node.operand)
-        elif isinstance(node, Paren):
-            stack.append(node.inner)

@@ -66,11 +66,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .formula import (
     FormulaParseError,
-    RawReference,
     RefRect,
-    numeric_constant_count,
     parse_formula,
-    ref_template,
     shape_key,
     shape_printer,
     template_rects,
@@ -99,7 +96,7 @@ EMPTY_FINGERPRINT = Fingerprint(0, 0, 0, 0)
 DATA_KINDS = {NUMBER_FINGERPRINT: CellKind.NUMBER, TEXT_FINGERPRINT: CellKind.TEXT, EMPTY_FINGERPRINT: CellKind.EMPTY}
 
 
-def is_off_sheet(ref: RawReference | RefRect, sheet: str, workbook: str) -> bool:
+def is_off_sheet(ref: RefRect, sheet: str, workbook: str) -> bool:
     if ref.workbook is not None and ref.workbook != workbook:
         return True
     return ref.sheet is not None and ref.sheet != sheet
@@ -308,14 +305,13 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
             shape = shapes.get(key)
             if shape is None:
                 try:
-                    ast = parse_formula(text)
+                    template, parsed, has_constant = parse_formula(text)
                 except FormulaParseError as exc:
                     diagnostics.append(
                         f"{sheet.name}!{to_a1(column, row)}: unparseable formula treated as text ({exc})"
                     )
                     return None
-                template, parsed = ref_template(ast)
-                shape = _Shape(template, numeric_constant_count(ast) > 0, translation_invariant(template, parsed))
+                shape = _Shape(template, has_constant, translation_invariant(template, parsed))
                 if key is not None and parsed == corners:
                     shapes[key] = shape
                 else:

@@ -13,7 +13,6 @@ computes in closed form or incrementally:
 * the workbook loader that reads every cell object through one
   validating function (`model.parse_workbook_json` decodes well-formed
   one-key cells as it parses the JSON);
-* the formula printer used by the parser's round-trip tests;
 * fingerprint counts in a rectangle by a scan of its cells, and from
   per-code prefix counts (`FingerprintGrid.counts_in` counts code-row
   slices);
@@ -39,10 +38,11 @@ computes in closed form or incrementally:
   neighbours (`report.assign_colors` builds a neighbour map once).
 
 Helpers only the tests call live here too: `ref_rects`, a formula's
-references as rectangles read off its tree; `best_split`, a
-rectangle's cut and its split entropy; and the two records of the
-cell-by-cell definitions, `RefVector` (one referenced cell's offset
-vector) and `CellAddress` (a cell on a named sheet).
+references as rectangles filled in from its parse; `best_split`, a
+rectangle's cut and its split entropy; and the three records of the
+cell-by-cell definitions, `RawReference` (one referenced cell as
+written), `RefVector` (its offset vector) and `CellAddress` (a cell on
+a named sheet).
 """
 
 from __future__ import annotations
@@ -79,26 +79,7 @@ from gridlint.fixes import (
     impact_score,
     rect_minus_cell,
 )
-from gridlint.formula import (
-    BinaryOp,
-    BoolLit,
-    CellRef,
-    FormulaParseError,
-    FunctionCall,
-    Node,
-    NumberLit,
-    Paren,
-    RangeRef,
-    RawReference,
-    RefRect,
-    StringLit,
-    UnaryOp,
-    _walk,
-    numeric_constant_count,
-    parse_formula,
-    ref_template,
-    template_rects,
-)
+from gridlint.formula import FormulaParseError, ParsedFormula, RefRect, parse_formula, template_rects
 from gridlint.grid import FingerprintGrid
 from gridlint.model import (
     CellContent,
@@ -109,7 +90,6 @@ from gridlint.model import (
     Rect,
     Workbook,
     Worksheet,
-    column_to_letters,
     to_a1,
 )
 from gridlint.report import EXCLUDED_RED, HSL, AdjacencyGraph, next_hue
@@ -133,17 +113,30 @@ class RangeTooLargeError(GridlintError):
     """Range expansion would exceed MAX_RANGE_CELLS cells."""
 
 
-def ref_rects(node: Node) -> list[RefRect]:
+@dataclass(frozen=True)
+class RawReference:
+    """One referenced cell: 1-based coordinates plus per-axis absolute
+    flags and optional sheet / workbook qualifiers."""
+
+    column: int
+    row: int
+    column_absolute: bool = False
+    row_absolute: bool = False
+    sheet: str | None = None
+    workbook: str | None = None
+
+
+def ref_rects(parsed: ParsedFormula) -> list[RefRect]:
     """All references in source order, each as the rectangle it covers.
 
     Nothing is expanded, so a whole column costs what one cell does.
     Reversed corners are normalised, and an axis is absolute only when
     both corners agree on it, as for each cell the range covers.
     """
-    return list(template_rects(*ref_template(node)))
+    return list(template_rects(parsed.template, parsed.corners))
 
 
-def references(node: Node) -> list[RawReference]:
+def references(parsed: ParsedFormula) -> list[RawReference]:
     """All references in source order; ranges expand to their member cells.
 
     Duplicates are preserved.  Expansion normalizes reversed corners, and
@@ -152,11 +145,14 @@ def references(node: Node) -> list[RawReference]:
     the reference the closed forms are tested against.
     """
     out: list[RawReference] = []
-    for item in _walk(node):
-        if isinstance(item, CellRef):
-            out.append(item.ref)
-        elif isinstance(item, RangeRef):
-            out.extend(expand_range(item.start, item.end))
+    for entry in parsed.template:
+        if type(entry) is RefRect:  # a whole line
+            flags = entry[4:]
+            out.extend(expand_range(RawReference(*entry[:2], *flags), RawReference(*entry[2:4], *flags)))
+            continue
+        i, j, sheet, workbook = entry
+        out.extend(expand_range(RawReference(*parsed.corners[i], sheet, workbook),
+                                RawReference(*parsed.corners[j], sheet, workbook)))
     return out
 
 
@@ -173,96 +169,6 @@ def expand_range(start: RawReference, end: RawReference) -> list[RawReference]:
         for row in range(lo_row, hi_row + 1)
         for col in range(lo_col, hi_col + 1)
     ]
-
-
-# -- formula printing ---------------------------------------------------------
-
-
-def _format_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
-
-
-def _needs_quoting(sheet: str) -> bool:
-    return not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.]*", sheet)
-
-
-def _format_prefix(ref: RawReference) -> str:
-    parts = []
-    if ref.workbook is not None:
-        parts.append(f"[{ref.workbook}]")
-    if ref.sheet is not None:
-        name = ref.sheet.replace("'", "''")
-        parts.append(f"'{name}'!" if _needs_quoting(ref.sheet) else f"{ref.sheet}!")
-    elif ref.workbook is not None:
-        parts.append("!")
-    return "".join(parts)
-
-
-def _format_ref(ref: RawReference, with_prefix: bool = True) -> str:
-    prefix = _format_prefix(ref) if with_prefix else ""
-    col_anchor = "$" if ref.column_absolute else ""
-    row_anchor = "$" if ref.row_absolute else ""
-    return f"{prefix}{col_anchor}{column_to_letters(ref.column)}{row_anchor}{ref.row}"
-
-
-def _format_line(ref: RawReference, whole: str) -> str:
-    """One end of a whole-column or whole-row range: $B or 3."""
-    if whole == "columns":
-        return ("$" if ref.column_absolute else "") + column_to_letters(ref.column)
-    return ("$" if ref.row_absolute else "") + str(ref.row)
-
-
-_BINOP_LEVEL = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
-                "&": 2, "+": 3, "-": 3, "*": 4, "/": 4, "^": 5}
-
-
-def _level(node: Node) -> int:
-    if isinstance(node, BinaryOp):
-        return _BINOP_LEVEL[node.op]
-    if isinstance(node, UnaryOp):
-        return 7 if node.op == "%" else 6
-    return 8
-
-
-def to_text(node: Node) -> str:
-    """Print an AST back to formula text.  parse(to_text(n)) reproduces n
-    whenever n does not need extra grouping; parentheses are inserted
-    otherwise so the printed text always means what the tree means."""
-    return "=" + _to_text(node, 0)
-
-
-def _to_text(node: Node, required: int) -> str:
-    if _level(node) < required:
-        return f"({_to_text(node, 0)})"
-    if isinstance(node, NumberLit):
-        return _format_number(node.value)
-    if isinstance(node, StringLit):
-        return '"' + node.value.replace('"', '""') + '"'
-    if isinstance(node, BoolLit):
-        return "TRUE" if node.value else "FALSE"
-    if isinstance(node, CellRef):
-        return _format_ref(node.ref)
-    if isinstance(node, RangeRef) and node.whole:
-        return (f"{_format_prefix(node.start)}{_format_line(node.start, node.whole)}"
-                f":{_format_line(node.end, node.whole)}")
-    if isinstance(node, RangeRef):
-        return f"{_format_ref(node.start)}:{_format_ref(node.end, with_prefix=False)}"
-    if isinstance(node, FunctionCall):
-        return f"{node.name}({','.join(_to_text(a, 0) for a in node.args)})"
-    if isinstance(node, BinaryOp):
-        level = _BINOP_LEVEL[node.op]
-        if node.op == "^":
-            return f"{_to_text(node.left, level + 1)}^{_to_text(node.right, level)}"
-        return f"{_to_text(node.left, level)}{node.op}{_to_text(node.right, level + 1)}"
-    if isinstance(node, UnaryOp):
-        if node.op == "%":
-            return f"{_to_text(node.operand, 7)}%"
-        return f"{node.op}{_to_text(node.operand, 6)}"
-    if isinstance(node, Paren):
-        return f"({_to_text(node.inner, 0)})"
-    raise TypeError(f"unknown node type: {type(node).__name__}")
 
 
 # -- offset vectors and fingerprints, cell by cell ----------------------------
@@ -325,11 +231,6 @@ def formula_fingerprint(vectors: Iterable[RefVector], has_numeric_constant: bool
     return Fingerprint(x, y, z, c)
 
 
-def constant_count(node: Node) -> int:
-    """Number of literal constants (numeric, string or boolean) in the formula."""
-    return sum(1 for item in _walk(node) if isinstance(item, (NumberLit, StringLit, BoolLit)))
-
-
 @dataclass
 class NaiveSheetVectors:
     """A sheet's vector table as per-cell dictionaries, each keyed by
@@ -359,7 +260,7 @@ def naive_analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet) -> NaiveSh
         kind = content.kind
         if kind is CellKind.FORMULA:
             try:
-                ast = parse_formula(content.value)
+                parsed = parse_formula(content.value)
             except FormulaParseError as exc:
                 table.diagnostics.append(
                     f"{sheet.name}!{to_a1(column, row)}: unparseable formula treated as text ({exc})"
@@ -367,11 +268,11 @@ def naive_analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet) -> NaiveSh
                 table.kinds[(column, row)] = CellKind.TEXT
                 table.fingerprints[(column, row)] = TEXT_FINGERPRINT
                 continue
-            refs = tuple(ref_rects(ast))
+            refs = tuple(ref_rects(parsed))
             table.kinds[(column, row)] = CellKind.FORMULA
             table.refs[(column, row)] = refs
             table.fingerprints[(column, row)] = rects_fingerprint(
-                refs, column, row, sheet.name, workbook.name, numeric_constant_count(ast) > 0
+                refs, column, row, sheet.name, workbook.name, parsed.numeric_constant
             )
         else:
             table.kinds[(column, row)] = kind

@@ -23,7 +23,7 @@ from gridlint.evaluate import (
     expected_random_tp,
     precision_recall,
 )
-from gridlint.formula import numeric_constant_count, parse_formula
+from gridlint.formula import parse_formula
 from gridlint.model import (
     CellContent,
     Rect,
@@ -60,10 +60,10 @@ def check(number: int, description: str, ok: bool) -> None:
 
 
 def fingerprint_of(text: str, column: int, row: int):
-    ast = parse_formula(text)
-    refs = references(ast)
+    parsed = parse_formula(text)
+    refs = references(parsed)
     vectors = reference_vectors(refs, column, row, "S", "w")
-    return formula_fingerprint(vectors, numeric_constant_count(ast) > 0)
+    return formula_fingerprint(vectors, parsed.numeric_constant)
 
 
 @pytest.fixture(scope="module")

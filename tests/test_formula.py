@@ -1,4 +1,4 @@
-"""Formula grammar: parsing, reference extraction, printing."""
+"""Formula grammar: what a parse accepts, refuses and reads."""
 
 import sys
 
@@ -7,79 +7,78 @@ from hypothesis import given, settings, strategies as st
 
 from gridlint.formula import (
     MAX_NESTING,
-    BinaryOp,
-    BoolLit,
-    CellRef,
     FormulaParseError,
-    FunctionCall,
-    NumberLit,
-    Paren,
-    RangeRef,
     SHEET_COLUMNS,
     SHEET_ROWS,
-    RawReference,
     RefRect,
-    StringLit,
-    UnaryOp,
-    numeric_constant_count,
     parse_formula,
+    shape_key,
+    shape_printer,
 )
-from oracle import RangeTooLargeError, constant_count, expand_range, ref_rects, references, to_text
+from gridlint.model import column_to_letters
+from oracle import RangeTooLargeError, RawReference, expand_range, ref_rects, references
 
 
 def refs_of(text):
     return list(references(parse_formula(text)))
 
 
+def read(text):
+    """(references as rectangles, numeric-constant flag) of a formula."""
+    parsed = parse_formula(text)
+    return ref_rects(parsed), parsed.numeric_constant
+
+
+A1, B2 = RefRect(1, 1, 1, 1), RefRect(2, 2, 2, 2)
+
+
 class TestAtoms:
     def test_number(self):
-        ast = parse_formula("=42")
-        assert isinstance(ast, NumberLit) and ast.value == 42.0
+        assert parse_formula("=42") == ((), [], True)
 
     def test_float_and_scientific(self):
-        assert parse_formula("=3.25").value == 3.25
-        assert parse_formula("=1e3").value == 1000.0
-        assert parse_formula("=2.5E-2").value == 0.025
+        for text in ("=3.25", "=1e3", "=2.5E-2", "=.5", "=7."):
+            assert read(text) == ([], True)
 
     def test_string(self):
-        ast = parse_formula('="hello"')
-        assert isinstance(ast, StringLit) and ast.value == "hello"
+        assert parse_formula('="hello"') == ((), [], False)
 
     def test_string_quote_escape(self):
-        assert parse_formula('="say ""hi"""').value == 'say "hi"'
+        assert read('="say ""hi"""') == ([], False)
+        # Cell-like text inside a string is no reference.
+        assert read('="A1 ""B2"""&B2') == ([B2], False)
 
     def test_plain_ref(self):
-        ast = parse_formula("=B5")
-        assert isinstance(ast, CellRef)
-        assert ast.ref == RawReference(2, 5, False, False, None, None)
+        parsed = parse_formula("=B5")
+        assert parsed == (((0, 0, None, None),), [(2, 5, False, False)], False)
+        assert ref_rects(parsed) == [RefRect(2, 5, 2, 5, False, False, None, None)]
 
     def test_absolute_flags(self):
-        assert parse_formula("=$B$5").ref == RawReference(2, 5, True, True, None, None)
-        assert parse_formula("=$B5").ref == RawReference(2, 5, True, False, None, None)
-        assert parse_formula("=B$5").ref == RawReference(2, 5, False, True, None, None)
+        assert parse_formula("=$B$5").corners == [(2, 5, True, True)]
+        assert parse_formula("=$B5").corners == [(2, 5, True, False)]
+        assert parse_formula("=B$5").corners == [(2, 5, False, True)]
 
     def test_sheet_qualified(self):
-        ast = parse_formula("=Sheet2!A1")
-        assert ast.ref.sheet == "Sheet2" and ast.ref.workbook is None
+        (rect,) = ref_rects(parse_formula("=Sheet2!A1"))
+        assert rect.sheet == "Sheet2" and rect.workbook is None
 
     def test_quoted_sheet(self):
-        ast = parse_formula("='My Sheet'!A1")
-        assert ast.ref.sheet == "My Sheet"
+        (rect,) = ref_rects(parse_formula("='My Sheet'!A1"))
+        assert rect.sheet == "My Sheet"
 
     def test_quoted_sheet_escape(self):
-        ast = parse_formula("='It''s'!A1")
-        assert ast.ref.sheet == "It's"
+        (rect,) = ref_rects(parse_formula("='It''s'!A1"))
+        assert rect.sheet == "It's"
 
     def test_workbook_qualified(self):
-        ast = parse_formula("=[Book2]Sheet1!A1")
-        assert ast.ref.workbook == "Book2" and ast.ref.sheet == "Sheet1"
+        (rect,) = ref_rects(parse_formula("=[Book2]Sheet1!A1"))
+        assert rect.workbook == "Book2" and rect.sheet == "Sheet1"
 
 
 class TestRanges:
     def test_simple_range(self):
-        ast = parse_formula("=SUM(A1:B2)")
-        rng = ast.args[0]
-        assert isinstance(rng, RangeRef)
+        parsed = parse_formula("=SUM(A1:B2)")
+        assert parsed == (((0, 1, None, None),), [(1, 1, False, False), (2, 2, False, False)], False)
 
     def test_expansion_row_major(self):
         cells = refs_of("=SUM(A1:B2)")
@@ -142,23 +141,27 @@ class TestWholeLines:
         assert ref_rects(parse_formula("=SUM(D:B)")) == ref_rects(parse_formula("=SUM(B:D)"))
 
     def test_among_other_arguments(self):
-        ast = parse_formula("=VLOOKUP(A2,Data!A:E,3,0)+1:1")
-        assert [r.sheet for r in ref_rects(ast)] == [None, "Data", None]
-        assert numeric_constant_count(ast) == 2
+        rects, numeric_constant = read("=VLOOKUP(A2,Data!A:E,3,0)+1:1")
+        assert [r.sheet for r in rects] == [None, "Data", None]
+        assert numeric_constant
 
     def test_expansion_guard_still_applies(self):
         # The cell-by-cell oracle keeps its limit; ref_rects has none.
-        ast = parse_formula("=SUM(B:C)")
+        parsed = parse_formula("=SUM(B:C)")
         with pytest.raises(RangeTooLargeError):
-            references(ast)
-        assert ref_rects(ast) == [RefRect(2, 1, 3, SHEET_ROWS, False, True)]
+            references(parsed)
+        assert ref_rects(parsed) == [RefRect(2, 1, 3, SHEET_ROWS, False, True)]
 
     @pytest.mark.parametrize("text", ["=SUM(B:B)", "=SUM($B:$D)", "=SUM(3:3)", "=Sheet2!A:C",
                                       "=SUM('My Sheet'!$1:5)", "=[Bk]S!B:$C+2"])
     def test_printed_back(self, text):
-        ast = parse_formula(text)
-        assert to_text(ast) == text
-        assert parse_formula(to_text(ast)) == ast
+        # A whole line is fixed in the template and holds no cell token,
+        # so the shape printer prints it back as written at any cell.
+        (line,) = parse_formula(text).template
+        assert type(line) is RefRect
+        key, corners = shape_key(text, 3, 4)
+        assert (key, corners) == (text, [])
+        assert shape_printer(key)(9, 20) == (text, [])
 
     @pytest.mark.parametrize("bad", ["=SUM(B:B1)", "=SUM(A1:B)", "=SUM(B:)", "=SUM(3:)", "=1:2A"])
     def test_malformed_rejected(self, bad):
@@ -187,68 +190,65 @@ class TestRefRects:
 
 
 class TestOperators:
-    def test_precedence_shape(self):
-        ast = parse_formula("=1+2*3")
-        assert isinstance(ast, BinaryOp) and ast.op == "+"
-        assert isinstance(ast.right, BinaryOp) and ast.right.op == "*"
-
     def test_power_right_associative(self):
-        ast = parse_formula("=2^3^2")
-        assert ast.op == "^"
-        assert isinstance(ast.right, BinaryOp) and ast.right.op == "^"
+        assert read("=2^3^2") == ([], True)
+        # Each right operand of "^" nests one level deeper.
+        assert read("=A1" + "^2" * MAX_NESTING) == ([A1], True)
+        with pytest.raises(FormulaParseError, match="nesting"):
+            parse_formula("=A1" + "^2" * (MAX_NESTING + 1))
 
     def test_unary_minus(self):
-        ast = parse_formula("=-A1")
-        assert isinstance(ast, UnaryOp) and ast.op == "-"
+        assert read("=-A1") == ([A1], False)
+        assert read("=-2^2") == ([], True)
 
     def test_percent_postfix(self):
-        ast = parse_formula("=50%")
-        assert isinstance(ast, UnaryOp) and ast.op == "%"
+        assert read("=50%") == ([], True)
+        assert read("=A1 % %") == ([A1], False)
 
     def test_comparison_and_concat(self):
-        ast = parse_formula('=A1&"x"<>B1')
-        assert ast.op == "<>"
-        assert isinstance(ast.left, BinaryOp) and ast.left.op == "&"
+        assert read('=A1&"x"<>B2') == ([A1, B2], False)
 
     def test_parens(self):
-        ast = parse_formula("=(1+2)*3")
-        assert ast.op == "*" and isinstance(ast.left, Paren)
+        assert read("=(1+2)*3") == ([], True)
+        assert read("=( A1 )") == ([A1], False)
 
     @pytest.mark.parametrize("text, ops, leaves", [
-        ("=1-2-3", ("-", "-"), (NumberLit(1.0), NumberLit(2.0), NumberLit(3.0))),
-        ("=8/4/2", ("/", "/"), (NumberLit(8.0), NumberLit(4.0), NumberLit(2.0))),
-        ('="a"&"b"&"c"', ("&", "&"), (StringLit("a"), StringLit("b"), StringLit("c"))),
-        ("=1<2<3", ("<", "<"), (NumberLit(1.0), NumberLit(2.0), NumberLit(3.0))),
-        ("=1+2-3", ("+", "-"), (NumberLit(1.0), NumberLit(2.0), NumberLit(3.0))),
-        ("=1*2/3", ("*", "/"), (NumberLit(1.0), NumberLit(2.0), NumberLit(3.0))),
+        ("=1-2-3", ("-", "-"), ("1", "2", "3")),
+        ("=8/4/2", ("/", "/"), ("8", "4", "2")),
+        ('="a"&"b"&"c"', ("&", "&"), ('"a"', '"b"', '"c"')),
+        ("=1<2<3", ("<", "<"), ("1", "2", "3")),
+        ("=1+2-3", ("+", "-"), ("1", "2", "3")),
+        ("=1*2/3", ("*", "/"), ("1", "2", "3")),
     ])
     def test_left_associative_at_every_level(self, text, ops, leaves):
-        # a op b op c groups as (a op b) op c.
+        # A left-associative level is one loop, so a chain of any length
+        # nests nothing.
         a, b, c = leaves
-        assert parse_formula(text) == BinaryOp(ops[1], BinaryOp(ops[0], a, b), c)
+        assert text == f"={a}{ops[0]}{b}{ops[1]}{c}"
+        chain = f"={a}" + f"{ops[0]}{b}{ops[1]}{c}" * 10 * MAX_NESTING
+        assert read(text) == read(chain) == ([], a.isdigit())
 
     @pytest.mark.parametrize("op", ["<=", ">=", "<>", "=", "<", ">"])
     def test_comparison_read_as_one_operator(self, op):
-        assert parse_formula(f"=A1{op}2") == BinaryOp(op, CellRef(RawReference(1, 1)), NumberLit(2.0))
-        assert parse_formula(f"=1{op}2{op}3").left == BinaryOp(op, NumberLit(1.0), NumberLit(2.0))
+        # No operand starts with "=" or ">", so a split "<=" would be refused.
+        assert read(f"=A1{op}2") == ([A1], True)
+        assert read(f"=1{op}2{op}3") == ([], True)
 
 
 class TestFunctions:
     def test_call(self):
-        ast = parse_formula("=SUM(A1, B2)")
-        assert isinstance(ast, FunctionCall)
-        assert ast.name == "SUM" and len(ast.args) == 2
+        assert read("=SUM(A1, B2)") == ([A1, B2], False)
 
     def test_name_uppercased(self):
-        assert parse_formula("=sum(A1)").name == "SUM"
+        # A function or boolean name is read in any case.
+        assert parse_formula("=sum(A1)") == parse_formula("=SUM(A1)")
+        assert parse_formula("=True") == parse_formula("=TRUE")
 
     def test_nested(self):
-        ast = parse_formula("=MAX(SUM(A1:A3), 0)")
-        assert isinstance(ast.args[0], FunctionCall)
+        assert read("=MAX(SUM(A1:A3), 0)") == ([RefRect(1, 1, 1, 3)], True)
 
     def test_zero_arg(self):
-        ast = parse_formula("=PI()")
-        assert isinstance(ast, FunctionCall) and ast.args == ()
+        assert parse_formula("=PI()") == ((), [], False)
 
     def test_bare_name_without_call_is_error(self):
         with pytest.raises(FormulaParseError):
@@ -257,26 +257,28 @@ class TestFunctions:
 
 class TestBooleans:
     def test_literals(self):
-        assert parse_formula("=TRUE") == BoolLit(True)
-        assert parse_formula("=false") == BoolLit(False)
+        assert parse_formula("=TRUE") == ((), [], False)
+        assert parse_formula("=false") == ((), [], False)
 
     def test_in_arguments(self):
-        ast = parse_formula("=IF(A1>0,TRUE,FALSE)")
-        assert ast.args[1:] == (BoolLit(True), BoolLit(False))
-        lookup = parse_formula("=VLOOKUP(A2,Data!$A$1:$E$99,3,FALSE)")
-        assert lookup.args[3] == BoolLit(False)
+        assert read("=IF(A1>0,TRUE,FALSE)") == ([A1], True)
+        rects, _ = read("=VLOOKUP(A2,Data!$A$1:$E$99,3,FALSE)")
+        assert rects == [RefRect(1, 2, 1, 2), RefRect(1, 1, 5, 99, True, True, "Data")]
         assert len(refs_of("=VLOOKUP(A2,Data!$A$1:$E$99,3,FALSE)")) == 1 + 5 * 99
 
     def test_constant_but_not_numeric(self):
-        ast = parse_formula("=IF(A1>0,TRUE,FALSE)")
-        assert constant_count(ast) == 3  # 0, TRUE, FALSE
-        assert numeric_constant_count(ast) == 1
+        assert read("=IF(A1>0,TRUE,FALSE)")[1]  # the 0
+        assert not read("=IF(A1,TRUE,FALSE)")[1]
 
     def test_call_with_parentheses_stays_a_call(self):
-        assert parse_formula("=TRUE()") == FunctionCall("TRUE", ())
+        assert read("=TRUE()") == ([], False)
+        assert read("=TRUE(A1)") == ([A1], False)
 
     def test_printed_back(self):
-        assert to_text(parse_formula("=IF(A1,TRUE,FALSE)")) == "=IF(A1,TRUE,FALSE)"
+        # The shape printer moves the reference and keeps the booleans as written.
+        key, _ = shape_key("=IF(A1,TRUE,false)", 2, 1)
+        assert shape_printer(key)(2, 1) == ("=IF(A1,TRUE,false)", [(1, 1, False, False)])
+        assert shape_printer(key)(3, 5) == ("=IF(B5,TRUE,false)", [(2, 5, False, False)])
 
 
 def nested(kind: str, n: int) -> str:
@@ -307,7 +309,8 @@ class TestNesting:
             parse_formula("=" + "(" * 5000 + "A1+1" + ")" * 5000)
 
     def test_full_depth_needs_few_frames(self):
-        # A call level, the costliest, takes nine parser frames.
+        # A call level, the costliest, takes nine parser frames: the four
+        # binary levels, power, unary sign, postfix, atom and the call.
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(stack_depth() + 10 * MAX_NESTING)
         try:
@@ -318,19 +321,43 @@ class TestNesting:
     def test_long_flat_chain_is_analyzed(self):
         text = "=" + "+".join(["A1"] * 2500)
         assert len(text) == 7500
-        ast = parse_formula(text)
-        assert len(references(ast)) == 2500
-        assert constant_count(ast) == 0
+        parsed = parse_formula(text)
+        assert len(references(parsed)) == 2500
+        assert not parsed.numeric_constant
+
+
+# One refusal per raise site, with its message and offset.
+REFUSALS = {
+    "": ("formula must start with '='", 0),
+    "A1": ("formula must start with '='", 0),
+    "=": ("expected a value, reference, or function", 1),
+    "=1+": ("expected a value, reference, or function", 3),
+    "=(1": ("expected ')'", 3),
+    "=SUM(A1": ("expected ')'", 7),
+    "=A1 B1": ("unexpected trailing input", 4),
+    "=1..2": ("unexpected trailing input", 3),
+    '="unterminated': ("unterminated string literal", 1),
+    '=1&"a""b': ("unterminated string literal", 3),  # a doubled quote closes nothing
+    "=.x": ("malformed number", 1),
+    "=XFE1": ("reference XFE1 outside the sheet", 1),
+    "=SUM(XFE:XFE)": ("columns XFE:XFE outside the sheet", 5),
+    "=SUM(0:3)": ("rows 0:3 outside the sheet", 5),
+    "=SUM(A1:Sheet2!B2)": ("range endpoints on different sheets", 8),
+    "=SUM(A1:)": ("expected cell address after ':'", 8),
+    "=Sheet2!+1": ("expected cell address after sheet qualifier", 8),
+    "=Revenue": ("unsupported name 'Revenue'", 1),
+    "=" + "-" * (MAX_NESTING + 1) + "1": (f"nesting deeper than {MAX_NESTING} levels", MAX_NESTING + 2),
+}
 
 
 class TestErrors:
-    @pytest.mark.parametrize(
-        "bad",
-        ["", "A1", "=", "=1+", "=(1", "=SUM(A1", "=A1 B1", "=1..2", '="unterminated'],
-    )
+    @pytest.mark.parametrize("bad", list(REFUSALS))
     def test_rejected(self, bad):
-        with pytest.raises((FormulaParseError, ValueError)):
+        message, offset = REFUSALS[bad]
+        with pytest.raises(FormulaParseError) as exc:
             parse_formula(bad)
+        assert str(exc.value) == f"{message} at offset {offset}"
+        assert exc.value.position == offset
 
     def test_error_carries_position(self):
         with pytest.raises(FormulaParseError) as exc:
@@ -344,79 +371,67 @@ class TestReferences:
         assert [(r.column, r.row) for r in cells] == [(2, 1), (1, 1)]
 
     def test_counts(self):
-        ast = parse_formula('=5+A1&"x"')
-        assert numeric_constant_count(ast) == 1
-        assert constant_count(ast) == 2
+        assert read('=5+A1&"x"') == ([A1], True)
 
     def test_no_constants(self):
-        assert numeric_constant_count(parse_formula("=A1+B1")) == 0
+        assert not parse_formula("=A1+B1").numeric_constant
 
 
-# --- printer round-trip ---
+# --- what a parse reads of written text ---
 
 _NAMES = st.sampled_from(["SUM", "MAX", "ABS", "IF", "COUNT"])
 _SHEETS = st.one_of(st.none(), st.sampled_from(["Sheet2", "My Sheet", "Data"]))
 
 
-def _ref_text(draw):
+def _ref_text(draw) -> tuple[str, RefRect]:
     column = draw(st.integers(1, 30))
     row = draw(st.integers(1, 99))
     dollar_c = draw(st.booleans())
     dollar_r = draw(st.booleans())
     sheet = draw(_SHEETS)
-    from gridlint.model import column_to_letters
-
+    rect = RefRect(column, row, column, row, dollar_c, dollar_r, sheet, None)
     body = f"{'$' if dollar_c else ''}{column_to_letters(column)}{'$' if dollar_r else ''}{row}"
     if sheet is None:
-        return body
+        return body, rect
     quoted = f"'{sheet}'" if " " in sheet else sheet
-    return f"{quoted}!{body}"
+    return f"{quoted}!{body}", rect
 
 
 @st.composite
-def formula_texts(draw, depth=3):
-    """Random well-formed formula source text."""
+def formula_texts(draw, depth=3) -> tuple[str, list[RefRect], bool]:
+    """Random well-formed formula source text, with the references it
+    writes, in order, and whether it writes a number."""
     if depth == 0 or draw(st.booleans()):
         choice = draw(st.integers(0, 3))
         if choice == 0:
             number = draw(st.integers(0, 9999))
-            return str(number)
+            return str(number), [], True
         if choice == 1:
-            value = draw(st.text(alphabet="abc x", max_size=5))
-            return '"' + value.replace('"', '""') + '"'
-        return _ref_text(draw)
+            value = draw(st.text(alphabet='abc x"A1', max_size=5))
+            return '"' + value.replace('"', '""') + '"', [], False
+        text, rect = _ref_text(draw)
+        return text, [rect], False
     choice = draw(st.integers(0, 3))
     if choice == 0:
         op = draw(st.sampled_from(["+", "-", "*", "/", "^", "&", "<", "<=", "<>", "="]))
-        return f"{draw(formula_texts(depth=depth - 1))}{op}{draw(formula_texts(depth=depth - 1))}"
+        (left, left_rects, left_number), (right, right_rects, right_number) = (
+            draw(formula_texts(depth=depth - 1)) for _ in range(2))
+        return f"{left}{op}{right}", left_rects + right_rects, left_number or right_number
     if choice == 1:
         name = draw(_NAMES)
-        n_args = draw(st.integers(0, 3))
-        args = ", ".join(draw(formula_texts(depth=depth - 1)) for _ in range(n_args))
-        return f"{name}({args})"
-    if choice == 2:
-        return f"({draw(formula_texts(depth=depth - 1))})"
-    return f"-{draw(formula_texts(depth=depth - 1))}"
+        args = [draw(formula_texts(depth=depth - 1)) for _ in range(draw(st.integers(0, 3)))]
+        return (f"{name}({', '.join(text for text, _, _ in args)})",
+                [rect for _, rects, _ in args for rect in rects], any(number for _, _, number in args))
+    inner, rects, number = draw(formula_texts(depth=depth - 1))
+    return (f"({inner})" if choice == 2 else f"-{inner}"), rects, number
 
 
 @settings(max_examples=300, deadline=None)
 @given(formula_texts())
-def test_print_parse_round_trip(body):
-    """Printing a parsed formula and reparsing must reproduce the tree."""
-    ast1 = parse_formula("=" + body)
-    printed = to_text(ast1)
-    ast2 = parse_formula(printed)
-    assert ast1 == ast2
-    assert to_text(ast2) == printed
-
-
-def test_printer_guards_hand_built_precedence():
-    # (1+2)*3 built without Paren nodes must still print unambiguously
-    tree = BinaryOp("*", BinaryOp("+", NumberLit(1.0), NumberLit(2.0)), NumberLit(3.0))
-    printed = to_text(tree)
-    reparsed = parse_formula(printed)
-    assert isinstance(reparsed, BinaryOp) and reparsed.op == "*"
-
-
-def test_printer_formats_ints_without_decimal():
-    assert to_text(parse_formula("=1+2")) == "=1+2"
+def test_parse_reads_what_was_written(written):
+    """A parse reads the references a formula writes, in order, and
+    whether it writes a number."""
+    body, rects, number = written
+    parsed = parse_formula("=" + body)
+    assert ref_rects(parsed) == rects
+    assert parsed.numeric_constant is number

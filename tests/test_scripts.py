@@ -95,5 +95,7 @@ def test_same_reports_finds_a_tree_equal_to_itself():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # fixtures/ twice over, and the 57 workload workbooks of seed 7; JSON and text each
     assert "all 138 reports and their exit codes identical (69 variants" in proc.stdout
+    # each analysed variant's per-sheet diagnostics, the parser's refusals among them
+    assert "all 69 diagnostic lists identical" in proc.stdout
     # one render per workbook: a page per sheet
     assert "all 184 render pages and the eval output identical" in proc.stdout

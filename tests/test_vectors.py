@@ -12,9 +12,7 @@ from gridlint.formula import (
     SHEET_COLUMNS,
     SHEET_ROWS,
     FormulaParseError,
-    numeric_constant_count,
     parse_formula,
-    ref_template,
     shape_key,
     shape_printer,
 )
@@ -50,10 +48,10 @@ from oracle import (
 
 
 def fingerprint_of(formula, column, row, sheet="S", workbook="wb"):
-    ast = parse_formula(formula)
-    refs = references(ast)
+    parsed = parse_formula(formula)
+    refs = references(parsed)
     vectors = reference_vectors(refs, column, row, sheet, workbook)
-    return formula_fingerprint(vectors, numeric_constant_count(ast) > 0)
+    return formula_fingerprint(vectors, parsed.numeric_constant)
 
 
 class TestReferenceVectors:
@@ -187,8 +185,8 @@ class TestAnalyzeSheet:
 
 
 def closed_fingerprint_of(formula, column, row, sheet="S", workbook="wb"):
-    ast = parse_formula(formula)
-    return rects_fingerprint(ref_rects(ast), column, row, sheet, workbook, numeric_constant_count(ast) > 0)
+    parsed = parse_formula(formula)
+    return rects_fingerprint(ref_rects(parsed), column, row, sheet, workbook, parsed.numeric_constant)
 
 
 class TestWholeLineFingerprints:
@@ -263,9 +261,9 @@ class TestClosedFormOracle:
     @given(reference_formulas(), st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.integers(1, 9),
            st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)))
     def test_matches_expand_and_sum(self, text, column, row, to_column, to_row, corners):
-        ast = parse_formula(text)
-        cells, rects = references(ast), ref_rects(ast)
-        constant = numeric_constant_count(ast) > 0
+        parsed = parse_formula(text)
+        cells, rects = references(parsed), ref_rects(parsed)
+        constant = parsed.numeric_constant
         assert rects_fingerprint(rects, column, row, "S", "wb", constant) == formula_fingerprint(
             reference_vectors(cells, column, row, "S", "wb"), constant
         )
@@ -436,10 +434,10 @@ class TestShapeCacheOracle:
             if content.kind is not CellKind.FORMULA:
                 continue
             try:
-                ast = parse_formula(content.value)
+                parsed = parse_formula(content.value)
             except FormulaParseError:
                 continue
-            assert shape_key(content.value, column, row)[1] == ref_template(ast)[1]
+            assert shape_key(content.value, column, row)[1] == parsed.corners
 
     @pytest.mark.parametrize("formulas", [
         # A1-like text inside strings and quoted sheet names
@@ -716,10 +714,10 @@ class TestFingerprintPerShape:
             table = assert_matches_uncached(sheet, workbook, shapes)
             for (column, row), rects in table.refs.items():
                 text = sheet.cells[(column, row)].value
-                ast = parse_formula(text)
+                parsed = parse_formula(text)
                 fingerprint = table.fingerprint(column, row)
                 assert fingerprint == rects_fingerprint(rects, column, row, sheet.name, "wb",
-                                                        numeric_constant_count(ast) > 0)
+                                                        parsed.numeric_constant)
                 if not _WHOLE_COLUMNS.search(text):  # a million cells each: TestWholeLineFingerprints
                     assert fingerprint == fingerprint_of(text, column, row, sheet.name, "wb")
 
@@ -749,7 +747,7 @@ class TestFingerprintPerShape:
         ("=PI()", True),
     ])
     def test_translation_invariant(self, text, invariant):
-        template, corners = ref_template(parse_formula(text))
+        template, corners, _ = parse_formula(text)
         assert vectors.translation_invariant(template, corners) is invariant
 
     def test_cancelling_formula_gets_a_code_of_its_own(self):
@@ -835,10 +833,10 @@ class TestFormulasNeverFingerprintAsData:
         for (column, row), content in cells.items():
             if content.kind is not CellKind.FORMULA:
                 continue
-            ast = parse_formula(content.value)
-            vectors = reference_vectors(references(ast), column, row, "S", "wb")
+            parsed = parse_formula(content.value)
+            vectors = reference_vectors(references(parsed), column, row, "S", "wb")
             x, y, z = (sum(v[axis] for v in vectors) for axis in range(3))
-            flag = 1 if numeric_constant_count(ast) > 0 else 0
+            flag = int(parsed.numeric_constant)
             want = Fingerprint(0, 0, 0, 2 + flag) if (x, y, z) == (0, 0, 0) else Fingerprint(x, y, z, flag)
             assert table.fingerprint(column, row) == want
             assert want not in DATA_KINDS
