@@ -20,14 +20,7 @@ from .evaluate import evaluate_report, load_annotations
 from .fixes import DEFAULT_THRESHOLD
 from .model import FormatError, GridlintError, load_workbook
 from .pipeline import PHASES, AnalysisConfig, analyze_workbook, audit_payload
-from .report import (
-    assign_colors,
-    audit_json,
-    audit_text,
-    build_adjacency,
-    global_view_chunks,
-    render_empty_view,
-)
+from .report import audit_json, audit_text, global_view_chunks, render_empty_view
 from .vectors import analyze_sheet_vectors
 
 EXIT_OK = 0
@@ -95,9 +88,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         else:
             # The page holds one <rect> per used-range cell; written as it
             # is built, it is never whole in memory.
-            graph = build_adjacency(table)
             with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(global_view_chunks(table, graph, assign_colors(graph)))
+                fh.writelines(global_view_chunks(table))
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 

@@ -17,34 +17,24 @@ rectangle along each axis: single lines for a tree node, the strips
 between consecutive candidate cuts for a delimiter piece.  One sweep per
 axis keeps running histograms of the two halves and an exact integer
 running sum of c*log2(c), which scores every cut approximately; only the
-cuts within a proven rounding margin of the best are re-scored exactly.
-A re-score sums the strip histograms of the cut's smaller half and reads
-the counts in code order, as `counts_in` returns them; so cuts and
-entropy floats are those of the plain search that scores each cut's
-split entropy (the summed normalized entropy of both halves' counts)
-with two `counts_in` calls, and neither the tree nor the preprocessing
-calls `counts_in`.  A tree node finds its cut in O(area): it counts its
-total and its lines across its parent's cut, and takes its lines along
-that cut from its parent.  A node one cell wide or tall, most of a
-tree's nodes, builds no line histograms: its strips are single cells,
-so it sweeps its codes in order with one running count per code
-(`_line_cut`) and re-scores from the codes of a cut's smaller half;
-`_sweep` over single-cell strips gives the same scores, more slowly.
-Lines, halves and one-wide nodes are counted by `_histogram`: one
-`count` per code when the node holds few codes, else a `Counter`.  A
-node re-scores its cuts exactly only when more than one is near the
-minimum; the chosen cut's entropy decides nothing, so no node keeps it.
-Nodes move through the tree's loop as coordinates, and each gets its
-`Rect` once, when the tree is built; a leaf is built as the `Region`
-that coalescing reads, its fingerprint read off its top-left code.  A
-node whose every cell has a fingerprint of its own (all-distinct) is
-decided in closed form: each half of it holds counts of 1 only, so its
-sweep scores, exact scores and cut depend on its width and height
-alone, and are memoised per shape for the sheet.  Its subtree is
-all-distinct too and builds no histogram, so a 1 x n column of distinct
-fingerprints, which the tree peels one cell per node, costs one set of
-its codes and no exact score.
-The sheet's pieces and trees share one table of c*log2(c) terms.
+cuts within a proven rounding margin of the best are re-scored exactly,
+and none when just one is.  A re-score sums the strip histograms of the
+cut's smaller half and reads the counts in code order, as `counts_in`
+returns them; so cuts and entropy floats are those of the plain search
+that scores each cut's split entropy (the summed normalized entropy of
+both halves' counts) with two `counts_in` calls, and neither the tree
+nor the preprocessing calls `counts_in`.  The chosen cut's entropy
+decides nothing, so no node keeps it.  Lines, halves and one-wide nodes
+are counted by `_histogram`: one `count` per code when the node holds
+few codes, else a `Counter`.  The sheet's pieces and trees share one
+table of c*log2(c) terms, which also memoises all-distinct half scores.
+
+All-distinct nodes.  In a node whose every cell has a fingerprint of its
+own, a half of m cells holds m counts of 1, so its scores depend on m
+alone and the node's cut on its width and height (`_distinct_cut`).
+Every node below it is all-distinct too, so its subtree builds no
+histogram: a 1 x n column of distinct fingerprints, which the tree peels
+one cell per node, costs one set of its codes and no exact score.
 
 The grid sits at its sheet coordinates (`FingerprintGrid.left`, `top`)
 and every rectangle here is read through it, so cuts, pieces and
@@ -75,10 +65,6 @@ from .model import GridlintError, Rect
 
 class NegativeCountError(GridlintError):
     """A histogram count was negative."""
-
-
-class InvalidSplitError(GridlintError):
-    """A requested cut line does not fall strictly inside the rectangle."""
 
 
 class Region(NamedTuple):
@@ -113,23 +99,6 @@ def normalized_entropy(counts: Iterable[int], n: int) -> float:
     return total * scale
 
 
-def split_halves(region: Rect, index: int, vertical: bool) -> tuple[Rect, Rect]:
-    """The two sub-rectangles obtained by cutting after column/row `index`."""
-    if vertical:
-        if not region.left <= index < region.right:
-            raise InvalidSplitError(f"cut after column {index} not inside {region}")
-        return (
-            Rect(region.left, region.top, index, region.bottom),
-            Rect(index + 1, region.top, region.right, region.bottom),
-        )
-    if not region.top <= index < region.bottom:
-        raise InvalidSplitError(f"cut after row {index} not inside {region}")
-    return (
-        Rect(region.left, region.top, region.right, index),
-        Rect(region.left, index + 1, region.right, region.bottom),
-    )
-
-
 class EntropyNode(NamedTuple):
     """A cut of `rect` after column (vertical) or row `index` into the
     subtrees `low` and `high`.  A leaf is the `Region` of its rectangle;
@@ -157,7 +126,13 @@ _UNIT_ROUNDOFF = 2.0**-53
 class _XLogXTable(dict):
     """Maps a count c to round(c * log2(c) * 2**_SWEEP_BITS), computing
     each entry when it is first read: a sweep reads only the counts its
-    histograms reach, often far fewer than its area."""
+    histograms reach, often far fewer than its area.  `halves` memoises
+    the exact scores of all-distinct halves by cell count
+    (`_distinct_half`)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.halves: dict[int, float] = {}
 
     def __missing__(self, c: int) -> int:
         value = self[c] = round(c * math.log2(c) * _SWEEP_SCALE) if c > 1 else 0
@@ -306,73 +281,42 @@ def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple], tabl
     return _first_exact_minimum(_near_minimum(area, sweeps), _strip_score, strips, sorted(total), total, area)
 
 
-class _DistinctCuts:
-    """Cuts of all-distinct nodes, memoised per (width, height) as
-    (vertical, offset from the node's first line).
+def _distinct_half(m: int, halves: dict[int, float]) -> float:
+    """Exact score of a half of m >= 2 distinct cells, memoised in
+    `halves`: `normalized_entropy([1] * m, m)`, whose loop subtracts the
+    same term p * log2(p), p = 1 / m, m times.  Subtracting it m times in
+    the same order gives the same float at a fraction of the cost."""
+    e = halves.get(m)
+    if e is None:
+        p = 1 / m
+        e = halves[m] = reduce(operator.sub, repeat(p * math.log2(p), m), 0.0) * (1.0 / math.log2(m))
+    return e
 
-    In a node whose every cell has a code of its own, a half of m cells
-    holds m counts of 1.  It sweeps to 1.0 for m >= 2, since every table
-    entry it reads is table[1] == 0, and to 0.0 for one cell; its exact
-    score is `normalized_entropy([1] * m, m)`, 0.0 for one cell.  So the
-    sweep, the cuts near its minimum and the exact re-scores of such a
-    node depend on its shape alone, and so does its cut.  A line's cut
-    is the first end cut, found with no exact score; a block of at least
-    2 x 2 re-scores its cuts from the memoised half scores.  One instance
-    serves every tree of a sheet.
+
+def _distinct_cut(left: int, top: int, right: int, bottom: int, table: _XLogXTable) -> tuple[bool, int]:
+    """(vertical, index) of the cut of an all-distinct rectangle of at
+    least two cells, each cell a fingerprint of its own.
+
+    A half of m cells holds m counts of 1, so it sweeps to 1.0 for m >= 2
+    (every table entry it reads is table[1] == 0) and to 0.0 for one cell.
+    On a line of m >= 3 cells the two end cuts sweep to 1.0 and every other
+    cut to 2.0, farther than `_cut_margin` (< 1 for any grid that fits in
+    memory); the end cuts tie exactly, so the first one wins, and a line of
+    two cells has no other cut.  Every cut of a block at least 2 x 2 sweeps
+    to 2.0, so all are near the minimum and all are re-scored, from the
+    half scores memoised on the sheet's `table`.
     """
+    width, height = right - left + 1, bottom - top + 1
+    if width == 1 or height == 1:
+        return (True, left) if width > 1 else (False, top)
+    area, halves = width * height, table.halves
 
-    def __init__(self) -> None:
-        self._shapes: dict[tuple[int, int], tuple[bool, int]] = {}
-        self._halves: dict[int, float] = {}
+    def score(vertical: bool, index: int) -> float:
+        low = (index - left + 1) * height if vertical else (index - top + 1) * width
+        return _distinct_half(low, halves) + _distinct_half(area - low, halves)
 
-    def _half(self, m: int) -> float:
-        """Exact score of a half of m distinct cells:
-        `normalized_entropy([1] * m, m)`, whose loop subtracts the same
-        term p * log2(p), p = 1 / m, m times.  Subtracting it m times in
-        the same order gives the same float at a fraction of the cost."""
-        e = self._halves.get(m)
-        if e is None:
-            if m == 1:
-                e = 0.0
-            else:
-                p = 1 / m
-                e = reduce(operator.sub, repeat(p * math.log2(p), m), 0.0) * (1.0 / math.log2(m))
-            self._halves[m] = e
-        return e
-
-    @staticmethod
-    def _sizes(vertical: bool, k: int, width: int, height: int) -> tuple[int, int]:
-        """Cell counts of the halves of the cut after the k-th column (row)."""
-        return (k * height, (width - k) * height) if vertical else (k * width, (height - k) * width)
-
-    def _exact(self, vertical: bool, k: int, width: int, height: int) -> float:
-        low, high = self._sizes(vertical, k, width, height)
-        return self._half(low) + self._half(high)
-
-    def _shape_cut(self, width: int, height: int) -> tuple[bool, int]:
-        """(vertical, offset from the first line) of the cut."""
-        if min(width, height) == 1:
-            # On a line of m >= 3 cells the two end cuts sweep to 1.0 and
-            # every other cut to 2.0, farther than `_cut_margin` (< 1 for
-            # any grid that fits in memory).  The end cuts tie exactly, so
-            # the first one wins; a line of two cells has no other cut.
-            return width > 1, 0
-        sweeps = [(vertical, range(1, length),
-                   [sum(0.0 if m == 1 else 1.0 for m in self._sizes(vertical, k, width, height))
-                    for k in range(1, length)])
-                  for vertical, length in ((True, width), (False, height))]
-        vertical, k = _first_exact_minimum(_near_minimum(width * height, sweeps), self._exact, width, height)
-        return vertical, k - 1
-
-    def cut(self, left: int, top: int, right: int, bottom: int) -> tuple[bool, int]:
-        """(vertical, index) of the cut of the all-distinct rectangle with
-        these corners."""
-        shape = (right - left + 1, bottom - top + 1)
-        decision = self._shapes.get(shape)
-        if decision is None:
-            decision = self._shapes[shape] = self._shape_cut(*shape)
-        vertical, offset = decision
-        return vertical, (left if vertical else top) + offset
+    return _first_exact_minimum([(True, i) for i in range(left, right)] + [(False, i) for i in range(top, bottom)],
+                                score)
 
 
 # Up to this many codes in a node, one `count` per code takes a line's,
@@ -479,36 +423,29 @@ def _line_cut(codes: list[int], first: int, vertical: bool,
     return _first_exact_minimum(near, _line_score, codes, first, sorted(total), total), False
 
 
-def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None, *, table: Optional[_XLogXTable] = None,
-                 distinct: Optional[_DistinctCuts] = None) -> EntropyTree:
+def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None, *,
+                 table: Optional[_XLogXTable] = None) -> EntropyTree:
     """Full guillotine decomposition tree of `region` (default: whole grid).
 
-    Each node costs O(area) for its histograms and cut sweep, with no
-    `counts_in` call, so a tree costs O(sum of node areas):
-    O(area x depth).  Nodes travel as (left, top, right, bottom) tuples,
-    and each node of the tree gets its `Rect` once, when the tree is
-    built: an inner node as an `EntropyNode`, a leaf as the `Region` of
-    its rectangle and its one fingerprint.  A node one cell wide or tall
-    is swept cell by cell from its codes (`_line_cut`), which it takes
-    from its parent when that is one-wide too, and builds no line
-    histograms.  A wider node counts only its total and its lines across
-    its parent's cut (`_block_cut`); its lines along that cut are a
-    slice of its parent's.  Either re-scores its cuts exactly only when
-    more than one is near the sweep's minimum.
-    Below an all-distinct node every node is all-distinct too; such
-    nodes build no histogram and take their cut from a memo per
-    (width, height) (`_DistinctCuts`), so a 1 x n column of distinct
-    fingerprints, peeled one cell per node, costs one set of its codes.
-    `table` and `distinct` may be shared by the trees of one sheet.
-    Built with an explicit stack; deep, skewed cut sequences on long
-    thin sheets would overflow Python's recursion limit otherwise.
+    Each node costs O(area) for its histograms and cut sweep, so a tree
+    costs O(sum of node areas): O(area x depth).  A node one cell wide or
+    tall, most of a tree's nodes, is swept cell by cell from its codes
+    (`_line_cut`), which it takes from its parent when that is one-wide
+    too; `_sweep` over single-cell strips would give the same scores,
+    more slowly.  A wider node counts only its total and its lines across
+    its parent's cut (`_block_cut`); its lines along that cut are a slice
+    of its parent's.  Nodes travel as (left, top, right, bottom) tuples,
+    and each gets its `Rect` once, when the tree is built: an inner node
+    as an `EntropyNode`, a leaf as the `Region` of its rectangle and its
+    fingerprint, read off its top-left code.  `table` may be shared by
+    the trees of one sheet.  Built with an explicit stack; deep, skewed
+    cut sequences on long thin sheets would overflow Python's recursion
+    limit otherwise.
     """
     if region is None:
         region = grid.full_rect()
     if table is None:
         table = _XLogXTable()
-    if distinct is None:
-        distinct = _DistinctCuts()
     code_rows, grid_left, grid_top = grid.code_rows, grid.left, grid.top
     # Decide every node's cut top-down; stack order is preorder.  A
     # pending node is (left, top, right, bottom, all_distinct, inherited):
@@ -522,7 +459,7 @@ def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None, *, table:
         if left == right and top == bottom:
             cut = None
         elif all_distinct:
-            cut = distinct.cut(left, top, right, bottom)
+            cut = _distinct_cut(left, top, right, bottom, table)
         else:
             if left == right or top == bottom:
                 if inherited is not None:
@@ -538,7 +475,7 @@ def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None, *, table:
                                  repeat(slice(left - grid_left, right - grid_left + 1))))
                 cut, all_distinct, lines = _block_cut(block, left, top, inherited, table)
             if all_distinct:
-                cut, lines = distinct.cut(left, top, right, bottom), None
+                cut, lines = _distinct_cut(left, top, right, bottom, table), None
         order.append((left, top, right, bottom, cut))
         if cut is None:
             continue
@@ -811,9 +748,10 @@ def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = No
                 total.update(hist)
             cuts = [_cut_search(r.area, total, axes, table)]
         vertical, index = cuts[0]
-        low, high = split_halves(r, index, vertical)
-        stack.append(high)
-        stack.append(low)
+        if vertical:
+            stack += [Rect(index + 1, r.top, r.right, r.bottom), Rect(r.left, r.top, index, r.bottom)]
+        else:
+            stack += [Rect(r.left, index + 1, r.right, r.bottom), Rect(r.left, r.top, r.right, index)]
     pieces.sort(key=lambda p: (p.top, p.left))
     return pieces
 
@@ -824,13 +762,12 @@ def decompose_grid(grid: FingerprintGrid, preprocess: bool = True) -> list[Regio
     With preprocess=True the grid is first split along delimiter runs and
     each piece decomposed independently; the piece list and the final
     coalesce order are both pinned.  The leaf regions of every piece's
-    tree go to `coalesce` as the tree built them.  The sheet's pieces and
-    trees share one table of c*log2(c) terms and one memo of all-distinct
-    cuts.  `delimiter_splits`, `entropy_tree` and `coalesce` are called
-    through this module's attributes, where a caller may wrap them.
+    tree go to `coalesce` as the tree built them, and all of them share
+    one `_XLogXTable`.  `delimiter_splits`, `entropy_tree` and `coalesce`
+    are called through this module's attributes, where a caller may wrap
+    them.
     """
-    table, distinct = _XLogXTable(), _DistinctCuts()
+    table = _XLogXTable()
     pieces = delimiter_splits(grid, table=table) if preprocess else [grid.full_rect()]
-    leaves = [region for piece in pieces
-              for region in tree_leaves(entropy_tree(grid, piece, table=table, distinct=distinct))]
+    leaves = [region for piece in pieces for region in tree_leaves(entropy_tree(grid, piece, table=table))]
     return coalesce(leaves)

@@ -168,15 +168,12 @@ def _fingerprint_label(fp: Hashable) -> str:
 CELL_PX = 22
 
 
-def global_view_chunks(table: SheetVectors, graph: Optional[AdjacencyGraph] = None,
-                       colors: Optional[Mapping[Hashable, Optional[HSL]]] = None) -> Iterator[str]:
+def global_view_chunks(table: SheetVectors) -> Iterator[str]:
     """Self-contained HTML page with one SVG rect per used-range cell, in
     pieces of at most one sheet row of cells, so that a writer never
     holds the whole page."""
-    if graph is None:
-        graph = build_adjacency(table)
-    if colors is None:
-        colors = assign_colors(graph)
+    graph = build_adjacency(table)
+    colors = assign_colors(graph)
     rect = table.rect
     width_px = rect.width * CELL_PX
     height_px = rect.height * CELL_PX

@@ -39,10 +39,11 @@ computes in closed form or incrementally:
 
 Helpers only the tests call live here too: `ref_rects`, a formula's
 references as rectangles filled in from its parse; `best_split`, a
-rectangle's cut and its split entropy; and the three records of the
-cell-by-cell definitions, `RawReference` (one referenced cell as
-written), `RefVector` (its offset vector) and `CellAddress` (a cell on
-a named sheet).
+rectangle's cut and its split entropy; `split_halves`, the two halves
+of a cut, which raises `InvalidSplitError` for a cut outside the
+rectangle; and the three records of the cell-by-cell definitions,
+`RawReference` (one referenced cell as written), `RefVector` (its
+offset vector) and `CellAddress` (a cell on a named sheet).
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from fractions import Fraction
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from gridlint.entropy import (
-    InvalidSplitError,
     Region,
     EntropyNode,
     _EdgeIndex,
@@ -67,7 +67,6 @@ from gridlint.entropy import (
     _union_rect,
     entropy_tree,
     normalized_entropy,
-    split_halves,
 )
 from gridlint.fixes import (
     REASON_NOT_FORMULAS,
@@ -399,6 +398,27 @@ class PrefixCounts:
 
 
 # -- one rectangle's best cut -------------------------------------------------
+
+
+class InvalidSplitError(GridlintError):
+    """A requested cut line does not fall strictly inside the rectangle."""
+
+
+def split_halves(region: Rect, index: int, vertical: bool) -> tuple[Rect, Rect]:
+    """The two sub-rectangles obtained by cutting after column/row `index`."""
+    if vertical:
+        if not region.left <= index < region.right:
+            raise InvalidSplitError(f"cut after column {index} not inside {region}")
+        return (
+            Rect(region.left, region.top, index, region.bottom),
+            Rect(index + 1, region.top, region.right, region.bottom),
+        )
+    if not region.top <= index < region.bottom:
+        raise InvalidSplitError(f"cut after row {index} not inside {region}")
+    return (
+        Rect(region.left, region.top, region.right, index),
+        Rect(region.left, index + 1, region.right, region.bottom),
+    )
 
 
 def split_entropy(grid: FingerprintGrid, region: Rect, index: int, vertical: bool) -> float:

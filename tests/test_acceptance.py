@@ -14,7 +14,7 @@ import pytest
 
 from conftest import banded_tile_workbook, random_label_grid
 from gridlint import cli
-from gridlint.entropy import Region, decompose_grid, entropy_tree, split_halves, tree_leaves
+from gridlint.entropy import Region, decompose_grid, entropy_tree, tree_leaves
 from gridlint.evaluate import (
     BugDual,
     SheetTruth,
@@ -35,7 +35,7 @@ from gridlint.model import (
 )
 from gridlint.pipeline import AnalysisConfig, analyze_workbook
 from gridlint.report import AdjacencyGraph, assign_colors
-from oracle import formula_fingerprint, naive_counts_in, reference_vectors, references, split_entropy
+from oracle import formula_fingerprint, naive_counts_in, reference_vectors, references, split_entropy, split_halves
 
 
 _terminal = None

@@ -6,18 +6,17 @@ from collections import Counter
 from itertools import chain
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridlint import entropy
 from gridlint.entropy import (
     EntropyNode,
-    InvalidSplitError,
     NegativeCountError,
     Region,
-    _DistinctCuts,
     _XLogXTable,
     _axis_runs,
     _cut_margin,
+    _distinct_half,
     _run_cuts,
     _sweep,
     coalesce,
@@ -25,7 +24,6 @@ from gridlint.entropy import (
     delimiter_splits,
     entropy_tree,
     normalized_entropy,
-    split_halves,
     tree_leaves,
 )
 from gridlint.grid import FingerprintGrid
@@ -33,6 +31,7 @@ from gridlint.model import Rect
 
 from conftest import banded_tile_grid, random_label_grid
 from oracle import (
+    InvalidSplitError,
     PrefixCounts,
     best_split,
     mergeable,
@@ -40,6 +39,7 @@ from oracle import (
     naive_run_cuts,
     region_key,
     split_entropy,
+    split_halves,
 )
 
 
@@ -580,11 +580,15 @@ class TestSweepOracle:
         line = [f"d{i}" for i in range(n)]
         assert_tree_matches_naive(FingerprintGrid([[fp] for fp in line] if vertical else [line]))
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 9), st.integers(2, 9), st.booleans())
-    def test_all_distinct_blocks_at_least_2_by_2(self, width, height, framed):
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(st.tuples(st.integers(2, 9), st.integers(2, 9)), st.tuples(st.integers(2, 3), st.integers(2, 40))),
+           st.booleans())
+    @example((3, 40), True)
+    @example((2, 40), False)
+    def test_all_distinct_blocks_at_least_2_by_2(self, shape, framed):
         # A w x h block of distinct fingerprints, the whole grid or framed
-        # by a repeated label.
+        # by a repeated label; tall, thin blocks re-score many cuts.
+        width, height = shape
         pad = 1 if framed else 0
         rows = [
             [f"d{x},{y}" if pad <= x < width + pad and pad <= y < height + pad else "A"
@@ -910,8 +914,8 @@ def test_running_totals_column_scores_no_half(monkeypatch):
     # half score to do so.
     grid = FingerprintGrid([["num", f"sum{r}"] for r in range(2000)])
     halves = []
-    half = _DistinctCuts._half
-    monkeypatch.setattr(_DistinctCuts, "_half", lambda self, m: halves.append(m) or half(self, m))
+    half = entropy._distinct_half
+    monkeypatch.setattr(entropy, "_distinct_half", lambda m, memo: halves.append(m) or half(m, memo))
     tree = entropy_tree(grid)
     assert halves == []
     assert len(tree_leaves(tree)) == 2001
@@ -960,9 +964,41 @@ def test_decomposition_counts_nothing(monkeypatch):
 
 
 def test_distinct_half_is_normalized_entropy_of_ones():
-    cuts = _DistinctCuts()
-    for m in [*range(1, 700), 2048, 4097]:
-        assert cuts._half(m) == normalized_entropy([1] * m, m)
+    # A half of an all-distinct block at least 2 x 2 holds two cells or more.
+    halves = {}
+    for m in [*range(2, 700), 2048, 4097]:
+        assert _distinct_half(m, halves) == normalized_entropy([1] * m, m)
+    assert len(halves) == 700 and _distinct_half(4097, halves) == normalized_entropy([1] * 4097, 4097)
+
+
+def test_all_distinct_half_scores_are_computed_once_per_sheet(monkeypatch):
+    # Two 3 x 4 blocks of distinct fingerprints either side of a blank
+    # column are two delimiter pieces and two trees, which need the same
+    # half sizes; the sheet's one memo computes each size once.
+    rows = [[f"a{x},{y}" for x in range(3)] + ["blank"] + [f"b{x},{y}" for x in range(3)] for y in range(4)]
+    grid = FingerprintGrid(rows)
+    added, computed = [], []
+    tree, half = entropy.entropy_tree, entropy._distinct_half
+
+    def building(grid, piece, *, table):
+        before = set(table.halves)
+        built = tree(grid, piece, table=table)
+        added.append(set(table.halves) - before)
+        return built
+
+    def scoring(m, halves):
+        if m not in halves:
+            computed.append(m)
+        return half(m, halves)
+
+    monkeypatch.setattr(entropy, "entropy_tree", building)
+    monkeypatch.setattr(entropy, "_distinct_half", scoring)
+    decompose_grid(grid)
+    first, blank, second = added
+    assert first == {2, 3, 4, 6, 8, 9} and not blank and not second
+    assert sorted(computed) == sorted(first)
+    for piece in delimiter_splits(grid):
+        assert_tree_matches_naive(grid, piece)
 
 
 def test_all_distinct_subtree_builds_no_histogram(monkeypatch):
