@@ -3,12 +3,13 @@
 
 Three families of sheets.  Stripes repeat a number-block / sum-column /
 blank-column pattern, so cell count scales while the region structure
-stays comparable.  Running totals hold numbers in column A and
-`=SUM($A$1:A{r})` in column B, so every formula cell has a fingerprint
-of its own, as a cumulative column in a ledger does.  Noisy n x n
-sheets are the benchmark's `perfbench/workloads.noisy_book` (seed 7):
-numbers with 30% of the cells holding one of four labels, so the
-layout has many small regions and many candidate fixes.  Then comes one
+stays comparable; the wide, five-row ones (2000x5, 4000x5) hold
+thousands of delimiter runs side by side.  Running totals hold numbers
+in column A and `=SUM($A$1:A{r})` in column B, so every formula cell
+has a fingerprint of its own, as a cumulative column in a ledger does.
+Noisy n x n sheets are the benchmark's `perfbench/workloads.noisy_book`
+(seed 7): numbers with 30% of the cells holding one of four labels, so
+the layout has many small regions and many candidate fixes.  Then comes one
 sparse sheet: three cells, A1, H30000 and P65536, in a 16 x 65,536 used
 range that is almost all blank regions.  Last comes the stripes
 200 x 200 sheet again, its addresses written in a shuffled order (seed
@@ -20,11 +21,13 @@ per-phase CPU time (`time.process_time`) for each sheet, starting with
 the load: each workbook is serialized to its JSON file format and
 parsed back with `parse_workbook_json`, which is what `gridlint analyze`
 spends before the analysis.  The phases run as `analyze_workbook` runs
-them, with the cyclic garbage collector paused.  Each sheet is loaded
-and analysed RUNS times, and each column is the minimum over those
-runs.  The runs are interleaved: every sheet runs once, then every
-sheet again, so a slow stretch of a shared machine touches one run of
-several sheets rather than every run of one sheet.
+them, with the cyclic garbage collector paused.  The `delim` column is
+the part of the decomposition spent in `entropy.delimiter_splits`,
+timed by wrapping that module attribute while `decompose_grid` runs.
+Each sheet is loaded and analysed RUNS times, and each column is the
+minimum over those runs.  The runs are interleaved: every sheet runs
+once, then every sheet again, so a slow stretch of a shared machine
+touches one run of several sheets rather than every run of one sheet.
 
     python3 scripts/scaling_benchmark.py [--sizes WxH,...] [--totals N,...] [--noisy N,...]
 """
@@ -40,6 +43,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gridlint import entropy  # noqa: E402
 from gridlint.entropy import decompose_grid  # noqa: E402
 from gridlint.fixes import build_fixes  # noqa: E402
 from gridlint.model import (  # noqa: E402
@@ -95,24 +99,38 @@ def shuffled_text(workbook: Workbook, name: str, seed: int) -> str:
 @collector_paused
 def phase_times(text: str) -> tuple[str, int, int, tuple[float, ...]]:
     """(workbook name, cells, regions, CPU seconds of the load, vectors,
-    decomposition, fixes and all four) for a one-sheet workbook's JSON."""
+    decomposition, its delimiter pass, fixes and all four) for a one-sheet
+    workbook's JSON."""
     clock = time.process_time
+    splits = entropy.delimiter_splits
+    delim = []
+
+    def timed_splits(*args, **kwargs):
+        begin = clock()
+        pieces = splits(*args, **kwargs)
+        delim.append(clock() - begin)
+        return pieces
+
     start = clock()
     workbook = parse_workbook_json(text)
     loaded = clock()
     table = analyze_sheet_vectors(workbook, workbook.sheets[0])
     vectored = clock()
-    regions = decompose_grid(table.grid)
+    entropy.delimiter_splits = timed_splits
+    try:
+        regions = decompose_grid(table.grid)
+    finally:
+        entropy.delimiter_splits = splits
     decomposed = clock()
     build_fixes(table, regions, table.rect.area)
     done = clock()
-    times = (loaded - start, vectored - loaded, decomposed - vectored, done - decomposed, done - start)
+    times = (loaded - start, vectored - loaded, decomposed - vectored, sum(delim), done - decomposed, done - start)
     return workbook.name, table.rect.area, len(regions), times
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="20x25,50x40,100x100,100x200,200x200,400x400",
+    parser.add_argument("--sizes", default="20x25,50x40,100x100,100x200,200x200,400x400,2000x5,4000x5",
                         help="comma-separated WxH stripes sheet sizes")
     parser.add_argument("--totals", default="500,1000,2000,4000,8000",
                         help="comma-separated row counts of running-totals sheets")
@@ -135,7 +153,8 @@ def main() -> None:
 
     # Every sheet runs once, then every sheet again, RUNS times.
     runs = [[phase_times(text) for text in workbooks] for _ in range(RUNS)]
-    print(f"{'sheet':<20} {'cells':>8} {'load':>9} {'vectors':>9} {'decomp':>9} {'fixes':>9} {'total':>9} {'regions':>8}")
+    columns = ("load", "vectors", "decomp", "delim", "fixes", "total")
+    print(f"{'sheet':<20} {'cells':>8}" + "".join(f" {column:>9}" for column in columns) + f" {'regions':>8}")
     for results in zip(*runs):
         name, cells, regions, _ = results[0]
         best = map(min, *(times for *_, times in results))

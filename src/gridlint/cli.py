@@ -87,9 +87,11 @@ def cmd_render(args: argparse.Namespace) -> int:
             path.write_text(render_empty_view(sheet.name), encoding="utf-8")
         else:
             # The page holds one <rect> per used-range cell; written as it
-            # is built, it is never whole in memory.
+            # is built, it is never whole in memory.  Its colors come first,
+            # so a coloring that fails leaves no empty page.
+            chunks = global_view_chunks(table)
             with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(global_view_chunks(table))
+                fh.writelines(chunks)
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
 

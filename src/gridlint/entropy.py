@@ -40,10 +40,11 @@ The grid sits at its sheet coordinates (`FingerprintGrid.left`, `top`)
 and every rectangle here is read through it, so cuts, pieces and
 regions come out in sheet coordinates.
 
-A delimiter piece counts the cells of its strips outside the delimiter
-runs once (a strip inside one run holds its run's code alone).  It is
-not swept when it has one candidate cut, and not re-scored when one cut
-is near the minimum.  Coalescing indexes regions by their full edges, so
+A delimiter piece whose candidate cuts lie on one axis is split at all
+of them without a search.  One with candidates on both axes counts the
+cells of its strips outside the delimiter runs once (a strip inside one
+run holds its run's code alone), and is not re-scored when one cut is
+near the minimum.  Coalescing indexes regions by their full edges, so
 a region's merge partners are a few dictionary lookups and R regions
 coalesce in O(R log R).
 """
@@ -679,6 +680,14 @@ def _inside_run(ids: dict[int, int], first: int, last: int) -> bool:
     return run is not None and run == ids.get(last)
 
 
+def _strips(r: Rect, vertical: bool, cuts: list[int]) -> list[Rect]:
+    """The strips of `r` between its consecutive cuts after columns
+    (vertical) or rows `cuts`, edges included."""
+    first, last = (r.left, r.right) if vertical else (r.top, r.bottom)
+    spans = zip([first] + [i + 1 for i in cuts], cuts + [last])
+    return [Rect(lo, r.top, hi, r.bottom) if vertical else Rect(r.left, lo, r.right, hi) for lo, hi in spans]
+
+
 def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], ids: dict[int, int],
           vertical: bool) -> tuple:
     """One axis of `r` for `_cut_search`: the strips between its
@@ -688,19 +697,11 @@ def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], ids: dict[int, int],
     delimiter run, which holds its run's code alone, or lines of no run,
     whose code-row slices are counted once.
     """
-    first, last, depth = (r.left, r.right, r.height) if vertical else (r.top, r.bottom, r.width)
-    lasts = cuts + [last]
-    hists: list[Mapping[int, int]] = []
-    sizes: list[int] = []
-    for lo, hi in zip([first] + [i + 1 for i in cuts], lasts):
-        size = (hi - lo + 1) * depth
-        if _inside_run(ids, lo, hi):
-            hists.append({grid.code_at(lo, r.top) if vertical else grid.code_at(r.left, lo): size})
-        else:
-            strip = Rect(lo, r.top, hi, r.bottom) if vertical else Rect(r.left, lo, r.right, hi)
-            hists.append(Counter(chain.from_iterable(grid.block(strip))))
-        sizes.append(size)
-    return vertical, hists, sizes, lasts
+    strips = _strips(r, vertical, cuts)
+    hists = [{grid.code_at(s.left, s.top): s.area}
+             if _inside_run(ids, *((s.left, s.right) if vertical else (s.top, s.bottom)))
+             else Counter(chain.from_iterable(grid.block(s))) for s in strips]
+    return vertical, hists, [s.area for s in strips], cuts + [r.right if vertical else r.bottom]
 
 
 def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = None) -> list[Rect]:
@@ -712,9 +713,17 @@ def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = No
     before horizontal on ties, smallest index on ties.  A piece lying
     entirely inside one run needs no further cutting and is kept whole.
 
-    A piece with more than one candidate cut searches them as the tree
-    does (`_cut_search`), over the strips between them (`_gaps`) instead
-    of single lines, and re-scores exactly only the cuts near the sweep's
+    A piece whose candidates all lie on one axis, or that has none, is
+    split at all of them at once, into the strips between consecutive
+    candidates, without a search.  That gives the recursion's pieces,
+    whichever cut it would take first: every piece cut from it keeps its
+    span on the other axis, so never gets a candidate there nor lies
+    inside a run there, and a piece is cut again exactly while a candidate
+    lies inside it.  The closing (top, left) sort fixes their order.
+
+    A piece with candidates on both axes searches them as the tree does
+    (`_cut_search`), over the strips between them (`_gaps`) instead of
+    single lines, and re-scores exactly only the cuts near the sweep's
     minimum, none when just one is.  So a piece counts each cell of its
     strips outside the runs once, plus the strips of one half per exact
     re-score, and makes no `counts_in` call.  `table` may be shared with
@@ -736,22 +745,15 @@ def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = No
             continue
         cand_v = [i for i in v_cuts if r.left <= i < r.right]
         cand_h = [i for i in h_cuts if r.top <= i < r.bottom]
-        cuts = [(True, i) for i in cand_v] + [(False, i) for i in cand_h]
-        if not cuts:
-            pieces.append(r)
+        if not (cand_v and cand_h):
+            pieces += _strips(r, bool(cand_v), cand_v or cand_h)
             continue
-        if len(cuts) > 1:
-            axes = [_gaps(grid, r, cand, ids, vertical)
-                    for vertical, cand, ids in ((True, cand_v, col_ids), (False, cand_h, row_ids)) if cand]
-            total: Counter = Counter()
-            for hist in axes[0][1]:
-                total.update(hist)
-            cuts = [_cut_search(r.area, total, axes, table)]
-        vertical, index = cuts[0]
-        if vertical:
-            stack += [Rect(index + 1, r.top, r.right, r.bottom), Rect(r.left, r.top, index, r.bottom)]
-        else:
-            stack += [Rect(r.left, index + 1, r.right, r.bottom), Rect(r.left, r.top, r.right, index)]
+        axes = [_gaps(grid, r, cand_v, col_ids, True), _gaps(grid, r, cand_h, row_ids, False)]
+        total: Counter = Counter()
+        for hist in axes[0][1]:
+            total.update(hist)
+        vertical, index = _cut_search(r.area, total, axes, table)
+        stack += _strips(r, vertical, [index])
     pieces.sort(key=lambda p: (p.top, p.left))
     return pieces
 

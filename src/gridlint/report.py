@@ -171,9 +171,13 @@ CELL_PX = 22
 def global_view_chunks(table: SheetVectors) -> Iterator[str]:
     """Self-contained HTML page with one SVG rect per used-range cell, in
     pieces of at most one sheet row of cells, so that a writer never
-    holds the whole page."""
+    holds the whole page.  The call itself colors the graph, so a
+    coloring that fails does so before a writer opens its file."""
     graph = build_adjacency(table)
-    colors = assign_colors(graph)
+    return _page_chunks(table, graph, assign_colors(graph))
+
+
+def _page_chunks(table: SheetVectors, graph: AdjacencyGraph, colors: dict) -> Iterator[str]:
     rect = table.rect
     width_px = rect.width * CELL_PX
     height_px = rect.height * CELL_PX

@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import gridlint
-from gridlint import cli
+from gridlint import cli, report
 from gridlint.model import GridlintError, load_workbook
 from gridlint.pipeline import analyze_workbook
-from gridlint.report import global_view_chunks
+from gridlint.report import PaletteExhausted, global_view_chunks
 
 
 def run(argv, capsys):
@@ -278,6 +278,18 @@ class TestRender:
         assert err.splitlines() == [f"wrote {tmp_path / name}" for name in names]
         for name, sheet in zip(names, analyze_workbook(load_workbook(source)).sheets):
             assert (tmp_path / name).read_text(encoding="utf-8") == "".join(global_view_chunks(sheet.table))
+
+    def test_failed_coloring_writes_no_page(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        # The page's graph is colored before its file is opened, so a
+        # coloring that fails leaves no empty page behind.
+        def exhausted(graph, *args, **kwargs):
+            raise PaletteExhausted("hue spacing would drop below 1 degree")
+
+        monkeypatch.setattr(report, "assign_colors", exhausted)
+        code, _, err = run(["render", str(fixtures_dir / "banded.gridbook"), "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert "hue spacing" in err
+        assert list(tmp_path.glob("*.html")) == []
 
     def test_missing_file(self, capsys):
         assert run(["render", "absent.gridbook"], capsys)[0] == 2

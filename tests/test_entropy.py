@@ -777,12 +777,60 @@ def random_banded_grid(rng, max_side=14):
     )
 
 
-def striped_sheet_grid(n):
+def striped_rows(width, height):
     """Number, number, number, row-sum and blank columns repeated, the
-    bottom-right cell a number: 3n/5 - 1 run-boundary cuts, all vertical."""
-    rows = [["NNNSE"[x % 5] for x in range(n)] for _ in range(n)]
+    bottom-right cell a number: 3 * width / 5 - 1 run-boundary cuts, all
+    vertical, for a width that is a multiple of 5."""
+    rows = [["NNNSE"[x % 5] for x in range(width)] for _ in range(height)]
     rows[-1][-1] = "N"
-    return FingerprintGrid(rows)
+    return rows
+
+
+def striped_sheet_grid(n):
+    return FingerprintGrid(striped_rows(n, n))
+
+
+def one_axis_banded_grid(rng, vertical):
+    """Uniform columns (vertical) or rows in runs of 1-3 lines of one of
+    2-4 labels, the other cells random, and no uniform line across them:
+    every run-boundary cut lies on one axis."""
+    labels = "ABCD"[: rng.randint(2, 4)]
+    along, across = rng.randint(2, 14), rng.randint(1, 14)
+    runs = []
+    while len(runs) < along:
+        label = rng.choice(labels) if rng.random() < 0.5 else None
+        runs += [label] * rng.randint(1, 3)
+    runs = runs[:along]
+    free = [i for i, label in enumerate(runs) if label is None]
+    if not free:
+        free = [rng.randrange(along)]
+        runs[free[0]] = None
+    rows = [[label or rng.choice(labels) for label in runs] for _ in range(across)]
+    for row in rows:
+        if row.count(row[0]) == along:
+            i = rng.choice(free)
+            row[i] = rng.choice([label for label in labels if label != row[i]])
+    grid = FingerprintGrid(rows if vertical else [list(column) for column in zip(*rows)])
+    assert not _axis_runs(grid, not vertical)
+    return grid
+
+
+@st.composite
+def one_axis_banded_grids(draw):
+    """A one-axis banded grid and a corner to place it at."""
+    grid = one_axis_banded_grid(draw(st.randoms(use_true_random=False)), draw(st.booleans()))
+    left = draw(st.integers(1, MAX_COLUMN - grid.width + 1))
+    top = draw(st.integers(1, MAX_ROW - grid.height + 1))
+    return grid, left, top
+
+
+def searches(monkeypatch):
+    """The areas of the rectangles `_cut_search` is asked to cut, as a
+    list that fills while the test runs."""
+    areas = []
+    search = entropy._cut_search
+    monkeypatch.setattr(entropy, "_cut_search", lambda area, *args: areas.append(area) or search(area, *args))
+    return areas
 
 
 class TestDelimiterSplitsOracle:
@@ -853,6 +901,50 @@ class TestDelimiterSplitsOracle:
         assert calls == []  # scoring every cut with two counts takes 14,280
         assert len(pieces) == 120
         assert pieces == naive_delimiter_splits(grid)
+
+    @pytest.mark.parametrize("shape", ["columns", "rows"])
+    def test_cuts_on_one_axis_are_not_searched(self, shape, monkeypatch):
+        rows = striped_rows(200, 200)
+        grid = FingerprintGrid(rows if shape == "columns" else [list(column) for column in zip(*rows)])
+        searched = searches(monkeypatch)
+        pieces = delimiter_splits(grid)
+        assert searched == []
+        assert len(pieces) == 120
+        assert pieces == naive_delimiter_splits(grid)
+
+    def test_wide_stripes_are_split_at_every_cut_at_once(self, monkeypatch):
+        # 2,399 cuts, all vertical.  The oracle re-scores every remaining
+        # cut after each one (about 20 s here), so the pieces are checked
+        # against the strips between consecutive runs instead: each group
+        # of five columns gives its number run, its sum column and its
+        # blank column, and the last blank column, whose bottom cell is a
+        # number, is no run but still a strip of its own.
+        searched = searches(monkeypatch)
+        pieces = delimiter_splits(FingerprintGrid(striped_rows(4000, 5)))
+        assert searched == []
+        assert pieces == [Rect(lo, 1, hi, 5) for start in range(1, 4001, 5)
+                          for lo, hi in ((start, start + 2), (start + 3, start + 3), (start + 4, start + 4))]
+
+    def test_stripes_under_a_blank_band_search_the_root_alone(self, monkeypatch):
+        # Two blank rows across the top of column stripes: only the blank
+        # columns stay uniform, so the root holds candidates on both axes,
+        # and it is cut under the band.  That leaves the band, inside its
+        # run, and stripes whose candidates are all vertical.
+        rows = striped_rows(200, 200)
+        rows[:2] = [["E"] * 200, ["E"] * 200]
+        grid = FingerprintGrid(rows)
+        searched = searches(monkeypatch)
+        pieces = delimiter_splits(grid)
+        assert searched == [200 * 200]
+        assert pieces[0] == Rect(1, 1, 200, 2) and len(pieces) == 80
+        assert pieces == naive_delimiter_splits(grid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_axis_banded_grids())
+    def test_one_axis_banded_grids_away_from_a1(self, case):
+        grid, left, top = case
+        want = [shifted(piece, left - 1, top - 1) for piece in naive_delimiter_splits(grid)]
+        assert delimiter_splits(placed(grid, left, top)) == want
 
     def test_running_totals_tree_counts_nothing(self, monkeypatch):
         # The tree re-scores its cuts from its sweep's line histograms.

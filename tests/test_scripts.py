@@ -80,7 +80,7 @@ def test_collision_survey_counts_collisions_and_data_like_formulas(tmp_path):
 
 def test_scaling_benchmark_times_the_load():
     header, *rows = run_script(SCALING).splitlines()
-    assert header.split() == ["sheet", "cells", "load", "vectors", "decomp", "fixes", "total", "regions"]
+    assert header.split() == ["sheet", "cells", "load", "vectors", "decomp", "delim", "fixes", "total", "regions"]
     assert [row.split()[:2] for row in rows] == [["stripes_5x5", "25"], ["running_totals_5", "10"], ["noisy_4x4", "16"],
                                                  ["sparse_16x65536", "1048576"], ["shuffled_200x200", "40000"]]
     assert all(row.split()[2].endswith("ms") for row in rows)
