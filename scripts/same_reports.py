@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two source trees of gridlint write the same reports, regions, diagnostics, pages and scores.
+"""Check that two source trees of gridlint write the same reports, regions, vector tables, diagnostics, pages and scores.
 
     python3 scripts/same_reports.py OLD_SRC NEW_SRC [--seeds 7 11] [--python EXE]
 
@@ -13,10 +13,12 @@ this one) and with the CLI's defaults otherwise:
 
 * `gridlint analyze` on every input, once per report format (JSON and
   text), keeping the regions of each sheet that the analysis decomposed
-  it into (`SheetAnalysis.regions`) as [rect, fingerprint] lists, and
-  each sheet's diagnostics (`SheetVectors.diagnostics`: the formulas
-  refused, with the parser's message and offset), which the CLI prints
-  to stderr;
+  it into (`SheetAnalysis.regions`) as [rect, fingerprint] lists, each
+  sheet's vector table (`SheetVectors`: the grid's code rows, its
+  palette as `repr`, and the `refs` items, every formula cell's
+  references in order), and each sheet's diagnostics
+  (`SheetVectors.diagnostics`: the formulas refused, with the parser's
+  message and offset), which the CLI prints to stderr;
 * `gridlint render` on every workbook, once;
 * `gridlint eval` of the JSON report of `fixtures/weekly_totals`
   against its annotations.
@@ -42,8 +44,10 @@ WORKLOADS = ("corpus", "adversarial", "lookups")
 # Run in each child: sys.argv = [-c, src, variants.json, out_dir, annotations, eval file name].
 # Reports go to out_dir, each workbook's pages to out_dir/render/<name>/, the
 # regions of its sheets, as [sheet, [[rect, fingerprint], ...]] pairs, to
-# out_dir/regions/<name>.json, and their diagnostics, as [sheet, [line, ...]]
-# pairs, to out_dir/diagnostics/<name>.json.  The CLI's analysis is kept by
+# out_dir/regions/<name>.json, their vector tables, as [sheet, code rows,
+# repr(palette), [[cell, refs], ...]] lists, to out_dir/vectors/<name>.json,
+# and their diagnostics, as [sheet, [line, ...]] pairs, to
+# out_dir/diagnostics/<name>.json.  The CLI's analysis is kept by
 # wrapping the `analyze_workbook` it calls.
 CHILD = """
 import contextlib, io, json, sys
@@ -52,6 +56,7 @@ sys.path.insert(0, sys.argv[1])
 from gridlint import cli
 out_dir = Path(sys.argv[3])
 (out_dir / "regions").mkdir()
+(out_dir / "vectors").mkdir()
 (out_dir / "diagnostics").mkdir()
 analyses = []
 
@@ -71,6 +76,9 @@ with contextlib.redirect_stderr(io.StringIO()):
         if analyses:
             sheets = [[s.name, [[r.rect, r.fingerprint] for r in s.regions]] for s in analyses[0].sheets]
             (out_dir / "regions" / f"{name}.json").write_text(json.dumps(sheets))
+            tables = [[s.name, s.table.grid.code_rows, repr(s.table.grid.palette), list(s.table.refs.items())]
+                      for s in analyses[0].sheets]
+            (out_dir / "vectors" / f"{name}.json").write_text(json.dumps(tables))
             diagnostics = [[s.name, s.table.diagnostics] for s in analyses[0].sheets]
             (out_dir / "diagnostics" / f"{name}.json").write_text(json.dumps(diagnostics))
         if preprocess:
@@ -145,17 +153,19 @@ def main(argv: list[str] | None = None) -> int:
         outputs = (old | new) - {"exit_codes.json"}
         pages = sum(name.startswith("render/") for name in outputs)
         regions = sum(name.startswith("regions/") for name in outputs)
+        tables = sum(name.startswith("vectors/") for name in outputs)
         diagnostics = sum(name.startswith("diagnostics/") for name in outputs)
-        reports = len(outputs) - pages - regions - diagnostics - (EVAL in outputs)
+        reports = len(outputs) - pages - regions - tables - diagnostics - (EVAL in outputs)
         if mismatch or errors or only:
             print(f"{len(mismatch) + len(errors) + len(only)} of {len(outputs)} outputs differ "
-                  f"({reports} reports, {regions} region lists, {diagnostics} diagnostic lists, "
+                  f"({reports} reports, {regions} region lists, {tables} vector tables, {diagnostics} diagnostic lists, "
                   f"{pages} render pages and the eval output; "
                   f"{len(variants)} variants, seeds {args.seeds})")
             return 1
         print(f"all {reports} reports and their exit codes identical "
               f"({len(variants)} variants, seeds {args.seeds})")
         print(f"all {regions} region lists identical")
+        print(f"all {tables} vector tables identical")
         print(f"all {diagnostics} diagnostic lists identical")
         print(f"all {pages} render pages and the eval output identical, with their exit codes")
         return 0

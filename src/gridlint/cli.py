@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 internal failure, 2 bad input or usage.  Bad
 input and usage errors are raised as FormatError (ConfigError for analysis
-options); any other exception is an internal failure.
+options); any other exception is an internal failure.  A sheet that
+`render` cannot color (`report.PaletteExhausted`) is bad input to it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .evaluate import evaluate_report, load_annotations
 from .fixes import DEFAULT_THRESHOLD
 from .model import FormatError, GridlintError, load_workbook
 from .pipeline import PHASES, AnalysisConfig, analyze_workbook, audit_payload
-from .report import audit_json, audit_text, global_view_chunks, render_empty_view
+from .report import PaletteExhausted, audit_json, audit_text, global_view_chunks, render_empty_view
 from .vectors import analyze_sheet_vectors
 
 EXIT_OK = 0
@@ -67,14 +68,19 @@ def cmd_render(args: argparse.Namespace) -> int:
     if not workbook.sheets:
         print("error: workbook has no sheets to render", file=sys.stderr)
         return EXIT_USAGE
+    # A page shows the vector table alone.  Every table is built and colored before
+    # any page is opened, so a sheet refused either way writes no page.
+    shapes: dict = {}
+    pages = []
+    for sheet in workbook.sheets:
+        try:
+            pages.append(global_view_chunks(analyze_sheet_vectors(workbook, sheet, shapes)) if sheet.cells else None)
+        except PaletteExhausted as exc:
+            raise FormatError(f"sheet {sheet.name!r} cannot be rendered: {exc}") from exc
     out_dir = Path(args.out) if args.out else Path.cwd()
     out_dir.mkdir(parents=True, exist_ok=True)
-    # A page shows the vector table alone.  All tables are built first, so a
-    # refused used range writes no page; one shape dictionary serves them all.
-    shapes: dict = {}
-    tables = [analyze_sheet_vectors(workbook, sheet, shapes) if sheet.cells else None for sheet in workbook.sheets]
     written: set[str] = set()
-    for sheet, table in zip(workbook.sheets, tables):
+    for sheet, chunks in zip(workbook.sheets, pages):
         # Sheet names that sanitize alike get _2, _3, ... in sheet order.
         stem = name = f"{_safe_name(workbook.name)}_{_safe_name(sheet.name)}"
         suffix = 1
@@ -83,13 +89,11 @@ def cmd_render(args: argparse.Namespace) -> int:
             name = f"{stem}_{suffix}"
         written.add(name)
         path = out_dir / f"{name}.html"
-        if table is None:
+        if chunks is None:
             path.write_text(render_empty_view(sheet.name), encoding="utf-8")
         else:
             # The page holds one <rect> per used-range cell; written as it
-            # is built, it is never whole in memory.  Its colors come first,
-            # so a coloring that fails leaves no empty page.
-            chunks = global_view_chunks(table)
+            # is built, it is never whole in memory.
             with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
         print(f"wrote {path}", file=sys.stderr)

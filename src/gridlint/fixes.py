@@ -48,7 +48,7 @@ from typing import NamedTuple, Optional, Sequence
 from .entropy import Region, _EdgeIndex, _region_key, _union_rect
 from .formula import RefRect
 from .model import GridlintError, Rect
-from .vectors import DATA_KINDS, SheetVectors, location_fingerprint
+from .vectors import DATA_KINDS, SheetVectors, is_off_sheet, location_fingerprint
 
 DEFAULT_THRESHOLD = 0.05  # fraction of a sheet's cells a reader inspects (`rank_and_cut`)
 
@@ -364,18 +364,28 @@ def fix_distance(fix: CandidateFix, table: SheetVectors) -> float:
     on the target's reference pattern, re-anchored at its own position.
     Unchanged cells contribute nothing.  The fix must have passed C2, so
     the target's top-left cell is a formula that carries its pattern.
+
+    The target's pattern is summed once: moved by (dc, dr), its location
+    fingerprint shifts by exactly (dc * nx, dr * ny, 0), nx and ny being
+    the cells its on-sheet references cover with a relative column, row.
     """
     t = fix.target.rect
-    rep = (t.left, t.top)
-    rep_refs = table.refs.get(rep, ())
+    sheet, workbook = table.sheet_name, table.workbook_name
+    rep_refs = table.refs.get((t.left, t.top), ())
+    rep = location_fingerprint(rep_refs, sheet, workbook)
+    nx = ny = 0
+    for rect in rep_refs:
+        if not is_off_sheet(rect, sheet, workbook):
+            n = (rect.right - rect.left + 1) * (rect.bottom - rect.top + 1)
+            nx += 0 if rect.column_absolute else n
+            ny += 0 if rect.row_absolute else n
     total = 0.0
     for x, y in fix.source.cells():
-        as_is = location_fingerprint(table.refs.get((x, y), ()), table.sheet_name, table.workbook_name)
-        would_be = location_fingerprint(rep_refs, table.sheet_name, table.workbook_name, (x - rep[0], y - rep[1]))
+        as_is = location_fingerprint(table.refs.get((x, y), ()), sheet, workbook)
         total += math.sqrt(
-            (as_is.x - would_be.x) ** 2
-            + (as_is.y - would_be.y) ** 2
-            + (as_is.z - would_be.z) ** 2
+            (as_is.x - rep.x - (x - t.left) * nx) ** 2
+            + (as_is.y - rep.y - (y - t.top) * ny) ** 2
+            + (as_is.z - rep.z) ** 2
         )
     return total
 

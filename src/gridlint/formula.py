@@ -278,7 +278,7 @@ def _try_lines(sc: _Scanner, sheet: str | None, workbook: str | None) -> bool:
             second = (SHEET_COLUMNS, int(m.group(4)), True, second_abs)
         if outside_sheet(first[0], first[1]) or outside_sheet(second[0], second[1]):
             raise FormulaParseError(f"{whole} {m.group(0)} outside the sheet", save)
-        sc.template.append(_span(first, second, sheet, workbook))
+        sc.template += template_rects(((0, 1, sheet, workbook),), (first, second))
         return True
     return False
 
@@ -338,25 +338,27 @@ def _finish_ref(sc: _Scanner, first: Corner, sheet: str | None, workbook: str | 
         sc.corners.append(first)
 
 
-def _span(a: Corner, b: Corner, sheet: str | None, workbook: str | None) -> RefRect:
-    c0, r0, ca0, ra0 = a
-    c1, r1, ca1, ra1 = b
-    return RefRect(min(c0, c1), min(r0, r1), max(c0, c1), max(r0, r1), ca0 and ca1, ra0 and ra1, sheet, workbook)
+_new_tuple = tuple.__new__  # a RefRect without the NamedTuple's own __new__, a Python call
 
 
 def template_rects(template: tuple, corners: Sequence[Corner]) -> tuple[RefRect, ...]:
-    """The RefRects of a template whose corners are filled in."""
+    """The RefRects of a template whose corners are filled in.  A range
+    covers the rectangle its two corners span, anchored on an axis when
+    both corners are."""
     out = []
     for entry in template:
         if type(entry) is RefRect:
             out.append(entry)
             continue
         i, j, sheet, workbook = entry
+        c0, r0, ca0, ra0 = corners[i]
         if i == j:
-            c0, r0, ca0, ra0 = corners[i]
-            out.append(RefRect(c0, r0, c0, r0, ca0, ra0, sheet, workbook))
+            out.append(_new_tuple(RefRect, (c0, r0, c0, r0, ca0, ra0, sheet, workbook)))
             continue
-        out.append(_span(corners[i], corners[j], sheet, workbook))
+        c1, r1, ca1, ra1 = corners[j]
+        left, right = (c0, c1) if c0 <= c1 else (c1, c0)
+        top, bottom = (r0, r1) if r0 <= r1 else (r1, r0)
+        out.append(_new_tuple(RefRect, (left, top, right, bottom, ca0 and ca1, ra0 and ra1, sheet, workbook)))
     return tuple(out)
 
 

@@ -7,8 +7,9 @@ every coordinate it takes or returns is a sheet coordinate.  The entropy
 cut sweeps count these codes without hashing a fingerprint per cell,
 reading slices of the code rows (`code_rows`, `block`) or one cell's
 code (`code_at`).
-`vectors.analyze_sheet_vectors` codes a sheet's stored cells in its own
-pass and hands them over with the used range (`from_cells`).
+`vectors.analyze_sheet_vectors` writes a sheet's code rows in its own
+row-major pass and hands them over with the palette and the used
+range's corner (`from_codes`).
 """
 
 from __future__ import annotations
@@ -38,21 +39,6 @@ class FingerprintGrid:
         grid = cls.__new__(cls)
         grid._adopt(code_rows, palette, left, top)
         return grid
-
-    @classmethod
-    def from_cells(cls, rect: Rect, cells: Iterable[tuple[int, int]], codes: Iterable[int], blank: int,
-                   palette: tuple) -> "FingerprintGrid":
-        """The grid over `rect` whose listed cells have the given codes and
-        whose every other cell has the code `blank`."""
-        left, top = rect.left, rect.top
-        blank_row = [blank] * rect.width
-        code_rows = [blank_row] * rect.height
-        for (column, row), code in zip(cells, codes):
-            line = code_rows[row - top]
-            if line is blank_row:
-                line = code_rows[row - top] = blank_row.copy()
-            line[column - left] = code
-        return cls.from_codes(code_rows, palette, left, top)
 
     def _adopt(self, code_rows: list[list[int]], palette: tuple, left: int, top: int) -> None:
         # code_rows[y - top][x - left] is the code of cell (x, y)'s fingerprint.

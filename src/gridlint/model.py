@@ -17,6 +17,9 @@ object of the document is refused.
 The loader turns each cell object into its `CellContent` as the JSON is
 decoded, so a stored cell costs one small object; a payload that is not a
 well-formed one-key cell is left to `_load_cell`, which names what is wrong.
+An address is read by lookup, its letters in `_COLUMNS` and its trailing
+ASCII digits in a table, kept for one load, of those `parse_a1` has read;
+on a miss `parse_a1` reads it, so its refusals and messages are the loader's.
 A sheet is its `cells` dictionary alone.  The analysis reads them in
 row-major order (`Worksheet.in_row_major_order`): one pass checks that
 they are stored in that order, as the loader reads a file
@@ -395,6 +398,8 @@ def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
         raise FormatError(f"{source}: 'sheets' must be a list")
     sheets = []
     seen_names = set()
+    rows: dict[str, int] = {}  # the digit strings parse_a1 has read in this load -> row
+    column_of, row_of = _COLUMNS.get, rows.get
     for raw in raw_sheets:
         if not isinstance(raw, dict) or "name" not in raw or "cells" not in raw:
             raise FormatError(f"{source}: each sheet needs 'name' and 'cells'")
@@ -412,7 +417,13 @@ def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
             raise FormatError(f"{source}: sheet {sheet_name!r}: 'cells' must be an object")
         cells: dict[tuple[int, int], CellContent] = {}
         for addr_text, content in raw_cells.items():
-            address = parse_a1(addr_text)
+            letters = addr_text.rstrip("0123456789")
+            digits = addr_text[len(letters):]
+            column, row = column_of(letters), row_of(digits)
+            if column is None or row is None:
+                column, row = parse_a1(addr_text)
+                rows[digits] = row
+            address = (column, row)
             if address in cells:
                 raise DuplicateCellError(
                     f"{source}: sheet {sheet_name!r}: duplicate cell address {addr_text!r}"

@@ -51,11 +51,11 @@ only when copies of its shape need not share one: when a reference
 names a sheet or workbook, a range is anchored differently at its two
 corners (the two cases above), or the shape holds a whole line.  Any
 other shape keeps the fingerprint of its first use for every copy.
-One pass in row-major order gives each stored cell its fingerprint
-code and each formula its references; a sheet whose cells are stored in
-that order, as a loaded `serialize_workbook` file's are, is neither
-sorted nor scanned for its used range first
-(`Worksheet.in_row_major_order`).
+One pass in row-major order writes each stored cell's fingerprint code
+into the grid's code rows (a number or text cell costs an identity test
+and an append) and gives each formula its references; a sheet stored in
+that order, as a loaded `serialize_workbook` file is, is neither sorted
+nor scanned for its used range (`Worksheet.in_row_major_order`).
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ TEXT_FINGERPRINT = Fingerprint(0, 0, 0, -1)
 EMPTY_FINGERPRINT = Fingerprint(0, 0, 0, 0)
 # The kind of data cell each null fingerprint stands for.
 DATA_KINDS = {NUMBER_FINGERPRINT: CellKind.NUMBER, TEXT_FINGERPRINT: CellKind.TEXT, EMPTY_FINGERPRINT: CellKind.EMPTY}
+_FORMULA, _NUMBER, _TEXT = CellKind.FORMULA, CellKind.NUMBER, CellKind.TEXT
 
 
 def is_off_sheet(ref: RefRect, sheet: str, workbook: str) -> bool:
@@ -268,8 +269,10 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
     Cells are visited in row-major order (`Worksheet.in_row_major_order`),
     and each fingerprint gets its code on first appearance, a blank one
     at the first unstored cell, as `FingerprintGrid(rows)` numbers them.
-    Rows that hold no stored cell share one blank row, and the others
-    start as copies of it.
+    The same pass writes the code rows: each gap is padded with the blank
+    code as that code is assigned, rows that hold no stored cell share
+    one blank row, and a number or text cell takes its kind's code after
+    one identity test, hashing no fingerprint.
     """
     stored, rect = sheet.in_row_major_order()
     if rect.area > MAX_USED_CELLS:
@@ -328,34 +331,56 @@ def analyze_sheet_vectors(workbook: Workbook, sheet: Worksheet,
         return fingerprint
 
     codes: dict[Fingerprint, int] = {}
+    blank_row: list[int] = []  # the blank code width times, once a cell is left blank
+
+    def pad(line: list[int], end: int) -> None:  # the blank gets its code at the first blank cell
+        nonlocal blank_row
+        if not blank_row:
+            blank_row = [codes.setdefault(EMPTY_FINGERPRINT, len(codes))] * width
+        line += blank_row[len(line):end]
+
     cells = sheet.cells
-    stored_codes: list[int] = []
-    following = 0  # the position after the last stored cell
+    code_rows: list[list[int]] = []
+    line: list[int] = []  # the codes of row line_row so far
+    line_row = top
+    number_code = text_code = None
     above: dict[int, str] = {}
     lending: dict[int, str] = {}  # the keys the formulas of lending_row lend
     lending_row = 0
     for cell in stored:
         column, row = cell
-        position = (row - top) * width + column - left
-        if position != following:
-            codes.setdefault(EMPTY_FINGERPRINT, len(codes))
-        following = position + 1
+        if row != line_row:
+            code_rows.append(line)
+            if len(line) != width or row != line_row + 1:
+                pad(line, width)
+                code_rows += [blank_row] * (row - line_row - 1)
+            line, line_row = [], row
+        if len(line) != column - left:
+            pad(line, column - left)
         kind, value = cells[cell]
-        if kind is CellKind.NUMBER:  # an enum hashes in Python, so no dictionary here
-            fingerprint = NUMBER_FINGERPRINT
-        elif kind is CellKind.FORMULA:
+        if kind is _NUMBER:
+            if number_code is None:
+                number_code = codes.setdefault(NUMBER_FINGERPRINT, len(codes))
+            line.append(number_code)
+            continue
+        if kind is _FORMULA:
             if row != lending_row:
                 above = lending if row == lending_row + 1 else {}
                 lending, lending_row = {}, row
             fingerprint = formula_fingerprint(column, row, value, above, lending)
-            if fingerprint is None:
-                fingerprint = TEXT_FINGERPRINT
-        else:
-            fingerprint = null_fingerprint(kind)
-        stored_codes.append(codes.setdefault(fingerprint, len(codes)))
-    if following != rect.area:
-        codes.setdefault(EMPTY_FINGERPRINT, len(codes))
+            if fingerprint is not None:
+                line.append(codes.setdefault(fingerprint, len(codes)))
+                continue
+        elif kind is not _TEXT:
+            line.append(codes.setdefault(null_fingerprint(kind), len(codes)))
+            continue
+        # Text, or a formula downgraded to text.
+        if text_code is None:
+            text_code = codes.setdefault(TEXT_FINGERPRINT, len(codes))
+        line.append(text_code)
+    if len(line) != width:
+        pad(line, width)
+    code_rows.append(line)
 
-    # Without a code for the blank every cell is stored, so no cell is left blank.
-    grid = FingerprintGrid.from_cells(rect, stored, stored_codes, codes.get(EMPTY_FINGERPRINT, 0), tuple(codes))
+    grid = FingerprintGrid.from_codes(code_rows, tuple(codes), left, top)
     return SheetVectors(sheet.name, workbook.name, grid, refs, diagnostics)

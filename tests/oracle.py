@@ -74,7 +74,6 @@ from gridlint.fixes import (
     CandidateFix,
     ProposedFix,
     admissible,
-    fix_distance,
     impact_score,
     rect_minus_cell,
 )
@@ -98,6 +97,7 @@ from gridlint.vectors import (
     Fingerprint,
     SheetVectors,
     is_off_sheet,
+    location_fingerprint,
     null_fingerprint,
     rects_fingerprint,
 )
@@ -742,10 +742,27 @@ def rebuilt_score_candidates(
         delta = rebuilt_entropy_delta(fix, regions, total_cells, before)
         if delta >= 0:
             continue
-        distance = fix_distance(fix, table)
+        distance = naive_fix_distance(fix, table)
         target = fix.target.rect
         out.append(ProposedFix(fix.source, target, delta, distance, impact_score(target.area, delta, distance)))
     return out
+
+
+def naive_fix_distance(fix: CandidateFix, table: SheetVectors) -> float:
+    """`fixes.fix_distance` with the target's references summed again at
+    each source cell, moved there by `location_fingerprint`'s shift."""
+    t = fix.target.rect
+    rep_refs = table.refs.get((t.left, t.top), ())
+    total = 0.0
+    for x, y in fix.source.cells():
+        as_is = location_fingerprint(table.refs.get((x, y), ()), table.sheet_name, table.workbook_name)
+        would_be = location_fingerprint(rep_refs, table.sheet_name, table.workbook_name, (x - t.left, y - t.top))
+        total += math.sqrt(
+            (as_is.x - would_be.x) ** 2
+            + (as_is.y - would_be.y) ** 2
+            + (as_is.z - would_be.z) ** 2
+        )
+    return total
 
 
 # -- cluster coloring, every edge scanned per vertex -------------------------

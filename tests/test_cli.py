@@ -280,15 +280,39 @@ class TestRender:
             assert (tmp_path / name).read_text(encoding="utf-8") == "".join(global_view_chunks(sheet.table))
 
     def test_failed_coloring_writes_no_page(self, fixtures_dir, tmp_path, capsys, monkeypatch):
-        # The page's graph is colored before its file is opened, so a
-        # coloring that fails leaves no empty page behind.
+        # Every sheet is colored before any page is opened, so a sheet
+        # that needs more hues than the palette holds is refused as input
+        # in one line naming it, and leaves no page behind.
         def exhausted(graph, *args, **kwargs):
             raise PaletteExhausted("hue spacing would drop below 1 degree")
 
         monkeypatch.setattr(report, "assign_colors", exhausted)
-        code, _, err = run(["render", str(fixtures_dir / "banded.gridbook"), "--out", str(tmp_path)], capsys)
-        assert code == 1
-        assert "hue spacing" in err
+        out = tmp_path / "pages"
+        code, _, err = run(["render", str(fixtures_dir / "banded.gridbook"), "--out", str(out)], capsys)
+        assert code == 2
+        sheet = load_workbook(fixtures_dir / "banded.gridbook").sheets[0].name
+        assert err == f"error: sheet {sheet!r} cannot be rendered: hue spacing would drop below 1 degree\n"
+        assert not out.exists()
+
+    def test_a_later_sheet_that_cannot_be_colored_writes_no_page(self, tmp_path, capsys, monkeypatch):
+        source = tmp_path / "wb.gridbook"
+        source.write_text(json.dumps({"workbook": "wb", "sheets": [
+            {"name": "first", "cells": {"A1": {"n": 1}, "A2": {"f": "=A1"}}},
+            {"name": "empty", "cells": {}},
+            {"name": "second", "cells": {"B1": {"n": 2}, "B2": {"f": "=B1*2"}}},
+        ]}))
+        colored = []
+
+        def exhausted_on_the_second(graph, *args, _assign=report.assign_colors, **kwargs):
+            colored.append(graph)
+            if len(colored) == 2:
+                raise PaletteExhausted("hue spacing would drop below 1 degree")
+            return _assign(graph, *args, **kwargs)
+
+        monkeypatch.setattr(report, "assign_colors", exhausted_on_the_second)
+        code, _, err = run(["render", str(source), "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert err.startswith("error: sheet 'second' cannot be rendered") and err.count("\n") == 1
         assert list(tmp_path.glob("*.html")) == []
 
     def test_missing_file(self, capsys):

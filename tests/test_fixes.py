@@ -30,9 +30,9 @@ from gridlint.fixes import (
     rect_minus_cell,
     score_candidates,
 )
-from gridlint.model import CellContent, Rect, Workbook, Worksheet, load_workbook, to_a1
+from gridlint.model import CellContent, Rect, Workbook, Worksheet, column_to_letters, load_workbook, to_a1
 from gridlint.pipeline import AnalysisConfig, analyze_sheet
-from gridlint.vectors import EMPTY_FINGERPRINT as EMPTY, NUMBER_FINGERPRINT, Fingerprint
+from gridlint.vectors import EMPTY_FINGERPRINT as EMPTY, NUMBER_FINGERPRINT, Fingerprint, analyze_sheet_vectors
 from oracle import (
     REASON_NOT_RECTANGULAR,
     _coalesce_targeted,
@@ -44,6 +44,7 @@ from oracle import (
     naive_analyze_sheet_vectors,
     naive_candidate_fixes,
     naive_coalesce_targeted,
+    naive_fix_distance,
     rebuilt_entropy_delta,
     rebuilt_score_candidates,
     term_sum,
@@ -924,6 +925,60 @@ class TestDistance:
         assert fix_distance(candidate, table) == pytest.approx(
             math.sqrt(61), rel=1e-12
         )
+
+
+def _corner(draw, column: int, row: int) -> str:
+    """A cell reference near (column, row), each axis anchored or not."""
+    column = draw(st.integers(max(1, column - 3), column + 3))
+    row = draw(st.integers(max(1, row - 3), row + 3))
+    return f"{'$' if draw(st.booleans()) else ''}{column_to_letters(column)}{'$' if draw(st.booleans()) else ''}{row}"
+
+
+@st.composite
+def distance_sheets(draw):
+    """A sheet of up to 5 x 5 formulas whose references are cells and
+    ranges anchored on any axes (a range possibly on one corner only),
+    off the sheet, naming the sheet itself, and whole lines."""
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = {}
+    for row in range(1, height + 1):
+        for column in range(1, width + 1):
+            if draw(st.integers(0, 5)) == 0:
+                continue
+            refs = []
+            for _ in range(draw(st.integers(0, 3))):
+                family = draw(st.sampled_from(["cell", "range", "off sheet", "own sheet", "other book", "line"]))
+                if family == "line":
+                    refs.append(draw(st.sampled_from(["B:B", "$B:C", "$A:$A", "3:3", "$2:4", "Other!4:4", "S!C:C"])))
+                    continue
+                ref = _corner(draw, column, row)
+                if family != "cell" and draw(st.booleans()):
+                    ref += ":" + _corner(draw, column, row)
+                prefix = {"off sheet": "Other!", "own sheet": "S!", "other book": "[x]S!"}.get(family, "")
+                refs.append(prefix + ref)
+            body = "+".join(f"SUM({ref})" for ref in refs) or "1"
+            cells[(column, row)] = CellContent.formula(f"={body}")
+    cells.setdefault((1, 1), CellContent.number(1.0))
+    return cells
+
+
+class TestDistanceClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(distance_sheets(), st.data())
+    def test_bit_for_bit_the_per_cell_sum(self, cells, data):
+        # The target's references are summed once and shifted per source
+        # cell; the oracle sums them again at every source cell.
+        workbook = Workbook("wb", [Worksheet("S", cells)])
+        table = analyze_sheet_vectors(workbook, workbook.sheets[0])
+        full = table.rect
+        for _ in range(4):
+            corners = [data.draw(st.tuples(st.integers(full.left, full.right), st.integers(full.top, full.bottom)))
+                       for _ in range(3)]
+            (x0, y0), (x1, y1), (tx, ty) = corners
+            source = Rect(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+            target = Region(Rect(tx, ty, tx, ty), NUMBER_FINGERPRINT)
+            fix = CandidateFix(source, Region(source, EMPTY), target)
+            assert fix_distance(fix, table).hex() == naive_fix_distance(fix, table).hex()
 
 
 class TestImpactScore:

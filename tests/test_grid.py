@@ -136,12 +136,6 @@ def test_grid_sits_at_its_corner():
         grid.counts_in(Rect(3, 4, 3, 5))
 
 
-def test_from_cells_fills_the_rest_with_the_blank():
-    grid = FingerprintGrid.from_cells(Rect(2, 3, 4, 4), [(2, 3), (4, 4)], [0, 2], 1, ("N", "E", "T"))
-    assert grid.code_rows == [[0, 1, 1], [1, 1, 2]]
-    assert grid.full_rect() == Rect(2, 3, 4, 4)
-
-
 @given(grid_and_rect(), st.sampled_from(["any", "edge"]), st.randoms(use_true_random=False))
 def test_placed_grid_counts_and_fingerprints_shift(case, where, rng):
     # The same grid with its top-left cell anywhere, or with its last

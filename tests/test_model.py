@@ -1,5 +1,6 @@
 """Workbook model: addresses, rectangles, cells, JSON round-trips."""
 
+import copy
 import json
 
 import pytest
@@ -354,7 +355,8 @@ def dump(value) -> str:
     return json.dumps(value)
 
 
-ADDRESSES = ["A1", "B2", "b2", "B02", "a1", "C3", "XFD1", "XFE1", "A0", "A", "1A", "AB10", "ab10", "A1\n"]
+ADDRESSES = ["A1", "B2", "b2", "B02", "a1", "C3", "XFD1", "XFE1", "A0", "A", "1A", "AB10", "ab10", "A1\n",
+             "A01", "XFE01", "A00", "A\u0661"]
 scalars = st.one_of(
     st.booleans(), st.integers(-5, 5), st.floats(allow_nan=True, allow_infinity=True), st.none(),
     st.sampled_from(["=A1", "=SUM(", "A1", "", "  ", "\t\n", "x", " y "]),
@@ -436,6 +438,54 @@ class TestLoaderOracle:
     ])
     def test_hand_cases(self, text):
         assert loaded(parse_workbook_json, text) == loaded(naive_parse_workbook_json, text)
+
+    # The loader reads an address's row from the digit strings it has
+    # already parsed in the load, and its column from the column table;
+    # these sheets put an address after one that fills either.
+    @pytest.mark.parametrize("sheets", [
+        [["A7", "B7", "XFD7", "AA7", "b7", "C7"]],
+        [["B01", "A01"]],
+        [["B01", "A01", "A1"]],
+        [["B01"], ["A01", "A1"]],
+        [["A01", "XFE01"]],
+        [["A1", "XFE1"]],
+        [["A1", "A0"]],
+        [["A1", "A00"]],
+        [["B00"]],
+        [["A10", "A1", "A0"]],
+        [["A1048576", "B1048577", "C1048577", "D99999999999999999999"]],
+        [["A1", "B" + "1" * 5_000]],
+        [["A" + "1" * 4_300, "B" + "1" * 4_300]],
+        [["A1", "A\u0661"]],
+        [["A1", "B1\u0661"]],
+        [["A1", "\u0661A1"]],
+        [["A1", "A\uff11"]],
+        [["A1", "\u00c91"]],
+        [["A1", "a2", "a1"]],
+        [["XFD3", "xfd4", "xFd3"]],
+        [["A1", "A1 "]],
+        [["A1", "A"]],
+        [["A1", "1"]],
+    ])
+    def test_addresses_after_cached_rows_and_columns(self, sheets):
+        text = json.dumps({"workbook": "w", "sheets": [
+            {"name": f"S{i}", "cells": {address: {"n": 1} for address in addresses}}
+            for i, addresses in enumerate(sheets)
+        ]})
+        assert loaded(parse_workbook_json, text) == loaded(naive_parse_workbook_json, text)
+
+    def test_a_load_leaves_no_state_but_the_column_table(self):
+        before = dict(vars(model))
+        containers = {name: copy.copy(value) for name, value in before.items()
+                      if isinstance(value, (dict, list, set, bytearray))}
+        cells = {f"{column_to_letters(column)}{row:0{column % 3}d}": {"n": row}
+                 for column in (1, 2, 27, 703, 16_384) for row in (1, 9, 10, 1_048_577)}
+        parse_workbook_json(json.dumps({"workbook": "w", "sheets": [{"name": "S", "cells": cells}]}))
+        after = vars(model)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
+        assert [name for name, value in containers.items() if after[name] != value] in ([], ["_COLUMNS"])
+        assert not any(hasattr(value, "cache_info") for value in after.values())
 
 
 # -- a sheet's cells in row-major order ---------------------------------------

@@ -97,5 +97,7 @@ def test_same_reports_finds_a_tree_equal_to_itself():
     assert "all 142 reports and their exit codes identical (71 variants" in proc.stdout
     # each analysed variant's per-sheet diagnostics, the parser's refusals among them
     assert "all 71 diagnostic lists identical" in proc.stdout
+    # and each one's per-sheet vector tables: code rows, palette and references
+    assert "all 71 vector tables identical" in proc.stdout
     # one render per workbook: a page per sheet
     assert "all 185 render pages and the eval output identical" in proc.stdout

@@ -1,5 +1,6 @@
 """Reference vectors, fingerprints, location sums, closed forms over ranges."""
 
+import random
 import re
 
 import pytest
@@ -771,6 +772,36 @@ class TestFingerprintPerShape:
     ])
     def test_code_rows_match_a_grid_built_cell_by_cell(self, cells):
         assert_matches_uncached(Worksheet("S", cells))
+
+    def test_code_rows_fill_the_rest_with_the_blank(self):
+        sheet = Worksheet("S", {(2, 3): CellContent.number(1.0), (4, 4): CellContent.text("x")})
+        table = analyze_sheet_vectors(Workbook("wb", [sheet]), sheet)
+        assert table.grid.palette == (NUMBER_FINGERPRINT, EMPTY_FINGERPRINT, TEXT_FINGERPRINT)
+        assert table.grid.code_rows == [[0, 1, 1], [1, 1, 2]]
+        assert table.grid.full_rect() == Rect(2, 3, 4, 4)
+
+    @pytest.mark.parametrize("layout, addresses", [
+        ("first gap at the end of row one", ["A1", "B1", "A2", "B2", "C2"]),
+        ("a gap only after the last cell", ["A1", "B1", "C1", "A2", "B2"]),
+        ("empty rows between stored rows", ["A1", "B1", "A4", "B4", "B6"]),
+        ("empty rows between full rows", ["A1", "B1", "A5", "B5"]),
+        ("a fully stored sheet", ["A1", "B1", "C1", "A2", "B2", "C2", "A3", "B3", "C3"]),
+        ("one cell away from A1", ["E7"]),
+        ("one row away from A1", ["C9", "D9", "F9"]),
+        ("gaps before the first stored cell of each row", ["C2", "D2", "B3", "D3", "D5"]),
+    ])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_code_rows_on_gap_layouts(self, layout, addresses, shuffled):
+        # Every kind of cell in turn, so the numbers, the text, a formula
+        # downgraded to text and the formulas all meet the blank's code.
+        contents = [CellContent.number(1.0), CellContent.formula("=A1+1"), CellContent.text("x"),
+                    CellContent.formula("=SUM("), CellContent.formula("=$A$1"), CellContent.number(2.0)]
+        items = [(parse_a1(a1), contents[i % len(contents)]) for i, a1 in enumerate(addresses)]
+        if shuffled:
+            random.Random(len(addresses)).shuffle(items)
+        sheet = Worksheet("S", dict(items))
+        table = assert_matches_uncached(sheet)
+        assert (EMPTY_FINGERPRINT in table.grid.palette) is (len(addresses) != table.rect.area)
 
     def test_rows_without_cells_share_one_list(self):
         sheet = Worksheet("S", {(1, 1): CellContent.number(1.0), (3, 1000): CellContent.text("x")})
