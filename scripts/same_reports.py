@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two source trees of gridlint write the same reports, regions, vector tables, diagnostics, pages and scores.
+"""Check that two source trees of gridlint write the same reports, regions, vector tables, diagnostics, candidate scores and pages.
 
     python3 scripts/same_reports.py OLD_SRC NEW_SRC [--seeds 7 11] [--python EXE]
 
@@ -18,7 +18,11 @@ this one) and with the CLI's defaults otherwise:
   palette as `repr`, and the `refs` items, every formula cell's
   references in order), and each sheet's diagnostics
   (`SheetVectors.diagnostics`: the formulas refused, with the parser's
-  message and offset), which the CLI prints to stderr;
+  message and offset), which the CLI prints to stderr, and each sheet's
+  scored candidates (every `ProposedFix` that `fixes.score_candidates`
+  returns, in order, before ranking and the budget cut: source, target,
+  and `float.hex` of its entropy delta, distance and score), so a
+  changed score shows even where no report holds the fix;
 * `gridlint render` on every workbook, once;
 * `gridlint eval` of the JSON report of `fixtures/weekly_totals`
   against its annotations.
@@ -46,26 +50,37 @@ WORKLOADS = ("corpus", "adversarial", "lookups")
 # regions of its sheets, as [sheet, [[rect, fingerprint], ...]] pairs, to
 # out_dir/regions/<name>.json, their vector tables, as [sheet, code rows,
 # repr(palette), [[cell, refs], ...]] lists, to out_dir/vectors/<name>.json,
-# and their diagnostics, as [sheet, [line, ...]] pairs, to
-# out_dir/diagnostics/<name>.json.  The CLI's analysis is kept by
-# wrapping the `analyze_workbook` it calls.
+# their diagnostics, as [sheet, [line, ...]] pairs, to
+# out_dir/diagnostics/<name>.json, and their scored candidates, as [sheet,
+# [[source, target, delta hex, distance hex, score hex], ...]] pairs, to
+# out_dir/scores/<name>.json.  The CLI's analysis is kept by wrapping the
+# `analyze_workbook` it calls, and the scores by wrapping
+# `fixes.score_candidates`, which `build_fixes` calls once per sheet with cells.
 CHILD = """
 import contextlib, io, json, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
-from gridlint import cli
+from gridlint import cli, fixes
 out_dir = Path(sys.argv[3])
-(out_dir / "regions").mkdir()
-(out_dir / "vectors").mkdir()
-(out_dir / "diagnostics").mkdir()
+for kind in ("regions", "vectors", "diagnostics", "scores"):
+    (out_dir / kind).mkdir()
 analyses = []
+scores = []
 
 def keeping(*args, _analyze=cli.analyze_workbook, **kwargs):
+    scores.clear()
     analysis = _analyze(*args, **kwargs)
     analyses[:] = [analysis]
     return analysis
 
+def scoring(candidates, table, *args, _score=fixes.score_candidates, **kwargs):
+    scored = _score(candidates, table, *args, **kwargs)
+    scores.append([table.sheet_name, [[f.source, f.target, f.delta_entropy.hex(), f.distance.hex(), f.score.hex()]
+                                      for f in scored]])
+    return scored
+
 cli.analyze_workbook = keeping
+fixes.score_candidates = scoring
 codes = {}
 with contextlib.redirect_stderr(io.StringIO()):
     for name, path, preprocess in json.loads(Path(sys.argv[2]).read_text()):
@@ -81,6 +96,7 @@ with contextlib.redirect_stderr(io.StringIO()):
             (out_dir / "vectors" / f"{name}.json").write_text(json.dumps(tables))
             diagnostics = [[s.name, s.table.diagnostics] for s in analyses[0].sheets]
             (out_dir / "diagnostics" / f"{name}.json").write_text(json.dumps(diagnostics))
+            (out_dir / "scores" / f"{name}.json").write_text(json.dumps(scores))
         if preprocess:
             codes[f"render/{name}"] = cli.main(["render", path, "--out", str(out_dir / "render" / name)])
     codes[sys.argv[5]] = cli.main(["eval", str(out_dir / "fixtures-weekly_totals.json"), sys.argv[4],
@@ -155,11 +171,12 @@ def main(argv: list[str] | None = None) -> int:
         regions = sum(name.startswith("regions/") for name in outputs)
         tables = sum(name.startswith("vectors/") for name in outputs)
         diagnostics = sum(name.startswith("diagnostics/") for name in outputs)
-        reports = len(outputs) - pages - regions - tables - diagnostics - (EVAL in outputs)
+        scores = sum(name.startswith("scores/") for name in outputs)
+        reports = len(outputs) - pages - regions - tables - diagnostics - scores - (EVAL in outputs)
         if mismatch or errors or only:
             print(f"{len(mismatch) + len(errors) + len(only)} of {len(outputs)} outputs differ "
                   f"({reports} reports, {regions} region lists, {tables} vector tables, {diagnostics} diagnostic lists, "
-                  f"{pages} render pages and the eval output; "
+                  f"{scores} candidate score lists, {pages} render pages and the eval output; "
                   f"{len(variants)} variants, seeds {args.seeds})")
             return 1
         print(f"all {reports} reports and their exit codes identical "
@@ -167,6 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"all {regions} region lists identical")
         print(f"all {tables} vector tables identical")
         print(f"all {diagnostics} diagnostic lists identical")
+        print(f"all {scores} candidate score lists identical")
         print(f"all {pages} render pages and the eval output identical, with their exit codes")
         return 0
 

@@ -527,8 +527,8 @@ def tree_leaves(tree: EntropyTree) -> list[Region]:
 
 
 def _region_key(region: Region) -> tuple[int, int, int, int]:
-    # Live regions of a tiling never share a rectangle, and a region only
-    # grows, so no two regions ever compared share this key.
+    """A region's corners in reading order, (top, left, bottom, right):
+    its name in an `_EdgeIndex` and the key of every pinned order."""
     r = region.rect
     return (r.top, r.left, r.bottom, r.right)
 
@@ -538,7 +538,8 @@ def _union_rect(a: Rect, b: Rect) -> Rect:
 
 
 class _EdgeIndex:
-    """Live regions of a tiling, each found by any of its four full edges.
+    """Live regions of a tiling by `_region_key`, each found by any of its
+    four full edges.
 
     A full edge is a side with its whole span, keyed by span and line
     alone: in a tiling at most one region owns it.  Two disjoint
@@ -547,34 +548,31 @@ class _EdgeIndex:
     `facing` finds all such regions in four lookups.  Coalescing merges
     the facing ones of the same fingerprint (`partners`); fix candidates
     target those of other fingerprints, so each merges with its target by
-    construction.  Every region added gets a fresh serial number: a stale
-    reference to a removed region is recognized by its serial, never by
-    object identity.  A removed region may be added back under its old
-    serial, which undoes its removal.
+    construction.  No two live regions of a tiling share a key, and
+    regions only grow, so a key that has merged away never names a live
+    region again: a stale key is simply one missing from `live`.
     """
 
     def __init__(self) -> None:
-        self.live: dict[int, Region] = {}
-        self._serial = 0
-        # (column span, row) / (row span, column) -> serial
-        self._tops: dict[tuple, int] = {}
-        self._bottoms: dict[tuple, int] = {}
-        self._lefts: dict[tuple, int] = {}
-        self._rights: dict[tuple, int] = {}
+        self.live: dict[tuple, Region] = {}
+        # (column span, row) / (row span, column) -> key
+        self._tops: dict[tuple, tuple] = {}
+        self._bottoms: dict[tuple, tuple] = {}
+        self._lefts: dict[tuple, tuple] = {}
+        self._rights: dict[tuple, tuple] = {}
 
-    def add(self, region: Region, serial: Optional[int] = None) -> int:
-        if serial is None:
-            serial = self._serial = self._serial + 1
+    def add(self, region: Region) -> tuple:
+        key = _region_key(region)
+        self.live[key] = region
         r = region.rect
-        self.live[serial] = region
-        self._tops[(r.left, r.right, r.top)] = serial
-        self._bottoms[(r.left, r.right, r.bottom)] = serial
-        self._lefts[(r.top, r.bottom, r.left)] = serial
-        self._rights[(r.top, r.bottom, r.right)] = serial
-        return serial
+        self._tops[(r.left, r.right, r.top)] = key
+        self._bottoms[(r.left, r.right, r.bottom)] = key
+        self._lefts[(r.top, r.bottom, r.left)] = key
+        self._rights[(r.top, r.bottom, r.right)] = key
+        return key
 
-    def remove(self, serial: int) -> Region:
-        region = self.live.pop(serial)
+    def remove(self, key: tuple) -> Region:
+        region = self.live.pop(key)
         r = region.rect
         del self._tops[(r.left, r.right, r.top)]
         del self._bottoms[(r.left, r.right, r.bottom)]
@@ -582,8 +580,8 @@ class _EdgeIndex:
         del self._rights[(r.top, r.bottom, r.right)]
         return region
 
-    def facing(self, left: int, top: int, right: int, bottom: int) -> list[int]:
-        """Serials of the live regions whose full edge lies opposite one of
+    def facing(self, left: int, top: int, right: int, bottom: int) -> list[tuple]:
+        """Keys of the live regions whose full edge lies opposite one of
         the rectangle's four sides, with the same span: above, below, left,
         right.  Each one and the rectangle tile a rectangle."""
         found = (
@@ -592,12 +590,12 @@ class _EdgeIndex:
             self._rights.get((top, bottom, left - 1)),
             self._lefts.get((top, bottom, right + 1)),
         )
-        return [s for s in found if s is not None]
+        return [key for key in found if key is not None]
 
-    def partners(self, serial: int) -> list[int]:
-        """Serials of the live regions that can merge with this one."""
-        region = self.live[serial]
-        return [s for s in self.facing(*region.rect) if self.live[s].fingerprint == region.fingerprint]
+    def partners(self, rect: Rect, fingerprint: Hashable) -> list[tuple]:
+        """Keys of the live regions that can merge with a region of this
+        rectangle and fingerprint, whether or not it is live itself."""
+        return [key for key in self.facing(*rect) if self.live[key].fingerprint == fingerprint]
 
 
 def coalesce(regions: Sequence[Region]) -> list[Region]:
@@ -607,39 +605,28 @@ def coalesce(regions: Sequence[Region]) -> list[Region]:
     The order is pinned: of all pairs (a, b) that can merge, with
     _region_key(a) < _region_key(b), the one with the smallest
     (key(a), key(b)) merges first, exactly the first such pair of the
-    list kept sorted by (top, left, bottom, right).  Pairs wait in a
-    heap under that key; a pair whose region has since merged away is
-    dropped when popped.  With the edge index each merge finds the new
-    region's at most four partners directly, so the whole run costs
-    O(R log R) for R regions.
+    list kept sorted by (top, left, bottom, right).  Pairs of keys wait
+    in a heap; a pair whose region has since merged away names a key no
+    longer live (see `_EdgeIndex`) and is dropped when popped.  With the
+    edge index each merge finds the new region's at most four partners
+    directly, so the whole run costs O(R log R) for R regions.
     """
     index = _EdgeIndex()
-    keys: dict[int, tuple] = {}
-    heap: list[tuple] = []
-
-    def push_pairs(serial: int, only_larger: bool) -> None:
-        key = keys[serial]
-        for other in index.partners(serial):
-            if keys[other] > key:
-                heapq.heappush(heap, (key, keys[other], serial, other))
-            elif not only_larger:
-                heapq.heappush(heap, (keys[other], key, other, serial))
-
     for region in regions:
-        serial = index.add(region)
-        keys[serial] = _region_key(region)
-    for serial in list(index.live):
-        push_pairs(serial, only_larger=True)
+        index.add(region)
+    heap = [(key, other) for key, region in index.live.items()
+            for other in index.partners(region.rect, region.fingerprint) if other > key]
+    heapq.heapify(heap)
     while heap:
-        _, _, first, second = heapq.heappop(heap)
+        first, second = heapq.heappop(heap)
         if first not in index.live or second not in index.live:
             continue
         a = index.remove(first)
         b = index.remove(second)
         union = Region(_union_rect(a.rect, b.rect), a.fingerprint)
-        serial = index.add(union)
-        keys[serial] = _region_key(union)
-        push_pairs(serial, only_larger=False)
+        key = index.add(union)
+        for other in index.partners(union.rect, union.fingerprint):
+            heapq.heappush(heap, (key, other) if key < other else (other, key))
     return sorted(index.live.values(), key=_region_key)
 
 

@@ -28,12 +28,13 @@ edge index, and the regions' entropy terms p*log2(p) cached per area.
 A candidate then costs up to five new regions (the merged rectangle and
 a one-cell source's fragments), four edge lookups for each, plus one
 `math.fsum` over the terms of the regions it takes out and puts in.
-Most fixes merge nothing further, and that is all they cost: the edge
-index is not edited.  A fix whose new regions do merge on runs its
-merge cascade on the index, a few dictionary lookups per merge, and
-puts the index back.  `fsum` is correctly rounded, so the delta is the
-exact change of the layout's term sum rounded once, and a fix that
-keeps the multiset of region areas scores exactly 0.
+Most fixes merge nothing further, and that is all they cost.  A fix
+whose new regions do merge on runs its merge cascade in a small edge
+index of its own regions, reading the layout's beside it, a few
+dictionary lookups per merge.  No fix edits the layout's index.
+`fsum` is correctly rounded, so the delta is the exact change of the
+layout's term sum rounded once, and a fix that keeps the multiset of
+region areas scores exactly 0.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, product
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .entropy import Region, _EdgeIndex, _region_key, _union_rect
 from .formula import RefRect
@@ -90,16 +91,16 @@ class Layout:
     """One sheet's tiling, indexed once for every candidate fix proposed
     and scored on it.
 
-    Holds the regions in `_region_key` order, one edge index over them in
-    which `regions[k]` has serial k + 1, the serial of each region, and
-    each area's entropy term p*log2(p).  `entropy_delta` edits the index
-    for one fix and then puts it back as it was built.
+    Holds one edge index over the regions, which names each region by its
+    `_region_key`, and each area's entropy term p*log2(p).  The regions
+    are added in key order and nothing edits the index once it is built,
+    so `index.live` lists them in that order.
     """
 
     def __init__(self, regions: Sequence[Region], total_cells: int) -> None:
-        self.regions = sorted(regions, key=_region_key)
         self.index = _EdgeIndex()
-        self.serials = {region: self.index.add(region) for region in self.regions}
+        for region in sorted(regions, key=_region_key):
+            self.index.add(region)
         self.total_cells = total_cells
         self.scale = 1.0 / math.log2(total_cells) if total_cells > 1 else 0.0
         self._terms: dict[int, float] = {}
@@ -114,38 +115,39 @@ class Layout:
         return t
 
 
-def _one_wide_lines(ordered: Sequence[Region]) -> tuple[dict, dict, dict, dict]:
+def _one_wide_lines(live: Mapping[tuple, Region]) -> tuple[dict, dict, dict, dict]:
     """The regions one cell wide across a side, by the line that side
     lies on: one-column regions by their bottom row and by their top row,
     one-row regions by their right column and by their left column.  Each
-    line is a list of (position along it, serial), sorted; the serial of
-    a region is its place in `ordered`, counted from 1, as in `Layout`."""
+    line is a sorted list of (position along it, key), from regions by
+    their `_region_key`."""
     lines: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
     bottoms, tops, rights, lefts = lines
-    for serial, region in enumerate(ordered, 1):
+    for key, region in live.items():
         r = region.rect
         if r.left == r.right:
-            bottoms.setdefault(r.bottom, []).append((r.left, serial))
-            tops.setdefault(r.top, []).append((r.left, serial))
+            bottoms.setdefault(r.bottom, []).append((r.left, key))
+            tops.setdefault(r.top, []).append((r.left, key))
         if r.top == r.bottom:
-            rights.setdefault(r.right, []).append((r.top, serial))
-            lefts.setdefault(r.left, []).append((r.top, serial))
+            rights.setdefault(r.right, []).append((r.top, key))
+            lefts.setdefault(r.left, []).append((r.top, key))
     for by_line in lines:
         for line in by_line.values():
             line.sort()
     return lines
 
 
-def _within(line: list[tuple[int, int]], low: int, high: int) -> list[tuple[int, int]]:
-    """The (position, serial) pairs of a sorted line with low <= position <= high."""
+def _within(line: list[tuple[int, tuple]], low: int, high: int) -> list[tuple[int, tuple]]:
+    """The (position, key) pairs of a sorted line with low <= position <= high."""
     return line[bisect_left(line, (low,)):bisect_left(line, (high + 1,))]
 
 
 def candidate_fixes(layout: Layout) -> list[CandidateFix]:
     """Every (source, target) proposal whose two sides tile a rectangle.
 
-    Reads the layout's regions, which tile their area, and its edge
-    index as built.  Sources go in (top, left, bottom, right) order.  A
+    Reads the layout's edge index, whose regions tile their area.
+    Sources go in (top, left, bottom, right) order, as the index lists
+    them.  A
     target faces a full side of the whole source, or an outward side of
     one boundary cell with a one-cell edge, so it faces at most one cell
     (skipped for one-cell regions, where the whole region is that cell).
@@ -155,30 +157,31 @@ def candidate_fixes(layout: Layout) -> list[CandidateFix]:
     The whole-region targets are four lookups in the edge index.  The
     one-cell targets are the regions one cell wide across a side, found
     by bisecting the line beyond that side over its span, so a source
-    costs O(log R + its targets) for R regions.  The layout numbers its
-    regions in the order above, so the targets sort as their serials do.
+    costs O(log R + its targets) for R regions.  Targets are sorted by
+    their `_region_key`, the order above.
     """
-    ordered, index = layout.regions, layout.index
-    bottoms, tops, rights, lefts = _one_wide_lines(ordered)
+    index = layout.index
+    bottoms, tops, rights, lefts = _one_wide_lines(index.live)
     out: list[CandidateFix] = []
-    for a in ordered:
+    for a in index.live.values():
         r = a.rect
         left, top, right, bottom = r
         whole = index.facing(*r)
-        cells: dict[int, tuple[int, int]] = {}  # serial -> the one boundary cell it faces
+        cells: dict[tuple, tuple[int, int]] = {}  # key -> the one boundary cell it faces
         if left != right or top != bottom:
-            cells.update((serial, (x, top)) for x, serial in _within(bottoms.get(top - 1, []), left, right))
-            cells.update((serial, (x, bottom)) for x, serial in _within(tops.get(bottom + 1, []), left, right))
-            cells.update((serial, (left, y)) for y, serial in _within(rights.get(left - 1, []), top, bottom))
-            cells.update((serial, (right, y)) for y, serial in _within(lefts.get(right + 1, []), top, bottom))
-        for serial in sorted({*whole, *cells}):
-            b = ordered[serial - 1]
+            cells.update((key, (x, top)) for x, key in _within(bottoms.get(top - 1, []), left, right))
+            cells.update((key, (x, bottom)) for x, key in _within(tops.get(bottom + 1, []), left, right))
+            cells.update((key, (left, y)) for y, key in _within(rights.get(left - 1, []), top, bottom))
+            cells.update((key, (right, y)) for y, key in _within(lefts.get(right + 1, []), top, bottom))
+        for key in sorted({*whole, *cells}):
+            b = index.live[key]
             if b.fingerprint == a.fingerprint:
                 continue
-            if serial in whole:
+            if key in whole:
                 out.append(CandidateFix(r, a, b))
-            if serial in cells:
-                x, y = cells[serial]
+            cell = cells.get(key)
+            if cell is not None:
+                x, y = cell
                 out.append(CandidateFix(Rect(x, y, x, y), a, b))
     return out
 
@@ -281,78 +284,65 @@ def entropy_delta(fix: CandidateFix, layout: Layout) -> float:
     added ones', summed by `math.fsum` and normalized.
 
     Most fixes merge nothing further, and those are scored in closed
-    form, without touching the edge index: when no new region faces a
-    region of its own fingerprint (the source and target aside), the
-    delta is the fsum of the source's and target's terms less the new
-    regions'.  That is what the cascade returns.  Its queue holds only
-    the new regions, and none of them has a partner.  Not among the
-    other regions: the check reads the index as built, where a full
-    edge belongs to at most one region, so each lookup finds what it
-    would find after the edit, except that the new regions are not there
-    yet and the source and target, which are skipped, still are.  Not
-    among the new regions either, which never partner each other: the
-    merged region carries the target's fingerprint and the fragments the
-    source's, which differ, and the fragments are separated by the
-    removed cell's row or column.  So the cascade would merge nothing,
-    and `fsum`, being correctly rounded, gives the same float in any
-    order of the terms.
+    form: when no new region faces a region of its own fingerprint (the
+    source and target aside), the delta is the fsum of the source's and
+    target's terms less the new regions'.  That is what the cascade
+    returns.  Its queue holds only the new regions, and none of them has
+    a partner.  Not among the other regions: the check reads the index
+    as built, where a full edge belongs to at most one region, so each
+    lookup finds what it would find after the edit, except that the new
+    regions are not there yet and the source and target, which are
+    skipped, still are.  Not among the new regions either, which never
+    partner each other: the merged region carries the target's
+    fingerprint and the fragments the source's, which differ, and the
+    fragments are separated by the removed cell's row or column.  So the
+    cascade would merge nothing, and `fsum`, being correctly rounded,
+    gives the same float in any order of the terms.
 
-    Otherwise the cascade runs on the layout's edge index, which is
-    restored before returning.
+    Otherwise the cascade runs on a small edge index of the fix's own
+    regions, the new ones and their unions, beside `gone`, the keys of
+    the layout regions taken out.  A region's partners are its partners
+    among its own index's regions and among the layout's outside `gone`;
+    the layout's index is read, never edited.  Both are live regions of
+    one tiling, so the fix's own keys never equal a layout key outside
+    `gone`, and a key once merged away never comes back (`_EdgeIndex`):
+    a popped key missing from the small index is stale.
     """
     index, term = layout.index, layout.term
     source, target = fix.source_region, fix.target
-    taken = (layout.serials[source], layout.serials[target])
+    gone = {_region_key(source), _region_key(target)}
     new = [Region(_union_rect(fix.source, target.rect), target.fingerprint)]
     if fix.source != source.rect:
         new += [Region(frag, source.fingerprint)
                 for frag in rect_minus_cell(source.rect, (fix.source.left, fix.source.top))]
-    live = index.live
-    if not any(live[serial].fingerprint == region.fingerprint
-               for region in new for serial in index.facing(*region.rect) if serial not in taken):
+    if not any(key not in gone for region in new for key in index.partners(region.rect, region.fingerprint)):
         terms = [term(source.rect.area), term(target.rect.area)]
         terms += [-term(region.rect.area) for region in new]
         return math.fsum(terms) * layout.scale
 
-    removed: list[tuple[int, Region]] = []  # base regions taken out
-    added: set[int] = set()  # serials of live new regions
-    queue: list[tuple] = []
-
-    def take(serial: int) -> Region:
-        # A new region that merges away leaves nothing to restore.
-        if serial in added:
-            added.remove(serial)
-        else:
-            removed.append((serial, live[serial]))
-        return index.remove(serial)
-
-    def put(region: Region) -> None:
-        serial = index.add(region)
-        added.add(serial)
-        heapq.heappush(queue, (_region_key(region), serial))
-
-    for serial in taken:
-        take(serial)
-    for region in new:
-        put(region)
+    own = _EdgeIndex()
+    queue = [own.add(region) for region in new]
+    heapq.heapify(queue)
     while queue:
-        _, serial = heapq.heappop(queue)
-        if serial not in live:
+        key = heapq.heappop(queue)
+        if key not in own.live:
             continue
-        partners = index.partners(serial)
+        rect, fingerprint = own.live[key]
+        partners = own.partners(rect, fingerprint)
+        partners += [k for k in index.partners(rect, fingerprint) if k not in gone]
         if not partners:
             continue
-        partner = min(partners, key=lambda s: _region_key(live[s]))
-        current = take(serial)
-        other = take(partner)
-        put(Region(_union_rect(current.rect, other.rect), current.fingerprint))
+        partner = min(partners)
+        own.remove(key)
+        if partner in own.live:
+            other = own.remove(partner)
+        else:
+            gone.add(partner)
+            other = index.live[partner]
+        heapq.heappush(queue, own.add(Region(_union_rect(rect, other.rect), fingerprint)))
 
-    terms = [term(region.rect.area) for _, region in removed]
-    terms += [-term(live[serial].rect.area) for serial in added]
-    for serial in added:
-        index.remove(serial)
-    for serial, region in removed:
-        index.add(region, serial)
+    terms = [term(index.live[key].rect.area) for key in gone]
+    terms += [-term(region.rect.area) for region in own.live.values()]
     return math.fsum(terms) * layout.scale
 
 

@@ -639,22 +639,19 @@ def _coalesce_targeted(stable: Sequence[Region], dirty: Sequence[Region]) -> lis
     index = _EdgeIndex()
     for region in stable:
         index.add(region)
-    queue = []
-    for region in dirty:
-        serial = index.add(region)
-        heapq.heappush(queue, (region_key(region), serial))
+    queue = [index.add(region) for region in dirty]
+    heapq.heapify(queue)
     while queue:
-        _, serial = heapq.heappop(queue)
-        if serial not in index.live:
+        key = heapq.heappop(queue)
+        if key not in index.live:
             continue
-        partners = index.partners(serial)
+        rect, fingerprint = index.live[key]
+        partners = index.partners(rect, fingerprint)
         if not partners:
             continue
-        partner = min(partners, key=lambda s: region_key(index.live[s]))
-        current = index.remove(serial)
-        other = index.remove(partner)
-        union = Region(_union_rect(current.rect, other.rect), current.fingerprint)
-        heapq.heappush(queue, (region_key(union), index.add(union)))
+        current = index.remove(key)
+        other = index.remove(min(partners))
+        heapq.heappush(queue, index.add(Region(_union_rect(current.rect, other.rect), current.fingerprint)))
     return sorted(index.live.values(), key=region_key)
 
 

@@ -720,7 +720,7 @@ class TestCoalesceTargetedOracle:
 
 
 def index_state(index):
-    """Everything an edge index holds: live regions by serial, four edge maps."""
+    """Everything an edge index holds: live regions by key, four edge maps."""
     return (dict(index.live), dict(index._tops), dict(index._bottoms),
             dict(index._lefts), dict(index._rights))
 
@@ -736,31 +736,32 @@ def cascades(candidate, regions):
 
 def check_against_rebuilt(table, regions):
     """Score every candidate against one persistent layout and against a
-    layout rebuilt per candidate; floats must agree exactly.  A fix edits
-    the persistent index (`add`, `remove`, spied on) exactly when its
-    merges cascade, and leaves it as it was built.  Returns the
-    admissible candidates counted by (whether their merges cascaded,
-    whether the source is the whole region)."""
+    layout rebuilt per candidate; floats must agree exactly.  No fix
+    edits the persistent index: its `add` and `remove`, spied on, are
+    never called, whether or not the fix's merges cascade, and the index
+    stays as it was built.  Returns the admissible candidates counted by
+    (whether their merges cascaded, whether the source is the whole
+    region)."""
     total = table.rect.area
     layout = Layout(regions, total)
     index = layout.index
     built = index_state(index)
     edits = []
     index.add = lambda *args, _add=index.add: edits.append(args) or _add(*args)
-    index.remove = lambda serial, _remove=index.remove: edits.append(serial) or _remove(serial)
+    index.remove = lambda key, _remove=index.remove: edits.append(key) or _remove(key)
     candidates = candidate_fixes(layout)
     assert score_candidates(candidates, table, layout) == rebuilt_score_candidates(
         candidates, table, regions, total)
+    assert edits == []
     before = term_sum(regions, total)
     kinds: Counter = Counter()
     for candidate in candidates:
         if admissible(candidate, table) is not None:
             continue
-        edits.clear()
         assert entropy_delta(candidate, layout) == rebuilt_entropy_delta(candidate, regions, total, before)
-        cascaded = cascades(candidate, regions)
-        assert bool(edits) == cascaded
+        assert edits == []
         assert index_state(index) == built
+        cascaded = cascades(candidate, regions)
         kinds[cascaded, candidate.source == candidate.source_region.rect] += 1
     return kinds
 
@@ -794,9 +795,8 @@ class TestPersistentScorerOracle:
 
     def test_seeded_sheets_include_cascades(self):
         """The seeded sheets hold fixes that cascade, and fixes that merge
-        nothing further, and so edit no index, of both kinds: a
-        whole-region source, and a one-cell source that leaves
-        fragments."""
+        nothing further, of both kinds: a whole-region source, and a
+        one-cell source that leaves fragments."""
         kinds = sum((check_against_rebuilt(*analyzed(random_sheet(random.Random(seed)))) for seed in range(30)),
                     Counter())
         assert kinds[True, True] + kinds[True, False] > 0
@@ -883,6 +883,43 @@ class TestEntropyDelta:
         built = index_state(layout.index)
         assert entropy_delta(candidate, layout) == -1.0
         assert index_state(layout.index) == built
+
+    def check_cascade(self, regions, candidate, after):
+        """The fix's delta equals the rebuilt layout's, to the bit, the
+        rebuilt layout is `after`, and the layout's index is unchanged."""
+        total = sum(region.rect.area for region in regions)
+        layout = Layout(regions, total)
+        built = index_state(layout.index)
+        assert set(hypothetical_regions(candidate, regions)) == set(after)
+        delta = entropy_delta(candidate, layout)
+        assert delta.hex() == rebuilt_entropy_delta(candidate, regions, total).hex()
+        assert delta < 0
+        assert index_state(layout.index) == built
+
+    def test_merged_region_takes_two_layout_regions_in_turn(self):
+        # b -> a merges into (1..2, 1), which takes in the a at C1, and
+        # the whole first row then takes in the second.
+        regions = [
+            Region(Rect(1, 1, 1, 1), "a"),
+            Region(Rect(2, 1, 2, 1), "b"),
+            Region(Rect(3, 1, 3, 1), "a"),
+            Region(Rect(1, 2, 3, 2), "a"),
+        ]
+        assert set(coalesce(regions)) == set(regions)
+        candidate = CandidateFix(Rect(2, 1, 2, 1), regions[1], regions[0])
+        self.check_cascade(regions, candidate, [Region(Rect(1, 1, 3, 2), "a")])
+
+    def test_fragment_of_a_one_cell_source_merges_with_a_layout_region(self):
+        # A1 leaves the column A1:A2 for B1; the fragment A2 then merges
+        # with B2, which shares its fingerprint.
+        regions = [
+            Region(Rect(1, 1, 1, 2), "b"),
+            Region(Rect(2, 1, 2, 1), "a"),
+            Region(Rect(2, 2, 2, 2), "b"),
+        ]
+        assert set(coalesce(regions)) == set(regions)
+        candidate = CandidateFix(Rect(1, 1, 1, 1), regions[0], regions[1])
+        self.check_cascade(regions, candidate, [Region(Rect(1, 1, 2, 1), "a"), Region(Rect(1, 2, 2, 2), "b")])
 
     def test_merge_reduces_entropy(self):
         regions = [
@@ -1155,6 +1192,33 @@ def test_build_fixes_indexes_the_regions_once(monkeypatch):
     monkeypatch.setattr(fixes, "_EdgeIndex", CountingIndex)
     assert len(build_fixes(table, regions, 30)) == 1
     assert len(built) == 1
+
+
+def test_cascading_fixes_add_each_layout_region_once(monkeypatch):
+    # Scoring a cascading fix indexes only the fix's own regions; the
+    # layout's are indexed once, when the layout is built, and never
+    # taken out and put back.
+    from gridlint import fixes
+
+    added = []
+
+    class CountingIndex(fixes._EdgeIndex):
+        def add(self, region):
+            added.append(region)
+            return super().add(region)
+
+    monkeypatch.setattr(fixes, "_EdgeIndex", CountingIndex)
+    sheets = 0
+    for seed in range(30):
+        table, regions = analyzed(random_sheet(random.Random(seed)))
+        if not any(admissible(c, table) is None and cascades(c, regions) for c in candidates_of(regions)):
+            continue
+        sheets += 1
+        added.clear()
+        build_fixes(table, regions, table.rect.area)
+        counts = Counter(added)
+        assert all(counts[region] == 1 for region in regions)
+    assert sheets > 0
 
 
 class TestBenchmarkHooks:

@@ -99,5 +99,7 @@ def test_same_reports_finds_a_tree_equal_to_itself():
     assert "all 71 diagnostic lists identical" in proc.stdout
     # and each one's per-sheet vector tables: code rows, palette and references
     assert "all 71 vector tables identical" in proc.stdout
+    # and each one's scored candidates, before ranking and the budget cut
+    assert "all 71 candidate score lists identical" in proc.stdout
     # one render per workbook: a page per sheet
     assert "all 185 render pages and the eval output identical" in proc.stdout
