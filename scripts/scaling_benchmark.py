@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the analysis phases across growing synthetic sheets.
 
-Three families of sheets.  Stripes repeat a number-block / sum-column /
+Four families of sheets.  Stripes repeat a number-block / sum-column /
 blank-column pattern, so cell count scales while the region structure
 stays comparable; the wide, five-row ones (2000x5, 4000x5) hold
 thousands of delimiter runs side by side.  Running totals hold numbers
@@ -9,7 +9,12 @@ in column A and `=SUM($A$1:A{r})` in column B, so every formula cell
 has a fingerprint of its own, as a cumulative column in a ledger does.
 Noisy n x n sheets are the benchmark's `perfbench/workloads.noisy_book`
 (seed 7): numbers with 30% of the cells holding one of four labels, so
-the layout has many small regions and many candidate fixes.  Then comes one
+the layout has many small regions and many candidate fixes.  Crossed
+n x n sheets are n x n stripes whose middle row is blank: the blank
+columns and that row are delimiter runs on both axes, so the delimiter
+pass searches piece after piece, each search cutting the next stripe's
+number and sum columns, or its blank column, off the side of what is
+left.  Then comes one
 sparse sheet: three cells, A1, H30000 and P65536, in a 16 x 65,536 used
 range that is almost all blank regions.  Last comes the stripes
 200 x 200 sheet again, its addresses written in a shuffled order (seed
@@ -29,7 +34,7 @@ minimum over those runs.  The runs are interleaved: every sheet runs
 once, then every sheet again, so a slow stretch of a shared machine
 touches one run of several sheets rather than every run of one sheet.
 
-    python3 scripts/scaling_benchmark.py [--sizes WxH,...] [--totals N,...] [--noisy N,...]
+    python3 scripts/scaling_benchmark.py [--sizes WxH,...] [--totals N,...] [--noisy N,...] [--crossed N,...]
 """
 
 from __future__ import annotations
@@ -75,6 +80,13 @@ def running_totals_workbook(rows: int) -> Workbook:
         cells[(1, row)] = CellContent.number(float(row * 7 % 99 + 1))
         cells[(2, row)] = CellContent.formula(f"=SUM($A$1:A{row})")
     return Workbook(f"running_totals_{rows}", [Worksheet("Sheet1", cells)])
+
+
+def crossed_workbook(n: int) -> Workbook:
+    """Stripes n x n with the middle row left blank."""
+    middle = n // 2 + 1
+    cells = {cell: content for cell, content in striped_workbook(n, n).sheets[0].cells.items() if cell[1] != middle}
+    return Workbook(f"crossed_{n}x{n}", [Worksheet("Sheet1", cells)])
 
 
 def sparse_workbook() -> Workbook:
@@ -136,6 +148,8 @@ def main() -> None:
                         help="comma-separated row counts of running-totals sheets")
     parser.add_argument("--noisy", default="40,80,160",
                         help="comma-separated side lengths of noisy n x n sheets")
+    parser.add_argument("--crossed", default="100,200,400",
+                        help="comma-separated side lengths of crossed n x n stripes")
     args = parser.parse_args()
 
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -148,6 +162,7 @@ def main() -> None:
     workbooks += [serialize_workbook(running_totals_workbook(int(token))) for token in args.totals.split(",")]
     for n in (int(token) for token in args.noisy.split(",")):
         workbooks.append(noisy_book(random.Random(7), n, f"noisy_{n}x{n}", mask_seed=n * 100).gridbook())
+    workbooks += [serialize_workbook(crossed_workbook(int(token))) for token in args.crossed.split(",")]
     workbooks.append(serialize_workbook(sparse_workbook()))
     workbooks.append(shuffled_text(striped_workbook(200, 200), "shuffled_200x200", seed=7))
 

@@ -14,39 +14,53 @@ It chooses among the cuts at delimiter-run boundaries by the same rule.
 Costs.  The tree and the preprocessing share one cut search
 (`_cut_search`) over the code histograms of the strips that slice a
 rectangle along each axis: single lines for a tree node, the strips
-between consecutive candidate cuts for a delimiter piece.  One sweep per
-axis keeps running histograms of the two halves and an exact integer
-running sum of c*log2(c), which scores every cut approximately; only the
-cuts within a proven rounding margin of the best are re-scored exactly,
-and none when just one is.  A re-score sums the strip histograms of the
-cut's smaller half and reads the counts in code order, as `counts_in`
-returns them; so cuts and entropy floats are those of the plain search
-that scores each cut's split entropy (the summed normalized entropy of
-both halves' counts) with two `counts_in` calls, and neither the tree
-nor the preprocessing calls `counts_in`.  The chosen cut's entropy
-decides nothing, so no node keeps it.  Lines, halves and one-wide nodes
-are counted by `_histogram`: one `count` per code when the node holds
-few codes, else a `Counter`.  The sheet's pieces and trees share one
-table of c*log2(c) terms, which also memoises all-distinct half scores.
+between consecutive candidate cuts for a delimiter piece.  Each axis is
+swept from both ends (`_half_scores`), keeping a running histogram of
+the half and an exact integer running sum of c*log2(c), which scores
+every half, and so every cut, approximately; only the cuts within a
+proven rounding margin of the best are re-scored exactly, and none when
+just one is.  A re-score sums the strip histograms of the cut's smaller
+half and reads the counts in code order, as `counts_in` returns them;
+so cuts and entropy floats are those of the plain search that scores
+each cut's split entropy (the summed normalized entropy of both halves'
+counts) with two `counts_in` calls, and neither the tree nor the
+preprocessing calls `counts_in`.  The chosen cut's entropy decides
+nothing, so no node keeps it.
+
+Every cut hands its two children the counts they share with it
+(`_block_cut`, `_line_cut`, `_sub_pieces`).  Along the cut a child's
+lines or strips are a slice of its parent's, and so are the half
+scores of the side it shares, which are bit-identical since they score
+the same cells.  Across the cut the smaller child by area is counted
+from its cells and the larger one takes its parent's histograms less
+the smaller's, which are exactly its own.  So only a tree's root, or a
+delimiter pass's first search, counts all its cells; a cell is counted
+at most 1 + log2(area) times in a tree, and a search costs
+O(lines x codes) besides.  Every histogram is a plain dict filled by
+`collections._count_elements`, zero counts dropped; its key order is
+free, since sweeps sum exact integers and re-scores read counts in code
+order.  The sheet's pieces and trees share one table of c*log2(c)
+terms, which also memoises all-distinct half scores.
 
 All-distinct nodes.  In a node whose every cell has a fingerprint of its
 own, a half of m cells holds m counts of 1, so its scores depend on m
 alone and the node's cut on its width and height (`_distinct_cut`).
 Every node below it is all-distinct too, so its subtree builds no
 histogram: a 1 x n column of distinct fingerprints, which the tree peels
-one cell per node, costs one set of its codes and no exact score.
+one cell per node, costs at most one count of its codes and no exact
+score.
 
 The grid sits at its sheet coordinates (`FingerprintGrid.left`, `top`)
 and every rectangle here is read through it, so cuts, pieces and
 regions come out in sheet coordinates.
 
 A delimiter piece whose candidate cuts lie on one axis is split at all
-of them without a search.  One with candidates on both axes counts the
-cells of its strips outside the delimiter runs once (a strip inside one
-run holds its run's code alone), and is not re-scored when one cut is
-near the minimum.  Coalescing indexes regions by their full edges, so
-a region's merge partners are a few dictionary lookups and R regions
-coalesce in O(R log R).
+of them without a search.  Of those with candidates on both axes, the
+first counts the cells of its strips outside the delimiter runs once (a
+strip inside one run holds its run's code alone), and the pieces cut
+from it take their strips from it.  Coalescing indexes regions by their
+full edges, so a region's merge partners are a few dictionary lookups
+and R regions coalesce in O(R log R).
 """
 
 from __future__ import annotations
@@ -55,10 +69,10 @@ import bisect
 import heapq
 import math
 import operator
-from collections import Counter
+from collections import _count_elements
 from functools import reduce
 from itertools import chain, repeat
-from typing import Callable, Collection, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .grid import FingerprintGrid
 from .model import GridlintError, Rect
@@ -166,41 +180,33 @@ def _cut_margin(area: int) -> float:
     return 4.0 * (2.0**-_SWEEP_BITS + (2 * area + 44) * _UNIT_ROUNDOFF)
 
 
-def _sweep(blocks: Sequence[Mapping[int, int]], sizes: Sequence[int], total: Mapping[int, int],
-           table: _XLogXTable) -> list[float]:
-    """Approximate split entropy after each block but the last.
+def _half_scores(blocks: Iterable[Mapping[int, int]], sizes: Iterable[int], table: _XLogXTable) -> list[float]:
+    """Sweep score of each leading run of `blocks`: the first one, the
+    first two, and so on to the last.
 
-    `blocks` are the code histograms of the consecutive strips, single lines or wider, that slice the rectangle
-    along one axis, `sizes` their cell counts and `total` their sum.
-    Moving a block from the right half to the left updates each half's
-    integer sum of c*log2(c) only for the keys in that block, so the
-    sweep costs O(sum of histogram sizes); a half of n cells then scores
-    1 - S / (n * log2(n)), its normalized entropy.
+    `blocks` are code histograms of consecutive strips of a rectangle,
+    single lines or wider, without zero counts, and `sizes` their cell
+    counts.  Adding a block updates the half's integer sum S of
+    c*log2(c) only for the keys in that block, so the sweep costs
+    O(sum of histogram sizes); a half of n cells holding k codes then
+    scores 1 - S / (n * log2(n)), its normalized entropy, or 0.0 when
+    k == 1, as `normalized_entropy` gives (n == 1 implies k == 1).  S, n
+    and k depend only on the half's histogram, not on the order its
+    blocks came in, so a cut's low half is swept from the first block and
+    its high half from the last (`_cut_search`), and any node that holds
+    the same half scores it to the same float.
     """
-    n = sum(sizes)
-    left: dict[int, int] = {}
-    s_left = 0
-    s_right = sum(table[c] for c in total.values())
-    k_left = 0
-    k_right = len(total)
-    n_left = 0
+    counts: dict[int, int] = {}
+    get = counts.get
+    s = n = 0
     out = []
-    for hist, size in zip(blocks[:-1], sizes):
+    for hist, size in zip(blocks, sizes):
         for key, c in hist.items():
-            old = left.get(key, 0)
-            new = left[key] = old + c
-            t = total[key]
-            s_left += table[new] - table[old]
-            s_right += table[t - new] - table[t - old]
-            if not old:
-                k_left += 1
-            if new == t:
-                k_right -= 1
-        n_left += size
-        n_right = n - n_left
-        e_left = 0.0 if n_left <= 1 or k_left == 1 else 1.0 - s_left / (_SWEEP_SCALE * n_left * math.log2(n_left))
-        e_right = 0.0 if n_right <= 1 or k_right == 1 else 1.0 - s_right / (_SWEEP_SCALE * n_right * math.log2(n_right))
-        out.append(e_left + e_right)
+            old = get(key, 0)
+            new = counts[key] = old + c
+            s += table[new] - table[old]
+        n += size
+        out.append(0.0 if len(counts) == 1 else 1.0 - s / (_SWEEP_SCALE * n * math.log2(n)))
     return out
 
 
@@ -258,28 +264,43 @@ def _strip_score(vertical: bool, index: int, strips: Mapping[bool, tuple], order
     hists, sizes, lasts = strips[vertical]
     k = bisect.bisect_left(lasts, index) + 1
     n_low = sum(sizes[:k])
-    part: Counter = Counter()
-    for hist in hists[:k] if 2 * n_low <= area else hists[k:]:
-        part.update(hist)
-    return _split_score(order, part, total, n_low, area)
+    return _split_score(order, _summed(hists[:k] if 2 * n_low <= area else hists[k:]), total, n_low, area)
 
 
-def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple], table: _XLogXTable) -> tuple[bool, int]:
-    """(vertical, index) of the best cut of a rectangle of `area` cells
-    whose code histogram is `total`.
+def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple], table: _XLogXTable,
+                known: Optional[tuple[bool, Optional[list], Optional[list]]] = None
+                ) -> tuple[tuple[bool, int], tuple[list[float], list[float]]]:
+    """((vertical, index), (low, high)): the best cut of a rectangle of
+    `area` cells whose code histogram is `total`, and the half scores
+    of every cut on its axis.
 
     Each of `axes` slices the rectangle into consecutive strips:
     (vertical, their code histograms, cell counts, last lines).  A cut
-    lies after each strip but the last.  Every cut is swept; only those
-    within `_cut_margin` of the sweep's lowest are re-scored exactly
-    (`_strip_score`), and none when just one is.
+    lies after each strip but the last; `low[i]` scores the half before
+    cut i and `high[i]` the half after it (`_half_scores`), and the cut
+    sweeps to low[i] + high[i].  `known` may hold one axis's low or high
+    half scores, (vertical, low or None, high or None), taken from a
+    parent that shares those halves; only the other side is swept.
+    Every cut is swept; only those within `_cut_margin` of the sweep's
+    lowest are re-scored exactly (`_strip_score`), and none when just
+    one is.
     """
     sweeps = []
     strips = {}
+    halves = {}
     for vertical, hists, sizes, lasts in axes:
-        sweeps.append((vertical, lasts[:-1], _sweep(hists, sizes, total, table)))
+        low = high = None
+        if known is not None and known[0] == vertical:
+            low, high = known[1], known[2]
+        if low is None:
+            low = _half_scores(hists[:-1], sizes, table)
+        if high is None:
+            high = _half_scores(hists[:0:-1], sizes[:0:-1], table)[::-1]
+        sweeps.append((vertical, lasts[:-1], list(map(operator.add, low, high))))
         strips[vertical] = hists, sizes, lasts
-    return _first_exact_minimum(_near_minimum(area, sweeps), _strip_score, strips, sorted(total), total, area)
+        halves[vertical] = low, high
+    cut = _first_exact_minimum(_near_minimum(area, sweeps), _strip_score, strips, sorted(total), total, area)
+    return cut, halves[cut[0]]
 
 
 def _distinct_half(m: int, halves: dict[int, float]) -> float:
@@ -320,55 +341,117 @@ def _distinct_cut(left: int, top: int, right: int, bottom: int, table: _XLogXTab
                                 score)
 
 
-# Up to this many codes in a node, one `count` per code takes a line's,
-# a half's or a one-wide node's histogram faster than a `Counter` does
-# (at 8 codes the two tie on perfbench's paper-style sheets); with more,
-# the `Counter` keeps the cost linear in the cells.
-_FEW_CODES = 7
+def _counted(cells: Iterable[int]) -> dict[int, int]:
+    """The code histogram of `cells`: each code they hold and its count."""
+    counts: dict[int, int] = {}
+    _count_elements(counts, cells)
+    return counts
 
 
-def _histogram(cells: Sequence[int], codes: Collection[int]) -> Mapping[int, int]:
-    """The code histogram of `cells`, whose codes are among `codes`;
-    zero counts omitted."""
-    if len(codes) > _FEW_CODES:
-        return Counter(cells)
-    return {code: n for code in codes if (n := cells.count(code))}
+def _summed(hists: Iterable[Mapping[int, int]]) -> dict[int, int]:
+    """The histogram of the cells of all of `hists`."""
+    out: dict[int, int] = {}
+    get = out.get
+    for hist in hists:
+        for key, c in hist.items():
+            out[key] = get(key, 0) + c
+    return out
 
 
-def _line_counts(block: list[list[int]], vertical: bool, codes: Collection[int]) -> list[Mapping[int, int]]:
-    """The code histogram of each column (vertical) or row of `block`,
-    whose codes are `codes`."""
-    return [_histogram(line, codes) for line in (zip(*block) if vertical else block)]
+def _minus(whole: Mapping[int, int], part: Mapping[int, int]) -> dict[int, int]:
+    """The histogram of the cells of `whole` outside `part`, which counts
+    some of them; zero counts dropped."""
+    out = dict(whole)
+    for key, c in part.items():
+        rest = out[key] - c
+        if rest:
+            out[key] = rest
+        else:
+            del out[key]
+    return out
 
 
-def _block_cut(block: list[list[int]], left: int, top: int, inherited: Optional[tuple[bool, list]],
-               table: _XLogXTable) -> tuple[Optional[tuple[bool, int]], bool, Optional[list]]:
-    """(cut, all_distinct, lines) of a node at least two cells wide and
-    tall whose code-row slices are `block`, its top-left cell at
-    (left, top).
+def _line_codes(grid: FingerprintGrid, left: int, top: int, right: int, bottom: int) -> list[int]:
+    """The codes of a rectangle one cell wide or tall, in order."""
+    if top == bottom:
+        return grid.code_rows[top - grid.top][left - grid.left:right - grid.left + 1]
+    return list(map(operator.itemgetter(left - grid.left), grid.code_rows[top - grid.top:bottom - grid.top + 1]))
 
-    The cut is None for a single-fingerprint node, and for an
-    all-distinct one (every cell a fingerprint of its own, all_distinct
-    True), whose cut comes from its shape.  Otherwise it is the best
-    (vertical, index) by `_cut_search` over the node's single lines.  The
-    line histograms along one axis may come from the parent
-    (`inherited`: (vertical, histograms)); only those across it are
-    counted from the cells.  `lines` are the histograms along the cut's
-    axis, for the children.
+
+def _block_cut(grid: FingerprintGrid, left: int, top: int, right: int, bottom: int, counts: Optional[tuple],
+               table: _XLogXTable) -> tuple[Optional[tuple[bool, int]], bool, tuple]:
+    """(cut, all_distinct, children) of a node at least two cells wide and
+    tall.
+
+    `counts` is (total, column histograms, row histograms, known) as the
+    node's parent handed them down, `known` the half scores it shares
+    with the node (`_cut_search`); at a root it is None, and the node
+    counts its cells.  The cut is None for a single-fingerprint node, and
+    for an all-distinct one (every cell a fingerprint of its own,
+    all_distinct True), whose cut comes from its shape.  Otherwise it is
+    the best (vertical, index) by `_cut_search` over the node's single
+    lines, and `children` holds the low and the high child's counts:
+    (total, None, None, None) for a child that needs no cut, (total,
+    codes, None, None) for a one-wide child (`_line_cut`), and counts as
+    above for a wider one.
+
+    Along the cut a child's lines are a slice of the node's.  Across it,
+    the smaller child by area (the low one on a tie) counts its lines
+    from its cells, and the larger one takes the node's less the
+    smaller's; the smaller child's total is the sum of its lines along
+    the cut, and the larger one's again the node's less it.  Each cell of
+    the node lies in exactly one child, so every count of the node is the
+    sum of its children's, and the difference is the larger child's count
+    exactly; with zero counts dropped it holds the codes a recount finds.
+    Only the order of its keys can differ, which nothing reads: sweeps sum
+    exact integers, and exact re-scores read counts in code order.  A
+    cell is counted at the root and then only in a smaller child, at most
+    half its parent's area, so at most 1 + log2(area) times in a tree.
+    The low child also keeps the node's low half scores on the cut's
+    axis, and the high child its high ones: those halves hold the same
+    cells in child and node, so the same histogram, integer sum and cell
+    count, and they score to the same float.
     """
-    total = Counter(chain.from_iterable(block))
-    width, height = len(block[0]), len(block)
+    width, height = right - left + 1, bottom - top + 1
     area = width * height
+    if counts is None:
+        cells = list(grid.block(Rect(left, top, right, bottom)))
+        counts = _counted(chain.from_iterable(cells)), None, None, None
+    total, cols, rows, known = counts
     if len(total) == 1 or len(total) == area:
-        return None, len(total) == area, None
-    along, lines = inherited if inherited is not None else (None, None)
-    cols = lines if along is True else _line_counts(block, True, total)
-    rows = lines if along is False else _line_counts(block, False, total)
-    cut = _cut_search(area, total, (
-        (True, cols, [height] * width, range(left, left + width)),
-        (False, rows, [width] * height, range(top, top + height)),
-    ), table)
-    return cut, False, cols if cut[0] else rows
+        return None, len(total) == area, (None, None)
+    if cols is None:
+        cols, rows = list(map(_counted, zip(*cells))), list(map(_counted, cells))
+    cut, (low, high) = _cut_search(area, total, (
+        (True, cols, [height] * width, range(left, right + 1)),
+        (False, rows, [width] * height, range(top, bottom + 1)),
+    ), table, known)
+    vertical, index = cut
+    lines, across = (cols, rows) if vertical else (rows, cols)
+    k = index - (left if vertical else top) + 1
+    spans = (0, k), (k, len(lines))
+    rects = ((left, top, index, bottom), (index + 1, top, right, bottom)) if vertical else \
+        ((left, top, right, index), (left, index + 1, right, bottom))
+    small = 0 if 2 * k <= len(lines) else 1
+    totals = [_summed(lines[slice(*spans[small])])]
+    totals.insert(1 - small, _minus(total, totals[0]))
+    shared = (vertical, low[:k - 1], None), (vertical, None, high[k:])
+    children: list[tuple] = []
+    crossing: list = []  # each child's lines across the cut, once a wider child needs them
+    for side, ((a, b), child_total, rect) in enumerate(zip(spans, totals, rects)):
+        if not 1 < len(child_total) < (b - a) * len(across):
+            children.append((child_total, None, None, None))
+        elif b - a == 1:
+            children.append((child_total, _line_codes(grid, *rect), None, None))
+        else:
+            if not crossing:
+                cells = list(grid.block(Rect(*rects[small])))
+                crossing = [list(map(_counted, cells if vertical else zip(*cells)))]
+                crossing.insert(1 - small, list(map(_minus, across, crossing[0])))
+            along = lines[a:b]
+            children.append((child_total, *((along, crossing[side]) if vertical else (crossing[side], along)),
+                             shared[side]))
+    return cut, False, tuple(children)
 
 
 def _line_score(vertical: bool, index: int, codes: list[int], first: int, order: list[int],
@@ -378,127 +461,124 @@ def _line_score(vertical: bool, index: int, codes: list[int], first: int, order:
     `sorted(total)`."""
     k = index - first + 1
     n = len(codes)
-    half = codes[:k] if 2 * k <= n else codes[k:]
-    return _split_score(order, _histogram(half, order), total, k, n)
+    return _split_score(order, _counted(codes[:k] if 2 * k <= n else codes[k:]), total, k, n)
 
 
-def _line_cut(codes: list[int], first: int, vertical: bool,
-              table: _XLogXTable) -> tuple[Optional[tuple[bool, int]], bool]:
-    """(cut, all_distinct) of a one-wide node of at least two cells whose
-    codes, in order, are `codes`, the first on line `first`; `vertical`
-    when the node is one row, whose cuts fall between columns.
+def _line_scores(codes: Iterable[int], table: _XLogXTable) -> list[float]:
+    """`_half_scores` over single cells: the sweep score of each leading
+    run of `codes`, without building a histogram per cell."""
+    counts: dict[int, int] = {}
+    get = counts.get
+    s = 0
+    out = []
+    for n, code in enumerate(codes, 1):
+        old = get(code, 0)
+        counts[code] = old + 1
+        s += table[old + 1] - table[old]
+        out.append(0.0 if len(counts) == 1 else 1.0 - s / (_SWEEP_SCALE * n * math.log2(n)))
+    return out
 
-    The cut is None, as in `_block_cut`, for a single-fingerprint or an
-    all-distinct node.  Otherwise the node is swept cell by cell with one
-    running count per code: each cell is a strip of one cell, so the
-    scores are `_sweep`'s over single-cell histograms, without building
-    them.  The cuts near the minimum are re-scored exactly from the codes
-    of their smaller half (`_line_score`), as `_cut_search` does.
+
+def _line_cut(first: int, vertical: bool, counts: tuple,
+              table: _XLogXTable) -> tuple[Optional[tuple[bool, int]], bool, tuple]:
+    """(cut, all_distinct, children) of a one-wide node of at least two
+    cells, the first on line `first`; `vertical` when the node is one
+    row, whose cuts fall between columns.
+
+    `counts` is (total, codes, low, high): the node's code histogram, its
+    codes in order (None when the total shows it needs no cut), and the
+    low or high half scores it shares with its parent, if any.  The cut
+    is None, as in `_block_cut`, for a single-fingerprint or an
+    all-distinct node.  Otherwise the node is swept cell by cell
+    (`_line_scores`) from each end whose half scores it does not have,
+    and the cuts near the minimum are re-scored exactly from the codes
+    of their smaller half (`_line_score`), as `_cut_search` does.  Each
+    child's codes are a slice of the node's; as in `_block_cut`, the
+    smaller child counts its total and the larger one takes the node's
+    less the smaller's, and the low child keeps the node's low half
+    scores, the high one its high ones.  So the larger child of a peel
+    costs one subtraction and a sweep from one end.
     """
-    n = len(codes)
-    kinds = set(codes)
-    if len(kinds) == 1 or len(kinds) == n:
-        return None, len(kinds) == n
-    total = _histogram(codes, kinds)
-    left = dict.fromkeys(total, 0)
-    s_left = 0
-    s_right = sum(table[c] for c in total.values())
-    k_left = 0
-    k_right = len(total)
-    scores = []
-    for n_left, code in enumerate(codes[:-1], 1):
-        old = left[code]
-        new = left[code] = old + 1
-        t = total[code]
-        s_left += table[new] - table[old]
-        s_right += table[t - new] - table[t - old]
-        if not old:
-            k_left += 1
-        if new == t:
-            k_right -= 1
-        n_right = n - n_left
-        e_left = 0.0 if n_left <= 1 or k_left == 1 else 1.0 - s_left / (_SWEEP_SCALE * n_left * math.log2(n_left))
-        e_right = 0.0 if n_right <= 1 or k_right == 1 else 1.0 - s_right / (_SWEEP_SCALE * n_right * math.log2(n_right))
-        scores.append(e_left + e_right)
-    near = _near_minimum(n, [(vertical, range(first, first + n - 1), scores)])
-    return _first_exact_minimum(near, _line_score, codes, first, sorted(total), total), False
+    total, codes, low, high = counts
+    n = sum(total.values())
+    if len(total) == 1 or len(total) == n:
+        return None, len(total) == n, (None, None)
+    if low is None:
+        low = _line_scores(codes[:-1], table)
+    if high is None:
+        high = _line_scores(codes[:0:-1], table)[::-1]
+    near = _near_minimum(n, [(vertical, range(first, first + n - 1), list(map(operator.add, low, high)))])
+    cut = _first_exact_minimum(near, _line_score, codes, first, sorted(total), total)
+    k = cut[1] - first + 1
+    parts = [codes[:k], codes[k:]]
+    small = 0 if 2 * k <= n else 1
+    totals = [_counted(parts[small])]
+    totals.insert(1 - small, _minus(total, totals[0]))
+    return cut, False, ((totals[0], parts[0], low[:k - 1], None), (totals[1], parts[1], None, high[k:]))
 
 
 def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None, *,
                  table: Optional[_XLogXTable] = None) -> EntropyTree:
     """Full guillotine decomposition tree of `region` (default: whole grid).
 
-    Each node costs O(area) for its histograms and cut sweep, so a tree
-    costs O(sum of node areas): O(area x depth).  A node one cell wide or
-    tall, most of a tree's nodes, is swept cell by cell from its codes
-    (`_line_cut`), which it takes from its parent when that is one-wide
-    too; `_sweep` over single-cell strips would give the same scores,
-    more slowly.  A wider node counts only its total and its lines across
-    its parent's cut (`_block_cut`); its lines along that cut are a slice
-    of its parent's.  Nodes travel as (left, top, right, bottom) tuples,
-    and each gets its `Rect` once, when the tree is built: an inner node
-    as an `EntropyNode`, a leaf as the `Region` of its rectangle and its
-    fingerprint, read off its top-left code.  `table` may be shared by
-    the trees of one sheet.  Built with an explicit stack; deep, skewed
-    cut sequences on long thin sheets would overflow Python's recursion
-    limit otherwise.
+    Every cut hands its children the counts they share with it, so only
+    the root counts all its cells (`_block_cut` says why the counts are
+    exact): a node one cell wide or tall, most of a tree's nodes, gets
+    its codes and total (`_line_cut`), a wider node its total and its line
+    histograms on both axes.  A wider node then costs
+    O((width + height) x codes), plus its smaller child's area, which it
+    counts.  A one-wide node still sweeps its cells, from one end when its
+    parent handed it the other's half scores, so a line that is peeled one
+    cell per node costs O(length^2).  Nodes travel as (left, top, right,
+    bottom) tuples, and each gets its `Rect` once, when the tree is
+    built: an inner node as an `EntropyNode`, a leaf as the `Region` of
+    its rectangle and its fingerprint, read off its top-left code.
+    `table` may be shared by the trees of one sheet.  Built with an
+    explicit stack; deep, skewed cut sequences on long thin sheets would
+    overflow Python's recursion limit otherwise.
     """
     if region is None:
         region = grid.full_rect()
     if table is None:
         table = _XLogXTable()
-    code_rows, grid_left, grid_top = grid.code_rows, grid.left, grid.top
     # Decide every node's cut top-down; stack order is preorder.  A
-    # pending node is (left, top, right, bottom, all_distinct, inherited):
-    # inherited is a one-wide node's codes, or a wider node's (vertical,
-    # line histograms) along its parent's cut, or None if not known.
+    # pending node is (left, top, right, bottom, all_distinct, counts):
+    # counts are what its parent handed down, as `_block_cut` or
+    # `_line_cut` return them, or None at the root.
     order: list[tuple[int, int, int, int, Optional[tuple[bool, int]]]] = []
     pending: list[tuple] = [(*region, False, None)]
     while pending:
-        left, top, right, bottom, all_distinct, inherited = pending.pop()
-        lines = None
+        left, top, right, bottom, all_distinct, counts = pending.pop()
+        children: tuple = (None, None)
         if left == right and top == bottom:
             cut = None
         elif all_distinct:
             cut = _distinct_cut(left, top, right, bottom, table)
         else:
             if left == right or top == bottom:
-                if inherited is not None:
-                    lines = inherited
-                elif top == bottom:
-                    lines = code_rows[top - grid_top][left - grid_left:right - grid_left + 1]
-                else:
-                    lines = list(map(operator.itemgetter(left - grid_left),
-                                     code_rows[top - grid_top:bottom - grid_top + 1]))
-                cut, all_distinct = _line_cut(lines, left if top == bottom else top, top == bottom, table)
+                if counts is None:
+                    codes = _line_codes(grid, left, top, right, bottom)
+                    counts = _counted(codes), codes, None, None
+                cut, all_distinct, children = _line_cut(left if top == bottom else top, top == bottom, counts, table)
             else:
-                block = list(map(operator.getitem, code_rows[top - grid_top:bottom - grid_top + 1],
-                                 repeat(slice(left - grid_left, right - grid_left + 1))))
-                cut, all_distinct, lines = _block_cut(block, left, top, inherited, table)
+                cut, all_distinct, children = _block_cut(grid, left, top, right, bottom, counts, table)
             if all_distinct:
-                cut, lines = _distinct_cut(left, top, right, bottom, table), None
+                cut = _distinct_cut(left, top, right, bottom, table)
         order.append((left, top, right, bottom, cut))
         if cut is None:
             continue
         vertical, index = cut
-        k = index - (left if vertical else top) + 1
-        low_lines = high_lines = None
-        if lines is not None:
-            if left == right or top == bottom:
-                low_lines, high_lines = lines[:k], lines[k:]
-            else:
-                # A child one line wide reads its codes from the grid.
-                low_lines = (vertical, lines[:k]) if k > 1 else None
-                high_lines = (vertical, lines[k:]) if len(lines) - k > 1 else None
+        low_counts, high_counts = children
         if vertical:
-            pending.append((index + 1, top, right, bottom, all_distinct, high_lines))
-            pending.append((left, top, index, bottom, all_distinct, low_lines))
+            pending.append((index + 1, top, right, bottom, all_distinct, high_counts))
+            pending.append((left, top, index, bottom, all_distinct, low_counts))
         else:
-            pending.append((left, index + 1, right, bottom, all_distinct, high_lines))
-            pending.append((left, top, right, index, all_distinct, low_lines))
+            pending.append((left, index + 1, right, bottom, all_distinct, high_counts))
+            pending.append((left, top, right, index, all_distinct, low_counts))
     # In reversed preorder a node's high subtree, then its low one, is
     # built just before it, so both sit on top of the stack.  A leaf holds
     # one fingerprint, so its top-left cell names it.
+    code_rows, grid_left, grid_top = grid.code_rows, grid.left, grid.top
     palette = grid.palette
     built: list[EntropyTree] = []
     while order:
@@ -675,20 +755,64 @@ def _strips(r: Rect, vertical: bool, cuts: list[int]) -> list[Rect]:
     return [Rect(lo, r.top, hi, r.bottom) if vertical else Rect(r.left, lo, r.right, hi) for lo, hi in spans]
 
 
-def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], ids: dict[int, int],
-          vertical: bool) -> tuple:
+def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], ids: dict[int, int], vertical: bool,
+          uniform: bool = False) -> tuple:
     """One axis of `r` for `_cut_search`: the strips between its
     consecutive `cuts`, edges included, counted off the code rows.
 
     Cuts sit at every run boundary, so a strip is either one whole
     delimiter run, which holds its run's code alone, or lines of no run,
-    whose code-row slices are counted once.
+    whose code-row slices are counted once.  Every strip holds one code
+    alone too when `r` is `uniform`: when it lies inside one run of the
+    other axis.
     """
     strips = _strips(r, vertical, cuts)
     hists = [{grid.code_at(s.left, s.top): s.area}
-             if _inside_run(ids, *((s.left, s.right) if vertical else (s.top, s.bottom)))
-             else Counter(chain.from_iterable(grid.block(s))) for s in strips]
+             if uniform or _inside_run(ids, *((s.left, s.right) if vertical else (s.top, s.bottom)))
+             else _counted(chain.from_iterable(grid.block(s))) for s in strips]
     return vertical, hists, [s.area for s in strips], cuts + [r.right if vertical else r.bottom]
+
+
+def _sub_pieces(grid: FingerprintGrid, r: Rect, axes: list[tuple], cut: tuple[bool, int],
+                halves: tuple[list[float], list[float]], col_ids: dict[int, int],
+                row_ids: dict[int, int]) -> list[tuple]:
+    """The two pieces the cut leaves of a searched piece `r`, each with
+    what its own search needs: (piece, None) for a piece with one strip
+    along the cut, which is not searched again, else (piece, (axes,
+    known)) as `_cut_search` takes them.
+
+    `axes` are `r`'s, vertical first, and `halves` the low and high half
+    scores of the cut's axis (`_cut_search`).  Along the cut a piece's strips are a run of `r`'s, with the
+    same histograms, and it shares the half scores of one side with `r`,
+    as a tree node shares them with its parent (`_block_cut`).  Across
+    it, the smaller piece by area counts its strips (`_gaps`), reading no
+    cell when it lies inside one run of the cut's axis, as a peeled
+    delimiter run does, and the larger piece takes `r`'s strips less the
+    smaller's, zero counts dropped: the same counts a recount finds.
+    """
+    vertical, index = cut
+    (_, hists, sizes, lasts), (_, across, across_sizes, across_lasts) = axes if vertical else axes[::-1]
+    k = bisect.bisect_left(lasts, index) + 1
+    pieces = _strips(r, vertical, [index])
+    if k == 1 and len(lasts) == 2:
+        return [(piece, None) for piece in pieces]
+    small = 0 if 2 * sum(sizes[:k]) <= r.area else 1
+    piece = pieces[small]
+    along_ids, across_ids = (col_ids, row_ids) if vertical else (row_ids, col_ids)
+    counted = _gaps(grid, piece, across_lasts[:-1], across_ids, not vertical,
+                    _inside_run(along_ids, *((piece.left, piece.right) if vertical else (piece.top, piece.bottom))))
+    other = list(map(_minus, across, counted[1])), list(map(operator.sub, across_sizes, counted[2]))
+    out = []
+    for side, (a, b) in enumerate([(0, k), (k, len(lasts))]):
+        if b - a == 1:
+            out.append((pieces[side], None))
+            continue
+        strips = counted[1:3] if side == small else other
+        along = (vertical, hists[a:b], sizes[a:b], lasts[a:b])
+        crossing = (not vertical, *strips, across_lasts)
+        known = (vertical, halves[0][:k - 1], None) if side == 0 else (vertical, None, halves[1][k:])
+        out.append((pieces[side], ([along, crossing] if vertical else [crossing, along], known)))
+    return out
 
 
 def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = None) -> list[Rect]:
@@ -711,10 +835,13 @@ def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = No
     A piece with candidates on both axes searches them as the tree does
     (`_cut_search`), over the strips between them (`_gaps`) instead of
     single lines, and re-scores exactly only the cuts near the sweep's
-    minimum, none when just one is.  So a piece counts each cell of its
-    strips outside the runs once, plus the strips of one half per exact
-    re-score, and makes no `counts_in` call.  `table` may be shared with
-    the sheet's trees.
+    minimum, none when just one is.  Only the first piece searched counts
+    the cells of its strips outside the runs; each piece cut from it
+    takes its strip histograms and half scores from it (`_sub_pieces`),
+    as a tree node does from its parent, so a search costs
+    O(strips x codes), plus the cells of the smaller piece it cuts off
+    when that piece lies in no run.  No search makes a `counts_in` call.
+    `table` may be shared with the sheet's trees.
     """
     full = grid.full_rect()
     col_ids = _axis_runs(grid, True)
@@ -724,9 +851,9 @@ def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = No
     if table is None:
         table = _XLogXTable()
     pieces: list[Rect] = []
-    stack = [full]
+    stack: list[tuple] = [(full, None)]
     while stack:
-        r = stack.pop()
+        r, counts = stack.pop()
         if _inside_run(col_ids, r.left, r.right) or _inside_run(row_ids, r.top, r.bottom):
             pieces.append(r)
             continue
@@ -735,12 +862,10 @@ def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = No
         if not (cand_v and cand_h):
             pieces += _strips(r, bool(cand_v), cand_v or cand_h)
             continue
-        axes = [_gaps(grid, r, cand_v, col_ids, True), _gaps(grid, r, cand_h, row_ids, False)]
-        total: Counter = Counter()
-        for hist in axes[0][1]:
-            total.update(hist)
-        vertical, index = _cut_search(r.area, total, axes, table)
-        stack += _strips(r, vertical, [index])
+        axes, known = counts or ([_gaps(grid, r, cand_v, col_ids, True), _gaps(grid, r, cand_h, row_ids, False)],
+                                 None)
+        cut, halves = _cut_search(r.area, _summed(axes[0][1]), axes, table, known)
+        stack += _sub_pieces(grid, r, axes, cut, halves, col_ids, row_ids)
     pieces.sort(key=lambda p: (p.top, p.left))
     return pieces
 

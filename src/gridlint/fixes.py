@@ -22,7 +22,9 @@ cell's fingerprint, so C2 compares the two sides' fingerprints with
 those of data cells and reads no cell.  C3 reads one reference box per
 formula region (`Screens`), computed the first time the region is a
 whole source, so a formula region's cells are read at most once and a
-data region's never.  A one-cell source reads its own references.
+data region's never.  A one-cell source reads its own references.  The
+distance sums each formula cell's referenced locations once per sheet,
+however many candidates it is a side of (`Screens.location`).
 Every candidate of a sheet is scored against the same `Layout`: its
 edge index, and the regions' entropy terms p*log2(p) cached per area.
 A candidate then costs up to five new regions (the merged rectangle and
@@ -49,7 +51,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .entropy import Region, _EdgeIndex, _region_key, _union_rect
 from .formula import RefRect
 from .model import GridlintError, Rect
-from .vectors import DATA_KINDS, SheetVectors, is_off_sheet, location_fingerprint
+from .vectors import DATA_KINDS, LocFingerprint, SheetVectors, is_off_sheet, location_fingerprint
 
 DEFAULT_THRESHOLD = 0.05  # fraction of a sheet's cells a reader inspects (`rank_and_cut`)
 
@@ -187,14 +189,25 @@ def candidate_fixes(layout: Layout) -> list[CandidateFix]:
 
 
 class Screens:
-    """What screen C3 reads of one sheet's formula regions: for a
-    rectangle of formulas, the bounding box of every rectangle its cells
-    reference (None when they reference nothing or another sheet),
-    computed once and keyed by the rectangle."""
+    """What screen C3 and the distance read of one sheet's formulas, each
+    computed once per sheet: for a rectangle of formulas, the bounding
+    box of every rectangle its cells reference (None when they reference
+    nothing or another sheet), keyed by the rectangle; and for a cell, its
+    location fingerprint, keyed by the cell."""
 
     def __init__(self, table: SheetVectors) -> None:
         self.table = table
         self._boxes: dict[Rect, Optional[tuple[int, int, int, int]]] = {}
+        self._locations: dict[tuple[int, int], LocFingerprint] = {}
+
+    def location(self, x: int, y: int) -> LocFingerprint:
+        """`location_fingerprint` of cell (x, y)'s references."""
+        loc = self._locations.get((x, y))
+        if loc is None:
+            table = self.table
+            loc = self._locations[x, y] = location_fingerprint(table.refs.get((x, y), ()), table.sheet_name,
+                                                               table.workbook_name)
+        return loc
 
     def box(self, rect: Rect) -> Optional[tuple[int, int, int, int]]:
         """The reference box of a rectangle whose every cell is a formula."""
@@ -346,7 +359,7 @@ def entropy_delta(fix: CandidateFix, layout: Layout) -> float:
     return math.fsum(terms) * layout.scale
 
 
-def fix_distance(fix: CandidateFix, table: SheetVectors) -> float:
+def fix_distance(fix: CandidateFix, table: SheetVectors, screens: Optional[Screens] = None) -> float:
     """Total movement of the source cells' referenced-location sums.
 
     Each source cell contributes the Euclidean distance between its
@@ -358,11 +371,16 @@ def fix_distance(fix: CandidateFix, table: SheetVectors) -> float:
     The target's pattern is summed once: moved by (dc, dr), its location
     fingerprint shifts by exactly (dc * nx, dr * ny, 0), nx and ny being
     the cells its on-sheet references cover with a relative column, row.
+    Every location fingerprint is read from `screens` (`Screens.location`),
+    so across the candidates of one sheet each cell is summed once; by
+    default the call builds its own.
     """
+    if screens is None:
+        screens = Screens(table)
     t = fix.target.rect
     sheet, workbook = table.sheet_name, table.workbook_name
     rep_refs = table.refs.get((t.left, t.top), ())
-    rep = location_fingerprint(rep_refs, sheet, workbook)
+    rep = screens.location(t.left, t.top)
     nx = ny = 0
     for rect in rep_refs:
         if not is_off_sheet(rect, sheet, workbook):
@@ -371,7 +389,7 @@ def fix_distance(fix: CandidateFix, table: SheetVectors) -> float:
             ny += 0 if rect.row_absolute else n
     total = 0.0
     for x, y in fix.source.cells():
-        as_is = location_fingerprint(table.refs.get((x, y), ()), sheet, workbook)
+        as_is = screens.location(x, y)
         total += math.sqrt(
             (as_is.x - rep.x - (x - t.left) * nx) ** 2
             + (as_is.y - rep.y - (y - t.top) * ny) ** 2
@@ -403,7 +421,7 @@ def score_candidates(candidates: Sequence[CandidateFix], table: SheetVectors, la
         delta = entropy_delta(fix, layout)
         if delta >= 0:
             continue
-        distance = fix_distance(fix, table)
+        distance = fix_distance(fix, table, screens)
         target = fix.target.rect
         out.append(ProposedFix(fix.source, target, delta, distance, impact_score(target.area, delta, distance)))
     return out

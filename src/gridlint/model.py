@@ -18,8 +18,10 @@ The loader turns each cell object into its `CellContent` as the JSON is
 decoded, so a stored cell costs one small object; a payload that is not a
 well-formed one-key cell is left to `_load_cell`, which names what is wrong.
 An address is read by lookup, its letters in `_COLUMNS` and its trailing
-ASCII digits in a table, kept for one load, of those `parse_a1` has read;
-on a miss `parse_a1` reads it, so its refusals and messages are the loader's.
+ASCII digits in a table of the rows read so far in one load.  A row the
+table misses beside letters it holds is read with `int`, as `parse_a1`
+would read it; anything else goes to `parse_a1`, so its refusals and
+messages are the loader's.
 A sheet is its `cells` dictionary alone.  The analysis reads them in
 row-major order (`Worksheet.in_row_major_order`): one pass checks that
 they are stored in that order, as the loader reads a file
@@ -398,7 +400,7 @@ def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
         raise FormatError(f"{source}: 'sheets' must be a list")
     sheets = []
     seen_names = set()
-    rows: dict[str, int] = {}  # the digit strings parse_a1 has read in this load -> row
+    rows: dict[str, int | None] = {}  # the digit strings read in this load -> row (None: row 0)
     column_of, row_of = _COLUMNS.get, rows.get
     for raw in raw_sheets:
         if not isinstance(raw, dict) or "name" not in raw or "cells" not in raw:
@@ -420,6 +422,13 @@ def parse_workbook_json(text: str, *, source: str = "<string>") -> Workbook:
             letters = addr_text.rstrip("0123456789")
             digits = addr_text[len(letters):]
             column, row = column_of(letters), row_of(digits)
+            if row is None and column is not None:
+                # The letters name a column, so parse_a1 would read int(digits)
+                # and keep it unless it is 0; it refuses no digits or too many.
+                try:
+                    row = rows[digits] = int(digits) or None
+                except ValueError:
+                    pass
             if column is None or row is None:
                 column, row = parse_a1(addr_text)
                 rows[digits] = row

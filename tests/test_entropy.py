@@ -18,7 +18,7 @@ from gridlint.entropy import (
     _cut_margin,
     _distinct_half,
     _run_cuts,
-    _sweep,
+    _half_scores,
     coalesce,
     decompose_grid,
     delimiter_splits,
@@ -425,6 +425,22 @@ class TestBenchmarkHooks:
 # -- naive references: the per-cut search and the O(R^3) fixed point ------
 
 
+def sweep_halves(hists, sizes):
+    """(low, high) half scores of each cut between consecutive strips,
+    swept afresh."""
+    table = _XLogXTable()
+    return _half_scores(hists[:-1], sizes, table), _half_scores(hists[:0:-1], sizes[:0:-1], table)[::-1]
+
+
+def sweep(hists, sizes, table):
+    """Sweep score of each cut between consecutive strips, as `_cut_search`
+    forms it: its low half's score, swept from the first strip, plus its
+    high half's, swept from the last."""
+    low = _half_scores(hists[:-1], sizes, table)
+    high = _half_scores(hists[:0:-1], sizes[:0:-1], table)[::-1]
+    return [a + b for a, b in zip(low, high)]
+
+
 def naive_best_split(counter, region):
     """Score every cut with split_entropy over the exact counts of
     `counter`, a PrefixCounts; vertical first, smallest index."""
@@ -521,6 +537,45 @@ def stripe_grid(rng, width, height):
     )
 
 
+def table_grid(rng, width, height):
+    """A table at least 3 x 3: a header row, a column of row labels, a
+    body of numbers with up to two stray cells, a total row of copied
+    formulas and sometimes a total column: blocks the tree peels one
+    edge line at a time."""
+    rows = [["H"] * width] + [["R"] + ["N"] * (width - 1) for _ in range(height - 2)] + [["R"] + ["T"] * (width - 1)]
+    if rng.random() < 0.5:
+        for row in rows[1:-1]:
+            row[-1] = "S"
+    for _ in range(rng.randint(0, 2)):
+        rows[rng.randrange(1, height)][rng.randrange(1, width)] = rng.choice("XT")
+    return FingerprintGrid(rows)
+
+
+def copied_column_grid(rng, height, outliers):
+    """A column of numbers beside a column of one copied formula with
+    `outliers` cells of another: the tree peels the formula column one
+    cell per node down to each outlier."""
+    column = ["F"] * height
+    for y in rng.sample(range(height), outliers):
+        column[y] = rng.choice("XY")
+    return FingerprintGrid([["N", code] for code in column])
+
+
+@st.composite
+def peel_grids(draw):
+    """A table or a copied-formula column with one or two outliers, at
+    (1, 1), and a corner to place it at as `grids_and_corners` does."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        grid = table_grid(rng, draw(st.integers(3, 14)), draw(st.integers(3, 14)))
+    else:
+        grid = copied_column_grid(rng, draw(st.integers(2, 40)), draw(st.integers(1, 2)))
+    last_left, last_top = MAX_COLUMN - grid.width + 1, MAX_ROW - grid.height + 1
+    left = draw(st.one_of(st.integers(1, last_left), st.just(last_left)))
+    top = draw(st.one_of(st.integers(1, last_top), st.just(last_top)))
+    return grid, left, top
+
+
 class TestSweepOracle:
     @settings(max_examples=80, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -612,10 +667,9 @@ class TestSweepOracle:
         ])
         region = grid.full_rect()
         block = grid.code_rows
-        total = Counter(chain.from_iterable(block))
         table = _XLogXTable()
-        v_scores = _sweep([Counter(col) for col in zip(*block)], [region.height] * region.width, total, table)
-        h_scores = _sweep([Counter(row) for row in block], [region.width] * region.height, total, table)
+        v_scores = sweep([Counter(col) for col in zip(*block)], [region.height] * region.width, table)
+        h_scores = sweep([Counter(row) for row in block], [region.width] * region.height, table)
         assert min(v_scores + h_scores) == v_scores[1] < h_scores[2]
         assert split_entropy(grid, region, 3, False) < split_entropy(grid, region, 2, True)
         assert naive_best_split(PrefixCounts(grid), region)[:2] == (False, 3)
@@ -641,25 +695,12 @@ class TestSweepOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_many_code_grids(self, rng):
-        # Up to 13 codes: nodes count their lines, halves and totals with
-        # one count per code or with a Counter, on either side of
-        # _FEW_CODES, and both give the per-cut search's tree.
+        # Up to 13 codes: one-wide and wider nodes whose lines, halves and
+        # totals hold many codes, counted at the root and handed down to
+        # the children, give the per-cut search's tree.
         width, height = rng.choice([(1, rng.randint(2, 30)), (rng.randint(2, 30), 1),
                                     (rng.randint(2, 12), rng.randint(2, 12))])
         assert_tree_matches_naive(noisy_grid(rng, width, height, "ABCDEFGHIJKL", chance=0.7))
-
-    def test_many_code_nodes_take_both_counting_paths(self, monkeypatch):
-        sides = set()
-        histogram = entropy._histogram
-
-        def spying(cells, codes):
-            sides.add(len(codes) > entropy._FEW_CODES)
-            return histogram(cells, codes)
-
-        monkeypatch.setattr(entropy, "_histogram", spying)
-        assert_tree_matches_naive(noisy_grid(random.Random(5), 12, 12, "ABCDEFGHIJKL", chance=0.7))
-        assert_tree_matches_naive(FingerprintGrid([list("ABCDEFGHIJKLABCDEFGHIJKL")]))
-        assert sides == {False, True}
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -711,10 +752,8 @@ class TestSweepOracle:
         bound = _cut_margin(region.area) / 4
         table = _XLogXTable()
         sweeps = [
-            (True, region.left, _sweep([Counter(col) for col in zip(*block)], [region.height] * region.width,
-                                       total, table)),
-            (False, region.top, _sweep([Counter(row) for row in block], [region.width] * region.height,
-                                       total, table)),
+            (True, region.left, sweep([Counter(col) for col in zip(*block)], [region.height] * region.width, table)),
+            (False, region.top, sweep([Counter(row) for row in block], [region.width] * region.height, table)),
         ]
         for vertical, first, scores in sweeps:
             for i, approx in enumerate(scores):
@@ -728,7 +767,6 @@ class TestSweepOracle:
         grid = banded_tile_grid(rng)
         region = grid.full_rect()
         bound = _cut_margin(region.area) / 4
-        total = grid.counts_in(region)
         table = _XLogXTable()
         for vertical, first, last in ((True, region.left, region.right), (False, region.top, region.bottom)):
             cuts = sorted(rng.sample(range(first, last), rng.randint(1, min(6, last - first))))
@@ -737,7 +775,7 @@ class TestSweepOracle:
                 strip = Rect(lo, region.top, hi, region.bottom) if vertical else Rect(region.left, lo, region.right, hi)
                 hists.append(grid.counts_in(strip))
                 sizes.append(strip.area)
-            scores = _sweep(hists, sizes, total, table)
+            scores = sweep(hists, sizes, table)
             assert len(scores) == len(cuts)
             for index, approx in zip(cuts, scores):
                 assert abs(approx - split_entropy(grid, region, index, vertical)) <= bound
@@ -819,6 +857,32 @@ def one_axis_banded_grid(rng, vertical):
 def one_axis_banded_grids(draw):
     """A one-axis banded grid and a corner to place it at."""
     grid = one_axis_banded_grid(draw(st.randoms(use_true_random=False)), draw(st.booleans()))
+    left = draw(st.integers(1, MAX_COLUMN - grid.width + 1))
+    top = draw(st.integers(1, MAX_ROW - grid.height + 1))
+    return grid, left, top
+
+
+def crossed_banded_grid(rng):
+    """Random cells of one to three labels, crossed by blank columns and
+    rows in runs of one to three lines: uniform lines on both axes."""
+    width, height = rng.randint(2, 16), rng.randint(2, 16)
+
+    def blank_lines(n):
+        out = []
+        while len(out) < n:
+            out += [rng.random() < 0.3] * rng.randint(1, 3)
+        return out[:n]
+
+    labels = "ABC"[: rng.randint(1, 3)]
+    columns, rows = blank_lines(width), blank_lines(height)
+    return FingerprintGrid([["E" if columns[x] or rows[y] else rng.choice(labels) for x in range(width)]
+                            for y in range(height)])
+
+
+@st.composite
+def crossed_banded_grids(draw):
+    """A crossed banded grid and a corner to place it at."""
+    grid = crossed_banded_grid(draw(st.randoms(use_true_random=False)))
     left = draw(st.integers(1, MAX_COLUMN - grid.width + 1))
     top = draw(st.integers(1, MAX_ROW - grid.height + 1))
     return grid, left, top
@@ -946,6 +1010,51 @@ class TestDelimiterSplitsOracle:
         want = [shifted(piece, left - 1, top - 1) for piece in naive_delimiter_splits(grid)]
         assert delimiter_splits(placed(grid, left, top)) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(crossed_banded_grids())
+    def test_crossed_banded_grids_away_from_a1(self, case):
+        # Candidates on both axes: pieces searched in turn, each taking
+        # its strips and half scores from the piece it was cut from.
+        grid, left, top = case
+        want = [shifted(piece, left - 1, top - 1) for piece in naive_delimiter_splits(grid)]
+        assert delimiter_splits(placed(grid, left, top)) == want
+
+    def test_handed_down_strips_equal_recounts(self, monkeypatch):
+        # Every strip histogram a piece takes from the piece it was cut
+        # from equals a recount of the strip's cells, without a zero
+        # count, and its shared half scores equal a fresh sweep's.
+        handed = []
+        sub_pieces = entropy._sub_pieces
+
+        def spying(grid, *args):
+            out = sub_pieces(grid, *args)
+            searched = [(piece, counts) for piece, counts in out if counts is not None]
+            handed.extend(searched)
+            for piece, (axes, (vertical, low, high)) in searched:
+                assert [axis[0] for axis in axes] == [True, False]
+                for axis_vertical, hists, sizes, lasts in axes:
+                    strips = entropy._strips(piece, axis_vertical, list(lasts[:-1]))
+                    assert sizes == [strip.area for strip in strips]
+                    for hist, strip in zip(hists, strips):
+                        assert all(c > 0 for c in hist.values())
+                        assert hist == Counter(chain.from_iterable(grid.block(strip)))
+                    if axis_vertical == vertical:
+                        fresh = sweep_halves(hists, sizes)
+                        assert low is None or low == fresh[0]
+                        assert high is None or high == fresh[1]
+            return out
+
+        monkeypatch.setattr(entropy, "_sub_pieces", spying)
+        rng = random.Random(4)
+        for _ in range(40):
+            grid = crossed_banded_grid(rng)
+            assert delimiter_splits(grid) == naive_delimiter_splits(grid)
+        rows = striped_rows(60, 60)
+        rows[30] = ["E"] * 60
+        grid = FingerprintGrid(rows)
+        assert delimiter_splits(grid) == naive_delimiter_splits(grid)
+        assert len(handed) > 40
+
     def test_running_totals_tree_counts_nothing(self, monkeypatch):
         # The tree re-scores its cuts from its sweep's line histograms.
         grid = FingerprintGrid([["num", f"sum{r}"] for r in range(200)])
@@ -1016,37 +1125,110 @@ def test_running_totals_column_scores_no_half(monkeypatch):
     assert split_entropy(grid, column.rect, column.index, column.vertical) == normalized_entropy([1] * 1999, 1999)
 
 
-def test_child_counts_only_lines_across_its_parents_cut(monkeypatch):
-    grid = noisy_grid(random.Random(22), 22, 22)
-    counted = []  # (region, axes whose lines it counted) per node wider than one line
-    block_cut, line_counts = entropy._block_cut, entropy._line_counts
+def block_reads(monkeypatch):
+    """The rectangles whose cells are read off the code rows to be
+    counted (`FingerprintGrid.block`), as a list that fills while the
+    test runs."""
+    reads = []
+    block = FingerprintGrid.block
+    monkeypatch.setattr(FingerprintGrid, "block", lambda self, rect: reads.append(rect) or block(self, rect))
+    return reads
 
-    def deciding(block, left, top, *args):
-        counted.append((Rect(left, top, left + len(block[0]) - 1, top + len(block) - 1), []))
-        return block_cut(block, left, top, *args)
 
-    def counting(block, vertical, codes):
-        counted[-1][1].append(vertical)
-        return line_counts(block, vertical, codes)
-
-    monkeypatch.setattr(entropy, "_block_cut", deciding)
-    monkeypatch.setattr(entropy, "_line_counts", counting)
-    tree = entropy_tree(grid)
-    parent_cut = {}
+def assert_counts_only_roots_and_smaller_children(tree, reads):
+    """Each rectangle in `reads` is the tree's root, or the smaller child
+    by area (the low one on a tie) of a node at least two cells wide and
+    tall, and is read once: so no cell is counted more than
+    1 + log2(area) times."""
+    smaller = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, EntropyNode):
-            parent_cut[node.low.rect] = parent_cut[node.high.rect] = node.vertical
+            low, high = node.low.rect, node.high.rect
+            if node.rect.width > 1 and node.rect.height > 1:
+                smaller.add(low if low.area <= high.area else high)
             stack += [node.low, node.high]
-    (root, root_axes), *children = counted
-    assert root == grid.full_rect() and root_axes == [True, False]
-    searched = [(region, axes) for region, axes in children if axes]
-    assert len(searched) > 20
-    assert all(axes == [not parent_cut[region]] for region, axes in searched)
-    # One-wide nodes are swept from their codes and count no lines.
-    assert all(region.width > 1 and region.height > 1 for region, _ in counted)
+    root = tree.rect
+    assert all(rect == root or rect in smaller for rect in reads)
+    assert len(set(reads)) == len(reads)
+    times = Counter(cell for rect in reads for cell in rect.cells())
+    assert max(times.values(), default=0) <= 1 + math.log2(root.area)
 
+
+def test_only_a_root_or_a_smaller_child_counts_its_cells(monkeypatch):
+    grid = noisy_grid(random.Random(22), 22, 22)
+    reads = block_reads(monkeypatch)
+    tree = entropy_tree(grid)
+    assert reads[0] == grid.full_rect() and len(reads) > 20
+    assert_counts_only_roots_and_smaller_children(tree, reads)
+
+
+def spy_handed_counts(monkeypatch):
+    """Check, as the tree decides each node, the counts its parent handed
+    it against a recount of the node's cells: equal histograms without a
+    zero count, and shared half scores equal to a fresh sweep.  Returns
+    the number of nodes checked so far, by kind, as a Counter."""
+    checked = Counter()
+    block_cut, line_cut = entropy._block_cut, entropy._line_cut
+
+    def no_zeros(hist):
+        assert all(c > 0 for c in hist.values())
+
+    def checking_block(grid, left, top, right, bottom, counts, table):
+        if counts is not None:
+            total, cols, rows, known = counts
+            cells = [row[left - grid.left:right - grid.left + 1]
+                     for row in grid.code_rows[top - grid.top:bottom - grid.top + 1]]
+            no_zeros(total)
+            assert total == Counter(chain.from_iterable(cells))
+            if cols is not None:
+                assert len(cols) == right - left + 1 and len(rows) == bottom - top + 1
+                for hist, line in chain(zip(cols, zip(*cells)), zip(rows, cells)):
+                    no_zeros(hist)
+                    assert hist == Counter(line)
+                vertical, low, high = known
+                lines, size = (cols, bottom - top + 1) if vertical else (rows, right - left + 1)
+                sizes = [size] * len(lines)
+                if low is not None:
+                    assert low == entropy._half_scores(lines[:-1], sizes, _XLogXTable())
+                if high is not None:
+                    assert high == entropy._half_scores(lines[:0:-1], sizes, _XLogXTable())[::-1]
+                checked["block"] += 1
+            else:
+                checked["settled block"] += 1
+        return block_cut(grid, left, top, right, bottom, counts, table)
+
+    def checking_line(first, vertical, counts, table):
+        total, codes, low, high = counts
+        no_zeros(total)
+        if codes is None:
+            checked["settled line"] += 1
+        else:
+            assert total == Counter(codes)
+            if low is not None:
+                assert low == entropy._line_scores(codes[:-1], _XLogXTable())
+            if high is not None:
+                assert high == entropy._line_scores(codes[:0:-1], _XLogXTable())[::-1]
+            checked["line"] += 1
+        return line_cut(first, vertical, counts, table)
+
+    monkeypatch.setattr(entropy, "_block_cut", checking_block)
+    monkeypatch.setattr(entropy, "_line_cut", checking_line)
+    return checked
+
+
+def test_handed_down_counts_equal_recounts(monkeypatch):
+    # Noisy sheets, tables peeled line by line and a copied column with
+    # an outlier: every histogram a node gets from its parent, the
+    # larger child's being its parent's less the smaller child's, is the
+    # one a recount finds, and every shared half score is a fresh one.
+    checked = spy_handed_counts(monkeypatch)
+    rng = random.Random(8)
+    for grid in [noisy_grid(rng, 18, 14), noisy_grid(rng, 9, 25, "ABCDEFGHIJKL", chance=0.7),
+                 table_grid(rng, 12, 16), table_grid(rng, 7, 30), copied_column_grid(rng, 40, 2)]:
+        assert_tree_matches_naive(grid)
+    assert min(checked.values()) > 0 and len(checked) == 4
 
 def test_decomposition_counts_nothing(monkeypatch):
     # No cut's entropy is read while decomposing.
@@ -1094,27 +1276,27 @@ def test_all_distinct_half_scores_are_computed_once_per_sheet(monkeypatch):
 
 
 def test_all_distinct_subtree_builds_no_histogram(monkeypatch):
-    # Running totals: the 1 x 2,000 column of distinct fingerprints is
-    # decided from its histogram once, and its 1,999 peeled cells from
-    # their shapes alone.
+    # Running totals: the root counts its cells, and hands each of its
+    # two columns, column A of one code and column B of 2,000, its total.
+    # Each is decided from that total alone, without reading its codes,
+    # and column B's 1,999 peeled cells from their shapes.
     grid = FingerprintGrid([["num", f"sum{r}"] for r in range(2000)])
     decided = []
     block_cut, line_cut = entropy._block_cut, entropy._line_cut
 
-    def deciding_block(block, left, top, *args):
-        decided.append(Rect(left, top, left + len(block[0]) - 1, top + len(block) - 1))
-        return block_cut(block, left, top, *args)
+    def deciding_block(grid, left, top, right, bottom, *args):
+        decided.append(Rect(left, top, right, bottom))
+        return block_cut(grid, left, top, right, bottom, *args)
 
-    def deciding_line(codes, first, vertical, *args):
-        decided.append((first, len(codes), vertical, len(set(codes))))
-        return line_cut(codes, first, vertical, *args)
+    def deciding_line(first, vertical, counts, table):
+        total, codes, _, _ = counts
+        decided.append((first, vertical, codes, len(total)))
+        return line_cut(first, vertical, counts, table)
 
     monkeypatch.setattr(entropy, "_block_cut", deciding_block)
     monkeypatch.setattr(entropy, "_line_cut", deciding_line)
     tree = entropy_tree(grid)
-    # The root, then column A (one code) and column B (2,000), each
-    # swept down its rows from row 1.
-    assert decided == [Rect(1, 1, 2, 2000), (1, 2000, False, 1), (1, 2000, False, 2000)]
+    assert decided == [Rect(1, 1, 2, 2000), (1, False, None, 1), (1, False, None, 2000)]
     assert len(tree_leaves(tree)) == 2001
 
 
@@ -1260,6 +1442,25 @@ def thin_grids(draw):
     return grid, left, top
 
 
+class TestPeelGridsOracle:
+    """Peel-heavy grids, whose nodes mostly lose one edge line or one
+    cell to their cut, against scoring every cut with exact counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(peel_grids(), thin_grids()))
+    def test_tree_matches_the_per_cut_search(self, case):
+        grid, left, top = case
+        dx, dy = left - 1, top - 1
+        want = [(shifted(region, dx, dy), cut and (cut[0], cut[1] + (dx if cut[0] else dy), cut[2]))
+                for region, cut in naive_preorder(grid)]
+        with pytest.MonkeyPatch.context() as patch:
+            reads = block_reads(patch)
+            moved = placed(grid, left, top)
+            tree = entropy_tree(moved)
+        assert tree_preorder(tree, moved) == want
+        assert_counts_only_roots_and_smaller_children(tree, reads)
+
+
 class TestThinNodesOracle:
     """Nodes one cell wide, swept cell by cell from their codes, against
     scoring every cut with exact counts."""
@@ -1272,20 +1473,14 @@ class TestThinNodesOracle:
         # Cut entropies by float.hex, from exact counts on either side.
         want = [(shifted(region, dx, dy), cut and (cut[0], cut[1] + (dx if cut[0] else dy), cut[2]))
                 for region, cut in naive_preorder(grid)]
-        counted = []
-        line_counts = entropy._line_counts
-
-        def counting(block, vertical, codes):
-            counted.append((len(block[0]), len(block)))
-            return line_counts(block, vertical, codes)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(entropy, "_line_counts", counting)
+            reads = block_reads(patch)
             moved = placed(grid, left, top)
             tree = entropy_tree(moved)
         assert tree_preorder(tree, moved) == want
-        # Only a node at least two cells wide and tall counts its lines.
-        assert all(width > 1 and height > 1 for width, height in counted)
+        # One-wide nodes are swept from the codes and totals handed down;
+        # only the root and smaller children are counted from the cells.
+        assert_counts_only_roots_and_smaller_children(tree, reads)
 
     @pytest.mark.parametrize("codes", [[0, 0, 1, 1, 0, 0], [0, 1, 2, 2, 1, 0], [0, 0, 1, 1, 2, 2, 3, 3]])
     @pytest.mark.parametrize("vertical", [True, False])

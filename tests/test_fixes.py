@@ -1017,6 +1017,25 @@ class TestDistanceClosedForm:
             fix = CandidateFix(source, Region(source, EMPTY), target)
             assert fix_distance(fix, table).hex() == naive_fix_distance(fix, table).hex()
 
+    def test_each_cell_is_summed_once_per_sheet(self, monkeypatch):
+        # Running totals: every candidate moves one formula cell onto a
+        # neighbour's pattern, so each formula cell is a side of two
+        # candidates, yet its location sum is taken once.
+        from gridlint import fixes
+
+        cells = {(1, r): CellContent.number(float(r)) for r in range(1, 201)}
+        cells.update({(2, r): CellContent.formula(f"=SUM($A$1:A{r})") for r in range(1, 201)})
+        table, regions = analyzed(Workbook("wb", [Worksheet("S", cells)]))
+        sums = []
+        location = fixes.location_fingerprint
+        monkeypatch.setattr(fixes, "location_fingerprint", lambda *args: sums.append(args) or location(*args))
+        distances = []
+        distance = fixes.fix_distance
+        monkeypatch.setattr(fixes, "fix_distance", lambda *args: distances.append(distance(*args)) or distances[-1])
+        fixes.build_fixes(table, regions, table.rect.area)
+        assert len(distances) > 300
+        assert len(sums) == len(table.refs) == 200
+
 
 class TestImpactScore:
     def test_examples(self):

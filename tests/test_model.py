@@ -474,6 +474,23 @@ class TestLoaderOracle:
         ]})
         assert loaded(parse_workbook_json, text) == loaded(naive_parse_workbook_json, text)
 
+    # An address whose letters the column table holds and whose row no
+    # earlier address of the load had: the loader reads the row with
+    # int(), and leaves to parse_a1 a row of 0, no digits or more digits
+    # than Python converts, as it leaves letters the table lacks.
+    @pytest.mark.parametrize("address, read_by_parse_a1", [
+        ("A1", False), ("A01", False), ("A0", True), ("A", True), ("XFD1", False), ("XFE1", True),
+        ("a1", True), ("A1048577", False), ("A" + "1" * 5_000, True),
+    ])
+    def test_a_new_row_beside_a_known_column(self, address, read_by_parse_a1, monkeypatch):
+        text = json.dumps({"workbook": "w", "sheets": [
+            {"name": "S", "cells": {"A7": {"n": 1}, "XFD7": {"n": 2}, address: {"n": 3}}}]})
+        read = []
+        parse_a1 = model.parse_a1
+        monkeypatch.setattr(model, "parse_a1", lambda text: read.append(text) or parse_a1(text))
+        assert loaded(parse_workbook_json, text) == loaded(naive_parse_workbook_json, text)
+        assert (address in read) == read_by_parse_a1
+
     def test_a_load_leaves_no_state_but_the_column_table(self):
         before = dict(vars(model))
         containers = {name: copy.copy(value) for name, value in before.items()
