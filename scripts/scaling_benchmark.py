@@ -7,6 +7,11 @@ stays comparable; the wide, five-row ones (2000x5, 4000x5) hold
 thousands of delimiter runs side by side.  Running totals hold numbers
 in column A and `=SUM($A$1:A{r})` in column B, so every formula cell
 has a fingerprint of its own, as a cumulative column in a ledger does.
+Ledgers hold numbers in column A and, in column B, `=A{r}`,
+`=A{r}+A{r+1}` and `=SUM(A{r}:A{r+2})` in turn: three fingerprints in
+a cycle beside a uniform column, which the entropy tree peels off one
+cell per node (`entropy._line_cut`), so the row grows with the square
+of its length.
 Noisy n x n sheets are the benchmark's `perfbench/workloads.noisy_book`
 (seed 7): numbers with 30% of the cells holding one of four labels, so
 the layout has many small regions and many candidate fixes.  Crossed
@@ -34,7 +39,8 @@ minimum over those runs.  The runs are interleaved: every sheet runs
 once, then every sheet again, so a slow stretch of a shared machine
 touches one run of several sheets rather than every run of one sheet.
 
-    python3 scripts/scaling_benchmark.py [--sizes WxH,...] [--totals N,...] [--noisy N,...] [--crossed N,...]
+    python3 scripts/scaling_benchmark.py [--sizes WxH,...] [--totals N,...] [--ledger N,...] [--noisy N,...]
+        [--crossed N,...]
 """
 
 from __future__ import annotations
@@ -80,6 +86,15 @@ def running_totals_workbook(rows: int) -> Workbook:
         cells[(1, row)] = CellContent.number(float(row * 7 % 99 + 1))
         cells[(2, row)] = CellContent.formula(f"=SUM($A$1:A{row})")
     return Workbook(f"running_totals_{rows}", [Worksheet("Sheet1", cells)])
+
+
+def ledger_workbook(rows: int) -> Workbook:
+    formulas = ("=A{0}", "=A{0}+A{1}", "=SUM(A{0}:A{2})")
+    cells = {}
+    for row in range(1, rows + 1):
+        cells[(1, row)] = CellContent.number(float(row * 7 % 99 + 1))
+        cells[(2, row)] = CellContent.formula(formulas[(row - 1) % 3].format(row, row + 1, row + 2))
+    return Workbook(f"ledger_{rows}", [Worksheet("Sheet1", cells)])
 
 
 def crossed_workbook(n: int) -> Workbook:
@@ -146,6 +161,8 @@ def main() -> None:
                         help="comma-separated WxH stripes sheet sizes")
     parser.add_argument("--totals", default="500,1000,2000,4000,8000",
                         help="comma-separated row counts of running-totals sheets")
+    parser.add_argument("--ledger", default="750,1500",
+                        help="comma-separated row counts of ledger sheets")
     parser.add_argument("--noisy", default="40,80,160",
                         help="comma-separated side lengths of noisy n x n sheets")
     parser.add_argument("--crossed", default="100,200,400",
@@ -160,6 +177,7 @@ def main() -> None:
         columns, rows = (int(part) for part in token.lower().split("x"))
         workbooks.append(serialize_workbook(striped_workbook(columns, rows)))
     workbooks += [serialize_workbook(running_totals_workbook(int(token))) for token in args.totals.split(",")]
+    workbooks += [serialize_workbook(ledger_workbook(int(token))) for token in args.ledger.split(",")]
     for n in (int(token) for token in args.noisy.split(",")):
         workbooks.append(noisy_book(random.Random(7), n, f"noisy_{n}x{n}", mask_seed=n * 100).gridbook())
     workbooks += [serialize_workbook(crossed_workbook(int(token))) for token in args.crossed.split(",")]

@@ -28,19 +28,12 @@ preprocessing calls `counts_in`.  The chosen cut's entropy decides
 nothing, so no node keeps it.
 
 Every cut hands its two children the counts they share with it
-(`_block_cut`, `_line_cut`, `_sub_pieces`).  Along the cut a child's
-lines or strips are a slice of its parent's, and so are the half
-scores of the side it shares, which are bit-identical since they score
-the same cells.  Across the cut the smaller child by area is counted
-from its cells and the larger one takes its parent's histograms less
-the smaller's, which are exactly its own.  So only a tree's root, or a
-delimiter pass's first search, counts all its cells; a cell is counted
-at most 1 + log2(area) times in a tree, and a search costs
+(`_hand_down`, which proves them exact), so only a tree's root, or a
+delimiter pass's first search, counts all its cells, and a search costs
 O(lines x codes) besides.  Every histogram is a plain dict filled by
-`collections._count_elements`, zero counts dropped; its key order is
-free, since sweeps sum exact integers and re-scores read counts in code
-order.  The sheet's pieces and trees share one table of c*log2(c)
-terms, which also memoises all-distinct half scores.
+`collections._count_elements`, zero counts dropped.  The sheet's pieces
+and trees share one table of c*log2(c) terms, which also memoises
+all-distinct half scores.
 
 All-distinct nodes.  In a node whose every cell has a fingerprint of its
 own, a half of m cells holds m counts of 1, so its scores depend on m
@@ -55,12 +48,9 @@ and every rectangle here is read through it, so cuts, pieces and
 regions come out in sheet coordinates.
 
 A delimiter piece whose candidate cuts lie on one axis is split at all
-of them without a search.  Of those with candidates on both axes, the
-first counts the cells of its strips outside the delimiter runs once (a
-strip inside one run holds its run's code alone), and the pieces cut
-from it take their strips from it.  Coalescing indexes regions by their
-full edges, so a region's merge partners are a few dictionary lookups
-and R regions coalesce in O(R log R).
+of them without a search (`delimiter_splits`).  Coalescing indexes
+regions by their full edges, so a region's merge partners are a few
+dictionary lookups and R regions coalesce in O(R log R).
 """
 
 from __future__ import annotations
@@ -285,13 +275,9 @@ def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple], tabl
     lowest are re-scored exactly (`_strip_score`), and none when just
     one is.
     """
-    sweeps = []
-    strips = {}
-    halves = {}
+    sweeps, strips, halves = [], {}, {}
     for vertical, hists, sizes, lasts in axes:
-        low = high = None
-        if known is not None and known[0] == vertical:
-            low, high = known[1], known[2]
+        _, low, high = known if known is not None and known[0] == vertical else (vertical, None, None)
         if low is None:
             low = _half_scores(hists[:-1], sizes, table)
         if high is None:
@@ -378,80 +364,95 @@ def _line_codes(grid: FingerprintGrid, left: int, top: int, right: int, bottom: 
     return list(map(operator.itemgetter(left - grid.left), grid.code_rows[top - grid.top:bottom - grid.top + 1]))
 
 
+def _hand_down(r: tuple, total: Mapping[int, int], axes: list[tuple], cut: tuple[bool, int], halves: tuple,
+               count: Callable[[tuple, tuple], tuple], settle: bool) -> tuple[tuple, list[tuple]]:
+    """(rects, counts): the low and the high child that `cut` leaves of a
+    searched rectangle r = (left, top, right, bottom), and for each its
+    (total, axes, known) as its own `_cut_search` takes them.  A child of
+    one strip along the cut gets no axes nor known (None), and with
+    `settle` (a tree's children) neither does one whose total holds one
+    code or one per cell.  `total`, `axes` and `halves` are r's, as
+    `_cut_search` takes and returns them, and `count(rect, axis)` counts
+    the smaller child's strips along one of r's axes, as (histograms, cell
+    counts).
+
+    Along the cut a child's strips are a run of r's.  Across it, the
+    smaller child by area (the low one on a tie) counts its strips, and
+    the larger one takes r's less the smaller's; so do their totals, the
+    smaller one's summed from its strips along the cut.  Each cell of r
+    lies in exactly one child, so every count of r is the sum of its
+    children's, and the difference is the larger child's count exactly;
+    with zero counts dropped (`_minus`) it holds the codes a recount finds,
+    in an order nothing reads (sweeps sum exact integers, exact re-scores
+    read counts in code order).  So a cell is counted where the cutting
+    starts (a tree's root, a delimiter pass's first search), then only in
+    a smaller child, at most half its parent's area: at most
+    1 + log2(area) times.  The low child keeps r's low half scores on the
+    cut's axis, the high child its high ones: those halves hold the same
+    cells in child and r, so they score to the same float.
+    """
+    vertical, index = cut
+    (_, hists, sizes, lasts), across = axes if vertical else axes[::-1]
+    left, top, right, bottom = r
+    k = lasts.index(index) + 1
+    if vertical:
+        rects = (left, top, index, bottom), (index + 1, top, right, bottom)
+        low_area = (index - left + 1) * (bottom - top + 1)
+    else:
+        rects = (left, top, right, index), (left, index + 1, right, bottom)
+        low_area = (index - top + 1) * (right - left + 1)
+    high_area = (right - left + 1) * (bottom - top + 1) - low_area
+    small = low_area > high_area
+    part = _summed(hists[k:] if small else hists[:k])
+    totals = (_minus(total, part), part) if small else (part, _minus(total, part))
+    crossing = None  # each child's strips across the cut, once a child needs them
+    children = []
+    for side, a, b, area in ((0, 0, k, low_area), (1, k, len(lasts), high_area)):
+        if b - a == 1 or settle and not 1 < len(totals[side]) < area:
+            children.append((totals[side], None, None))
+            continue
+        if crossing is None:
+            counted = count(rects[small], across)
+            rest = list(map(_minus, across[1], counted[0])), list(map(operator.sub, across[2], counted[1]))
+            crossing = (rest, counted) if small else (counted, rest)
+        along = vertical, hists[a:b], sizes[a:b], lasts[a:b]
+        other = not vertical, *crossing[side], across[3]
+        known = (vertical, halves[0][:k - 1], None) if side == 0 else (vertical, None, halves[1][k:])
+        children.append((totals[side], [along, other] if vertical else [other, along], known))
+    return rects, children
+
+
 def _block_cut(grid: FingerprintGrid, left: int, top: int, right: int, bottom: int, counts: Optional[tuple],
-               table: _XLogXTable) -> tuple[Optional[tuple[bool, int]], bool, tuple]:
+               table: _XLogXTable, count: Callable) -> tuple[Optional[tuple[bool, int]], bool, Sequence]:
     """(cut, all_distinct, children) of a node at least two cells wide and
-    tall.
-
-    `counts` is (total, column histograms, row histograms, known) as the
-    node's parent handed them down, `known` the half scores it shares
-    with the node (`_cut_search`); at a root it is None, and the node
-    counts its cells.  The cut is None for a single-fingerprint node, and
-    for an all-distinct one (every cell a fingerprint of its own,
-    all_distinct True), whose cut comes from its shape.  Otherwise it is
-    the best (vertical, index) by `_cut_search` over the node's single
-    lines, and `children` holds the low and the high child's counts:
-    (total, None, None, None) for a child that needs no cut, (total,
-    codes, None, None) for a one-wide child (`_line_cut`), and counts as
-    above for a wider one.
-
-    Along the cut a child's lines are a slice of the node's.  Across it,
-    the smaller child by area (the low one on a tie) counts its lines
-    from its cells, and the larger one takes the node's less the
-    smaller's; the smaller child's total is the sum of its lines along
-    the cut, and the larger one's again the node's less it.  Each cell of
-    the node lies in exactly one child, so every count of the node is the
-    sum of its children's, and the difference is the larger child's count
-    exactly; with zero counts dropped it holds the codes a recount finds.
-    Only the order of its keys can differ, which nothing reads: sweeps sum
-    exact integers, and exact re-scores read counts in code order.  A
-    cell is counted at the root and then only in a smaller child, at most
-    half its parent's area, so at most 1 + log2(area) times in a tree.
-    The low child also keeps the node's low half scores on the cut's
-    axis, and the high child its high ones: those halves hold the same
-    cells in child and node, so the same histogram, integer sum and cell
-    count, and they score to the same float.
+    tall, whose parent handed it `counts`, (total, axes, known); a root
+    gets None and counts its cells.  The cut is None for a
+    single-fingerprint node, and for an all-distinct one (every cell a
+    fingerprint of its own, all_distinct True), whose cut comes from its
+    shape; the total settles both before any line is counted.  Otherwise
+    `_cut_search` picks it over the node's single lines, and `children`
+    are its children's counts from `_hand_down`, `count` reading the
+    smaller one's lines, or (total, codes, None) for a one-wide child
+    that needs a cut (`_line_cut`).
     """
     width, height = right - left + 1, bottom - top + 1
     area = width * height
     if counts is None:
         cells = list(grid.block(Rect(left, top, right, bottom)))
-        counts = _counted(chain.from_iterable(cells)), None, None, None
-    total, cols, rows, known = counts
+        counts = _counted(chain.from_iterable(cells)), None, None
+    total, axes, known = counts
     if len(total) == 1 or len(total) == area:
         return None, len(total) == area, (None, None)
-    if cols is None:
-        cols, rows = list(map(_counted, zip(*cells))), list(map(_counted, cells))
-    cut, (low, high) = _cut_search(area, total, (
-        (True, cols, [height] * width, range(left, right + 1)),
-        (False, rows, [width] * height, range(top, bottom + 1)),
-    ), table, known)
-    vertical, index = cut
-    lines, across = (cols, rows) if vertical else (rows, cols)
-    k = index - (left if vertical else top) + 1
-    spans = (0, k), (k, len(lines))
-    rects = ((left, top, index, bottom), (index + 1, top, right, bottom)) if vertical else \
-        ((left, top, right, index), (left, index + 1, right, bottom))
-    small = 0 if 2 * k <= len(lines) else 1
-    totals = [_summed(lines[slice(*spans[small])])]
-    totals.insert(1 - small, _minus(total, totals[0]))
-    shared = (vertical, low[:k - 1], None), (vertical, None, high[k:])
-    children: list[tuple] = []
-    crossing: list = []  # each child's lines across the cut, once a wider child needs them
-    for side, ((a, b), child_total, rect) in enumerate(zip(spans, totals, rects)):
-        if not 1 < len(child_total) < (b - a) * len(across):
-            children.append((child_total, None, None, None))
-        elif b - a == 1:
-            children.append((child_total, _line_codes(grid, *rect), None, None))
-        else:
-            if not crossing:
-                cells = list(grid.block(Rect(*rects[small])))
-                crossing = [list(map(_counted, cells if vertical else zip(*cells)))]
-                crossing.insert(1 - small, list(map(_minus, across, crossing[0])))
-            along = lines[a:b]
-            children.append((child_total, *((along, crossing[side]) if vertical else (crossing[side], along)),
-                             shared[side]))
-    return cut, False, tuple(children)
+    if axes is None:  # a root: a parent hands every block that needs a cut its axes
+        axes = [(True, list(map(_counted, zip(*cells))), [height] * width, range(left, right + 1)),
+                (False, list(map(_counted, cells)), [width] * height, range(top, bottom + 1))]
+    cut, halves = _cut_search(area, total, axes, table, known)
+    rects, children = _hand_down((left, top, right, bottom), total, axes, cut, halves, count, True)
+    for side, (child_total, child_axes, _) in enumerate(children):
+        l, t, r, b = rects[side]
+        if child_axes is None and 1 < len(child_total) < (r - l + 1) * (b - t + 1):
+            children[side] = child_total, _line_codes(grid, l, t, r, b), None
+    return cut, False, children
 
 
 def _line_score(vertical: bool, index: int, codes: list[int], first: int, order: list[int],
@@ -483,26 +484,22 @@ def _line_cut(first: int, vertical: bool, counts: tuple,
               table: _XLogXTable) -> tuple[Optional[tuple[bool, int]], bool, tuple]:
     """(cut, all_distinct, children) of a one-wide node of at least two
     cells, the first on line `first`; `vertical` when the node is one
-    row, whose cuts fall between columns.
-
-    `counts` is (total, codes, low, high): the node's code histogram, its
-    codes in order (None when the total shows it needs no cut), and the
-    low or high half scores it shares with its parent, if any.  The cut
-    is None, as in `_block_cut`, for a single-fingerprint or an
-    all-distinct node.  Otherwise the node is swept cell by cell
-    (`_line_scores`) from each end whose half scores it does not have,
-    and the cuts near the minimum are re-scored exactly from the codes
-    of their smaller half (`_line_score`), as `_cut_search` does.  Each
-    child's codes are a slice of the node's; as in `_block_cut`, the
-    smaller child counts its total and the larger one takes the node's
-    less the smaller's, and the low child keeps the node's low half
-    scores, the high one its high ones.  So the larger child of a peel
-    costs one subtraction and a sweep from one end.
+    row, whose cuts fall between columns.  `counts` is (total, codes,
+    known): its histogram, its codes (None when the total settles it) and
+    the half scores it shares with its parent, if any, in `_cut_search`'s
+    format.  The cut is None as in `_block_cut`.  Otherwise the node is
+    swept cell by cell (`_line_scores`) from each end whose half scores
+    it lacks, and the cuts near the minimum are re-scored exactly from
+    their smaller half's codes (`_line_score`).  Its children take slices
+    of its codes, and totals and half scores as `_hand_down` hands them
+    down, the smaller total counted from its codes; so the larger child
+    of a peel costs one subtraction and a sweep from one end.
     """
-    total, codes, low, high = counts
+    total, codes, known = counts
     n = sum(total.values())
     if len(total) == 1 or len(total) == n:
         return None, len(total) == n, (None, None)
+    low, high = known[1:] if known else (None, None)
     if low is None:
         low = _line_scores(codes[:-1], table)
     if high is None:
@@ -510,71 +507,73 @@ def _line_cut(first: int, vertical: bool, counts: tuple,
     near = _near_minimum(n, [(vertical, range(first, first + n - 1), list(map(operator.add, low, high)))])
     cut = _first_exact_minimum(near, _line_score, codes, first, sorted(total), total)
     k = cut[1] - first + 1
-    parts = [codes[:k], codes[k:]]
-    small = 0 if 2 * k <= n else 1
-    totals = [_counted(parts[small])]
-    totals.insert(1 - small, _minus(total, totals[0]))
-    return cut, False, ((totals[0], parts[0], low[:k - 1], None), (totals[1], parts[1], None, high[k:]))
+    small = 2 * k > n
+    part = _counted(codes[k:] if small else codes[:k])
+    totals = (_minus(total, part), part) if small else (part, _minus(total, part))
+    return cut, False, ((totals[0], codes[:k], (vertical, low[:k - 1], None)),
+                        (totals[1], codes[k:], (vertical, None, high[k:])))
 
 
 def entropy_tree(grid: FingerprintGrid, region: Optional[Rect] = None, *,
                  table: Optional[_XLogXTable] = None) -> EntropyTree:
     """Full guillotine decomposition tree of `region` (default: whole grid).
 
-    Every cut hands its children the counts they share with it, so only
-    the root counts all its cells (`_block_cut` says why the counts are
-    exact): a node one cell wide or tall, most of a tree's nodes, gets
-    its codes and total (`_line_cut`), a wider node its total and its line
-    histograms on both axes.  A wider node then costs
-    O((width + height) x codes), plus its smaller child's area, which it
-    counts.  A one-wide node still sweeps its cells, from one end when its
-    parent handed it the other's half scores, so a line that is peeled one
-    cell per node costs O(length^2).  Nodes travel as (left, top, right,
-    bottom) tuples, and each gets its `Rect` once, when the tree is
-    built: an inner node as an `EntropyNode`, a leaf as the `Region` of
-    its rectangle and its fingerprint, read off its top-left code.
-    `table` may be shared by the trees of one sheet.  Built with an
-    explicit stack; deep, skewed cut sequences on long thin sheets would
-    overflow Python's recursion limit otherwise.
+    Every cut hands its children the counts they share with it
+    (`_hand_down`), so only the root counts all its cells: a one-wide
+    node, most of a tree's nodes, gets its codes and total (`_line_cut`),
+    a wider node its total and its lines on both axes, and costs
+    O((width + height) x codes) plus its smaller child's area.  A line
+    peeled one cell per node costs O(length^2): each node sweeps it from
+    one end.  A one-wide root holding one code settles without a
+    histogram.  Nodes travel as (left, top, right, bottom) tuples and get
+    their `Rect` once, when the tree is built: an `EntropyNode`, or a
+    leaf's `Region` with the fingerprint of its top-left code.  `table`
+    may be shared by the trees of one sheet.  Built with an explicit
+    stack; deep, skewed cut sequences on long thin sheets would overflow
+    Python's recursion limit otherwise.
     """
     if region is None:
         region = grid.full_rect()
     if table is None:
         table = _XLogXTable()
+
+    def count(rect: tuple, axis: tuple) -> tuple[list[dict[int, int]], list[int]]:
+        """The lines of `rect` along `axis` as `_hand_down` counts them."""
+        cells = list(grid.block(Rect(*rect)))
+        if axis[0]:
+            return list(map(_counted, zip(*cells))), [len(cells)] * len(cells[0])
+        return list(map(_counted, cells)), [len(cells[0])] * len(cells)
+
     # Decide every node's cut top-down; stack order is preorder.  A
     # pending node is (left, top, right, bottom, all_distinct, counts):
-    # counts are what its parent handed down, as `_block_cut` or
-    # `_line_cut` return them, or None at the root.
+    # counts are (total, axes or codes, known) as its parent handed them
+    # down, or None at the root.
     order: list[tuple[int, int, int, int, Optional[tuple[bool, int]]]] = []
     pending: list[tuple] = [(*region, False, None)]
     while pending:
         left, top, right, bottom, all_distinct, counts = pending.pop()
-        children: tuple = (None, None)
-        if left == right and top == bottom:
-            cut = None
-        elif all_distinct:
-            cut = _distinct_cut(left, top, right, bottom, table)
-        else:
-            if left == right or top == bottom:
+        cut, children = None, (None, None)
+        if left < right or top < bottom:
+            if not all_distinct and (left == right or top == bottom):
                 if counts is None:
                     codes = _line_codes(grid, left, top, right, bottom)
-                    counts = _counted(codes), codes, None, None
+                    one = codes.count(codes[0]) == len(codes)
+                    counts = {codes[0]: len(codes)} if one else _counted(codes), codes, None
                 cut, all_distinct, children = _line_cut(left if top == bottom else top, top == bottom, counts, table)
-            else:
-                cut, all_distinct, children = _block_cut(grid, left, top, right, bottom, counts, table)
+            elif not all_distinct:
+                cut, all_distinct, children = _block_cut(grid, left, top, right, bottom, counts, table, count)
             if all_distinct:
                 cut = _distinct_cut(left, top, right, bottom, table)
         order.append((left, top, right, bottom, cut))
         if cut is None:
             continue
         vertical, index = cut
-        low_counts, high_counts = children
         if vertical:
-            pending.append((index + 1, top, right, bottom, all_distinct, high_counts))
-            pending.append((left, top, index, bottom, all_distinct, low_counts))
+            pending.append((index + 1, top, right, bottom, all_distinct, children[1]))
+            pending.append((left, top, index, bottom, all_distinct, children[0]))
         else:
-            pending.append((left, index + 1, right, bottom, all_distinct, high_counts))
-            pending.append((left, top, right, index, all_distinct, low_counts))
+            pending.append((left, index + 1, right, bottom, all_distinct, children[1]))
+            pending.append((left, top, right, index, all_distinct, children[0]))
     # In reversed preorder a node's high subtree, then its low one, is
     # built just before it, so both sit on top of the stack.  A leaf holds
     # one fingerprint, so its top-left cell names it.
@@ -755,64 +754,23 @@ def _strips(r: Rect, vertical: bool, cuts: list[int]) -> list[Rect]:
     return [Rect(lo, r.top, hi, r.bottom) if vertical else Rect(r.left, lo, r.right, hi) for lo, hi in spans]
 
 
-def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], ids: dict[int, int], vertical: bool,
-          uniform: bool = False) -> tuple:
+def _gaps(grid: FingerprintGrid, r: Rect, cuts: list[int], col_ids: dict[int, int], row_ids: dict[int, int],
+          vertical: bool) -> tuple:
     """One axis of `r` for `_cut_search`: the strips between its
     consecutive `cuts`, edges included, counted off the code rows.
 
     Cuts sit at every run boundary, so a strip is either one whole
     delimiter run, which holds its run's code alone, or lines of no run,
     whose code-row slices are counted once.  Every strip holds one code
-    alone too when `r` is `uniform`: when it lies inside one run of the
-    other axis.
+    alone too when `r` lies inside one run of the other axis.
     """
+    ids, other = (col_ids, row_ids) if vertical else (row_ids, col_ids)
+    uniform = _inside_run(other, *((r.top, r.bottom) if vertical else (r.left, r.right)))
     strips = _strips(r, vertical, cuts)
     hists = [{grid.code_at(s.left, s.top): s.area}
              if uniform or _inside_run(ids, *((s.left, s.right) if vertical else (s.top, s.bottom)))
              else _counted(chain.from_iterable(grid.block(s))) for s in strips]
     return vertical, hists, [s.area for s in strips], cuts + [r.right if vertical else r.bottom]
-
-
-def _sub_pieces(grid: FingerprintGrid, r: Rect, axes: list[tuple], cut: tuple[bool, int],
-                halves: tuple[list[float], list[float]], col_ids: dict[int, int],
-                row_ids: dict[int, int]) -> list[tuple]:
-    """The two pieces the cut leaves of a searched piece `r`, each with
-    what its own search needs: (piece, None) for a piece with one strip
-    along the cut, which is not searched again, else (piece, (axes,
-    known)) as `_cut_search` takes them.
-
-    `axes` are `r`'s, vertical first, and `halves` the low and high half
-    scores of the cut's axis (`_cut_search`).  Along the cut a piece's strips are a run of `r`'s, with the
-    same histograms, and it shares the half scores of one side with `r`,
-    as a tree node shares them with its parent (`_block_cut`).  Across
-    it, the smaller piece by area counts its strips (`_gaps`), reading no
-    cell when it lies inside one run of the cut's axis, as a peeled
-    delimiter run does, and the larger piece takes `r`'s strips less the
-    smaller's, zero counts dropped: the same counts a recount finds.
-    """
-    vertical, index = cut
-    (_, hists, sizes, lasts), (_, across, across_sizes, across_lasts) = axes if vertical else axes[::-1]
-    k = bisect.bisect_left(lasts, index) + 1
-    pieces = _strips(r, vertical, [index])
-    if k == 1 and len(lasts) == 2:
-        return [(piece, None) for piece in pieces]
-    small = 0 if 2 * sum(sizes[:k]) <= r.area else 1
-    piece = pieces[small]
-    along_ids, across_ids = (col_ids, row_ids) if vertical else (row_ids, col_ids)
-    counted = _gaps(grid, piece, across_lasts[:-1], across_ids, not vertical,
-                    _inside_run(along_ids, *((piece.left, piece.right) if vertical else (piece.top, piece.bottom))))
-    other = list(map(_minus, across, counted[1])), list(map(operator.sub, across_sizes, counted[2]))
-    out = []
-    for side, (a, b) in enumerate([(0, k), (k, len(lasts))]):
-        if b - a == 1:
-            out.append((pieces[side], None))
-            continue
-        strips = counted[1:3] if side == small else other
-        along = (vertical, hists[a:b], sizes[a:b], lasts[a:b])
-        crossing = (not vertical, *strips, across_lasts)
-        known = (vertical, halves[0][:k - 1], None) if side == 0 else (vertical, None, halves[1][k:])
-        out.append((pieces[side], ([along, crossing] if vertical else [crossing, along], known)))
-    return out
 
 
 def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = None) -> list[Rect]:
@@ -834,14 +792,13 @@ def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = No
 
     A piece with candidates on both axes searches them as the tree does
     (`_cut_search`), over the strips between them (`_gaps`) instead of
-    single lines, and re-scores exactly only the cuts near the sweep's
-    minimum, none when just one is.  Only the first piece searched counts
-    the cells of its strips outside the runs; each piece cut from it
-    takes its strip histograms and half scores from it (`_sub_pieces`),
-    as a tree node does from its parent, so a search costs
-    O(strips x codes), plus the cells of the smaller piece it cuts off
-    when that piece lies in no run.  No search makes a `counts_in` call.
-    `table` may be shared with the sheet's trees.
+    single lines.  Only the first piece searched counts its cells outside
+    the runs; the pieces cut from it take their counts from it
+    (`_hand_down`), so a search costs O(strips x codes), plus the cells
+    of the smaller piece it cuts off that lie in no run.  A piece of one
+    strip along the cut has no candidate on that axis, so it needs no
+    strips.  No search calls `counts_in`.  `table` may be shared with the
+    sheet's trees.
     """
     full = grid.full_rect()
     col_ids = _axis_runs(grid, True)
@@ -850,6 +807,11 @@ def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = No
     h_cuts = _run_cuts(row_ids, full.top, full.bottom)
     if table is None:
         table = _XLogXTable()
+
+    def count(piece: tuple, axis: tuple) -> tuple[list[dict[int, int]], list[int]]:
+        """The strips of `piece` along `axis` as `_hand_down` counts them."""
+        return _gaps(grid, Rect(*piece), axis[3][:-1], col_ids, row_ids, axis[0])[1:3]
+
     pieces: list[Rect] = []
     stack: list[tuple] = [(full, None)]
     while stack:
@@ -862,10 +824,13 @@ def delimiter_splits(grid: FingerprintGrid, *, table: Optional[_XLogXTable] = No
         if not (cand_v and cand_h):
             pieces += _strips(r, bool(cand_v), cand_v or cand_h)
             continue
-        axes, known = counts or ([_gaps(grid, r, cand_v, col_ids, True), _gaps(grid, r, cand_h, row_ids, False)],
-                                 None)
-        cut, halves = _cut_search(r.area, _summed(axes[0][1]), axes, table, known)
-        stack += _sub_pieces(grid, r, axes, cut, halves, col_ids, row_ids)
+        if counts is None:
+            axes = [_gaps(grid, r, cand_v, col_ids, row_ids, True), _gaps(grid, r, cand_h, col_ids, row_ids, False)]
+            counts = _summed(axes[0][1]), axes, None
+        total, axes, known = counts
+        cut, halves = _cut_search(r.area, total, axes, table, known)
+        rects, children = _hand_down(r, total, axes, cut, halves, count, False)
+        stack += [(Rect(*piece), counts) for piece, counts in zip(rects, children)]
     pieces.sort(key=lambda p: (p.top, p.left))
     return pieces
 

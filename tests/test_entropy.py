@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -937,11 +938,11 @@ class TestDelimiterSplitsOracle:
         top, bottom = sorted(rng.randint(1, grid.height) for _ in range(2))
         piece = Rect(left, top, right, bottom)
         axes = []
+        col_ids, row_ids = _axis_runs(grid, True), _axis_runs(grid, False)
         for vertical, length, first, last in ((True, grid.width, left, right), (False, grid.height, top, bottom)):
-            ids = _axis_runs(grid, vertical)
-            cuts = [i for i in _run_cuts(ids, 1, length) if first <= i < last]
+            cuts = [i for i in _run_cuts(col_ids if vertical else row_ids, 1, length) if first <= i < last]
             if cuts:
-                axes.append(entropy._gaps(grid, piece, cuts, ids, vertical))
+                axes.append(entropy._gaps(grid, piece, cuts, col_ids, row_ids, vertical))
         if not axes:
             return
         total = Counter(chain.from_iterable(row[left - 1:right] for row in grid.code_rows[top - 1:bottom]))
@@ -1017,43 +1018,37 @@ class TestDelimiterSplitsOracle:
         # its strips and half scores from the piece it was cut from.
         grid, left, top = case
         want = [shifted(piece, left - 1, top - 1) for piece in naive_delimiter_splits(grid)]
-        assert delimiter_splits(placed(grid, left, top)) == want
+        moved = placed(grid, left, top)
+        with pytest.MonkeyPatch.context() as patch:
+            events = delimiter_reads(patch)
+            assert delimiter_splits(moved) == want
+        assert_counts_only_first_and_smaller_pieces(moved, events)
 
     def test_handed_down_strips_equal_recounts(self, monkeypatch):
-        # Every strip histogram a piece takes from the piece it was cut
-        # from equals a recount of the strip's cells, without a zero
+        # Every total and strip histogram a piece takes from the piece it
+        # was cut from equals a recount of its cells, without a zero
         # count, and its shared half scores equal a fresh sweep's.
-        handed = []
-        sub_pieces = entropy._sub_pieces
-
-        def spying(grid, *args):
-            out = sub_pieces(grid, *args)
-            searched = [(piece, counts) for piece, counts in out if counts is not None]
-            handed.extend(searched)
-            for piece, (axes, (vertical, low, high)) in searched:
-                assert [axis[0] for axis in axes] == [True, False]
-                for axis_vertical, hists, sizes, lasts in axes:
-                    strips = entropy._strips(piece, axis_vertical, list(lasts[:-1]))
-                    assert sizes == [strip.area for strip in strips]
-                    for hist, strip in zip(hists, strips):
-                        assert all(c > 0 for c in hist.values())
-                        assert hist == Counter(chain.from_iterable(grid.block(strip)))
-                    if axis_vertical == vertical:
-                        fresh = sweep_halves(hists, sizes)
-                        assert low is None or low == fresh[0]
-                        assert high is None or high == fresh[1]
-            return out
-
-        monkeypatch.setattr(entropy, "_sub_pieces", spying)
+        spy = spy_handed_counts(monkeypatch)
         rng = random.Random(4)
-        for _ in range(40):
-            grid = crossed_banded_grid(rng)
-            assert delimiter_splits(grid) == naive_delimiter_splits(grid)
+        grids = [crossed_banded_grid(rng) for _ in range(40)]
         rows = striped_rows(60, 60)
         rows[30] = ["E"] * 60
-        grid = FingerprintGrid(rows)
-        assert delimiter_splits(grid) == naive_delimiter_splits(grid)
-        assert len(handed) > 40
+        for spy.grid in grids + [FingerprintGrid(rows)]:
+            assert delimiter_splits(spy.grid) == naive_delimiter_splits(spy.grid)
+        assert spy.checked["piece"] > 40 and spy.checked["unsearched piece"] > 0
+
+    def test_a_tied_cut_counts_its_low_piece(self, monkeypatch):
+        # The root's best cut, under the blank row, halves it: 12 cells a
+        # side.  Only the low piece has two strips along the cut, so the
+        # high one needs no strips, and the low one, the smaller on a tie,
+        # counts its strips outside the runs.
+        grid = FingerprintGrid([list(row) for row in ["ABEABA", "EEEEEE", "BAEBAB", "ABEABA"]])
+        events = delimiter_reads(monkeypatch)
+        delimiter_splits(grid)
+        assert [kind for kind, _ in events[:4]] == ["read"] * 4
+        assert events[4:7] == [("search", Rect(1, 1, 6, 4), (False, 2)), ("read", Rect(1, 1, 2, 2)),
+                               ("read", Rect(4, 1, 6, 2))]
+        assert_counts_only_first_and_smaller_pieces(grid, events)
 
     def test_running_totals_tree_counts_nothing(self, monkeypatch):
         # The tree re-scores its cuts from its sweep's line histograms.
@@ -1164,58 +1159,126 @@ def test_only_a_root_or_a_smaller_child_counts_its_cells(monkeypatch):
     assert_counts_only_roots_and_smaller_children(tree, reads)
 
 
+def test_a_tied_cut_counts_its_low_child(monkeypatch):
+    # The root's best cut halves it into two 2 x 2 blocks of two codes
+    # each, both needing a cut: the low one, the smaller on a tie, is
+    # counted.  Their children are one-wide and take their codes.
+    grid = FingerprintGrid([["A", "B", "C", "D"], ["B", "A", "D", "C"]])
+    reads = block_reads(monkeypatch)
+    tree = entropy_tree(grid)
+    assert (tree.vertical, tree.index) == (True, 2)
+    assert reads == [Rect(1, 1, 4, 2), Rect(1, 1, 2, 2)]
+    assert_counts_only_roots_and_smaller_children(tree, reads)
+
+
+def delimiter_reads(monkeypatch):
+    """The delimiter pass's searches and cell reads in the order they
+    happen, as a list that fills while the test runs: ("search", piece,
+    cut) as a searched piece hands its counts down (`_hand_down`), and
+    ("read", rect) as `FingerprintGrid.block` reads a rectangle."""
+    events = []
+    hand_down, block = entropy._hand_down, FingerprintGrid.block
+
+    def searching(r, total, axes, cut, *args):
+        events.append(("search", r, cut))
+        return hand_down(r, total, axes, cut, *args)
+
+    monkeypatch.setattr(entropy, "_hand_down", searching)
+    monkeypatch.setattr(FingerprintGrid, "block", lambda self, rect: events.append(("read", rect)) or block(self, rect))
+    return events
+
+
+def assert_counts_only_first_and_smaller_pieces(grid, events):
+    """The delimiter pass's `assert_counts_only_roots_and_smaller_children`:
+    cells are read, each rectangle once, only before the first search,
+    which is of the whole grid, and after each search only inside its
+    smaller piece (the low one on a tie); no rectangle read lies inside a
+    delimiter run, and no cell is read more than 1 + log2(area) times."""
+    col_ids, row_ids = _axis_runs(grid, True), _axis_runs(grid, False)
+    searched = [r for kind, r, *_ in events if kind == "search"]
+    allowed = grid.full_rect()
+    reads = []
+    for kind, r, *cut in events:
+        if kind == "search":
+            low, high = split_halves(r, cut[0][1], cut[0][0])
+            allowed = low if low.area <= high.area else high
+            continue
+        assert allowed.left <= r.left <= r.right <= allowed.right
+        assert allowed.top <= r.top <= r.bottom <= allowed.bottom
+        assert not entropy._inside_run(col_ids, r.left, r.right)
+        assert not entropy._inside_run(row_ids, r.top, r.bottom)
+        reads.append(r)
+    assert not reads or searched[0] == grid.full_rect()
+    assert len(set(reads)) == len(reads)
+    times = Counter(cell for rect in reads for cell in rect.cells())
+    assert max(times.values(), default=0) <= 1 + math.log2(grid.full_rect().area)
+
+
 def spy_handed_counts(monkeypatch):
-    """Check, as the tree decides each node, the counts its parent handed
-    it against a recount of the node's cells: equal histograms without a
-    zero count, and shared half scores equal to a fresh sweep.  Returns
-    the number of nodes checked so far, by kind, as a Counter."""
-    checked = Counter()
-    block_cut, line_cut = entropy._block_cut, entropy._line_cut
+    """Check the counts every cut hands down against a recount of the
+    cells of `spy.grid`, which the caller sets to the grid being cut:
+    each child's total and strips from `_hand_down`, with their cell
+    counts and the half scores it shares with its parent, and each
+    one-wide node's total and codes as `_line_cut` gets them.  Counts
+    must equal a recount without a zero count, and shared half scores a
+    fresh sweep.  Returns the spy; `spy.checked` counts the children and
+    nodes checked so far, by kind."""
+    spy = SimpleNamespace(grid=None, checked=Counter())
+    hand_down, line_cut = entropy._hand_down, entropy._line_cut
+
+    def recount(rect):
+        return Counter(chain.from_iterable(spy.grid.block(Rect(*rect))))
 
     def no_zeros(hist):
         assert all(c > 0 for c in hist.values())
 
-    def checking_block(grid, left, top, right, bottom, counts, table):
-        if counts is not None:
-            total, cols, rows, known = counts
-            cells = [row[left - grid.left:right - grid.left + 1]
-                     for row in grid.code_rows[top - grid.top:bottom - grid.top + 1]]
-            no_zeros(total)
-            assert total == Counter(chain.from_iterable(cells))
-            if cols is not None:
-                assert len(cols) == right - left + 1 and len(rows) == bottom - top + 1
-                for hist, line in chain(zip(cols, zip(*cells)), zip(rows, cells)):
+    def checking_hand_down(r, total, axes, cut, halves, count, settle):
+        rects, children = hand_down(r, total, axes, cut, halves, count, settle)
+        vertical, index = cut
+        assert list(rects) == list(split_halves(Rect(*r), index, vertical))
+        for side, (rect, (child_total, child_axes, known)) in enumerate(zip(rects, children)):
+            no_zeros(child_total)
+            assert child_total == recount(rect)
+            if child_axes is None:
+                assert known is None
+                wide = rect[0] < rect[2] and rect[1] < rect[3]
+                spy.checked[("settled block" if wide else "one-wide child") if settle else "unsearched piece"] += 1
+                continue
+            assert [axis[0] for axis in child_axes] == [True, False]
+            for axis_vertical, hists, sizes, lasts in child_axes:
+                strips = entropy._strips(Rect(*rect), axis_vertical, list(lasts[:-1]))
+                assert lasts[-1] == (rect[2] if axis_vertical else rect[3])
+                assert list(sizes) == [strip.area for strip in strips] and len(hists) == len(strips)
+                for hist, strip in zip(hists, strips):
                     no_zeros(hist)
-                    assert hist == Counter(line)
-                vertical, low, high = known
-                lines, size = (cols, bottom - top + 1) if vertical else (rows, right - left + 1)
-                sizes = [size] * len(lines)
-                if low is not None:
-                    assert low == entropy._half_scores(lines[:-1], sizes, _XLogXTable())
-                if high is not None:
-                    assert high == entropy._half_scores(lines[:0:-1], sizes, _XLogXTable())[::-1]
-                checked["block"] += 1
-            else:
-                checked["settled block"] += 1
-        return block_cut(grid, left, top, right, bottom, counts, table)
+                    assert hist == recount(strip)
+                if axis_vertical == vertical:
+                    low, high = sweep_halves(hists, sizes)
+                    assert known == ((vertical, low, None) if side == 0 else (vertical, None, high))
+            spy.checked["block" if settle else "piece"] += 1
+        return rects, children
 
     def checking_line(first, vertical, counts, table):
-        total, codes, low, high = counts
+        total, codes, known = counts
         no_zeros(total)
         if codes is None:
-            checked["settled line"] += 1
+            assert known is None
+            spy.checked["settled line"] += 1
         else:
             assert total == Counter(codes)
-            if low is not None:
-                assert low == entropy._line_scores(codes[:-1], _XLogXTable())
-            if high is not None:
-                assert high == entropy._line_scores(codes[:0:-1], _XLogXTable())[::-1]
-            checked["line"] += 1
+            if known is not None:
+                low, high = known[1:]
+                assert known[0] == vertical
+                if low is not None:
+                    assert low == entropy._line_scores(codes[:-1], _XLogXTable())
+                if high is not None:
+                    assert high == entropy._line_scores(codes[:0:-1], _XLogXTable())[::-1]
+            spy.checked["line"] += 1
         return line_cut(first, vertical, counts, table)
 
-    monkeypatch.setattr(entropy, "_block_cut", checking_block)
+    monkeypatch.setattr(entropy, "_hand_down", checking_hand_down)
     monkeypatch.setattr(entropy, "_line_cut", checking_line)
-    return checked
+    return spy
 
 
 def test_handed_down_counts_equal_recounts(monkeypatch):
@@ -1223,12 +1286,14 @@ def test_handed_down_counts_equal_recounts(monkeypatch):
     # an outlier: every histogram a node gets from its parent, the
     # larger child's being its parent's less the smaller child's, is the
     # one a recount finds, and every shared half score is a fresh one.
-    checked = spy_handed_counts(monkeypatch)
+    spy = spy_handed_counts(monkeypatch)
     rng = random.Random(8)
-    for grid in [noisy_grid(rng, 18, 14), noisy_grid(rng, 9, 25, "ABCDEFGHIJKL", chance=0.7),
-                 table_grid(rng, 12, 16), table_grid(rng, 7, 30), copied_column_grid(rng, 40, 2)]:
-        assert_tree_matches_naive(grid)
-    assert min(checked.values()) > 0 and len(checked) == 4
+    for spy.grid in [noisy_grid(rng, 18, 14), noisy_grid(rng, 9, 25, "ABCDEFGHIJKL", chance=0.7),
+                     table_grid(rng, 12, 16), table_grid(rng, 7, 30), copied_column_grid(rng, 40, 2)]:
+        assert_tree_matches_naive(spy.grid)
+    kinds = ["block", "settled block", "line", "settled line"]
+    assert min(spy.checked[kind] for kind in kinds) > 0
+
 
 def test_decomposition_counts_nothing(monkeypatch):
     # No cut's entropy is read while decomposing.
@@ -1289,14 +1354,14 @@ def test_all_distinct_subtree_builds_no_histogram(monkeypatch):
         return block_cut(grid, left, top, right, bottom, *args)
 
     def deciding_line(first, vertical, counts, table):
-        total, codes, _, _ = counts
-        decided.append((first, vertical, codes, len(total)))
+        total, codes, known = counts
+        decided.append((first, vertical, codes, known, len(total)))
         return line_cut(first, vertical, counts, table)
 
     monkeypatch.setattr(entropy, "_block_cut", deciding_block)
     monkeypatch.setattr(entropy, "_line_cut", deciding_line)
     tree = entropy_tree(grid)
-    assert decided == [Rect(1, 1, 2, 2000), (1, False, None, 1), (1, False, None, 2000)]
+    assert decided == [Rect(1, 1, 2, 2000), (1, False, None, None, 1), (1, False, None, None, 2000)]
     assert len(tree_leaves(tree)) == 2001
 
 

@@ -30,7 +30,8 @@ def run_script(argv):
     return proc.stdout
 
 
-SCALING = ["scaling_benchmark.py", "--sizes", "5x5", "--totals", "5", "--noisy", "4", "--crossed", "10"]
+SCALING = ["scaling_benchmark.py", "--sizes", "5x5", "--totals", "5", "--ledger", "6", "--noisy", "4",
+           "--crossed", "10"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -81,9 +82,9 @@ def test_collision_survey_counts_collisions_and_data_like_formulas(tmp_path):
 def test_scaling_benchmark_times_the_load():
     header, *rows = run_script(SCALING).splitlines()
     assert header.split() == ["sheet", "cells", "load", "vectors", "decomp", "delim", "fixes", "total", "regions"]
-    assert [row.split()[:2] for row in rows] == [["stripes_5x5", "25"], ["running_totals_5", "10"], ["noisy_4x4", "16"],
-                                                 ["crossed_10x10", "100"], ["sparse_16x65536", "1048576"],
-                                                 ["shuffled_200x200", "40000"]]
+    assert [row.split()[:2] for row in rows] == [["stripes_5x5", "25"], ["running_totals_5", "10"], ["ledger_6", "12"],
+                                                 ["noisy_4x4", "16"], ["crossed_10x10", "100"],
+                                                 ["sparse_16x65536", "1048576"], ["shuffled_200x200", "40000"]]
     assert all(row.split()[2].endswith("ms") for row in rows)
 
 
