@@ -273,7 +273,7 @@ def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple], tabl
     parent that shares those halves; only the other side is swept.
     Every cut is swept; only those within `_cut_margin` of the sweep's
     lowest are re-scored exactly (`_strip_score`), and none when just
-    one is.
+    one is; the codes are sorted only for a re-score.
     """
     sweeps, strips, halves = [], {}, {}
     for vertical, hists, sizes, lasts in axes:
@@ -285,7 +285,8 @@ def _cut_search(area: int, total: Mapping[int, int], axes: Iterable[tuple], tabl
         sweeps.append((vertical, lasts[:-1], list(map(operator.add, low, high))))
         strips[vertical] = hists, sizes, lasts
         halves[vertical] = low, high
-    cut = _first_exact_minimum(_near_minimum(area, sweeps), _strip_score, strips, sorted(total), total, area)
+    near = _near_minimum(area, sweeps)
+    cut = _first_exact_minimum(near, _strip_score, strips, sorted(total) if len(near) > 1 else None, total, area)
     return cut, halves[cut[0]]
 
 
@@ -505,7 +506,8 @@ def _line_cut(first: int, vertical: bool, counts: tuple,
     if high is None:
         high = _line_scores(codes[:0:-1], table)[::-1]
     near = _near_minimum(n, [(vertical, range(first, first + n - 1), list(map(operator.add, low, high)))])
-    cut = _first_exact_minimum(near, _line_score, codes, first, sorted(total), total)
+    # A lone cut is not scored, so it needs no code order.
+    cut = _first_exact_minimum(near, _line_score, codes, first, sorted(total) if len(near) > 1 else None, total)
     k = cut[1] - first + 1
     small = 2 * k > n
     part = _counted(codes[k:] if small else codes[:k])

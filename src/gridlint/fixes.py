@@ -6,25 +6,28 @@ region next to the target or one of its boundary cells facing the
 target, so every source is a Rect and its cells are listed only when a
 kept fix is reported.  Candidates are read off an edge index of the
 regions, so each source merges with its target into one rectangle, by
-the rule coalescing uses (the paper's screen C1), by construction.  Two
-screens remain (C3: an aggregate is never rewritten to match its own
-inputs; C2: both sides must be formulas).  Survivors are scored by how
-much the rewrite simplifies the sheet layout versus how far the
-formulas must move, and reported within a flagged-cell budget.
+the rule coalescing uses (the paper's screen C1), by construction.  The
+pipeline indexes only the formula regions (`build_fixes`), so both
+sides are formulas (the paper's screen C2) by construction too.  One
+screen decides (C3: an aggregate is never rewritten to match its own
+inputs); `admissible` still applies C2 to a candidate built by hand.
+Survivors are scored by how much the rewrite simplifies the sheet
+layout versus how far the formulas must move, and reported within a
+flagged-cell budget.
 
-Costs.  A sheet's regions are sorted and indexed once, into one
-`Layout` that both candidate generation and scoring read.  For R
+Costs.  A sheet's formula regions are sorted and indexed once, into one
+`Layout` that both candidate generation and scoring read; a data
+region's edges are never indexed, paired or screened.  For R formula
 regions, candidates cost O(R log R) plus O(1) each: a source's
 whole-region targets are four lookups in the layout's edge index, and
 its one-cell targets are bisected out of sorted lists of the regions
-one cell wide, so no boundary cell is probed.  No formula has a data
-cell's fingerprint, so C2 compares the two sides' fingerprints with
-those of data cells and reads no cell.  C3 reads one reference box per
-formula region (`Screens`), computed the first time the region is a
-whole source, so a formula region's cells are read at most once and a
-data region's never.  A one-cell source reads its own references.  The
-distance sums each formula cell's referenced locations once per sheet,
-however many candidates it is a side of (`Screens.location`).
+one cell wide, so no boundary cell is probed.  C3 reads one reference
+box per formula region (`Screens`), computed the first time the region
+is a whole source, so a formula region's cells are read at most once
+and a data region's never.  A one-cell source reads its own
+references.  The distance sums each formula cell's referenced locations
+once per sheet, however many candidates it is a side of
+(`Screens.location`).
 Every candidate of a sheet is scored against the same `Layout`: its
 edge index, and the regions' entropy terms p*log2(p) cached per area.
 A candidate then costs up to five new regions (the merged rectangle and
@@ -90,13 +93,17 @@ class ProposedFix(NamedTuple):
 
 
 class Layout:
-    """One sheet's tiling, indexed once for every candidate fix proposed
-    and scored on it.
+    """Regions of one sheet's tiling, indexed once for every candidate
+    fix proposed and scored on it.
 
-    Holds one edge index over the regions, which names each region by its
-    `_region_key`, and each area's entropy term p*log2(p).  The regions
-    are added in key order and nothing edits the index once it is built,
-    so `index.live` lists them in that order.
+    `build_fixes` gives it the sheet's formula regions, which are part of
+    a tiling of `total_cells` cells but not the whole tiling, so no data
+    region's edges are indexed; any regions that are part of a tiling
+    will do.  Holds one edge index over the regions, which names each
+    region by its `_region_key`, and each area's entropy term p*log2(p)
+    for the whole sheet's `total_cells`.  The regions are added in key
+    order and nothing edits the index once it is built, so `index.live`
+    lists them in that order.
     """
 
     def __init__(self, regions: Sequence[Region], total_cells: int) -> None:
@@ -145,11 +152,13 @@ def _within(line: list[tuple[int, tuple]], low: int, high: int) -> list[tuple[in
 
 
 def candidate_fixes(layout: Layout) -> list[CandidateFix]:
-    """Every (source, target) proposal whose two sides tile a rectangle.
+    """Every (source, target) proposal whose two sides tile a rectangle,
+    among the layout's regions.
 
-    Reads the layout's edge index, whose regions tile their area.
-    Sources go in (top, left, bottom, right) order, as the index lists
-    them.  A
+    Reads the layout's edge index, whose regions are part of a tiling.
+    Over the formula regions that `build_fixes` indexes, both sides are
+    formulas, so C2 holds by construction as C1 does.  Sources go in
+    (top, left, bottom, right) order, as the index lists them.  A
     target faces a full side of the whole source, or an outward side of
     one boundary cell with a one-cell edge, so it faces at most one cell
     (skipped for one-cell regions, where the whole region is that cell).
@@ -234,7 +243,9 @@ def admissible(fix: CandidateFix, table: SheetVectors, screens: Optional[Screens
     """None when the fix passes both screens, else its rejection code.
 
     C1 (source and target tile one rectangle) holds by construction of
-    `candidate_fixes`, through the edge index.
+    `candidate_fixes`, through the edge index, and in the pipeline so
+    does C2, since `build_fixes` indexes only formula regions.  This
+    screens any candidate, one built by hand included:
 
     C3: an aggregate whose referents all sit inside the target is
         reporting on that data, not mistakenly diverging from it; skip,
@@ -469,7 +480,31 @@ def build_fixes(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[ProposedFix]:
     """End-to-end: candidates -> screens -> scores -> ranked audit list,
-    all read off one `Layout` of `regions`."""
-    layout = Layout(regions, total_cells)
+    all read off one `Layout` of the formula regions among `regions`, a
+    tiling of a sheet of `total_cells` cells.
+
+    A data region (fingerprint in `DATA_KINDS`) is never indexed, so no
+    candidate has a data side and C2 holds by construction, as C1 does.
+    The result is exactly that of a layout of every region, with C2
+    rejecting the candidates that have a data side:
+
+    * Every region a scored fix reads is a formula region.  Its source
+      and target pass C2.  The merged region takes the target's
+      fingerprint, and a one-cell source's fragments the source's; a
+      partner shares the fingerprint of the region it merges with.
+    * In a tiling at most one region owns a given full edge, so a lookup
+      in the index of the formula regions finds exactly what the same
+      lookup in the index of all of them finds once filtered by
+      fingerprint: the whole-region targets, the one-cell targets bisected
+      out of the one-wide lines, and the partners of `entropy_delta`.
+    * Sources still come in key order, and each source's targets sorted
+      by key, so the candidates are those of the full layout that pass
+      C2, in the same order.
+    * `total_cells` is passed on unchanged, so every entropy term and
+      `Layout.scale` is the same float.
+
+    So the scored list, the ranking and every float are unchanged.
+    """
+    layout = Layout([region for region in regions if region.fingerprint not in DATA_KINDS], total_cells)
     scored = score_candidates(candidate_fixes(layout), table, layout)
     return rank_and_cut(scored, threshold, total_cells)

@@ -32,7 +32,13 @@ from gridlint.fixes import (
 )
 from gridlint.model import CellContent, Rect, Workbook, Worksheet, column_to_letters, load_workbook, to_a1
 from gridlint.pipeline import AnalysisConfig, analyze_sheet
-from gridlint.vectors import EMPTY_FINGERPRINT as EMPTY, NUMBER_FINGERPRINT, Fingerprint, analyze_sheet_vectors
+from gridlint.vectors import (
+    DATA_KINDS,
+    EMPTY_FINGERPRINT as EMPTY,
+    NUMBER_FINGERPRINT,
+    Fingerprint,
+    analyze_sheet_vectors,
+)
 from oracle import (
     REASON_NOT_RECTANGULAR,
     _coalesce_targeted,
@@ -1196,6 +1202,80 @@ class TestBuildFixes:
         assert build_fixes(table2, regions2, 30) == []
 
 
+def exactly(fixes):
+    """Each fix's source, target and the `float.hex` of its floats."""
+    return [(f.source, f.target, f.delta_entropy.hex(), f.distance.hex(), f.score.hex()) for f in fixes]
+
+
+def check_formula_layout(table, regions, total):
+    """`build_fixes` ranks exactly what a layout of every region ranks,
+    data regions included, where C2 rejects the candidates with a data
+    side; the layout it builds holds no data region, and `admissible`
+    sees no data side.  Returns (candidates with a data side in the full
+    layout, fixes emitted at a full budget)."""
+    from gridlint import fixes
+
+    full = Layout(regions, total)
+    candidates = candidate_fixes(full)
+    scored = score_candidates(candidates, table, full)
+    layouts, screened = [], []
+
+    class SpyingLayout(Layout):
+        def __init__(self, regions, total_cells):
+            layouts.append(list(regions))
+            super().__init__(regions, total_cells)
+
+    def spying(fix, *args, _admissible=fixes.admissible):
+        screened.append(fix)
+        return _admissible(fix, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fixes, "Layout", SpyingLayout)
+        patch.setattr(fixes, "admissible", spying)
+        for threshold in (0.05, 1.0):
+            layouts.clear()
+            screened.clear()
+            got = build_fixes(table, regions, total, threshold)
+            assert exactly(got) == exactly(rank_and_cut(scored, threshold, total))
+            assert len(layouts) == 1
+            assert layouts[0] == [r for r in regions if r.fingerprint not in DATA_KINDS]
+            assert all(f.source_region.fingerprint not in DATA_KINDS and f.target.fingerprint not in DATA_KINDS
+                       for f in screened)
+    with_data = sum(admissible(c, table) == REASON_NOT_FORMULAS for c in candidates)
+    return with_data, len(got)
+
+
+class TestFormulaLayoutOracle:
+    """`build_fixes` indexes the formula regions only, against a layout of
+    every region: the same fixes, ranked the same, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([random_sheet, screened_sheet, data_like_sheet]))
+    def test_random_sheets(self, rng, sheet):
+        table, regions = analyzed(sheet(rng))
+        check_formula_layout(table, regions, table.rect.area)
+
+    def test_seeded_sheets_drop_data_sides_and_emit_fixes(self):
+        with_data = emitted = 0
+        for sheet in (random_sheet, screened_sheet, data_like_sheet):
+            for seed in range(10):
+                table, regions = analyzed(sheet(random.Random(seed)))
+                found = check_formula_layout(table, regions, table.rect.area)
+                with_data, emitted = with_data + found[0], emitted + found[1]
+        assert with_data > 0 and emitted > 0
+
+    @pytest.mark.parametrize("preprocess", [True, False])
+    def test_fixtures(self, fixtures_dir, preprocess):
+        emitted = 0
+        for path in sorted(fixtures_dir.glob("*.gridbook")):
+            workbook = load_workbook(path)
+            for sheet in workbook.sheets:
+                analysis = analyze_sheet(workbook, sheet, AnalysisConfig(preprocess=preprocess))
+                if analysis.cells:
+                    emitted += check_formula_layout(analysis.table, analysis.regions, analysis.cells)[1]
+        assert emitted > 0
+
+
 def test_build_fixes_indexes_the_regions_once(monkeypatch):
     # Candidates and scores read one Layout: one edge index per call.
     from gridlint import fixes
@@ -1215,8 +1295,9 @@ def test_build_fixes_indexes_the_regions_once(monkeypatch):
 
 def test_cascading_fixes_add_each_layout_region_once(monkeypatch):
     # Scoring a cascading fix indexes only the fix's own regions; the
-    # layout's are indexed once, when the layout is built, and never
-    # taken out and put back.
+    # layout's formula regions are indexed once, when the layout is
+    # built, and never taken out and put back.  Data regions are never
+    # indexed.
     from gridlint import fixes
 
     added = []
@@ -1236,7 +1317,7 @@ def test_cascading_fixes_add_each_layout_region_once(monkeypatch):
         added.clear()
         build_fixes(table, regions, table.rect.area)
         counts = Counter(added)
-        assert all(counts[region] == 1 for region in regions)
+        assert all(counts[region] == (region.fingerprint not in DATA_KINDS) for region in regions)
     assert sheets > 0
 
 
@@ -1261,7 +1342,9 @@ class TestBenchmarkHooks:
             monkeypatch.setattr(fixes, name, counting)
 
         kept = build_fixes(table, regions, 30)
-        assert len(calls["admissible"]) == len(candidates)
+        formulas = [c for c in candidates
+                    if c.source_region.fingerprint not in DATA_KINDS and c.target.fingerprint not in DATA_KINDS]
+        assert len(calls["admissible"]) == len(formulas) < len(candidates)
         assert calls["entropy_delta"] == expected
         assert len(calls["fix_distance"]) == sum(1 for d in expected if d < 0)
         assert kept
